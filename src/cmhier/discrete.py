@@ -141,14 +141,12 @@ def _corner_system(variant: str, x: np.ndarray, known: np.ndarray, params: Latti
 
 def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: float) -> np.ndarray:
     """Solve each particle's own pole with cross terms frozen; exact for N=1."""
-    n = len(x)
     u = x + 1e-3
     for _ in range(8):
-        cross = np.array(
-            [sum(1.0 / (x[m] - u[l]) for l in range(n) if l != m) for m in range(n)]
-        )
-        w = -sgn * (const + sgn * cross)
         with np.errstate(divide="ignore"):
+            cross = _cross(x, u)
+            np.fill_diagonal(cross, 0.0)
+            w = -sgn * (const + sgn * cross.sum(axis=1))
             u_new = x - 1.0 / w
         if not np.all(np.isfinite(u_new)):
             return u

@@ -2,7 +2,13 @@
 
 
 class NumericsError(Exception):
-    """Base class for numerical failures."""
+    """Base class for numerical failures.
+
+    `tau` is the tau of the failing RK4 stage when the failure happened inside
+    a semi-discrete chain evolution, else None.
+    """
+
+    tau = None
 
 
 class NonConvergence(NumericsError):
@@ -10,7 +16,13 @@ class NonConvergence(NumericsError):
 
 
 class SingularMatrix(NumericsError):
-    """A pivot fell below the relative singularity threshold."""
+    """A pivot fell below the relative singularity threshold, or the matrix
+    had a non-finite entry; `system` is the failing system's index in a
+    stacked solve, when known."""
+
+    def __init__(self, message, system=None):
+        super().__init__(message)
+        self.system = system
 
 
 class SingularJacobian(SingularMatrix):

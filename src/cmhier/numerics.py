@@ -1,7 +1,10 @@
 """Dense numeric kernel: linear solves, Newton iteration, finite differences, RK4.
 
-Everything operates on plain 1-D/2-D float ndarrays. Problem sizes are tiny
-(N up to a few tens), so clarity wins over asymptotics throughout.
+Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
+a few tens), so the cost of a solve is interpreter and numpy-call overhead,
+not arithmetic. linear_solve therefore also takes a stack of independent
+systems along a leading axis and eliminates them together, so that each numpy
+call of its column loop serves the whole stack.
 """
 
 from __future__ import annotations
@@ -41,33 +44,67 @@ DEFAULT_NEWTON = NewtonSettings()
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ v = b by LU with partial pivoting.
+    """Solve a @ v = b by LU with partial pivoting, for one system or a stack.
 
-    Raises SingularMatrix when the best available pivot drops below
-    PIVOT_RTOL times the largest entry of `a`.
+    `a` of shape (n, n) with `b` of shape (n,) is one system; `a` of shape
+    (m, n, n) with `b` of shape (m, n) is m independent systems, eliminated
+    together one column at a time, and the result has shape (m, n). Each
+    system pivots on the first largest |entry| in the column.
+
+    Raises SingularMatrix, naming the system index, when a system's matrix
+    has a non-finite entry or when its pivot is below PIVOT_RTOL times its
+    largest |entry|. Non-finite entries are checked first; a pivot failure
+    names the lowest failing system and its first failing column.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
-    if b.shape != (n,):
+    m, n = a.shape[:2]
+    if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
-    threshold = PIVOT_RTOL * max(np.max(np.abs(a)), 1e-300)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if np.abs(a[pivot_row, col]) < threshold:
-            raise SingularMatrix(f"pivot {a[pivot_row, col]:.3e} below threshold in column {col}")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1:] -= factors * b[col]
-    v = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        v[row] = (b[row] - a[row, row + 1:] @ v[row + 1:]) / a[row, row]
-    return v
+    scale = np.abs(a).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
+        system = int(np.flatnonzero(~np.isfinite(scale))[0])
+        raise SingularMatrix(f"system {system}: non-finite matrix entry", system=system)
+    threshold = PIVOT_RTOL * np.maximum(scale, 1e-300)
+
+    # augmented [a | b], so row swaps and eliminations carry the right-hand side
+    ab = np.empty((m, n, n + 1))
+    ab[:, :, :n] = a
+    ab[:, :, n] = b
+    systems = np.arange(m)
+    # a failed pivot spoils only its own system, so the pivots are checked
+    # after the sweep: each system's first failing column is still exact
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n):
+            below = ab[:, col:]
+            pivot_rows = np.abs(below[:, :, col]).argmax(axis=1)
+            if np.count_nonzero(pivot_rows):
+                swapped = below[systems, pivot_rows]
+                below[systems, pivot_rows] = below[:, 0]
+                below[:, 0] = swapped
+            pivot = below[:, 0]
+            rest = below[:, 1:, col:]
+            rest -= rest[:, :, :1] / pivot[:, None, col:col + 1] * pivot[:, None, col:]
+    diagonal = np.diagonal(ab, axis1=1, axis2=2)
+    passed = np.abs(diagonal) >= threshold[:, None]
+    if not passed.all():
+        system, col = np.argwhere(~passed)[0]
+        raise SingularMatrix(
+            f"system {system}: pivot {diagonal[system, col]:.3e} below threshold in column {col}",
+            system=int(system),
+        )
+    # back substitution on U with its rows scaled to a unit diagonal;
+    # columns[j] is column j of that U above the diagonal, for every system
+    columns = (np.triu(ab[:, :, :n], 1) / diagonal[:, :, None]).transpose(2, 0, 1)
+    v = ab[:, :, n] / diagonal
+    for row in range(n - 1, 0, -1):
+        v -= columns[row] * v[:, row, None]
+    return v[0] if single else v
 
 
 def fd_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -102,7 +139,6 @@ def newton_solve(
         raise ValueError("residual length must match guess length")
     for _ in range(settings.max_iterations):
         if np.all(np.isfinite(f)) and np.max(np.abs(f)) <= settings.tolerance:
-            assert np.max(np.abs(residual_fn(x))) <= settings.tolerance
             return x
         jac = jacobian_fn(x) if jacobian_fn is not None else fd_jacobian(residual_fn, x)
         try:

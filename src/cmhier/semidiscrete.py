@@ -10,16 +10,36 @@ chain is integrated.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
-from .errors import CollisionSingularity
-from .hierarchy import check_collision_free
+from .errors import CollisionSingularity, NumericsError, SingularMatrix
+from .hierarchy import COLLISION_TOL, check_collision_free
 from .numerics import linear_solve
 
 CROSS_GAP_TOL = 1e-12
+
+
+def _check_gaps(gaps: np.ndarray, tol: float, what: str, where: str) -> None:
+    """Raise CollisionSingularity naming the first index whose gap is below tol."""
+    low = np.flatnonzero(gaps < tol)
+    if low.size:
+        k = low[0]
+        raise CollisionSingularity(f"{what} {gaps[k]:.3e} below {tol:.1e} at {where} {k}")
+
+
+@contextmanager
+def _at_tau(tau: float):
+    """Attach tau to a NumericsError raised inside, as attribute and in the message."""
+    try:
+        yield
+    except NumericsError as exc:
+        exc.tau = tau
+        exc.args = (f"at tau={tau:.6g}: {exc}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -30,18 +50,19 @@ class Chain:
     tau: float = 0.0
 
     def __post_init__(self):
-        sites = tuple(np.asarray(s, dtype=float) for s in self.sites)
+        sites = [np.asarray(s, dtype=float) for s in self.sites]
         if len(sites) < 2:
             raise ValueError("a chain needs at least two sites")
         n = len(sites[0])
-        for s in sites:
-            if len(s) != n:
-                raise ValueError("all chain sites must have the same particle count")
-            check_collision_free(s)
-        for a, b in zip(sites, sites[1:]):
-            if np.min(np.abs(a[:, None] - b[None, :])) < CROSS_GAP_TOL:
-                raise CollisionSingularity("coinciding coordinates on adjacent chain sites")
-        object.__setattr__(self, "sites", sites)
+        if any(len(s) != n for s in sites):
+            raise ValueError("all chain sites must have the same particle count")
+        y = np.stack(sites)
+        gaps = np.abs(y[:, :, None] - y[:, None, :])
+        gaps[:, np.arange(n), np.arange(n)] = np.inf
+        _check_gaps(gaps.min(axis=(1, 2)), COLLISION_TOL, "minimum gap", "site")
+        cross = np.abs(y[:-1, :, None] - y[1:, None, :]).min(axis=(1, 2))
+        _check_gaps(cross, CROSS_GAP_TOL, "gap between adjacent chain sites", "edge")
+        object.__setattr__(self, "sites", tuple(y))
 
     @property
     def length(self) -> int:
@@ -62,42 +83,29 @@ class ChainVelocities:
     max_discrepancy: float      # worst interior disagreement, max-norm
 
 
-def _edge_forward_velocity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Velocity of b on edge (a, b): sum_l v_l / (a_m - b_l)^2 = -1 per m."""
-    mat = 1.0 / (a[:, None] - b[None, :]) ** 2
-    return linear_solve(mat, -np.ones(len(a)))
-
-
-def _edge_backward_velocity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Velocity of a on edge (a, b): sum_l v_l / (b_m - a_l)^2 = -1 per m."""
-    mat = 1.0 / (b[:, None] - a[None, :]) ** 2
-    return linear_solve(mat, -np.ones(len(a)))
-
-
 def tau_velocities(chain: Chain) -> ChainVelocities:
     """Solve the edge constraints for every site velocity.
 
-    Interior sites are determined from both neighbouring edges; the averaged
-    value is exposed for integration and the worst disagreement recorded.
+    On edge (a, b) = (y(k), y(k+1)) the velocity v of b solves
+    sum_l v_l / (a_m - b_l)^2 = -1 per m (the forward system), and the
+    velocity of a solves the transposed system (the backward one). All 2K
+    systems are solved in one stacked call. Interior sites are determined from
+    both neighbouring edges; the averaged value is exposed for integration and
+    the worst disagreement recorded.
     """
     k_len = chain.length
-    from_prev = [None] * (k_len + 1)
-    from_next = [None] * (k_len + 1)
-    for k in range(k_len):
-        a, b = chain.sites[k], chain.sites[k + 1]
-        from_prev[k + 1] = _edge_forward_velocity(a, b)
-        from_next[k] = _edge_backward_velocity(a, b)
-    velocities = []
-    discrepancy = 0.0
-    for k in range(k_len + 1):
-        if from_prev[k] is None:
-            velocities.append(from_next[k].copy())
-        elif from_next[k] is None:
-            velocities.append(from_prev[k].copy())
-        else:
-            velocities.append(0.5 * (from_prev[k] + from_next[k]))
-            discrepancy = max(discrepancy, float(np.max(np.abs(from_prev[k] - from_next[k]))))
-    return ChainVelocities(tuple(velocities), tuple(from_prev), tuple(from_next), discrepancy)
+    y = np.stack(chain.sites)
+    forward = 1.0 / (y[:-1, :, None] - y[1:, None, :]) ** 2
+    systems = np.concatenate((forward, forward.transpose(0, 2, 1)))
+    try:
+        solved = linear_solve(systems, -np.ones(systems.shape[:2]))
+    except SingularMatrix as exc:
+        side = "forward" if exc.system < k_len else "backward"
+        raise SingularMatrix(f"edge {exc.system % k_len} {side} velocity: {exc}", system=exc.system) from exc
+    from_prev, from_next = solved[:k_len], solved[k_len:]
+    velocities = np.concatenate((from_next[:1], 0.5 * (from_prev[:-1] + from_next[1:]), from_prev[-1:]))
+    discrepancy = float(np.max(np.abs(from_prev[:-1] - from_next[1:]), initial=0.0))
+    return ChainVelocities(tuple(velocities), (None, *from_prev), (*from_next, None), discrepancy)
 
 
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> list[Chain]:
@@ -105,21 +113,28 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> list[Chain]:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
-    def field(flat: np.ndarray) -> np.ndarray:
-        probe = Chain(tuple(flat.reshape(chain.length + 1, chain.n)), 0.0)
-        return np.concatenate(tau_velocities(probe).velocities)
+    shape = (chain.length + 1, chain.n)
+
+    def chain_at(flat: np.ndarray, stage_tau: float) -> Chain:
+        with _at_tau(stage_tau):
+            return Chain(tuple(flat.reshape(shape)), stage_tau)
+
+    def field(stage: Chain) -> np.ndarray:
+        with _at_tau(stage.tau):
+            return np.concatenate(tau_velocities(stage).velocities)
 
     y = np.concatenate(chain.sites)
     out = [chain]
-    tau = chain.tau
+    current = chain
     for _ in range(steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * d_tau * k1)
-        k3 = field(y + 0.5 * d_tau * k2)
-        k4 = field(y + d_tau * k3)
+        tau = current.tau
+        k1 = field(current)
+        k2 = field(chain_at(y + 0.5 * d_tau * k1, tau + 0.5 * d_tau))
+        k3 = field(chain_at(y + 0.5 * d_tau * k2, tau + 0.5 * d_tau))
+        k4 = field(chain_at(y + d_tau * k3, tau + d_tau))
         y = y + (d_tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau += d_tau
-        out.append(Chain(tuple(y.reshape(chain.length + 1, chain.n)), tau))
+        current = chain_at(y, tau + d_tau)
+        out.append(current)
     return out
 
 

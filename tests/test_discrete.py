@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from cmhier.discrete import (
     LatticeParams,
+    _corner_system,
+    _mean_field_guess,
     build_discrete_lax,
     build_lattice_sheet,
     build_plaquette,
@@ -146,6 +148,29 @@ class TestCornerEquations:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             corner_solve("e", np.array([0.0]), np.array([1.0]), PARAMS_N1)
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+    def test_mean_field_guess_matches_loop_reference(self, variant):
+        def loop_guess(x, const, sgn):
+            n = len(x)
+            u = x + 1e-3
+            for _ in range(8):
+                cross = np.array([sum(1.0 / (x[m] - u[l]) for l in range(n) if l != m) for m in range(n)])
+                u_new = x - 1.0 / (-sgn * (const + sgn * cross))
+                if not np.all(np.isfinite(u_new)):
+                    return u
+                if np.max(np.abs(u_new - u)) < 1e-10:
+                    return u_new
+                u = u_new
+            return u
+
+        rng = np.random.default_rng(7)
+        params = LatticeParams(p1=1.0, p2=2.0, n=12)
+        x00 = 3.0 * np.arange(12) + rng.uniform(-0.3, 0.3, 12)
+        x10 = x00 + rng.uniform(0.9, 1.1, 12) / 3.0
+        _, _, const, sgn = _corner_system(variant, x00, x10, params)
+        ref = loop_guess(x00, const, sgn)
+        assert np.max(np.abs(_mean_field_guess(x00, const, sgn) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPlaquette:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmhier.errors import NonConvergence, SingularJacobian, SingularMatrix
 from cmhier.numerics import (
@@ -50,6 +52,17 @@ class TestNewton:
         with pytest.raises(NonConvergence):
             newton_solve(lambda u: u**2 + 1.0, np.array([0.7]), settings=settings)
 
+    def test_no_residual_evaluation_after_convergence(self):
+        calls = []
+
+        def residual(u):
+            calls.append(u.copy())
+            return u - 1.0
+
+        newton_solve(residual, np.array([3.0]), jacobian_fn=lambda u: np.eye(1))
+        # the guess and the one exact step
+        assert len(calls) == 2
+
     def test_singular_jacobian(self):
         with pytest.raises(SingularJacobian):
             newton_solve(lambda u: np.array([1.0]), np.array([0.0]),
@@ -87,8 +100,72 @@ class TestLinearSolve:
             assert np.max(np.abs(a @ v - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="system 0: .* column 1"):
             linear_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 1.0], [1.0, 2.0]],
+        [[np.inf, np.inf], [10.0, 20.0]],
+        [[1.0, -np.inf], [1.0, 2.0]],
+    ])
+    def test_non_finite_matrix(self, a):
+        with pytest.raises(SingularMatrix, match="system 0: non-finite") as info:
+            linear_solve(a, [1.0, 2.0])
+        assert info.value.system == 0
+
+    def test_non_finite_member_of_stack(self):
+        a = np.stack([np.eye(2)] * 3)
+        a[1, 0, 1] = np.inf
+        with pytest.raises(SingularMatrix, match="system 1: non-finite") as info:
+            linear_solve(a, np.ones((3, 2)))
+        assert info.value.system == 1
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((2, 3)), np.ones(2)),
+        (np.ones((2, 2)), np.ones(3)),
+        (np.ones((3, 2, 2)), np.ones(2)),
+        (np.ones((3, 2, 2)), np.ones((2, 2))),
+        (np.ones(2), np.ones(2)),
+    ])
+    def test_shape_mismatch(self, a, b):
+        with pytest.raises(ValueError):
+            linear_solve(a, b)
+
+
+def dominant_stack(m, n, seed):
+    """m strictly diagonally dominant systems, each with its rows shuffled so
+    that the pivot search has to exchange rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (m, n, n)) + (n + 1.0) * np.eye(n)
+    a = np.stack([ai[rng.permutation(n)] for ai in a])
+    return a, rng.uniform(-1, 1, (m, n))
+
+
+STACKS = st.tuples(st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**32 - 1))
+
+
+class TestStackedSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(STACKS)
+    def test_matches_solving_each_alone(self, shape):
+        a, b = dominant_stack(*shape)
+        v = linear_solve(a, b)
+        assert v.shape == b.shape
+        for ai, bi, vi in zip(a, b, v):
+            tol = 1e-10 * (1.0 + np.max(np.abs(bi)))
+            assert np.max(np.abs(ai @ vi - bi)) <= tol
+            assert np.max(np.abs(ai @ (vi - linear_solve(ai, bi)))) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(STACKS, st.data())
+    def test_singular_member_is_named(self, shape, data):
+        m, n, _ = shape
+        a, b = dominant_stack(*shape)
+        bad = data.draw(st.integers(0, m - 1))
+        a[bad, data.draw(st.integers(0, n - 1))] = 0.0
+        with pytest.raises(SingularMatrix, match=f"system {bad}: pivot") as info:
+            linear_solve(a, b)
+        assert info.value.system == bad
 
 
 class TestFiniteDifference:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cmhier import semidiscrete
 from cmhier.discrete import LatticeParams, discrete_step
+from cmhier.errors import CollisionSingularity, SingularMatrix
 from cmhier.semidiscrete import (
     Chain,
     evolve_chain,
@@ -27,6 +29,33 @@ CHAIN_N1 = orbit_chain([0.0], [0.35], LatticeParams(p1=1.0, p2=2.0, n=1))
 CHAIN_N2 = orbit_chain([-2.0, 2.0], [0.3, 0.36], PARAMS)
 
 
+def drifting_chain(n, k_len, seed=0):
+    """Sites on a grid of spacing 4, each site the previous one moved by about 0.3."""
+    rng = np.random.default_rng(seed)
+    sites = [4.0 * np.arange(n) + rng.uniform(-0.4, 0.4, n)]
+    for _ in range(k_len):
+        sites.append(sites[-1] + rng.uniform(0.25, 0.35, n))
+    return sites
+
+
+class TestChain:
+    def test_collision_names_site(self):
+        sites = drifting_chain(3, 4)
+        sites[2][1] = sites[2][0] + 1e-13
+        with pytest.raises(CollisionSingularity, match="minimum gap .* at site 2"):
+            Chain(tuple(sites))
+
+    def test_cross_gap_names_edge(self):
+        sites = drifting_chain(3, 4)
+        sites[2][0] = sites[1][0]
+        with pytest.raises(CollisionSingularity, match="adjacent chain sites .* at edge 1"):
+            Chain(tuple(sites))
+
+    def test_ragged_sites_rejected(self):
+        with pytest.raises(ValueError):
+            Chain((np.array([0.0, 1.0]), np.array([2.0])))
+
+
 class TestTauVelocities:
     def test_scalar_two_site_chain(self):
         chain = Chain((np.array([0.0]), np.array([2.0])))
@@ -48,7 +77,47 @@ class TestTauVelocities:
         assert np.max(np.abs(res)) <= 1e-10
 
 
+    def test_random_chain_matches_per_edge_reference(self):
+        chain = Chain(tuple(drifting_chain(8, 8, seed=4)))
+        vel = tau_velocities(chain)
+        for k in range(chain.length):
+            a, b = chain.sites[k], chain.sites[k + 1]
+            mat = 1.0 / (a[:, None] - b[None, :]) ** 2
+            forward = np.linalg.solve(mat, -np.ones(8))
+            backward = np.linalg.solve(mat.T, -np.ones(8))
+            for got, ref in ((vel.from_prev_edge[k + 1], forward), (vel.from_next_edge[k], backward)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("edge", [0, 3, 5])
+    def test_singular_edge_is_named(self, edge):
+        # a cross pair 1e-8 apart makes one edge matrix numerically singular
+        sites = drifting_chain(2, 6)
+        sites[edge + 1][0] = sites[edge][0] + 1e-8
+        if edge + 2 < len(sites):
+            sites[edge + 2][0] = sites[edge + 1][0] + 0.3
+        with pytest.raises(SingularMatrix, match=f"edge {edge} forward velocity") as info:
+            tau_velocities(Chain(tuple(sites)))
+        assert info.value.system == edge
+
+
 class TestEvolveChain:
+    def test_failure_carries_stage_tau(self, monkeypatch):
+        real = semidiscrete.tau_velocities
+        calls = []
+
+        def failing_on_sixth_call(chain):
+            calls.append(chain.tau)
+            if len(calls) == 6:
+                raise SingularMatrix("system 0: pivot 0.000e+00 below threshold in column 0", system=0)
+            return real(chain)
+
+        monkeypatch.setattr(semidiscrete, "tau_velocities", failing_on_sixth_call)
+        start = Chain(CHAIN_N2.sites, tau=0.5)
+        with pytest.raises(SingularMatrix, match=r"at tau=0\.5015: system 0") as info:
+            evolve_chain(start, 1e-3, 3)
+        # the sixth field evaluation is the second stage of the second step
+        assert info.value.tau == pytest.approx(0.5 + 1e-3 + 0.5e-3)
+
     def test_scalar_gap_constant(self):
         chain = Chain((np.array([0.0]), np.array([2.0])))
         snaps = evolve_chain(chain, 1e-3, 100)
