@@ -16,29 +16,36 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, discrete, flows, semidiscrete
-from .errors import NumericsError, ScenarioError
+from .errors import NumericsError, ScenarioError, ValidationError
 from .hierarchy import CouplingConvention, PhaseState, invariants
 from .numerics import NewtonSettings
-from .sampling import random_phase_state
+from .sampling import orbit_seed, random_phase_state
 from .scenario import Scenario, parse_scenario, scenario_from_dict
-from .verify import VerificationReport, _Collector, verify_all
+from .verify import (
+    Collector,
+    VerificationReport,
+    chain_residuals,
+    energy_drift,
+    orbit_invariant_drift,
+    relative_drift,
+    verify_all,
+)
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[float]], fmt: str) -> None:
+def _write_rows(stem: Path, header: list[str], rows: list[list[float]], fmt: str) -> Path:
+    """Write rows to stem.csv or, for json-lines, stem.jsonl; returns the path."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = stem.with_suffix(".csv")
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     else:  # json-lines
-        lines = [
-            json.dumps(dict(zip(header, [float(v) for v in row])), sort_keys=True)
-            for row in rows
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = stem.with_suffix(".jsonl")
+        lines = [json.dumps(dict(zip(header, [float(v) for v in row])), sort_keys=True) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def _write_report(path: Path, report: VerificationReport, scenario: Scenario) -> None:
@@ -47,11 +54,34 @@ def _write_report(path: Path, report: VerificationReport, scenario: Scenario) ->
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _seeded(draw, sc: Scenario, **kwargs):
+    """Seeded initial data for sc.n particles; a failed draw is a configuration error."""
+    rng = np.random.default_rng(sc.seed)
+    try:
+        return draw(rng, sc.n, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        raise ValidationError(f"field 'n': cannot draw a seeded initial state for n={sc.n}: {exc}") from exc
+
+
+def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
+    """The seed pair (given or drawn), extended by discrete steps to `count` sites."""
+    params = discrete.LatticeParams(
+        p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
+    )
+    if sc.seed_prev is not None and sc.seed_cur is not None:
+        sites = [np.array(sc.seed_prev), np.array(sc.seed_cur)]
+    else:
+        sites = list(_seeded(orbit_seed, sc))
+    while len(sites) < count:
+        sites.append(discrete.discrete_step(sites[-2], sites[-1], params))
+    return sites
+
+
 def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], VerificationReport]:
     if sc.positions is not None:
         state = PhaseState(np.array(sc.positions), np.array(sc.momenta))
     else:
-        state = random_phase_state(np.random.default_rng(sc.seed), sc.n, min_gap=sc.min_gap)
+        state = _seeded(random_phase_state, sc, min_gap=sc.min_gap)
     conv = CouplingConvention(sc.gamma)
     direction = np.array(sc.direction)
     traj = flows.evolve_path(state, flows.PathSpec(direction, sc.duration, steps=1), dt_s=sc.dt)
@@ -62,51 +92,27 @@ def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Veri
         + [f"p{i + 1}" for i in range(sc.n)]
         + ["I1", "I2", "I3"]
     )
-    rows = []
-    base = invariants(state, conv, kmax=3)
-    norm = 1.0 + np.abs(base)
-    drift = 0.0
-    for smp in traj.samples:
-        vals = invariants(smp.state, conv, kmax=3)
-        drift = max(drift, float(np.max(np.abs(vals - base) / norm)))
-        rows.append([smp.s, smp.t2, smp.t3, *smp.state.x, *smp.state.p, *vals])
-    suffix = "csv" if sc.format == "csv" else "jsonl"
-    traj_path = out_dir / f"trajectory.{suffix}"
-    _write_rows(traj_path, header, rows, sc.format)
+    values = np.array([invariants(smp.state, conv, kmax=3) for smp in traj.samples])
+    rows = [
+        [smp.s, smp.t2, smp.t3, *smp.state.x, *smp.state.p, *vals]
+        for smp, vals in zip(traj.samples, values)
+    ]
+    traj_path = _write_rows(out_dir / "trajectory", header, rows, sc.format)
 
-    col = _Collector(sc.tolerance_scale)
-    col.gated("invariant-drift", drift, 1e-8, n=sc.n, duration=sc.duration, dt=sc.dt)
-    series = flows.noether_charge(traj, direction)
-    col.gated(
-        "energy-drift",
-        float(np.max(np.abs(series - series[0]))),
-        1e-8,
-        direction=[float(d) for d in direction],
-    )
+    col = Collector(sc.tolerance_scale)
+    col.gated("invariant-drift", relative_drift(values), 1e-8, n=sc.n, duration=sc.duration, dt=sc.dt)
+    col.gated("energy-drift", energy_drift(traj, direction), 1e-8, direction=[float(d) for d in direction])
     return [traj_path], VerificationReport(tuple(col.entries))
 
 
 def _discrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], VerificationReport]:
-    params = discrete.LatticeParams(
-        p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
-    )
-    if sc.seed_prev is not None and sc.seed_cur is not None:
-        orbit = [np.array(sc.seed_prev), np.array(sc.seed_cur)]
-    else:
-        from .sampling import orbit_seed
-
-        orbit = list(orbit_seed(np.random.default_rng(sc.seed), sc.n))
     # `steps` is the final site index; the seed pair already spans sites 0 and 1
-    for _ in range(sc.steps - 1):
-        orbit.append(discrete.discrete_step(orbit[-2], orbit[-1], params))
-
+    orbit = _lattice_sites(sc, sc.steps + 1)
     header = ["n"] + [f"x{i + 1}" for i in range(sc.n)]
     rows = [[float(k), *site] for k, site in enumerate(orbit)]
-    suffix = "csv" if sc.format == "csv" else "jsonl"
-    orbit_path = out_dir / f"orbit.{suffix}"
-    _write_rows(orbit_path, header, rows, sc.format)
+    orbit_path = _write_rows(out_dir / "orbit", header, rows, sc.format)
 
-    col = _Collector(sc.tolerance_scale)
+    col = Collector(sc.tolerance_scale)
     worst_el = max(
         (
             float(np.max(np.abs(discrete.discrete_el_residual(orbit[k - 1], orbit[k], orbit[k + 1]))))
@@ -114,69 +120,43 @@ def _discrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Verifi
         ),
         default=0.0,
     )
-    col.gated("discrete-el-residual", worst_el, 10 * params.newton.tolerance, steps=sc.steps)
-    base = discrete.discrete_invariants(orbit[0], orbit[1], 3)
-    drift = max(
-        float(np.max(np.abs(discrete.discrete_invariants(orbit[k], orbit[k + 1], 3) - base)))
-        for k in range(len(orbit) - 1)
-    )
-    col.gated("discrete-invariant-drift", drift, 1e-10, steps=sc.steps)
+    col.gated("discrete-el-residual", worst_el, 10 * sc.newton_tolerance, steps=sc.steps)
+    col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=sc.steps)
     return [orbit_path], VerificationReport(tuple(col.entries))
 
 
 def _semidiscrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], VerificationReport]:
-    params = discrete.LatticeParams(
-        p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
-    )
-    if sc.seed_prev is not None and sc.seed_cur is not None:
-        sites = [np.array(sc.seed_prev), np.array(sc.seed_cur)]
-    else:
-        from .sampling import orbit_seed
-
-        sites = list(orbit_seed(np.random.default_rng(sc.seed), sc.n))
-    while len(sites) < sc.chain_edges + 1:
-        sites.append(discrete.discrete_step(sites[-2], sites[-1], params))
-    chain = semidiscrete.Chain(tuple(sites))
+    chain = semidiscrete.Chain(tuple(_lattice_sites(sc, sc.chain_edges + 1)))
     n_steps = max(1, int(round(sc.tau_duration / sc.tau_step)))
     snaps = semidiscrete.evolve_chain(chain, sc.tau_duration / n_steps, n_steps)
 
     header = ["tau"] + [f"y{k}_x{i + 1}" for k in range(chain.length + 1) for i in range(sc.n)]
     rows = [[snap.tau, *np.concatenate(snap.sites)] for snap in snaps]
-    suffix = "csv" if sc.format == "csv" else "jsonl"
-    chain_path = out_dir / f"chain.{suffix}"
-    _write_rows(chain_path, header, rows, sc.format)
+    chain_path = _write_rows(out_dir / "chain", header, rows, sc.format)
 
-    col = _Collector(sc.tolerance_scale)
-    worst_disc = 0.0
-    worst_eom = 0.0
-    for snap in snaps:
-        vel = semidiscrete.tau_velocities(snap)
-        worst_disc = max(worst_disc, vel.max_discrepancy)
-        if chain.length >= 2:
-            worst_eom = max(
-                worst_eom, float(np.max(np.abs(semidiscrete.semi_eom_residual(snap, vel))))
-            )
+    col = Collector(sc.tolerance_scale)
+    worst_disc, worst_eom, gap_drift = chain_residuals(snaps)
     col.gated("semi-velocity-consistency", worst_disc, 1e-8, tau_span=sc.tau_duration)
-    if chain.length >= 2:
+    if worst_eom is not None:
         col.gated("semi-eom", worst_eom, 1e-10, tau_span=sc.tau_duration)
-    if sc.n == 1:
-        gaps = np.array([snap.sites[1][0] - snap.sites[0][0] for snap in snaps])
-        col.gated("semi-gap-conservation", float(np.max(np.abs(gaps - gaps[0]))), 1e-10)
+    if gap_drift is not None:
+        col.gated("semi-gap-conservation", gap_drift, 1e-10)
     return [chain_path], VerificationReport(tuple(col.entries))
+
+
+_RUNS = {
+    "continuous": _continuous_artifacts,
+    "discrete": _discrete_artifacts,
+    "semidiscrete": _semidiscrete_artifacts,
+    "verify-all": lambda sc, out_dir: ([], verify_all(sc)),
+}
 
 
 def run_scenario(sc: Scenario) -> tuple[list[Path], VerificationReport]:
     """Execute a scenario, write its artifacts, and return the check report."""
     out_dir = Path(sc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if sc.kind == "continuous":
-        paths, report = _continuous_artifacts(sc, out_dir)
-    elif sc.kind == "discrete":
-        paths, report = _discrete_artifacts(sc, out_dir)
-    elif sc.kind == "semidiscrete":
-        paths, report = _semidiscrete_artifacts(sc, out_dir)
-    else:
-        paths, report = [], verify_all(sc)
+    paths, report = _RUNS[sc.kind](sc, out_dir)
     report_path = out_dir / "report.json"
     _write_report(report_path, report, sc)
     return paths + [report_path], report
@@ -202,16 +182,12 @@ DEMOS = {
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    updates = {}
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.tolerance_scale is not None:
-        updates["tolerance_scale"] = args.tolerance_scale
-    if args.format is not None:
-        updates["format"] = args.format
-    return dataclasses.replace(sc, **updates) if updates else sc
+    updates = {
+        key: getattr(args, key)
+        for key in ("out_dir", "seed", "tolerance_scale", "format")
+        if getattr(args, key) is not None
+    }
+    return dataclasses.replace(sc, **updates)
 
 
 def _finish(report: VerificationReport) -> int:

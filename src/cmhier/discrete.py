@@ -267,25 +267,20 @@ def discrete_momentum(route: str, x: np.ndarray, neighbor: np.ndarray, params: L
     return -cross + pair - params.p2
 
 
-def _plaquette_lagrangians(pl: Plaquette, params: LatticeParams, sign: float) -> float:
+def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
+    """Signed plaquette closure sum of the printed Lagrangian; the negated
+    Lagrangian gives its negation, so both conventions share one magnitude."""
     return (
-        sign * discrete_lagrangian(pl.x00, pl.x01, params.p2)
-        - sign * discrete_lagrangian(pl.x00, pl.x10, params.p1)
-        - sign * discrete_lagrangian(pl.x10, pl.x11, params.p2)
-        + sign * discrete_lagrangian(pl.x01, pl.x11, params.p1)
+        discrete_lagrangian(pl.x00, pl.x01, params.p2)
+        - discrete_lagrangian(pl.x00, pl.x10, params.p1)
+        - discrete_lagrangian(pl.x10, pl.x11, params.p2)
+        + discrete_lagrangian(pl.x01, pl.x11, params.p1)
     )
 
 
-def discrete_closure_values(pl: Plaquette, params: LatticeParams) -> tuple[float, float]:
-    """Plaquette closure sum under the printed Lagrangian and its negation."""
-    printed = _plaquette_lagrangians(pl, params, +1.0)
-    return printed, -printed
-
-
 def discrete_closure_residual(pl: Plaquette, params: LatticeParams) -> float:
-    """Smaller-magnitude closure residual of the two sign conventions."""
-    printed, negated = discrete_closure_values(pl, params)
-    return min(abs(printed), abs(negated))
+    """Magnitude of the plaquette closure sum, the same in either sign convention."""
+    return abs(discrete_closure_sum(pl, params))
 
 
 def center_of_mass_term(pl: Plaquette) -> float:

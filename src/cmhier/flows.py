@@ -28,8 +28,11 @@ from .hierarchy import (
     lagrangian_dx,
     min_gap,
 )
+from .numerics import rk4_step
 
 FLIGHT_GAP_TOL = 1e-6
+# (dt2/ds, dt3/ds) of the single flows t2 and t3
+_FLOW_DIRECTIONS = {2: (1.0, 0.0), 3: (0.0, 1.0)}
 
 DEFAULT_FLOW_EPS = 1e-4
 DEFAULT_BRACKET_STEP = 1e-5
@@ -103,10 +106,10 @@ def hamiltonian_observable(k: int) -> Callable[[PhaseState], float]:
     return observable
 
 
-def _raw_field(direction: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     d2, d3 = direction
 
-    def fld(y: np.ndarray) -> np.ndarray:
+    def fld(_s: float, y: np.ndarray) -> np.ndarray:
         state = PhaseState(y[:n], y[n:])
         out_x = np.zeros(n)
         out_p = np.zeros(n)
@@ -123,14 +126,6 @@ def _raw_field(direction: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarr
     return fld
 
 
-def _rk4(y: np.ndarray, fld, h: float) -> np.ndarray:
-    k1 = fld(y)
-    k2 = fld(y + 0.5 * h * k1)
-    k3 = fld(y + 0.5 * h * k2)
-    k4 = fld(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _check_in_flight(y: np.ndarray, n: int, order: np.ndarray, s: float) -> None:
     """Abort on tight gaps, non-finite values, or a particle-order flip
     (the exact dynamics cannot reorder particles, so a flip means the
@@ -142,18 +137,29 @@ def _check_in_flight(y: np.ndarray, n: int, order: np.ndarray, s: float) -> None
         raise CollisionSingularity(f"gap below {FLIGHT_GAP_TOL:.1e} at s={s:.6g}", s=s)
 
 
-def _march(start: PhaseState, direction: np.ndarray, duration: float, n_steps: int) -> Trajectory:
+def _march(start: PhaseState, direction: np.ndarray, h: float, n_steps: int) -> list[np.ndarray]:
+    """Stacked (x, p) after each of n_steps RK4 steps of signed size h along a
+    straight segment, the start first; every step is checked in flight."""
     n = start.n
     fld = _raw_field(direction, n)
-    h = duration / n_steps if n_steps else 0.0
-    y = np.concatenate([start.x, start.p])
-    d2, d3 = direction
     order = np.argsort(start.x)
+    ys = [np.concatenate([start.x, start.p])]
+    for i in range(1, n_steps + 1):
+        ys.append(rk4_step(fld, (i - 1) * h, ys[-1], h))
+        _check_in_flight(ys[-1], n, order, i * h)
+    return ys
+
+
+def _trajectory(start: PhaseState, direction, duration: float, dt: float | None, steps=1) -> Trajectory:
+    """RK4 trajectory sampled at every step: round(duration / dt) steps, or
+    `steps` steps when dt is None."""
+    n_steps = (steps if dt is None else max(1, int(round(duration / dt)))) if duration > 0 else 0
+    h = duration / n_steps if n_steps else 0.0
+    d2, d3 = direction
+    n = start.n
     samples = [TrajectorySample(0.0, 0.0, 0.0, start)]
-    for i in range(n_steps):
-        y = _rk4(y, fld, h)
-        s = (i + 1) * h
-        _check_in_flight(y, n, order, s)
+    for i, y in enumerate(_march(start, direction, h, n_steps)[1:], 1):
+        s = i * h
         samples.append(TrajectorySample(s, d2 * s, d3 * s, PhaseState(y[:n], y[n:])))
     return Trajectory(tuple(samples))
 
@@ -163,20 +169,14 @@ def integrate_flow(k: int, start: PhaseState, duration: float, dt: float) -> Tra
     check_flow_index(k)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = max(1, int(round(duration / dt))) if duration > 0 else 0
-    direction = np.array([1.0, 0.0]) if k == 2 else np.array([0.0, 1.0])
-    return _march(start, direction, duration, n_steps)
+    return _trajectory(start, _FLOW_DIRECTIONS[k], duration, dt)
 
 
 def evolve_path(start: PhaseState, path: PathSpec, dt_s: float | None = None) -> Trajectory:
     """Integrate the generalized Hamilton equations along a straight segment."""
-    if dt_s is not None:
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        n_steps = max(1, int(round(path.duration / dt_s))) if path.duration > 0 else 0
-    else:
-        n_steps = path.steps if path.duration > 0 else 0
-    return _march(start, path.direction, path.duration, n_steps)
+    if dt_s is not None and dt_s <= 0:
+        raise ValueError("dt_s must be positive")
+    return _trajectory(start, path.direction, path.duration, dt_s, path.steps)
 
 
 def commutator_defect(start: PhaseState, delta2: float, delta3: float, dt: float) -> float:
@@ -221,15 +221,13 @@ def _flow_endpoint(k: int, state: PhaseState, eps: float, substeps: int = 8) -> 
     """Endpoint of the t_k flow after signed time eps (RK4 with signed step)."""
     if eps == 0.0:
         return state
-    direction = np.array([1.0, 0.0]) if k == 2 else np.array([0.0, 1.0])
-    fld = _raw_field(direction, state.n)
-    y = np.concatenate([state.x, state.p])
-    h = eps / substeps
-    order = np.argsort(state.x)
-    for i in range(substeps):
-        y = _rk4(y, fld, h)
-        _check_in_flight(y, state.n, order, (i + 1) * h)
+    y = _march(state, _FLOW_DIRECTIONS[k], eps / substeps, substeps)[-1]
     return PhaseState(y[: state.n], y[state.n :])
+
+
+def _along_flow(f: Callable[[PhaseState], float], k: int, state: PhaseState, eps: float) -> float:
+    """Central difference of f along the t_k flow, step eps each way."""
+    return (f(_flow_endpoint(k, state, eps)) - f(_flow_endpoint(k, state, -eps))) / (2 * eps)
 
 
 def hamiltonian_closure_residual(state: PhaseState, eps: float = DEFAULT_FLOW_EPS) -> float:
@@ -239,12 +237,8 @@ def hamiltonian_closure_residual(state: PhaseState, eps: float = DEFAULT_FLOW_EP
     the two Hamiltonians; the residual equals -2 {H_(t2), H_(t3)} by the
     chain rule.
     """
-    d23 = (
-        hamiltonian(2, _flow_endpoint(3, state, eps)) - hamiltonian(2, _flow_endpoint(3, state, -eps))
-    ) / (2 * eps)
-    d32 = (
-        hamiltonian(3, _flow_endpoint(2, state, eps)) - hamiltonian(3, _flow_endpoint(2, state, -eps))
-    ) / (2 * eps)
+    d23 = _along_flow(lambda s: hamiltonian(2, s), 3, state, eps)
+    d32 = _along_flow(lambda s: hamiltonian(3, s), 2, state, eps)
     return d23 - d32
 
 
@@ -386,12 +380,6 @@ def lagrangian_closure_residual(
             v3 = constraint_velocity(ps.x, v2)
         return VelocityState(ps.x, v2, v3)
 
-    dL2_dt3 = (
-        lagrangian(2, velocity_state(_flow_endpoint(3, state, eps)))
-        - lagrangian(2, velocity_state(_flow_endpoint(3, state, -eps)))
-    ) / (2 * eps)
-    dL3_dt2 = (
-        lagrangian(3, velocity_state(_flow_endpoint(2, state, eps)))
-        - lagrangian(3, velocity_state(_flow_endpoint(2, state, -eps)))
-    ) / (2 * eps)
+    dL2_dt3 = _along_flow(lambda ps: lagrangian(2, velocity_state(ps)), 3, state, eps)
+    dL3_dt2 = _along_flow(lambda ps: lagrangian(3, velocity_state(ps)), 2, state, eps)
     return dL2_dt3 - dL3_dt2

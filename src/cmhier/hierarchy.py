@@ -30,18 +30,21 @@ def _as_vector(v) -> np.ndarray:
 
 
 def min_gap(x: np.ndarray) -> float:
-    """Smallest pairwise distance; inf for a single particle."""
-    if len(x) < 2:
-        return np.inf
+    """Smallest pairwise distance; inf for a single particle, NaN when a
+    position is not finite."""
     d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, np.inf)
+    # the diagonal x_i - x_i is 0, or NaN for a non-finite x_i; adding inf
+    # masks the zeros and keeps the NaN
+    d.flat[:: len(x) + 1] += np.inf
     return float(d.min())
 
 
 def check_collision_free(x: np.ndarray, tol: float = COLLISION_TOL, s=None) -> None:
+    """Raise CollisionSingularity on a non-finite position or a gap below tol."""
     g = min_gap(x)
-    if g < tol:
-        raise CollisionSingularity(f"minimum gap {g:.3e} below {tol:.1e}", s=s)
+    if not g >= tol:
+        message = "non-finite position" if np.isnan(g) else f"minimum gap {g:.3e} below {tol:.1e}"
+        raise CollisionSingularity(message, s=s)
 
 
 def check_flow_index(k: int) -> None:

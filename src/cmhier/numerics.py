@@ -173,11 +173,14 @@ def fd_derivative(f: Callable[[np.ndarray], float], point: np.ndarray, index: in
     return (f(point + e) - f(point - e)) / (2.0 * step)
 
 
-def rk4_step(field: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update; field failures propagate."""
-    state = np.asarray(state, dtype=float)
-    k1 = np.asarray(field(state), dtype=float)
-    k2 = np.asarray(field(state + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(field(state + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(field(state + dt * k3), dtype=float)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(
+    field: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, dt: float
+) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta update of y' = field(t, y), with
+    stages at t, t + dt/2 (twice) and t + dt; field failures propagate."""
+    y = np.asarray(y, dtype=float)
+    k1 = np.asarray(field(t, y), dtype=float)
+    k2 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k1), dtype=float)
+    k3 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k2), dtype=float)
+    k4 = np.asarray(field(t + dt, y + dt * k3), dtype=float)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

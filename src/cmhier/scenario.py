@@ -9,7 +9,8 @@ violation names the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,31 +19,6 @@ from .errors import ParseError, ValidationError
 
 KINDS = ("continuous", "discrete", "semidiscrete", "verify-all")
 FORMATS = ("csv", "json-lines")
-
-_DEFAULTS = {
-    "seed": 0,
-    "gamma": -2.0,
-    "min_gap": 0.5,
-    "out_dir": "out",
-    "format": "csv",
-    "tolerance_scale": 1.0,
-    "dt": 1e-3,
-    "direction": (1.0, 0.0),
-    "p1": 1.0,
-    "p2": 2.0,
-    "steps": 10,
-    "newton_tolerance": 1e-12,
-    "chain_edges": 2,
-    "tau_duration": 0.1,
-    "tau_step": 1e-3,
-}
-
-_KNOWN_KEYS = {
-    "kind", "n", "seed", "gamma", "min_gap", "out_dir", "format", "tolerance_scale",
-    "positions", "momenta", "duration", "dt", "direction",
-    "seed_prev", "seed_cur", "steps", "p1", "p2", "newton_tolerance",
-    "chain_edges", "tau_duration", "tau_step",
-}
 
 
 @dataclass(frozen=True)
@@ -73,12 +49,20 @@ class Scenario:
     tau_step: float = 1e-3
 
 
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+_KNOWN_KEYS = {f.name for f in fields(Scenario)}
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_number(raw: dict, key: str, positive=False, nonnegative=False):
     if key not in raw:
         return
     value = raw[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"field '{key}' must be a number")
+    if not _is_finite_number(value):
+        raise ValidationError(f"field '{key}' must be a finite number")
     if positive and not value > 0:
         raise ValidationError(f"field '{key}' must be positive")
     if nonnegative and value < 0:
@@ -89,10 +73,8 @@ def _as_float_tuple(raw: dict, key: str, length: int | None = None):
     if key not in raw or raw[key] is None:
         return None
     value = raw[key]
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ValidationError(f"field '{key}' must be a list of numbers")
+    if not isinstance(value, (list, tuple)) or not all(_is_finite_number(v) for v in value):
+        raise ValidationError(f"field '{key}' must be a list of finite numbers")
     if length is not None and len(value) != length:
         raise ValidationError(f"field '{key}' must have exactly {length} entries, got {len(value)}")
     return tuple(float(v) for v in value)
@@ -139,24 +121,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if "tolerance_scale" in raw and raw["tolerance_scale"] < 0:
         raise ValidationError("field 'tolerance_scale' must be nonnegative")
 
-    values = {
-        "kind": kind,
-        "n": n,
-        "positions": _as_float_tuple(raw, "positions", n),
-        "momenta": _as_float_tuple(raw, "momenta", n),
-        "seed_prev": _as_float_tuple(raw, "seed_prev", n),
-        "seed_cur": _as_float_tuple(raw, "seed_cur", n),
-        "direction": _as_float_tuple(raw, "direction", 2) or _DEFAULTS["direction"],
-    }
-    for key, default in _DEFAULTS.items():
-        if key != "direction":
-            values[key] = raw.get(key, default)
-    if "duration" in raw:
-        values["duration"] = float(raw["duration"])
-    else:
-        values["duration"] = 1.0
+    values = {key: raw.get(key, default) for key, default in _DEFAULTS.items()}
+    for key in ("positions", "momenta", "seed_prev", "seed_cur"):
+        values[key] = _as_float_tuple(raw, key, n)
+    values["direction"] = _as_float_tuple(raw, "direction", 2) or _DEFAULTS["direction"]
+    values["duration"] = float(values["duration"])
 
-    sc = Scenario(**values)
+    sc = Scenario(kind, n, **values)
 
     if kind == "continuous" and sc.positions is not None:
         _validate_gaps("positions", sc.positions, sc.min_gap)

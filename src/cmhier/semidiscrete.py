@@ -18,7 +18,7 @@ import numpy as np
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, NumericsError, SingularMatrix
 from .hierarchy import COLLISION_TOL, check_collision_free
-from .numerics import linear_solve
+from .numerics import linear_solve, rk4_step
 
 CROSS_GAP_TOL = 1e-12
 
@@ -57,6 +57,9 @@ class Chain:
         if any(len(s) != n for s in sites):
             raise ValueError("all chain sites must have the same particle count")
         y = np.stack(sites)
+        nonfinite = np.flatnonzero(~np.isfinite(y).all(axis=1))
+        if nonfinite.size:
+            raise CollisionSingularity(f"non-finite position at site {nonfinite[0]}")
         gaps = np.abs(y[:, :, None] - y[:, None, :])
         gaps[:, np.arange(n), np.arange(n)] = np.inf
         _check_gaps(gaps.min(axis=(1, 2)), COLLISION_TOL, "minimum gap", "site")
@@ -115,26 +118,18 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> list[Chain]:
 
     shape = (chain.length + 1, chain.n)
 
-    def chain_at(flat: np.ndarray, stage_tau: float) -> Chain:
+    def field(stage_tau: float, flat: np.ndarray) -> np.ndarray:
         with _at_tau(stage_tau):
-            return Chain(tuple(flat.reshape(shape)), stage_tau)
-
-    def field(stage: Chain) -> np.ndarray:
-        with _at_tau(stage.tau):
-            return np.concatenate(tau_velocities(stage).velocities)
+            return np.concatenate(tau_velocities(Chain(tuple(flat.reshape(shape)), stage_tau)).velocities)
 
     y = np.concatenate(chain.sites)
+    tau = chain.tau
     out = [chain]
-    current = chain
     for _ in range(steps):
-        tau = current.tau
-        k1 = field(current)
-        k2 = field(chain_at(y + 0.5 * d_tau * k1, tau + 0.5 * d_tau))
-        k3 = field(chain_at(y + 0.5 * d_tau * k2, tau + 0.5 * d_tau))
-        k4 = field(chain_at(y + d_tau * k3, tau + d_tau))
-        y = y + (d_tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        current = chain_at(y, tau + d_tau)
-        out.append(current)
+        y = rk4_step(field, tau, y, d_tau)
+        tau = tau + d_tau
+        with _at_tau(tau):
+            out.append(Chain(tuple(y.reshape(shape)), tau))
     return out
 
 
@@ -147,26 +142,17 @@ def semi_eom_residual(chain: Chain, velocities) -> np.ndarray:
     per-site velocity vectors.
     """
     if isinstance(velocities, ChainVelocities):
-        def v_next(k):  # velocity of site k+1 as seen from edge (k, k+1)
-            return velocities.from_prev_edge[k + 1]
-
-        def v_prev(k):  # velocity of site k-1 as seen from edge (k-1, k)
-            return velocities.from_next_edge[k - 1]
+        # site k+1 as seen from edge (k, k+1), site k-1 as seen from edge (k-1, k)
+        v_next, v_prev = velocities.from_prev_edge, velocities.from_next_edge
     else:
-        vel = [np.asarray(v, dtype=float) for v in velocities]
-
-        def v_next(k):
-            return vel[k + 1]
-
-        def v_prev(k):
-            return vel[k - 1]
+        v_next = v_prev = [np.asarray(v, dtype=float) for v in velocities]
 
     rows = []
     for k in range(1, chain.length):
         y = chain.sites[k]
         up = 1.0 / (y[:, None] - chain.sites[k + 1][None, :]) ** 2
         down = 1.0 / (y[:, None] - chain.sites[k - 1][None, :]) ** 2
-        rows.append(up @ v_next(k) - down @ v_prev(k))
+        rows.append(up @ v_next[k + 1] - down @ v_prev[k - 1])
     return np.array(rows)
 
 

@@ -68,7 +68,9 @@ class VerificationReport:
         }
 
 
-class _Collector:
+class Collector:
+    """Accumulates report entries; every gated tolerance is multiplied by tolerance_scale."""
+
     def __init__(self, tolerance_scale: float):
         self.scale = tolerance_scale
         self.entries: list[CheckEntry] = []
@@ -104,6 +106,42 @@ def _clean(metadata: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+def relative_drift(values: np.ndarray) -> float:
+    """Worst drift of (samples, k) values from the first sample, relative to 1 + |first value|."""
+    return float(np.max(np.abs(values - values[0]) / (1.0 + np.abs(values[0]))))
+
+
+def energy_drift(traj: flows.Trajectory, direction) -> float:
+    """Worst drift of the path energy (the Noether charge) from its first sample."""
+    series = flows.noether_charge(traj, direction)
+    return float(np.max(np.abs(series - series[0])))
+
+
+def orbit_invariant_drift(orbit: list) -> float:
+    """Worst max-norm drift of the discrete trace invariants over an orbit's edges."""
+    base = discrete.discrete_invariants(orbit[0], orbit[1], 3)
+    return max(
+        float(np.max(np.abs(discrete.discrete_invariants(orbit[k], orbit[k + 1], 3) - base)))
+        for k in range(len(orbit) - 1)
+    )
+
+
+def chain_residuals(snaps: list) -> tuple[float, float | None, float | None]:
+    """Worst velocity discrepancy, tau equation-of-motion residual (None below
+    two edges) and one-particle gap drift (None for N > 1) over chain snapshots."""
+    worst_disc = 0.0
+    worst_eom = 0.0 if snaps[0].length >= 2 else None
+    for snap in snaps:
+        vel = semidiscrete.tau_velocities(snap)
+        worst_disc = max(worst_disc, vel.max_discrepancy)
+        if worst_eom is not None:
+            worst_eom = max(worst_eom, float(np.max(np.abs(semidiscrete.semi_eom_residual(snap, vel)))))
+    if snaps[0].n > 1:
+        return worst_disc, worst_eom, None
+    gaps = np.array([snap.sites[1][0] - snap.sites[0][0] for snap in snaps])
+    return worst_disc, worst_eom, float(np.max(np.abs(gaps - gaps[0])))
 
 
 def _surviving_state(rng, n, min_gap, run, attempts=50):
@@ -146,14 +184,9 @@ def _commuting_flows(col, rng):
 def _invariant_drift(col, rng):
     def run(state):
         out = {}
-        base = hierarchy.invariants(state, kmax=3)
-        norm = 1.0 + np.abs(base)
         for k, duration in ((2, 1.0), (3, 0.3)):
             traj = flows.integrate_flow(k, state, duration, 1e-3)
-            out[k] = max(
-                float(np.max(np.abs(hierarchy.invariants(s.state, kmax=3) - base) / norm))
-                for s in traj.samples
-            )
+            out[k] = relative_drift(np.array([hierarchy.invariants(s.state, kmax=3) for s in traj.samples]))
         return out
 
     _, drifts = _surviving_state(rng, 3, 1.0, run)
@@ -195,12 +228,7 @@ def _discrete_orbit(col, rng):
     orbit = [x_prev, x_cur]
     for _ in range(50):
         orbit.append(discrete.discrete_step(orbit[-2], orbit[-1], params))
-    base = discrete.discrete_invariants(orbit[0], orbit[1], 3)
-    drift = max(
-        float(np.max(np.abs(discrete.discrete_invariants(orbit[k], orbit[k + 1], 3) - base)))
-        for k in range(len(orbit) - 1)
-    )
-    col.gated("discrete-invariant-drift", drift, 1e-10, steps=50, n=3)
+    col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=50, n=3)
 
 
 def _plaquettes(col, rng):
@@ -208,7 +236,7 @@ def _plaquettes(col, rng):
     worst_defect = 0.0
     worst_scalar = 0.0
     worst_closure = 0.0
-    worst_closure_pair = (0.0, 0.0)
+    worst_closure_sum = 0.0
     worst_logdet = 0.0
     worst_com = 0.0
     worst_edge_negated = 0.0
@@ -226,10 +254,9 @@ def _plaquettes(col, rng):
                 worst_scalar = max(
                     worst_scalar, abs(pl.x01[0] - x01[0]), abs(pl.x11[0] - x11[0]), defect
                 )
-            closure = discrete.discrete_closure_residual(pl, params[n])
-            if closure > worst_closure:
-                worst_closure = closure
-                worst_closure_pair = discrete.discrete_closure_values(pl, params[n])
+            closure_sum = discrete.discrete_closure_sum(pl, params[n])
+            if abs(closure_sum) > worst_closure:
+                worst_closure, worst_closure_sum = abs(closure_sum), closure_sum
             worst_logdet = max(worst_logdet, discrete.logdet_identity_residual(pl))
             worst_com = max(worst_com, abs(discrete.center_of_mass_term(pl)))
             for a, b, p in (
@@ -248,8 +275,8 @@ def _plaquettes(col, rng):
         worst_closure,
         1e-8,
         plaquettes=20,
-        value_printed=worst_closure_pair[0],
-        value_negated=worst_closure_pair[1],
+        value_printed=worst_closure_sum,
+        value_negated=-worst_closure_sum,
         convention="sign-symmetric (|printed| = |negated|)",
         center_of_mass_term_max=worst_com,
     )
@@ -274,9 +301,7 @@ def _noether(col, rng):
     direction = np.array([1.0, 1.0])
 
     def run(state):
-        traj = flows.evolve_path(state, flows.PathSpec(direction, 0.5, steps=500))
-        series = flows.noether_charge(traj, direction)
-        return float(np.max(np.abs(series - series[0])))
+        return energy_drift(flows.evolve_path(state, flows.PathSpec(direction, 0.5, steps=500)), direction)
 
     _, drift = _surviving_state(rng, 3, 1.0, run)
     col.gated("noether-conservation", drift, 1e-8, n=3, direction=[1.0, 1.0], span=0.5)
@@ -303,26 +328,16 @@ def _generalized_el(col, rng):
 
 
 def _semidiscrete_checks(col, rng):
-    worst_disc = 0.0
-    worst_eom = 0.0
-    gap_drift = 0.0
-    for n in (1, 2):
-        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=n)
-        x0 = np.array([0.0]) if n == 1 else np.array([-2.0, 2.0])
-        shift = 0.3 * rng.uniform(1.0, 1.2, n)
-        sites = [x0, x0 + shift]
+    results = []
+    for x0 in (np.array([0.0]), np.array([-2.0, 2.0])):
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=len(x0))
+        sites = [x0, x0 + 0.3 * rng.uniform(1.0, 1.2, len(x0))]
         sites.append(discrete.discrete_step(sites[0], sites[1], params))
         chain = semidiscrete.Chain(tuple(sites))
-        snaps = semidiscrete.evolve_chain(chain, 1e-3, 100)
-        for snap in snaps:
-            vel = semidiscrete.tau_velocities(snap)
-            worst_disc = max(worst_disc, vel.max_discrepancy)
-            worst_eom = max(worst_eom, float(np.max(np.abs(semidiscrete.semi_eom_residual(snap, vel)))))
-        if n == 1:
-            gaps = [s.sites[1][0] - s.sites[0][0] for s in snaps]
-            gap_drift = float(np.max(np.abs(np.array(gaps) - gaps[0])))
-    col.gated("semi-velocity-consistency", worst_disc, 1e-8, n_values=[1, 2], tau_span=0.1)
-    col.gated("semi-eom", worst_eom, 1e-10, n_values=[1, 2], tau_span=0.1)
+        results.append(chain_residuals(semidiscrete.evolve_chain(chain, 1e-3, 100)))
+    (disc1, eom1, gap_drift), (disc2, eom2, _) = results
+    col.gated("semi-velocity-consistency", max(disc1, disc2), 1e-8, n_values=[1, 2], tau_span=0.1)
+    col.gated("semi-eom", max(eom1, eom2), 1e-10, n_values=[1, 2], tau_span=0.1)
     col.gated("semi-gap-conservation", gap_drift, 1e-10, n=1, tau_span=0.1)
 
 
@@ -374,7 +389,7 @@ def _closure_diagnostics(col, rng):
 
 def verify_all(sc: Scenario) -> VerificationReport:
     """Run every gated acceptance identity plus the reported diagnostics."""
-    col = _Collector(sc.tolerance_scale)
+    col = Collector(sc.tolerance_scale)
     rng = np.random.default_rng(sc.seed)
     _involution(col, rng)
     _commuting_flows(col, rng)

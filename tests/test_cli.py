@@ -189,6 +189,35 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "typo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("tolerance_scale", {"kind": "verify-all", "n": 3, "tolerance_scale": float("nan")}),
+            ("gamma", dict(MINIMAL_CONTINUOUS, gamma=float("inf"))),
+            ("p1", {"kind": "discrete", "n": 1, "p1": float("nan")}),
+            ("min_gap", dict(MINIMAL_CONTINUOUS, min_gap=float("-inf"))),
+            ("dt", dict(MINIMAL_CONTINUOUS, dt=float("inf"))),
+            ("positions", dict(MINIMAL_CONTINUOUS, positions=[0.0, float("inf")])),
+            ("direction", dict(MINIMAL_CONTINUOUS, direction=[float("nan"), 1.0])),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, field, payload):
+        path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"kind": "continuous", "n": 12}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],
+    )
+    def test_sampler_failure_is_config_error(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'n'") and f"n={payload['n']}" in err
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()

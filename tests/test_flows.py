@@ -203,6 +203,16 @@ class TestHamiltonianClosure:
             state = random_phase_state(RNG, 3, min_gap=0.6)
             assert abs(hamiltonian_closure_residual(state, 1e-4)) <= 1e-6
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_signed_step_endpoint_returns(self, k):
+        from cmhier.flows import _flow_endpoint
+
+        there = _flow_endpoint(k, WELL_SEPARATED, 0.05)
+        back = _flow_endpoint(k, there, -0.05)
+        assert np.max(np.abs(there.x - WELL_SEPARATED.x)) > 1e-3
+        assert np.max(np.abs(back.x - WELL_SEPARATED.x)) <= 1e-12
+        assert np.max(np.abs(back.p - WELL_SEPARATED.p)) <= 1e-12
+
 
 class TestPluriEl:
     def test_pure_t2_solution(self):
@@ -230,10 +240,11 @@ class TestPluriEl:
         y = state
         for i in range(13):
             if i > 0:
-                from cmhier.flows import _raw_field, _rk4
+                from cmhier.flows import _raw_field
+                from cmhier.numerics import rk4_step
 
                 fld = _raw_field(np.array([0.0, -0.75]), y.n)
-                z = _rk4(np.concatenate([y.x, y.p]), fld, h)
+                z = rk4_step(fld, (i - 1) * h, np.concatenate([y.x, y.p]), h)
                 y = PhaseState(z[: y.n], z[y.n :])
             samples.append(TrajectorySample(i * h, 0.0, i * h, y))
         lagrangian_flow = Trajectory(tuple(samples))

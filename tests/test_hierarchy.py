@@ -40,6 +40,11 @@ class TestHamiltonian:
         with pytest.raises(CollisionSingularity):
             PhaseState([0.0, 0.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.nan], [np.inf], [0.0, -np.inf, 3.0]])
+    def test_non_finite_position_raises(self, x):
+        with pytest.raises(CollisionSingularity, match="non-finite position"):
+            PhaseState(x, np.zeros(len(x)))
+
     def test_bad_flow_index(self):
         with pytest.raises(ValueError):
             hamiltonian(4, PhaseState([0.0], [1.0]))

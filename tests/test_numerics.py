@@ -198,15 +198,15 @@ class TestFiniteDifference:
 class TestRK4:
     def test_free_particle_exact(self):
         # xdot = p, pdot = 0: state polynomial of degree 1, RK4 exact
-        out = rk4_step(lambda y: np.array([y[1], 0.0]), np.array([0.5, 2.0]), 0.3)
+        out = rk4_step(lambda t, y: np.array([y[1], 0.0]), 0.0, np.array([0.5, 2.0]), 0.3)
         assert np.allclose(out, [0.5 + 2.0 * 0.3, 2.0])
 
     def test_zero_field_identity(self):
         y = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(rk4_step(lambda _: np.zeros(3), y, 0.7), y)
+        assert np.array_equal(rk4_step(lambda t, _: np.zeros(3), 0.0, y, 0.7), y)
 
     def test_harmonic_single_step(self):
-        out = rk4_step(lambda y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), 0.1)
+        out = rk4_step(lambda t, y: np.array([y[1], -y[0]]), 0.0, np.array([1.0, 0.0]), 0.1)
         assert out[0] == pytest.approx(np.cos(0.1), abs=1e-7)
         assert out[1] == pytest.approx(-np.sin(0.1), abs=1e-7)
 
@@ -214,7 +214,7 @@ class TestRK4:
         def integrate(h, t_end=1.0):
             y = np.array([1.0, 0.0])
             for _ in range(int(round(t_end / h))):
-                y = rk4_step(lambda z: np.array([z[1], -z[0]]), y, h)
+                y = rk4_step(lambda t, z: np.array([z[1], -z[0]]), 0.0, y, h)
             return y
 
         exact = np.array([np.cos(1.0), -np.sin(1.0)])
@@ -223,8 +223,18 @@ class TestRK4:
         assert err_h / err_h2 == pytest.approx(16.0, rel=0.15)
 
     def test_field_failure_propagates(self):
-        def bad(_):
+        def bad(t, _):
             raise FloatingPointError("pole")
 
         with pytest.raises(FloatingPointError):
-            rk4_step(bad, np.array([0.0]), 0.1)
+            rk4_step(bad, 0.0, np.array([0.0]), 0.1)
+
+    def test_stage_times(self):
+        times = []
+
+        def field(t, y):
+            times.append(t)
+            return np.zeros_like(y)
+
+        rk4_step(field, 0.25, np.array([1.0]), -0.5)
+        assert times == [0.25, 0.0, 0.0, -0.25]

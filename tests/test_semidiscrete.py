@@ -51,6 +51,13 @@ class TestChain:
         with pytest.raises(CollisionSingularity, match="adjacent chain sites .* at edge 1"):
             Chain(tuple(sites))
 
+    @pytest.mark.parametrize(
+        "sites, site", [(([np.nan, 1.0], [0.5, 2.0]), 0), (([0.0], [1.0], [np.inf]), 2)]
+    )
+    def test_non_finite_position_names_site(self, sites, site):
+        with pytest.raises(CollisionSingularity, match=f"non-finite position at site {site}"):
+            Chain(tuple(np.array(s) for s in sites))
+
     def test_ragged_sites_rejected(self):
         with pytest.raises(ValueError):
             Chain((np.array([0.0, 1.0]), np.array([2.0])))
