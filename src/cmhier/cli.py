@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, discrete, flows, semidiscrete
-from .errors import NumericsError, ScenarioError, ValidationError
+from .errors import NumericsError, ScenarioError, ValidationError, located
 from .hierarchy import CouplingConvention, PhaseState, invariants
 from .numerics import NewtonSettings
 from .sampling import orbit_seed, random_phase_state
@@ -73,7 +73,8 @@ def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
     else:
         sites = list(_seeded(orbit_seed, sc))
     while len(sites) < count:
-        sites.append(discrete.discrete_step(sites[-2], sites[-1], params))
+        with located(site=len(sites)):
+            sites.append(discrete.discrete_step(sites[-2], sites[-1], params))
     return sites
 
 
@@ -182,12 +183,13 @@ DEMOS = {
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
+    """The scenario with the command-line overrides, validated like scenario keys."""
     updates = {
         key: getattr(args, key)
         for key in ("out_dir", "seed", "tolerance_scale", "format")
         if getattr(args, key) is not None
     }
-    return dataclasses.replace(sc, **updates)
+    return scenario_from_dict({**dataclasses.asdict(sc), **updates})
 
 
 def _finish(report: VerificationReport) -> int:

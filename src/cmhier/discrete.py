@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollisionSingularity, LogSingularity, NonConvergence, SingularMatrix
-from .hierarchy import check_collision_free, min_gap
+from .hierarchy import check_collision_free, inverse_gaps, min_gap, trace_powers
 from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
 
 LOG_TOL = 1e-12
@@ -75,9 +75,8 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pair_sums(x: np.ndarray) -> np.ndarray:
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
-    return (1.0 / d).sum(axis=1)
+    """Per-particle sums sum_{l != m} 1/(x_m - x_l)."""
+    return inverse_gaps(x).sum(axis=1)
 
 
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
@@ -199,8 +198,6 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
     through variant (c) at x10 and variant (d) at x01, and the max-norm gap
     between the two routes is the consistency defect. Route 1 is stored.
     """
-    x00 = np.asarray(x00, dtype=float)
-    x10 = np.asarray(x10, dtype=float)
     x01 = corner_solve("a", x00, x10, params)
     x11_route1 = corner_solve("c", x10, x00, params)
     x11_route2 = corner_solve("d", x01, x00, params)
@@ -316,9 +313,8 @@ def edge_logdet_values(x: np.ndarray, tx: np.ndarray, p: float) -> tuple[float, 
     validates the negated convention exactly.
     """
     lag = discrete_lagrangian(x, tx, p)
-    rhs = _edge_logdet(np.asarray(x, dtype=float), np.asarray(tx, dtype=float)) + p * float(
-        np.sum(np.asarray(x) - np.asarray(tx))
-    )
+    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
+    rhs = _edge_logdet(x, tx) + p * float(np.sum(x - tx))
     return lag - rhs, lag + rhs
 
 
@@ -334,11 +330,9 @@ def build_discrete_lax(x: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.nd
     check_collision_free(tx)
     if np.min(np.abs(x[:, None] - tx[None, :])) < LOG_TOL:
         raise CollisionSingularity("site and shifted site share a coordinate")
-    p = _cross(x, tx).sum(axis=1) - _pair_sums(x)
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
-    L = -1.0 / d
-    np.fill_diagonal(L, p)
+    inv = inverse_gaps(x)
+    L = -inv
+    np.fill_diagonal(L, _cross(x, tx).sum(axis=1) - inv.sum(axis=1))
     M = -_cross(tx, x)
     return L, M
 
@@ -350,22 +344,15 @@ def discrete_lax_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndar
     edge (x_cur, x_next), and M connects x_prev to x_cur; the combination
     vanishes on solutions of the discrete equation of motion.
     """
-    L, M = build_discrete_lax(np.asarray(x_prev, float), np.asarray(x_cur, float))
-    TL, _ = build_discrete_lax(np.asarray(x_cur, float), np.asarray(x_next, float))
+    L, M = build_discrete_lax(x_prev, x_cur)
+    TL, _ = build_discrete_lax(x_cur, x_next)
     return float(np.max(np.abs(TL @ M - M @ L)))
 
 
 def discrete_invariants(x: np.ndarray, tx: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of powers 1..kmax of the discrete L; conserved along orbits."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
     L, _ = build_discrete_lax(x, tx)
-    out = np.empty(kmax)
-    power = np.eye(len(np.atleast_1d(x)))
-    for l in range(1, kmax + 1):
-        power = power @ L
-        out[l - 1] = np.trace(power)
-    return out
+    return trace_powers(L, kmax)
 
 
 def discrete_hamiltonian_diag(
@@ -393,9 +380,7 @@ def discrete_hamiltonian_diag(
     p_lattice = params.p1 if direction == 1 else params.p2
     n = len(x)
     P = _cross(x, tx)
-    dtx = tx[:, None] - tx[None, :]
-    np.fill_diagonal(dtx, np.inf)
-    rho = -1.0 / dtx
+    rho = -inverse_gaps(tx)
 
     ham = float(np.sum(np.log(np.abs(P))))
     if n > 1:
@@ -422,13 +407,10 @@ def discrete_hamiltonian_diag(
     if x_prev is not None:
         x_prev = np.asarray(x_prev, dtype=float)
         incoming = _cross(x, x_prev)
-        dHdx = _pair_sums(x)
         # the unshifted rho lives on the current site, not the edge
-        dx_site = x[:, None] - x[None, :]
-        np.fill_diagonal(dx_site, np.inf)
-        rho_site = -1.0 / dx_site
+        rho_site = -inverse_gaps(x)
         rhs = (P + incoming).sum(axis=1) + 0.5 * (rho_site - rho_site.T).sum(axis=1)
-        result["position_residual"] = rhs - dHdx
+        result["position_residual"] = rhs - _pair_sums(x)
     return result
 
 

@@ -1,14 +1,31 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class NumericsError(Exception):
     """Base class for numerical failures.
 
-    `tau` is the tau of the failing RK4 stage when the failure happened inside
-    a semi-discrete chain evolution, else None.
+    `tau` is the tau of the failing RK4 stage of a chain evolution, `site` the
+    lattice site a discrete orbit was being extended to; else both are None.
     """
 
     tau = None
+    site = None
+
+
+@contextmanager
+def located(*, tau=None, site=None):
+    """Attach tau or a site index to a NumericsError raised inside, as attribute and in the message."""
+    try:
+        yield
+    except NumericsError as exc:
+        if tau is not None:
+            exc.tau, where = tau, f"tau={tau:.6g}"
+        else:
+            exc.site, where = site, f"site {site}"
+        exc.args = (f"at {where}: {exc}",)
+        raise
 
 
 class NonConvergence(NumericsError):

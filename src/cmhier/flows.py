@@ -6,6 +6,10 @@ segments in the (t2, t3) plane. The residual evaluators quantify the
 variational identities: commuting flows, Poisson involution, closure
 relations, the generalized Euler-Lagrange equation of the two-flow family,
 and conservation of the parametrized-path energy.
+
+Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
+The march checks each accepted step in flight; only accepted steps become
+PhaseStates.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ import numpy as np
 
 from .errors import CollisionSingularity, DegenerateDirection
 from .hierarchy import (
+    FLOW_INDICES,
     PhaseState,
     VelocityState,
     check_flow_index,
     constraint_velocity,
+    gradient_kernel,
     hamiltonian,
     hamiltonian_grad,
+    inverse_gaps,
     inverse_square_sums,
     lagrangian,
     lagrangian_dx,
@@ -107,20 +114,18 @@ def hamiltonian_observable(k: int) -> Callable[[PhaseState], float]:
 
 
 def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    d2, d3 = direction
+    """d2 times the t2 plus d3 times the t3 Hamilton field, on stacked (x, p)."""
+    members = [(k, d) for k, d in zip(FLOW_INDICES, direction) if d != 0.0]
 
     def fld(_s: float, y: np.ndarray) -> np.ndarray:
-        state = PhaseState(y[:n], y[n:])
+        x, p = y[:n], y[n:]
+        inv = inverse_gaps(x)
         out_x = np.zeros(n)
         out_p = np.zeros(n)
-        if d2 != 0.0:
-            xd, pd = vector_field(2, state)
-            out_x += d2 * xd
-            out_p += d2 * pd
-        if d3 != 0.0:
-            xd, pd = vector_field(3, state)
-            out_x += d3 * xd
-            out_p += d3 * pd
+        for k, d in members:
+            dx, dp = gradient_kernel(k, x, p, inv)
+            out_x += d * dp
+            out_p += d * -dx
         return np.concatenate([out_x, out_p])
 
     return fld
@@ -139,14 +144,16 @@ def _check_in_flight(y: np.ndarray, n: int, order: np.ndarray, s: float) -> None
 
 def _march(start: PhaseState, direction: np.ndarray, h: float, n_steps: int) -> list[np.ndarray]:
     """Stacked (x, p) after each of n_steps RK4 steps of signed size h along a
-    straight segment, the start first; every step is checked in flight."""
+    straight segment, the start first; every step is checked in flight, so an
+    overflow in the unchecked stages is reported there, not warned about."""
     n = start.n
     fld = _raw_field(direction, n)
     order = np.argsort(start.x)
     ys = [np.concatenate([start.x, start.p])]
-    for i in range(1, n_steps + 1):
-        ys.append(rk4_step(fld, (i - 1) * h, ys[-1], h))
-        _check_in_flight(ys[-1], n, order, i * h)
+    with np.errstate(all="ignore"):
+        for i in range(1, n_steps + 1):
+            ys.append(rk4_step(fld, (i - 1) * h, ys[-1], h))
+            _check_in_flight(ys[-1], n, order, i * h)
     return ys
 
 
@@ -253,6 +260,14 @@ def _fd_dds(series: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _nonzero_direction(direction: Sequence[float]) -> tuple[float, float]:
+    """(dt2/ds, dt3/ds) as floats; DegenerateDirection when both are zero."""
+    d2, d3 = float(direction[0]), float(direction[1])
+    if d2 == 0.0 and d3 == 0.0:
+        raise DegenerateDirection("both direction components are zero")
+    return d2, d3
+
+
 def _d_lagrangian_dv(x: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> dict:
     """The four velocity-derivatives of the two Lagrangians."""
     return {
@@ -276,9 +291,7 @@ def pluri_el_residual(traj: Trajectory, direction: Sequence[float]) -> np.ndarra
     reduces the expression to the usual single-time Euler-Lagrange equation
     of the active flow.
     """
-    d2, d3 = float(direction[0]), float(direction[1])
-    if d2 == 0.0 and d3 == 0.0:
-        raise DegenerateDirection("both direction components are zero")
+    d2, d3 = _nonzero_direction(direction)
     if len(traj.samples) < 3:
         raise ValueError("need at least 3 samples for d/ds differencing")
     s = traj.s_values()
@@ -322,9 +335,7 @@ def pluri_el_residual(traj: Trajectory, direction: Sequence[float]) -> np.ndarra
 def pluri_constraint_residual(sample: VelocityState, direction: Sequence[float]) -> float:
     """Transversal constraint of the two-flow family, max-norm over particles:
     (dL_(t3)/dv2) d3^2 + (dL_(t2)/dv2 - dL_(t3)/dv3) d2 d3 - (dL_(t2)/dv3) d2^2."""
-    d2, d3 = float(direction[0]), float(direction[1])
-    if d2 == 0.0 and d3 == 0.0:
-        raise DegenerateDirection("both direction components are zero")
+    d2, d3 = _nonzero_direction(direction)
     dv = _d_lagrangian_dv(sample.x, sample.v2, sample.v3)
     r = dv[(3, 2)] * d3**2 + (dv[(2, 2)] - dv[(3, 3)]) * d2 * d3 - dv[(2, 3)] * d2**2
     return float(np.max(np.abs(r)))
@@ -338,9 +349,7 @@ def generalized_momentum(sample: VelocityState, direction: Sequence[float]) -> n
     with one component zero the cross terms are undefined and the reduced
     formula P = dL_(active)/dv_active applies.
     """
-    d2, d3 = float(direction[0]), float(direction[1])
-    if d2 == 0.0 and d3 == 0.0:
-        raise DegenerateDirection("both direction components are zero")
+    d2, d3 = _nonzero_direction(direction)
     dv = _d_lagrangian_dv(sample.x, sample.v2, sample.v3)
     if d2 == 0.0 or d3 == 0.0:
         return dv[(2, 2)].copy() if d3 == 0.0 else dv[(3, 3)].copy()
@@ -372,13 +381,8 @@ def lagrangian_closure_residual(
         raise ValueError("velocity_mode must be 'flow' or 'constraint'")
 
     def velocity_state(ps: PhaseState) -> VelocityState:
-        v2 = ps.p.copy()
-        if velocity_mode == "flow":
-            _, dp = hamiltonian_grad(3, ps)
-            v3 = dp
-        else:
-            v3 = constraint_velocity(ps.x, v2)
-        return VelocityState(ps.x, v2, v3)
+        v3 = hamiltonian_grad(3, ps)[1] if velocity_mode == "flow" else constraint_velocity(ps.x, ps.p)
+        return VelocityState(ps.x, ps.p, v3)
 
     dL2_dt3 = _along_flow(lambda ps: lagrangian(2, velocity_state(ps)), 3, state, eps)
     dL3_dt2 = _along_flow(lambda ps: lagrangian(3, velocity_state(ps)), 2, state, eps)

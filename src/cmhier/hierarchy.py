@@ -7,6 +7,11 @@ flows, Legendre-transform checks, and the Lax pair with its trace invariants.
 Coupling convention: the off-diagonal Lax coefficient is a single real
 parameter gamma (default -2), fixed so that (1/2)Tr L^2 and (1/3)Tr L^3
 reproduce the two Hamiltonians exactly.
+
+Validation rule: a PhaseState or VelocityState checks its positions once,
+when it is built, and keeps read-only copies of its arrays, so it stays
+collision-free while it exists. Functions that take such a state do not check
+it again, and the array kernels check nothing.
 """
 
 from __future__ import annotations
@@ -23,28 +28,30 @@ FLOW_INDICES = (2, 3)
 
 
 def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = np.array(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a non-empty 1-D array")
+    arr.flags.writeable = False
     return arr
 
 
 def min_gap(x: np.ndarray) -> float:
     """Smallest pairwise distance; inf for a single particle, NaN when a
     position is not finite."""
-    d = np.abs(x[:, None] - x[None, :])
-    # the diagonal x_i - x_i is 0, or NaN for a non-finite x_i; adding inf
-    # masks the zeros and keeps the NaN
-    d.flat[:: len(x) + 1] += np.inf
+    with np.errstate(invalid="ignore"):
+        d = np.abs(x[:, None] - x[None, :])
+        # the diagonal x_i - x_i is 0, or NaN for a non-finite x_i; adding inf
+        # masks the zeros and keeps the NaN
+        d.flat[:: len(x) + 1] += np.inf
     return float(d.min())
 
 
-def check_collision_free(x: np.ndarray, tol: float = COLLISION_TOL, s=None) -> None:
+def check_collision_free(x: np.ndarray, tol: float = COLLISION_TOL) -> None:
     """Raise CollisionSingularity on a non-finite position or a gap below tol."""
     g = min_gap(x)
     if not g >= tol:
         message = "non-finite position" if np.isnan(g) else f"minimum gap {g:.3e} below {tol:.1e}"
-        raise CollisionSingularity(message, s=s)
+        raise CollisionSingularity(message)
 
 
 def check_flow_index(k: int) -> None:
@@ -52,44 +59,37 @@ def check_flow_index(k: int) -> None:
         raise ValueError(f"flow index must be one of {FLOW_INDICES}, got {k}")
 
 
+class _State:
+    """Construction check: read-only float fields of one length, collision-free x."""
+
+    def __post_init__(self):
+        names = tuple(self.__dataclass_fields__)
+        for name in names:
+            object.__setattr__(self, name, _as_vector(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in names}) > 1:
+            raise ValueError(f"{', '.join(names)} must have equal length")
+        check_collision_free(self.x)
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
+
+
 @dataclass(frozen=True)
-class PhaseState:
+class PhaseState(_State):
     """Positions and momenta of N particles on the line."""
 
     x: np.ndarray
     p: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "p", _as_vector(self.p))
-        if len(self.x) != len(self.p):
-            raise ValueError("x and p must have equal length")
-        check_collision_free(self.x)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
 
 @dataclass(frozen=True)
-class VelocityState:
+class VelocityState(_State):
     """Positions plus the two hierarchy velocities dX/dt2 and dX/dt3."""
 
     x: np.ndarray
     v2: np.ndarray
     v3: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "v2", _as_vector(self.v2))
-        object.__setattr__(self, "v3", _as_vector(self.v3))
-        if not (len(self.x) == len(self.v2) == len(self.v3)):
-            raise ValueError("x, v2 and v3 must have equal length")
-        check_collision_free(self.x)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class CouplingConvention:
 DEFAULT_COUPLING = CouplingConvention()
 
 
-def _inv_gap(x: np.ndarray) -> np.ndarray:
+def inverse_gaps(x: np.ndarray) -> np.ndarray:
     """Matrix 1/(x_i - x_j) with zero diagonal."""
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, np.inf)
@@ -115,39 +115,37 @@ def _inv_gap(x: np.ndarray) -> np.ndarray:
 
 def inverse_square_sums(x: np.ndarray) -> np.ndarray:
     """Per-particle interaction sums sum_{j != i} 1/(x_i - x_j)^2."""
-    return (_inv_gap(x) ** 2).sum(axis=1)
+    return (inverse_gaps(x) ** 2).sum(axis=1)
 
 
 def hamiltonian(k: int, state: PhaseState) -> float:
     """H_(t2) = sum p^2/2 - sum' 2/(x_i-x_j)^2, H_(t3) = sum p^3/3 - sum' 4 p_i/(x_i-x_j)^2."""
     check_flow_index(k)
-    check_collision_free(state.x)
     w = inverse_square_sums(state.x)
     if k == 2:
         return float(0.5 * np.sum(state.p**2) - 2.0 * np.sum(w))
     return float(np.sum(state.p**3) / 3.0 - 4.0 * np.sum(state.p * w))
 
 
+def gradient_kernel(k: int, x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dH_(tk)/dx, dH_(tk)/dp) from raw arrays, with inv = inverse_gaps(x)."""
+    inv3 = inv**3
+    if k == 2:
+        return 8.0 * inv3.sum(axis=1), p.copy()
+    dx = 8.0 * ((p[:, None] + p[None, :]) * inv3).sum(axis=1)
+    return dx, p**2 - 4.0 * (inv**2).sum(axis=1)
+
+
 def hamiltonian_grad(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dH/dx, dH/dp) for either flow."""
     check_flow_index(k)
-    check_collision_free(state.x)
-    x, p = state.x, state.p
-    inv = _inv_gap(x)
-    inv3 = inv**3
-    if k == 2:
-        dx = 8.0 * inv3.sum(axis=1)
-        return dx, p.copy()
-    dx = 8.0 * ((p[:, None] + p[None, :]) * inv3).sum(axis=1)
-    dp = p**2 - 4.0 * inverse_square_sums(x)
-    return dx, dp
+    return gradient_kernel(k, state.x, state.p, inverse_gaps(state.x))
 
 
 def lagrangian(k: int, state: VelocityState) -> float:
     """L_(t2) = sum v2^2/2 + sum' 2/(x_i-x_j)^2,
     L_(t3) = sum (v2 v3 + v2^3/4) - sum' 3 v2_i/(x_i-x_j)^2."""
     check_flow_index(k)
-    check_collision_free(state.x)
     w = inverse_square_sums(state.x)
     if k == 2:
         return float(0.5 * np.sum(state.v2**2) + 2.0 * np.sum(w))
@@ -155,18 +153,16 @@ def lagrangian(k: int, state: VelocityState) -> float:
 
 
 def lagrangian_dx(k: int, x: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Analytic dL_(tk)/dx; the t3 member needs the t2-velocity."""
+    """Analytic dL_(tk)/dx; the t3 member needs the t2-velocity. At p = v2,
+    dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx."""
     check_flow_index(k)
-    inv3 = _inv_gap(x) ** 3
-    if k == 2:
-        return -8.0 * inv3.sum(axis=1)
-    return 6.0 * ((v2[:, None] + v2[None, :]) * inv3).sum(axis=1)
+    dx, _ = gradient_kernel(k, x, v2, inverse_gaps(x))
+    return -dx if k == 2 else 0.75 * dx
 
 
 def constraint_residual(state: VelocityState) -> np.ndarray:
     """Per-particle residual of the transversal constraint tying v3 to v2:
     v2^2/4 + v3/3 - sum_{j != i} 1/(x_i - x_j)^2."""
-    check_collision_free(state.x)
     return 0.25 * state.v2**2 + state.v3 / 3.0 - inverse_square_sums(state.x)
 
 
@@ -181,7 +177,6 @@ def legendre_check(k: int, state: VelocityState) -> float:
     Vanishes identically for k=2. For k=3 the value is generally nonzero with
     the momentum identification P=v2; it is reported as a diagnostic.
     """
-    check_flow_index(k)
     phase = PhaseState(state.x, state.v2)
     vk = state.v2 if k == 2 else state.v3
     return hamiltonian(k, phase) - (float(np.sum(state.v2 * vk)) - lagrangian(k, state))
@@ -195,8 +190,7 @@ def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLIN
     diagonal, which makes every row of M sum to zero and zeroes the Lax
     residual pointwise.
     """
-    check_collision_free(state.x)
-    inv = _inv_gap(state.x)
+    inv = inverse_gaps(state.x)
     L = conv.gamma * inv
     np.fill_diagonal(L, state.p)
     M = conv.gamma * inv**2
@@ -204,20 +198,25 @@ def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLIN
     return L, M
 
 
+def trace_powers(L: np.ndarray, kmax: int) -> np.ndarray:
+    """Tr(L^l) for l = 1..kmax."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    out = np.empty(kmax)
+    power = np.eye(len(L))
+    for l in range(kmax):
+        power = power @ L
+        out[l] = np.trace(power)
+    return out
+
+
 def invariants(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
     """Trace invariants I_l = Tr(L^l)/l for l = 1..kmax.
 
     With gamma = -2, I_2 and I_3 coincide with the two Hamiltonians.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
     L, _ = build_lax_pair(state, conv)
-    out = np.empty(kmax)
-    power = np.eye(state.n)
-    for l in range(1, kmax + 1):
-        power = power @ L
-        out[l - 1] = np.trace(power) / l
-    return out
+    return trace_powers(L, kmax) / np.arange(1, kmax + 1)
 
 
 def lax_residual(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> float:

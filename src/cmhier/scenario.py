@@ -105,12 +105,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ValidationError("field 'n' must be an integer >= 1")
     n = raw["n"]
 
-    for key in ("dt", "tau_step", "newton_tolerance", "duration", "tau_duration"):
-        _require_number(raw, key, positive=key != "duration", nonnegative=key == "duration")
-    for key in ("gamma", "p1", "p2", "min_gap", "tolerance_scale"):
+    for key in ("dt", "tau_step", "newton_tolerance", "tau_duration"):
+        _require_number(raw, key, positive=True)
+    for key in ("duration", "tolerance_scale"):
+        _require_number(raw, key, nonnegative=True)
+    for key in ("gamma", "p1", "p2", "min_gap"):
         _require_number(raw, key)
-    if "seed" in raw and (not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool)):
-        raise ValidationError("field 'seed' must be an integer")
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError("field 'seed' must be a nonnegative integer")
     for key in ("steps", "chain_edges"):
         if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool) or raw[key] < 1):
             raise ValidationError(f"field '{key}' must be an integer >= 1")
@@ -118,8 +121,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ValidationError(f"field 'format' must be one of {FORMATS}")
     if raw.get("gamma", _DEFAULTS["gamma"]) == 0:
         raise ValidationError("field 'gamma' must be nonzero")
-    if "tolerance_scale" in raw and raw["tolerance_scale"] < 0:
-        raise ValidationError("field 'tolerance_scale' must be nonnegative")
 
     values = {key: raw.get(key, default) for key, default in _DEFAULTS.items()}
     for key in ("positions", "momenta", "seed_prev", "seed_cur"):

@@ -6,17 +6,20 @@ constraint per particle on the velocity of each of its endpoints, so interior
 sites are determined twice. The agreement of the two determinations is the
 semi-discrete compatibility claim and is tracked as a diagnostic while the
 chain is integrated.
+
+Validation rule: a Chain checks its sites once, when it is built. RK4 stages
+are plain arithmetic on the stacked (K+1, N) sites; only accepted steps
+become Chains.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
-from .errors import CollisionSingularity, NumericsError, SingularMatrix
+from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free
 from .numerics import linear_solve, rk4_step
 
@@ -29,17 +32,6 @@ def _check_gaps(gaps: np.ndarray, tol: float, what: str, where: str) -> None:
     if low.size:
         k = low[0]
         raise CollisionSingularity(f"{what} {gaps[k]:.3e} below {tol:.1e} at {where} {k}")
-
-
-@contextmanager
-def _at_tau(tau: float):
-    """Attach tau to a NumericsError raised inside, as attribute and in the message."""
-    try:
-        yield
-    except NumericsError as exc:
-        exc.tau = tau
-        exc.args = (f"at tau={tau:.6g}: {exc}",)
-        raise
 
 
 @dataclass(frozen=True)
@@ -86,18 +78,16 @@ class ChainVelocities:
     max_discrepancy: float      # worst interior disagreement, max-norm
 
 
-def tau_velocities(chain: Chain) -> ChainVelocities:
-    """Solve the edge constraints for every site velocity.
+def _site_velocities(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge-constraint velocities of the stacked sites y, shape (K+1, N).
 
     On edge (a, b) = (y(k), y(k+1)) the velocity v of b solves
     sum_l v_l / (a_m - b_l)^2 = -1 per m (the forward system), and the
     velocity of a solves the transposed system (the backward one). All 2K
-    systems are solved in one stacked call. Interior sites are determined from
-    both neighbouring edges; the averaged value is exposed for integration and
-    the worst disagreement recorded.
+    systems are solved in one stacked call. Returns the site velocities,
+    averaged on interior sites, and the forward and backward solutions.
     """
-    k_len = chain.length
-    y = np.stack(chain.sites)
+    k_len = len(y) - 1
     forward = 1.0 / (y[:-1, :, None] - y[1:, None, :]) ** 2
     systems = np.concatenate((forward, forward.transpose(0, 2, 1)))
     try:
@@ -107,29 +97,35 @@ def tau_velocities(chain: Chain) -> ChainVelocities:
         raise SingularMatrix(f"edge {exc.system % k_len} {side} velocity: {exc}", system=exc.system) from exc
     from_prev, from_next = solved[:k_len], solved[k_len:]
     velocities = np.concatenate((from_next[:1], 0.5 * (from_prev[:-1] + from_next[1:]), from_prev[-1:]))
+    return velocities, from_prev, from_next
+
+
+def tau_velocities(chain: Chain) -> ChainVelocities:
+    """Solve the edge constraints for every site velocity; interior sites get
+    the average of both edges' values, and their worst disagreement is kept."""
+    velocities, from_prev, from_next = _site_velocities(np.stack(chain.sites))
     discrepancy = float(np.max(np.abs(from_prev[:-1] - from_next[1:]), initial=0.0))
     return ChainVelocities(tuple(velocities), (None, *from_prev), (*from_next, None), discrepancy)
 
 
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> list[Chain]:
-    """RK4 on the stacked site coordinates; returns all snapshots incl. start."""
+    """RK4 on the stacked (K+1, N) site array; returns all snapshots incl. start."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
-    shape = (chain.length + 1, chain.n)
+    def field(stage_tau: float, y: np.ndarray) -> np.ndarray:
+        with located(tau=stage_tau):
+            return _site_velocities(y)[0]
 
-    def field(stage_tau: float, flat: np.ndarray) -> np.ndarray:
-        with _at_tau(stage_tau):
-            return np.concatenate(tau_velocities(Chain(tuple(flat.reshape(shape)), stage_tau)).velocities)
-
-    y = np.concatenate(chain.sites)
+    y = np.stack(chain.sites)
     tau = chain.tau
     out = [chain]
-    for _ in range(steps):
-        y = rk4_step(field, tau, y, d_tau)
-        tau = tau + d_tau
-        with _at_tau(tau):
-            out.append(Chain(tuple(y.reshape(shape)), tau))
+    with np.errstate(all="ignore"):  # a non-finite stage fails its edge solve instead
+        for _ in range(steps):
+            y = rk4_step(field, tau, y, d_tau)
+            tau = tau + d_tau
+            with located(tau=tau):
+                out.append(Chain(tuple(y), tau))
     return out
 
 

@@ -359,9 +359,7 @@ def _closure_diagnostics(col, rng):
             note="second-order differencing: ratio near 4 means converged",
         )
 
-    v2 = state.p.copy()
-    v3 = hierarchy.constraint_velocity(state.x, v2)
-    sample = hierarchy.VelocityState(state.x, v2, v3)
+    sample = hierarchy.VelocityState(state.x, state.p, hierarchy.constraint_velocity(state.x, state.p))
     col.diagnostic(
         "legendre-transform-t3",
         hierarchy.legendre_check(3, sample),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, payload))]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflow_is_a_non_finite_step_without_warnings(self, tmp_path, capsys):
+        payload = dict(MINIMAL_CONTINUOUS, direction=[1e308, 1e308], duration=0.01)
+        payload["out_dir"] = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: CollisionSingularity: non-finite state at s=0.001\n"
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS, typo=1))
         assert main(["run", str(path)]) == 2
@@ -207,6 +217,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, flags",
+        [
+            ("tolerance_scale", ["--tolerance-scale", "nan"]),
+            ("tolerance_scale", ["--tolerance-scale", "-1"]),
+            ("seed", ["--seed", "-1"]),
+        ],
+    )
+    def test_override_is_validated_like_its_key(self, tmp_path, capsys, field, flags):
+        out = tmp_path / "out"
+        assert main(["demo", "continuous", "--out-dir", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+        assert not (out / "report.json").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        payload = {"kind": "continuous", "n": 2, "seed": -1, "out_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == "error: field 'seed' must be a nonnegative integer\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_discrete_abort_names_its_site(self, tmp_path, capsys):
+        # the Newton solve for site 64 of this seeded orbit hits a singular Jacobian
+        payload = {"kind": "discrete", "n": 3, "steps": 200, "out_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        assert "numerical failure: SingularJacobian: at site 64: system 0:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",

@@ -6,6 +6,7 @@ from cmhier.flows import (
     PathSpec,
     Trajectory,
     TrajectorySample,
+    _raw_field,
     commutator_defect,
     evolve_path,
     generalized_momentum,
@@ -63,8 +64,21 @@ class TestVectorField:
         assert np.allclose(xdot, 0.0)
         assert np.allclose(pdot, [1.0, -1.0])
 
+    def test_mixed_direction_field_is_the_weighted_sum(self):
+        d2, d3 = 0.7, -0.4
+        y = np.concatenate([WELL_SEPARATED.x, WELL_SEPARATED.p])
+        x2, p2 = vector_field(2, WELL_SEPARATED)
+        x3, p3 = vector_field(3, WELL_SEPARATED)
+        expected = np.concatenate([d2 * x2 + d3 * x3, d2 * p2 + d3 * p3])
+        assert np.array_equal(_raw_field(np.array([d2, d3]), 3)(0.0, y), expected)
+
 
 class TestIntegrateFlow:
+    def test_builds_one_state_per_accepted_step(self, count_builds):
+        builds = count_builds(PhaseState)
+        traj = integrate_flow(2, WELL_SEPARATED, 10e-3, 1e-3)
+        assert len(traj.samples) == 11 and len(builds) == 10
+
     def test_free_motion(self):
         traj = integrate_flow(2, PhaseState([0.0], [1.0]), 1.0, 1e-2)
         assert traj.final_state.x[0] == pytest.approx(1.0, abs=1e-12)

@@ -50,6 +50,27 @@ class TestHamiltonian:
             hamiltonian(4, PhaseState([0.0], [1.0]))
 
 
+class TestStateArrays:
+    def test_phase_state_is_a_read_only_copy(self):
+        x, p = np.array([-1.0, 1.0]), np.array([0.5, -0.5])
+        state = PhaseState(x, p)
+        x[1] = -1.0
+        p[0] = 9.0
+        assert state.x.tolist() == [-1.0, 1.0] and state.p.tolist() == [0.5, -0.5]
+        for arr in (state.x, state.p):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_velocity_state_is_a_read_only_copy(self):
+        x, v2, v3 = np.array([-1.0, 1.0]), np.array([0.5, -0.5]), np.array([0.1, 0.2])
+        state = VelocityState(x, v2, v3)
+        x[0] = 1.0
+        assert state.x.tolist() == [-1.0, 1.0]
+        for arr in (state.x, state.v2, state.v3):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
 class TestHamiltonianGrad:
     def test_single_particle(self):
         dx, dp = hamiltonian_grad(2, PhaseState([0.0], [0.7]))

@@ -109,21 +109,26 @@ class TestTauVelocities:
 
 class TestEvolveChain:
     def test_failure_carries_stage_tau(self, monkeypatch):
-        real = semidiscrete.tau_velocities
+        real = semidiscrete._site_velocities
         calls = []
 
-        def failing_on_sixth_call(chain):
-            calls.append(chain.tau)
+        def failing_on_sixth_call(y):
+            calls.append(y)
             if len(calls) == 6:
                 raise SingularMatrix("system 0: pivot 0.000e+00 below threshold in column 0", system=0)
-            return real(chain)
+            return real(y)
 
-        monkeypatch.setattr(semidiscrete, "tau_velocities", failing_on_sixth_call)
+        monkeypatch.setattr(semidiscrete, "_site_velocities", failing_on_sixth_call)
         start = Chain(CHAIN_N2.sites, tau=0.5)
         with pytest.raises(SingularMatrix, match=r"at tau=0\.5015: system 0") as info:
             evolve_chain(start, 1e-3, 3)
         # the sixth field evaluation is the second stage of the second step
         assert info.value.tau == pytest.approx(0.5 + 1e-3 + 0.5e-3)
+
+    def test_builds_one_chain_per_accepted_step(self, count_builds):
+        builds = count_builds(Chain)
+        snaps = evolve_chain(CHAIN_N2, 1e-3, 10)
+        assert len(snaps) == 11 and len(builds) == 10
 
     def test_scalar_gap_constant(self):
         chain = Chain((np.array([0.0]), np.array([2.0])))
