@@ -19,6 +19,7 @@ from .errors import ParseError, ValidationError
 
 KINDS = ("continuous", "discrete", "semidiscrete", "verify-all")
 FORMATS = ("csv", "json-lines")
+MAX_N = 1024  # largest particle count; the kernels hold N x N pair matrices
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     if "n" not in raw:
         raise ValidationError("field 'n' is required")
-    if not isinstance(raw["n"], int) or isinstance(raw["n"], bool) or raw["n"] < 1:
-        raise ValidationError("field 'n' must be an integer >= 1")
+    if not isinstance(raw["n"], int) or isinstance(raw["n"], bool) or not 1 <= raw["n"] <= MAX_N:
+        raise ValidationError(f"field 'n' must be an integer between 1 and {MAX_N}")
     n = raw["n"]
 
     for key in ("dt", "tau_step", "newton_tolerance", "tau_duration"):

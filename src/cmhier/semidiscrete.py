@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, SingularMatrix, located
-from .hierarchy import COLLISION_TOL, check_collision_free
+from .hierarchy import COLLISION_TOL, check_collision_free, inverse_gaps
 from .numerics import linear_solve, rk4_step
 
 CROSS_GAP_TOL = 1e-12
@@ -163,11 +163,7 @@ def semi_lagrangian(x: np.ndarray, tx: np.ndarray, v_tx: np.ndarray) -> float:
     if np.min(np.abs(x[:, None] - tx[None, :])) < CROSS_GAP_TOL:
         raise CollisionSingularity("coinciding coordinates between site and shift")
     total = -float(np.sum(v[None, :] / (x[:, None] - tx[None, :])))
-    n = len(x)
-    if n > 1:
-        d = tx[:, None] - tx[None, :]
-        np.fill_diagonal(d, np.inf)
-        total -= 0.5 * float(np.sum((v[:, None] - v[None, :]) / d))
+    total -= 0.5 * float(np.sum((v[:, None] - v[None, :]) * inverse_gaps(tx)))
     return total + float(np.sum(x - tx + v))
 
 

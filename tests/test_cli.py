@@ -239,6 +239,14 @@ class TestMain:
         assert capsys.readouterr().err == "error: field 'seed' must be a nonnegative integer\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_oversized_n_is_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr("cmhier.cli._seeded", lambda *args, **kwargs: draws.append(args))
+        payload = {"kind": "continuous", "n": 1025, "out_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == "error: field 'n' must be an integer between 1 and 1024\n"
+        assert draws == [] and not (tmp_path / "out" / "report.json").exists()
+
     def test_discrete_abort_names_its_site(self, tmp_path, capsys):
         # the Newton solve for site 64 of this seeded orbit hits a singular Jacobian
         payload = {"kind": "discrete", "n": 3, "steps": 200, "out_dir": str(tmp_path / "out")}

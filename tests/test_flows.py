@@ -6,6 +6,7 @@ from cmhier.flows import (
     PathSpec,
     Trajectory,
     TrajectorySample,
+    _check_in_flight,
     _raw_field,
     commutator_defect,
     evolve_path,
@@ -23,6 +24,7 @@ from cmhier.flows import (
 from cmhier.hierarchy import (
     PhaseState,
     VelocityState,
+    build_lax_pair,
     hamiltonian,
     invariants,
     lagrangian,
@@ -48,6 +50,36 @@ def perturb_positions(traj, scale=0.1, per_particle=False):
     return Trajectory(tuple(samples))
 
 
+def spread_state(seed: int, n: int) -> PhaseState:
+    """Seeded state of n particles with neighbour gaps in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    return PhaseState(np.cumsum(rng.uniform(0.5, 1.5, n)), rng.uniform(-1.0, 1.0, n))
+
+
+def power_reference_field(direction, x, p):
+    """The Hamilton field as the kernel wrote it before it used products:
+    inv**3 and a (p_i + p_j) pair matrix for each member. Also returns the
+    same sums over absolute values, which bound the rounding error of any
+    summation order."""
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, np.inf)
+    inv = 1.0 / d
+    inv3 = inv**3
+    pair = p[:, None] + p[None, :]
+    # member k -> (dH/dp, dH/dx) and their absolute-value counterparts
+    grads = {
+        2: (p, 8.0 * inv3.sum(axis=1)),
+        3: (p**2 - 4.0 * (inv**2).sum(axis=1), 8.0 * (pair * inv3).sum(axis=1)),
+    }
+    bounds = {
+        2: (np.abs(p), 8.0 * np.abs(inv3).sum(axis=1)),
+        3: (p**2 + 4.0 * (inv**2).sum(axis=1), 8.0 * np.abs(pair * inv3).sum(axis=1)),
+    }
+    field = sum(dk * np.concatenate([grads[k][0], -grads[k][1]]) for k, dk in zip((2, 3), direction))
+    scale = sum(abs(dk) * np.concatenate(bounds[k]) for k, dk in zip((2, 3), direction))
+    return field, scale
+
+
 class TestVectorField:
     def test_free_particle_t2(self):
         xdot, pdot = vector_field(2, PhaseState([0.0], [0.8]))
@@ -71,6 +103,44 @@ class TestVectorField:
         x3, p3 = vector_field(3, WELL_SEPARATED)
         expected = np.concatenate([d2 * x2 + d3 * x3, d2 * p2 + d3 * p3])
         assert np.array_equal(_raw_field(np.array([d2, d3]), 3)(0.0, y), expected)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.7, -0.4), (-1.0, -1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128])
+    def test_field_matches_the_power_reference(self, n, direction):
+        state = spread_state(n, n)
+        expected, scale = power_reference_field(direction, state.x, state.p)
+        got = _raw_field(np.array(direction), n)(0.0, np.concatenate([state.x, state.p]))
+        # relative to the absolute-value sums: a component that nearly cancels
+        # magnifies any rounding difference relative to itself
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+class TestInFlightCheck:
+    ORDER = np.array([0, 1, 2])
+    GAP = "gap below 1.0e-06 at s=0.25"
+    NON_FINITE = "non-finite state at s=0.25"
+
+    @pytest.mark.parametrize(
+        "x, p, message",
+        [
+            ([0.0, 2.0, 1.0], [0.0, 0.0, 0.0], GAP),           # order flip with wide gaps
+            ([0.0, 5e-7, 1.0], [0.0, 0.0, 0.0], GAP),          # order kept, gap too small
+            ([0.0, 1.0, 2.0], [0.0, np.inf, 0.0], NON_FINITE),  # overflowed momentum
+            ([0.0, np.nan, 2.0], [0.0, 0.0, 0.0], NON_FINITE),
+        ],
+    )
+    def test_abort(self, x, p, message):
+        with pytest.raises(CollisionSingularity) as info:
+            _check_in_flight(np.array(x + p), 3, self.ORDER, 0.25)
+        assert str(info.value) == message and info.value.s == 0.25
+
+    def test_accepts_an_ordered_state_at_the_gap(self):
+        _check_in_flight(np.array([0.0, 1e-6, 1.0, 0.0, 0.0, 0.0]), 3, self.ORDER, 0.25)
+
+    def test_single_particle(self):
+        _check_in_flight(np.array([3.0, -1.0]), 1, np.array([0]), 0.25)
+        with pytest.raises(CollisionSingularity, match=f"^{self.NON_FINITE}$"):
+            _check_in_flight(np.array([np.inf, -1.0]), 1, np.array([0]), 0.25)
 
 
 class TestIntegrateFlow:
@@ -118,6 +188,17 @@ class TestEvolvePath:
         for sa, sb in zip(a.samples, b.samples):
             assert np.array_equal(sa.state.x, sb.state.x)
             assert np.array_equal(sa.state.p, sb.state.p)
+
+    def test_wide_path_matches_the_projection_solution(self):
+        # x(s) = eig(diag x0 + s (d2 L0 + d3 L0^2)) solves the rational CM
+        # flows (Olshanetsky-Perelomov); gamma = -2 matches the Hamiltonians
+        rng = np.random.default_rng(64)
+        x0 = 3.0 * np.arange(64) + rng.uniform(-0.3, 0.3, 64)
+        start = PhaseState(x0, np.sort(rng.uniform(-0.5, 0.5, 64)))
+        end = evolve_path(start, PathSpec(np.array([1.0, 1.0]), 0.05, steps=50)).final_state
+        L0, _ = build_lax_pair(start)
+        exact = np.sort(np.linalg.eigvals(np.diag(start.x) + 0.05 * (L0 + L0 @ L0)).real)
+        assert np.max(np.abs(np.sort(end.x) - exact)) <= 1e-9
 
     def test_free_particle_closed_form(self):
         c2, c3 = 0.4, 0.3

@@ -93,6 +93,17 @@ class TestHamiltonianGrad:
                 assert fd_x == pytest.approx(dx[i], abs=1e-6)
                 assert fd_p == pytest.approx(dp[i], abs=1e-6)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_finite_differences_when_wide(self, n, k):
+        rng = np.random.default_rng(n)
+        state = PhaseState(np.cumsum(rng.uniform(0.5, 1.5, n)), rng.uniform(-1.0, 1.0, n))
+        dx, dp = hamiltonian_grad(k, state)
+        fd_x = [fd_derivative(lambda x: hamiltonian(k, PhaseState(x, state.p)), state.x, i, 1e-6) for i in range(n)]
+        fd_p = [fd_derivative(lambda p: hamiltonian(k, PhaseState(state.x, p)), state.p, i, 1e-6) for i in range(n)]
+        assert fd_x == pytest.approx(dx, rel=1e-6, abs=1e-6)
+        assert fd_p == pytest.approx(dp, rel=1e-6, abs=1e-6)
+
 
 class TestLagrangian:
     def test_single_particle(self):
