@@ -1,0 +1,34 @@
+"""Exact solution of the rational Calogero-Moser flows by the projection method.
+
+Along a straight multi-time segment with direction (d2, d3), the positions at
+parameter s are the eigenvalues of diag x0 + s (d2 L0 + d3 L0^2), where L0 is
+the Lax matrix of the start at gamma = -2 (Olshanetsky-Perelomov, Phys. Rep.
+71 (1981); Kazhdan-Kostant-Sternberg 1978). A collision shows up as two
+eigenvalues meeting and leaving the real line as a complex pair.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .flows import FLIGHT_GAP_TOL
+from .hierarchy import PhaseState, build_lax_pair
+
+
+def projection_spectrum(start: PhaseState, direction, s) -> np.ndarray:
+    """Eigenvalues of diag x0 + s (d2 L0 + d3 L0^2), one row per value of s;
+    complex only where some eigenvalue is."""
+    L0, _ = build_lax_pair(start)
+    d2, d3 = direction
+    generator = d2 * L0 + d3 * (L0 @ L0)
+    s = np.asarray(s, dtype=float)
+    return np.linalg.eigvals(np.diag(start.x) + s[..., None, None] * generator)
+
+
+def collides(start: PhaseState, direction, duration: float, steps: int) -> bool:
+    """True when, at some grid time s = i duration/steps (i = 1..steps, where
+    the march checks its steps in flight), the exact spectrum has a nonzero
+    imaginary part or two sorted eigenvalues closer than FLIGHT_GAP_TOL."""
+    spectrum = projection_spectrum(start, direction, np.arange(1, steps + 1) * (duration / steps))
+    gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
+    return bool(np.any(spectrum.imag != 0.0)) or not np.all(gaps >= FLIGHT_GAP_TOL)

@@ -42,13 +42,13 @@ def _as_vector(v) -> np.ndarray:
 
 def min_gap(x: np.ndarray) -> float:
     """Smallest pairwise distance; inf for a single particle, NaN when a
-    position is not finite."""
-    with np.errstate(invalid="ignore"):
-        d = np.abs(x[:, None] - x[None, :])
-        # the diagonal x_i - x_i is 0, or NaN for a non-finite x_i; adding inf
-        # masks the zeros and keeps the NaN
-        d.flat[:: len(x) + 1] += np.inf
-    return float(d.min())
+    position is not finite. Float subtraction is monotone, so the smallest
+    neighbour difference of the sorted positions is the smallest pairwise one."""
+    s = np.sort(x)
+    # NaN sorts last and -inf first, so the two ends tell whether all are finite
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        return float("nan")
+    return float(np.diff(s).min(initial=np.inf))
 
 
 def check_collision_free(x: np.ndarray, tol: float = COLLISION_TOL) -> None:
@@ -210,14 +210,18 @@ def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLIN
 
 
 def trace_powers(L: np.ndarray, kmax: int) -> np.ndarray:
-    """Tr(L^l) for l = 1..kmax."""
+    """Tr(L^l) for l = 1..kmax, as Tr(L^a L^b) = sum(L^a * (L^b)^T) with
+    a = ceil(l/2) and b = floor(l/2), so only powers up to ceil(kmax/2) are
+    formed: one matrix product for kmax = 3."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    powers = [L]
+    while len(powers) < (kmax + 1) // 2:
+        powers.append(powers[-1] @ L)
     out = np.empty(kmax)
-    power = np.eye(len(L))
-    for l in range(kmax):
-        power = power @ L
-        out[l] = np.trace(power)
+    out[0] = np.trace(L)
+    for l in range(2, kmax + 1):
+        out[l - 1] = np.sum(powers[l - l // 2 - 1] * powers[l // 2 - 1].T)
     return out
 
 

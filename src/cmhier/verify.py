@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, discrete, flows, hierarchy, semidiscrete
+from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
+from .errors import CollisionSingularity
 from .hierarchy import CouplingConvention, PhaseState
 from .numerics import NewtonSettings
 from .sampling import plaquette_seed, random_phase_state
@@ -144,22 +145,27 @@ def chain_residuals(snaps: list) -> tuple[float, float | None, float | None]:
     return worst_disc, worst_eom, float(np.max(np.abs(gaps - gaps[0])))
 
 
-def _surviving_state(rng, n, min_gap, run, attempts=50):
-    """Draw seeded states until `run` finishes without a collision.
+def _surviving_state(rng, n, min_gap, legs, run, attempts=50):
+    """Draw seeded states until `run` finishes without a collision; returns
+    the state, run's result and the draw counts for the report metadata.
 
     The gated criteria presume collision-free trajectories; the attractive
     inverse-cube dynamics makes some draws collide inside the test horizon.
+    The exact solution screens each draw on every leg (direction, duration,
+    steps) that `run` marches, and only the draws it passes are marched.
+    Screened-out draws count against `attempts`.
     """
-    from .errors import CollisionSingularity
-
-    last = None
-    for _ in range(attempts):
+    last, screened_out = None, 0
+    for draw in range(1, attempts + 1):
         state = random_phase_state(rng, n, min_gap=min_gap)
+        if any(exact.collides(state, *leg) for leg in legs):
+            screened_out += 1
+            continue
         try:
-            return state, run(state)
+            return state, run(state), {"draws": draw, "screened_out": screened_out}
         except CollisionSingularity as exc:
             last = exc
-    raise last
+    raise last or CollisionSingularity(f"all {attempts} draws collide within the horizon")
 
 
 def _involution(col, rng):
@@ -181,17 +187,24 @@ def _commuting_flows(col, rng):
     col.gated("commuting-flows", worst, 1e-6, states=20, deltas=0.01, dt=1e-3)
 
 
-def _invariant_drift(col, rng):
-    def run(state):
-        out = {}
-        for k, duration in ((2, 1.0), (3, 0.3)):
-            traj = flows.integrate_flow(k, state, duration, 1e-3)
-            out[k] = relative_drift(np.array([hierarchy.invariants(s.state, kmax=3) for s in traj.samples]))
-        return out
+# (flow, duration, RK4 steps) of each leg; the run reads it, and the collision
+# screen reads the same legs as (direction, duration, steps)
+_DRIFT_LEGS = ((2, 1.0, 1000), (3, 0.3, 300))
+_DRIFT_SCREEN = tuple((hierarchy.FLOW_DIRECTIONS[k], duration, steps) for k, duration, steps in _DRIFT_LEGS)
 
-    _, drifts = _surviving_state(rng, 3, 1.0, run)
-    col.gated("invariant-drift-t2", drifts[2], 1e-8, n=3, duration=1.0, dt=1e-3)
-    col.gated("invariant-drift-t3", drifts[3], 1e-8, n=3, duration=0.3, dt=1e-3)
+
+def _drift_run(state):
+    out = {}
+    for k, duration, steps in _DRIFT_LEGS:
+        traj = flows.integrate_flow(k, state, duration, duration / steps)
+        out[k] = relative_drift(np.array([hierarchy.invariants(s.state, kmax=3) for s in traj.samples]))
+    return out
+
+
+def _invariant_drift(col, rng):
+    _, drifts, draws = _surviving_state(rng, 3, 1.0, _DRIFT_SCREEN, _drift_run)
+    for k, duration, steps in _DRIFT_LEGS:
+        col.gated(f"invariant-drift-t{k}", drifts[k], 1e-8, n=3, duration=duration, dt=duration / steps, **draws)
 
 
 def _lax_checks(col, rng, gamma):
@@ -297,14 +310,19 @@ def _plaquettes(col, rng):
     )
 
 
+# (direction, duration, RK4 steps) of the one leg; the run and the collision screen both read it
+_NOETHER_LEGS = (((1.0, 1.0), 0.5, 500),)
+
+
+def _noether_run(state):
+    ((direction, duration, steps),) = _NOETHER_LEGS
+    return energy_drift(flows.evolve_path(state, flows.PathSpec(direction, duration, steps)), direction)
+
+
 def _noether(col, rng):
-    direction = np.array([1.0, 1.0])
-
-    def run(state):
-        return energy_drift(flows.evolve_path(state, flows.PathSpec(direction, 0.5, steps=500)), direction)
-
-    _, drift = _surviving_state(rng, 3, 1.0, run)
-    col.gated("noether-conservation", drift, 1e-8, n=3, direction=[1.0, 1.0], span=0.5)
+    ((direction, duration, _),) = _NOETHER_LEGS
+    _, drift, draws = _surviving_state(rng, 3, 1.0, _NOETHER_LEGS, _noether_run)
+    col.gated("noether-conservation", drift, 1e-8, n=3, direction=list(direction), span=duration, **draws)
 
 
 def _generalized_el(col, rng):

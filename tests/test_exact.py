@@ -1,0 +1,120 @@
+import copy
+
+import numpy as np
+import pytest
+
+from cmhier import exact, flows, verify
+from cmhier.errors import CollisionSingularity
+from cmhier.hierarchy import PhaseState
+from cmhier.sampling import random_phase_state
+
+# Draw 18 (counted from 0) of random_phase_state(default_rng(12345), 3, min_gap=1.0).
+# Along [1, 1] its exact spectrum turns complex at s ~ 0.116, yet RK4 steps
+# across the collision: the pair is thrown out to x ~ 3e4 in order and apart,
+# so the march never aborts.
+BOUNCE_RNG_SEED, BOUNCE_DRAW = 12345, 18
+BOUNCE = PhaseState(
+    [-2.7927628399555955, -0.43024483458272966, 0.5821875623493478],
+    [0.483918549052784, 0.9575077595769019, 0.10831989625154925],
+)
+
+
+def _rng_before_bounce():
+    rng = np.random.default_rng(BOUNCE_RNG_SEED)
+    for _ in range(BOUNCE_DRAW):
+        random_phase_state(rng, 3, min_gap=1.0)
+    return rng
+
+
+class TestProjectionSpectrum:
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.4, 0.3), (-1.0, 0.5)])
+    def test_one_particle_closed_form(self, direction):
+        d2, d3 = direction
+        x, p = 0.2, 0.7
+        s = np.linspace(0.0, 2.0, 9)
+        spectrum = exact.projection_spectrum(PhaseState([x], [p]), direction, s)
+        assert spectrum.shape == (9, 1)
+        np.testing.assert_allclose(spectrum[:, 0], x + d2 * p * s + d3 * p * p * s, rtol=0, atol=1e-14)
+
+    def test_two_body_gap_law(self):
+        # at rest at -2 and 2 the relative energy is -1/2, so r^2 = 16 - t^2 along t2
+        t = np.linspace(0.0, 3.9, 40)
+        spectrum = exact.projection_spectrum(PhaseState([-2.0, 2.0], [0.0, 0.0]), (1.0, 0.0), t)
+        assert np.all(spectrum.imag == 0.0)
+        gap = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)[:, 0]
+        np.testing.assert_allclose(gap**2, 16.0 - t**2, rtol=0, atol=1e-12)
+
+
+class TestCollides:
+    def test_two_body_collision_at_t_four(self):
+        start = PhaseState([-2.0, 2.0], [0.0, 0.0])
+        assert not exact.collides(start, (1.0, 0.0), 3.9, 39)
+        assert exact.collides(start, (1.0, 0.0), 4.5, 45)
+
+    def test_gap_below_the_flight_tolerance_collides(self):
+        # r(t) = sqrt(16 - t^2) falls below FLIGHT_GAP_TOL just before t = 4
+        start = PhaseState([-2.0, 2.0], [0.0, 0.0])
+        t_close = np.sqrt(16.0 - (0.5 * flows.FLIGHT_GAP_TOL) ** 2)
+        assert exact.collides(start, (1.0, 0.0), t_close, 1)
+        assert not exact.collides(start, (1.0, 0.0), np.sqrt(16.0 - (2.0 * flows.FLIGHT_GAP_TOL) ** 2), 1)
+
+    def test_bounce_state_passes_the_march_but_not_the_screen(self):
+        state = random_phase_state(_rng_before_bounce(), 3, min_gap=1.0)
+        assert np.array_equal(state.x, BOUNCE.x) and np.array_equal(state.p, BOUNCE.p)
+        ((direction, duration, steps),) = verify._NOETHER_LEGS
+        traj = flows.evolve_path(BOUNCE, flows.PathSpec(direction, duration, steps))
+        assert np.max(np.abs(traj.final_state.x)) > 1e3
+        assert verify.energy_drift(traj, direction) > 1.0
+        assert exact.collides(BOUNCE, direction, duration, steps)
+
+
+class TestSurvivingState:
+    @pytest.fixture
+    def marched(self, monkeypatch):
+        """Start states of every flows.evolve_path call made while the test runs."""
+        starts = []
+        real = flows.evolve_path
+
+        def counted(start, *args, **kwargs):
+            starts.append(start)
+            return real(start, *args, **kwargs)
+
+        monkeypatch.setattr(flows, "evolve_path", counted)
+        return starts
+
+    def test_screened_draw_is_never_marched(self, marched):
+        state, _, draws = verify._surviving_state(
+            _rng_before_bounce(), 3, 1.0, verify._NOETHER_LEGS, verify._noether_run
+        )
+        assert draws["screened_out"] >= 1
+        assert len(marched) == draws["draws"] - draws["screened_out"]
+        assert not any(np.array_equal(s.x, BOUNCE.x) for s in marched)
+        assert not np.array_equal(state.x, BOUNCE.x)
+
+    def test_without_the_screen_the_bounce_state_survives(self, marched):
+        state, drift, draws = verify._surviving_state(_rng_before_bounce(), 3, 1.0, (), verify._noether_run)
+        assert np.array_equal(state.x, BOUNCE.x)
+        assert draws == {"draws": 1, "screened_out": 0}
+        assert len(marched) == 1 and drift > 1.0
+
+    def test_verify_seed_5_keeps_the_survivor_of_marching_every_draw(self):
+        rng = np.random.default_rng(5)
+        col = verify.Collector(1.0)
+        verify._involution(col, rng)
+        verify._commuting_flows(col, rng)
+        state, drifts, draws = verify._surviving_state(
+            copy.deepcopy(rng), 3, 1.0, verify._DRIFT_SCREEN, verify._drift_run
+        )
+        state_all, drifts_all, draws_all = verify._surviving_state(rng, 3, 1.0, (), verify._drift_run)
+        assert draws == {"draws": 13, "screened_out": 12}
+        assert draws_all == {"draws": 13, "screened_out": 0}
+        assert np.array_equal(state.x, state_all.x) and np.array_equal(state.p, state_all.p)
+        assert drifts == drifts_all
+
+    def test_all_draws_screened_out_raises(self, monkeypatch, marched):
+        monkeypatch.setattr(exact, "collides", lambda *leg: True)
+        with pytest.raises(CollisionSingularity, match="all 3 draws collide"):
+            verify._surviving_state(
+                np.random.default_rng(0), 3, 1.0, verify._NOETHER_LEGS, verify._noether_run, attempts=3
+            )
+        assert marched == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmhier.errors import CollisionSingularity, DegenerateDirection
+from cmhier.exact import projection_spectrum
 from cmhier.flows import (
     PathSpec,
     Trajectory,
@@ -24,7 +25,6 @@ from cmhier.flows import (
 from cmhier.hierarchy import (
     PhaseState,
     VelocityState,
-    build_lax_pair,
     hamiltonian,
     invariants,
     lagrangian,
@@ -196,8 +196,7 @@ class TestEvolvePath:
         x0 = 3.0 * np.arange(64) + rng.uniform(-0.3, 0.3, 64)
         start = PhaseState(x0, np.sort(rng.uniform(-0.5, 0.5, 64)))
         end = evolve_path(start, PathSpec(np.array([1.0, 1.0]), 0.05, steps=50)).final_state
-        L0, _ = build_lax_pair(start)
-        exact = np.sort(np.linalg.eigvals(np.diag(start.x) + 0.05 * (L0 + L0 @ L0)).real)
+        exact = np.sort(projection_spectrum(start, (1.0, 1.0), 0.05).real)
         assert np.max(np.abs(np.sort(end.x) - exact)) <= 1e-9
 
     def test_free_particle_closed_form(self):

@@ -17,6 +17,8 @@ from cmhier.hierarchy import (
     lagrangian,
     lax_residual,
     legendre_check,
+    min_gap,
+    trace_powers,
 )
 from cmhier.numerics import fd_derivative
 from cmhier.sampling import random_phase_state
@@ -44,6 +46,13 @@ class TestHamiltonian:
     def test_non_finite_position_raises(self, x):
         with pytest.raises(CollisionSingularity, match="non-finite position"):
             PhaseState(x, np.zeros(len(x)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_min_gap_is_the_smallest_pairwise_distance(self, n):
+        for _ in range(20):
+            x = RNG.uniform(-3.0, 3.0, n) * 10.0 ** RNG.uniform(-5, 5)
+            d = np.abs(x[:, None] - x[None, :]) + np.diag(np.full(n, np.inf))
+            assert min_gap(x) == d.min()
 
     def test_bad_flow_index(self):
         with pytest.raises(ValueError):
@@ -199,6 +208,15 @@ class TestInvariants:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             invariants(PhaseState([0.0], [1.0]), kmax=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_trace_powers_match_matrix_powers(self, n):
+        L = RNG.standard_normal((n, n))
+        ref = [np.trace(np.linalg.matrix_power(L, l)) for l in range(1, 8)]
+        for kmax in range(1, 8):
+            got = trace_powers(L, kmax)
+            assert got.shape == (kmax,)
+            np.testing.assert_allclose(got, ref[:kmax], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref[:kmax])))
 
 
 class TestLaxResidual:
