@@ -14,13 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollisionSingularity, LogSingularity, NonConvergence, SingularMatrix
+from .errors import CollisionSingularity, LogSingularity, NumericsError, SingularMatrix, located
 from .hierarchy import check_collision_free, inverse_gaps, min_gap, trace_powers
 from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
 
 LOG_TOL = 1e-12
 
-CORNER_VARIANTS = ("a", "b", "c", "d")
+# (sgn, sign of p1 - p2, weight of the pair sums) of each corner variant; see _corner_system
+_CORNER_TERMS = {
+    "a": (-1.0, -1.0, 0.0),  # known T1 x, solve T2 x
+    "b": (-1.0, 1.0, 0.0),   # known T1^-1 x, solve T2^-1 x
+    "c": (1.0, 1.0, 2.0),    # known T1^-1 x, solve T2 x
+    "d": (1.0, -1.0, 2.0),   # known T2^-1 x, solve T1 x
+}
+CORNER_VARIANTS = tuple(_CORNER_TERMS)
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class LatticeSheet:
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix 1/(x_m - y_l); infinite entries flagged by the caller's checks."""
-    return 1.0 / (x[:, None] - y[None, :])
+    """Matrix 1/(x_m - y_l), or a stack of them; infinite entries flagged by the caller's checks."""
+    return 1.0 / (x[..., :, None] - y[..., None, :])
 
 
 def _pair_sums(x: np.ndarray) -> np.ndarray:
@@ -114,81 +121,77 @@ def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) 
     return newton_solve(residual, 2.0 * x_cur - x_prev, jacobian_fn=jacobian, settings=params.newton)
 
 
-def _corner_system(variant: str, x: np.ndarray, known: np.ndarray, params: LatticeParams):
-    """Residual of the printed corner constraint as const_m + sgn * sum_l 1/(x_m - u_l)."""
-    if variant not in CORNER_VARIANTS:
+def _corner_system(variant, x: np.ndarray, known: np.ndarray, params: LatticeParams):
+    """Residual of the printed corner constraint as const_m + sgn * sum_l 1/(x_m - u_l) for a
+    stack: x and known of shape (m, n), one variant letter for all systems or one per system."""
+    letters = [variant] if isinstance(variant, str) else variant
+    if not set(letters) <= set(CORNER_VARIANTS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
-    d = params.p1 - params.p2
-    known_sum = _cross(x, known).sum(axis=1)
-    if variant == "a":      # known T1 x, solve T2 x
-        const, sgn = known_sum - d, -1.0
-    elif variant == "b":    # known T1^-1 x, solve T2^-1 x
-        const, sgn = known_sum + d, -1.0
-    elif variant == "c":    # known T1^-1 x, solve T2 x
-        const, sgn = known_sum - 2.0 * _pair_sums(x) + d, +1.0
-    else:                   # "d": known T2^-1 x, solve T1 x
-        const, sgn = known_sum - 2.0 * _pair_sums(x) - d, +1.0
+    sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
+    pairs = np.array([_pair_sums(site) for site in x])
+    const = _cross(x, known).sum(axis=-1) - weight * pairs + d_sign * (params.p1 - params.p2)
 
     def residual(u):
-        return const + sgn * _cross(x, u).sum(axis=1)
+        return const + sgn * _cross(x, u).sum(axis=-1)
 
     def jacobian(u):
-        return sgn * _cross(x, u) ** 2
+        return sgn[..., None] * _cross(x, u) ** 2
 
     return residual, jacobian, const, sgn
 
 
-def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: float) -> np.ndarray:
-    """Solve each particle's own pole with cross terms frozen; exact for N=1."""
+def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.ndarray:
+    """Solve each particle's own pole with cross terms frozen, per system of a (m, n) stack,
+    each until its next sweep is non-finite or moves it less than 1e-10; exact for N=1."""
     u = x + 1e-3
-    for _ in range(8):
-        with np.errstate(divide="ignore"):
+    active = np.ones(len(x), dtype=bool)
+    # frozen systems are swept along with the rest, and their sweeps discarded
+    with np.errstate(divide="ignore"):
+        for _ in range(8):
             cross = _cross(x, u)
-            np.fill_diagonal(cross, 0.0)
-            w = -sgn * (const + sgn * cross.sum(axis=1))
-            u_new = x - 1.0 / w
-        if not np.all(np.isfinite(u_new)):
-            return u
-        if np.max(np.abs(u_new - u)) < 1e-10:
-            return u_new
-        u = u_new
+            cross.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0.0
+            u_new = x - 1.0 / (-sgn * (const + sgn * cross.sum(axis=-1)))
+            keep = active & np.isfinite(u_new).all(axis=1)
+            active = keep & (np.abs(u_new - u).max(axis=1) >= 1e-10)
+            u[keep] = u_new[keep]
+            if not active.any():
+                break
     return u
 
 
-def corner_solve(variant: str, known1: np.ndarray, known2: np.ndarray, params: LatticeParams) -> np.ndarray:
+def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: LatticeParams) -> np.ndarray:
     """Solve the printed corner constraint for the missing neighbour.
 
     known1 is the corner site itself, known2 its already-known neighbour:
     variant a solves the second-direction shift from (x, T1 x), b the inverse
     shifts, c the second-direction shift from (x, T1^-1 x), d the
-    first-direction shift from (x, T2^-1 x).
+    first-direction shift from (x, T2^-1 x). Sites of shape (m, n) are m
+    systems, with one letter for all or per system, solved by one stacked
+    Newton iteration; a system that exhausts it gets a damped retry alone.
     """
-    x = np.asarray(known1, dtype=float)
-    known = np.asarray(known2, dtype=float)
-    check_collision_free(x)
-    check_collision_free(known)
+    single = np.ndim(known1) == 1
+    x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
+    for system in range(len(x)):
+        try:
+            check_collision_free(x[system])
+            check_collision_free(known[system])
+        except CollisionSingularity as exc:
+            exc.system = system
+            raise
     residual, jacobian, const, sgn = _corner_system(variant, x, known, params)
+    retry = NewtonSettings(params.newton.tolerance, 4 * params.newton.max_iterations, damping=0.5)
     guess = _mean_field_guess(x, const, sgn)
-    try:
-        return newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton)
-    except NonConvergence:
-        retry = NewtonSettings(
-            tolerance=params.newton.tolerance,
-            max_iterations=4 * params.newton.max_iterations,
-            damping=0.5,
-        )
-        return newton_solve(residual, guess, jacobian_fn=jacobian, settings=retry)
+    solved = newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton, retry=retry)
+    return solved[0] if single else solved
 
 
-def corner_residual(
-    variant: str, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams
-) -> np.ndarray:
-    """Left-minus-right of the printed corner constraint, per particle."""
-    x = np.asarray(x, dtype=float)
-    known = np.asarray(known, dtype=float)
-    solved = np.asarray(solved, dtype=float)
+def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams) -> np.ndarray:
+    """Left-minus-right of the printed corner constraint, per particle; for
+    one system or a stack, as in corner_solve."""
+    single = np.ndim(x) == 1
+    x, known, solved = (np.array(a, dtype=float, ndmin=2) for a in (x, known, solved))
     residual, _, _, _ = _corner_system(variant, x, known, params)
-    return residual(solved)
+    return residual(solved)[0] if single else residual(solved)
 
 
 def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> tuple[Plaquette, float]:
@@ -197,9 +200,9 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
     x01 comes from variant (a) at x00; the double shift is solved twice,
     through variant (c) at x10 and variant (d) at x01, and the max-norm gap
     between the two routes is the consistency defect. Route 1 is stored.
+    x01 and route 1 are solved together, then route 2.
     """
-    x01 = corner_solve("a", x00, x10, params)
-    x11_route1 = corner_solve("c", x10, x00, params)
+    x01, x11_route1 = corner_solve(("a", "c"), (x00, x10), (x10, x00), params)
     x11_route2 = corner_solve("d", x01, x00, params)
     defect = float(np.max(np.abs(x11_route1 - x11_route2)))
     return Plaquette(x00, x10, x01, x11_route1), defect
@@ -419,36 +422,44 @@ def build_lattice_sheet(
 ) -> LatticeSheet:
     """Grow an (n1+1) x (n2+1) sheet from a base edge.
 
-    Row 0 extends by the equation of motion in direction 1; each next row
-    starts with a variant-(a) solve and continues with variant-(c) solves.
+    Row 0 extends by the equation of motion in direction 1. Each next row
+    depends on the row below alone: site (0, j+1) by variant (a) at (0, j),
+    site (i, j+1) by variant (c) at (i, j), all in one stacked corner_solve.
+    A NumericsError names the site it was solving for.
     """
     if n1 < 1 or n2 < 0:
         raise ValueError("need n1 >= 1 and n2 >= 0")
     sites = {(0, 0): np.asarray(x00, dtype=float), (1, 0): np.asarray(x10, dtype=float)}
     for i in range(1, n1):
-        sites[(i + 1, 0)] = discrete_step(sites[(i - 1, 0)], sites[(i, 0)], params)
+        with located(site=(i + 1, 0)):
+            sites[(i + 1, 0)] = discrete_step(sites[(i - 1, 0)], sites[(i, 0)], params)
+    variants = ("a",) + ("c",) * n1
     for j in range(n2):
-        sites[(0, j + 1)] = corner_solve("a", sites[(0, j)], sites[(1, j)], params)
-        for i in range(1, n1 + 1):
-            sites[(i, j + 1)] = corner_solve("c", sites[(i, j)], sites[(i - 1, j)], params)
+        row = [sites[(i, j)] for i in range(n1 + 1)]
+        try:
+            solved = corner_solve(variants, row, [row[1]] + row[:-1], params)
+        except NumericsError as exc:
+            # system i of the row's stack solves site (i, j + 1)
+            with located(site=(exc.system, j + 1)):
+                raise
+        sites.update(((i, j + 1), site) for i, site in enumerate(solved))
     return LatticeSheet(sites, params)
 
 
 def sheet_corner_residuals(sheet: LatticeSheet) -> float:
-    """Max-norm over all four corner constraints at every interior site."""
+    """Max-norm over all four corner constraints at every interior site, one
+    stacked residual per constraint; NaN if any residual is NaN."""
     sites = sheet.sites
-    params = sheet.params
     n1 = max(i for i, _ in sites)
     n2 = max(j for _, j in sites)
-    worst = 0.0
-    for (i, j), x in sites.items():
-        if 0 < i < n1 and 0 < j < n2:
-            checks = (
-                ("a", sites[(i + 1, j)], sites[(i, j + 1)]),
-                ("b", sites[(i - 1, j)], sites[(i, j - 1)]),
-                ("c", sites[(i - 1, j)], sites[(i, j + 1)]),
-                ("d", sites[(i, j - 1)], sites[(i + 1, j)]),
-            )
-            for variant, known, solved in checks:
-                worst = max(worst, float(np.max(np.abs(corner_residual(variant, x, known, solved, params)))))
-    return worst
+    interior = [(i, j) for i, j in sites if 0 < i < n1 and 0 < j < n2]
+    if not interior:
+        return 0.0
+
+    def shifted(di, dj):
+        return np.array([sites[(i + di, j + dj)] for i, j in interior])
+
+    x = shifted(0, 0)
+    checks = (("a", (1, 0), (0, 1)), ("b", (-1, 0), (0, -1)), ("c", (-1, 0), (0, 1)), ("d", (0, -1), (1, 0)))
+    residuals = [corner_residual(v, x, shifted(*known), shifted(*solved), sheet.params) for v, known, solved in checks]
+    return float(np.max(np.abs(residuals)))

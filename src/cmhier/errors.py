@@ -7,11 +7,16 @@ class NumericsError(Exception):
     """Base class for numerical failures.
 
     `tau` is the tau of the failing RK4 stage of a chain evolution, `site` the
-    lattice site a discrete orbit was being extended to; else both are None.
+    lattice site a discrete orbit or sheet was being extended to; else both are
+    None. `system` is the failing system's index in a stacked solve, when known.
     """
 
     tau = None
     site = None
+
+    def __init__(self, message, system=None):
+        super().__init__(message)
+        self.system = system
 
 
 @contextmanager
@@ -29,17 +34,13 @@ def located(*, tau=None, site=None):
 
 
 class NonConvergence(NumericsError):
-    """Newton iteration hit its iteration cap without meeting tolerance."""
+    """Newton iteration hit its iteration cap without meeting tolerance, or
+    found no finite residual along a step."""
 
 
 class SingularMatrix(NumericsError):
     """A pivot fell below the relative singularity threshold, or the matrix
-    had a non-finite entry; `system` is the failing system's index in a
-    stacked solve, when known."""
-
-    def __init__(self, message, system=None):
-        super().__init__(message)
-        self.system = system
+    had a non-finite entry."""
 
 
 class SingularJacobian(SingularMatrix):

@@ -1,16 +1,20 @@
-"""Exact solution of the rational Calogero-Moser flows by the projection method.
+"""Exact solutions of the rational Calogero-Moser flows and lattice by the projection method.
 
 Along a straight multi-time segment with direction (d2, d3), the positions at
 parameter s are the eigenvalues of diag x0 + s (d2 L0 + d3 L0^2), where L0 is
 the Lax matrix of the start at gamma = -2 (Olshanetsky-Perelomov, Phys. Rep.
 71 (1981); Kazhdan-Kostant-Sternberg 1978). A collision shows up as two
 eigenvalues meeting and leaving the real line as a complex pair.
+
+Lattice sites are the eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1
+with L the discrete Lax matrix on the base edge (Nijhoff-Pang, Phys. Lett. A 191 (1994)).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .discrete import LatticeParams, build_discrete_lax
 from .flows import FLIGHT_GAP_TOL
 from .hierarchy import PhaseState, build_lax_pair
 
@@ -32,3 +36,12 @@ def collides(start: PhaseState, direction, duration: float, steps: int) -> bool:
     spectrum = projection_spectrum(start, direction, np.arange(1, steps + 1) * (duration / steps))
     gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
     return bool(np.any(spectrum.imag != 0.0)) or not np.all(gaps >= FLIGHT_GAP_TOL)
+
+
+def lattice_spectrum(x00, x10, params: LatticeParams, n1, n2) -> np.ndarray:
+    """Site (n1, n2) of the sheet grown from the edge (x00, x10), one row per broadcast
+    (n1, n2); n2 = 0 is the discrete orbit. Complex only where some eigenvalue is."""
+    L, _ = build_discrete_lax(x00, x10)
+    a, b = np.linalg.inv([L, L + (params.p2 - params.p1) * np.eye(len(L))])
+    n1, n2 = (np.asarray(n, dtype=float)[..., None, None] for n in (n1, n2))
+    return np.linalg.eigvals(np.diag(np.asarray(x00, dtype=float)) - n1 * a - n2 * b)

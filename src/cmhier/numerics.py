@@ -2,9 +2,9 @@
 
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
 a few tens), so the cost of a solve is interpreter and numpy-call overhead,
-not arithmetic. linear_solve therefore also takes a stack of independent
-systems along a leading axis and eliminates them together, so that each numpy
-call of its column loop serves the whole stack.
+not arithmetic. linear_solve and newton_solve therefore also take a stack of
+independent systems along a leading axis and work on them together, so that
+each numpy call serves the whole stack.
 """
 
 from __future__ import annotations
@@ -107,60 +107,80 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v[0] if single else v
 
 
-def fd_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian with per-coordinate step 1e-7 * (1 + |x_i|)."""
-    f0 = np.asarray(residual_fn(x), dtype=float)
-    n = len(x)
-    jac = np.empty((len(f0), n))
-    for i in range(n):
-        h = 1e-7 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        jac[:, i] = (np.asarray(residual_fn(xp), dtype=float) - f0) / h
-    return jac
+def _newton_pass(residual, jacobian, x, f, active, settings: NewtonSettings):
+    """Iterate the `active` systems of the stack x, with residuals f, each until
+    its own residual meets tolerance; returns x and {system: reason} for those
+    that failed, each left at its last point, where its residual is finite."""
+    failed = {}
+    for iteration in range(settings.max_iterations + 1):
+        active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= settings.tolerance))
+        if not active.any() or iteration == settings.max_iterations:
+            break
+        steps = np.zeros_like(x)
+        try:
+            steps[active] = linear_solve(jacobian(x)[active], f[active])
+        except SingularMatrix as exc:
+            # linear_solve counts the active systems; name the stack's index
+            system = int(np.flatnonzero(active)[exc.system])
+            raise SingularJacobian(f"system {system}: {str(exc).partition(': ')[2]}", system=system) from exc
+        # a frozen system's step is zero; a step onto a pole of its system's residual is halved
+        scale = np.full((len(x), 1), settings.damping)
+        for _ in range(60):
+            x_new = x - scale * steps
+            f_new = residual(x_new)
+            poles = active & ~np.isfinite(f_new).all(axis=1)
+            if not poles.any():
+                break
+            scale[poles] *= 0.5
+        else:
+            reason = "could not find a finite residual along the Newton step"
+            failed.update((int(k), reason) for k in np.flatnonzero(poles))
+            x_new[poles], f_new[poles] = x[poles], f[poles]
+            active &= ~poles
+        x, f = x_new, f_new
+    failed.update(
+        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {settings.tolerance:.1e} "
+                 f"after {settings.max_iterations} iterations")
+        for k in np.flatnonzero(active)
+    )
+    return x, failed
 
 
 def newton_solve(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     guess: np.ndarray,
-    jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     settings: NewtonSettings = DEFAULT_NEWTON,
+    retry: Optional[NewtonSettings] = None,
 ) -> np.ndarray:
-    """Damped Newton iteration for residual_fn(x) = 0.
+    """Damped Newton iteration for residual_fn(x) = 0, for one system or a stack.
 
-    The Jacobian is formed by finite differences when jacobian_fn is absent.
-    Steps that land on a non-finite residual (a pole of the residual) are
-    halved until the residual is evaluable again; the nominal damping factor
-    from `settings` scales every accepted update.
+    A guess of shape (n,) is one system. A guess of shape (m, n) is m systems:
+    the callbacks take the whole stack and return float arrays (m, n) and
+    (m, n, n), row k depending on row k alone. Each system is frozen once its
+    own residual meets tolerance, and a step onto a non-finite residual is
+    halved for its own system, so each follows exactly its iterates alone.
+    A system that fails is iterated again from its own guess with `retry`,
+    when given. NonConvergence and SingularJacobian name the failing `system`.
     """
-    x = np.array(guess, dtype=float)
-    f = np.asarray(residual_fn(x), dtype=float)
-    if len(f) != len(x):
+    guess = np.asarray(guess, dtype=float)
+    residual, jacobian = residual_fn, jacobian_fn
+    if guess.ndim == 1:  # one system's callbacks see row 0 of a stack of one
+        residual = lambda u: np.asarray(residual_fn(u[0]), dtype=float)[None]
+        jacobian = lambda u: np.asarray(jacobian_fn(u[0]), dtype=float)[None]
+    x = np.atleast_2d(guess).copy()
+    f = residual(x)
+    if f.shape != x.shape:
         raise ValueError("residual length must match guess length")
-    for _ in range(settings.max_iterations):
-        if np.all(np.isfinite(f)) and np.max(np.abs(f)) <= settings.tolerance:
-            return x
-        jac = jacobian_fn(x) if jacobian_fn is not None else fd_jacobian(residual_fn, x)
-        try:
-            step = linear_solve(jac, f)
-        except SingularMatrix as exc:
-            raise SingularJacobian(str(exc)) from exc
-        scale = settings.damping
-        for _ in range(60):
-            x_new = x - scale * step
-            f_new = np.asarray(residual_fn(x_new), dtype=float)
-            if np.all(np.isfinite(f_new)):
-                break
-            scale *= 0.5
-        else:
-            raise NonConvergence("could not find a finite residual along the Newton step")
-        x, f = x_new, f_new
-    if np.all(np.isfinite(f)) and np.max(np.abs(f)) <= settings.tolerance:
-        return x
-    raise NonConvergence(
-        f"residual {np.max(np.abs(f)):.3e} above tolerance {settings.tolerance:.1e} "
-        f"after {settings.max_iterations} iterations"
-    )
+    x, failed = _newton_pass(residual, jacobian, x, f, np.ones(len(x), dtype=bool), settings)
+    if failed and retry is not None:
+        again = np.isin(np.arange(len(x)), list(failed))
+        x[again] = np.atleast_2d(guess)[again]
+        x, failed = _newton_pass(residual, jacobian, x, residual(x), again, retry)
+    if failed:
+        system = min(failed)
+        raise NonConvergence(f"system {system}: {failed[system]}", system=system)
+    return x.reshape(guess.shape)
 
 
 def fd_derivative(f: Callable[[np.ndarray], float], point: np.ndarray, index: int, step: float) -> float:

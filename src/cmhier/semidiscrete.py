@@ -25,6 +25,10 @@ from .numerics import linear_solve, rk4_step
 
 CROSS_GAP_TOL = 1e-12
 
+# matrix entries (64 KiB) of one stacked velocity solve over many chains, so
+# that memory does not grow with the number of chains
+STACK_ENTRIES = 1 << 13
+
 
 def _check_gaps(gaps: np.ndarray, tol: float, what: str, where: str) -> None:
     """Raise CollisionSingularity naming the first index whose gap is below tol."""
@@ -79,33 +83,46 @@ class ChainVelocities:
 
 
 def _site_velocities(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-constraint velocities of the stacked sites y, shape (K+1, N).
+    """Edge-constraint velocities of the stacked sites y, shape (K+1, N), or
+    of a stack of such chains, shape (S, K+1, N).
 
     On edge (a, b) = (y(k), y(k+1)) the velocity v of b solves
     sum_l v_l / (a_m - b_l)^2 = -1 per m (the forward system), and the
     velocity of a solves the transposed system (the backward one). All 2K
-    systems are solved in one stacked call. Returns the site velocities,
-    averaged on interior sites, and the forward and backward solutions.
+    systems of every chain are solved in one stacked call. Returns the site
+    velocities, averaged on interior sites, and the forward and backward
+    solutions.
     """
-    k_len = len(y) - 1
-    forward = 1.0 / (y[:-1, :, None] - y[1:, None, :]) ** 2
-    systems = np.concatenate((forward, forward.transpose(0, 2, 1)))
+    k_len, n = y.shape[-2] - 1, y.shape[-1]
+    forward = 1.0 / (y[..., :-1, :, None] - y[..., 1:, None, :]) ** 2
+    systems = np.concatenate((forward, forward.swapaxes(-1, -2)), axis=-3)
     try:
-        solved = linear_solve(systems, -np.ones(systems.shape[:2]))
+        solved = linear_solve(systems.reshape(-1, n, n), -np.ones((systems.size // n**2, n)))
     except SingularMatrix as exc:
-        side = "forward" if exc.system < k_len else "backward"
-        raise SingularMatrix(f"edge {exc.system % k_len} {side} velocity: {exc}", system=exc.system) from exc
-    from_prev, from_next = solved[:k_len], solved[k_len:]
-    velocities = np.concatenate((from_next[:1], 0.5 * (from_prev[:-1] + from_next[1:]), from_prev[-1:]))
+        edge = exc.system % (2 * k_len)
+        side = "forward" if edge < k_len else "backward"
+        raise SingularMatrix(f"edge {edge % k_len} {side} velocity: {exc}", system=exc.system) from exc
+    solved = solved.reshape(systems.shape[:-1])
+    from_prev, from_next = solved[..., :k_len, :], solved[..., k_len:, :]
+    velocities = np.concatenate((from_next[..., :1, :], 0.5 * (from_prev[..., :-1, :] + from_next[..., 1:, :]),
+                                 from_prev[..., -1:, :]), axis=-2)
     return velocities, from_prev, from_next
 
 
-def tau_velocities(chain: Chain) -> ChainVelocities:
+def tau_velocities(chain):
     """Solve the edge constraints for every site velocity; interior sites get
-    the average of both edges' values, and their worst disagreement is kept."""
-    velocities, from_prev, from_next = _site_velocities(np.stack(chain.sites))
-    discrepancy = float(np.max(np.abs(from_prev[:-1] - from_next[1:]), initial=0.0))
-    return ChainVelocities(tuple(velocities), (None, *from_prev), (*from_next, None), discrepancy)
+    the average of both edges' values, and their worst disagreement is kept.
+    A sequence of chains of one shape gives an iterator with one
+    ChainVelocities per chain, from stacked solves of at most STACK_ENTRIES
+    matrix entries."""
+    y = np.array([c.sites for c in ([chain] if isinstance(chain, Chain) else chain)])
+    per_solve = max(1, STACK_ENTRIES // (2 * (y.shape[1] - 1) * y.shape[2] ** 2))
+    found = (
+        ChainVelocities(tuple(v), (None, *fp), (*fn, None), float(np.max(np.abs(fp[:-1] - fn[1:]), initial=0)))
+        for start in range(0, len(y), per_solve)
+        for v, fp, fn in zip(*_site_velocities(y[start:start + per_solve]))
+    )
+    return next(found) if isinstance(chain, Chain) else found
 
 
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> list[Chain]:

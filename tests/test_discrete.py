@@ -26,7 +26,8 @@ from cmhier.discrete import (
     logdet_identity_residual,
     sheet_corner_residuals,
 )
-from cmhier.errors import LogSingularity
+from cmhier import discrete, verify
+from cmhier.errors import LogSingularity, NonConvergence, NumericsError
 from cmhier.numerics import NewtonSettings
 from cmhier.sampling import plaquette_seed
 
@@ -149,6 +150,48 @@ class TestCornerEquations:
         with pytest.raises(ValueError):
             corner_solve("e", np.array([0.0]), np.array([1.0]), PARAMS_N1)
 
+    def test_stacked_solve_matches_each_system_alone(self):
+        rng = np.random.default_rng(3)
+        variants = ("a", "b", "c", "d", "a")
+        x = np.stack([3.0 * np.arange(6) + rng.uniform(-0.3, 0.3, 6) for _ in variants])
+        known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
+        stacked = corner_solve(variants, x, known, PARAMS_N3)
+        for variant, xi, ki, row in zip(variants, x, known, stacked):
+            assert np.array_equal(row, corner_solve(variant, xi, ki, PARAMS_N3))
+        _, _, const, sgn = _corner_system(variants, x, known, PARAMS_N3)
+        guess = _mean_field_guess(x, const, sgn)
+        for k in range(len(variants)):
+            assert np.array_equal(guess[k], _mean_field_guess(x[k:k + 1], const[k:k + 1], sgn[k:k + 1])[0])
+
+    def test_stacked_guess_equals_the_loop_reference_bitwise(self):
+        # below 8 particles numpy sums a row left to right, as the loop does;
+        # rows 0-3 settle after 6 to 8 sweeps, rows 4-7 after 3 or 4
+        def loop_guess(x, const, sgn):
+            u = x + 1e-3
+            for _ in range(8):
+                cross = np.array([sum(1.0 / (x[m] - u[l]) for l in range(len(x)) if l != m) for m in range(len(x))])
+                u_new = x - 1.0 / (-sgn * (const + sgn * cross))
+                if not np.all(np.isfinite(u_new)):
+                    return u
+                if np.max(np.abs(u_new - u)) < 1e-10:
+                    return u_new
+                u = u_new
+            return u
+
+        rng = np.random.default_rng(2)
+        x = np.concatenate([spacing * np.arange(5) + rng.uniform(-0.3, 0.3, (4, 5)) for spacing in (3.0, 30.0)])
+        known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
+        _, _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3)
+        guess = _mean_field_guess(x, const, sgn)
+        for k in range(8):
+            assert np.array_equal(guess[k], loop_guess(x[k], const[k], sgn[k, 0]))
+
+    def test_stacked_collision_names_the_system(self):
+        x = np.array([[0.0, 1.0], [0.0, 1e-14]])
+        with pytest.raises(NumericsError) as info:
+            corner_solve(("a", "c"), x, x + 0.3, PARAMS_N2)
+        assert info.value.system == 1
+
     @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
     def test_mean_field_guess_matches_loop_reference(self, variant):
         def loop_guess(x, const, sgn):
@@ -168,9 +211,9 @@ class TestCornerEquations:
         params = LatticeParams(p1=1.0, p2=2.0, n=12)
         x00 = 3.0 * np.arange(12) + rng.uniform(-0.3, 0.3, 12)
         x10 = x00 + rng.uniform(0.9, 1.1, 12) / 3.0
-        _, _, const, sgn = _corner_system(variant, x00, x10, params)
-        ref = loop_guess(x00, const, sgn)
-        assert np.max(np.abs(_mean_field_guess(x00, const, sgn) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        _, _, const, sgn = _corner_system(variant, x00[None], x10[None], params)
+        ref = loop_guess(x00, const[0], sgn[0, 0])
+        assert np.max(np.abs(_mean_field_guess(x00[None], const, sgn)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPlaquette:
@@ -206,6 +249,119 @@ class TestPlaquette:
         x00, x10 = plaquette_seed(rng, 2, 1.0, 2.0)
         sheet = build_lattice_sheet(x00, x10, PARAMS_N2, n1=2, n2=2)
         assert sheet_corner_residuals(sheet) <= 1e-9
+
+
+def spaced_edge(seed, n, p1=1.0, p2=2.0):
+    rng = np.random.default_rng(seed)
+    x00 = 3.0 * np.arange(n) + rng.uniform(-0.3, 0.3, n)
+    return x00, x00 + rng.uniform(0.9, 1.1, n) / (p1 + p2)
+
+
+class TestLatticeSheet:
+    PARAMS = LatticeParams(p1=1.0, p2=2.0, n=8)
+
+    def test_row_stacked_sheet_equals_site_by_site_reference(self):
+        x00, x10 = spaced_edge(4, 8)
+        n1, n2 = 4, 3
+        ref = {(0, 0): x00, (1, 0): x10}
+        for i in range(1, n1):
+            ref[(i + 1, 0)] = discrete_step(ref[(i - 1, 0)], ref[(i, 0)], self.PARAMS)
+        for j in range(n2):
+            ref[(0, j + 1)] = corner_solve("a", ref[(0, j)], ref[(1, j)], self.PARAMS)
+            for i in range(1, n1 + 1):
+                ref[(i, j + 1)] = corner_solve("c", ref[(i, j)], ref[(i - 1, j)], self.PARAMS)
+        sheet = build_lattice_sheet(x00, x10, self.PARAMS, n1, n2)
+        assert list(sheet.sites) == list(ref)
+        assert all(np.array_equal(sheet.sites[site], ref[site]) for site in ref)
+
+    def test_plaquette_equals_three_single_solves(self):
+        x00, x10 = spaced_edge(5, 8)
+        pl, defect = build_plaquette(x00, x10, self.PARAMS)
+        x01 = corner_solve("a", x00, x10, self.PARAMS)
+        x11 = corner_solve("c", x10, x00, self.PARAMS)
+        assert np.array_equal(pl.x01, x01) and np.array_equal(pl.x11, x11)
+        assert defect == float(np.max(np.abs(x11 - corner_solve("d", x01, x00, self.PARAMS))))
+
+    def test_batched_corner_residuals_equal_the_site_loop(self):
+        x00, x10 = spaced_edge(6, 8)
+        sheet = build_lattice_sheet(x00, x10, self.PARAMS, 4, 4)
+        # perturb one interior site so that the worst residual is not a rounding error
+        sites = dict(sheet.sites)
+        sites[(2, 2)] = sites[(2, 2)] + 1e-6
+        sheet = discrete.LatticeSheet(sites, self.PARAMS)
+        worst = 0.0
+        for i in range(1, 4):
+            for j in range(1, 4):
+                x = sites[(i, j)]
+                for variant, known, solved in (
+                    ("a", sites[(i + 1, j)], sites[(i, j + 1)]),
+                    ("b", sites[(i - 1, j)], sites[(i, j - 1)]),
+                    ("c", sites[(i - 1, j)], sites[(i, j + 1)]),
+                    ("d", sites[(i, j - 1)], sites[(i + 1, j)]),
+                ):
+                    r = corner_residual(variant, x, known, solved, self.PARAMS)
+                    worst = max(worst, float(np.max(np.abs(r))))
+        assert worst > 1e-7
+        assert sheet_corner_residuals(sheet) == worst
+
+    def test_nan_residual_is_not_hidden(self):
+        x00, x10 = spaced_edge(6, 8)
+        sites = dict(build_lattice_sheet(x00, x10, self.PARAMS, 4, 4).sites)
+        sites[(2, 3)] = np.full(8, np.nan)
+        assert np.isnan(sheet_corner_residuals(discrete.LatticeSheet(sites, self.PARAMS)))
+
+    def test_no_interior_site(self):
+        x00, x10 = spaced_edge(7, 3)
+        assert sheet_corner_residuals(build_lattice_sheet(x00, x10, PARAMS_N3, 1, 3)) == 0.0
+
+    @pytest.mark.parametrize("system, row", [(0, 0), (3, 0), (2, 2)])
+    def test_failed_row_solve_names_the_site(self, monkeypatch, system, row):
+        solve = discrete.corner_solve
+        rows = []
+
+        def failing(variant, known1, known2, params):
+            rows.append(len(rows))
+            if rows[-1] == row:
+                raise NonConvergence("stuck", system=system)
+            return solve(variant, known1, known2, params)
+
+        monkeypatch.setattr(discrete, "corner_solve", failing)
+        x00, x10 = spaced_edge(8, 3)
+        with pytest.raises(NonConvergence, match=rf"at site \({system}, {row + 1}\): stuck") as info:
+            build_lattice_sheet(x00, x10, PARAMS_N3, 4, 3)
+        assert info.value.site == (system, row + 1)
+
+    def test_failed_first_row_step_names_the_site(self, monkeypatch):
+        step = discrete.discrete_step
+        calls = []
+
+        def failing(x_prev, x_cur, params):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NonConvergence("stuck", system=0)
+            return step(x_prev, x_cur, params)
+
+        monkeypatch.setattr(discrete, "discrete_step", failing)
+        x00, x10 = spaced_edge(8, 3)
+        with pytest.raises(NonConvergence, match=r"at site \(3, 0\)") as info:
+            build_lattice_sheet(x00, x10, PARAMS_N3, 4, 3)
+        assert info.value.site == (3, 0)
+
+
+def test_verify_orbit_failure_names_the_step(monkeypatch):
+    step = discrete.discrete_step
+    calls = []
+
+    def failing(x_prev, x_cur, params):
+        calls.append(1)
+        if len(calls) == 5:
+            raise NonConvergence("stuck", system=0)
+        return step(x_prev, x_cur, params)
+
+    monkeypatch.setattr(discrete, "discrete_step", failing)
+    with pytest.raises(NonConvergence, match="at site 6: stuck") as info:
+        verify._discrete_orbit(verify.Collector(1.0), np.random.default_rng(0))
+    assert info.value.site == 6
 
 
 class TestDiscreteLagrangian:

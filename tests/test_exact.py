@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from cmhier import exact, flows, verify
+from cmhier import discrete, exact, flows, verify
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import PhaseState
 from cmhier.sampling import random_phase_state
@@ -118,3 +118,35 @@ class TestSurvivingState:
                 np.random.default_rng(0), 3, 1.0, verify._NOETHER_LEGS, verify._noether_run, attempts=3
             )
         assert marched == []
+
+
+class TestLatticeSpectrum:
+    PARAMS = discrete.LatticeParams(p1=1.0, p2=2.0, n=32)
+
+    def test_sheet_matches_at_every_site(self):
+        rng = np.random.default_rng(21)
+        x00 = 3.0 * np.arange(32) + rng.uniform(-0.3, 0.3, 32)
+        x10 = x00 + rng.uniform(0.9, 1.1, 32) / 3.0
+        sheet = discrete.build_lattice_sheet(x00, x10, self.PARAMS, 4, 4)
+        n1, n2 = np.array(list(sheet.sites)).T
+        spectrum = exact.lattice_spectrum(x00, x10, self.PARAMS, n1, n2)
+        assert np.all(spectrum.imag == 0.0)
+        sites = np.sort(np.array(list(sheet.sites.values())), axis=1)
+        assert np.max(np.abs(sites - np.sort(spectrum.real, axis=1))) <= 1e-8
+
+    def test_orbit_is_the_first_row(self):
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=8)
+        rng = np.random.default_rng(1)
+        orbit = [5.0 * np.arange(8) + rng.uniform(-0.3, 0.3, 8)]
+        orbit.append(orbit[0] + rng.uniform(0.9, 1.1, 8) / 3.0)
+        for _ in range(50):
+            orbit.append(discrete.discrete_step(orbit[-2], orbit[-1], params))
+        spectrum = exact.lattice_spectrum(orbit[0], orbit[1], params, np.arange(52), 0)
+        assert np.max(np.abs(np.sort(orbit, axis=1) - np.sort(spectrum.real, axis=1))) <= 1e-8
+
+    def test_one_particle_closed_form(self):
+        # L = 1/(x - tx), so a site moves by n1 (x10 - x00) and n2 / (1/(x00 - x10) + p2 - p1)
+        x00, x10 = np.array([0.2]), np.array([0.5])
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=1)
+        site = exact.lattice_spectrum(x00, x10, params, 3, 2)
+        assert site[0] == pytest.approx(0.2 + 3 * 0.3 - 2.0 / (1.0 / -0.3 + 1.0), abs=1e-14)

@@ -15,11 +15,11 @@ from cmhier.numerics import (
 
 class TestNewton:
     def test_quadratic_known_root(self):
-        root = newton_solve(lambda u: u**2 - 4.0, np.array([3.0]))
+        root = newton_solve(lambda u: u**2 - 4.0, np.array([3.0]), jacobian_fn=lambda u: np.diag(2.0 * u))
         assert root[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_linear(self):
-        root = newton_solve(lambda u: u.copy(), np.array([5.0]))
+        root = newton_solve(lambda u: u.copy(), np.array([5.0]), jacobian_fn=lambda u: np.eye(1))
         assert root[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_particle_discrete_step_residual(self):
@@ -27,7 +27,10 @@ class TestNewton:
         def residual(y):
             return 1.0 / (1.0 - y) + 1.0 / (1.0 - 0.0)
 
-        root = newton_solve(residual, np.array([1.5]))
+        def jacobian(y):
+            return np.diag(1.0 / (1.0 - y) ** 2)
+
+        root = newton_solve(residual, np.array([1.5]), jacobian_fn=jacobian)
         assert root[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_analytic_jacobian_used(self):
@@ -40,17 +43,21 @@ class TestNewton:
         newton_solve(lambda u: u**2 - 4.0, np.array([3.0]), jacobian_fn=jac)
         assert calls["jac"] > 0
 
-    def test_multidimensional_fd_jacobian(self):
+    def test_multidimensional_analytic_jacobian(self):
         def residual(v):
             return np.array([v[0] ** 2 + v[1] - 3.0, v[0] - v[1]])
 
-        root = newton_solve(residual, np.array([2.0, 0.5]))
+        def jacobian(v):
+            return np.array([[2.0 * v[0], 1.0], [1.0, -1.0]])
+
+        root = newton_solve(residual, np.array([2.0, 0.5]), jacobian_fn=jacobian)
         assert np.max(np.abs(residual(root))) <= 1e-12
 
     def test_nonconvergence(self):
         settings = NewtonSettings(max_iterations=5)
         with pytest.raises(NonConvergence):
-            newton_solve(lambda u: u**2 + 1.0, np.array([0.7]), settings=settings)
+            newton_solve(lambda u: u**2 + 1.0, np.array([0.7]), jacobian_fn=lambda u: np.diag(2.0 * u),
+                         settings=settings)
 
     def test_no_residual_evaluation_after_convergence(self):
         calls = []
@@ -75,6 +82,107 @@ class TestNewton:
             NewtonSettings(max_iterations=0)
         with pytest.raises(ValueError):
             NewtonSettings(damping=1.5)
+
+
+def bent_residual(v, a, b):
+    """v0^2 + v1 = a, v0 = b v1, for one system or row-wise for a stack."""
+    return np.stack([v[..., 0] ** 2 + v[..., 1] - a, v[..., 0] - b * v[..., 1]], axis=-1)
+
+
+def bent_jacobian(v, a, b):
+    one = np.ones_like(v[..., 0])
+    return np.stack([np.stack([2.0 * v[..., 0], one], axis=-1),
+                     np.stack([one, -b * one], axis=-1)], axis=-2)
+
+
+class TestStackedNewton:
+    A = np.array([3.0, 5.0, 2.0, 7.0])
+    B = np.array([1.0, 2.0, 0.5, 3.0])
+    GUESS = np.array([[2.0, 0.5], [1.0, 1.0], [9.0, -4.0], [2.0, 2.0]])
+
+    def solve_alone(self, k, **kwargs):
+        calls = []
+
+        def jacobian(v):
+            calls.append(1)
+            return bent_jacobian(v, self.A[k], self.B[k])
+
+        root = newton_solve(lambda v: bent_residual(v, self.A[k], self.B[k]), self.GUESS[k],
+                            jacobian_fn=jacobian, **kwargs)
+        return root, len(calls)
+
+    def test_each_system_follows_its_own_iterates(self):
+        alone = [self.solve_alone(k) for k in range(4)]
+        assert len({iterations for _, iterations in alone}) > 1
+        stacked = newton_solve(lambda v: bent_residual(v, self.A, self.B), self.GUESS,
+                               jacobian_fn=lambda v: bent_jacobian(v, self.A, self.B))
+        assert stacked.shape == self.GUESS.shape
+        for row, (root, _) in zip(stacked, alone):
+            assert np.array_equal(row, root)
+
+    def test_converged_systems_are_not_solved_again(self):
+        solves = []
+
+        def jacobian(v):
+            solves.append(1)
+            return bent_jacobian(v, self.A, self.B)
+
+        newton_solve(lambda v: bent_residual(v, self.A, self.B), self.GUESS, jacobian_fn=jacobian)
+        assert len(solves) == max(self.solve_alone(k)[1] for k in range(4))
+
+    def test_only_the_failing_system_is_retried(self):
+        # full Newton steps on arctan diverge from 1.5 but converge from 0.5;
+        # half steps converge from 1.5
+        settings = NewtonSettings(max_iterations=10)
+        retry = NewtonSettings(max_iterations=40, damping=0.5)
+        guess = np.array([[1.5], [0.5]])
+
+        def jacobian(u):
+            return 1.0 / (1.0 + u[..., None] ** 2)
+
+        with pytest.raises(NonConvergence):
+            newton_solve(np.arctan, guess[0], jacobian_fn=jacobian, settings=settings)
+        first = newton_solve(np.arctan, guess[0], jacobian_fn=jacobian, settings=retry)
+        second = newton_solve(np.arctan, guess[1], jacobian_fn=jacobian, settings=settings)
+        assert not np.array_equal(second, newton_solve(np.arctan, guess[1], jacobian_fn=jacobian, settings=retry))
+        stacked = newton_solve(np.arctan, guess, jacobian_fn=jacobian, settings=settings, retry=retry)
+        assert np.array_equal(stacked[0], first) and np.array_equal(stacked[1], second)
+
+    def test_only_the_system_that_hits_a_pole_halves_its_step(self):
+        # the residual is infinite below 0: the full step of system 0 lands
+        # there and is halved, the full step of system 1 is kept
+        def residual(u):
+            return np.where(u > 0.0, np.arctan(u - 1.0), np.inf)
+
+        def jacobian(u):
+            return 1.0 / (1.0 + (u[..., None] - 1.0) ** 2)
+
+        # a loose tolerance stops each system at a point that depends on its path
+        settings = NewtonSettings(tolerance=1e-4)
+        guess = np.array([[3.0], [1.5]])
+        stacked = newton_solve(residual, guess, jacobian_fn=jacobian, settings=settings)
+        for row, g in zip(stacked, guess):
+            assert np.array_equal(row, newton_solve(residual, g, jacobian_fn=jacobian, settings=settings))
+        assert stacked[0, 0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_nonconvergence_names_the_system(self):
+        settings = NewtonSettings(max_iterations=10)
+        with pytest.raises(NonConvergence, match="system 1: residual") as info:
+            newton_solve(np.arctan, np.array([[0.5], [1.5], [0.2], [1.6]]),
+                         jacobian_fn=lambda u: 1.0 / (1.0 + u[..., None] ** 2), settings=settings)
+        assert info.value.system == 1
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_singular_jacobian_names_the_system(self, bad):
+        # system 0 starts on its root, so the stack solved in the first step
+        # lacks it and linear_solve's own index is one less than the system's
+        slope = np.ones(3)
+        slope[bad] = 0.0
+        guess = np.array([[1.0], [3.0], [4.0]])
+        with pytest.raises(SingularJacobian, match=f"system {bad}: pivot") as info:
+            newton_solve(lambda u: u - 1.0 - (slope[:, None] == 0.0), guess,
+                         jacobian_fn=lambda u: slope[:, None, None] * np.ones((3, 1, 1)))
+        assert info.value.system == bad
 
 
 class TestLinearSolve:

@@ -107,6 +107,19 @@ class TestTauVelocities:
         assert info.value.system == edge
 
 
+    @pytest.mark.parametrize("entries", [1, 300, semidiscrete.STACK_ENTRIES])
+    def test_sequence_of_chains_equals_each_alone(self, monkeypatch, entries):
+        # 1 entry: one chain per solve; 300: several chains per solve, the last one short
+        monkeypatch.setattr(semidiscrete, "STACK_ENTRIES", entries)
+        snaps = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 6)
+        for snap, vel in zip(snaps, tau_velocities(snaps), strict=True):
+            alone = tau_velocities(snap)
+            assert vel.max_discrepancy == alone.max_discrepancy
+            for got, ref in ((vel.velocities, alone.velocities), (vel.from_prev_edge[1:], alone.from_prev_edge[1:]),
+                             (vel.from_next_edge[:-1], alone.from_next_edge[:-1])):
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
+
+
 class TestEvolveChain:
     def test_failure_carries_stage_tau(self, monkeypatch):
         real = semidiscrete._site_velocities
@@ -203,3 +216,12 @@ class TestSemiClosure:
     def test_needs_three_snapshots(self):
         with pytest.raises(ValueError):
             semi_closure_residual(evolve_chain(CHAIN_N2, 1e-3, 1), PARAMS)
+
+
+def test_chain_residuals_match_the_per_snapshot_loop():
+    from cmhier import verify
+
+    snaps = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 20)
+    disc = max(tau_velocities(s).max_discrepancy for s in snaps)
+    eom = max(float(np.max(np.abs(semi_eom_residual(s, tau_velocities(s))))) for s in snaps)
+    assert verify.chain_residuals(snaps) == (disc, eom, None)
