@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollisionSingularity, LogSingularity, NumericsError, SingularMatrix, located
-from .hierarchy import check_collision_free, inverse_gaps, min_gap, trace_powers
+from .hierarchy import COLLISION_TOL, check_collision_free, cross_gap, inverse_gaps, min_gap, trace_powers
 from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
-
-LOG_TOL = 1e-12
 
 # (sgn, sign of p1 - p2, weight of the pair sums) of each corner variant; see _corner_system
 _CORNER_TERMS = {
@@ -26,8 +24,9 @@ _CORNER_TERMS = {
     "b": (-1.0, 1.0, 0.0),   # known T1^-1 x, solve T2^-1 x
     "c": (1.0, 1.0, 2.0),    # known T1^-1 x, solve T2 x
     "d": (1.0, -1.0, 2.0),   # known T2^-1 x, solve T1 x
+    "eom": (1.0, 0.0, 2.0),  # private, the equation of motion: known T1^-1 x, solve T1 x
 }
-CORNER_VARIANTS = tuple(_CORNER_TERMS)
+CORNER_VARIANTS = tuple(_CORNER_TERMS)[:4]
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,14 @@ class Plaquette:
     x11: np.ndarray
 
     def __post_init__(self):
-        for name in ("x00", "x10", "x01", "x11"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            check_collision_free(arr)
-        for a, b in (
-            (self.x00, self.x10),
-            (self.x00, self.x01),
-            (self.x10, self.x11),
-            (self.x01, self.x11),
-        ):
-            if np.min(np.abs(a[:, None] - b[None, :])) < LOG_TOL:
-                raise CollisionSingularity("coinciding coordinates across plaquette corners")
+        names = ("x00", "x10", "x01", "x11")
+        corners = np.array([getattr(self, name) for name in names], dtype=float)
+        check_collision_free(corners, "corner")
+        # the four edges x00-x10, x00-x01, x10-x11 and x01-x11
+        if cross_gap(corners[[0, 0, 1, 2]], corners[[1, 2, 3, 3]]).min() < COLLISION_TOL:
+            raise CollisionSingularity("coinciding coordinates across plaquette corners")
+        for name, corner in zip(names, corners):
+            object.__setattr__(self, name, corner)
 
 
 @dataclass(frozen=True)
@@ -86,50 +81,49 @@ def _pair_sums(x: np.ndarray) -> np.ndarray:
     return inverse_gaps(x).sum(axis=1)
 
 
+def _keeps_order(x: np.ndarray, tx: np.ndarray) -> bool:
+    """Whether tx keeps the particle order of x: tx sorted by the argsort of x increases."""
+    return np.diff(tx[np.argsort(x)]).min(initial=np.inf) > 0
+
+
+def _eom_system(x_prev, x_cur):
+    """The equation of motion, sum_l [1/(x_m - x_next_l) + 1/(x_m - x_prev_l)]
+    - sum_{l != m} 2/(x_m - x_l) = 0, as the corner system "eom" at x_cur."""
+    x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
+    check_collision_free(x_prev)
+    check_collision_free(x_cur)
+    return _corner_system("eom", x_cur[None], x_prev[None], 0.0)
+
+
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-    """Three-point equation of motion, per particle:
-    sum_l [1/(x_m - x_next_l) + 1/(x_m - x_prev_l)] - sum_{l != m} 2/(x_m - x_l)."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_cur = np.asarray(x_cur, dtype=float)
+    """Three-point equation of motion, per particle (see _eom_system)."""
     x_next = np.asarray(x_next, dtype=float)
-    for arr in (x_prev, x_cur, x_next):
-        check_collision_free(arr)
-    return (
-        _cross(x_cur, x_next).sum(axis=1)
-        + _cross(x_cur, x_prev).sum(axis=1)
-        - 2.0 * _pair_sums(x_cur)
-    )
+    check_collision_free(x_next)
+    return _eom_system(x_prev, x_cur)[0](x_next[None])[0]
 
 
 def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) -> np.ndarray:
-    """Advance one lattice step by Newton on the implicit equation of motion.
-
-    Initial guess is the uniform-motion extrapolation 2 x_cur - x_prev.
-    """
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_cur = np.asarray(x_cur, dtype=float)
-    check_collision_free(x_prev)
-    check_collision_free(x_cur)
-    const = _cross(x_cur, x_prev).sum(axis=1) - 2.0 * _pair_sums(x_cur)
-
-    def residual(u):
-        return const + _cross(x_cur, u).sum(axis=1)
-
-    def jacobian(u):
-        return _cross(x_cur, u) ** 2
-
-    return newton_solve(residual, 2.0 * x_cur - x_prev, jacobian_fn=jacobian, settings=params.newton)
+    """Advance one lattice step by Newton on the implicit equation of motion, from the
+    uniform-motion guess 2 x_cur - x_prev. The exact orbit never reorders particles,
+    so a solution that does crossed a collision and raises CollisionSingularity."""
+    x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
+    residual, jacobian, _, _ = _eom_system(x_prev, x_cur)
+    x_next = newton_solve(residual, [2.0 * x_cur - x_prev], jacobian_fn=jacobian, settings=params.newton)[0]
+    if not _keeps_order(x_cur, x_next):
+        raise CollisionSingularity("particle order changed across the step")
+    return x_next
 
 
-def _corner_system(variant, x: np.ndarray, known: np.ndarray, params: LatticeParams):
+def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
     """Residual of the printed corner constraint as const_m + sgn * sum_l 1/(x_m - u_l) for a
-    stack: x and known of shape (m, n), one variant letter for all systems or one per system."""
+    stack: x and known of shape (m, n), one variant letter for all systems or one per system,
+    and dp = p1 - p2."""
     letters = [variant] if isinstance(variant, str) else variant
-    if not set(letters) <= set(CORNER_VARIANTS):
+    if not set(letters) <= set(_CORNER_TERMS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
     sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
     pairs = np.array([_pair_sums(site) for site in x])
-    const = _cross(x, known).sum(axis=-1) - weight * pairs + d_sign * (params.p1 - params.p2)
+    const = _cross(x, known).sum(axis=-1) - weight * pairs + d_sign * dp
 
     def residual(u):
         return const + sgn * _cross(x, u).sum(axis=-1)
@@ -171,14 +165,8 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     """
     single = np.ndim(known1) == 1
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
-    for system in range(len(x)):
-        try:
-            check_collision_free(x[system])
-            check_collision_free(known[system])
-        except CollisionSingularity as exc:
-            exc.system = system
-            raise
-    residual, jacobian, const, sgn = _corner_system(variant, x, known, params)
+    check_collision_free(np.stack([x, known], axis=1))
+    residual, jacobian, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
     retry = NewtonSettings(params.newton.tolerance, 4 * params.newton.max_iterations, damping=0.5)
     guess = _mean_field_guess(x, const, sgn)
     solved = newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton, retry=retry)
@@ -190,7 +178,7 @@ def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarra
     one system or a stack, as in corner_solve."""
     single = np.ndim(x) == 1
     x, known, solved = (np.array(a, dtype=float, ndmin=2) for a in (x, known, solved))
-    residual, _, _, _ = _corner_system(variant, x, known, params)
+    residual, _, _, _ = _corner_system(variant, x, known, params.p1 - params.p2)
     return residual(solved)[0] if single else residual(solved)
 
 
@@ -209,24 +197,19 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
 
 
 def _check_log_args(x: np.ndarray, tx: np.ndarray) -> None:
-    n = len(x)
-    if np.min(np.abs(x[:, None] - tx[None, :])) < LOG_TOL:
+    if not cross_gap(x, tx) >= COLLISION_TOL:
         raise LogSingularity("vanishing cross-gap between a site and its shift")
-    if n > 1:
-        if min_gap(x) < LOG_TOL or min_gap(tx) < LOG_TOL:
-            raise LogSingularity("vanishing within-site gap")
-        # a sign flip of any ordered pair across the step means two particles crossed
-        iu = np.triu_indices(n, 1)
-        if np.any(np.sign((x[:, None] - x[None, :])[iu]) != np.sign((tx[:, None] - tx[None, :])[iu])):
-            raise LogSingularity("particle ordering changed across the step")
+    if not (min_gap(x) >= COLLISION_TOL and min_gap(tx) >= COLLISION_TOL):
+        raise LogSingularity("vanishing within-site gap")
+    if not _keeps_order(x, tx):
+        raise LogSingularity("particle ordering changed across the step")
 
 
 def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p: float) -> float:
     """Two-point lattice Lagrangian:
     sum log|x_m - tx_l| - (1/2) sum' [log|x_m - x_l| + log|tx_m - tx_l|]
     - p sum (x_m - tx_m)."""
-    x = np.asarray(x, dtype=float)
-    tx = np.asarray(tx, dtype=float)
+    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
     _check_log_args(x, tx)
     n = len(x)
     total = float(np.sum(np.log(np.abs(x[:, None] - tx[None, :]))))
@@ -253,18 +236,11 @@ def discrete_momentum(route: str, x: np.ndarray, neighbor: np.ndarray, params: L
     """
     if route not in MOMENTUM_ROUTES:
         raise ValueError(f"route must be one of {MOMENTUM_ROUTES}")
-    x = np.asarray(x, dtype=float)
-    neighbor = np.asarray(neighbor, dtype=float)
+    x, neighbor = np.asarray(x, dtype=float), np.asarray(neighbor, dtype=float)
     check_collision_free(x)
-    cross = _cross(x, neighbor).sum(axis=1)
-    pair = _pair_sums(x)
-    if route == "outgoing-1":
-        return cross - pair - params.p1
-    if route == "outgoing-2":
-        return cross - pair - params.p2
-    if route == "incoming-1":
-        return -cross + pair - params.p1
-    return -cross + pair - params.p2
+    sign = 1.0 if route.startswith("outgoing") else -1.0
+    p = params.p1 if route.endswith("1") else params.p2
+    return sign * (_cross(x, neighbor).sum(axis=1) - _pair_sums(x)) - p
 
 
 def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
@@ -327,11 +303,10 @@ def build_discrete_lax(x: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.nd
     L = diag(p) - [1/(x_i - x_j)] with p_i = sum_j 1/(x_i - tx_j)
     - sum_{j != i} 1/(x_i - x_j); M = -[1/(tx_i - x_j)] in full.
     """
-    x = np.asarray(x, dtype=float)
-    tx = np.asarray(tx, dtype=float)
+    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
     check_collision_free(x)
     check_collision_free(tx)
-    if np.min(np.abs(x[:, None] - tx[None, :])) < LOG_TOL:
+    if cross_gap(x, tx) < COLLISION_TOL:
         raise CollisionSingularity("site and shifted site share a coordinate")
     inv = inverse_gaps(x)
     L = -inv

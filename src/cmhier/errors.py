@@ -50,8 +50,8 @@ class SingularJacobian(SingularMatrix):
 class CollisionSingularity(NumericsError):
     """Two particles came closer than the collision threshold."""
 
-    def __init__(self, message, s=None):
-        super().__init__(message)
+    def __init__(self, message, s=None, system=None):
+        super().__init__(message, system)
         self.s = s
 
 

@@ -51,12 +51,28 @@ def min_gap(x: np.ndarray) -> float:
     return float(np.diff(s).min(initial=np.inf))
 
 
-def check_collision_free(x: np.ndarray, tol: float = COLLISION_TOL) -> None:
-    """Raise CollisionSingularity on a non-finite position or a gap below tol."""
-    g = min_gap(x)
-    if not g >= tol:
-        message = "non-finite position" if np.isnan(g) else f"minimum gap {g:.3e} below {tol:.1e}"
-        raise CollisionSingularity(message)
+def check_collision_free(x: np.ndarray, row: str = "system") -> None:
+    """Raise CollisionSingularity on a non-finite position or a gap below COLLISION_TOL. A stack
+    (m, ..., n) is checked per row along axis 0, over its inner configurations, with one sort;
+    the first failing row k is named `at {row} k` and set as the error's `system`."""
+    if x.ndim == 1:
+        g, k = min_gap(x), None
+    else:
+        s = np.sort(x).reshape(len(x), -1, x.shape[-1])
+        with np.errstate(invalid="ignore"):  # inf - inf; such rows are non-finite, as in min_gap
+            gaps = np.diff(s).min(axis=(1, 2), initial=np.inf)
+        gaps[~np.isfinite(s[..., [0, -1]]).all(axis=(1, 2))] = np.nan
+        k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row, else row 0
+        g = gaps[k]
+    if not g >= COLLISION_TOL:
+        message = "non-finite position" if np.isnan(g) else f"minimum gap {g:.3e} below {COLLISION_TOL:.1e}"
+        raise CollisionSingularity(message + ("" if k is None else f" at {row} {k}"), system=k)
+
+
+def cross_gap(a: np.ndarray, b: np.ndarray):
+    """Smallest |a_i - b_j| between two configurations, or per row of two (m, n) stacks;
+    NaN when a position is NaN."""
+    return np.abs(a[..., :, None] - b[..., None, :]).min(axis=(-2, -1))
 
 
 def check_flow_index(k: int) -> None:

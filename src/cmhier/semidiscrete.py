@@ -20,22 +20,12 @@ import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, SingularMatrix, located
-from .hierarchy import COLLISION_TOL, check_collision_free, inverse_gaps
+from .hierarchy import COLLISION_TOL, check_collision_free, cross_gap, inverse_gaps
 from .numerics import linear_solve, rk4_step
-
-CROSS_GAP_TOL = 1e-12
 
 # matrix entries (64 KiB) of one stacked velocity solve over many chains, so
 # that memory does not grow with the number of chains
 STACK_ENTRIES = 1 << 13
-
-
-def _check_gaps(gaps: np.ndarray, tol: float, what: str, where: str) -> None:
-    """Raise CollisionSingularity naming the first index whose gap is below tol."""
-    low = np.flatnonzero(gaps < tol)
-    if low.size:
-        k = low[0]
-        raise CollisionSingularity(f"{what} {gaps[k]:.3e} below {tol:.1e} at {where} {k}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +43,12 @@ class Chain:
         if any(len(s) != n for s in sites):
             raise ValueError("all chain sites must have the same particle count")
         y = np.stack(sites)
-        nonfinite = np.flatnonzero(~np.isfinite(y).all(axis=1))
-        if nonfinite.size:
-            raise CollisionSingularity(f"non-finite position at site {nonfinite[0]}")
-        gaps = np.abs(y[:, :, None] - y[:, None, :])
-        gaps[:, np.arange(n), np.arange(n)] = np.inf
-        _check_gaps(gaps.min(axis=(1, 2)), COLLISION_TOL, "minimum gap", "site")
-        cross = np.abs(y[:-1, :, None] - y[1:, None, :]).min(axis=(1, 2))
-        _check_gaps(cross, CROSS_GAP_TOL, "gap between adjacent chain sites", "edge")
+        check_collision_free(y, "site")
+        cross = cross_gap(y[:-1], y[1:])
+        k = np.argmax(cross < COLLISION_TOL)  # the first failing edge, else edge 0
+        if cross[k] < COLLISION_TOL:
+            raise CollisionSingularity(
+                f"gap between adjacent chain sites {cross[k]:.3e} below {COLLISION_TOL:.1e} at edge {k}")
         object.__setattr__(self, "sites", tuple(y))
 
     @property
@@ -177,7 +165,7 @@ def semi_lagrangian(x: np.ndarray, tx: np.ndarray, v_tx: np.ndarray) -> float:
     tx = np.asarray(tx, dtype=float)
     v = np.asarray(v_tx, dtype=float)
     check_collision_free(tx)
-    if np.min(np.abs(x[:, None] - tx[None, :])) < CROSS_GAP_TOL:
+    if cross_gap(x, tx) < COLLISION_TOL:
         raise CollisionSingularity("coinciding coordinates between site and shift")
     total = -float(np.sum(v[None, :] / (x[:, None] - tx[None, :])))
     total -= 0.5 * float(np.sum((v[:, None] - v[None, :]) * inverse_gaps(tx)))

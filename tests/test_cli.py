@@ -253,6 +253,16 @@ class TestMain:
         assert main(["run", str(write_config(tmp_path, payload))]) == 2
         assert "numerical failure: SingularJacobian: at site 64: system 0:" in capsys.readouterr().err
 
+    def test_discrete_step_that_reorders_particles_aborts(self, tmp_path, capsys):
+        # the exact orbit of this seed edge collides between sites 39 and 41
+        payload = {"kind": "discrete", "n": 3, "steps": 40, "out_dir": str(tmp_path / "out"),
+                   "seed_prev": [0.08217701239287256, 2.8618720282583223, 5.724584114361717],
+                   "seed_cur": [0.3832788547614412, 3.216090044205007, 6.085434486180231]}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: CollisionSingularity: at site 40: particle order changed across the step\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "payload",
         [{"kind": "continuous", "n": 12}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],

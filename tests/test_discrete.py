@@ -27,7 +27,7 @@ from cmhier.discrete import (
     sheet_corner_residuals,
 )
 from cmhier import discrete, verify
-from cmhier.errors import LogSingularity, NonConvergence, NumericsError
+from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError
 from cmhier.numerics import NewtonSettings
 from cmhier.sampling import plaquette_seed
 
@@ -66,6 +66,17 @@ class TestDiscreteStep:
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 2)
         back = discrete_step(orbit[3], orbit[2], PARAMS_N3)
         assert np.max(np.abs(back - orbit[1])) <= 1e-9
+
+    def test_reordering_step_is_a_collision(self):
+        # the exact orbit of this seed edge collides between sites 39 and 41;
+        # Newton's site 40 has particles 2 and 3 swapped
+        orbit = [np.array([0.08217701239287256, 2.8618720282583223, 5.724584114361717]),
+                 np.array([0.3832788547614412, 3.216090044205007, 6.085434486180231])]
+        params = LatticeParams(p1=1.0, p2=2.0, n=3)
+        while len(orbit) < 40:
+            orbit.append(discrete_step(orbit[-2], orbit[-1], params))
+        with pytest.raises(CollisionSingularity, match="^particle order changed across the step$"):
+            discrete_step(orbit[-2], orbit[-1], params)
 
     def test_center_of_mass_second_difference(self):
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 10)
@@ -158,7 +169,7 @@ class TestCornerEquations:
         stacked = corner_solve(variants, x, known, PARAMS_N3)
         for variant, xi, ki, row in zip(variants, x, known, stacked):
             assert np.array_equal(row, corner_solve(variant, xi, ki, PARAMS_N3))
-        _, _, const, sgn = _corner_system(variants, x, known, PARAMS_N3)
+        _, _, const, sgn = _corner_system(variants, x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(len(variants)):
             assert np.array_equal(guess[k], _mean_field_guess(x[k:k + 1], const[k:k + 1], sgn[k:k + 1])[0])
@@ -181,7 +192,7 @@ class TestCornerEquations:
         rng = np.random.default_rng(2)
         x = np.concatenate([spacing * np.arange(5) + rng.uniform(-0.3, 0.3, (4, 5)) for spacing in (3.0, 30.0)])
         known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
-        _, _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3)
+        _, _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(8):
             assert np.array_equal(guess[k], loop_guess(x[k], const[k], sgn[k, 0]))
@@ -190,6 +201,13 @@ class TestCornerEquations:
         x = np.array([[0.0, 1.0], [0.0, 1e-14]])
         with pytest.raises(NumericsError) as info:
             corner_solve(("a", "c"), x, x + 0.3, PARAMS_N2)
+        assert info.value.system == 1
+
+    def test_stacked_collision_in_a_known_site_names_the_system(self):
+        x = np.array([[0.0, 1.0], [0.0, 1.0]])
+        known = np.array([[0.3, 1.3], [0.3, 0.3 + 1e-14]])
+        with pytest.raises(NumericsError, match="at system 1$") as info:
+            corner_solve(("a", "c"), x, known, PARAMS_N2)
         assert info.value.system == 1
 
     @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
@@ -211,7 +229,7 @@ class TestCornerEquations:
         params = LatticeParams(p1=1.0, p2=2.0, n=12)
         x00 = 3.0 * np.arange(12) + rng.uniform(-0.3, 0.3, 12)
         x10 = x00 + rng.uniform(0.9, 1.1, 12) / 3.0
-        _, _, const, sgn = _corner_system(variant, x00[None], x10[None], params)
+        _, _, const, sgn = _corner_system(variant, x00[None], x10[None], params.p1 - params.p2)
         ref = loop_guess(x00, const[0], sgn[0, 0])
         assert np.max(np.abs(_mean_field_guess(x00[None], const, sgn)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -227,6 +245,20 @@ class TestPlaquette:
         assert pl.x01[0] == pytest.approx(x01[0], abs=1e-12)
         assert pl.x11[0] == pytest.approx(x11[0], abs=1e-12)
         assert defect <= 1e-12
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    def test_shared_coordinate_across_an_edge_is_rejected(self, a, b):
+        corners = [np.array([0.0, 3.0]) + shift for shift in (0.0, 0.3, 0.5, 0.8)]
+        corners[b][1] = corners[a][0]
+        with pytest.raises(CollisionSingularity, match="coinciding coordinates across plaquette corners"):
+            discrete.Plaquette(*corners)
+
+    def test_collision_names_the_corner(self):
+        corners = [np.array([0.0, 3.0]) + shift for shift in (0.0, 0.3, 0.5, 0.8)]
+        corners[2][1] = corners[2][0]
+        with pytest.raises(CollisionSingularity, match="at corner 2$") as info:
+            discrete.Plaquette(*corners)
+        assert info.value.system == 2
 
     def test_equal_parameters_degenerate(self):
         params = LatticeParams(p1=1.0, p2=1.0, n=2)
@@ -448,6 +480,10 @@ class TestClosureIdentities:
 
 
 class TestDiscreteLax:
+    def test_shared_coordinate_is_rejected(self):
+        with pytest.raises(CollisionSingularity, match="site and shifted site share a coordinate"):
+            build_discrete_lax(np.array([-1.0, 1.0]), np.array([1.0, 2.0]))
+
     def test_scalar_edge(self):
         L, M = build_discrete_lax(np.array([0.0]), np.array([1.0]))
         assert L[0, 0] == pytest.approx(-1.0)

@@ -9,6 +9,7 @@ from cmhier.hierarchy import (
     PhaseState,
     VelocityState,
     build_lax_pair,
+    check_collision_free,
     constraint_residual,
     constraint_velocity,
     hamiltonian,
@@ -57,6 +58,34 @@ class TestHamiltonian:
     def test_bad_flow_index(self):
         with pytest.raises(ValueError):
             hamiltonian(4, PhaseState([0.0], [1.0]))
+
+
+class TestCollisionCheck:
+    @pytest.mark.parametrize("x, message", [([0.0, np.nan], "non-finite position"),
+                                            ([0.0, 1e-13], "minimum gap 1.000e-13 below 1.0e-12")])
+    def test_one_configuration_error_names_no_row(self, x, message):
+        with pytest.raises(CollisionSingularity, match=f"^{message}$") as info:
+            check_collision_free(np.array(x))
+        assert info.value.system is None
+
+    @pytest.mark.parametrize(
+        "row, value, message",
+        [(1, 1e-13, "minimum gap 1.000e-13 below 1.0e-12 at site 1"), (2, np.inf, "non-finite position at site 2")],
+    )
+    def test_stack_error_names_the_first_failing_row(self, row, value, message):
+        x = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 1e-13]])  # row 3 fails as well
+        x[row, 1] = value
+        with pytest.raises(CollisionSingularity, match=f"^{message}$") as info:
+            check_collision_free(x, "site")
+        assert info.value.system == row
+
+    def test_stack_rows_are_checked_over_their_inner_configurations(self):
+        # row 0 is two configurations, each collision-free; row 1's second one collides
+        x = np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5.0, 5.0]]])
+        check_collision_free(x[:1])
+        with pytest.raises(CollisionSingularity, match="minimum gap 0.000e[+]00 below 1.0e-12 at system 1$") as info:
+            check_collision_free(x)
+        assert info.value.system == 1
 
 
 class TestStateArrays:

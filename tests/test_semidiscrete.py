@@ -177,6 +177,10 @@ class TestSemiEom:
 
 
 class TestSemiLagrangian:
+    def test_shared_coordinate_is_rejected(self):
+        with pytest.raises(CollisionSingularity, match="coinciding coordinates between site and shift"):
+            semi_lagrangian(np.array([0.0, 2.0]), np.array([1.0, 2.0]), np.zeros(2))
+
     def test_pinned_scalar_value(self):
         got = semi_lagrangian(np.array([0.0]), np.array([1.0]), np.array([-1.0]))
         assert got == pytest.approx(-3.0)
