@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, discrete, flows, semidiscrete
-from .errors import NumericsError, ScenarioError, ValidationError, located
+from .errors import NumericsError, ScenarioError, ValidationError
 from .hierarchy import CouplingConvention, PhaseState, invariants
 from .numerics import NewtonSettings
 from .sampling import orbit_seed, random_phase_state
@@ -68,14 +68,9 @@ def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
     params = discrete.LatticeParams(
         p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
     )
-    if sc.seed_prev is not None and sc.seed_cur is not None:
-        sites = [np.array(sc.seed_prev), np.array(sc.seed_cur)]
-    else:
-        sites = list(_seeded(orbit_seed, sc))
-    while len(sites) < count:
-        with located(site=len(sites)):
-            sites.append(discrete.discrete_step(sites[-2], sites[-1], params))
-    return sites
+    given = sc.seed_prev is not None and sc.seed_cur is not None
+    seed = (sc.seed_prev, sc.seed_cur) if given else _seeded(orbit_seed, sc)
+    return discrete.discrete_orbit(*seed, params, count)
 
 
 def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], VerificationReport]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollisionSingularity, LogSingularity, NumericsError, SingularMatrix, located
-from .hierarchy import COLLISION_TOL, check_collision_free, cross_gap, inverse_gaps, min_gap, trace_powers
+from .hierarchy import (
+    COLLISION_TOL, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, min_gap, trace_powers)
 from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
 
 # (sgn, sign of p1 - p2, weight of the pair sums) of each corner variant; see _corner_system
@@ -56,9 +57,9 @@ class Plaquette:
         names = ("x00", "x10", "x01", "x11")
         corners = np.array([getattr(self, name) for name in names], dtype=float)
         check_collision_free(corners, "corner")
-        # the four edges x00-x10, x00-x01, x10-x11 and x01-x11
-        if cross_gap(corners[[0, 0, 1, 2]], corners[[1, 2, 3, 3]]).min() < COLLISION_TOL:
-            raise CollisionSingularity("coinciding coordinates across plaquette corners")
+        # edges 0-3: x00-x10, x00-x01, x10-x11 and x01-x11
+        what = "coinciding coordinates across plaquette corners: cross gap"
+        check_cross_gap(corners[[0, 0, 1, 2]], corners[[1, 2, 3, 3]], what, "edge")
         for name, corner in zip(names, corners):
             object.__setattr__(self, name, corner)
 
@@ -92,14 +93,17 @@ def _eom_system(x_prev, x_cur):
     x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
     check_collision_free(x_prev)
     check_collision_free(x_cur)
+    check_cross_gap(x_cur, x_prev)
     return _corner_system("eom", x_cur[None], x_prev[None], 0.0)
 
 
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """Three-point equation of motion, per particle (see _eom_system)."""
-    x_next = np.asarray(x_next, dtype=float)
+    x_cur, x_next = np.asarray(x_cur, dtype=float), np.asarray(x_next, dtype=float)
+    residual = _eom_system(x_prev, x_cur)[0]
     check_collision_free(x_next)
-    return _eom_system(x_prev, x_cur)[0](x_next[None])[0]
+    check_cross_gap(x_cur, x_next)
+    return residual(x_next[None])[0]
 
 
 def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) -> np.ndarray:
@@ -112,6 +116,16 @@ def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) 
     if not _keeps_order(x_cur, x_next):
         raise CollisionSingularity("particle order changed across the step")
     return x_next
+
+
+def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, count: int) -> list[np.ndarray]:
+    """The seed pair extended by discrete_step to `count` sites; a NumericsError names the site
+    it was solving for."""
+    sites = [np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)]
+    while len(sites) < count:
+        with located(site=len(sites)):
+            sites.append(discrete_step(sites[-2], sites[-1], params))
+    return sites
 
 
 def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
@@ -166,6 +180,7 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     single = np.ndim(known1) == 1
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
+    check_cross_gap(x, known)
     residual, jacobian, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
     retry = NewtonSettings(params.newton.tolerance, 4 * params.newton.max_iterations, damping=0.5)
     guess = _mean_field_guess(x, const, sgn)
@@ -238,6 +253,7 @@ def discrete_momentum(route: str, x: np.ndarray, neighbor: np.ndarray, params: L
         raise ValueError(f"route must be one of {MOMENTUM_ROUTES}")
     x, neighbor = np.asarray(x, dtype=float), np.asarray(neighbor, dtype=float)
     check_collision_free(x)
+    check_cross_gap(x, neighbor)
     sign = 1.0 if route.startswith("outgoing") else -1.0
     p = params.p1 if route.endswith("1") else params.p2
     return sign * (_cross(x, neighbor).sum(axis=1) - _pair_sums(x)) - p
@@ -306,8 +322,7 @@ def build_discrete_lax(x: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.nd
     x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
     check_collision_free(x)
     check_collision_free(tx)
-    if cross_gap(x, tx) < COLLISION_TOL:
-        raise CollisionSingularity("site and shifted site share a coordinate")
+    check_cross_gap(x, tx, "site and shifted site share a coordinate: cross gap")
     inv = inverse_gaps(x)
     L = -inv
     np.fill_diagonal(L, _cross(x, tx).sum(axis=1) - inv.sum(axis=1))
@@ -342,54 +357,20 @@ def discrete_hamiltonian_diag(
 ) -> dict:
     """Discrete Legendre/Hamilton diagnostics on the edge x -> tx.
 
-    Builds the momentum-like variables P_ml = 1/(x_m - tx_l) and
-    rho_ml = -1/(tx_m - tx_l), evaluates the edge Hamiltonian, and reports
-    the residuals of the three discrete Hamilton equations. The two
-    definitional ones vanish identically; the position equation needs the
-    incoming edge (x_prev) and reproduces the three-point equation of motion,
-    with the incoming-edge momentum paired as 1/(x_m - x_prev_l) (pinned by
-    numerical agreement with the Euler-Lagrange residual).
+    The Legendre transform defines P_ml = 1/(x_m - tx_l) and
+    rho_ml = -1/(tx_m - tx_l), so two of the three discrete Hamilton equations
+    hold by definition and the edge Hamiltonian is minus the two-point
+    Lagrangian. The position equation needs the incoming edge (x_prev) and is
+    the three-point equation of motion; without x_prev it is None.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    x = np.asarray(x, dtype=float)
-    tx = np.asarray(tx, dtype=float)
-    _check_log_args(x, tx)
     p_lattice = params.p1 if direction == 1 else params.p2
-    n = len(x)
-    P = _cross(x, tx)
-    rho = -inverse_gaps(tx)
-
-    ham = float(np.sum(np.log(np.abs(P))))
-    if n > 1:
-        iu = np.triu_indices(n, 1)
-        ham -= float(np.sum(np.log(np.abs(rho[iu]))) + np.sum(np.log(np.abs(rho.T[iu])))) / 2.0
-        dx = x[:, None] - x[None, :]
-        ham += float(np.sum(np.log(np.abs(dx[iu]))))
-    ham += p_lattice * float(np.sum(1.0 / np.diag(P)))
-
-    hep = float(np.max(np.abs(1.0 / P - (x[:, None] - tx[None, :]))))
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        herho = float(np.max(np.abs(-0.5 / rho[off] - 0.5 * (tx[:, None] - tx[None, :])[off])))
-    else:
-        herho = 0.0
-
-    result = {
+    return {
         "lattice_parameter": p_lattice,
-        "hamiltonian": ham,
-        "momentum_residual": hep,
-        "pair_residual": herho,
-        "position_residual": None,
+        "hamiltonian": -discrete_lagrangian(x, tx, p_lattice),
+        "position_residual": None if x_prev is None else discrete_el_residual(x_prev, x, tx),
     }
-    if x_prev is not None:
-        x_prev = np.asarray(x_prev, dtype=float)
-        incoming = _cross(x, x_prev)
-        # the unshifted rho lives on the current site, not the edge
-        rho_site = -inverse_gaps(x)
-        rhs = (P + incoming).sum(axis=1) + 0.5 * (rho_site - rho_site.T).sum(axis=1)
-        result["position_residual"] = rhs - _pair_sums(x)
-    return result
 
 
 def build_lattice_sheet(

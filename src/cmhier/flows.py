@@ -31,11 +31,10 @@ from .hierarchy import (
     inverse_gaps,
     inverse_square_sums,
     lagrangian,
-    lagrangian_dx,
     min_gap,  # noqa: F401 -- benchmarks/tests wrap the flows.min_gap binding
     weighted_gradient,
 )
-from .numerics import rk4_step
+from .numerics import fd_derivative, rk4_step
 
 FLIGHT_GAP_TOL = 1e-6
 
@@ -195,22 +194,16 @@ def poisson_bracket(
     """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k).
 
     Gradients come from an observable's `gradient` attribute when present
-    (the built-in Hamiltonians), otherwise from central differences with
-    step h in each coordinate.
+    (the built-in Hamiltonians), otherwise from numerics.fd_derivative with
+    step h in each coordinate of the stacked (x, p).
     """
 
     def gradients(fn) -> tuple[np.ndarray, np.ndarray]:
         if hasattr(fn, "gradient"):
             return fn.gradient(state)
-        n = state.n
-        dx = np.empty(n)
-        dp = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            dx[i] = (fn(PhaseState(state.x + e, state.p)) - fn(PhaseState(state.x - e, state.p))) / (2 * h)
-            dp[i] = (fn(PhaseState(state.x, state.p + e)) - fn(PhaseState(state.x, state.p - e))) / (2 * h)
-        return dx, dp
+        n, y = state.n, np.concatenate([state.x, state.p])
+        grad = np.array([fd_derivative(lambda u: fn(PhaseState(u[:n], u[n:])), y, i, h) for i in range(2 * n)])
+        return grad[:n], grad[n:]
 
     fx, fp = gradients(f)
     gx, gp = gradients(g)
@@ -316,12 +309,8 @@ def pluri_el_residual(traj: Trajectory, direction: Sequence[float]) -> np.ndarra
         if d2 != 0.0 and d3 != 0.0:
             b = b + (d3 / d2) * dv[(3, 2)] + (d2 / d3) * dv[(2, 3)]
         bracket[i] = b
-        f = np.zeros(n_particles)
-        if d2 != 0.0:
-            f += d2 * lagrangian_dx(2, X[i], v2[i])
-        if d3 != 0.0:
-            f += d3 * lagrangian_dx(3, X[i], v2[i])
-        force[i] = f
+        # sum_k d_k dL_(tk)/dx, as dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx at p = v2
+        force[i] = weighted_gradient(-d2, 0.75 * d3, X[i], v2[i], inverse_gaps(X[i]))[0]
     return force - 0.5 * _fd_dds(bracket, h)
 
 

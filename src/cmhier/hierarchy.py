@@ -75,6 +75,18 @@ def cross_gap(a: np.ndarray, b: np.ndarray):
     return np.abs(a[..., :, None] - b[..., None, :]).min(axis=(-2, -1))
 
 
+def check_cross_gap(a: np.ndarray, b: np.ndarray, what: str = "cross gap", row: str = "system") -> None:
+    """Raise CollisionSingularity when a and b share a coordinate, their cross_gap below COLLISION_TOL
+    or NaN; two (m, n) stacks are checked per row, the first failing row k named `at {row} k` and set
+    as the error's `system`. Check both for finite positions first."""
+    gaps = np.atleast_1d(cross_gap(a, b))
+    k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row, else row 0
+    if not gaps[k] >= COLLISION_TOL:
+        system = k if np.ndim(a) > 1 else None
+        message = f"{what} {gaps[k]:.3e} below {COLLISION_TOL:.1e}"
+        raise CollisionSingularity(message + ("" if system is None else f" at {row} {k}"), system=system)
+
+
 def check_flow_index(k: int) -> None:
     if k not in FLOW_INDICES:
         raise ValueError(f"flow index must be one of {FLOW_INDICES}, got {k}")
@@ -176,14 +188,6 @@ def lagrangian(k: int, state: VelocityState) -> float:
     if k == 2:
         return float(0.5 * np.sum(state.v2**2) + 2.0 * np.sum(w))
     return float(np.sum(state.v2 * state.v3 + 0.25 * state.v2**3) - 3.0 * np.sum(state.v2 * w))
-
-
-def lagrangian_dx(k: int, x: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Analytic dL_(tk)/dx; the t3 member needs the t2-velocity. At p = v2,
-    dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx."""
-    check_flow_index(k)
-    d2, d3 = FLOW_DIRECTIONS[k]
-    return weighted_gradient(-d2, 0.75 * d3, x, v2, inverse_gaps(x))[0]
 
 
 def constraint_residual(state: VelocityState) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
-from .errors import CollisionSingularity, SingularMatrix, located
-from .hierarchy import COLLISION_TOL, check_collision_free, cross_gap, inverse_gaps
+from .errors import SingularMatrix, located
+from .hierarchy import check_collision_free, check_cross_gap, inverse_gaps
 from .numerics import linear_solve, rk4_step
 
 # matrix entries (64 KiB) of one stacked velocity solve over many chains, so
@@ -44,11 +44,7 @@ class Chain:
             raise ValueError("all chain sites must have the same particle count")
         y = np.stack(sites)
         check_collision_free(y, "site")
-        cross = cross_gap(y[:-1], y[1:])
-        k = np.argmax(cross < COLLISION_TOL)  # the first failing edge, else edge 0
-        if cross[k] < COLLISION_TOL:
-            raise CollisionSingularity(
-                f"gap between adjacent chain sites {cross[k]:.3e} below {COLLISION_TOL:.1e} at edge {k}")
+        check_cross_gap(y[:-1], y[1:], "gap between adjacent chain sites", "edge")
         object.__setattr__(self, "sites", tuple(y))
 
     @property
@@ -165,8 +161,7 @@ def semi_lagrangian(x: np.ndarray, tx: np.ndarray, v_tx: np.ndarray) -> float:
     tx = np.asarray(tx, dtype=float)
     v = np.asarray(v_tx, dtype=float)
     check_collision_free(tx)
-    if cross_gap(x, tx) < COLLISION_TOL:
-        raise CollisionSingularity("coinciding coordinates between site and shift")
+    check_cross_gap(x, tx, "coinciding coordinates between site and shift: cross gap")
     total = -float(np.sum(v[None, :] / (x[:, None] - tx[None, :])))
     total -= 0.5 * float(np.sum((v[:, None] - v[None, :]) * inverse_gaps(tx)))
     return total + float(np.sum(x - tx + v))

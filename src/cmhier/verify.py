@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
-from .errors import CollisionSingularity, located
+from .errors import CollisionSingularity
 from .hierarchy import CouplingConvention, PhaseState
 from .numerics import NewtonSettings
 from .sampling import plaquette_seed, random_phase_state
@@ -237,11 +237,7 @@ def _two_body_gap_law(col):
 def _discrete_orbit(col, rng):
     params = discrete.LatticeParams(p1=1.0, p2=2.0, n=3, newton=NewtonSettings(tolerance=1e-13))
     x_prev = np.array([-4.0, 0.0, 4.0])
-    x_cur = x_prev + 0.3 * rng.uniform(0.95, 1.05, 3)
-    orbit = [x_prev, x_cur]
-    for _ in range(50):
-        with located(site=len(orbit)):
-            orbit.append(discrete.discrete_step(orbit[-2], orbit[-1], params))
+    orbit = discrete.discrete_orbit(x_prev, x_prev + 0.3 * rng.uniform(0.95, 1.05, 3), params, 52)
     col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=50, n=3)
 
 
@@ -350,8 +346,7 @@ def _semidiscrete_checks(col, rng):
     results = []
     for x0 in (np.array([0.0]), np.array([-2.0, 2.0])):
         params = discrete.LatticeParams(p1=1.0, p2=2.0, n=len(x0))
-        sites = [x0, x0 + 0.3 * rng.uniform(1.0, 1.2, len(x0))]
-        sites.append(discrete.discrete_step(sites[0], sites[1], params))
+        sites = discrete.discrete_orbit(x0, x0 + 0.3 * rng.uniform(1.0, 1.2, len(x0)), params, 3)
         chain = semidiscrete.Chain(tuple(sites))
         results.append(chain_residuals(semidiscrete.evolve_chain(chain, 1e-3, 100)))
     (disc1, eom1, gap_drift), (disc2, eom2, _) = results
@@ -387,8 +382,7 @@ def _closure_diagnostics(col, rng):
 
     params = discrete.LatticeParams(p1=1.0, p2=2.0, n=2)
     x0 = np.array([-4.0, 4.0])
-    sites = [x0, x0 + 0.3 * rng.uniform(1.0, 1.2, 2)]
-    sites.append(discrete.discrete_step(sites[0], sites[1], params))
+    sites = discrete.discrete_orbit(x0, x0 + 0.3 * rng.uniform(1.0, 1.2, 2), params, 3)
     chain = semidiscrete.Chain(tuple(sites))
     values = {}
     for d_tau in (1e-3, 5e-4):

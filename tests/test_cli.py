@@ -263,6 +263,17 @@ class TestMain:
         assert err == "numerical failure: CollisionSingularity: at site 40: particle order changed across the step\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_seed_pair_sharing_a_coordinate_aborts_without_warnings(self, tmp_path, capsys):
+        payload = {"kind": "discrete", "n": 2, "seed_prev": [0, 3], "seed_cur": [0, 3.5], "steps": 3,
+                   "out_dir": str(tmp_path / "out")}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: CollisionSingularity: at site 2: ")
+        assert "RuntimeWarning" not in err and not [w for w in caught if w.category is RuntimeWarning]
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "payload",
         [{"kind": "continuous", "n": 12}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],

@@ -250,8 +250,11 @@ class TestPlaquette:
     def test_shared_coordinate_across_an_edge_is_rejected(self, a, b):
         corners = [np.array([0.0, 3.0]) + shift for shift in (0.0, 0.3, 0.5, 0.8)]
         corners[b][1] = corners[a][0]
-        with pytest.raises(CollisionSingularity, match="coinciding coordinates across plaquette corners"):
+        edge = [(0, 1), (0, 2), (1, 3), (2, 3)].index((a, b))
+        message = f"^coinciding coordinates across plaquette corners: cross gap .* at edge {edge}$"
+        with pytest.raises(CollisionSingularity, match=message) as info:
             discrete.Plaquette(*corners)
+        assert info.value.system == edge
 
     def test_collision_names_the_corner(self):
         corners = [np.array([0.0, 3.0]) + shift for shift in (0.0, 0.3, 0.5, 0.8)]
@@ -394,6 +397,66 @@ def test_verify_orbit_failure_names_the_step(monkeypatch):
     with pytest.raises(NonConvergence, match="at site 6: stuck") as info:
         verify._discrete_orbit(verify.Collector(1.0), np.random.default_rng(0))
     assert info.value.site == 6
+
+
+@pytest.mark.parametrize("section", ["_semidiscrete_checks", "_closure_diagnostics"])
+def test_verify_chain_seed_failure_names_its_site(monkeypatch, section):
+    def failing(x_prev, x_cur, params):
+        raise NonConvergence("stuck", system=0)
+
+    monkeypatch.setattr(discrete, "discrete_step", failing)
+    with pytest.raises(NonConvergence, match="^at site 2: stuck$") as info:
+        getattr(verify, section)(verify.Collector(1.0), np.random.default_rng(0))
+    assert info.value.site == 2
+
+
+def test_orbit_extends_the_seed_pair_by_steps():
+    orbit = discrete.discrete_orbit(*ORBIT_SEED_N3, PARAMS_N3, 6)
+    assert len(orbit) == 6
+    for ref, site in zip(make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 4), orbit):
+        assert np.array_equal(ref, site)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSharedCoordinateAcrossAnEdge:
+    """A coordinate shared by a site and its neighbour puts a pole on the edge: every entry point
+    raises CollisionSingularity before dividing by it."""
+
+    X = np.array([0.0, 3.0])
+    SHARED = np.array([0.0, 3.5])
+    CLEAR = np.array([0.4, 3.3])
+
+    def test_discrete_step(self):
+        with pytest.raises(CollisionSingularity, match="^cross gap 0.000e[+]00 below 1.0e-12$"):
+            discrete_step(self.X, self.SHARED, PARAMS_N2)
+
+    def test_el_residual_on_either_edge(self):
+        with pytest.raises(CollisionSingularity, match="cross gap"):
+            discrete_el_residual(self.X, self.SHARED, self.CLEAR)
+        with pytest.raises(CollisionSingularity, match="cross gap"):
+            discrete_el_residual(self.CLEAR, self.X, self.SHARED)
+
+    def test_momentum(self):
+        for route in ("outgoing-1", "incoming-2"):
+            with pytest.raises(CollisionSingularity, match="cross gap"):
+                discrete_momentum(route, self.X, self.SHARED, PARAMS_N2)
+
+    def test_corner_solve_names_the_system(self):
+        with pytest.raises(CollisionSingularity, match="at system 1$") as info:
+            corner_solve(("a", "c"), [self.X, self.X], [self.CLEAR, self.SHARED], PARAMS_N2)
+        assert info.value.system == 1
+
+    def test_plaquette(self):
+        with pytest.raises(CollisionSingularity, match="cross gap"):
+            build_plaquette(self.X, self.SHARED, PARAMS_N2)
+
+    def test_sheet_names_the_site(self):
+        with pytest.raises(CollisionSingularity, match=r"^at site \(2, 0\): cross gap") as info:
+            build_lattice_sheet(self.X, self.SHARED, PARAMS_N2, 2, 1)
+        assert info.value.site == (2, 0)
+        with pytest.raises(CollisionSingularity, match=r"^at site \(0, 1\): cross gap") as info:
+            build_lattice_sheet(self.X, self.SHARED, PARAMS_N2, 1, 1)
+        assert info.value.site == (0, 1)
 
 
 class TestDiscreteLagrangian:
@@ -542,17 +605,19 @@ class TestDiscreteInvariants:
 
 
 class TestDiscreteHamiltonian:
-    def test_definitional_residuals_vanish(self):
+    def test_hamiltonian_is_minus_the_lagrangian(self):
+        # P and rho are defined so that the two definitional Hamilton equations hold identically
         x, tx = plaquette_seed(RNG, 3, 1.0, 2.0)
-        out = discrete_hamiltonian_diag(x, tx, PARAMS_N3, direction=1)
-        assert out["momentum_residual"] <= 1e-14
-        assert out["pair_residual"] <= 1e-14
+        out = discrete_hamiltonian_diag(x, tx, PARAMS_N3, direction=2)
+        assert out["lattice_parameter"] == PARAMS_N3.p2
+        assert out["hamiltonian"] == -discrete_lagrangian(x, tx, PARAMS_N3.p2)
+        assert out["position_residual"] is None
 
     def test_position_equation_matches_el_residual(self):
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 2)
         out = discrete_hamiltonian_diag(orbit[1], orbit[2], PARAMS_N3, direction=1, x_prev=orbit[0])
         el = discrete_el_residual(orbit[0], orbit[1], orbit[2])
-        assert np.max(np.abs(out["position_residual"] - el)) <= 1e-12
+        assert np.array_equal(out["position_residual"], el)
         assert np.max(np.abs(out["position_residual"])) <= PARAMS_N3.newton.tolerance * 10
 
     def test_scalar_hamiltonian_value(self):

@@ -279,6 +279,20 @@ class TestPoissonBracket:
             gf = poisson_bracket(g, f, state)
             assert abs(fg + gf) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_finite_differences_match_analytic_gradients(self, k, n):
+        def cubic(s):
+            return float(np.sum(s.x**2 * s.p) + np.sum(s.x * s.p**2))
+
+        cubic_analytic = lambda s: cubic(s)
+        cubic_analytic.gradient = lambda s: (2 * s.x * s.p + s.p**2, s.x**2 + 2 * s.x * s.p)
+        state = random_phase_state(np.random.default_rng(10 * k + n), n, min_gap=0.5)
+        analytic = poisson_bracket(hamiltonian_observable(k), cubic_analytic, state)
+        differenced = poisson_bracket(lambda s: hamiltonian(k, s), cubic, state)
+        assert abs(analytic) > 1e-2
+        assert differenced == pytest.approx(analytic, rel=1e-7)
+
 
 class TestHamiltonianClosure:
     def test_single_particle(self):
