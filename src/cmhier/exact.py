@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discrete import LatticeParams, build_discrete_lax
-from .flows import FLIGHT_GAP_TOL
+from .flows import FLIGHT_GAP_TOL, PathSpec
 from .hierarchy import PhaseState, build_lax_pair
 
 
@@ -29,11 +29,12 @@ def projection_spectrum(start: PhaseState, direction, s) -> np.ndarray:
     return np.linalg.eigvals(np.diag(start.x) + s[..., None, None] * generator)
 
 
-def collides(start: PhaseState, direction, duration: float, steps: int) -> bool:
-    """True when, at some grid time s = i duration/steps (i = 1..steps, where
-    the march checks its steps in flight), the exact spectrum has a nonzero
+def collides(start: PhaseState, path: PathSpec) -> bool:
+    """True when, at some grid time s = i duration/steps of the path (i = 1..steps,
+    where the march checks its steps in flight), the exact spectrum has a nonzero
     imaginary part or two sorted eigenvalues closer than FLIGHT_GAP_TOL."""
-    spectrum = projection_spectrum(start, direction, np.arange(1, steps + 1) * (duration / steps))
+    s = np.arange(1, path.steps + 1) * (path.duration / path.steps)
+    spectrum = projection_spectrum(start, path.direction, s)
     gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
     return bool(np.any(spectrum.imag != 0.0)) or not np.all(gaps >= FLIGHT_GAP_TOL)
 

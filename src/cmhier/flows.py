@@ -14,7 +14,7 @@ PhaseStates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -40,15 +40,17 @@ FLIGHT_GAP_TOL = 1e-6
 
 DEFAULT_FLOW_EPS = 1e-4
 DEFAULT_BRACKET_STEP = 1e-5
+ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residuals
 
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Straight-line segment in multi-time: constant (dt2/ds, dt3/ds)."""
+    """Straight-line segment in multi-time: constant (dt2/ds, dt3/ds), marched
+    in `steps` equal RK4 steps of s, which are also its sample grid."""
 
     direction: np.ndarray
     duration: float
-    steps: int = 1
+    steps: int
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -62,34 +64,23 @@ class PathSpec:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    s: float
-    t2: float
-    t3: float
-    state: PhaseState
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    samples: tuple[TrajectorySample, ...] = field(default_factory=tuple)
+    """A marched segment: its path and the state at each grid time
+    s_i = i duration/steps, the start first; a zero-duration path holds the start only."""
 
-    def __post_init__(self):
-        svals = [smp.s for smp in self.samples]
-        if any(b <= a for a, b in zip(svals, svals[1:])):
-            raise ValueError("sample parameter s must be strictly increasing")
+    path: PathSpec
+    samples: tuple[PhaseState, ...]
 
-    def s_values(self) -> np.ndarray:
-        return np.array([smp.s for smp in self.samples])
-
-    def positions(self) -> np.ndarray:
-        return np.array([smp.state.x for smp in self.samples])
-
-    def momenta(self) -> np.ndarray:
-        return np.array([smp.state.p for smp in self.samples])
+    def times(self) -> np.ndarray:
+        """(s, t2, t3) of each sample, t = direction s; the start is (0, 0, 0), never -0.0."""
+        s = np.arange(len(self.samples)) * (self.path.duration / self.path.steps)
+        t = s[:, None] * np.array([1.0, *self.path.direction])
+        t[0] = 0.0
+        return t
 
     @property
     def final_state(self) -> PhaseState:
-        return self.samples[-1].state
+        return self.samples[-1]
 
 
 def vector_field(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -149,33 +140,24 @@ def _march(start: PhaseState, direction: np.ndarray, h: float, n_steps: int) -> 
     return ys
 
 
-def _trajectory(start: PhaseState, direction, duration: float, dt: float | None, steps=1) -> Trajectory:
-    """RK4 trajectory sampled at every step: round(duration / dt) steps, or
-    `steps` steps when dt is None."""
-    n_steps = (steps if dt is None else max(1, int(round(duration / dt)))) if duration > 0 else 0
-    h = duration / n_steps if n_steps else 0.0
-    d2, d3 = direction
+def _trajectory(start: PhaseState, path: PathSpec) -> Trajectory:
+    """RK4 trajectory along a path, sampled at every step."""
     n = start.n
-    samples = [TrajectorySample(0.0, 0.0, 0.0, start)]
-    for i, y in enumerate(_march(start, direction, h, n_steps)[1:], 1):
-        s = i * h
-        samples.append(TrajectorySample(s, d2 * s, d3 * s, PhaseState(y[:n], y[n:])))
-    return Trajectory(tuple(samples))
+    ys = _march(start, path.direction, path.duration / path.steps, path.steps if path.duration > 0 else 0)
+    return Trajectory(path, (start, *(PhaseState(y[:n], y[n:]) for y in ys[1:])))
 
 
 def integrate_flow(k: int, start: PhaseState, duration: float, dt: float) -> Trajectory:
-    """RK4 trajectory of the single flow t_k, sampled at every step."""
+    """RK4 trajectory of the single flow t_k in round(duration / dt) steps, at least one."""
     check_flow_index(k)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _trajectory(start, FLOW_DIRECTIONS[k], duration, dt)
+    return _trajectory(start, PathSpec(FLOW_DIRECTIONS[k], duration, max(1, int(round(duration / dt)))))
 
 
-def evolve_path(start: PhaseState, path: PathSpec, dt_s: float | None = None) -> Trajectory:
+def evolve_path(start: PhaseState, path: PathSpec) -> Trajectory:
     """Integrate the generalized Hamilton equations along a straight segment."""
-    if dt_s is not None and dt_s <= 0:
-        raise ValueError("dt_s must be positive")
-    return _trajectory(start, path.direction, path.duration, dt_s, path.steps)
+    return _trajectory(start, path)
 
 
 def commutator_defect(start: PhaseState, delta2: float, delta3: float, dt: float) -> float:
@@ -210,11 +192,11 @@ def poisson_bracket(
     return float(np.sum(fp * gx - gp * fx))
 
 
-def _flow_endpoint(k: int, state: PhaseState, eps: float, substeps: int = 8) -> PhaseState:
+def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:
     """Endpoint of the t_k flow after signed time eps (RK4 with signed step)."""
     if eps == 0.0:
         return state
-    y = _march(state, FLOW_DIRECTIONS[k], eps / substeps, substeps)[-1]
+    y = _march(state, FLOW_DIRECTIONS[k], eps / ENDPOINT_SUBSTEPS, ENDPOINT_SUBSTEPS)[-1]
     return PhaseState(y[: state.n], y[state.n :])
 
 
@@ -264,7 +246,7 @@ def _d_lagrangian_dv(x: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> dict:
     }
 
 
-def pluri_el_residual(traj: Trajectory, direction: Sequence[float]) -> np.ndarray:
+def pluri_el_residual(traj: Trajectory) -> np.ndarray:
     """Residual of the generalized Euler-Lagrange equation along a trajectory.
 
     Returns an (n_samples, N) array, NaN-padded where the d/ds stencils do
@@ -277,15 +259,12 @@ def pluri_el_residual(traj: Trajectory, direction: Sequence[float]) -> np.ndarra
     reduces the expression to the usual single-time Euler-Lagrange equation
     of the active flow.
     """
-    d2, d3 = _nonzero_direction(direction)
+    d2, d3 = _nonzero_direction(traj.path.direction)
     if len(traj.samples) < 3:
         raise ValueError("need at least 3 samples for d/ds differencing")
-    s = traj.s_values()
-    h = s[1] - s[0]
-    if not np.allclose(np.diff(s), h, rtol=1e-9, atol=1e-15):
-        raise ValueError("samples must be uniformly spaced in s")
-    X = traj.positions()
-    P = traj.momenta()
+    h = traj.path.duration / traj.path.steps
+    X = np.array([st.x for st in traj.samples])
+    P = np.array([st.p for st in traj.samples])
     u = _fd_dds(X, h)
 
     if d2 != 0.0 and d3 == 0.0:
@@ -338,12 +317,11 @@ def generalized_momentum(sample: VelocityState, direction: Sequence[float]) -> n
     return 0.5 * (dv[(2, 2)] + dv[(3, 3)] + (d2 / d3) * dv[(2, 3)] + (d3 / d2) * dv[(3, 2)])
 
 
-def noether_charge(traj: Trajectory, direction: Sequence[float]) -> np.ndarray:
-    """Sampled series E(s) = sum_k H_(tk)(state(s)) dt_k/ds along a path."""
-    d2, d3 = float(direction[0]), float(direction[1])
-    states = [smp.state for smp in traj.samples]
-    ws = [inverse_square_sums(st.x) for st in states]
-    return np.array([d2 * hamiltonian(2, st, w) + d3 * hamiltonian(3, st, w) for st, w in zip(states, ws)])
+def noether_charge(traj: Trajectory) -> np.ndarray:
+    """Sampled series E(s) = sum_k H_(tk)(state(s)) dt_k/ds along the trajectory's path."""
+    d2, d3 = (float(d) for d in traj.path.direction)
+    ws = [inverse_square_sums(st.x) for st in traj.samples]
+    return np.array([d2 * hamiltonian(2, st, w) + d3 * hamiltonian(3, st, w) for st, w in zip(traj.samples, ws)])
 
 
 VelocityMode = Literal["flow", "constraint"]

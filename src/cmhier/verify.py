@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
-from .errors import CollisionSingularity
+from .errors import CollisionSingularity, NumericsError
 from .hierarchy import CouplingConvention, PhaseState
 from .numerics import NewtonSettings
 from .sampling import plaquette_seed, random_phase_state
@@ -77,6 +77,8 @@ class Collector:
         self.entries: list[CheckEntry] = []
 
     def gated(self, name: str, residual: float, tolerance: float, **metadata):
+        if not np.isfinite(residual):
+            raise NumericsError(f"{name}: non-finite residual {residual}")
         tol = tolerance * self.scale
         self.entries.append(
             CheckEntry(name, float(residual), float(tol), bool(residual <= tol), _clean(metadata))
@@ -114,19 +116,16 @@ def relative_drift(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - values[0]) / (1.0 + np.abs(values[0]))))
 
 
-def energy_drift(traj: flows.Trajectory, direction) -> float:
+def energy_drift(traj: flows.Trajectory) -> float:
     """Worst drift of the path energy (the Noether charge) from its first sample."""
-    series = flows.noether_charge(traj, direction)
+    series = flows.noether_charge(traj)
     return float(np.max(np.abs(series - series[0])))
 
 
 def orbit_invariant_drift(orbit: list) -> float:
     """Worst max-norm drift of the discrete trace invariants over an orbit's edges."""
-    base = discrete.discrete_invariants(orbit[0], orbit[1], 3)
-    return max(
-        float(np.max(np.abs(discrete.discrete_invariants(orbit[k], orbit[k + 1], 3) - base)))
-        for k in range(len(orbit) - 1)
-    )
+    values = [discrete.discrete_invariants(a, b, 3) for a, b in zip(orbit, orbit[1:])]
+    return max(float(np.max(np.abs(v - values[0]))) for v in values)
 
 
 def chain_residuals(snaps: list) -> tuple[float, float | None, float | None]:
@@ -151,14 +150,14 @@ def _surviving_state(rng, n, min_gap, legs, run, attempts=50):
 
     The gated criteria presume collision-free trajectories; the attractive
     inverse-cube dynamics makes some draws collide inside the test horizon.
-    The exact solution screens each draw on every leg (direction, duration,
-    steps) that `run` marches, and only the draws it passes are marched.
+    The exact solution screens each draw on every leg (a PathSpec) that `run`
+    marches, and only the draws it passes are marched.
     Screened-out draws count against `attempts`.
     """
     last, screened_out = None, 0
     for draw in range(1, attempts + 1):
         state = random_phase_state(rng, n, min_gap=min_gap)
-        if any(exact.collides(state, *leg) for leg in legs):
+        if any(exact.collides(state, leg) for leg in legs):
             screened_out += 1
             continue
         try:
@@ -187,24 +186,23 @@ def _commuting_flows(col, rng):
     col.gated("commuting-flows", worst, 1e-6, states=20, deltas=0.01, dt=1e-3)
 
 
-# (flow, duration, RK4 steps) of each leg; the run reads it, and the collision
-# screen reads the same legs as (direction, duration, steps)
-_DRIFT_LEGS = ((2, 1.0, 1000), (3, 0.3, 300))
-_DRIFT_SCREEN = tuple((hierarchy.FLOW_DIRECTIONS[k], duration, steps) for k, duration, steps in _DRIFT_LEGS)
+# the t2 and the t3 leg; the run and the collision screen both read them
+_DRIFT_LEGS = {2: flows.PathSpec((1.0, 0.0), 1.0, 1000), 3: flows.PathSpec((0.0, 1.0), 0.3, 300)}
 
 
 def _drift_run(state):
     out = {}
-    for k, duration, steps in _DRIFT_LEGS:
-        traj = flows.integrate_flow(k, state, duration, duration / steps)
-        out[k] = relative_drift(np.array([hierarchy.invariants(s.state, kmax=3) for s in traj.samples]))
+    for k, path in _DRIFT_LEGS.items():
+        traj = flows.evolve_path(state, path)
+        out[k] = relative_drift(np.array([hierarchy.invariants(st, kmax=3) for st in traj.samples]))
     return out
 
 
 def _invariant_drift(col, rng):
-    _, drifts, draws = _surviving_state(rng, 3, 1.0, _DRIFT_SCREEN, _drift_run)
-    for k, duration, steps in _DRIFT_LEGS:
-        col.gated(f"invariant-drift-t{k}", drifts[k], 1e-8, n=3, duration=duration, dt=duration / steps, **draws)
+    _, drifts, draws = _surviving_state(rng, 3, 1.0, _DRIFT_LEGS.values(), _drift_run)
+    for k, path in _DRIFT_LEGS.items():
+        dt = path.duration / path.steps
+        col.gated(f"invariant-drift-t{k}", drifts[k], 1e-8, n=3, duration=path.duration, dt=dt, **draws)
 
 
 def _lax_checks(col, rng, gamma):
@@ -228,8 +226,8 @@ def _two_body_gap_law(col):
     traj = flows.integrate_flow(2, start, 0.5, 1e-3)
     e_rel = -0.5
     worst = max(
-        abs((s.state.x[1] - s.state.x[0]) ** 2 - (16.0 + 2.0 * e_rel * s.t2**2))
-        for s in traj.samples
+        abs((st.x[1] - st.x[0]) ** 2 - (16.0 + 2.0 * e_rel * t2**2))
+        for st, t2 in zip(traj.samples, traj.times()[:, 1])
     )
     col.gated("two-body-gap-law", worst, 1e-6, relative_energy=e_rel, duration=0.5, dt=1e-3)
 
@@ -307,19 +305,18 @@ def _plaquettes(col, rng):
     )
 
 
-# (direction, duration, RK4 steps) of the one leg; the run and the collision screen both read it
-_NOETHER_LEGS = (((1.0, 1.0), 0.5, 500),)
+# the one leg; the run and the collision screen both read it
+_NOETHER_LEGS = (flows.PathSpec((1.0, 1.0), 0.5, 500),)
 
 
 def _noether_run(state):
-    ((direction, duration, steps),) = _NOETHER_LEGS
-    return energy_drift(flows.evolve_path(state, flows.PathSpec(direction, duration, steps)), direction)
+    return energy_drift(flows.evolve_path(state, _NOETHER_LEGS[0]))
 
 
 def _noether(col, rng):
-    ((direction, duration, _),) = _NOETHER_LEGS
     _, drift, draws = _surviving_state(rng, 3, 1.0, _NOETHER_LEGS, _noether_run)
-    col.gated("noether-conservation", drift, 1e-8, n=3, direction=list(direction), span=duration, **draws)
+    (path,) = _NOETHER_LEGS
+    col.gated("noether-conservation", drift, 1e-8, n=3, direction=path.direction, span=path.duration, **draws)
 
 
 def _generalized_el(col, rng):
@@ -328,15 +325,11 @@ def _generalized_el(col, rng):
     for _ in range(5):
         state = random_phase_state(rng, 3, min_gap=1.2)
         traj = flows.integrate_flow(2, state, 12e-3, 1e-3)
-        res = flows.pluri_el_residual(traj, (1.0, 0.0))
+        res = flows.pluri_el_residual(traj)
         worst = max(worst, float(np.nanmax(np.abs(res))))
-        perturbed_samples = tuple(
-            flows.TrajectorySample(
-                s.s, s.t2, s.t3, PhaseState(s.state.x + 0.1 * s.s**2, s.state.p)
-            )
-            for s in traj.samples
-        )
-        res_bad = flows.pluri_el_residual(flows.Trajectory(perturbed_samples), (1.0, 0.0))
+        s = traj.times()[:, 0]
+        perturbed = tuple(PhaseState(st.x + 0.1 * si**2, st.p) for si, st in zip(s, traj.samples))
+        res_bad = flows.pluri_el_residual(flows.Trajectory(traj.path, perturbed))
         weakest_control = min(weakest_control, float(np.nanmax(np.abs(res_bad))))
     col.gated("generalized-el-solution", worst, 1e-6, trajectories=5, flow=2, dt=1e-3)
     col.floor("generalized-el-negative-control", weakest_control, 1e-2, perturbation="0.1*s^2")

@@ -108,12 +108,29 @@ class TestRunScenario:
 
         traj = evolve_path(
             PhaseState([-1.9, 2.3], [0.371, -0.423]),
-            PathSpec(np.array([1.0, 0.0]), 0.2, steps=1),
-            dt_s=1e-3,
+            PathSpec(np.array([1.0, 0.0]), 0.2, steps=200),
         )
         end = traj.final_state
         assert last["x1"] == end.x[0] and last["x2"] == end.x[1]
         assert last["p1"] == end.p[0] and last["p2"] == end.p[1]
+
+    def test_zero_duration_writes_the_start_only(self, tmp_path):
+        sc = scenario_from_dict(dict(MINIMAL_CONTINUOUS, duration=0, out_dir=str(tmp_path / "out")))
+        paths, report = run_scenario(sc)
+        lines = next(p for p in paths if p.suffix == ".csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.0,0.0,0.0,-2.0,2.0,")
+        assert [e.name for e in report.entries] == ["invariant-drift", "energy-drift"] and report.all_passed
+
+    def test_negative_direction_starts_at_positive_zero(self, tmp_path):
+        # t = direction * s would give -0.0 at s = 0; the start row is the origin
+        sc = scenario_from_dict(
+            {"kind": "continuous", "seed": 4, "n": 3, "direction": [-0.5, -1.0], "duration": 0.2,
+             "out_dir": str(tmp_path / "out")}
+        )
+        paths, report = run_scenario(sc)
+        lines = next(p for p in paths if p.suffix == ".csv").read_text().splitlines()
+        assert lines[1].startswith("0.0,0.0,0.0,") and lines[2].startswith("0.001,-0.0005,-0.001,")
+        assert len(lines) == 202 and report.all_passed
 
     def test_json_lines_format(self, tmp_path):
         sc = scenario_from_dict(
@@ -193,6 +210,17 @@ class TestMain:
             assert main(["run", str(write_config(tmp_path, payload))]) == 2
         err = capsys.readouterr().err
         assert err == "numerical failure: CollisionSingularity: non-finite state at s=0.001\n"
+
+    def test_non_finite_residual_is_a_numerical_failure(self, tmp_path, capsys):
+        # p^3 overflows, so both invariant series and the path energy are inf - inf
+        payload = dict(MINIMAL_CONTINUOUS, positions=[0.0, 10.0], momenta=[1e110, 1e110], duration=0)
+        payload["out_dir"] = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: NumericsError: invariant-drift: non-finite residual nan\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS, typo=1))

@@ -48,24 +48,24 @@ class TestProjectionSpectrum:
 class TestCollides:
     def test_two_body_collision_at_t_four(self):
         start = PhaseState([-2.0, 2.0], [0.0, 0.0])
-        assert not exact.collides(start, (1.0, 0.0), 3.9, 39)
-        assert exact.collides(start, (1.0, 0.0), 4.5, 45)
+        assert not exact.collides(start, flows.PathSpec((1.0, 0.0), 3.9, 39))
+        assert exact.collides(start, flows.PathSpec((1.0, 0.0), 4.5, 45))
 
     def test_gap_below_the_flight_tolerance_collides(self):
         # r(t) = sqrt(16 - t^2) falls below FLIGHT_GAP_TOL just before t = 4
         start = PhaseState([-2.0, 2.0], [0.0, 0.0])
         t_close = np.sqrt(16.0 - (0.5 * flows.FLIGHT_GAP_TOL) ** 2)
-        assert exact.collides(start, (1.0, 0.0), t_close, 1)
-        assert not exact.collides(start, (1.0, 0.0), np.sqrt(16.0 - (2.0 * flows.FLIGHT_GAP_TOL) ** 2), 1)
+        assert exact.collides(start, flows.PathSpec((1.0, 0.0), t_close, 1))
+        assert not exact.collides(start, flows.PathSpec((1.0, 0.0), np.sqrt(16.0 - (2.0 * flows.FLIGHT_GAP_TOL) ** 2), 1))
 
     def test_bounce_state_passes_the_march_but_not_the_screen(self):
         state = random_phase_state(_rng_before_bounce(), 3, min_gap=1.0)
         assert np.array_equal(state.x, BOUNCE.x) and np.array_equal(state.p, BOUNCE.p)
-        ((direction, duration, steps),) = verify._NOETHER_LEGS
-        traj = flows.evolve_path(BOUNCE, flows.PathSpec(direction, duration, steps))
+        (path,) = verify._NOETHER_LEGS
+        traj = flows.evolve_path(BOUNCE, path)
         assert np.max(np.abs(traj.final_state.x)) > 1e3
-        assert verify.energy_drift(traj, direction) > 1.0
-        assert exact.collides(BOUNCE, direction, duration, steps)
+        assert verify.energy_drift(traj) > 1.0
+        assert exact.collides(BOUNCE, path)
 
 
 class TestSurvivingState:
@@ -103,7 +103,7 @@ class TestSurvivingState:
         verify._involution(col, rng)
         verify._commuting_flows(col, rng)
         state, drifts, draws = verify._surviving_state(
-            copy.deepcopy(rng), 3, 1.0, verify._DRIFT_SCREEN, verify._drift_run
+            copy.deepcopy(rng), 3, 1.0, verify._DRIFT_LEGS.values(), verify._drift_run
         )
         state_all, drifts_all, draws_all = verify._surviving_state(rng, 3, 1.0, (), verify._drift_run)
         assert draws == {"draws": 13, "screened_out": 12}
