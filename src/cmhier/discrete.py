@@ -2,10 +2,14 @@
 
 One lattice direction advances by the implicit three-point equation of
 motion; the second direction is reached through the four corner constraints
-that couple neighbouring sites with lattice parameters p1, p2. On top of the
-stepping live the verification quantities: the two-point Lagrangian, the
-momentum routes, the plaquette closure and log-det identities, the discrete
-Lax pair with its trace invariants, and the discrete Hamilton equations.
+that couple neighbouring sites with lattice parameters p1, p2. Each corner
+constraint equates two routes to a site's momentum (outgoing or incoming
+along either direction), so the corner table is the momentum-route identity.
+On top of the stepping live the verification quantities: the two-point
+Lagrangian, the plaquette closure and log-det identities, and the discrete
+Lax pair with its Lax equation and trace invariants. The discrete Hamilton
+equations need no evaluator of their own: the edge Hamiltonian is minus the
+two-point Lagrangian and the position equation is discrete_el_residual.
 """
 
 from __future__ import annotations
@@ -237,28 +241,6 @@ def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p: float) -> float:
     return total - p * float(np.sum(x - tx))
 
 
-MOMENTUM_ROUTES = ("outgoing-1", "outgoing-2", "incoming-1", "incoming-2")
-
-
-def discrete_momentum(route: str, x: np.ndarray, neighbor: np.ndarray, params: LatticeParams) -> np.ndarray:
-    """Per-particle momentum by one of the four routes.
-
-    The outgoing routes differentiate the Lagrangian of the edge leaving the
-    site in lattice direction 1 or 2 (neighbor = T1 x or T2 x); the incoming
-    routes use the edge arriving at the site (neighbor = T1^-1 x or T2^-1 x).
-    On corner-consistent data the routes agree pairwise exactly as the corner
-    constraints equate them.
-    """
-    if route not in MOMENTUM_ROUTES:
-        raise ValueError(f"route must be one of {MOMENTUM_ROUTES}")
-    x, neighbor = np.asarray(x, dtype=float), np.asarray(neighbor, dtype=float)
-    check_collision_free(x)
-    check_cross_gap(x, neighbor)
-    sign = 1.0 if route.startswith("outgoing") else -1.0
-    p = params.p1 if route.endswith("1") else params.p2
-    return sign * (_cross(x, neighbor).sum(axis=1) - _pair_sums(x)) - p
-
-
 def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
     """Signed plaquette closure sum of the printed Lagrangian; the negated
     Lagrangian gives its negation, so both conventions share one magnitude."""
@@ -268,11 +250,6 @@ def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
         - discrete_lagrangian(pl.x10, pl.x11, params.p2)
         + discrete_lagrangian(pl.x01, pl.x11, params.p1)
     )
-
-
-def discrete_closure_residual(pl: Plaquette, params: LatticeParams) -> float:
-    """Magnitude of the plaquette closure sum, the same in either sign convention."""
-    return abs(discrete_closure_sum(pl, params))
 
 
 def center_of_mass_term(pl: Plaquette) -> float:
@@ -346,31 +323,6 @@ def discrete_invariants(x: np.ndarray, tx: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of powers 1..kmax of the discrete L; conserved along orbits."""
     L, _ = build_discrete_lax(x, tx)
     return trace_powers(L, kmax)
-
-
-def discrete_hamiltonian_diag(
-    x: np.ndarray,
-    tx: np.ndarray,
-    params: LatticeParams,
-    direction: int = 1,
-    x_prev: np.ndarray | None = None,
-) -> dict:
-    """Discrete Legendre/Hamilton diagnostics on the edge x -> tx.
-
-    The Legendre transform defines P_ml = 1/(x_m - tx_l) and
-    rho_ml = -1/(tx_m - tx_l), so two of the three discrete Hamilton equations
-    hold by definition and the edge Hamiltonian is minus the two-point
-    Lagrangian. The position equation needs the incoming edge (x_prev) and is
-    the three-point equation of motion; without x_prev it is None.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    p_lattice = params.p1 if direction == 1 else params.p2
-    return {
-        "lattice_parameter": p_lattice,
-        "hamiltonian": -discrete_lagrangian(x, tx, p_lattice),
-        "position_residual": None if x_prev is None else discrete_el_residual(x_prev, x, tx),
-    }
 
 
 def build_lattice_sheet(

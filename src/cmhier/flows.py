@@ -3,9 +3,9 @@
 Trajectories are generated by RK4 under the Hamiltonian vector fields of the
 two hierarchy members, either one flow at a time or along straight-line
 segments in the (t2, t3) plane. The residual evaluators quantify the
-variational identities: commuting flows, Poisson involution, closure
-relations, the generalized Euler-Lagrange equation of the two-flow family,
-and conservation of the parametrized-path energy.
+variational identities: commuting flows, Poisson involution, the Lagrangian
+closure relation, the generalized Euler-Lagrange equation of the two-flow
+family, and conservation of the parametrized-path energy.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 The march checks each accepted step in flight; only accepted steps become
@@ -38,8 +38,7 @@ from .numerics import fd_derivative, rk4_step
 
 FLIGHT_GAP_TOL = 1e-6
 
-DEFAULT_FLOW_EPS = 1e-4
-DEFAULT_BRACKET_STEP = 1e-5
+BRACKET_STEP = 1e-5  # central-difference step of poisson_bracket in each coordinate of (x, p)
 ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residuals
 
 
@@ -81,24 +80,6 @@ class Trajectory:
     @property
     def final_state(self) -> PhaseState:
         return self.samples[-1]
-
-
-def vector_field(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    """Hamilton equations: xdot = dH_(tk)/dp, pdot = -dH_(tk)/dx."""
-    dx, dp = hamiltonian_grad(k, state)
-    return dp, -dx
-
-
-def hamiltonian_observable(k: int) -> Callable[[PhaseState], float]:
-    """H_(tk) as a phase-space observable carrying its analytic gradient."""
-    check_flow_index(k)
-
-    def observable(state: PhaseState) -> float:
-        return hamiltonian(k, state)
-
-    observable.gradient = lambda state: hamiltonian_grad(k, state)
-    observable.__name__ = f"H_t{k}"
-    return observable
 
 
 def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -167,24 +148,13 @@ def commutator_defect(start: PhaseState, delta2: float, delta3: float, dt: float
     return float(max(np.max(np.abs(a.x - b.x)), np.max(np.abs(a.p - b.p))))
 
 
-def poisson_bracket(
-    f: Callable[[PhaseState], float],
-    g: Callable[[PhaseState], float],
-    state: PhaseState,
-    h: float = DEFAULT_BRACKET_STEP,
-) -> float:
-    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k).
-
-    Gradients come from an observable's `gradient` attribute when present
-    (the built-in Hamiltonians), otherwise from numerics.fd_derivative with
-    step h in each coordinate of the stacked (x, p).
-    """
+def poisson_bracket(f: Callable[[PhaseState], float], g: Callable[[PhaseState], float], state: PhaseState) -> float:
+    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k), with gradients from
+    numerics.fd_derivative, step BRACKET_STEP in each coordinate of the stacked (x, p)."""
 
     def gradients(fn) -> tuple[np.ndarray, np.ndarray]:
-        if hasattr(fn, "gradient"):
-            return fn.gradient(state)
         n, y = state.n, np.concatenate([state.x, state.p])
-        grad = np.array([fd_derivative(lambda u: fn(PhaseState(u[:n], u[n:])), y, i, h) for i in range(2 * n)])
+        grad = np.array([fd_derivative(lambda u: fn(PhaseState(u[:n], u[n:])), y, i, BRACKET_STEP) for i in range(2 * n)])
         return grad[:n], grad[n:]
 
     fx, fp = gradients(f)
@@ -205,18 +175,6 @@ def _along_flow(f: Callable[[PhaseState], float], k: int, state: PhaseState, eps
     return (f(_flow_endpoint(k, state, eps)) - f(_flow_endpoint(k, state, -eps))) / (2 * eps)
 
 
-def hamiltonian_closure_residual(state: PhaseState, eps: float = DEFAULT_FLOW_EPS) -> float:
-    """dH_(t2)/dt3 - dH_(t3)/dt2 by central differences along the flows.
-
-    Vanishing (to O(eps^2) plus integrator error) expresses the involution of
-    the two Hamiltonians; the residual equals -2 {H_(t2), H_(t3)} by the
-    chain rule.
-    """
-    d23 = _along_flow(lambda s: hamiltonian(2, s), 3, state, eps)
-    d32 = _along_flow(lambda s: hamiltonian(3, s), 2, state, eps)
-    return d23 - d32
-
-
 def _fd_dds(series: np.ndarray, h: float) -> np.ndarray:
     """d/ds of a sampled series (n, N); 4th-order stencil when possible, NaN edges."""
     n = len(series)
@@ -234,16 +192,6 @@ def _nonzero_direction(direction: Sequence[float]) -> tuple[float, float]:
     if d2 == 0.0 and d3 == 0.0:
         raise DegenerateDirection("both direction components are zero")
     return d2, d3
-
-
-def _d_lagrangian_dv(x: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> dict:
-    """The four velocity-derivatives of the two Lagrangians."""
-    return {
-        (2, 2): v2,                                                    # dL_(t2)/dv2
-        (2, 3): np.zeros_like(v2),                                     # dL_(t2)/dv3
-        (3, 2): v3 + 0.75 * v2**2 - 3.0 * inverse_square_sums(x),      # dL_(t3)/dv2
-        (3, 3): v2,                                                    # dL_(t3)/dv3
-    }
 
 
 def pluri_el_residual(traj: Trajectory) -> np.ndarray:
@@ -266,55 +214,25 @@ def pluri_el_residual(traj: Trajectory) -> np.ndarray:
     X = np.array([st.x for st in traj.samples])
     P = np.array([st.p for st in traj.samples])
     u = _fd_dds(X, h)
-
-    if d2 != 0.0 and d3 == 0.0:
-        v2 = u / d2
-        v3 = np.zeros_like(v2)
-    elif d2 == 0.0:
-        v2 = P
-        v3 = u / d3
-    else:
-        v2 = P
-        v3 = (u - v2 * d2) / d3
+    mixed = d2 != 0.0 and d3 != 0.0
+    v2 = u / d2 if d3 == 0.0 else P
+    v3 = (u - v2 * d2) / d3 if mixed else None
 
     n_samples, n_particles = X.shape
     bracket = np.full((n_samples, n_particles), np.nan)
     force = np.full((n_samples, n_particles), np.nan)
     for i in range(n_samples):
-        if np.any(np.isnan(v2[i])) or (d2 != 0.0 and d3 != 0.0 and np.any(np.isnan(v3[i]))):
+        if np.any(np.isnan(v2[i])) or (mixed and np.any(np.isnan(v3[i]))):
             continue
-        dv = _d_lagrangian_dv(X[i], v2[i], v3[i])
-        b = dv[(2, 2)] + dv[(3, 3)]
-        if d2 != 0.0 and d3 != 0.0:
-            b = b + (d3 / d2) * dv[(3, 2)] + (d2 / d3) * dv[(2, 3)]
-        bracket[i] = b
+        inv = inverse_gaps(X[i])
+        # dL_(t2)/dv2 + dL_(t3)/dv3 = 2 v2, plus (d3/d2) dL_(t3)/dv2 = (d3/d2)(v3 + (3/4) v2^2 - 3 w) when
+        # both flows are active; dL_(t2)/dv3 is zero
+        bracket[i] = v2[i] + v2[i]
+        if mixed:
+            bracket[i] += (d3 / d2) * (v3[i] + 0.75 * v2[i] ** 2 - 3.0 * np.square(inv).sum(axis=1))
         # sum_k d_k dL_(tk)/dx, as dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx at p = v2
-        force[i] = weighted_gradient(-d2, 0.75 * d3, X[i], v2[i], inverse_gaps(X[i]))[0]
+        force[i] = weighted_gradient(-d2, 0.75 * d3, X[i], v2[i], inv)[0]
     return force - 0.5 * _fd_dds(bracket, h)
-
-
-def pluri_constraint_residual(sample: VelocityState, direction: Sequence[float]) -> float:
-    """Transversal constraint of the two-flow family, max-norm over particles:
-    (dL_(t3)/dv2) d3^2 + (dL_(t2)/dv2 - dL_(t3)/dv3) d2 d3 - (dL_(t2)/dv3) d2^2."""
-    d2, d3 = _nonzero_direction(direction)
-    dv = _d_lagrangian_dv(sample.x, sample.v2, sample.v3)
-    r = dv[(3, 2)] * d3**2 + (dv[(2, 2)] - dv[(3, 3)]) * d2 * d3 - dv[(2, 3)] * d2**2
-    return float(np.max(np.abs(r)))
-
-
-def generalized_momentum(sample: VelocityState, direction: Sequence[float]) -> np.ndarray:
-    """Momentum conjugate to a straight multi-time segment.
-
-    P = (1/2)[dL_(t2)/dv2 + dL_(t3)/dv3 + (d2/d3) dL_(t2)/dv3
-              + (d3/d2) dL_(t3)/dv2] when both components are active;
-    with one component zero the cross terms are undefined and the reduced
-    formula P = dL_(active)/dv_active applies.
-    """
-    d2, d3 = _nonzero_direction(direction)
-    dv = _d_lagrangian_dv(sample.x, sample.v2, sample.v3)
-    if d2 == 0.0 or d3 == 0.0:
-        return dv[(2, 2)].copy() if d3 == 0.0 else dv[(3, 3)].copy()
-    return 0.5 * (dv[(2, 2)] + dv[(3, 3)] + (d2 / d3) * dv[(2, 3)] + (d3 / d2) * dv[(3, 2)])
 
 
 def noether_charge(traj: Trajectory) -> np.ndarray:
@@ -327,9 +245,7 @@ def noether_charge(traj: Trajectory) -> np.ndarray:
 VelocityMode = Literal["flow", "constraint"]
 
 
-def lagrangian_closure_residual(
-    state: PhaseState, eps: float = DEFAULT_FLOW_EPS, velocity_mode: VelocityMode = "flow"
-) -> float:
+def lagrangian_closure_residual(state: PhaseState, eps: float, velocity_mode: VelocityMode = "flow") -> float:
     """dL_(t2)/dt3 - dL_(t3)/dt2 on the two-parameter solution sheet.
 
     The t2-velocity is the sheet derivative v2 = P. The t3-velocity is either

@@ -190,14 +190,9 @@ def lagrangian(k: int, state: VelocityState) -> float:
     return float(np.sum(state.v2 * state.v3 + 0.25 * state.v2**3) - 3.0 * np.sum(state.v2 * w))
 
 
-def constraint_residual(state: VelocityState) -> np.ndarray:
-    """Per-particle residual of the transversal constraint tying v3 to v2:
-    v2^2/4 + v3/3 - sum_{j != i} 1/(x_i - x_j)^2."""
-    return 0.25 * state.v2**2 + state.v3 / 3.0 - inverse_square_sums(state.x)
-
-
 def constraint_velocity(x: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The v3 value that zeroes constraint_residual at given (x, v2)."""
+    """The v3 that zeroes the transversal constraint tying v3 to v2 at given (x, v2),
+    per particle v2^2/4 + v3/3 - sum_{j != i} 1/(x_i - x_j)^2."""
     return 3.0 * inverse_square_sums(x) - 0.75 * v2**2
 
 

@@ -20,6 +20,9 @@ from .errors import ParseError, ValidationError
 KINDS = ("continuous", "discrete", "semidiscrete", "verify-all")
 FORMATS = ("csv", "json-lines")
 MAX_N = 1024  # largest particle count; the kernels hold N x N pair matrices
+MAX_STEPS = 10**6  # largest step count of a continuous or chain run; a run keeps every step's state
+# kind -> (span field, step field) of its march; round(span / step) is the step count
+_MARCHES = {"continuous": ("duration", "dt"), "semidiscrete": ("tau_duration", "tau_step")}
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ValidationError("fields 'positions' and 'momenta' must be given together")
     if sc.direction == (0.0, 0.0):
         raise ValidationError("field 'direction' must be nonzero")
+    if kind in _MARCHES:
+        span, step = _MARCHES[kind]
+        # round(ratio) > MAX_STEPS, compared as floats: the ratio may overflow to inf
+        if getattr(sc, span) / getattr(sc, step) > MAX_STEPS + 0.5:
+            raise ValidationError(f"field '{step}' gives more than {MAX_STEPS} steps over '{span}'")
     return sc
 
 

@@ -175,9 +175,9 @@ def _chain_semi_lagrangians(chain: Chain) -> tuple[float, float]:
     return first, second
 
 
-def semi_closure_values(snapshots: list[Chain], params: LatticeParams, direction: int = 1) -> tuple[float, float]:
+def semi_closure_values(snapshots: list[Chain], params: LatticeParams) -> tuple[float, float]:
     """Semi-discrete closure residual at the middle snapshot, both discrete
-    Lagrangian sign conventions: d/dtau L_(k) - (T_k L_tau - L_tau)."""
+    Lagrangian sign conventions: d/dtau L_(1) - (T_1 L_tau - L_tau)."""
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots for central differencing")
     if any(ch.length < 2 for ch in snapshots):
@@ -188,17 +188,10 @@ def semi_closure_values(snapshots: list[Chain], params: LatticeParams, direction
     d_tau_fwd = after.tau - middle.tau
     if not np.isclose(d_tau_back, d_tau_fwd):
         raise ValueError("snapshots must be uniformly spaced in tau")
-    p_k = params.p1 if direction == 1 else params.p2
     dlag = (
-        discrete_lagrangian(after.sites[0], after.sites[1], p_k)
-        - discrete_lagrangian(before.sites[0], before.sites[1], p_k)
+        discrete_lagrangian(after.sites[0], after.sites[1], params.p1)
+        - discrete_lagrangian(before.sites[0], before.sites[1], params.p1)
     ) / (d_tau_back + d_tau_fwd)
     first, second = _chain_semi_lagrangians(middle)
     shift_difference = second - first
     return dlag - shift_difference, -dlag - shift_difference
-
-
-def semi_closure_residual(snapshots: list[Chain], params: LatticeParams, direction: int = 1) -> float:
-    """Smaller-magnitude semi-discrete closure residual of the two conventions."""
-    printed, negated = semi_closure_values(snapshots, params, direction)
-    return min(abs(printed), abs(negated))

@@ -69,6 +69,12 @@ class VerificationReport:
         }
 
 
+def _require_finite(name: str, what: str, value: float) -> None:
+    """A non-finite value would pass a floor or print as bare NaN; it fails the run instead, naming the check."""
+    if not np.isfinite(value):
+        raise NumericsError(f"{name}: non-finite {what} {value}")
+
+
 class Collector:
     """Accumulates report entries; every gated tolerance is multiplied by tolerance_scale."""
 
@@ -77,8 +83,7 @@ class Collector:
         self.entries: list[CheckEntry] = []
 
     def gated(self, name: str, residual: float, tolerance: float, **metadata):
-        if not np.isfinite(residual):
-            raise NumericsError(f"{name}: non-finite residual {residual}")
+        _require_finite(name, "residual", residual)
         tol = tolerance * self.scale
         self.entries.append(
             CheckEntry(name, float(residual), float(tol), bool(residual <= tol), _clean(metadata))
@@ -86,11 +91,13 @@ class Collector:
 
     def floor(self, name: str, observed: float, required_min: float, **metadata):
         """Negative control: the observed value must EXCEED required_min."""
+        _require_finite(name, "observed value", observed)
         shortfall = max(0.0, required_min - observed)
         metadata = dict(metadata, observed=observed, required_min=required_min)
         self.entries.append(CheckEntry(name, float(shortfall), 0.0, shortfall <= 0.0, _clean(metadata)))
 
     def diagnostic(self, name: str, value: float, **metadata):
+        _require_finite(name, "value", value)
         metadata = dict(metadata, diagnostic=True)
         self.entries.append(CheckEntry(name, float(value), None, True, _clean(metadata)))
 
@@ -175,7 +182,7 @@ def _involution(col, rng):
     for _ in range(100):
         state = random_phase_state(rng, 3, min_gap=0.5)
         worst = max(worst, abs(flows.poisson_bracket(h2, h3, state)))
-    col.gated("involution-bracket", worst, 1e-6, states=100, n=3, bracket_step=1e-5)
+    col.gated("involution-bracket", worst, 1e-6, states=100, n=3, bracket_step=flows.BRACKET_STEP)
 
 
 def _commuting_flows(col, rng):
@@ -233,10 +240,12 @@ def _two_body_gap_law(col):
 
 
 def _discrete_orbit(col, rng):
+    """Gates the invariant drift of a 52-site orbit and returns the orbit."""
     params = discrete.LatticeParams(p1=1.0, p2=2.0, n=3, newton=NewtonSettings(tolerance=1e-13))
     x_prev = np.array([-4.0, 0.0, 4.0])
     orbit = discrete.discrete_orbit(x_prev, x_prev + 0.3 * rng.uniform(0.95, 1.05, 3), params, 52)
     col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=50, n=3)
+    return orbit
 
 
 def _plaquettes(col, rng):
@@ -391,8 +400,19 @@ def _closure_diagnostics(col, rng):
     )
 
 
+def _discrete_lax(col, orbit):
+    """The discrete Lax equation (T L) M = M L on every consecutive triple of the orbit; the
+    control moves each x_next by 0.05 off the orbit."""
+    triples = list(zip(orbit, orbit[1:], orbit[2:]))
+    worst = max(discrete.discrete_lax_residual(*triple) for triple in triples)
+    weakest = min(discrete.discrete_lax_residual(a, b, c + 0.05) for a, b, c in triples)
+    col.gated("discrete-lax-identity", worst, 1e-11, triples=len(triples), n=3)
+    col.floor("discrete-lax-negative-control", weakest, 1e-2, perturbation="x_next + 0.05")
+
+
 def verify_all(sc: Scenario) -> VerificationReport:
-    """Run every gated acceptance identity plus the reported diagnostics."""
+    """Run every gated acceptance identity plus the reported diagnostics. Sections are
+    called through their module-level names, so a wrapper bound to one of them is used."""
     col = Collector(sc.tolerance_scale)
     rng = np.random.default_rng(sc.seed)
     _involution(col, rng)
@@ -400,10 +420,11 @@ def verify_all(sc: Scenario) -> VerificationReport:
     _invariant_drift(col, rng)
     _lax_checks(col, rng, sc.gamma)
     _two_body_gap_law(col)
-    _discrete_orbit(col, rng)
+    orbit = _discrete_orbit(col, rng)
     _plaquettes(col, rng)
     _noether(col, rng)
     _generalized_el(col, rng)
     _semidiscrete_checks(col, rng)
     _closure_diagnostics(col, rng)
+    _discrete_lax(col, orbit)
     return VerificationReport(tuple(col.entries))

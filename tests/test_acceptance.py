@@ -160,6 +160,13 @@ def test_criterion_13_diagnostics_reported(entries):
     check("criterion 13, per-edge relation under the printed convention", printed_edge)
 
 
+def test_discrete_lax_gate_closes_the_report(report):
+    lax, control = report.entries[-2:]
+    assert lax.name == "discrete-lax-identity" and lax.tolerance == 1e-11 and lax.passed
+    assert control.name == "discrete-lax-negative-control" and control.passed
+    assert control.metadata["observed"] >= 1e-2 and control.metadata["required_min"] == 1e-2
+
+
 def test_all_gated_entries_pass(report):
     gated = [e for e in report.entries if e.tolerance is not None]
     failed = [e.name for e in gated if not e.passed]

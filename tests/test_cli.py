@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cmhier.cli import main, run_scenario
-from cmhier.errors import ParseError, ValidationError
+from cmhier.errors import NumericsError, ParseError, ValidationError
 from cmhier.scenario import parse_scenario, scenario_from_dict
+from cmhier.verify import Collector
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -221,6 +222,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "numerical failure: NumericsError: invariant-drift: non-finite residual nan\n"
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_collector_refuses_a_non_finite_floor_or_diagnostic(self):
+        # max(0.0, nan) is 0.0, so a NaN negative control would pass and print as bare NaN
+        col = Collector(1.0)
+        with pytest.raises(NumericsError, match="^neg: non-finite observed value nan$"):
+            col.floor("neg", float("nan"), 1e-2)
+        with pytest.raises(NumericsError, match="^d: non-finite value nan$"):
+            col.diagnostic("d", float("nan"))
+        assert col.entries == []
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("dt", dict(MINIMAL_CONTINUOUS, duration=1e300, dt=1e-300)),
+            ("tau_step", {"kind": "semidiscrete", "n": 2, "seed_prev": [-2.0, 2.0], "seed_cur": [-1.7, 2.36],
+                          "tau_duration": 1e300, "tau_step": 1e-300}),
+        ],
+    )
+    def test_step_count_above_the_cap_is_config_error(self, tmp_path, capsys, field, payload):
+        # round(1e300 / 1e-300) overflows to inf; the count is refused before anything runs
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, dict(payload, out_dir=str(out))))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field ") and f"'{field}'" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS, typo=1))

@@ -13,14 +13,11 @@ from cmhier.discrete import (
     center_of_mass_term,
     corner_residual,
     corner_solve,
-    discrete_closure_residual,
     discrete_closure_sum,
     discrete_el_residual,
-    discrete_hamiltonian_diag,
     discrete_invariants,
     discrete_lagrangian,
     discrete_lax_residual,
-    discrete_momentum,
     discrete_step,
     edge_logdet_values,
     logdet_identity_residual,
@@ -436,11 +433,6 @@ class TestSharedCoordinateAcrossAnEdge:
         with pytest.raises(CollisionSingularity, match="cross gap"):
             discrete_el_residual(self.CLEAR, self.X, self.SHARED)
 
-    def test_momentum(self):
-        for route in ("outgoing-1", "incoming-2"):
-            with pytest.raises(CollisionSingularity, match="cross gap"):
-                discrete_momentum(route, self.X, self.SHARED, PARAMS_N2)
-
     def test_corner_solve_names_the_system(self):
         with pytest.raises(CollisionSingularity, match="at system 1$") as info:
             corner_solve(("a", "c"), [self.X, self.X], [self.CLEAR, self.SHARED], PARAMS_N2)
@@ -487,24 +479,22 @@ def test_discrete_lagrangian_translation_invariance(shift):
 
 
 class TestDiscreteMomentum:
-    def test_scalar_route_one(self):
-        got = discrete_momentum("outgoing-1", np.array([0.0]), np.array([1.0]), PARAMS_N1)
-        assert got[0] == pytest.approx(-1.0 - PARAMS_N1.p1)
+    """A site's momentum by the edge leaving it along direction k is sum_l 1/(x - T_k x)_l minus the
+    pair sums minus p_k; by the edge arriving along k it is the negated sum with T_k^-1 x, minus p_k.
+    Equating two routes is a corner constraint."""
 
     def test_routes_agree_on_consistent_corner(self):
         x00, x10 = plaquette_seed(RNG, 2, 1.0, 2.0)
         pl, _ = build_plaquette(x00, x10, PARAMS_N2)
-        # at the double-shifted corner the inverse neighbours are x01 (dir 1)
-        # and x10 (dir 2); equating routes 3 and 4 is the second constraint
-        p1 = discrete_momentum("incoming-1", pl.x11, pl.x01, PARAMS_N2)
-        p2 = discrete_momentum("incoming-2", pl.x11, pl.x10, PARAMS_N2)
-        assert np.max(np.abs(p1 - p2)) <= 1e-9
+        # at the double-shifted corner the inverse neighbours are x01 (dir 1) and x10 (dir 2);
+        # equating the two incoming routes is variant b, which build_plaquette does not solve
+        assert np.max(np.abs(corner_residual("b", pl.x11, pl.x01, pl.x10, PARAMS_N2))) <= 1e-9
 
     def test_routes_disagree_on_random_data(self):
+        # equating the two outgoing routes is variant a
         x = np.array([-2.0, 2.0])
-        p1 = discrete_momentum("outgoing-1", x, np.array([-1.5, 2.5]), PARAMS_N2)
-        p2 = discrete_momentum("outgoing-2", x, np.array([-1.1, 2.9]), PARAMS_N2)
-        assert np.max(np.abs(p1 - p2)) > 1e-3
+        residual = corner_residual("a", x, np.array([-1.5, 2.5]), np.array([-1.1, 2.9]), PARAMS_N2)
+        assert np.max(np.abs(residual)) > 1e-3
 
 
 class TestClosureIdentities:
@@ -516,23 +506,27 @@ class TestClosureIdentities:
     def test_degenerate_plaquette(self):
         params = LatticeParams(p1=1.0, p2=1.0, n=2)
         pl = self.make_consistent(2, params)
-        assert discrete_closure_residual(pl, params) <= 1e-10
+        assert abs(discrete_closure_sum(pl, params)) <= 1e-10
         assert logdet_identity_residual(pl) <= 1e-10
 
     def test_scalar_plaquette(self):
         pl = self.make_consistent(1, PARAMS_N1)
-        assert discrete_closure_residual(pl, PARAMS_N1) <= 1e-10
+        assert abs(discrete_closure_sum(pl, PARAMS_N1)) <= 1e-10
         assert logdet_identity_residual(pl) <= 1e-12
 
     def test_three_particle_plaquette(self):
         pl = self.make_consistent(3, PARAMS_N3)
-        assert discrete_closure_residual(pl, PARAMS_N3) <= 1e-8
+        assert abs(discrete_closure_sum(pl, PARAMS_N3)) <= 1e-8
         assert logdet_identity_residual(pl) <= 1e-8
         assert abs(center_of_mass_term(pl)) <= 1e-9
 
     def test_convention_values_negate(self):
+        # the closure sum of the negated Lagrangian is the negated sum, so one magnitude serves both
         pl = self.make_consistent(2, PARAMS_N2)
-        assert discrete_closure_residual(pl, PARAMS_N2) == abs(discrete_closure_sum(pl, PARAMS_N2))
+        edges = ((pl.x00, pl.x01, 2.0, 1), (pl.x00, pl.x10, 1.0, -1), (pl.x10, pl.x11, 2.0, -1),
+                 (pl.x01, pl.x11, 1.0, 1))
+        negated = sum(sign * -discrete_lagrangian(a, b, p) for a, b, p, sign in edges)
+        assert negated == -discrete_closure_sum(pl, PARAMS_N2)
 
     def test_edge_relation_negated_convention(self):
         # expanding the edge determinant shows L = -ln|det M| - p sum(x - tx)
@@ -555,7 +549,10 @@ class TestDiscreteLax:
     def test_trace_is_momentum_sum(self):
         x, tx = plaquette_seed(RNG, 3, 1.0, 2.0)
         L, _ = build_discrete_lax(x, tx)
-        p = discrete_momentum("outgoing-1", x, tx, LatticeParams(p1=0.0, p2=1.0, n=3))
+        # outgoing momentum at p = 0: sum_l 1/(x_m - tx_l) - sum_{l != m} 1/(x_m - x_l)
+        d = x[:, None] - x[None, :]
+        np.fill_diagonal(d, np.inf)
+        p = (1.0 / (x[:, None] - tx[None, :])).sum(axis=1) - (1.0 / d).sum(axis=1)
         assert np.trace(L) == pytest.approx(np.sum(p))
 
     def test_two_particle_hand_values(self):
@@ -602,25 +599,3 @@ class TestDiscreteInvariants:
         vals = discrete_invariants(x, tx, 1)
         L, _ = build_discrete_lax(x, tx)
         assert vals[0] == pytest.approx(np.trace(L))
-
-
-class TestDiscreteHamiltonian:
-    def test_hamiltonian_is_minus_the_lagrangian(self):
-        # P and rho are defined so that the two definitional Hamilton equations hold identically
-        x, tx = plaquette_seed(RNG, 3, 1.0, 2.0)
-        out = discrete_hamiltonian_diag(x, tx, PARAMS_N3, direction=2)
-        assert out["lattice_parameter"] == PARAMS_N3.p2
-        assert out["hamiltonian"] == -discrete_lagrangian(x, tx, PARAMS_N3.p2)
-        assert out["position_residual"] is None
-
-    def test_position_equation_matches_el_residual(self):
-        orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 2)
-        out = discrete_hamiltonian_diag(orbit[1], orbit[2], PARAMS_N3, direction=1, x_prev=orbit[0])
-        el = discrete_el_residual(orbit[0], orbit[1], orbit[2])
-        assert np.array_equal(out["position_residual"], el)
-        assert np.max(np.abs(out["position_residual"])) <= PARAMS_N3.newton.tolerance * 10
-
-    def test_scalar_hamiltonian_value(self):
-        params = LatticeParams(p1=0.0, p2=1.0, n=1)
-        out = discrete_hamiltonian_diag(np.array([0.0]), np.array([1.0]), params, direction=1)
-        assert out["hamiltonian"] == pytest.approx(0.0)

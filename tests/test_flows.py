@@ -6,25 +6,23 @@ from cmhier.exact import projection_spectrum
 from cmhier.flows import (
     PathSpec,
     Trajectory,
+    _along_flow,
     _check_in_flight,
     _raw_field,
     commutator_defect,
     evolve_path,
-    generalized_momentum,
-    hamiltonian_closure_residual,
-    hamiltonian_observable,
     integrate_flow,
     lagrangian_closure_residual,
     noether_charge,
-    pluri_constraint_residual,
     pluri_el_residual,
     poisson_bracket,
-    vector_field,
 )
 from cmhier.hierarchy import (
     PhaseState,
     VelocityState,
+    constraint_velocity,
     hamiltonian,
+    hamiltonian_grad,
     invariants,
     lagrangian,
 )
@@ -45,6 +43,12 @@ def perturb_positions(traj, scale=0.1, per_particle=False):
             shift = shift * (1.0 + np.arange(state.n))
         samples.append(PhaseState(state.x + shift, state.p))
     return Trajectory(traj.path, tuple(samples))
+
+
+def hamilton_field(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
+    """Hamilton equations of the flow t_k: xdot = dH_(tk)/dp, pdot = -dH_(tk)/dx."""
+    dx, dp = hamiltonian_grad(k, state)
+    return dp, -dx
 
 
 def spread_state(seed: int, n: int) -> PhaseState:
@@ -79,25 +83,25 @@ def power_reference_field(direction, x, p):
 
 class TestVectorField:
     def test_free_particle_t2(self):
-        xdot, pdot = vector_field(2, PhaseState([0.0], [0.8]))
+        xdot, pdot = hamilton_field(2, PhaseState([0.0], [0.8]))
         assert xdot[0] == pytest.approx(0.8)
         assert pdot[0] == 0.0
 
     def test_free_particle_t3(self):
-        xdot, pdot = vector_field(3, PhaseState([0.0], [0.8]))
+        xdot, pdot = hamilton_field(3, PhaseState([0.0], [0.8]))
         assert xdot[0] == pytest.approx(0.64)
         assert pdot[0] == 0.0
 
     def test_two_particle_forces(self):
-        xdot, pdot = vector_field(2, PhaseState([-1.0, 1.0], [0.0, 0.0]))
+        xdot, pdot = hamilton_field(2, PhaseState([-1.0, 1.0], [0.0, 0.0]))
         assert np.allclose(xdot, 0.0)
         assert np.allclose(pdot, [1.0, -1.0])
 
     def test_mixed_direction_field_is_the_weighted_sum(self):
         d2, d3 = 0.7, -0.4
         y = np.concatenate([WELL_SEPARATED.x, WELL_SEPARATED.p])
-        x2, p2 = vector_field(2, WELL_SEPARATED)
-        x3, p3 = vector_field(3, WELL_SEPARATED)
+        x2, p2 = hamilton_field(2, WELL_SEPARATED)
+        x3, p3 = hamilton_field(3, WELL_SEPARATED)
         expected = np.concatenate([d2 * x2 + d3 * x3, d2 * p2 + d3 * p3])
         assert np.array_equal(_raw_field(np.array([d2, d3]), 3)(0.0, y), expected)
 
@@ -250,7 +254,7 @@ class TestCommutatorDefect:
 
 class TestPoissonBracket:
     def test_self_bracket(self):
-        h2 = hamiltonian_observable(2)
+        h2 = lambda s: hamiltonian(2, s)
         assert poisson_bracket(h2, h2, WELL_SEPARATED) == 0.0
 
     def test_canonical_pair_sign(self):
@@ -260,7 +264,7 @@ class TestPoissonBracket:
         assert poisson_bracket(f, g, WELL_SEPARATED) == pytest.approx(-1.0, abs=1e-9)
 
     def test_hierarchy_involution(self):
-        h2, h3 = hamiltonian_observable(2), hamiltonian_observable(3)
+        h2, h3 = (lambda s: hamiltonian(2, s)), (lambda s: hamiltonian(3, s))
         for _ in range(100):
             state = random_phase_state(RNG, 3, min_gap=0.5)
             assert abs(poisson_bracket(h2, h3, state)) <= 1e-6
@@ -280,31 +284,24 @@ class TestPoissonBracket:
         def cubic(s):
             return float(np.sum(s.x**2 * s.p) + np.sum(s.x * s.p**2))
 
-        cubic_analytic = lambda s: cubic(s)
-        cubic_analytic.gradient = lambda s: (2 * s.x * s.p + s.p**2, s.x**2 + 2 * s.x * s.p)
         state = random_phase_state(np.random.default_rng(10 * k + n), n, min_gap=0.5)
-        analytic = poisson_bracket(hamiltonian_observable(k), cubic_analytic, state)
+        hx, hp = hamiltonian_grad(k, state)
+        cx, cp = 2 * state.x * state.p + state.p**2, state.x**2 + 2 * state.x * state.p
+        analytic = float(np.sum(hp * cx - cp * hx))
         differenced = poisson_bracket(lambda s: hamiltonian(k, s), cubic, state)
         assert abs(analytic) > 1e-2
         assert differenced == pytest.approx(analytic, rel=1e-7)
 
 
 class TestHamiltonianClosure:
-    def test_single_particle(self):
-        assert abs(hamiltonian_closure_residual(PhaseState([0.3], [0.8]), 1e-4)) <= 1e-8
-
     def test_matches_bracket_identity(self):
-        h2, h3 = hamiltonian_observable(2), hamiltonian_observable(3)
+        # d f/dt_k = {H_(tk), f}, so dH_(t2)/dt3 - dH_(t3)/dt2 = -2 {H_(t2), H_(t3)}
+        h2, h3 = (lambda s: hamiltonian(2, s)), (lambda s: hamiltonian(3, s))
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
-            residual = hamiltonian_closure_residual(state, 1e-4)
+            residual = _along_flow(h2, 3, state, 1e-4) - _along_flow(h3, 2, state, 1e-4)
             bracket = poisson_bracket(h2, h3, state)
             assert abs(residual - (-2.0) * bracket) <= 1e-6
-
-    def test_three_particles_small(self):
-        for _ in range(10):
-            state = random_phase_state(RNG, 3, min_gap=0.6)
-            assert abs(hamiltonian_closure_residual(state, 1e-4)) <= 1e-6
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_signed_step_endpoint_returns(self, k):
@@ -365,105 +362,33 @@ class TestPluriEl:
 
 
 class TestPluriConstraint:
-    def test_inactive_t3_direction(self):
-        v = VelocityState([-1.0, 1.0], [0.4, -0.4], [0.2, 0.2])
-        assert pluri_constraint_residual(v, (1.0, 0.0)) == 0.0
-
-    def test_pure_t3_is_scaled_constraint(self):
-        from cmhier.hierarchy import constraint_residual
-
-        for _ in range(10):
-            state = random_phase_state(RNG, 3, min_gap=0.6)
-            v = VelocityState(state.x, state.p, RNG.uniform(-1, 1, 3))
-            expected = 3.0 * np.max(np.abs(constraint_residual(v)))
-            assert pluri_constraint_residual(v, (0.0, 1.0)) == pytest.approx(expected, rel=1e-12)
-
-    def test_pinned_single_particle_values(self):
-        # v3 = -3 v2^2/4 satisfies the constraint, anything else misses by the gap
-        assert pluri_constraint_residual(VelocityState([0.0], [2.0], [-3.0]), (1.0, 1.0)) == pytest.approx(0.0)
-        assert pluri_constraint_residual(VelocityState([0.0], [2.0], [1.0]), (1.0, 1.0)) == pytest.approx(4.0)
-
     def test_matches_fd_oracle(self):
-        # rebuild the constraint combination from finite differences of the
-        # Lagrangians with respect to the velocity components
+        # constraint_velocity zeroes the transversal constraint of the two-flow family,
+        # (dL_(t3)/dv2) d3^2 + (dL_(t2)/dv2 - dL_(t3)/dv3) d2 d3 - (dL_(t2)/dv3) d2^2,
+        # rebuilt here from finite differences of the Lagrangians in the velocities
         d2, d3 = 0.8, 0.6
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
             v2 = RNG.uniform(-1, 1, 3)
-            v3 = RNG.uniform(-1, 1, 3)
-            sample = VelocityState(state.x, v2, v3)
 
-            def dl_dv(k, wrt, i):
-                def f(vec):
-                    vs = VelocityState(
-                        state.x,
-                        vec if wrt == 2 else v2,
-                        vec if wrt == 3 else v3,
-                    )
-                    return lagrangian(k, vs)
+            def constraint(v3):
+                def dl_dv(k, wrt, i):
+                    def f(vec):
+                        return lagrangian(k, VelocityState(state.x, vec if wrt == 2 else v2, vec if wrt == 3 else v3))
 
-                return fd_derivative(f, v2 if wrt == 2 else v3, i, 1e-6)
+                    return fd_derivative(f, v2 if wrt == 2 else v3, i, 1e-6)
 
-            expected = np.array(
-                [
-                    dl_dv(3, 2, i) * d3**2 + (dl_dv(2, 2, i) - dl_dv(3, 3, i)) * d2 * d3 - dl_dv(2, 3, i) * d2**2
-                    for i in range(3)
-                ]
-            )
-            got = pluri_constraint_residual(sample, (d2, d3))
-            assert got == pytest.approx(np.max(np.abs(expected)), abs=1e-6)
+                return np.array(
+                    [
+                        dl_dv(3, 2, i) * d3**2 + (dl_dv(2, 2, i) - dl_dv(3, 3, i)) * d2 * d3 - dl_dv(2, 3, i) * d2**2
+                        for i in range(3)
+                    ]
+                )
 
-
-class TestGeneralizedMomentum:
-    def test_reduced_single_direction(self):
-        v = VelocityState([-1.0, 1.0], [0.4, -0.4], [0.9, 0.9])
-        assert np.allclose(generalized_momentum(v, (1.0, 0.0)), v.v2)
-
-    def test_pinned_single_particle_mixed(self):
-        # P = (1/2)[2 v2 + v3 + (3/4) v2^2] for one particle on direction (1,1)
-        v = VelocityState([0.0], [2.0], [5.0])
-        assert generalized_momentum(v, (1.0, 1.0))[0] == pytest.approx(0.5 * (4.0 + 5.0 + 3.0))
-
-    def test_matches_fd_oracle(self):
-        d2, d3 = 1.0, 0.7
-        state = random_phase_state(RNG, 3, min_gap=0.8)
-        v2 = RNG.uniform(-1, 1, 3)
-        v3 = RNG.uniform(-1, 1, 3)
-        sample = VelocityState(state.x, v2, v3)
-
-        def dl_dv(k, wrt, i):
-            def f(vec):
-                vs = VelocityState(state.x, vec if wrt == 2 else v2, vec if wrt == 3 else v3)
-                return lagrangian(k, vs)
-
-            return fd_derivative(f, v2 if wrt == 2 else v3, i, 1e-6)
-
-        expected = 0.5 * np.array(
-            [
-                dl_dv(2, 2, i) + dl_dv(3, 3, i) + (d2 / d3) * dl_dv(2, 3, i) + (d3 / d2) * dl_dv(3, 2, i)
-                for i in range(3)
-            ]
-        )
-        assert np.allclose(generalized_momentum(sample, (d2, d3)), expected, atol=1e-6)
-
-    def test_boundary_term_oracle_free_particle(self):
-        # one free particle, pure t2 segment: dS/dx_end equals the momentum
-        x0, t_end = 0.2, 0.5
-
-        def action(x_end):
-            v = (x_end[0] - x0) / t_end
-            return 0.5 * v**2 * t_end
-
-        for v in (0.4, 1.3):
-            x_end = np.array([x0 + v * t_end])
-            dS = fd_derivative(action, x_end, 0, 1e-6)
-            sample = VelocityState(x_end, [v], [0.0])
-            assert generalized_momentum(sample, (1.0, 0.0))[0] == pytest.approx(dS, abs=1e-8)
-
-    def test_degenerate_direction(self):
-        v = VelocityState([0.0], [1.0], [1.0])
-        with pytest.raises(DegenerateDirection):
-            generalized_momentum(v, (0.0, 0.0))
+            v3 = constraint_velocity(state.x, v2)
+            assert np.max(np.abs(constraint(v3))) <= 1e-6
+            # moving v3 by 0.1 moves dL_(t3)/dv2 by 0.1, so the combination by 0.1 d3^2
+            assert np.allclose(constraint(v3 + 0.1), 0.1 * d3**2, atol=1e-6)
 
 
 class TestNoetherCharge:

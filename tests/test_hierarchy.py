@@ -10,8 +10,8 @@ from cmhier.hierarchy import (
     VelocityState,
     build_lax_pair,
     check_collision_free,
-    constraint_residual,
     constraint_velocity,
+    inverse_square_sums,
     hamiltonian,
     hamiltonian_grad,
     invariants,
@@ -158,22 +158,24 @@ class TestLagrangian:
 
 
 class TestConstraint:
+    """The transversal constraint v2^2/4 + v3/3 - sum_{j != i} 1/(x_i - x_j)^2 = 0 fixes v3."""
+
     def test_trivial_zero(self):
-        assert constraint_residual(VelocityState([0.0], [0.0], [0.0]))[0] == 0.0
+        assert constraint_velocity(np.array([0.0]), np.array([0.0]))[0] == 0.0
 
     def test_closed_form_velocity(self):
         # for one particle the constraint forces v3 = -3 v2^2 / 4
-        assert constraint_residual(VelocityState([0.0], [2.0], [-3.0]))[0] == pytest.approx(0.0)
+        assert constraint_velocity(np.array([0.0]), np.array([2.0]))[0] == pytest.approx(-3.0)
 
     def test_two_particle_value(self):
-        r = constraint_residual(VelocityState([-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]))
-        assert np.allclose(r, 1.0 / 3.0 - 0.25)
+        # at rest, v3/3 = 1/(x_1 - x_2)^2 = 1/4
+        assert np.allclose(constraint_velocity(np.array([-1.0, 1.0]), np.array([0.0, 0.0])), 0.75)
 
     def test_constraint_velocity_zeroes_residual(self):
         for _ in range(20):
             state = random_phase_state(RNG, 3, min_gap=0.6)
             v3 = constraint_velocity(state.x, state.p)
-            r = constraint_residual(VelocityState(state.x, state.p, v3))
+            r = 0.25 * state.p**2 + v3 / 3.0 - inverse_square_sums(state.x)
             assert np.max(np.abs(r)) < 1e-14
 
 
