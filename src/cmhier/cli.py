@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, discrete, flows, semidiscrete
 from .errors import NumericsError, ScenarioError, ValidationError
-from .hierarchy import CouplingConvention, PhaseState, invariants
+from .hierarchy import CouplingConvention, PhaseState, lax_invariants
 from .numerics import NewtonSettings
 from .sampling import orbit_seed, random_phase_state
 from .scenario import Scenario, parse_scenario, scenario_from_dict
@@ -36,6 +36,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _strict_json(payload, **kwargs) -> str:
+    """Strict JSON text of payload; a NaN or infinite value is a NumericsError, not a bare NaN."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericsError(f"cannot write a non-finite value as strict JSON: {exc}") from exc
+
+
 def _write_rows(stem: Path, header: list[str], rows: list[list[float]], fmt: str) -> Path:
     """Write rows to stem.csv or, for json-lines, stem.jsonl; returns the path."""
     if fmt == "csv":
@@ -43,7 +51,7 @@ def _write_rows(stem: Path, header: list[str], rows: list[list[float]], fmt: str
         lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     else:  # json-lines
         path = stem.with_suffix(".jsonl")
-        lines = [json.dumps(dict(zip(header, [float(v) for v in row])), sort_keys=True) for row in rows]
+        lines = [_strict_json(dict(zip(header, [float(v) for v in row]))) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -51,7 +59,7 @@ def _write_rows(stem: Path, header: list[str], rows: list[list[float]], fmt: str
 def _write_report(path: Path, report: VerificationReport, scenario: Scenario) -> None:
     payload = report.to_dict()
     payload["scenario"] = {"kind": scenario.kind, "n": scenario.n, "seed": scenario.seed}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_strict_json(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _seeded(draw, sc: Scenario, **kwargs):
@@ -84,17 +92,12 @@ def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Veri
 
     col = Collector(sc.tolerance_scale)
     with np.errstate(all="ignore"):  # an overflow ends as a non-finite residual, which the gate refuses
-        values = np.array([invariants(st, conv, kmax=3) for st in traj.samples])
+        values = traj.per_sample(lambda x, p: lax_invariants(x, p, conv, 3))
         col.gated("invariant-drift", relative_drift(values), 1e-8, n=sc.n, duration=sc.duration, dt=sc.dt)
         col.gated("energy-drift", energy_drift(traj), 1e-8, direction=path.direction)
 
-    header = (
-        ["s", "t2", "t3"]
-        + [f"x{i + 1}" for i in range(sc.n)]
-        + [f"p{i + 1}" for i in range(sc.n)]
-        + ["I1", "I2", "I3"]
-    )
-    rows = [[*t, *st.x, *st.p, *vals] for t, st, vals in zip(traj.times(), traj.samples, values)]
+    header = ["s", "t2", "t3", *(f"{v}{i + 1}" for v in "xp" for i in range(sc.n)), "I1", "I2", "I3"]
+    rows = np.hstack([traj.times(), traj.x, traj.p, values]).tolist()
     return [_write_rows(out_dir / "trajectory", header, rows, sc.format)], VerificationReport(tuple(col.entries))
 
 
@@ -106,13 +109,8 @@ def _discrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Verifi
     orbit_path = _write_rows(out_dir / "orbit", header, rows, sc.format)
 
     col = Collector(sc.tolerance_scale)
-    worst_el = max(
-        (
-            float(np.max(np.abs(discrete.discrete_el_residual(orbit[k - 1], orbit[k], orbit[k + 1]))))
-            for k in range(1, len(orbit) - 1)
-        ),
-        default=0.0,
-    )
+    residuals = [discrete.discrete_el_residual(*triple) for triple in zip(orbit, orbit[1:], orbit[2:])]
+    worst_el = float(np.max(np.abs(residuals), initial=0.0))
     col.gated("discrete-el-residual", worst_el, 10 * sc.newton_tolerance, steps=sc.steps)
     col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=sc.steps)
     return [orbit_path], VerificationReport(tuple(col.entries))

@@ -7,16 +7,19 @@ class NumericsError(Exception):
     """Base class for numerical failures.
 
     `tau` is the tau of the failing RK4 stage of a chain evolution, `site` the
-    lattice site a discrete orbit or sheet was being extended to; else both are
-    None. `system` is the failing system's index in a stacked solve, when known.
+    lattice site a discrete orbit or sheet was being extended to, `s` the
+    segment parameter of the failing step of a continuous march; else they are
+    None. `system` is the failing system's index in a stacked solve or march,
+    when known.
     """
 
     tau = None
     site = None
 
-    def __init__(self, message, system=None):
+    def __init__(self, message, system=None, s=None):
         super().__init__(message)
         self.system = system
+        self.s = s
 
 
 @contextmanager
@@ -49,10 +52,6 @@ class SingularJacobian(SingularMatrix):
 
 class CollisionSingularity(NumericsError):
     """Two particles came closer than the collision threshold."""
-
-    def __init__(self, message, s=None, system=None):
-        super().__init__(message, system)
-        self.s = s
 
 
 class LogSingularity(NumericsError):

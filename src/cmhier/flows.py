@@ -7,34 +7,40 @@ variational identities: commuting flows, Poisson involution, the Lagrangian
 closure relation, the generalized Euler-Lagrange equation of the two-flow
 family, and conservation of the parametrized-path energy.
 
+Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
+being the stack of one, with one field evaluation per RK4 stage for all rows;
+each system takes the steps it takes alone, bit for bit. The Poisson bracket
+evaluates its observables once on the perturbed points of a stack of states.
+
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
-The march checks each accepted step in flight; only accepted steps become
-PhaseStates.
+The march checks every row's accepted steps in flight; a Trajectory keeps them
+as (T, N) arrays, checked once, and builds PhaseStates only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import CollisionSingularity, DegenerateDirection
+from .errors import CollisionSingularity, DegenerateDirection, NumericsError
 from .hierarchy import (
     FLOW_DIRECTIONS,
     PhaseState,
     VelocityState,
+    check_collision_free,
     check_flow_index,
     constraint_velocity,
-    hamiltonian,
     hamiltonian_grad,
     inverse_gaps,
-    inverse_square_sums,
     lagrangian,
     min_gap,  # noqa: F401 -- benchmarks/tests wrap the flows.min_gap binding
     weighted_gradient,
+    weighted_hamiltonian,
 )
-from .numerics import fd_derivative, rk4_step
+from .numerics import fd_gradient, rk4_step, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
 
@@ -64,109 +70,155 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A marched segment: its path and the state at each grid time
-    s_i = i duration/steps, the start first; a zero-duration path holds the start only."""
+    """A marched segment: its path and the positions x and momenta p, (T, N) arrays, at each grid
+    time s_i = i duration/steps, the start first; a zero-duration path holds the start only. One
+    stacked collision check runs at construction; `samples` builds one PhaseState per row on first use."""
 
     path: PathSpec
-    samples: tuple[PhaseState, ...]
+    x: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        x, p = np.array(self.x, dtype=float), np.array(self.p, dtype=float)
+        if x.ndim != 2 or x.shape != p.shape:
+            raise ValueError("x and p must be (samples, N) arrays of one shape")
+        check_collision_free(x, "sample")
+        for name, arr in (("x", x), ("p", p)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def samples(self) -> tuple[PhaseState, ...]:
+        return tuple(map(PhaseState, self.x, self.p))
 
     def times(self) -> np.ndarray:
         """(s, t2, t3) of each sample, t = direction s; the start is (0, 0, 0), never -0.0."""
-        s = np.arange(len(self.samples)) * (self.path.duration / self.path.steps)
+        s = np.arange(len(self.x)) * (self.path.duration / self.path.steps)
         t = s[:, None] * np.array([1.0, *self.path.direction])
         t[0] = 0.0
         return t
 
+    def per_sample(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """fn(x, p) of every sample, fn taking row blocks of at most numerics.STACK_ENTRIES pair entries."""
+        return np.concatenate([fn(self.x[rows], self.p[rows]) for rows in row_blocks(len(self.x), self.x.shape[1] ** 2)])
+
     @property
     def final_state(self) -> PhaseState:
-        return self.samples[-1]
+        return PhaseState(self.x[-1], self.p[-1])
 
 
 def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """d2 times the t2 plus d3 times the t3 Hamilton field, on stacked (x, p)."""
+    """d2 times the t2 plus d3 times the t3 Hamilton field, on stacked (x, p) over leading axes."""
     d2, d3 = direction
 
     def fld(_s: float, y: np.ndarray) -> np.ndarray:
-        x, p = y[:n], y[n:]
+        x, p = y[..., :n], y[..., n:]
         gx, gp = weighted_gradient(d2, d3, x, p, inverse_gaps(x))
-        out = np.empty(2 * n)
-        out[:n], out[n:] = gp, -gx
+        out = np.empty_like(y)
+        out[..., :n], out[..., n:] = gp, -gx
         return out
 
     return fld
 
 
-def _check_in_flight(y: np.ndarray, n: int, order: np.ndarray, s: float) -> None:
-    """Abort on non-finite values, tight gaps or a particle-order flip (the exact dynamics cannot
-    reorder particles, so a flip means a step across a collision); while the start's order holds,
-    the smallest gap is the smallest neighbour difference, so one O(N) pass tests both."""
-    if not np.all(np.isfinite(y)):
-        raise CollisionSingularity(f"non-finite state at s={s:.6g}", s=s)
-    if not np.diff(y[:n][order]).min(initial=np.inf) >= FLIGHT_GAP_TOL:
-        raise CollisionSingularity(f"gap below {FLIGHT_GAP_TOL:.1e} at s={s:.6g}", s=s)
+def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fld=None) -> None:
+    """Abort on non-finite values, tight gaps or a particle-order flip (a step across a collision) in
+    any row of the stack y (B, 2N); `order` holds the flat indices into y of each row's positions in its
+    start order, so one pass of neighbour differences tests gaps and order. The first failing row k of
+    several is named `in system k` and is the error's `system`. Given the field and the stack `before` of
+    last accepted states, a non-finite row whose field is non-finite there is an overflowing field."""
+    x = y.take(order)
+    if np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min(initial=np.inf) >= FLIGHT_GAP_TOL:
+        return
+    with np.errstate(all="ignore"):
+        passed = np.isfinite(y).all(axis=1) & ((x[:, 1:] - x[:, :-1]).min(axis=1, initial=np.inf) >= FLIGHT_GAP_TOL)
+        k = int(np.argmin(passed))
+        system = k if len(y) > 1 else None
+        where = f"s={s:.6g}" + ("" if system is None else f" in system {k}")
+        if np.isfinite(y[k]).all():
+            raise CollisionSingularity(f"gap below {FLIGHT_GAP_TOL:.1e} at {where}", s=s, system=system)
+        if fld is not None and not np.isfinite(fld(s, before[k])).all():
+            raise NumericsError(f"Hamilton field overflows on the step to {where}", s=s, system=system)
+        raise CollisionSingularity(f"non-finite state at {where}", s=s, system=system)
 
 
-def _march(start: PhaseState, direction: np.ndarray, h: float, n_steps: int) -> list[np.ndarray]:
-    """Stacked (x, p) after each of n_steps RK4 steps of signed size h along a
-    straight segment, the start first; every step is checked in flight, so an
-    overflow in the unchecked stages is reported there, not warned about."""
-    n = start.n
-    fld = _raw_field(direction, n)
-    order = np.argsort(start.x)
-    ys = [np.concatenate([start.x, start.p])]
+def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
+    """The stack y0 (B, 2N) of B systems after each RK4 step along the path, shape (steps + 1, B, 2N),
+    the start first; a zero duration takes no step. Every step is checked in flight, so an overflow in
+    the unchecked stages is reported there, not warned about."""
+    h, n_steps = path.duration / path.steps, path.steps if path.duration > 0 else 0
+    b, n = y0.shape[0], y0.shape[1] // 2
+    fld = _raw_field(path.direction, n)
+    order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
+    ys = np.empty((n_steps + 1, *y0.shape))
+    ys[0] = y0
     with np.errstate(all="ignore"):
         for i in range(1, n_steps + 1):
-            ys.append(rk4_step(fld, (i - 1) * h, ys[-1], h))
-            _check_in_flight(ys[-1], n, order, i * h)
+            ys[i] = rk4_step(fld, (i - 1) * h, ys[i - 1], h)
+            _check_in_flight(ys[i], order, i * h, ys[i - 1], fld)
     return ys
 
 
-def _trajectory(start: PhaseState, path: PathSpec) -> Trajectory:
-    """RK4 trajectory along a path, sampled at every step."""
-    n = start.n
-    ys = _march(start, path.direction, path.duration / path.steps, path.steps if path.duration > 0 else 0)
-    return Trajectory(path, (start, *(PhaseState(y[:n], y[n:]) for y in ys[1:])))
+def _stack(states: Sequence[PhaseState]) -> np.ndarray:
+    """(B, 2N) stacked (x, p) of states of one particle count."""
+    return np.array([np.concatenate([st.x, st.p]) for st in states])
 
 
-def integrate_flow(k: int, start: PhaseState, duration: float, dt: float) -> Trajectory:
-    """RK4 trajectory of the single flow t_k in round(duration / dt) steps, at least one."""
+def _flow_path(k: int, duration: float, dt: float) -> PathSpec:
+    """The single flow t_k over duration in round(duration / dt) steps, at least one."""
     check_flow_index(k)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _trajectory(start, PathSpec(FLOW_DIRECTIONS[k], duration, max(1, int(round(duration / dt)))))
+    return PathSpec(FLOW_DIRECTIONS[k], duration, max(1, int(round(duration / dt))))
+
+
+def evolve_paths(starts: Sequence[PhaseState], path: PathSpec) -> tuple[Trajectory, ...]:
+    """One trajectory along the path from each of several states of one particle count, marched
+    as one stack; each equals the trajectory of its start marched alone, bit for bit."""
+    ys, n = _march(_stack(starts), path), starts[0].n
+    return tuple(Trajectory(path, ys[:, b, :n], ys[:, b, n:]) for b in range(len(starts)))
 
 
 def evolve_path(start: PhaseState, path: PathSpec) -> Trajectory:
     """Integrate the generalized Hamilton equations along a straight segment."""
-    return _trajectory(start, path)
+    return evolve_paths((start,), path)[0]
 
 
-def commutator_defect(start: PhaseState, delta2: float, delta3: float, dt: float) -> float:
-    """Endpoint mismatch between t2-then-t3 and t3-then-t2 flow composition."""
-    a = integrate_flow(3, integrate_flow(2, start, delta2, dt).final_state, delta3, dt).final_state
-    b = integrate_flow(2, integrate_flow(3, start, delta3, dt).final_state, delta2, dt).final_state
-    return float(max(np.max(np.abs(a.x - b.x)), np.max(np.abs(a.p - b.p))))
+def integrate_flow(k: int, start: PhaseState, duration: float, dt: float) -> Trajectory:
+    """RK4 trajectory of the single flow t_k in round(duration / dt) steps, at least one."""
+    return evolve_paths((start,), _flow_path(k, duration, dt))[0]
 
 
-def poisson_bracket(f: Callable[[PhaseState], float], g: Callable[[PhaseState], float], state: PhaseState) -> float:
-    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k), with gradients from
-    numerics.fd_derivative, step BRACKET_STEP in each coordinate of the stacked (x, p)."""
+def commutator_defect(start: PhaseState | Sequence[PhaseState], delta2: float, delta3: float, dt: float):
+    """Endpoint mismatch between t2-then-t3 and t3-then-t2 flow composition. A sequence of states
+    of one particle count is marched as one stack per leg and gives one mismatch per state."""
+    y = _stack([start] if isinstance(start, PhaseState) else start)
 
-    def gradients(fn) -> tuple[np.ndarray, np.ndarray]:
-        n, y = state.n, np.concatenate([state.x, state.p])
-        grad = np.array([fd_derivative(lambda u: fn(PhaseState(u[:n], u[n:])), y, i, BRACKET_STEP) for i in range(2 * n)])
-        return grad[:n], grad[n:]
+    def leg(y, k, duration):
+        return _march(y, _flow_path(k, duration, dt))[-1]
 
-    fx, fp = gradients(f)
-    gx, gp = gradients(g)
-    return float(np.sum(fp * gx - gp * fx))
+    defects = np.abs(leg(leg(y, 2, delta2), 3, delta3) - leg(leg(y, 3, delta3), 2, delta2)).max(axis=1)
+    return float(defects[0]) if isinstance(start, PhaseState) else defects
+
+
+def poisson_bracket(f: Callable, g: Callable, state: PhaseState | Sequence[PhaseState]):
+    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k) at a state, or at each state of a sequence
+    of one particle count. The observables map positions and momenta (..., N) to values (...); their
+    gradients come from numerics.fd_gradient, step BRACKET_STEP in each coordinate of the stacked
+    (x, p), so each observable is evaluated once, on all 4N perturbed points of every state."""
+    y = _stack([state] if isinstance(state, PhaseState) else state)
+    n = y.shape[1] // 2
+    df, dg = (fd_gradient(lambda u: fn(u[..., :n], u[..., n:]), y, BRACKET_STEP) for fn in (f, g))
+    brackets = np.sum(df[:, n:] * dg[:, :n] - dg[:, n:] * df[:, :n], axis=1)
+    return float(brackets[0]) if isinstance(state, PhaseState) else brackets
 
 
 def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:
-    """Endpoint of the t_k flow after signed time eps (RK4 with signed step)."""
+    """Endpoint of the t_k flow after signed time eps; a negative eps marches the reversed flow, whose
+    RK4 steps equal those of the flow with step eps / ENDPOINT_SUBSTEPS bit for bit (negation is exact)."""
     if eps == 0.0:
         return state
-    y = _march(state, FLOW_DIRECTIONS[k], eps / ENDPOINT_SUBSTEPS, ENDPOINT_SUBSTEPS)[-1]
+    y = _march(_stack([state]), PathSpec(np.sign(eps) * np.asarray(FLOW_DIRECTIONS[k]), abs(eps), ENDPOINT_SUBSTEPS))[-1, 0]
     return PhaseState(y[: state.n], y[state.n :])
 
 
@@ -208,38 +260,31 @@ def pluri_el_residual(traj: Trajectory) -> np.ndarray:
     of the active flow.
     """
     d2, d3 = _nonzero_direction(traj.path.direction)
-    if len(traj.samples) < 3:
+    if len(traj.x) < 3:
         raise ValueError("need at least 3 samples for d/ds differencing")
     h = traj.path.duration / traj.path.steps
-    X = np.array([st.x for st in traj.samples])
-    P = np.array([st.p for st in traj.samples])
+    X, P = traj.x, traj.p
     u = _fd_dds(X, h)
     mixed = d2 != 0.0 and d3 != 0.0
     v2 = u / d2 if d3 == 0.0 else P
     v3 = (u - v2 * d2) / d3 if mixed else None
 
-    n_samples, n_particles = X.shape
-    bracket = np.full((n_samples, n_particles), np.nan)
-    force = np.full((n_samples, n_particles), np.nan)
-    for i in range(n_samples):
-        if np.any(np.isnan(v2[i])) or (mixed and np.any(np.isnan(v3[i]))):
-            continue
-        inv = inverse_gaps(X[i])
-        # dL_(t2)/dv2 + dL_(t3)/dv3 = 2 v2, plus (d3/d2) dL_(t3)/dv2 = (d3/d2)(v3 + (3/4) v2^2 - 3 w) when
-        # both flows are active; dL_(t2)/dv3 is zero
-        bracket[i] = v2[i] + v2[i]
-        if mixed:
-            bracket[i] += (d3 / d2) * (v3[i] + 0.75 * v2[i] ** 2 - 3.0 * np.square(inv).sum(axis=1))
-        # sum_k d_k dL_(tk)/dx, as dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx at p = v2
-        force[i] = weighted_gradient(-d2, 0.75 * d3, X[i], v2[i], inv)[0]
+    inv = inverse_gaps(X)
+    # dL_(t2)/dv2 + dL_(t3)/dv3 = 2 v2, plus (d3/d2) dL_(t3)/dv2 = (d3/d2)(v3 + (3/4) v2^2 - 3 w) when
+    # both flows are active; dL_(t2)/dv3 is zero
+    bracket = v2 + v2
+    if mixed:
+        bracket = bracket + (d3 / d2) * (v3 + 0.75 * v2**2 - 3.0 * np.square(inv).sum(axis=-1))
+    # sum_k d_k dL_(tk)/dx, as dL_(t2)/dx = -dH_(t2)/dx and dL_(t3)/dx = (3/4) dH_(t3)/dx at p = v2
+    force = weighted_gradient(-d2, 0.75 * d3, X, v2, inv)[0]
+    # the d/ds stencil of the bracket is NaN wherever a velocity is, so those rows stay NaN
     return force - 0.5 * _fd_dds(bracket, h)
 
 
 def noether_charge(traj: Trajectory) -> np.ndarray:
     """Sampled series E(s) = sum_k H_(tk)(state(s)) dt_k/ds along the trajectory's path."""
     d2, d3 = (float(d) for d in traj.path.direction)
-    ws = [inverse_square_sums(st.x) for st in traj.samples]
-    return np.array([d2 * hamiltonian(2, st, w) + d3 * hamiltonian(3, st, w) for st, w in zip(traj.samples, ws)])
+    return traj.per_sample(lambda x, p: weighted_hamiltonian(d2, d3, x, p))
 
 
 VelocityMode = Literal["flow", "constraint"]

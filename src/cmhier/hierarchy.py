@@ -59,6 +59,8 @@ def check_collision_free(x: np.ndarray, row: str = "system") -> None:
         g, k = min_gap(x), None
     else:
         s = np.sort(x).reshape(len(x), -1, x.shape[-1])
+        if np.isfinite(s).all() and (s[..., 1:] - s[..., :-1]).min(initial=np.inf) >= COLLISION_TOL:
+            return  # the common case, without per-row bookkeeping
         with np.errstate(invalid="ignore"):  # inf - inf; such rows are non-finite, as in min_gap
             gaps = np.diff(s).min(axis=(1, 2), initial=np.inf)
         gaps[~np.isfinite(s[..., [0, -1]]).all(axis=(1, 2))] = np.nan
@@ -139,38 +141,51 @@ class CouplingConvention:
 DEFAULT_COUPLING = CouplingConvention()
 
 
+def _set_diagonal(a: np.ndarray, values: np.ndarray) -> None:
+    """Write values (..., N) onto the diagonals of the fresh stack a (..., N, N), as inverse_gaps does."""
+    a.reshape(-1, a.shape[-1] ** 2)[:, :: a.shape[-1] + 1] = np.reshape(values, (-1, a.shape[-1]))
+
+
 def inverse_gaps(x: np.ndarray) -> np.ndarray:
-    """Matrix 1/(x_i - x_j) with zero diagonal."""
-    d = x[:, None] - x[None, :]
-    d.flat[:: len(x) + 1] = np.inf
+    """Matrix 1/(x_i - x_j) with zero diagonal, over leading axes: (..., N) to (..., N, N)."""
+    n = x.shape[-1]
+    d = x[..., :, None] - x[..., None, :]
+    d.reshape(-1, n * n)[:, :: n + 1] = np.inf
     return 1.0 / d
 
 
 def inverse_square_sums(x: np.ndarray) -> np.ndarray:
-    """Per-particle interaction sums sum_{j != i} 1/(x_i - x_j)^2."""
-    return np.square(inverse_gaps(x)).sum(axis=1)
+    """Per-particle interaction sums sum_{j != i} 1/(x_i - x_j)^2, over leading axes."""
+    return np.square(inverse_gaps(x)).sum(axis=-1)
 
 
-def hamiltonian(k: int, state: PhaseState, w: np.ndarray | None = None) -> float:
-    """H_(t2) = sum p^2/2 - sum' 2/(x_i-x_j)^2, H_(t3) = sum p^3/3 - sum' 4 p_i/(x_i-x_j)^2;
-    w = inverse_square_sums(state.x) when not given."""
+def weighted_hamiltonian(d2: float, d3: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d2 H_(t2) + d3 H_(t3) over leading axes, (..., N) to (...), skipping zero weights;
+    H_(t2) = sum p^2/2 - sum' 2/(x_i-x_j)^2, H_(t3) = sum p^3/3 - sum' 4 p_i/(x_i-x_j)^2."""
+    w = inverse_square_sums(x)
+    h = d2 * (0.5 * np.sum(p**2, axis=-1) - 2.0 * np.sum(w, axis=-1)) if d2 else 0.0
+    if d3:
+        h = h + d3 * (np.sum(p**3, axis=-1) / 3.0 - 4.0 * np.sum(p * w, axis=-1))
+    return h
+
+
+def hamiltonian(k: int, state: PhaseState) -> float:
+    """H_(tk) of one state."""
     check_flow_index(k)
-    w = inverse_square_sums(state.x) if w is None else w
-    if k == 2:
-        return float(0.5 * np.sum(state.p**2) - 2.0 * np.sum(w))
-    return float(np.sum(state.p**3) / 3.0 - 4.0 * np.sum(state.p * w))
+    return float(weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, state.p))
 
 
 def weighted_gradient(d2: float, d3: float, x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_k d_k dH_(tk)/dx, sum_k d_k dH_(tk)/dp), inv = inverse_gaps(x), skipping zero weights. Members
-    share r3 = sum_j inv_ij^3 (sum_j (p_i + p_j) inv_ij^3 = p_i r3_i + (inv^3 @ p)_i); 8 scales exactly."""
+    """(sum_k d_k dH_(tk)/dx, sum_k d_k dH_(tk)/dp) over leading axes, inv = inverse_gaps(x), skipping zero
+    weights. Members share r3 = sum_j inv_ij^3 (sum_j (p_i + p_j) inv_ij^3 = p_i r3_i + (inv^3 @ p)_i);
+    8 scales exactly."""
     inv2 = inv * inv
     inv3 = inv2 * inv
-    r3 = inv3.sum(axis=1)
+    r3 = inv3.sum(axis=-1)
     gx, gp = (d2 * r3, d2 * p) if d2 else (0.0, 0.0)
     if d3:
-        gx = gx + d3 * (p * r3 + inv3 @ p)
-        gp = gp + d3 * (p * p - 4.0 * inv2.sum(axis=1))
+        gx = gx + d3 * (p * r3 + (inv3 @ p[..., None])[..., 0])
+        gp = gp + d3 * (p * p - 4.0 * inv2.sum(axis=-1))
     return 8.0 * gx, gp
 
 
@@ -207,46 +222,55 @@ def legendre_check(k: int, state: VelocityState) -> float:
     return hamiltonian(k, phase) - (float(np.sum(state.v2 * vk)) - lagrangian(k, state))
 
 
-def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> tuple[np.ndarray, np.ndarray]:
-    """Lax pair for the t2 flow.
+def lax_pair(x: np.ndarray, p: np.ndarray, conv: CouplingConvention = DEFAULT_COUPLING) -> tuple[np.ndarray, np.ndarray]:
+    """Lax pair for the t2 flow, over leading axes: (..., N) to two (..., N, N).
 
     L has the momenta on the diagonal and gamma/(x_i - x_j) off it. M carries
     gamma/(x_i - x_j)^2 off-diagonal and minus the row interaction sum on the
     diagonal, which makes every row of M sum to zero and zeroes the Lax
     residual pointwise.
     """
-    inv = inverse_gaps(state.x)
+    inv = inverse_gaps(x)
     L = conv.gamma * inv
-    np.fill_diagonal(L, state.p)
+    _set_diagonal(L, p)
     inv2 = inv * inv
     M = conv.gamma * inv2
-    np.fill_diagonal(M, -conv.gamma * inv2.sum(axis=1))
+    _set_diagonal(M, -conv.gamma * inv2.sum(axis=-1))
     return L, M
 
 
+def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> tuple[np.ndarray, np.ndarray]:
+    """The Lax pair of one state."""
+    return lax_pair(state.x, state.p, conv)
+
+
 def trace_powers(L: np.ndarray, kmax: int) -> np.ndarray:
-    """Tr(L^l) for l = 1..kmax, as Tr(L^a L^b) = sum(L^a * (L^b)^T) with
-    a = ceil(l/2) and b = floor(l/2), so only powers up to ceil(kmax/2) are
+    """Tr(L^l) for l = 1..kmax over leading axes, as Tr(L^a L^b) = sum(L^a * (L^b)^T)
+    with a = ceil(l/2) and b = floor(l/2), so only powers up to ceil(kmax/2) are
     formed: one matrix product for kmax = 3."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     powers = [L]
     while len(powers) < (kmax + 1) // 2:
         powers.append(powers[-1] @ L)
-    out = np.empty(kmax)
-    out[0] = np.trace(L)
+    out = np.empty((*L.shape[:-2], kmax))
+    out[..., 0] = np.trace(L, axis1=-2, axis2=-1)
     for l in range(2, kmax + 1):
-        out[l - 1] = np.sum(powers[l - l // 2 - 1] * powers[l // 2 - 1].T)
+        out[..., l - 1] = np.sum(powers[l - l // 2 - 1] * powers[l // 2 - 1].swapaxes(-1, -2), axis=(-2, -1))
     return out
 
 
-def invariants(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
-    """Trace invariants I_l = Tr(L^l)/l for l = 1..kmax.
+def lax_invariants(x: np.ndarray, p: np.ndarray, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
+    """Trace invariants I_l = Tr(L^l)/l for l = 1..kmax over leading axes, (..., N) to (..., kmax).
 
     With gamma = -2, I_2 and I_3 coincide with the two Hamiltonians.
     """
-    L, _ = build_lax_pair(state, conv)
-    return trace_powers(L, kmax) / np.arange(1, kmax + 1)
+    return trace_powers(lax_pair(x, p, conv)[0], kmax) / np.arange(1, kmax + 1)
+
+
+def invariants(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
+    """The trace invariants of one state."""
+    return lax_invariants(state.x, state.p, conv, kmax)
 
 
 def lax_residual(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> float:

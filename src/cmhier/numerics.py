@@ -1,4 +1,4 @@
-"""Dense numeric kernel: linear solves, Newton iteration, finite differences, RK4.
+"""Dense numeric kernel: linear solves, Newton iteration, finite differences, RK4, row blocks.
 
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
 a few tens), so the cost of a solve is interpreter and numpy-call overhead,
@@ -17,6 +17,17 @@ import numpy as np
 from .errors import NonConvergence, SingularJacobian, SingularMatrix
 
 PIVOT_RTOL = 1e-14
+
+STACK_ENTRIES = 1 << 13
+"""Array entries (64 KiB) of one stacked evaluation: chain velocity solves and per-sample trajectory
+kernels run in row blocks of at most this many, so memory does not grow with chains or samples."""
+
+
+def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
+    """Consecutive slices covering range(rows), each of at most STACK_ENTRIES // entries_per_row rows
+    and of at least one."""
+    per_block = max(1, STACK_ENTRIES // entries_per_row)
+    return [slice(start, start + per_block) for start in range(0, rows, per_block)]
 
 
 @dataclass(frozen=True)
@@ -183,14 +194,16 @@ def newton_solve(
     return x.reshape(guess.shape)
 
 
-def fd_derivative(f: Callable[[np.ndarray], float], point: np.ndarray, index: int, step: float) -> float:
-    """Central difference of a scalar function along one coordinate; O(step^2)."""
+def fd_gradient(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of f over the last axis of y, (..., m) to (..., m); O(step^2).
+    f maps points (..., m) to values (...) over leading axes and is called once, on the stack
+    (..., 2m, m) of the points y + step e_i followed by the points y - step e_i."""
     if step <= 0:
         raise ValueError("step must be positive")
-    point = np.asarray(point, dtype=float)
-    e = np.zeros_like(point)
-    e[index] = step
-    return (f(point + e) - f(point - e)) / (2.0 * step)
+    m = y.shape[-1]
+    shifts = step * np.eye(m)
+    values = f(np.concatenate([y[..., None, :] + shifts, y[..., None, :] - shifts], axis=-2))
+    return (values[..., :m] - values[..., m:]) / (2.0 * step)
 
 
 def rk4_step(

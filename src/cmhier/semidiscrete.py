@@ -21,11 +21,7 @@ import numpy as np
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import SingularMatrix, located
 from .hierarchy import check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import linear_solve, rk4_step
-
-# matrix entries (64 KiB) of one stacked velocity solve over many chains, so
-# that memory does not grow with the number of chains
-STACK_ENTRIES = 1 << 13
+from .numerics import linear_solve, rk4_step, row_blocks
 
 
 @dataclass(frozen=True)
@@ -97,14 +93,13 @@ def tau_velocities(chain):
     """Solve the edge constraints for every site velocity; interior sites get
     the average of both edges' values, and their worst disagreement is kept.
     A sequence of chains of one shape gives an iterator with one
-    ChainVelocities per chain, from stacked solves of at most STACK_ENTRIES
+    ChainVelocities per chain, from stacked solves of at most numerics.STACK_ENTRIES
     matrix entries."""
     y = np.array([c.sites for c in ([chain] if isinstance(chain, Chain) else chain)])
-    per_solve = max(1, STACK_ENTRIES // (2 * (y.shape[1] - 1) * y.shape[2] ** 2))
     found = (
         ChainVelocities(tuple(v), (None, *fp), (*fn, None), float(np.max(np.abs(fp[:-1] - fn[1:]), initial=0)))
-        for start in range(0, len(y), per_solve)
-        for v, fp, fn in zip(*_site_velocities(y[start:start + per_solve]))
+        for block in row_blocks(len(y), 2 * (y.shape[1] - 1) * y.shape[2] ** 2)
+        for v, fp, fn in zip(*_site_velocities(y[block]))
     )
     return next(found) if isinstance(chain, Chain) else found
 

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cmhier.cli import main, run_scenario
+from cmhier import cli
+from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
 from cmhier.scenario import parse_scenario, scenario_from_dict
-from cmhier.verify import Collector
+from cmhier.verify import CheckEntry, Collector, VerificationReport
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -211,6 +212,34 @@ class TestMain:
             assert main(["run", str(write_config(tmp_path, payload))]) == 2
         err = capsys.readouterr().err
         assert err == "numerical failure: CollisionSingularity: non-finite state at s=0.001\n"
+
+    def test_overflowing_field_is_named(self, tmp_path, capsys):
+        # the t2 and t3 fields at the start already overflow: -4 * 1e308 * sum 1/(x_i - x_j)^2 at x = 0
+        payload = dict(MINIMAL_CONTINUOUS, n=3, positions=[-2.0, 0.0, 2.0], momenta=[0.0, 0.0, 0.0],
+                       direction=[1e308, 1e308], duration=0.01, out_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: NumericsError: Hamilton field overflows on the step to s=0.001\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_report_writer_refuses_non_finite_values(self, tmp_path):
+        sc = scenario_from_dict({"kind": "verify-all", "n": 3, "out_dir": str(tmp_path)})
+        report = VerificationReport((CheckEntry("c", 0.0, None, True, {"ratio": float("nan")}),))
+        with pytest.raises(NumericsError, match="^cannot write a non-finite value as strict JSON"):
+            _write_report(tmp_path / "report.json", report, sc)
+        with pytest.raises(NumericsError, match="^cannot write a non-finite value as strict JSON"):
+            _write_rows(tmp_path / "rows", ["a", "b"], [[1.0, float("inf")]], "json-lines")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_report_value_exits_two(self, tmp_path, capsys, monkeypatch):
+        report = VerificationReport((CheckEntry("c", 0.0, None, True, {"ratio": float("nan")}),))
+        monkeypatch.setitem(cli._RUNS, "verify-all", lambda sc, out_dir: ([], report))
+        assert main(["demo", "verify", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NumericsError: cannot write a non-finite value as strict JSON")
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_residual_is_a_numerical_failure(self, tmp_path, capsys):
         # p^3 overflows, so both invariant series and the path energy are inf - inf

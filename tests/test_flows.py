@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cmhier.errors import CollisionSingularity, DegenerateDirection
+from cmhier.errors import CollisionSingularity, DegenerateDirection, NumericsError
+from cmhier import numerics
 from cmhier.exact import projection_spectrum
 from cmhier.flows import (
     PathSpec,
@@ -11,6 +12,7 @@ from cmhier.flows import (
     _raw_field,
     commutator_defect,
     evolve_path,
+    evolve_paths,
     integrate_flow,
     lagrangian_closure_residual,
     noether_charge,
@@ -18,6 +20,7 @@ from cmhier.flows import (
     poisson_bracket,
 )
 from cmhier.hierarchy import (
+    FLOW_DIRECTIONS,
     PhaseState,
     VelocityState,
     constraint_velocity,
@@ -25,8 +28,10 @@ from cmhier.hierarchy import (
     hamiltonian_grad,
     invariants,
     lagrangian,
+    lax_invariants,
+    weighted_hamiltonian,
 )
-from cmhier.numerics import fd_derivative
+from cmhier.numerics import fd_gradient
 from cmhier.sampling import random_phase_state
 
 RNG = np.random.default_rng(77)
@@ -36,13 +41,15 @@ WELL_SEPARATED = PhaseState([-2.2, 0.1, 2.4], [0.3, -0.2, 0.1])
 
 def perturb_positions(traj, scale=0.1, per_particle=False):
     """Shift sampled positions by scale*s^2 (optionally ramped per particle)."""
-    samples = []
-    for s, state in zip(traj.times()[:, 0], traj.samples):
-        shift = scale * s**2
-        if per_particle:
-            shift = shift * (1.0 + np.arange(state.n))
-        samples.append(PhaseState(state.x + shift, state.p))
-    return Trajectory(traj.path, tuple(samples))
+    shift = scale * traj.times()[:, :1] ** 2
+    if per_particle:
+        shift = shift * (1.0 + np.arange(traj.x.shape[1]))
+    return Trajectory(traj.path, traj.x + shift, traj.p)
+
+
+def h_observable(k):
+    """H_(tk) as a bracket observable on positions and momenta over leading axes."""
+    return lambda x, p: weighted_hamiltonian(*FLOW_DIRECTIONS[k], x, p)
 
 
 def hamilton_field(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +124,7 @@ class TestVectorField:
 
 
 class TestInFlightCheck:
-    ORDER = np.array([0, 1, 2])
+    ORDER = np.array([[0, 1, 2]])
     GAP = "gap below 1.0e-06 at s=0.25"
     NON_FINITE = "non-finite state at s=0.25"
 
@@ -132,23 +139,49 @@ class TestInFlightCheck:
     )
     def test_abort(self, x, p, message):
         with pytest.raises(CollisionSingularity) as info:
-            _check_in_flight(np.array(x + p), 3, self.ORDER, 0.25)
+            _check_in_flight(np.array([x + p]), self.ORDER, 0.25)
         assert str(info.value) == message and info.value.s == 0.25
 
     def test_accepts_an_ordered_state_at_the_gap(self):
-        _check_in_flight(np.array([0.0, 1e-6, 1.0, 0.0, 0.0, 0.0]), 3, self.ORDER, 0.25)
+        _check_in_flight(np.array([[0.0, 1e-6, 1.0, 0.0, 0.0, 0.0]]), self.ORDER, 0.25)
 
     def test_single_particle(self):
-        _check_in_flight(np.array([3.0, -1.0]), 1, np.array([0]), 0.25)
+        _check_in_flight(np.array([[3.0, -1.0]]), np.array([[0]]), 0.25)
         with pytest.raises(CollisionSingularity, match=f"^{self.NON_FINITE}$"):
-            _check_in_flight(np.array([np.inf, -1.0]), 1, np.array([0]), 0.25)
+            _check_in_flight(np.array([[np.inf, -1.0]]), np.array([[0]]), 0.25)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_each_row_in_its_own_start_order(self, k):
+        # row 1 starts in the order (1, 0, 2), so its positions are in order; row k is flipped
+        y = np.array([[0.0, 1.0, 2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0, 0.0, 0.0]])
+        order = np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2]]) + 6 * np.arange(3)[:, None]
+        _check_in_flight(y, order, 0.25)
+        y[k, :2] = y[k, 1::-1]
+        with pytest.raises(CollisionSingularity) as info:
+            _check_in_flight(y, order, 0.25)
+        assert str(info.value) == f"{self.GAP} in system {k}" and info.value.system == k
+
+    def test_overflowing_field_is_named(self):
+        # the field at the last accepted state is already infinite, so the step overflows, not collides
+        before = np.array([[-2.0, 0.0, 2.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 2.0, 1.0, 0.0, 0.0]])
+        fld = _raw_field(np.array([1e308, 1e308]), 3)
+        y = before.copy()
+        y[1, 4] = np.inf
+        with pytest.raises(NumericsError) as info:
+            _check_in_flight(y, np.array([[0, 1, 2], [6, 7, 8]]), 0.25, before, fld)
+        assert str(info.value) == "Hamilton field overflows on the step to s=0.25 in system 1"
+        assert info.value.s == 0.25 and info.value.system == 1
+        with pytest.raises(CollisionSingularity, match=f"^{self.NON_FINITE} in system 1$"):
+            _check_in_flight(y, np.array([[0, 1, 2], [6, 7, 8]]), 0.25, before, _raw_field(np.array([1.0, 0.0]), 3))
 
 
 class TestIntegrateFlow:
-    def test_builds_one_state_per_accepted_step(self, count_builds):
+    def test_builds_no_state_until_samples_are_read(self, count_builds):
         builds = count_builds(PhaseState)
         traj = integrate_flow(2, WELL_SEPARATED, 10e-3, 1e-3)
-        assert len(traj.samples) == 11 and len(builds) == 10
+        assert traj.x.shape == traj.p.shape == (11, 3) and len(builds) == 0
+        assert len(traj.samples) == 11 and len(builds) == 11
+        assert traj.samples is traj.samples and len(builds) == 11
 
     def test_free_motion(self):
         traj = integrate_flow(2, PhaseState([0.0], [1.0]), 1.0, 1e-2)
@@ -215,6 +248,64 @@ class TestEvolvePath:
         assert np.max(np.abs(series - series[0])) <= 1e-8
 
 
+class TestStackedMarch:
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_each_system_ends_as_if_marched_alone(self, n, direction):
+        starts = [spread_state(10 * n + b, n) for b in range(5)]
+        path = PathSpec(np.array(direction), 0.02, steps=40)
+        stacked = evolve_paths(starts, path)
+        assert len(stacked) == 5
+        for start, traj in zip(starts, stacked, strict=True):
+            alone = evolve_path(start, path)
+            assert np.array_equal(traj.x, alone.x) and np.array_equal(traj.p, alone.p)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_failure_names_the_system_and_s(self, k):
+        # a head-on pair collides near s = 0.033; every other system stays well separated
+        starts = [spread_state(b, 2) for b in range(4)]
+        starts[k] = PhaseState([-0.4, 0.4], [6.0, -6.0])
+        with pytest.raises(CollisionSingularity, match=rf" at s=\S+ in system {k}$") as info:
+            evolve_paths(starts, PathSpec(np.array([1.0, 0.0]), 1.0, steps=1000))
+        assert info.value.system == k and 0.0 < info.value.s < 0.1
+        with pytest.raises(CollisionSingularity, match=r" at s=\S+$") as alone:
+            evolve_path(starts[k], PathSpec(np.array([1.0, 0.0]), 1.0, steps=1000))
+        assert alone.value.s == info.value.s and alone.value.system is None
+
+    def test_trajectory_rejects_a_colliding_sample(self):
+        x = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(CollisionSingularity, match=r"^minimum gap 0\.000e\+00 below 1\.0e-12 at sample 2$") as info:
+            Trajectory(PathSpec(np.array([1.0, 0.0]), 0.3, 3), x, np.zeros_like(x))
+        assert info.value.system == 2
+
+    def test_trajectory_arrays_are_read_only_copies(self):
+        x, p = np.array([[0.0, 1.0], [0.1, 1.1]]), np.zeros((2, 2))
+        traj = Trajectory(PathSpec(np.array([1.0, 0.0]), 0.1, 1), x, p)
+        x[0, 0] = 5.0
+        assert traj.x[0, 0] == 0.0 and not traj.x.flags.writeable and not traj.p.flags.writeable
+        with pytest.raises(ValueError, match="one shape"):
+            Trajectory(traj.path, x, p[:1])
+
+    def test_commutator_defect_of_a_stack(self):
+        states = [spread_state(b, 3) for b in range(4)]
+        defects = commutator_defect(states, 0.01, 0.01, 1e-3)
+        assert [commutator_defect(st, 0.01, 0.01, 1e-3) for st in states] == list(defects)
+
+
+class TestPerSample:
+    @pytest.mark.parametrize("entries", [1, 50, numerics.STACK_ENTRIES])
+    def test_row_blocks_give_the_unblocked_values(self, monkeypatch, entries):
+        # 1 entry: one sample per block; 50: five samples per block at N = 3, the last block short
+        traj = evolve_path(WELL_SEPARATED, PathSpec(np.array([1.0, 1.0]), 0.05, steps=48))
+        whole = lax_invariants(traj.x, traj.p)
+        energy = weighted_hamiltonian(1.0, 1.0, traj.x, traj.p)
+        blocks = []
+        monkeypatch.setattr(numerics, "STACK_ENTRIES", entries)
+        got = traj.per_sample(lambda x, p: blocks.append(len(x)) or lax_invariants(x, p))
+        assert np.array_equal(got, whole) and np.array_equal(noether_charge(traj), energy)
+        assert sum(blocks) == 49 and max(blocks) == min(49, max(1, entries // 9))
+
+
 class TestPathIndependence:
     def test_two_leg_paths_reach_same_endpoint(self):
         d2, d3 = 0.05, 0.05
@@ -254,24 +345,24 @@ class TestCommutatorDefect:
 
 class TestPoissonBracket:
     def test_self_bracket(self):
-        h2 = lambda s: hamiltonian(2, s)
+        h2 = h_observable(2)
         assert poisson_bracket(h2, h2, WELL_SEPARATED) == 0.0
 
     def test_canonical_pair_sign(self):
         # printed convention {f,g} = sum df/dp dg/dx - dg/dp df/dx gives {x1,p1} = -1
-        f = lambda s: s.x[0]
-        g = lambda s: s.p[0]
+        f = lambda x, p: x[..., 0]
+        g = lambda x, p: p[..., 0]
         assert poisson_bracket(f, g, WELL_SEPARATED) == pytest.approx(-1.0, abs=1e-9)
 
     def test_hierarchy_involution(self):
-        h2, h3 = (lambda s: hamiltonian(2, s)), (lambda s: hamiltonian(3, s))
+        h2, h3 = h_observable(2), h_observable(3)
         for _ in range(100):
             state = random_phase_state(RNG, 3, min_gap=0.5)
             assert abs(poisson_bracket(h2, h3, state)) <= 1e-6
 
     def test_antisymmetry_fd_observables(self):
-        f = lambda s: float(np.sum(s.x**2) + s.p[0] * s.x[1])
-        g = lambda s: float(np.sum(s.p**2) * 0.5 + np.sin(s.x[0]))
+        f = lambda x, p: np.sum(x**2, axis=-1) + p[..., 0] * x[..., 1]
+        g = lambda x, p: np.sum(p**2, axis=-1) * 0.5 + np.sin(x[..., 0])
         for _ in range(10):
             state = random_phase_state(RNG, 3, min_gap=0.5)
             fg = poisson_bracket(f, g, state)
@@ -281,16 +372,23 @@ class TestPoissonBracket:
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("k", [2, 3])
     def test_finite_differences_match_analytic_gradients(self, k, n):
-        def cubic(s):
-            return float(np.sum(s.x**2 * s.p) + np.sum(s.x * s.p**2))
+        def cubic(x, p):
+            return np.sum(x**2 * p, axis=-1) + np.sum(x * p**2, axis=-1)
 
         state = random_phase_state(np.random.default_rng(10 * k + n), n, min_gap=0.5)
         hx, hp = hamiltonian_grad(k, state)
         cx, cp = 2 * state.x * state.p + state.p**2, state.x**2 + 2 * state.x * state.p
         analytic = float(np.sum(hp * cx - cp * hx))
-        differenced = poisson_bracket(lambda s: hamiltonian(k, s), cubic, state)
+        differenced = poisson_bracket(h_observable(k), cubic, state)
         assert abs(analytic) > 1e-2
         assert differenced == pytest.approx(analytic, rel=1e-7)
+
+    def test_stacked_bracket_equals_each_state_alone(self):
+        states = [random_phase_state(np.random.default_rng(seed), 3, min_gap=0.5) for seed in range(7)]
+        stacked = poisson_bracket(h_observable(2), h_observable(3), states)
+        assert stacked.shape == (7,)
+        for state, value in zip(states, stacked, strict=True):
+            assert value == poisson_bracket(h_observable(2), h_observable(3), state)
 
 
 class TestHamiltonianClosure:
@@ -300,7 +398,7 @@ class TestHamiltonianClosure:
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
             residual = _along_flow(h2, 3, state, 1e-4) - _along_flow(h3, 2, state, 1e-4)
-            bracket = poisson_bracket(h2, h3, state)
+            bracket = poisson_bracket(h_observable(2), h_observable(3), state)
             assert abs(residual - (-2.0) * bracket) <= 1e-6
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -347,7 +445,8 @@ class TestPluriEl:
                 z = rk4_step(fld, (i - 1) * h, np.concatenate([y.x, y.p]), h)
                 y = PhaseState(z[: y.n], z[y.n :])
             samples.append(y)
-        lagrangian_flow = Trajectory(PathSpec(np.array([0.0, 1.0]), 12 * h, 12), tuple(samples))
+        x, p = np.array([st.x for st in samples]), np.array([st.p for st in samples])
+        lagrangian_flow = Trajectory(PathSpec(np.array([0.0, 1.0]), 12 * h, 12), x, p)
         res = pluri_el_residual(lagrangian_flow)
         assert np.nanmax(np.abs(res)) <= 1e-6
 
@@ -358,7 +457,7 @@ class TestPluriEl:
     def test_degenerate_direction(self):
         traj = integrate_flow(2, WELL_SEPARATED, 5e-3, 1e-3)
         with pytest.raises(DegenerateDirection):
-            pluri_el_residual(Trajectory(PathSpec(np.zeros(2), 5e-3, 5), traj.samples))
+            pluri_el_residual(Trajectory(PathSpec(np.zeros(2), 5e-3, 5), traj.x, traj.p))
 
 
 class TestPluriConstraint:
@@ -373,10 +472,13 @@ class TestPluriConstraint:
 
             def constraint(v3):
                 def dl_dv(k, wrt, i):
-                    def f(vec):
-                        return lagrangian(k, VelocityState(state.x, vec if wrt == 2 else v2, vec if wrt == 3 else v3))
+                    def f(vecs):
+                        return np.array([
+                            lagrangian(k, VelocityState(state.x, vec if wrt == 2 else v2, vec if wrt == 3 else v3))
+                            for vec in vecs
+                        ])
 
-                    return fd_derivative(f, v2 if wrt == 2 else v3, i, 1e-6)
+                    return fd_gradient(f, v2 if wrt == 2 else v3, 1e-6)[i]
 
                 return np.array(
                     [

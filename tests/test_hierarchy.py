@@ -5,26 +5,78 @@ from hypothesis import strategies as st
 
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import (
+    FLOW_DIRECTIONS,
     CouplingConvention,
     PhaseState,
     VelocityState,
     build_lax_pair,
     check_collision_free,
     constraint_velocity,
+    inverse_gaps,
     inverse_square_sums,
     hamiltonian,
     hamiltonian_grad,
     invariants,
     lagrangian,
+    lax_invariants,
+    lax_pair,
     lax_residual,
     legendre_check,
     min_gap,
     trace_powers,
+    weighted_gradient,
+    weighted_hamiltonian,
 )
-from cmhier.numerics import fd_derivative
+from cmhier.numerics import fd_gradient
 from cmhier.sampling import random_phase_state
 
 RNG = np.random.default_rng(2024)
+
+
+class TestLeadingAxes:
+    """Each array kernel evaluates a stack row by row as it evaluates that row alone, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    def test_stack_rows_equal_single_states(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.5, 1.5, (2, 3, n)), axis=-1)
+        p = rng.uniform(-1.0, 1.0, (2, 3, n))
+        conv = CouplingConvention(1.5)
+        stacked = {
+            "inverse_gaps": inverse_gaps(x),
+            "gradient": weighted_gradient(0.7, -0.4, x, p, inverse_gaps(x)),
+            "hamiltonian": weighted_hamiltonian(0.7, -0.4, x, p),
+            "lax_pair": lax_pair(x, p, conv),
+            "invariants": lax_invariants(x, p, conv, 4),
+        }
+        for i in range(2):
+            for j in range(3):
+                xi, pi = x[i, j], p[i, j]
+                alone = {
+                    "inverse_gaps": inverse_gaps(xi),
+                    "gradient": weighted_gradient(0.7, -0.4, xi, pi, inverse_gaps(xi)),
+                    "hamiltonian": weighted_hamiltonian(0.7, -0.4, xi, pi),
+                    "lax_pair": build_lax_pair(PhaseState(xi, pi), conv),
+                    "invariants": invariants(PhaseState(xi, pi), conv, 4),
+                }
+                for name, value in alone.items():
+                    got = stacked[name]
+                    pairs = zip(got, value) if isinstance(value, tuple) else [(got, value)]
+                    assert all(np.array_equal(g[i, j], v) for g, v in pairs), name
+
+    def test_hamiltonian_is_the_weighted_kernel_at_a_flow_direction(self):
+        state = random_phase_state(np.random.default_rng(4), 4, min_gap=0.5)
+        for k in (2, 3):
+            assert hamiltonian(k, state) == weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, state.p)
+        both = weighted_hamiltonian(1.0, 1.0, state.x, state.p)
+        assert both == hamiltonian(2, state) + hamiltonian(3, state)
+
+    def test_trace_powers_of_a_stack(self):
+        L = np.random.default_rng(9).uniform(-1, 1, (5, 4, 4))
+        got = trace_powers(L, 5)
+        for row, matrix in zip(got, L, strict=True):
+            assert np.array_equal(row, trace_powers(matrix, 5))
+            assert np.allclose(row, [np.trace(np.linalg.matrix_power(matrix, l)) for l in range(1, 6)], atol=1e-12)
 
 
 class TestHamiltonian:
@@ -125,11 +177,11 @@ class TestHamiltonianGrad:
             n = int(RNG.integers(2, 5))
             state = random_phase_state(RNG, n, min_gap=0.5)
             dx, dp = hamiltonian_grad(k, state)
+            fd_x = fd_gradient(lambda x: weighted_hamiltonian(*FLOW_DIRECTIONS[k], x, state.p), state.x, 1e-6)
+            fd_p = fd_gradient(lambda p: weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, p), state.p, 1e-6)
             for i in range(n):
-                fd_x = fd_derivative(lambda x: hamiltonian(k, PhaseState(x, state.p)), state.x, i, 1e-6)
-                fd_p = fd_derivative(lambda p: hamiltonian(k, PhaseState(state.x, p)), state.p, i, 1e-6)
-                assert fd_x == pytest.approx(dx[i], abs=1e-6)
-                assert fd_p == pytest.approx(dp[i], abs=1e-6)
+                assert fd_x[i] == pytest.approx(dx[i], abs=1e-6)
+                assert fd_p[i] == pytest.approx(dp[i], abs=1e-6)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [8, 64])
@@ -137,8 +189,8 @@ class TestHamiltonianGrad:
         rng = np.random.default_rng(n)
         state = PhaseState(np.cumsum(rng.uniform(0.5, 1.5, n)), rng.uniform(-1.0, 1.0, n))
         dx, dp = hamiltonian_grad(k, state)
-        fd_x = [fd_derivative(lambda x: hamiltonian(k, PhaseState(x, state.p)), state.x, i, 1e-6) for i in range(n)]
-        fd_p = [fd_derivative(lambda p: hamiltonian(k, PhaseState(state.x, p)), state.p, i, 1e-6) for i in range(n)]
+        fd_x = list(fd_gradient(lambda x: weighted_hamiltonian(*FLOW_DIRECTIONS[k], x, state.p), state.x, 1e-6))
+        fd_p = list(fd_gradient(lambda p: weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, p), state.p, 1e-6))
         assert fd_x == pytest.approx(dx, rel=1e-6, abs=1e-6)
         assert fd_p == pytest.approx(dp, rel=1e-6, abs=1e-6)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cmhier.errors import NonConvergence, SingularJacobian, SingularMatrix
 from cmhier.numerics import (
     NewtonSettings,
-    fd_derivative,
+    fd_gradient,
     linear_solve,
     newton_solve,
     rk4_step,
@@ -278,29 +278,46 @@ class TestStackedSolve:
 
 class TestFiniteDifference:
     def test_square(self):
-        d = fd_derivative(lambda u: u[0] ** 2, np.array([3.0]), 0, 1e-5)
+        d = fd_gradient(lambda u: u[..., 0] ** 2, np.array([3.0]), 1e-5)[0]
         assert d == pytest.approx(6.0, abs=1e-8)
 
     def test_constant(self):
-        assert fd_derivative(lambda u: 7.0, np.array([1.0, 2.0]), 1, 1e-5) == 0.0
+        assert fd_gradient(lambda u: np.full(u.shape[:-1], 7.0), np.array([1.0, 2.0]), 1e-5)[1] == 0.0
 
     def test_momentum_gradient_of_quadratic_hamiltonian(self):
-        from cmhier.hierarchy import PhaseState, hamiltonian, hamiltonian_grad
+        from cmhier.hierarchy import hamiltonian_grad, weighted_hamiltonian
         from cmhier.sampling import random_phase_state
 
         state = random_phase_state(np.random.default_rng(11), 3, min_gap=0.5)
         _, dp = hamiltonian_grad(2, state)
+        fd = fd_gradient(lambda p: weighted_hamiltonian(1.0, 0.0, state.x, p), state.p, 1e-5)
         for i in range(3):
-            fd = fd_derivative(lambda p: hamiltonian(2, PhaseState(state.x, p)), state.p, i, 1e-5)
-            assert fd == pytest.approx(dp[i], abs=1e-7)
+            assert fd[i] == pytest.approx(dp[i], abs=1e-7)
 
     def test_quadratics_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b, c = rng.uniform(-2, 2, 3)
             x0 = rng.uniform(-2, 2)
-            d = fd_derivative(lambda u: a * u[0] ** 2 + b * u[0] + c, np.array([x0]), 0, 1e-4)
+            d = fd_gradient(lambda u: a * u[..., 0] ** 2 + b * u[..., 0] + c, np.array([x0]), 1e-4)[0]
             assert d == pytest.approx(2 * a * x0 + b, abs=1e-9)
+
+    def test_one_call_on_the_stacked_points(self):
+        calls = []
+
+        def f(u):
+            calls.append(u.shape)
+            return np.sin(u[..., 0]) * u[..., 1] + u[..., 2] ** 3
+
+        stack = np.random.default_rng(3).uniform(-1, 1, (4, 3))
+        grads = fd_gradient(f, stack, 1e-5)
+        assert calls == [(4, 6, 3)] and grads.shape == (4, 3)
+        for point, grad in zip(stack, grads, strict=True):
+            assert np.array_equal(grad, fd_gradient(f, point, 1e-5))
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            fd_gradient(lambda u: u[..., 0], np.array([1.0]), 0.0)
 
 
 class TestRK4:

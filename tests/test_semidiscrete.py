@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmhier import semidiscrete
+from cmhier import numerics, semidiscrete
 from cmhier.discrete import LatticeParams, discrete_step
 from cmhier.errors import CollisionSingularity, SingularMatrix
 from cmhier.semidiscrete import (
@@ -106,10 +106,10 @@ class TestTauVelocities:
         assert info.value.system == edge
 
 
-    @pytest.mark.parametrize("entries", [1, 300, semidiscrete.STACK_ENTRIES])
+    @pytest.mark.parametrize("entries", [1, 300, numerics.STACK_ENTRIES])
     def test_sequence_of_chains_equals_each_alone(self, monkeypatch, entries):
         # 1 entry: one chain per solve; 300: several chains per solve, the last one short
-        monkeypatch.setattr(semidiscrete, "STACK_ENTRIES", entries)
+        monkeypatch.setattr(numerics, "STACK_ENTRIES", entries)
         snaps = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 6)
         for snap, vel in zip(snaps, tau_velocities(snaps), strict=True):
             alone = tau_velocities(snap)
