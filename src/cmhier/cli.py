@@ -76,8 +76,7 @@ def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
     params = discrete.LatticeParams(
         p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
     )
-    given = sc.seed_prev is not None and sc.seed_cur is not None
-    seed = (sc.seed_prev, sc.seed_cur) if given else _seeded(orbit_seed, sc)
+    seed = (sc.seed_prev, sc.seed_cur) if sc.seed_prev is not None else _seeded(orbit_seed, sc)
     return discrete.discrete_orbit(*seed, params, count)
 
 

@@ -3,8 +3,10 @@
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
 a few tens), so the cost of a solve is interpreter and numpy-call overhead,
 not arithmetic. linear_solve and newton_solve therefore also take a stack of
-independent systems along a leading axis and work on them together, so that
-each numpy call serves the whole stack.
+independent systems along a leading axis and work on them together:
+linear_solve solves a stack with one batched LAPACK call, and only systems
+whose pivots it cannot certify go through the column elimination, which
+decides and words every pivot failure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import NonConvergence, SingularJacobian, SingularMatrix
 
 PIVOT_RTOL = 1e-14
+CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot check, for rounding
 
 STACK_ENTRIES = 1 << 13
 """Array entries (64 KiB) of one stacked evaluation: chain velocity solves and per-sample trajectory
@@ -55,17 +58,20 @@ DEFAULT_NEWTON = NewtonSettings()
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ v = b by LU with partial pivoting, for one system or a stack.
+    """Solve a @ v = b with one batched LAPACK call, for one system, `a` (n, n) and `b` (n,), or
+    for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), giving v of shape (m, n).
 
-    `a` of shape (n, n) with `b` of shape (n,) is one system; `a` of shape
-    (m, n, n) with `b` of shape (m, n) is m independent systems, eliminated
-    together one column at a time, and the result has shape (m, n). Each
-    system pivots on the first largest |entry| in the column.
+    One `np.linalg.solve` of [b | I] gives each system its solution and its inverse. A system with
+    s·‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL, s = max|a_ij|, passes the pivot check of LU with partial
+    pivoting, and keeps that solution, which depends on it alone: each pivot is the largest |entry|
+    in the first column of the block S left to eliminate, whose inverse is a submatrix of a⁻¹ with
+    permuted columns, so it is at least 1/‖S⁻¹‖∞ ≥ 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 9). The other systems, and the whole stack when LAPACK finds an exactly
+    singular matrix, go through the column elimination, which decides every pivot failure.
 
-    Raises SingularMatrix, naming the system index, when a system's matrix
-    has a non-finite entry or when its pivot is below PIVOT_RTOL times its
-    largest |entry|. Non-finite entries are checked first; a pivot failure
-    names the lowest failing system and its first failing column.
+    Raises SingularMatrix, naming the system index, when a system's matrix has a non-finite entry
+    or when its pivot is below PIVOT_RTOL times its largest |entry|. Non-finite entries are checked
+    first; a pivot failure names the lowest failing system and its first failing column.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -81,7 +87,28 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.isfinite(scale).all():
         system = int(np.flatnonzero(~np.isfinite(scale))[0])
         raise SingularMatrix(f"system {system}: non-finite matrix entry", system=system)
-    threshold = PIVOT_RTOL * np.maximum(scale, 1e-300)
+    # an explicit (m, n, n + 1) right-hand side: numpy 1 and 2 broadcast a 1-D one differently
+    rhs = np.concatenate([b[:, :, None], np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
+    try:
+        solved = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular matrix: nothing is certified
+        solved = np.full_like(rhs, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = scale * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
+    v = solved[:, :, 0].copy()
+    rows = np.flatnonzero(~(bound <= CERTIFY_MARGIN / PIVOT_RTOL))  # a NaN bound certifies nothing
+    if len(rows):
+        v[rows] = _eliminate(a[rows], b[rows], rows)
+    return v[0] if single else v
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray:
+    """Solve the finite stack a (m, n, n) @ v = b (m, n) by LU with partial pivoting, eliminating
+    all systems together one column at a time; each pivots on the first largest |entry| in the
+    column. The lowest system with a pivot below PIVOT_RTOL times its largest |entry| raises
+    SingularMatrix, naming its index in_stack[k] in the caller's stack and its first failing column."""
+    m, n = b.shape
+    threshold = PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
 
     # augmented [a | b], so row swaps and eliminations carry the right-hand side
     ab = np.empty((m, n, n + 1))
@@ -104,18 +131,17 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diagonal = np.diagonal(ab, axis1=1, axis2=2)
     passed = np.abs(diagonal) >= threshold[:, None]
     if not passed.all():
-        system, col = np.argwhere(~passed)[0]
-        raise SingularMatrix(
-            f"system {system}: pivot {diagonal[system, col]:.3e} below threshold in column {col}",
-            system=int(system),
-        )
+        k, col = np.argwhere(~passed)[0]
+        system = int(in_stack[k])
+        raise SingularMatrix(f"system {system}: pivot {diagonal[k, col]:.3e} below threshold in column {col}",
+                             system=system)
     # back substitution on U with its rows scaled to a unit diagonal;
     # columns[j] is column j of that U above the diagonal, for every system
     columns = (np.triu(ab[:, :, :n], 1) / diagonal[:, :, None]).transpose(2, 0, 1)
     v = ab[:, :, n] / diagonal
     for row in range(n - 1, 0, -1):
         v -= columns[row] * v[:, row, None]
-    return v[0] if single else v
+    return v
 
 
 def _newton_pass(residual, jacobian, x, f, active, settings: NewtonSettings):

@@ -121,6 +121,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key in ("steps", "chain_edges"):
         if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool) or raw[key] < 1):
             raise ValidationError(f"field '{key}' must be an integer >= 1")
+    if not isinstance(raw.get("out_dir", _DEFAULTS["out_dir"]), str):
+        raise ValidationError("field 'out_dir' must be a string")
     if raw.get("format", "csv") not in FORMATS:
         raise ValidationError(f"field 'format' must be one of {FORMATS}")
     if raw.get("gamma", _DEFAULTS["gamma"]) == 0:
@@ -143,6 +145,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 _validate_gaps(name, seed, sc.min_gap)
     if kind == "continuous" and (sc.positions is None) != (sc.momenta is None):
         raise ValidationError("fields 'positions' and 'momenta' must be given together")
+    if kind in ("discrete", "semidiscrete") and (sc.seed_prev is None) != (sc.seed_cur is None):
+        raise ValidationError("fields 'seed_prev' and 'seed_cur' must be given together")
     if sc.direction == (0.0, 0.0):
         raise ValidationError("field 'direction' must be nonzero")
     if kind in _MARCHES:

@@ -1,13 +1,19 @@
+import dataclasses
 import json
+import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmhier import cli
 from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
-from cmhier.scenario import parse_scenario, scenario_from_dict
+from cmhier.scenario import Scenario, parse_scenario, scenario_from_dict
 from cmhier.verify import CheckEntry, Collector, VerificationReport
 
 
@@ -367,6 +373,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'n'") and f"n={payload['n']}" in err
 
+    @pytest.mark.parametrize("out_dir", [5, None])
+    def test_out_dir_that_is_not_a_string_is_config_error(self, tmp_path, capsys, out_dir):
+        path = write_config(tmp_path, {"kind": "verify-all", "n": 3, "out_dir": out_dir})
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: field 'out_dir' must be a string\n"
+
+    @pytest.mark.parametrize("kind, given", [("discrete", "seed_prev"), ("semidiscrete", "seed_cur")])
+    def test_lone_seed_site_is_config_error(self, tmp_path, capsys, kind, given):
+        out = tmp_path / "out"
+        payload = {"kind": kind, "n": 2, given: [0, 3], "steps": 3, "out_dir": str(out)}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == "error: fields 'seed_prev' and 'seed_cur' must be given together\n"
+        assert not out.exists()
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
@@ -396,3 +416,78 @@ class TestMain:
         b = json.loads((tmp_path / "s1" / "report.json").read_text())
         assert a != b
         assert a["summary"]["failed"] == 0 and b["summary"]["failed"] == 0
+
+
+# every scenario key -> (valid values, out-of-range values), the lists of n entries as functions of n;
+# the valid values keep runs small: at most 100 continuous or tau steps and 50 discrete steps, and
+# one valid kind in nineteen is the slower verify-all
+FUZZ_KEYS = {
+    "kind": (["continuous", "discrete", "semidiscrete"] * 6 + ["verify-all"], ["quantum"]),
+    "n": ([1, 2, 3], [0, 1025]),
+    "seed": ([0, 1, 5], [-1]),
+    "gamma": ([-2.0, 1.0], [0.0]),
+    "min_gap": ([0.5, 0.1], [100.0, -1.0]),
+    "out_dir": (["o", "o/p"], []),
+    "format": (["csv", "json-lines"], ["xml"]),
+    "tolerance_scale": ([1.0, 0.0, 10.0], [-1.0, 1e308]),
+    "positions": ([lambda n: [-2.0, 0.0, 2.0][:n]], [lambda n: [0.0] * (n + 1)]),
+    "momenta": ([lambda n: [0.1, -0.2, 0.3][:n]], [lambda n: [0.0] * (n + 1)]),
+    "duration": ([0.0, 0.05, 0.1], [-1.0]),
+    "dt": ([1e-3, 1e-2], [-0.1, 1e-300]),
+    "direction": ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [1.0]]),
+    "seed_prev": ([lambda n: [0.0, 3.0, 6.0][:n]], [lambda n: [0.0] * (n + 1)]),
+    "seed_cur": ([lambda n: [0.3, 3.3, 6.3][:n]], [lambda n: [0.0] * (n + 1)]),
+    "steps": ([1, 5, 50], [0, -3]),
+    "p1": ([1.0, 0.5], [2.0]),
+    "p2": ([2.0, 3.0], [1.0]),
+    "newton_tolerance": ([1e-12, 1e-10], [0.0, -1.0]),
+    "chain_edges": ([1, 2, 3], [0]),
+    "tau_duration": ([0.01, 0.05], [0.0, -0.1]),
+    "tau_step": ([1e-3, 5e-3], [-1e-3, 1e-300]),
+}
+WRONG_TYPES = [0, None, "x", [1.0], True]
+OVERRIDES = [[], ["--out-dir", "given"], ["--seed", "2"], ["--tolerance-scale", "0"], ["--format", "json-lines"]]
+
+
+def _strict_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A valid scenario object, each key absent or valid, and for every key an out-of-range or
+    wrongly typed value. The continuous span is always given, so no run exceeds 100 steps."""
+    n = draw(st.sampled_from(FUZZ_KEYS["n"][0]))
+    base, bad = {}, {}
+    for key, (valid, out_of_range) in FUZZ_KEYS.items():
+        if key in ("kind", "n", "duration") or draw(st.booleans()):
+            value = n if key == "n" else draw(st.sampled_from(valid))
+            base[key] = value(n) if callable(value) else value
+        value = draw(st.sampled_from(out_of_range + WRONG_TYPES))
+        bad[key] = value(n) if callable(value) else value
+    return base, bad
+
+
+def test_fuzz_table_covers_every_scenario_key():
+    assert set(FUZZ_KEYS) == {f.name for f in dataclasses.fields(Scenario)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(fuzzed_scenarios(), st.sampled_from(OVERRIDES))
+def test_cli_contract_holds_on_fuzzed_scenarios(scenario, flags):
+    # main() exits 0, 1 or 2 and raises nothing, on the valid scenario and on each variant with
+    # one key out of range or wrongly typed; a report it writes is strict JSON
+    base, bad = scenario
+    start = os.getcwd()
+    for raw in [base, *(dict(base, **{key: value}) for key, value in bad.items())]:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                Path("scenario.json").write_text(json.dumps(raw), encoding="utf-8")
+                code = main(["run", "scenario.json", *flags])
+                assert code in (0, 1, 2)
+                if code in (0, 1):
+                    out = "given" if "--out-dir" in flags else raw.get("out_dir", "out")
+                    json.loads(Path(out, "report.json").read_text(), parse_constant=_strict_constant)
+            finally:
+                os.chdir(start)

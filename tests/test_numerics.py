@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmhier import numerics
 from cmhier.errors import NonConvergence, SingularJacobian, SingularMatrix
 from cmhier.numerics import (
+    CERTIFY_MARGIN,
+    PIVOT_RTOL,
     NewtonSettings,
+    _eliminate,
     fd_gradient,
     linear_solve,
     newton_solve,
@@ -274,6 +278,77 @@ class TestStackedSolve:
         with pytest.raises(SingularMatrix, match=f"system {bad}: pivot") as info:
             linear_solve(a, b)
         assert info.value.system == bad
+
+
+def spread_pivot(n, pivot):
+    """An (n, n) matrix with largest |entry| 1 whose first pivot is `pivot`: its first column is
+    pivot in every row, and column k is e_k - e_(k-1). Row 0 of its inverse is 1/(n pivot) in every
+    entry, so the inverse's largest row sum is about 1/pivot and its largest column sum only
+    about 1/(n pivot)."""
+    a = np.eye(n) - np.eye(n, k=1)
+    a[:, 0] = pivot
+    return a
+
+
+# rows 0 and 1 differ by 1e-15 in one entry: the elimination's pivot in column 1 is about 1e-15
+NEAR_SINGULAR = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
+
+
+class TestCertifiedSolve:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_near_singular_member_is_named_by_the_elimination(self, bad, seed):
+        a, b = dominant_stack(6, 3, seed)
+        a[bad] = 7.0 * NEAR_SINGULAR[np.random.default_rng(seed).permutation(3)]
+        a[5] = 7.0 * NEAR_SINGULAR  # a later failing system is not the one named
+        np.linalg.solve(a, b[:, :, None])  # not exactly singular, so LAPACK raises nothing
+        with pytest.raises(SingularMatrix, match=f"^system {bad}: .* in column 1$") as alone:
+            _eliminate(a[bad:bad + 1], b[bad:bad + 1], np.array([bad]))
+        with pytest.raises(SingularMatrix) as stacked:
+            linear_solve(a, b)
+        assert stacked.value.system == bad and str(stacked.value) == str(alone.value)
+
+    def test_uncertified_system_that_passes_takes_the_elimination(self, monkeypatch):
+        a, b = dominant_stack(4, 16, 3)
+        a[2] = spread_pivot(16, 1e-13)
+        inverse = np.abs(np.linalg.inv(a[2]))
+        # the certificate reads row sums; column sums would clear this system
+        assert inverse.sum(axis=1).max() > CERTIFY_MARGIN / PIVOT_RTOL > inverse.sum(axis=0).max()
+        eliminated = []
+
+        def spy(a_rows, b_rows, in_stack):
+            eliminated.append(in_stack.copy())
+            return _eliminate(a_rows, b_rows, in_stack)
+
+        monkeypatch.setattr(numerics, "_eliminate", spy)
+        v = linear_solve(a, b)
+        assert len(eliminated) == 1 and eliminated[0].tolist() == [2]
+        assert np.array_equal(v[2], _eliminate(a[2:3], b[2:3], np.array([2]))[0])
+        for ai, bi, vi in zip(a, b, v):
+            assert np.max(np.abs(ai @ vi - bi)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_exactly_singular_member_is_named_by_the_elimination(self, bad):
+        a, b = dominant_stack(5, 4, 11)
+        a[bad, 2] = a[bad, 0]  # two equal rows stay equal through LU and end in a zero pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b[:, :, None])
+        with pytest.raises(SingularMatrix, match=f"^system {bad}: pivot ") as alone:
+            _eliminate(a[bad:bad + 1], b[bad:bad + 1], np.array([bad]))
+        with pytest.raises(SingularMatrix) as stacked:
+            linear_solve(a, b)
+        assert stacked.value.system == bad and str(stacked.value) == str(alone.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(STACKS, st.data())
+    def test_each_system_gets_the_same_bits_stacked_as_alone(self, shape, data):
+        m, n, _ = shape
+        a, b = dominant_stack(*shape)
+        if n > 1 and data.draw(st.booleans()):  # one member goes to the elimination
+            a[data.draw(st.integers(0, m - 1))] = spread_pivot(n, 1e-13)
+        v = linear_solve(a, b)
+        for ai, bi, vi in zip(a, b, v, strict=True):
+            assert np.array_equal(vi, linear_solve(ai, bi))
 
 
 class TestFiniteDifference:
