@@ -6,7 +6,7 @@ from contextlib import contextmanager
 class NumericsError(Exception):
     """Base class for numerical failures.
 
-    `tau` is the tau of the failing RK4 stage of a chain evolution, `site` the
+    `tau` is the tau of the failing RK4 stage or step of a chain evolution, `site` the
     lattice site a discrete orbit or sheet was being extended to, `s` the
     segment parameter of the failing step of a continuous march; else they are
     None. `system` is the failing system's index in a stacked solve or march,

@@ -40,7 +40,7 @@ from .hierarchy import (
     weighted_gradient,
     weighted_hamiltonian,
 )
-from .numerics import fd_gradient, rk4_step, row_blocks
+from .numerics import fd_gradient, rk4_march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
 
@@ -144,19 +144,14 @@ def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fl
 
 def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems after each RK4 step along the path, shape (steps + 1, B, 2N),
-    the start first; a zero duration takes no step. Every step is checked in flight, so an overflow in
-    the unchecked stages is reported there, not warned about."""
+    the start first, at s_i = i duration/steps; a zero duration takes no step. Every step is checked in
+    flight, so an overflow in the unchecked stages is reported there, not warned about."""
     h, n_steps = path.duration / path.steps, path.steps if path.duration > 0 else 0
     b, n = y0.shape[0], y0.shape[1] // 2
     fld = _raw_field(path.direction, n)
     order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
-    ys = np.empty((n_steps + 1, *y0.shape))
-    ys[0] = y0
-    with np.errstate(all="ignore"):
-        for i in range(1, n_steps + 1):
-            ys[i] = rk4_step(fld, (i - 1) * h, ys[i - 1], h)
-            _check_in_flight(ys[i], order, i * h, ys[i - 1], fld)
-    return ys
+    return rk4_march(fld, y0, np.arange(n_steps + 1) * h, h,
+                     lambda s, y, before: _check_in_flight(y, order, s, before, fld))
 
 
 def _stack(states: Sequence[PhaseState]) -> np.ndarray:

@@ -78,10 +78,11 @@ def cross_gap(a: np.ndarray, b: np.ndarray):
 
 
 def check_cross_gap(a: np.ndarray, b: np.ndarray, what: str = "cross gap", row: str = "system") -> None:
-    """Raise CollisionSingularity when a and b share a coordinate, their cross_gap below COLLISION_TOL
-    or NaN; two (m, n) stacks are checked per row, the first failing row k named `at {row} k` and set
-    as the error's `system`. Check both for finite positions first."""
+    """Raise CollisionSingularity when a and b share a coordinate, their cross_gap below COLLISION_TOL or NaN;
+    two stacks (m, ..., n) are checked per row along axis 0, the first failing row k named `at {row} k` and
+    set as the error's `system`. Check both for finite positions first."""
     gaps = np.atleast_1d(cross_gap(a, b))
+    gaps = gaps.reshape(len(gaps), -1).min(axis=1)
     k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row, else row 0
     if not gaps[k] >= COLLISION_TOL:
         system = k if np.ndim(a) > 1 else None

@@ -1,4 +1,4 @@
-"""Dense numeric kernel: linear solves, Newton iteration, finite differences, RK4, row blocks.
+"""Dense numeric kernel: linear solves, Newton iteration, finite differences, the RK4 march, row blocks.
 
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
 a few tens), so the cost of a solve is interpreter and numpy-call overhead,
@@ -22,8 +22,8 @@ PIVOT_RTOL = 1e-14
 CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot check, for rounding
 
 STACK_ENTRIES = 1 << 13
-"""Array entries (64 KiB) of one stacked evaluation: chain velocity solves and per-sample trajectory
-kernels run in row blocks of at most this many, so memory does not grow with chains or samples."""
+"""Array entries (64 KiB) of one stacked evaluation: chain checks, velocity solves and residuals and per-sample
+trajectory kernels run in row blocks of at most this many, so memory does not grow with chains or samples."""
 
 
 def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
@@ -243,3 +243,17 @@ def rk4_step(
     k3 = np.asarray(field(t + 0.5 * dt, y + 0.5 * dt * k2), dtype=float)
     k4 = np.asarray(field(t + dt, y + dt * k3), dtype=float)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
+              check: Callable[[float, np.ndarray, np.ndarray], None]) -> np.ndarray:
+    """y0 and its rk4_step of dt from each of the caller's grid times to the next, shape (len(times), *y0.shape).
+    check(t, y, before) sees each step's result y at its end time t, and the state before it. Stages run
+    with floating-point warnings off, so the field or the check reports a non-finite stage."""
+    ys = np.empty((len(times), *np.shape(y0)))
+    ys[0] = y0
+    with np.errstate(all="ignore"):
+        for i in range(1, len(times)):
+            ys[i] = rk4_step(field, times[i - 1], ys[i - 1], dt)
+            check(times[i], ys[i], ys[i - 1])
+    return ys

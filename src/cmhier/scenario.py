@@ -20,7 +20,7 @@ from .errors import ParseError, ValidationError
 KINDS = ("continuous", "discrete", "semidiscrete", "verify-all")
 FORMATS = ("csv", "json-lines")
 MAX_N = 1024  # largest particle count; the kernels hold N x N pair matrices
-MAX_STEPS = 10**6  # largest step count of a continuous or chain run; a run keeps every step's state
+MAX_STEPS = 10**6  # largest step or edge count of a run; a run keeps every step's state
 # kind -> (span field, step field) of its march; round(span / step) is the step count
 _MARCHES = {"continuous": ("duration", "dt"), "semidiscrete": ("tau_duration", "tau_step")}
 
@@ -119,8 +119,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError("field 'seed' must be a nonnegative integer")
     for key in ("steps", "chain_edges"):
-        if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool) or raw[key] < 1):
-            raise ValidationError(f"field '{key}' must be an integer >= 1")
+        if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool) or not 1 <= raw[key] <= MAX_STEPS):
+            raise ValidationError(f"field '{key}' must be an integer between 1 and {MAX_STEPS}")
     if not isinstance(raw.get("out_dir", _DEFAULTS["out_dir"]), str):
         raise ValidationError("field 'out_dir' must be a string")
     if raw.get("format", "csv") not in FORMATS:

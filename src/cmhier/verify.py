@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
 from .errors import CollisionSingularity, NumericsError
 from .hierarchy import CouplingConvention, PhaseState
-from .numerics import NewtonSettings
+from .numerics import NewtonSettings, row_blocks
 from .sampling import plaquette_seed, random_phase_state
 from .scenario import Scenario
 
@@ -126,20 +126,20 @@ def orbit_invariant_drift(orbit: list) -> float:
     return max(float(np.max(np.abs(v - values[0]))) for v in values)
 
 
-def chain_residuals(snaps: list) -> tuple[float, float | None, float | None]:
-    """Worst velocity discrepancy, tau equation-of-motion residual (None below
-    two edges) and one-particle gap drift (None for N > 1) over chain snapshots;
-    one tau_velocities call solves every snapshot's edge systems in stacks."""
-    worst_disc = 0.0
-    worst_eom = 0.0 if snaps[0].length >= 2 else None
-    for snap, vel in zip(snaps, semidiscrete.tau_velocities(snaps)):
-        worst_disc = max(worst_disc, vel.max_discrepancy)
-        if worst_eom is not None:
-            worst_eom = max(worst_eom, float(np.max(np.abs(semidiscrete.semi_eom_residual(snap, vel)))))
-    if snaps[0].n > 1:
-        return worst_disc, worst_eom, None
-    gaps = np.array([snap.sites[1][0] - snap.sites[0][0] for snap in snaps])
-    return worst_disc, worst_eom, float(np.max(np.abs(gaps - gaps[0])))
+def chain_residuals(chain: semidiscrete.Chain) -> tuple[float, float | None, float | None]:
+    """Worst velocity discrepancy, tau equation-of-motion residual (None below two edges) and one-particle
+    gap drift (None for N > 1) over the snapshots of an evolved chain (T, K+1, N), all taken in row blocks
+    of at most numerics.STACK_ENTRIES matrix entries."""
+    y, vel = chain.sites, semidiscrete.tau_velocities(chain)
+    worst_eom = gap_drift = None
+    if chain.length >= 2:
+        fp, fn = vel.from_prev_edge, vel.from_next_edge
+        worst_eom = max(float(np.max(np.abs(semidiscrete.semi_eom_residual(y[rows], fp[rows], fn[rows]))))
+                        for rows in row_blocks(len(y), 2 * chain.length * chain.n**2))
+    if chain.n == 1:
+        gaps = y[:, 1, 0] - y[:, 0, 0]
+        gap_drift = float(np.max(np.abs(gaps - gaps[0])))
+    return float(np.max(vel.max_discrepancy)), worst_eom, gap_drift
 
 
 def _surviving_state(rng, n, min_gap, legs, run, attempts=50):
@@ -327,8 +327,7 @@ def _semidiscrete_checks(col, rng):
     for x0 in (np.array([0.0]), np.array([-2.0, 2.0])):
         params = discrete.LatticeParams(p1=1.0, p2=2.0, n=len(x0))
         sites = discrete.discrete_orbit(x0, x0 + 0.3 * rng.uniform(1.0, 1.2, len(x0)), params, 3)
-        chain = semidiscrete.Chain(tuple(sites))
-        results.append(chain_residuals(semidiscrete.evolve_chain(chain, 1e-3, 100)))
+        results.append(chain_residuals(semidiscrete.evolve_chain(semidiscrete.Chain(sites), 1e-3, 100)))
     (disc1, eom1, gap_drift), (disc2, eom2, _) = results
     col.gated("semi-velocity-consistency", max(disc1, disc2), 1e-8, n_values=[1, 2], tau_span=0.1)
     col.gated("semi-eom", max(eom1, eom2), 1e-10, n_values=[1, 2], tau_span=0.1)
@@ -363,7 +362,7 @@ def _closure_diagnostics(col, rng):
     params = discrete.LatticeParams(p1=1.0, p2=2.0, n=2)
     x0 = np.array([-4.0, 4.0])
     sites = discrete.discrete_orbit(x0, x0 + 0.3 * rng.uniform(1.0, 1.2, 2), params, 3)
-    chain = semidiscrete.Chain(tuple(sites))
+    chain = semidiscrete.Chain(sites)
     values = {}
     for d_tau in (1e-3, 5e-4):
         snaps = semidiscrete.evolve_chain(chain, d_tau, 2)

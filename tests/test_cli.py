@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cmhier import cli
 from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
-from cmhier.scenario import Scenario, parse_scenario, scenario_from_dict
+from cmhier.scenario import MAX_STEPS, Scenario, parse_scenario, scenario_from_dict
 from cmhier.verify import CheckEntry, Collector, VerificationReport
 
 
@@ -71,6 +71,13 @@ class TestParseScenario:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValidationError, match="dt"):
             scenario_from_dict(dict(MINIMAL_CONTINUOUS, dt=0.0))
+
+    @pytest.mark.parametrize("kind, field", [("discrete", "steps"), ("semidiscrete", "chain_edges")])
+    def test_site_count_is_capped(self, kind, field):
+        # validation only: neither scenario is run
+        assert getattr(scenario_from_dict({"kind": kind, "n": 1, field: MAX_STEPS}), field) == MAX_STEPS
+        with pytest.raises(ValidationError, match=f"^field '{field}' must be an integer between 1 and {MAX_STEPS}$"):
+            scenario_from_dict({"kind": kind, "n": 1, field: MAX_STEPS + 1})
 
 
 class TestRunScenario:
@@ -273,10 +280,13 @@ class TestMain:
             ("dt", dict(MINIMAL_CONTINUOUS, duration=1e300, dt=1e-300)),
             ("tau_step", {"kind": "semidiscrete", "n": 2, "seed_prev": [-2.0, 2.0], "seed_cur": [-1.7, 2.36],
                           "tau_duration": 1e300, "tau_step": 1e-300}),
+            ("steps", {"kind": "discrete", "n": 1, "seed_prev": [0.0], "seed_cur": [1.0], "steps": MAX_STEPS + 1}),
+            ("chain_edges", {"kind": "semidiscrete", "n": 2, "seed_prev": [-2.0, 2.0], "seed_cur": [-1.7, 2.36],
+                             "chain_edges": MAX_STEPS + 1}),
         ],
     )
     def test_step_count_above_the_cap_is_config_error(self, tmp_path, capsys, field, payload):
-        # round(1e300 / 1e-300) overflows to inf; the count is refused before anything runs
+        # round(1e300 / 1e-300) overflows to inf; every count is refused before anything runs
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, dict(payload, out_dir=str(out))))]) == 2
         err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from cmhier import discrete, exact, flows, verify
+from cmhier import discrete, exact, flows, semidiscrete, verify
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import PhaseState
 from cmhier.sampling import random_phase_state
@@ -150,3 +150,21 @@ class TestLatticeSpectrum:
         params = discrete.LatticeParams(p1=1.0, p2=2.0, n=1)
         site = exact.lattice_spectrum(x00, x10, params, 3, 2)
         assert site[0] == pytest.approx(0.2 + 3 * 0.3 - 2.0 / (1.0 / -0.3 + 1.0), abs=1e-14)
+
+
+class TestChainSpectrum:
+    """The chain grown from the edge (x00, x10) along tau: y(k, tau) = eig(diag x00 - k L^-1 - tau L^-2),
+    L = build_discrete_lax(x00, x10)[0], computed here, outside the package."""
+
+    @pytest.mark.parametrize("n, k_len", [(1, 2), (2, 2), (3, 4), (8, 8)])
+    def test_evolved_orbit_chain_matches_at_every_site_and_tau(self, n, k_len):
+        rng = np.random.default_rng(n)
+        x00 = 4.0 * np.arange(n) + rng.uniform(-0.3, 0.3, n)
+        x10 = x00 + rng.uniform(0.9, 1.1, n) / 3.0
+        orbit = discrete.discrete_orbit(x00, x10, discrete.LatticeParams(p1=1.0, p2=2.0, n=n), k_len + 1)
+        chain = semidiscrete.evolve_chain(semidiscrete.Chain(tuple(orbit)), 1e-3, 200)
+        inv = np.linalg.inv(discrete.build_discrete_lax(x00, x10)[0])
+        k, tau = np.arange(k_len + 1)[None, :, None, None], chain.tau[:, None, None, None]
+        spectrum = np.linalg.eigvals(np.diag(x00) - k * inv - tau * (inv @ inv))
+        assert chain.sites.shape == (201, k_len + 1, n) and np.all(spectrum.imag == 0.0)
+        assert np.max(np.abs(np.sort(chain.sites, axis=-1) - np.sort(spectrum.real, axis=-1))) <= 1e-11

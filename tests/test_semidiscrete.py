@@ -57,6 +57,19 @@ class TestChain:
         with pytest.raises(CollisionSingularity, match=f"non-finite position at site {site}"):
             Chain(tuple(np.array(s) for s in sites))
 
+    def test_stacked_chain_names_site_and_edge(self):
+        stack = np.array([drifting_chain(3, 4, seed) for seed in range(3)])
+        Chain(stack, np.zeros(3))
+        with pytest.raises(ValueError, match=r"tau of shape \(\) does not match"):
+            Chain(stack)
+        collided, crossed = stack.copy(), stack.copy()
+        collided[1, 2, 1] = collided[1, 2, 0] + 1e-13
+        with pytest.raises(CollisionSingularity, match="minimum gap .* at site 2"):
+            Chain(collided, np.zeros(3))
+        crossed[2, 2, 0] = crossed[2, 1, 0]
+        with pytest.raises(CollisionSingularity, match="adjacent chain sites .* at edge 1"):
+            Chain(crossed, np.zeros(3))
+
     def test_ragged_sites_rejected(self):
         with pytest.raises(ValueError):
             Chain((np.array([0.0, 1.0]), np.array([2.0])))
@@ -79,7 +92,7 @@ class TestTauVelocities:
 
     def test_velocities_satisfy_equation_of_motion(self):
         vel = tau_velocities(CHAIN_N2)
-        res = semi_eom_residual(CHAIN_N2, vel)
+        res = semi_eom_residual(CHAIN_N2.sites, vel.from_prev_edge, vel.from_next_edge)
         assert np.max(np.abs(res)) <= 1e-10
 
 
@@ -91,7 +104,7 @@ class TestTauVelocities:
             mat = 1.0 / (a[:, None] - b[None, :]) ** 2
             forward = np.linalg.solve(mat, -np.ones(8))
             backward = np.linalg.solve(mat.T, -np.ones(8))
-            for got, ref in ((vel.from_prev_edge[k + 1], forward), (vel.from_next_edge[k], backward)):
+            for got, ref in ((vel.from_prev_edge[k], forward), (vel.from_next_edge[k], backward)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("edge", [0, 3, 5])
@@ -111,12 +124,13 @@ class TestTauVelocities:
         # 1 entry: one chain per solve; 300: several chains per solve, the last one short
         monkeypatch.setattr(numerics, "STACK_ENTRIES", entries)
         snaps = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 6)
-        for snap, vel in zip(snaps, tau_velocities(snaps), strict=True):
-            alone = tau_velocities(snap)
-            assert vel.max_discrepancy == alone.max_discrepancy
-            for got, ref in ((vel.velocities, alone.velocities), (vel.from_prev_edge[1:], alone.from_prev_edge[1:]),
-                             (vel.from_next_edge[:-1], alone.from_next_edge[:-1])):
-                assert all(np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
+        vel = tau_velocities(snaps)
+        for t, tau in enumerate(snaps.tau):
+            alone = tau_velocities(Chain(snaps.sites[t], tau))
+            assert vel.max_discrepancy[t] == alone.max_discrepancy
+            for got, ref in ((vel.velocities, alone.velocities), (vel.from_prev_edge, alone.from_prev_edge),
+                             (vel.from_next_edge, alone.from_next_edge)):
+                assert np.array_equal(got[t], ref)
 
 
 class TestEvolveChain:
@@ -137,42 +151,72 @@ class TestEvolveChain:
         # the sixth field evaluation is the second stage of the second step
         assert info.value.tau == pytest.approx(0.5 + 1e-3 + 0.5e-3)
 
-    def test_builds_one_chain_per_accepted_step(self, count_builds):
+    def test_builds_one_chain_per_call(self, count_builds, monkeypatch):
+        checked = []
+        real = semidiscrete._check_sites
+        monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real(y))
         builds = count_builds(Chain)
-        snaps = evolve_chain(CHAIN_N2, 1e-3, 10)
-        assert len(snaps) == 11 and len(builds) == 10
+        chain = evolve_chain(CHAIN_N2, 1e-3, 10)
+        assert chain.sites.shape == (11, 3, 2) and chain.tau.shape == (11,) and len(builds) == 1
+        # each accepted step is checked once in flight, then the whole evolution once when built
+        assert checked == [(3, 2)] * 10 + [(11, 3, 2)]
+
+    def test_tau_is_the_running_sum_of_the_steps(self):
+        tau, taus = 0.5, [0.5]
+        for _ in range(40):
+            tau = tau + 1e-3
+            taus.append(tau)
+        assert evolve_chain(Chain(CHAIN_N2.sites, 0.5), 1e-3, 40).tau.tolist() == taus
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            evolve_chain(CHAIN_N2, 1e-3, -1)
+
+    def test_stack_is_rejected(self):
+        snaps = evolve_chain(CHAIN_N2, 1e-3, 2)
+        with pytest.raises(ValueError, match="one chain, not a stack"):
+            evolve_chain(snaps, 1e-3, 2)
 
     def test_scalar_gap_constant(self):
         chain = Chain((np.array([0.0]), np.array([2.0])))
         snaps = evolve_chain(chain, 1e-3, 100)
-        gaps = [s.sites[1][0] - s.sites[0][0] for s in snaps]
-        assert np.max(np.abs(np.array(gaps) - gaps[0])) <= 1e-10
+        gaps = snaps.sites[:, 1, 0] - snaps.sites[:, 0, 0]
+        assert np.max(np.abs(gaps - gaps[0])) <= 1e-10
 
     def test_step_halving_order(self):
         # a deliberately non-uniform chain, so the velocity field actually
         # varies along the evolution and truncation error is visible
         chain = Chain((np.array([0.0]), np.array([1.0]), np.array([2.5])))
-        ref = evolve_chain(chain, 1e-4, 800)[-1]
-        coarse = evolve_chain(chain, 8e-2, 1)[-1]
-        fine = evolve_chain(chain, 4e-2, 2)[-1]
-        err_coarse = max(np.max(np.abs(a - b)) for a, b in zip(coarse.sites, ref.sites))
-        err_fine = max(np.max(np.abs(a - b)) for a, b in zip(fine.sites, ref.sites))
+        ref = evolve_chain(chain, 1e-4, 800).sites[-1]
+        coarse = evolve_chain(chain, 8e-2, 1).sites[-1]
+        fine = evolve_chain(chain, 4e-2, 2).sites[-1]
+        err_coarse = np.max(np.abs(coarse - ref))
+        err_fine = np.max(np.abs(fine - ref))
         assert err_coarse / err_fine == pytest.approx(16.0, rel=0.4)
 
     def test_compatibility_persists(self):
         snaps = evolve_chain(CHAIN_N2, 1e-3, 100)
-        worst = max(tau_velocities(s).max_discrepancy for s in snaps)
+        worst = np.max(tau_velocities(snaps).max_discrepancy)
         assert worst <= 1e-8
 
 
 class TestSemiEom:
     def test_consistent_scalar_chain(self):
         vel = tau_velocities(CHAIN_N1)
-        assert np.max(np.abs(semi_eom_residual(CHAIN_N1, vel))) <= 1e-12
+        assert np.max(np.abs(semi_eom_residual(CHAIN_N1.sites, vel.from_prev_edge, vel.from_next_edge))) <= 1e-12
 
     def test_random_velocities_nonzero(self):
-        vel = [np.array([0.3, -0.2]), np.array([0.1, 0.4]), np.array([-0.5, 0.2])]
-        assert np.max(np.abs(semi_eom_residual(CHAIN_N2, vel))) > 1e-3
+        vel = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
+        assert np.max(np.abs(semi_eom_residual(CHAIN_N2.sites, vel[1:], vel[:-1]))) > 1e-3
+
+    def test_edge_matched_velocities_hold_it_on_any_chain(self):
+        # each term is the left side of the system its velocity solves, so only the averaged
+        # velocities of a chain that is no orbit show its edge discrepancy
+        chain = Chain(tuple(drifting_chain(8, 8, seed=4)))
+        vel = tau_velocities(chain)
+        assert vel.max_discrepancy > 0.05
+        assert np.max(np.abs(semi_eom_residual(chain.sites, vel.from_prev_edge, vel.from_next_edge))) <= 1e-14
+        assert np.max(np.abs(semi_eom_residual(chain.sites, vel.velocities[1:], vel.velocities[:-1]))) > 0.4
 
 
 class TestSemiLagrangian:
@@ -217,14 +261,32 @@ class TestSemiClosure:
         assert value <= 1e-3
 
     def test_needs_three_snapshots(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 3 snapshots"):
             semi_closure_values(evolve_chain(CHAIN_N2, 1e-3, 1), PARAMS)
+        with pytest.raises(ValueError, match="need at least 3 snapshots"):
+            semi_closure_values(CHAIN_N2, PARAMS)
+
+    def test_needs_two_edges(self):
+        chain = Chain((np.array([0.0, 3.0]), np.array([0.3, 3.4])))
+        with pytest.raises(ValueError, match="at least two edges"):
+            semi_closure_values(evolve_chain(chain, 1e-3, 2), PARAMS)
+
+    def test_needs_uniform_tau_spacing(self):
+        snaps = evolve_chain(CHAIN_N2, 1e-3, 2)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            semi_closure_values(Chain(snaps.sites, np.array([0.0, 1e-3, 3e-3])), PARAMS)
 
 
-def test_chain_residuals_match_the_per_snapshot_loop():
+def test_chain_residuals_match_the_per_snapshot_loop(monkeypatch):
     from cmhier import verify
 
-    snaps = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 20)
-    disc = max(tau_velocities(s).max_discrepancy for s in snaps)
-    eom = max(float(np.max(np.abs(semi_eom_residual(s, tau_velocities(s))))) for s in snaps)
-    assert verify.chain_residuals(snaps) == (disc, eom, None)
+    chain = evolve_chain(Chain(tuple(drifting_chain(3, 4))), 1e-3, 20)
+    snaps = [Chain(sites, tau) for sites, tau in zip(chain.sites, chain.tau)]
+    vels = [tau_velocities(s) for s in snaps]
+    disc = max(float(v.max_discrepancy) for v in vels)
+    eom = max(float(np.max(np.abs(semi_eom_residual(s.sites, v.from_prev_edge, v.from_next_edge))))
+              for s, v in zip(snaps, vels))
+    # 300 entries: the residual is taken in several row blocks, the last one short
+    for entries in (numerics.STACK_ENTRIES, 300):
+        monkeypatch.setattr(numerics, "STACK_ENTRIES", entries)
+        assert verify.chain_residuals(chain) == (disc, eom, None)
