@@ -81,11 +81,6 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 1.0 / (x[..., :, None] - y[..., None, :])
 
 
-def _pair_sums(x: np.ndarray) -> np.ndarray:
-    """Per-particle sums sum_{l != m} 1/(x_m - x_l)."""
-    return inverse_gaps(x).sum(axis=1)
-
-
 def _keeps_order(x: np.ndarray, tx: np.ndarray) -> bool:
     """Whether tx keeps the particle order of x: tx sorted by the argsort of x increases."""
     return np.diff(tx[np.argsort(x)]).min(initial=np.inf) > 0
@@ -140,8 +135,7 @@ def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
     if not set(letters) <= set(_CORNER_TERMS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
     sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
-    pairs = np.array([_pair_sums(site) for site in x])
-    const = _cross(x, known).sum(axis=-1) - weight * pairs + d_sign * dp
+    const = _cross(x, known).sum(axis=-1) - weight * inverse_gaps(x).sum(axis=-1) + d_sign * dp
 
     def residual(u):
         return const + sgn * _cross(x, u).sum(axis=-1)

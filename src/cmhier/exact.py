@@ -30,11 +30,10 @@ def projection_spectrum(start: PhaseState, direction, s) -> np.ndarray:
 
 
 def collides(start: PhaseState, path: PathSpec) -> bool:
-    """True when, at some grid time s = i duration/steps of the path (i = 1..steps,
-    where the march checks its steps in flight), the exact spectrum has a nonzero
-    imaginary part or two sorted eigenvalues closer than FLIGHT_GAP_TOL."""
-    s = np.arange(1, path.steps + 1) * (path.duration / path.steps)
-    spectrum = projection_spectrum(start, path.direction, s)
+    """True when, at some time of the path's grid after the start (where the march
+    checks its steps in flight), the exact spectrum has a nonzero imaginary part or
+    two sorted eigenvalues closer than FLIGHT_GAP_TOL."""
+    spectrum = projection_spectrum(start, path.direction, path.grid()[1:])
     gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
     return bool(np.any(spectrum.imag != 0.0)) or not np.all(gaps >= FLIGHT_GAP_TOL)
 

@@ -67,12 +67,17 @@ class PathSpec:
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
+    def grid(self) -> np.ndarray:
+        """The sample times s_i = i duration/steps, the start first: i = 0..steps, or i = 0 alone at zero
+        duration, where the march takes no step. The march, Trajectory.times and exact.collides read it."""
+        return np.arange(self.steps + 1 if self.duration > 0 else 1) * (self.duration / self.steps)
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A marched segment: its path and the positions x and momenta p, (T, N) arrays, at each grid
-    time s_i = i duration/steps, the start first; a zero-duration path holds the start only. One
-    stacked collision check runs at construction; `samples` builds one PhaseState per row on first use."""
+    """A marched segment: its path and the positions x and momenta p, (T, N) arrays, one row at each
+    time of the path's grid. One stacked collision check runs at construction; `samples` builds one
+    PhaseState per row on first use."""
 
     path: PathSpec
     x: np.ndarray
@@ -82,6 +87,8 @@ class Trajectory:
         x, p = np.array(self.x, dtype=float), np.array(self.p, dtype=float)
         if x.ndim != 2 or x.shape != p.shape:
             raise ValueError("x and p must be (samples, N) arrays of one shape")
+        if len(x) != len(self.path.grid()):
+            raise ValueError("x and p must hold one row per grid time of the path")
         check_collision_free(x, "sample")
         for name, arr in (("x", x), ("p", p)):
             arr.flags.writeable = False
@@ -93,8 +100,7 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         """(s, t2, t3) of each sample, t = direction s; the start is (0, 0, 0), never -0.0."""
-        s = np.arange(len(self.x)) * (self.path.duration / self.path.steps)
-        t = s[:, None] * np.array([1.0, *self.path.direction])
+        t = self.path.grid()[:, None] * np.array([1.0, *self.path.direction])
         t[0] = 0.0
         return t
 
@@ -143,14 +149,13 @@ def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fl
 
 
 def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
-    """The stack y0 (B, 2N) of B systems after each RK4 step along the path, shape (steps + 1, B, 2N),
-    the start first, at s_i = i duration/steps; a zero duration takes no step. Every step is checked in
-    flight, so an overflow in the unchecked stages is reported there, not warned about."""
-    h, n_steps = path.duration / path.steps, path.steps if path.duration > 0 else 0
+    """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
+    from each grid time to the next. Every step is checked in flight, so an overflow in the unchecked
+    stages is reported there, not warned about."""
     b, n = y0.shape[0], y0.shape[1] // 2
     fld = _raw_field(path.direction, n)
     order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
-    return rk4_march(fld, y0, np.arange(n_steps + 1) * h, h,
+    return rk4_march(fld, y0, path.grid(), path.duration / path.steps,
                      lambda s, y, before: _check_in_flight(y, order, s, before, fld))
 
 

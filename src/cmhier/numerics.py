@@ -1,12 +1,9 @@
 """Dense numeric kernel: linear solves, Newton iteration, finite differences, the RK4 march, row blocks.
 
-Everything operates on plain float ndarrays. Problem sizes are tiny (N up to
-a few tens), so the cost of a solve is interpreter and numpy-call overhead,
-not arithmetic. linear_solve and newton_solve therefore also take a stack of
-independent systems along a leading axis and work on them together:
-linear_solve solves a stack with one batched LAPACK call, and only systems
-whose pivots it cannot certify go through the column elimination, which
-decides and words every pivot failure.
+Everything operates on plain float ndarrays. Problem sizes are tiny (N up to a few tens), so a solve
+costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore also
+take a stack of independent systems along a leading axis and work on them together. linear_solve makes
+one LAPACK call for the systems that |A| certifies; the column elimination decides every failure.
 """
 
 from __future__ import annotations
@@ -58,20 +55,21 @@ DEFAULT_NEWTON = NewtonSettings()
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ v = b with one batched LAPACK call, for one system, `a` (n, n) and `b` (n,), or
-    for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), giving v of shape (m, n).
+    """Solve a @ v = b for one system, `a` (n, n) and `b` (n,), or for a stack of m independent
+    systems, `a` (m, n, n) and `b` (m, n), giving v of shape (m, n).
 
-    One `np.linalg.solve` of [b | I] gives each system its solution and its inverse. A system with
-    s·‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL, s = max|a_ij|, passes the pivot check of LU with partial
-    pivoting, and keeps that solution, which depends on it alone: each pivot is the largest |entry|
-    in the first column of the block S left to eliminate, whose inverse is a submatrix of a⁻¹ with
-    permuted columns, so it is at least 1/‖S⁻¹‖∞ ≥ 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 9). The other systems, and the whole stack when LAPACK finds an exactly
-    singular matrix, go through the column elimination, which decides every pivot failure.
+    One `np.linalg.solve` of the single right-hand side b solves the systems that |a| certifies, each
+    as if alone. Each row is read at its first largest |entry|; where these lie in distinct columns,
+    that row order must be strictly diagonally dominant with δ = min_i(|a_ii| - Σ_(j≠i) |a_ij|) above
+    s PIVOT_RTOL / CERTIFY_MARGIN, s = max|a_ij|. Then ‖a⁻¹‖∞ ≤ 1/δ in any row order (Varah, Linear
+    Algebra Appl. 11 (1975)), and each pivot of LU with partial pivoting, the largest |entry| in the
+    first column of the block S left, whose inverse is a submatrix of a⁻¹ with permuted columns, is at
+    least 1/‖S⁻¹‖∞ ≥ 1/‖a⁻¹‖∞ ≥ δ (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9). The
+    computed δ must clear that threshold by n² ε s more, ε = 2⁻⁵², above the rounding of a row sum,
+    γ_(n-1) Σ_j |a_ij| ≤ n² s ε/2; a zero matrix is not certified. The column elimination solves the rest.
 
-    Raises SingularMatrix, naming the system index, when a system's matrix has a non-finite entry
-    or when its pivot is below PIVOT_RTOL times its largest |entry|. Non-finite entries are checked
-    first; a pivot failure names the lowest failing system and its first failing column.
+    Raises SingularMatrix as the elimination does, naming the lowest system with a non-finite entry,
+    else the lowest with a pivot below PIVOT_RTOL times its largest |entry| and its first such column.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -83,32 +81,33 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, n = a.shape[:2]
     if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
-    scale = np.abs(a).max(axis=(1, 2))
-    if not np.isfinite(scale).all():
-        system = int(np.flatnonzero(~np.isfinite(scale))[0])
-        raise SingularMatrix(f"system {system}: non-finite matrix entry", system=system)
-    # an explicit (m, n, n + 1) right-hand side: numpy 1 and 2 broadcast a 1-D one differently
-    rhs = np.concatenate([b[:, :, None], np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
-    try:
-        solved = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:  # an exactly singular matrix: nothing is certified
-        solved = np.full_like(rhs, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = scale * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
-    v = solved[:, :, 0].copy()
-    rows = np.flatnonzero(~(bound <= CERTIFY_MARGIN / PIVOT_RTOL))  # a NaN bound certifies nothing
-    if len(rows):
+    magnitude = np.abs(a)
+    lead = magnitude.argmax(axis=2)
+    peaks = magnitude.reshape(m * n, n)[np.arange(m * n), lead.ravel()].reshape(m, n)
+    threshold = (PIVOT_RTOL / CERTIFY_MARGIN + n * n * np.finfo(float).eps) * peaks.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row certifies nothing
+        margins = np.where(np.sort(lead, axis=1) == np.arange(n), peaks + peaks - magnitude.sum(axis=2), -np.inf)
+        certified = margins.min(axis=1) > threshold
+    if certified.all():
+        v = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    else:
+        v, rows = np.empty((m, n)), np.flatnonzero(~certified)
+        v[certified] = np.linalg.solve(a[certified], b[certified, :, None])[:, :, 0]
         v[rows] = _eliminate(a[rows], b[rows], rows)
     return v[0] if single else v
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray:
-    """Solve the finite stack a (m, n, n) @ v = b (m, n) by LU with partial pivoting, eliminating
-    all systems together one column at a time; each pivots on the first largest |entry| in the
-    column. The lowest system with a pivot below PIVOT_RTOL times its largest |entry| raises
-    SingularMatrix, naming its index in_stack[k] in the caller's stack and its first failing column."""
+    """Solve the stack a (m, n, n) @ v = b (m, n) by LU with partial pivoting, eliminating all
+    systems together one column at a time; each pivots on the first largest |entry| in the column.
+    The lowest system with a non-finite entry, else the lowest with a pivot below PIVOT_RTOL times its
+    largest |entry|, raises SingularMatrix, naming its index in_stack[k] and its first failing column."""
     m, n = b.shape
-    threshold = PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    scale = np.abs(a).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
+        system = int(in_stack[np.flatnonzero(~np.isfinite(scale))[0]])
+        raise SingularMatrix(f"system {system}: non-finite matrix entry", system=system)
+    threshold = PIVOT_RTOL * np.maximum(scale, 1e-300)
 
     # augmented [a | b], so row swaps and eliminations carry the right-hand side
     ab = np.empty((m, n, n + 1))

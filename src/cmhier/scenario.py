@@ -108,6 +108,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw["n"], int) or isinstance(raw["n"], bool) or not 1 <= raw["n"] <= MAX_N:
         raise ValidationError(f"field 'n' must be an integer between 1 and {MAX_N}")
     n = raw["n"]
+    if kind == "verify-all" and n != 3:  # its sections run at N <= 3, whatever n says
+        raise ValidationError("field 'n' must be 3 for kind 'verify-all', the size its checks run at")
 
     for key in ("dt", "tau_step", "newton_tolerance", "tau_duration"):
         _require_number(raw, key, positive=True)

@@ -79,6 +79,12 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match=f"^field '{field}' must be an integer between 1 and {MAX_STEPS}$"):
             scenario_from_dict({"kind": kind, "n": 1, field: MAX_STEPS + 1})
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 50, 1024])
+    def test_verify_all_refuses_a_size_it_does_not_run(self, n):
+        assert scenario_from_dict({"kind": "verify-all", "n": 3}).n == 3
+        with pytest.raises(ValidationError, match="^field 'n' must be 3 for kind 'verify-all'"):
+            scenario_from_dict({"kind": "verify-all", "n": n})
+
 
 class TestRunScenario:
     def test_continuous_csv_columns(self, tmp_path):
@@ -400,6 +406,12 @@ class TestMain:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+    def test_verify_all_of_another_size_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"kind": "verify-all", "n": 50, "out_dir": str(tmp_path / "out")})
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'n' must be 3 for kind 'verify-all'")
+        assert not (tmp_path / "out").exists()
 
     def test_verify_requires_verify_kind(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS))

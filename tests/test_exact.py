@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from cmhier import discrete, exact, flows, semidiscrete, verify
+from cmhier import discrete, exact, flows, numerics, semidiscrete, verify
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import PhaseState
 from cmhier.sampling import random_phase_state
@@ -57,6 +57,38 @@ class TestCollides:
         t_close = np.sqrt(16.0 - (0.5 * flows.FLIGHT_GAP_TOL) ** 2)
         assert exact.collides(start, flows.PathSpec((1.0, 0.0), t_close, 1))
         assert not exact.collides(start, flows.PathSpec((1.0, 0.0), np.sqrt(16.0 - (2.0 * flows.FLIGHT_GAP_TOL) ** 2), 1))
+
+    @pytest.mark.parametrize("duration, steps", [(0.0, 1), (0.0, 7), (0.3, 3), (0.1, 7), (1.0, 1000), (0.5, 500)])
+    def test_march_samples_and_screen_read_one_grid(self, monkeypatch, duration, steps):
+        path = flows.PathSpec((1.0, -0.5), duration, steps)
+        grid = path.grid()
+        # the march's own expression, bit for bit; the screen's s = i duration/steps, i = 1..steps, where
+        # the march takes steps: a zero-duration march takes none, and the screen then checks nothing
+        assert np.array_equal(grid, np.arange((steps if duration > 0 else 0) + 1) * (duration / steps))
+        assert np.array_equal(grid[1:], np.arange(1, steps + 1) * (duration / steps) if duration > 0 else [])
+        seen = {}
+
+        def march(field, y0, times, dt, check):
+            seen["march"] = times
+            return numerics.rk4_march(field, y0, times, dt, check)
+
+        def spectrum(start, direction, s):
+            seen["screen"] = s
+            return exact_spectrum(start, direction, s)
+
+        exact_spectrum = exact.projection_spectrum
+        monkeypatch.setattr(flows, "rk4_march", march)
+        monkeypatch.setattr(exact, "projection_spectrum", spectrum)
+        start = PhaseState([-4.0, 0.0, 4.0], [0.1, 0.0, -0.1])
+        assert not exact.collides(start, path)
+        traj = flows.evolve_path(start, path)
+        assert np.array_equal(seen["march"], grid) and np.array_equal(seen["screen"], grid[1:])
+        assert np.array_equal(traj.times()[:, 0], grid) and len(traj.x) == len(grid)
+
+    def test_trajectory_needs_one_row_per_grid_time(self):
+        x = np.array([[0.0, 1.0], [0.1, 1.1]])
+        with pytest.raises(ValueError, match="one row per grid time"):
+            flows.Trajectory(flows.PathSpec((1.0, 0.0), 0.0, 1), x, x)
 
     def test_bounce_state_passes_the_march_but_not_the_screen(self):
         state = random_phase_state(_rng_before_bounce(), 3, min_gap=1.0)

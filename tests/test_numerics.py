@@ -351,6 +351,98 @@ class TestCertifiedSolve:
             assert np.array_equal(vi, linear_solve(ai, bi))
 
 
+def watch_solvers(mp):
+    """Record the stack indices of every _eliminate call and the right-hand side shape of every
+    np.linalg.solve call while the MonkeyPatch mp is active."""
+    eliminated, lapack = [], []
+    solve = np.linalg.solve
+
+    def spy(a_rows, b_rows, in_stack):
+        eliminated.append(in_stack.tolist())
+        return _eliminate(a_rows, b_rows, in_stack)
+
+    mp.setattr(numerics, "_eliminate", spy)
+    mp.setattr(np.linalg, "solve", lambda a, b: lapack.append(b.shape) or solve(a, b))
+    return eliminated, lapack
+
+
+def near_threshold(n, level, laplacian, seed):
+    """A row-shuffled (n, n) matrix whose rows are dominant by level times the certificate's threshold:
+    |a_ii| = sum_(j != i) |a_ij| + level tau s, with s the largest off-diagonal row sum. Off-diagonal
+    entries are all negative when `laplacian`, so that level 0 is a matrix of zero row sums."""
+    rng = np.random.default_rng(seed)
+    a = -rng.uniform(0, 1, (n, n)) if laplacian else rng.uniform(-1, 1, (n, n))
+    np.fill_diagonal(a, 0.0)
+    off = np.abs(a).sum(axis=1)
+    tau = PIVOT_RTOL / CERTIFY_MARGIN + n * n * np.finfo(float).eps
+    np.fill_diagonal(a, (off + level * tau * off.max()) * (1.0 if laplacian else rng.choice([-1.0, 1.0], n)))
+    return a[rng.permutation(n)], rng.uniform(-1, 1, n)
+
+
+class TestDominanceCertificate:
+    @pytest.mark.parametrize("a", [
+        np.zeros((1, 1)),
+        np.zeros((4, 4)),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.array([[2.0, 1.0], [4.0, 2.0]]),
+        np.array([[3.0, -1.0, -2.0], [-1.0, 3.0, -2.0], [-1.0, -2.0, 3.0]]),  # zero row sums
+    ])
+    def test_zero_and_singular_matrices_are_not_certified(self, a):
+        with pytest.MonkeyPatch.context() as mp:
+            eliminated, lapack = watch_solvers(mp)
+            with pytest.raises(SingularMatrix, match="^system 0: pivot "):
+                linear_solve(a, np.ones(len(a)))
+        assert eliminated == [[0]] and lapack == [(0, len(a), 1)]
+
+    def test_singular_newton_jacobian_is_not_certified(self):
+        with pytest.MonkeyPatch.context() as mp:
+            eliminated, _ = watch_solvers(mp)
+            with pytest.raises(SingularJacobian, match="^system 0: pivot "):
+                newton_solve(lambda u: np.array([1.0]), np.array([0.0]), jacobian_fn=lambda u: np.array([[0.0]]))
+        assert eliminated == [[0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(STACKS)
+    def test_shuffled_dominant_stack_takes_one_lapack_call(self, shape):
+        a, b = dominant_stack(*shape)
+        with pytest.MonkeyPatch.context() as mp:
+            eliminated, lapack = watch_solvers(mp)
+            v = linear_solve(a, b)
+        assert eliminated == [] and lapack == [(shape[0], shape[1], 1)]
+        assert np.array_equal(v, np.linalg.solve(a, b[:, :, None])[:, :, 0])
+
+    def test_uncertified_systems_take_the_elimination_with_their_own_bits(self):
+        a, b = dominant_stack(6, 16, 5)
+        a[1] = spread_pivot(16, 1e-13)
+        a[4] = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 16)))[0]  # orthogonal: ‖a‖‖a⁻¹‖ ≤ 16
+        assert np.linalg.cond(a[4], p=np.inf) < 16.0 + 1e-9
+        with pytest.MonkeyPatch.context() as mp:
+            eliminated, lapack = watch_solvers(mp)
+            v = linear_solve(a, b)
+        assert eliminated == [[1, 4]] and lapack == [(4, 16, 1)]
+        for k in (1, 4):
+            assert np.array_equal(v[k], _eliminate(a[k:k + 1], b[k:k + 1], np.array([k]))[0])
+            assert np.max(np.abs(a[k] @ v[k] - b[k])) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 128), st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e3]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_a_certified_system_passes_the_elimination(self, n, level, laplacian, seed):
+        a, b = near_threshold(n, level, laplacian, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            eliminated, _ = watch_solvers(mp)
+            try:
+                linear_solve(a, b)
+            except SingularMatrix:
+                pass
+        if n > 1 and level >= 2.0:
+            assert eliminated == []
+        if n == 1 or level <= 0.5:
+            assert eliminated == [[0]]
+        if not eliminated:
+            _eliminate(a[None], b[None], np.array([0]))
+
+
 class TestFiniteDifference:
     def test_square(self):
         d = fd_gradient(lambda u: u[..., 0] ** 2, np.array([3.0]), 1e-5)[0]

@@ -260,6 +260,14 @@ class TestSemiClosure:
         assert np.isfinite(value)
         assert value <= 1e-3
 
+    def test_strongly_interacting_chain_converges_to_a_nonzero_value(self):
+        # the relation does not close: on this chain the printed value converges in d_tau to about
+        # -6.2e-3, most of d/dtau L_(1) itself (about -7.5e-3), while halving d_tau moves it by 5.6e-7
+        chain = orbit_chain([-1.0, 1.0], [0.5, 0.55], PARAMS)
+        coarse, fine = (semi_closure_values(evolve_chain(chain, d_tau, 2), PARAMS)[0] for d_tau in (1e-3, 5e-4))
+        assert abs(fine - coarse) <= 1e-6
+        assert fine == pytest.approx(-6.2e-3, abs=5e-5)
+
     def test_needs_three_snapshots(self):
         with pytest.raises(ValueError, match="need at least 3 snapshots"):
             semi_closure_values(evolve_chain(CHAIN_N2, 1e-3, 1), PARAMS)
