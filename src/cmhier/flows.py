@@ -87,8 +87,6 @@ class Trajectory:
         x, p = np.array(self.x, dtype=float), np.array(self.p, dtype=float)
         if x.ndim != 2 or x.shape != p.shape:
             raise ValueError("x and p must be (samples, N) arrays of one shape")
-        if len(x) != len(self.path.grid()):
-            raise ValueError("x and p must hold one row per grid time of the path")
         check_collision_free(x, "sample")
         for name, arr in (("x", x), ("p", p)):
             arr.flags.writeable = False

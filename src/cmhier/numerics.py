@@ -3,7 +3,8 @@
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to a few tens), so a solve
 costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore also
 take a stack of independent systems along a leading axis and work on them together. linear_solve makes
-one LAPACK call for the systems that |A| certifies; the column elimination decides every failure.
+one LAPACK call for the systems that |A| certifies, one for the rest, which their inverses certify, and
+leaves every failure to the column elimination.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ v = b for one system, `a` (n, n) and `b` (n,), or for a stack of m independent
     systems, `a` (m, n, n) and `b` (m, n), giving v of shape (m, n).
 
-    One `np.linalg.solve` of the single right-hand side b solves the systems that |a| certifies, each
-    as if alone. Each row is read at its first largest |entry|; where these lie in distinct columns,
-    that row order must be strictly diagonally dominant with δ = min_i(|a_ii| - Σ_(j≠i) |a_ij|) above
-    s PIVOT_RTOL / CERTIFY_MARGIN, s = max|a_ij|. Then ‖a⁻¹‖∞ ≤ 1/δ in any row order (Varah, Linear
-    Algebra Appl. 11 (1975)), and each pivot of LU with partial pivoting, the largest |entry| in the
-    first column of the block S left, whose inverse is a submatrix of a⁻¹ with permuted columns, is at
-    least 1/‖S⁻¹‖∞ ≥ 1/‖a⁻¹‖∞ ≥ δ (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9). The
-    computed δ must clear that threshold by n² ε s more, ε = 2⁻⁵², above the rounding of a row sum,
-    γ_(n-1) Σ_j |a_ij| ≤ n² s ε/2; a zero matrix is not certified. The column elimination solves the rest.
+    A LAPACK solution stands when s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL, s = max|a_ij|: every pivot of LU
+    with partial pivoting is then at least 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 9), so the pivot check passes. Strictly diagonally dominant systems, whose computed δ = min_i(|a_ii|
+    - Σ_(j≠i) |a_ij|) exceeds (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s, ε = 2⁻⁵², have ‖a⁻¹‖∞ ≤ 1/δ (Varah,
+    Linear Algebra Appl. 11 (1975)); one `np.linalg.solve` of the single right-hand side b solves them. The
+    n² ε term bounds the rounding of a row sum, γ_(n-1) Σ_j |a_ij| ≤ n² s ε/2, and a zero matrix is not
+    dominant. One solve of [b | I] gives the others their inverses to certify them; the column elimination
+    solves those that fail, and all of them when LAPACK finds one exactly singular. So a system gets the
+    bits it gets alone, unless it is not dominant and stacked with a singular one.
 
     Raises SingularMatrix as the elimination does, naming the lowest system with a non-finite entry,
     else the lowest with a pivot below PIVOT_RTOL times its largest |entry| and its first such column.
@@ -82,18 +83,30 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
     magnitude = np.abs(a)
-    lead = magnitude.argmax(axis=2)
-    peaks = magnitude.reshape(m * n, n)[np.arange(m * n), lead.ravel()].reshape(m, n)
-    threshold = (PIVOT_RTOL / CERTIFY_MARGIN + n * n * np.finfo(float).eps) * peaks.max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row certifies nothing
-        margins = np.where(np.sort(lead, axis=1) == np.arange(n), peaks + peaks - magnitude.sum(axis=2), -np.inf)
-        certified = margins.min(axis=1) > threshold
-    if certified.all():
+    scale = magnitude.max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row is not dominant
+        margin = 2.0 * magnitude.diagonal(axis1=1, axis2=2) - magnitude.sum(axis=2)
+        dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * scale
+    if dominant.all():  # the common case, solved without gathering the stack
         v = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    else:
-        v, rows = np.empty((m, n)), np.flatnonzero(~certified)
-        v[certified] = np.linalg.solve(a[certified], b[certified, :, None])[:, :, 0]
-        v[rows] = _eliminate(a[rows], b[rows], rows)
+        return v[0] if single else v
+    v, rest = np.empty((m, n)), np.flatnonzero(~dominant)
+    if len(rest) < m:
+        v[dominant] = np.linalg.solve(a[dominant], b[dominant, :, None])[:, :, 0]
+    pick = rest if len(rest) < m else slice(None)  # a stack with no dominant system is not gathered
+    rhs = np.empty((len(rest), n, n + 1))  # [b | I]
+    rhs[:, :, 0] = b[pick]
+    rhs[:, :, 1:] = np.eye(n)
+    try:
+        solved = np.linalg.solve(a[pick], rhs)
+    except np.linalg.LinAlgError:  # an exactly singular or non-finite matrix: nothing is certified
+        solved = np.full_like(rhs, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = scale[pick] * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
+    v[rest] = solved[:, :, 0]
+    rest = rest[~(bound <= CERTIFY_MARGIN / PIVOT_RTOL)]  # a NaN bound certifies nothing
+    if len(rest):
+        v[rest] = _eliminate(a[rest], b[rest], rest)
     return v[0] if single else v
 
 

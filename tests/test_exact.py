@@ -85,11 +85,6 @@ class TestCollides:
         assert np.array_equal(seen["march"], grid) and np.array_equal(seen["screen"], grid[1:])
         assert np.array_equal(traj.times()[:, 0], grid) and len(traj.x) == len(grid)
 
-    def test_trajectory_needs_one_row_per_grid_time(self):
-        x = np.array([[0.0, 1.0], [0.1, 1.1]])
-        with pytest.raises(ValueError, match="one row per grid time"):
-            flows.Trajectory(flows.PathSpec((1.0, 0.0), 0.0, 1), x, x)
-
     def test_bounce_state_passes_the_march_but_not_the_screen(self):
         state = random_phase_state(_rng_before_bounce(), 3, min_gap=1.0)
         assert np.array_equal(state.x, BOUNCE.x) and np.array_equal(state.p, BOUNCE.p)

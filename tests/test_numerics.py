@@ -244,12 +244,13 @@ class TestLinearSolve:
             linear_solve(a, b)
 
 
-def dominant_stack(m, n, seed):
-    """m strictly diagonally dominant systems, each with its rows shuffled so
-    that the pivot search has to exchange rows."""
+def dominant_stack(m, n, seed, shuffled=True):
+    """m strictly diagonally dominant systems, each with its rows shuffled, when `shuffled`,
+    so that the pivot search has to exchange rows."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, (m, n, n)) + (n + 1.0) * np.eye(n)
-    a = np.stack([ai[rng.permutation(n)] for ai in a])
+    if shuffled:
+        a = np.stack([ai[rng.permutation(n)] for ai in a])
     return a, rng.uniform(-1, 1, (m, n))
 
 
@@ -367,7 +368,7 @@ def watch_solvers(mp):
 
 
 def near_threshold(n, level, laplacian, seed):
-    """A row-shuffled (n, n) matrix whose rows are dominant by level times the certificate's threshold:
+    """An (n, n) matrix whose rows are dominant by level times the certificate's threshold:
     |a_ii| = sum_(j != i) |a_ij| + level tau s, with s the largest off-diagonal row sum. Off-diagonal
     entries are all negative when `laplacian`, so that level 0 is a matrix of zero row sums."""
     rng = np.random.default_rng(seed)
@@ -376,7 +377,13 @@ def near_threshold(n, level, laplacian, seed):
     off = np.abs(a).sum(axis=1)
     tau = PIVOT_RTOL / CERTIFY_MARGIN + n * n * np.finfo(float).eps
     np.fill_diagonal(a, (off + level * tau * off.max()) * (1.0 if laplacian else rng.choice([-1.0, 1.0], n)))
-    return a[rng.permutation(n)], rng.uniform(-1, 1, n)
+    return a, rng.uniform(-1, 1, n)
+
+
+def with_inverse(b):
+    """The right-hand side [b | I] of a stack b (m, n)."""
+    m, n = b.shape
+    return np.concatenate([b[:, :, None], np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
 
 
 class TestDominanceCertificate:
@@ -392,7 +399,7 @@ class TestDominanceCertificate:
             eliminated, lapack = watch_solvers(mp)
             with pytest.raises(SingularMatrix, match="^system 0: pivot "):
                 linear_solve(a, np.ones(len(a)))
-        assert eliminated == [[0]] and lapack == [(0, len(a), 1)]
+        assert eliminated == [[0]] and lapack == [(1, len(a), len(a) + 1)]
 
     def test_singular_newton_jacobian_is_not_certified(self):
         with pytest.MonkeyPatch.context() as mp:
@@ -402,26 +409,34 @@ class TestDominanceCertificate:
         assert eliminated == [[0]]
 
     @settings(max_examples=40, deadline=None)
-    @given(STACKS)
-    def test_shuffled_dominant_stack_takes_one_lapack_call(self, shape):
-        a, b = dominant_stack(*shape)
+    @given(STACKS, st.booleans())
+    def test_dominant_rows_take_the_single_right_hand_side(self, shape, shuffled):
+        m, n, _ = shape
+        a, b = dominant_stack(*shape, shuffled=shuffled)
+        # a shuffled system whose permutation is the identity is still dominant
+        dominant = np.array([np.array_equal(np.abs(ai).argmax(axis=1), np.arange(n)) for ai in a])
+        assert dominant.all() or shuffled
         with pytest.MonkeyPatch.context() as mp:
             eliminated, lapack = watch_solvers(mp)
             v = linear_solve(a, b)
-        assert eliminated == [] and lapack == [(shape[0], shape[1], 1)]
-        assert np.array_equal(v, np.linalg.solve(a, b[:, :, None])[:, :, 0])
+        calls = [(int(dominant.sum()), n, 1), (int((~dominant).sum()), n, n + 1)]
+        assert eliminated == [] and lapack == [c for c in calls if c[0]]
+        assert np.array_equal(v[dominant], np.linalg.solve(a[dominant], b[dominant, :, None])[:, :, 0])
+        assert np.array_equal(v[~dominant], np.linalg.solve(a[~dominant], with_inverse(b[~dominant]))[:, :, 0])
 
-    def test_uncertified_systems_take_the_elimination_with_their_own_bits(self):
-        a, b = dominant_stack(6, 16, 5)
+    def test_systems_not_dominant_are_certified_by_their_inverses(self):
+        a, b = dominant_stack(6, 16, 5, shuffled=False)
         a[1] = spread_pivot(16, 1e-13)
         a[4] = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 16)))[0]  # orthogonal: ‖a‖‖a⁻¹‖ ≤ 16
         assert np.linalg.cond(a[4], p=np.inf) < 16.0 + 1e-9
         with pytest.MonkeyPatch.context() as mp:
             eliminated, lapack = watch_solvers(mp)
             v = linear_solve(a, b)
-        assert eliminated == [[1, 4]] and lapack == [(4, 16, 1)]
-        for k in (1, 4):
-            assert np.array_equal(v[k], _eliminate(a[k:k + 1], b[k:k + 1], np.array([k]))[0])
+        assert lapack == [(4, 16, 1), (2, 16, 17)] and eliminated == [[1]]
+        assert np.array_equal(v[4], np.linalg.solve(a[4], with_inverse(b[4:5])[0])[:, 0])
+        assert np.array_equal(v[1], _eliminate(a[1:2], b[1:2], np.array([1]))[0])
+        for k in range(6):
+            assert np.array_equal(v[k], linear_solve(a[k], b[k]))
             assert np.max(np.abs(a[k] @ v[k] - b[k])) <= 1e-10
 
     @settings(max_examples=80, deadline=None)
@@ -430,16 +445,17 @@ class TestDominanceCertificate:
     def test_a_certified_system_passes_the_elimination(self, n, level, laplacian, seed):
         a, b = near_threshold(n, level, laplacian, seed)
         with pytest.MonkeyPatch.context() as mp:
-            eliminated, _ = watch_solvers(mp)
+            _, lapack = watch_solvers(mp)
             try:
                 linear_solve(a, b)
             except SingularMatrix:
                 pass
+        dominant = lapack[0] == (1, n, 1)
         if n > 1 and level >= 2.0:
-            assert eliminated == []
+            assert dominant
         if n == 1 or level <= 0.5:
-            assert eliminated == [[0]]
-        if not eliminated:
+            assert not dominant
+        if dominant:
             _eliminate(a[None], b[None], np.array([0]))
 
 
