@@ -13,14 +13,13 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .hierarchy import CouplingConvention, PhaseState, VelocityState
+from .hierarchy import PhaseState, VelocityState
 from .numerics import NewtonSettings
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CollisionSingularity",
-    "CouplingConvention",
     "DegenerateDirection",
     "LogSingularity",
     "NewtonSettings",

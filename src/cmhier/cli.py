@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, discrete, flows, semidiscrete
 from .errors import NumericsError, ScenarioError, ValidationError
-from .hierarchy import CouplingConvention, PhaseState, lax_invariants
+from .hierarchy import PhaseState, lax_invariants
 from .numerics import NewtonSettings
 from .sampling import orbit_seed, random_phase_state
 from .scenario import Scenario, parse_scenario, scenario_from_dict
@@ -85,13 +85,12 @@ def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Veri
         state = PhaseState(np.array(sc.positions), np.array(sc.momenta))
     else:
         state = _seeded(random_phase_state, sc, min_gap=sc.min_gap)
-    conv = CouplingConvention(sc.gamma)
     path = flows.PathSpec(sc.direction, sc.duration, max(1, int(round(sc.duration / sc.dt))))
     traj = flows.evolve_path(state, path)
 
     col = Collector(sc.tolerance_scale)
     with np.errstate(all="ignore"):  # an overflow ends as a non-finite residual, which the gate refuses
-        values = traj.per_sample(lambda x, p: lax_invariants(x, p, conv, 3))
+        values = traj.per_sample(lax_invariants)
         col.gated("invariant-drift", relative_drift(values), 1e-8, n=sc.n, duration=sc.duration, dt=sc.dt)
         col.gated("energy-drift", energy_drift(traj), 1e-8, direction=path.direction)
 

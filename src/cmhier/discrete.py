@@ -313,10 +313,10 @@ def discrete_lax_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndar
     return float(np.max(np.abs(TL @ M - M @ L)))
 
 
-def discrete_invariants(x: np.ndarray, tx: np.ndarray, kmax: int) -> np.ndarray:
-    """Traces of powers 1..kmax of the discrete L; conserved along orbits."""
+def discrete_invariants(x: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """(Tr L, Tr L^2, Tr L^3) of the discrete L; conserved along orbits."""
     L, _ = build_discrete_lax(x, tx)
-    return trace_powers(L, kmax)
+    return trace_powers(L)
 
 
 def build_lattice_sheet(

@@ -2,12 +2,13 @@
 
 Along a straight multi-time segment with direction (d2, d3), the positions at
 parameter s are the eigenvalues of diag x0 + s (d2 L0 + d3 L0^2), where L0 is
-the Lax matrix of the start at gamma = -2 (Olshanetsky-Perelomov, Phys. Rep.
-71 (1981); Kazhdan-Kostant-Sternberg 1978). A collision shows up as two
-eigenvalues meeting and leaving the real line as a complex pair.
+the Lax matrix of the start, off-diagonal hierarchy.GAMMA (Olshanetsky-Perelomov,
+Phys. Rep. 71 (1981); Kazhdan-Kostant-Sternberg 1978). A collision shows up as
+two eigenvalues meeting and leaving the real line as a complex pair.
 
 Lattice sites are the eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1
-with L the discrete Lax matrix on the base edge (Nijhoff-Pang, Phys. Lett. A 191 (1994)).
+with L the discrete Lax matrix on the base edge (Nijhoff-Pang, Phys. Lett. A 191 (1994));
+the scalar plaquette gate of verify reads them.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Implements the first two members (flows labelled k=2 and k=3): Lagrangians,
 Hamiltonians with analytic gradients, the velocity constraint linking the two
 flows, Legendre-transform checks, and the Lax pair with its trace invariants.
 
-Coupling convention: the off-diagonal Lax coefficient is a single real
-parameter gamma (default -2), fixed so that (1/2)Tr L^2 and (1/3)Tr L^3
-reproduce the two Hamiltonians exactly.
+The off-diagonal Lax coefficient is the constant GAMMA = -2: (1/2)Tr L^2 and
+(1/3)Tr L^3 reproduce the two Hamiltonians only when GAMMA^2 = 4
+(Olshanetsky-Perelomov, Phys. Rep. 71 (1981)), and its sign is a convention.
 
 Validation rule: a PhaseState or VelocityState checks its positions once,
 when it is built, and keeps read-only copies of its arrays, so it stays
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import CollisionSingularity
 
 COLLISION_TOL = 1e-12
+
+GAMMA = -2.0  # the off-diagonal Lax coefficient; see the module docstring
 
 FLOW_INDICES = (2, 3)
 # (dt2/ds, dt3/ds) of the single flows t2 and t3
@@ -128,20 +130,6 @@ class VelocityState(_State):
     v3: np.ndarray
 
 
-@dataclass(frozen=True)
-class CouplingConvention:
-    """Off-diagonal Lax coefficient; gamma**2 = 4 matches the Hamiltonians."""
-
-    gamma: float = -2.0
-
-    def __post_init__(self):
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
-
-
-DEFAULT_COUPLING = CouplingConvention()
-
-
 def _set_diagonal(a: np.ndarray, values: np.ndarray) -> None:
     """Write values (..., N) onto the diagonals of the fresh stack a (..., N, N), as inverse_gaps does."""
     a.reshape(-1, a.shape[-1] ** 2)[:, :: a.shape[-1] + 1] = np.reshape(values, (-1, a.shape[-1]))
@@ -223,62 +211,52 @@ def legendre_check(k: int, state: VelocityState) -> float:
     return hamiltonian(k, phase) - (float(np.sum(state.v2 * vk)) - lagrangian(k, state))
 
 
-def lax_pair(x: np.ndarray, p: np.ndarray, conv: CouplingConvention = DEFAULT_COUPLING) -> tuple[np.ndarray, np.ndarray]:
+def lax_pair(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lax pair for the t2 flow, over leading axes: (..., N) to two (..., N, N).
 
-    L has the momenta on the diagonal and gamma/(x_i - x_j) off it. M carries
-    gamma/(x_i - x_j)^2 off-diagonal and minus the row interaction sum on the
+    L has the momenta on the diagonal and GAMMA/(x_i - x_j) off it. M carries
+    GAMMA/(x_i - x_j)^2 off-diagonal and minus the row interaction sum on the
     diagonal, which makes every row of M sum to zero and zeroes the Lax
     residual pointwise.
     """
     inv = inverse_gaps(x)
-    L = conv.gamma * inv
+    L = GAMMA * inv
     _set_diagonal(L, p)
     inv2 = inv * inv
-    M = conv.gamma * inv2
-    _set_diagonal(M, -conv.gamma * inv2.sum(axis=-1))
+    M = GAMMA * inv2
+    _set_diagonal(M, -GAMMA * inv2.sum(axis=-1))
     return L, M
 
 
-def build_lax_pair(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> tuple[np.ndarray, np.ndarray]:
+def build_lax_pair(state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """The Lax pair of one state."""
-    return lax_pair(state.x, state.p, conv)
+    return lax_pair(state.x, state.p)
 
 
-def trace_powers(L: np.ndarray, kmax: int) -> np.ndarray:
-    """Tr(L^l) for l = 1..kmax over leading axes, as Tr(L^a L^b) = sum(L^a * (L^b)^T)
-    with a = ceil(l/2) and b = floor(l/2), so only powers up to ceil(kmax/2) are
-    formed: one matrix product for kmax = 3."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    powers = [L]
-    while len(powers) < (kmax + 1) // 2:
-        powers.append(powers[-1] @ L)
-    out = np.empty((*L.shape[:-2], kmax))
-    out[..., 0] = np.trace(L, axis1=-2, axis2=-1)
-    for l in range(2, kmax + 1):
-        out[..., l - 1] = np.sum(powers[l - l // 2 - 1] * powers[l // 2 - 1].swapaxes(-1, -2), axis=(-2, -1))
-    return out
+def trace_powers(L: np.ndarray) -> np.ndarray:
+    """(Tr L, Tr L^2, Tr L^3) over leading axes, (..., N, N) to (..., 3), as
+    Tr(L^a L^b) = sum(L^a * (L^b)^T): one matrix product."""
+    Lt = L.swapaxes(-1, -2)
+    traces = (np.trace(L, axis1=-2, axis2=-1), np.sum(L * Lt, axis=(-2, -1)), np.sum((L @ L) * Lt, axis=(-2, -1)))
+    return np.stack(traces, axis=-1)
 
 
-def lax_invariants(x: np.ndarray, p: np.ndarray, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
-    """Trace invariants I_l = Tr(L^l)/l for l = 1..kmax over leading axes, (..., N) to (..., kmax).
-
-    With gamma = -2, I_2 and I_3 coincide with the two Hamiltonians.
-    """
-    return trace_powers(lax_pair(x, p, conv)[0], kmax) / np.arange(1, kmax + 1)
+def lax_invariants(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Trace invariants I_l = Tr(L^l)/l for l = 1, 2, 3 over leading axes, (..., N) to (..., 3);
+    I_2 and I_3 are the two Hamiltonians."""
+    return trace_powers(lax_pair(x, p)[0]) / np.arange(1, 4)
 
 
-def invariants(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING, kmax: int = 3) -> np.ndarray:
+def invariants(state: PhaseState) -> np.ndarray:
     """The trace invariants of one state."""
-    return lax_invariants(state.x, state.p, conv, kmax)
+    return lax_invariants(state.x, state.p)
 
 
-def lax_residual(state: PhaseState, conv: CouplingConvention = DEFAULT_COUPLING) -> float:
+def lax_residual(state: PhaseState) -> float:
     """Max-norm of dL/dt2 + [L, M] along the t2 flow; zero in exact arithmetic."""
-    L, M = build_lax_pair(state, conv)
+    L, M = build_lax_pair(state)
     inv = inverse_gaps(state.x)
     dx_h, xdot = weighted_gradient(1.0, 0.0, state.x, state.p, inv)
-    dL = -conv.gamma * (xdot[:, None] - xdot[None, :]) * (inv * inv)
+    dL = -GAMMA * (xdot[:, None] - xdot[None, :]) * (inv * inv)
     np.fill_diagonal(dL, -dx_h)
     return float(np.max(np.abs(dL + (L @ M - M @ L))))

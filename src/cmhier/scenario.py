@@ -30,7 +30,6 @@ class Scenario:
     kind: str
     n: int
     seed: int = 0
-    gamma: float = -2.0
     min_gap: float = 0.5
     out_dir: str = "out"
     format: str = "csv"
@@ -47,7 +46,7 @@ class Scenario:
     steps: int = 10
     p1: float = 1.0
     p2: float = 2.0
-    newton_tolerance: float = 1e-12
+    newton_tolerance: float = 1e-13
     chain_edges: int = 2
     tau_duration: float = 0.1
     tau_step: float = 1e-3
@@ -115,7 +114,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         _require_number(raw, key, positive=True)
     for key in ("duration", "tolerance_scale"):
         _require_number(raw, key, nonnegative=True)
-    for key in ("gamma", "p1", "p2", "min_gap"):
+    for key in ("p1", "p2", "min_gap"):
         _require_number(raw, key)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -127,8 +126,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ValidationError("field 'out_dir' must be a string")
     if raw.get("format", "csv") not in FORMATS:
         raise ValidationError(f"field 'format' must be one of {FORMATS}")
-    if raw.get("gamma", _DEFAULTS["gamma"]) == 0:
-        raise ValidationError("field 'gamma' must be nonzero")
 
     values = {key: raw.get(key, default) for key, default in _DEFAULTS.items()}
     for key in ("positions", "momenta", "seed_prev", "seed_cur"):

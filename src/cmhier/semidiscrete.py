@@ -165,7 +165,9 @@ def semi_lagrangian(x: np.ndarray, tx: np.ndarray, v_tx: np.ndarray) -> float:
 def semi_closure_values(chain: Chain, params: LatticeParams) -> tuple[float, float]:
     """Semi-discrete closure residual at the middle snapshot of an evolved chain (T, K+1, N), both
     discrete Lagrangian sign conventions: d/dtau L_(1) - (T_1 L_tau - L_tau), with L_tau on the
-    first two edges and edge-matched shift velocities."""
+    first two edges and edge-matched shift velocities. The middle snapshot of a two-step evolution
+    sits at tau = d_tau, so the value moves with d_tau at first order; on a weakly interacting
+    chain such as verify's, its change under halving d_tau is rounding noise."""
     if chain.tau.ndim != 1 or len(chain.tau) < 3:
         raise ValueError("need at least 3 snapshots for central differencing")
     if chain.length < 2:

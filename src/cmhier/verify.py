@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
 from .errors import CollisionSingularity, NumericsError
-from .hierarchy import CouplingConvention, PhaseState
+from .hierarchy import GAMMA, PhaseState
 from .numerics import NewtonSettings, row_blocks
 from .sampling import plaquette_seed, random_phase_state
 from .scenario import Scenario
@@ -122,7 +122,7 @@ def energy_drift(traj: flows.Trajectory) -> float:
 
 def orbit_invariant_drift(orbit: list) -> float:
     """Worst max-norm drift of the discrete trace invariants over an orbit's edges."""
-    values = [discrete.discrete_invariants(a, b, 3) for a, b in zip(orbit, orbit[1:])]
+    values = [discrete.discrete_invariants(a, b) for a, b in zip(orbit, orbit[1:])]
     return max(float(np.max(np.abs(v - values[0]))) for v in values)
 
 
@@ -196,20 +196,19 @@ def _invariant_drift(col, rng):
         col.gated(f"invariant-drift-t{k}", drifts[k], 1e-8, n=3, duration=path.duration, dt=dt, **draws)
 
 
-def _lax_checks(col, rng, gamma):
-    conv = CouplingConvention(gamma)
+def _lax_checks(col, rng):
     worst_lax = worst_h2 = worst_h3 = 0.0
     counts = (34, 33, 33)
     for n, count in zip((2, 3, 4), counts):
         for _ in range(count):
             state = random_phase_state(rng, n, min_gap=0.5)
-            worst_lax = max(worst_lax, hierarchy.lax_residual(state, conv))
-            vals = hierarchy.invariants(state, conv, kmax=3)
+            worst_lax = max(worst_lax, hierarchy.lax_residual(state))
+            vals = hierarchy.invariants(state)
             worst_h2 = max(worst_h2, abs(vals[1] - hierarchy.hamiltonian(2, state)))
             worst_h3 = max(worst_h3, abs(vals[2] - hierarchy.hamiltonian(3, state)))
-    col.gated("lax-identity", worst_lax, 1e-10, states=100, gamma=gamma)
-    col.gated("trace-hamiltonian-match-2", worst_h2, 1e-11, states=100, gamma=gamma)
-    col.gated("trace-hamiltonian-match-3", worst_h3, 1e-11, states=100, gamma=gamma)
+    col.gated("lax-identity", worst_lax, 1e-10, states=100, gamma=GAMMA)
+    col.gated("trace-hamiltonian-match-2", worst_h2, 1e-11, states=100, gamma=GAMMA)
+    col.gated("trace-hamiltonian-match-3", worst_h3, 1e-11, states=100, gamma=GAMMA)
 
 
 def _two_body_gap_law(col):
@@ -245,13 +244,9 @@ def _plaquettes(col, rng):
             x00, x10 = plaquette_seed(rng, n, 1.0, 2.0)
             pl, defect = discrete.build_plaquette(x00, x10, params[n])
             worst_defect = max(worst_defect, defect)
-            if n == 1:
-                d = params[1].p1 - params[1].p2
-                x01 = x00 - 1.0 / (1.0 / (x00 - x10) - d)
-                x11 = x10 - 1.0 / (-d - 1.0 / (x10 - x00))
-                worst_scalar = max(
-                    worst_scalar, abs(pl.x01[0] - x01[0]), abs(pl.x11[0] - x11[0]), defect
-                )
+            if n == 1:  # against the sites (0, 1) and (1, 1) of the exact sheet
+                x01, x11 = exact.lattice_spectrum(x00, x10, params[1], [0, 1], [1, 1])
+                worst_scalar = max(worst_scalar, abs(pl.x01[0] - x01[0]), abs(pl.x11[0] - x11[0]), defect)
             closure_sum = discrete.discrete_closure_sum(pl, params[n])
             if abs(closure_sum) > worst_closure:
                 worst_closure, worst_closure_sum = abs(closure_sum), closure_sum
@@ -395,7 +390,7 @@ def verify_all(sc: Scenario) -> VerificationReport:
     _involution(col, rng)
     _commuting_flows(col, rng)
     _invariant_drift(col, rng)
-    _lax_checks(col, rng, sc.gamma)
+    _lax_checks(col, rng)
     _two_body_gap_law(col)
     orbit = _discrete_orbit(col, rng)
     _plaquettes(col, rng)

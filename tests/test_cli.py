@@ -36,7 +36,6 @@ class TestParseScenario:
     def test_defaults_filled(self, tmp_path):
         sc = parse_scenario(write_config(tmp_path, MINIMAL_CONTINUOUS))
         assert sc.dt == 1e-3
-        assert sc.gamma == -2.0
         assert sc.seed == 0
         assert sc.format == "csv"
 
@@ -205,6 +204,12 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 7)])
+    def test_seeded_discrete_run_passes_its_gates(self, tmp_path, n, seed):
+        # these orbits hold the 1e-10 invariant gate at the default Newton tolerance 1e-13, not at 1e-12
+        path = write_config(tmp_path, {"kind": "discrete", "n": n, "seed": seed, "out_dir": str(tmp_path / "out")})
+        assert main(["run", str(path)]) == 0
+
     def test_check_failure_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS, out_dir=str(tmp_path / "out")))
         assert main(["run", str(path), "--tolerance-scale", "0"]) == 1
@@ -304,11 +309,18 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "typo" in capsys.readouterr().err
 
+    def test_gamma_is_not_a_scenario_key(self, tmp_path, capsys):
+        # the Lax coefficient is the constant hierarchy.GAMMA
+        path = write_config(tmp_path, dict(MINIMAL_CONTINUOUS, gamma=-2.0, out_dir=str(tmp_path / "out")))
+        assert main(["run", str(path)]) == 2
+        assert "error: unknown key 'gamma'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "field, payload",
         [
             ("tolerance_scale", {"kind": "verify-all", "n": 3, "tolerance_scale": float("nan")}),
-            ("gamma", dict(MINIMAL_CONTINUOUS, gamma=float("inf"))),
+            ("p2", {"kind": "discrete", "n": 1, "p2": float("inf")}),
             ("p1", {"kind": "discrete", "n": 1, "p1": float("nan")}),
             ("min_gap", dict(MINIMAL_CONTINUOUS, min_gap=float("-inf"))),
             ("dt", dict(MINIMAL_CONTINUOUS, dt=float("inf"))),
@@ -353,8 +365,8 @@ class TestMain:
         assert draws == [] and not (tmp_path / "out" / "report.json").exists()
 
     def test_discrete_abort_names_its_site(self, tmp_path, capsys):
-        # the Newton solve for site 64 of this seeded orbit hits a singular Jacobian
-        payload = {"kind": "discrete", "n": 3, "steps": 200, "out_dir": str(tmp_path / "out")}
+        # at Newton tolerance 1e-12 the solve for site 64 of this seeded orbit hits a singular Jacobian
+        payload = {"kind": "discrete", "n": 3, "steps": 200, "newton_tolerance": 1e-12, "out_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, payload))]) == 2
         assert "numerical failure: SingularJacobian: at site 64: system 0:" in capsys.readouterr().err
 
@@ -447,7 +459,6 @@ FUZZ_KEYS = {
     "kind": (["continuous", "discrete", "semidiscrete"] * 6 + ["verify-all"], ["quantum"]),
     "n": ([1, 2, 3], [0, 1025]),
     "seed": ([0, 1, 5], [-1]),
-    "gamma": ([-2.0, 1.0], [0.0]),
     "min_gap": ([0.5, 0.1], [100.0, -1.0]),
     "out_dir": (["o", "o/p"], []),
     "format": (["csv", "json-lines"], ["xml"]),

@@ -55,8 +55,8 @@ class TestDiscreteStep:
 
     def test_invariants_preserved_across_step(self):
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 1)
-        before = discrete_invariants(orbit[0], orbit[1], 3)
-        after = discrete_invariants(orbit[1], orbit[2], 3)
+        before = discrete_invariants(orbit[0], orbit[1])
+        after = discrete_invariants(orbit[1], orbit[2])
         assert np.max(np.abs(after - before)) <= 1e-10
 
     def test_reversibility(self):
@@ -581,21 +581,21 @@ class TestDiscreteInvariants:
     def test_uniform_orbit_value(self):
         # p = 1/(x - tx) = -1 on every edge of the unit-step orbit
         for edge in ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)):
-            vals = discrete_invariants(np.array([edge[0]]), np.array([edge[1]]), 1)
+            vals = discrete_invariants(np.array([edge[0]]), np.array([edge[1]]))
             assert vals[0] == pytest.approx(-1.0)
 
     def test_conservation_along_orbit(self):
         tight = LatticeParams(p1=1.0, p2=2.0, n=3, newton=NewtonSettings(tolerance=1e-13))
         orbit = make_orbit(*ORBIT_SEED_N3, tight, 50)
-        base = discrete_invariants(orbit[0], orbit[1], 3)
+        base = discrete_invariants(orbit[0], orbit[1])
         worst = max(
-            np.max(np.abs(discrete_invariants(orbit[k], orbit[k + 1], 3) - base))
+            np.max(np.abs(discrete_invariants(orbit[k], orbit[k + 1]) - base))
             for k in range(len(orbit) - 1)
         )
         assert worst <= 1e-10
 
     def test_first_invariant_is_momentum_sum(self):
         x, tx = plaquette_seed(RNG, 3, 1.0, 2.0)
-        vals = discrete_invariants(x, tx, 1)
+        vals = discrete_invariants(x, tx)
         L, _ = build_discrete_lax(x, tx)
         assert vals[0] == pytest.approx(np.trace(L))

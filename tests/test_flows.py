@@ -199,10 +199,10 @@ class TestIntegrateFlow:
             assert r2 == pytest.approx(16.0 + 2.0 * e_rel * t2**2, abs=1e-6)
 
     def test_invariant_drift(self):
-        base = invariants(WELL_SEPARATED, kmax=3)
+        base = invariants(WELL_SEPARATED)
         traj = integrate_flow(2, WELL_SEPARATED, 1.0, 1e-3)
         drift = max(
-            np.max(np.abs(invariants(s, kmax=3) - base)) for s in traj.samples
+            np.max(np.abs(invariants(s) - base)) for s in traj.samples
         )
         assert drift <= 1e-8
 
@@ -321,9 +321,9 @@ class TestPathIndependence:
         assert gap <= 1e-6
 
     def test_invariants_conserved_on_mixed_segment(self):
-        base = invariants(WELL_SEPARATED, kmax=3)
+        base = invariants(WELL_SEPARATED)
         traj = evolve_path(WELL_SEPARATED, PathSpec(np.array([0.7, 0.4]), 0.3, 300))
-        drift = max(np.max(np.abs(invariants(s, kmax=3) - base)) for s in traj.samples)
+        drift = max(np.max(np.abs(invariants(s) - base)) for s in traj.samples)
         assert drift <= 1e-8
 
 

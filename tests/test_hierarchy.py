@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import (
     FLOW_DIRECTIONS,
-    CouplingConvention,
     PhaseState,
     VelocityState,
     build_lax_pair,
@@ -41,13 +40,12 @@ class TestLeadingAxes:
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.uniform(0.5, 1.5, (2, 3, n)), axis=-1)
         p = rng.uniform(-1.0, 1.0, (2, 3, n))
-        conv = CouplingConvention(1.5)
         stacked = {
             "inverse_gaps": inverse_gaps(x),
             "gradient": weighted_gradient(0.7, -0.4, x, p, inverse_gaps(x)),
             "hamiltonian": weighted_hamiltonian(0.7, -0.4, x, p),
-            "lax_pair": lax_pair(x, p, conv),
-            "invariants": lax_invariants(x, p, conv, 4),
+            "lax_pair": lax_pair(x, p),
+            "invariants": lax_invariants(x, p),
         }
         for i in range(2):
             for j in range(3):
@@ -56,8 +54,8 @@ class TestLeadingAxes:
                     "inverse_gaps": inverse_gaps(xi),
                     "gradient": weighted_gradient(0.7, -0.4, xi, pi, inverse_gaps(xi)),
                     "hamiltonian": weighted_hamiltonian(0.7, -0.4, xi, pi),
-                    "lax_pair": build_lax_pair(PhaseState(xi, pi), conv),
-                    "invariants": invariants(PhaseState(xi, pi), conv, 4),
+                    "lax_pair": build_lax_pair(PhaseState(xi, pi)),
+                    "invariants": invariants(PhaseState(xi, pi)),
                 }
                 for name, value in alone.items():
                     got = stacked[name]
@@ -73,10 +71,10 @@ class TestLeadingAxes:
 
     def test_trace_powers_of_a_stack(self):
         L = np.random.default_rng(9).uniform(-1, 1, (5, 4, 4))
-        got = trace_powers(L, 5)
+        got = trace_powers(L)
         for row, matrix in zip(got, L, strict=True):
-            assert np.array_equal(row, trace_powers(matrix, 5))
-            assert np.allclose(row, [np.trace(np.linalg.matrix_power(matrix, l)) for l in range(1, 6)], atol=1e-12)
+            assert np.array_equal(row, trace_powers(matrix))
+            assert np.allclose(row, [np.trace(np.linalg.matrix_power(matrix, l)) for l in range(1, 4)], atol=1e-12)
 
 
 class TestHamiltonian:
@@ -266,40 +264,31 @@ class TestLaxPair:
         _, M = build_lax_pair(state)
         assert np.max(np.abs(M.sum(axis=1))) < 1e-12
 
-    def test_zero_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingConvention(gamma=0.0)
-
 
 class TestInvariants:
     def test_single_particle(self):
-        vals = invariants(PhaseState([0.0], [2.0]), kmax=3)
+        vals = invariants(PhaseState([0.0], [2.0]))
         assert np.allclose(vals, [2.0, 2.0, 8.0 / 3.0])
 
     def test_two_particle(self):
-        vals = invariants(PhaseState([-1.0, 1.0], [0.0, 0.0]), kmax=2)
+        vals = invariants(PhaseState([-1.0, 1.0], [0.0, 0.0]))
         assert vals[0] == pytest.approx(0.0)
         assert vals[1] == pytest.approx(-1.0)
 
     def test_match_hamiltonians_at_random_states(self):
         for _ in range(50):
             state = random_phase_state(RNG, 3, min_gap=0.5)
-            vals = invariants(state, kmax=3)
+            vals = invariants(state)
             assert abs(vals[1] - hamiltonian(2, state)) <= 1e-12
             assert abs(vals[2] - hamiltonian(3, state)) <= 1e-12
-
-    def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            invariants(PhaseState([0.0], [1.0]), kmax=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     def test_trace_powers_match_matrix_powers(self, n):
         L = RNG.standard_normal((n, n))
-        ref = [np.trace(np.linalg.matrix_power(L, l)) for l in range(1, 8)]
-        for kmax in range(1, 8):
-            got = trace_powers(L, kmax)
-            assert got.shape == (kmax,)
-            np.testing.assert_allclose(got, ref[:kmax], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref[:kmax])))
+        ref = [np.trace(np.linalg.matrix_power(L, l)) for l in range(1, 4)]
+        got = trace_powers(L)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
 class TestLaxResidual:
