@@ -8,9 +8,13 @@ closure relation, the generalized Euler-Lagrange equation of the two-flow
 family, and conservation of the parametrized-path energy.
 
 Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
-being the stack of one, with one field evaluation per RK4 stage for all rows;
-each system takes the steps it takes alone, bit for bit. The Poisson bracket
-evaluates its observables once on the perturbed points of a stack of states.
+being the stack of one; each system takes the steps it takes alone, bit for
+bit. The stack's shape picks one of two kernels with the same bits and the
+same aborts: below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
+each system marches on Python floats in numpy's operation order, which skips
+numpy's per-call cost; any other stack marches through numerics.rk4_march, one
+field evaluation per RK4 stage for all rows. The Poisson bracket evaluates its
+observables once on the perturbed points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 The march checks every row's accepted steps in flight; a Trajectory keeps them
@@ -19,6 +23,8 @@ as (T, N) arrays, checked once, and builds PhaseStates only when read.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal, Sequence
@@ -28,6 +34,7 @@ import numpy as np
 from .errors import CollisionSingularity, DegenerateDirection, NumericsError
 from .hierarchy import (
     FLOW_DIRECTIONS,
+    ORDERED_SUM_N,
     PhaseState,
     VelocityState,
     check_collision_free,
@@ -43,6 +50,9 @@ from .hierarchy import (
 from .numerics import fd_gradient, rk4_march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
+# a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this:
+# a float step costs about 10 + N^2 us per system, a numpy step 60-110 us for any small stack (2 vCPUs)
+FLOAT_MARCH_SIZE = 12
 
 BRACKET_STEP = 1e-5  # central-difference step of poisson_bracket in each coordinate of (x, p)
 ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residuals
@@ -146,15 +156,89 @@ def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fl
         raise CollisionSingularity(f"non-finite state at {where}", s=s, system=system)
 
 
+def _float_field(direction: np.ndarray, n: int) -> Callable[[list], list]:
+    """_raw_field on one system, a list y of 2N floats, below ORDERED_SUM_N particles: the same operations
+    on the same values in the same order, so the same bits. Each pair i < j gives inv_ij, and inv_ji = -inv_ij
+    exactly; taking the pairs in row-major order adds every row's terms in column order, as numpy does, and
+    the zero diagonal terms leave the sums as they are. A zero gap divides to a signed inf, as in numpy."""
+    d2, d3 = float(direction[0]), float(direction[1])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def fld(y: list) -> list:
+        x, p = y[:n], y[n:]
+        r3, r2, coupled = [0.0] * n, [0.0] * n, [0.0] * n
+        for i, j in pairs:
+            d = x[i] - x[j]
+            inv = 1.0 / d if d else math.copysign(math.inf, d)
+            inv2 = inv * inv
+            inv3 = inv2 * inv
+            r3[i] += inv3
+            r3[j] -= inv3
+            if d3:
+                r2[i] += inv2
+                r2[j] += inv2
+                coupled[i] += inv3 * p[j]
+                coupled[j] -= inv3 * p[i]
+        dx, dp = [], []
+        for i in range(n):
+            gx, gp = (d2 * r3[i], d2 * p[i]) if d2 else (0.0, 0.0)
+            if d3:
+                gx = gx + d3 * (p[i] * r3[i] + coupled[i])
+                gp = gp + d3 * (p[i] * p[i] - 4.0 * r2[i])
+            dx.append(gp)
+            dp.append(-(8.0 * gx))
+        return dx + dp
+
+    return fld
+
+
+def _float_march(direction: np.ndarray, y0: np.ndarray, times: np.ndarray, dt: float, order: np.ndarray) -> np.ndarray:
+    """rk4_march of _raw_field with _check_in_flight, for a stack y0 (B, 2N) below ORDERED_SUM_N particles,
+    on Python floats: each system is marched alone with the stages of numerics.rk4_step, operation for
+    operation, so every value equals the numpy march's bit for bit. A step that fails the same in-flight
+    test goes to _check_in_flight with the stack at the first failing time, which words the abort."""
+    n = y0.shape[1] // 2
+    fld = _float_field(direction, n)
+    half, sixth = 0.5 * dt, dt / 6.0
+    end, failed = len(times) - 1, False
+    marched = []
+    for y, start_order in zip(y0.tolist(), (order % (2 * n)).tolist()):
+        ys = array("d", y)
+        neighbours = list(zip(start_order, start_order[1:]))
+        for i in range(1, end + 1):  # up to the first failure of the systems before, which decides the abort
+            k1 = fld(y)
+            k2 = fld([a + half * b for a, b in zip(y, k1)])
+            k3 = fld([a + half * b for a, b in zip(y, k2)])
+            k4 = fld([a + dt * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            ys.extend(y)
+            if not (all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)):
+                end, failed = i, True
+                break
+        marched.append(np.frombuffer(ys).reshape(-1, 2 * n))
+    if failed:  # the numpy check fails on the same rows, so it raises
+        with np.errstate(all="ignore"):  # as in rk4_march
+            _check_in_flight(np.array([rows[end] for rows in marched]), order, times[end],
+                             np.array([rows[end - 1] for rows in marched]), _raw_field(direction, n))
+    return np.stack(marched, axis=1)
+
+
+def _numpy_march(direction: np.ndarray, y0: np.ndarray, times: np.ndarray, dt: float, order: np.ndarray) -> np.ndarray:
+    """numerics.rk4_march of _raw_field, every step checked by _check_in_flight."""
+    fld = _raw_field(direction, y0.shape[1] // 2)
+    return rk4_march(fld, y0, times, dt, lambda s, y, before: _check_in_flight(y, order, s, before, fld))
+
+
 def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
     from each grid time to the next. Every step is checked in flight, so an overflow in the unchecked
-    stages is reported there, not warned about."""
+    stages is reported there, not warned about. The stack's shape picks the kernel, and both give the same
+    bits: below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE, it marches on Python floats,
+    which skips numpy's per-call cost; any other stack marches with numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
-    fld = _raw_field(path.direction, n)
     order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
-    return rk4_march(fld, y0, path.grid(), path.duration / path.steps,
-                     lambda s, y, before: _check_in_flight(y, order, s, before, fld))
+    march = _float_march if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE else _numpy_march
+    return march(path.direction, y0, path.grid(), path.duration / path.steps, order)
 
 
 def _stack(states: Sequence[PhaseState]) -> np.ndarray:

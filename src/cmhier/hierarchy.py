@@ -20,12 +20,17 @@ through libm `pow`, 40 times slower than inv * inv * inv at N = 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CollisionSingularity
 
 COLLISION_TOL = 1e-12
+
+# numpy adds fewer than this many terms along an axis one after another, in index order, and more
+# than that pairwise in unrolled blocks; a Python loop repeats the first rounding, not the second
+ORDERED_SUM_N = 8
 
 GAMMA = -2.0  # the off-diagonal Lax coefficient; see the module docstring
 
@@ -166,14 +171,19 @@ def hamiltonian(k: int, state: PhaseState) -> float:
 
 def weighted_gradient(d2: float, d3: float, x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum_k d_k dH_(tk)/dx, sum_k d_k dH_(tk)/dp) over leading axes, inv = inverse_gaps(x), skipping zero
-    weights. Members share r3 = sum_j inv_ij^3 (sum_j (p_i + p_j) inv_ij^3 = p_i r3_i + (inv^3 @ p)_i);
-    8 scales exactly."""
+    weights. Members share r3 = sum_j inv_ij^3 (sum_j (p_i + p_j) inv_ij^3 = p_i r3_i + (inv^3 p)_i);
+    8 scales exactly. Below ORDERED_SUM_N particles every row sum, (inv^3 p)_i too, adds its terms in
+    order, so the plain-float march of flows repeats the bits; from there inv^3 p is a matrix product."""
     inv2 = inv * inv
     inv3 = inv2 * inv
     r3 = inv3.sum(axis=-1)
     gx, gp = (d2 * r3, d2 * p) if d2 else (0.0, 0.0)
     if d3:
-        gx = gx + d3 * (p * r3 + (inv3 @ p[..., None])[..., 0])
+        if x.shape[-1] < ORDERED_SUM_N:
+            coupled = (inv3 * p[..., None, :]).sum(axis=-1)
+        else:
+            coupled = (inv3 @ p[..., None])[..., 0]
+        gx = gx + d3 * (p * r3 + coupled)
         gp = gp + d3 * (p * p - 4.0 * inv2.sum(axis=-1))
     return 8.0 * gx, gp
 
@@ -247,16 +257,19 @@ def lax_invariants(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return trace_powers(lax_pair(x, p)[0]) / np.arange(1, 4)
 
 
-def invariants(state: PhaseState) -> np.ndarray:
-    """The trace invariants of one state."""
-    return lax_invariants(state.x, state.p)
+def invariants(state: PhaseState | Sequence[PhaseState]) -> np.ndarray:
+    """The trace invariants of one state, (3,), or of each state of a sequence of one particle count, (m, 3)."""
+    if isinstance(state, PhaseState):
+        return lax_invariants(state.x, state.p)
+    return lax_invariants(np.array([st.x for st in state]), np.array([st.p for st in state]))
 
 
-def lax_residual(state: PhaseState) -> float:
-    """Max-norm of dL/dt2 + [L, M] along the t2 flow; zero in exact arithmetic."""
-    L, M = build_lax_pair(state)
-    inv = inverse_gaps(state.x)
-    dx_h, xdot = weighted_gradient(1.0, 0.0, state.x, state.p, inv)
-    dL = -GAMMA * (xdot[:, None] - xdot[None, :]) * (inv * inv)
-    np.fill_diagonal(dL, -dx_h)
-    return float(np.max(np.abs(dL + (L @ M - M @ L))))
+def lax_residual(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Max-norm of dL/dt2 + [L, M] along the t2 flow over leading axes, (..., N) to (...); zero in exact
+    arithmetic."""
+    L, M = lax_pair(x, p)
+    inv = inverse_gaps(x)
+    dx_h, xdot = weighted_gradient(1.0, 0.0, x, p, inv)
+    dL = -GAMMA * (xdot[..., :, None] - xdot[..., None, :]) * (inv * inv)
+    _set_diagonal(dL, -dx_h)
+    return np.max(np.abs(dL + (L @ M - M @ L)), axis=(-2, -1))

@@ -1,4 +1,4 @@
-"""Dense numeric kernel: linear solves, Newton iteration, finite differences, the RK4 march, row blocks.
+"""Dense numeric kernel: linear solves, Newton iteration, finite differences, the array RK4 march, row blocks.
 
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to a few tens), so a solve
 costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore also

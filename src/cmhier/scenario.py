@@ -110,11 +110,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if kind == "verify-all" and n != 3:  # its sections run at N <= 3, whatever n says
         raise ValidationError("field 'n' must be 3 for kind 'verify-all', the size its checks run at")
 
-    for key in ("dt", "tau_step", "newton_tolerance", "tau_duration"):
+    for key in ("dt", "tau_step", "newton_tolerance", "tau_duration", "min_gap"):
         _require_number(raw, key, positive=True)
     for key in ("duration", "tolerance_scale"):
         _require_number(raw, key, nonnegative=True)
-    for key in ("p1", "p2", "min_gap"):
+    for key in ("p1", "p2"):
         _require_number(raw, key)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

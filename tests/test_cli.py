@@ -67,6 +67,16 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match="minimum gap"):
             scenario_from_dict(dict(MINIMAL_CONTINUOUS, positions=[0.0, 0.1], momenta=[0.0, 0.0]))
 
+    @pytest.mark.parametrize("payload", [
+        {"kind": "continuous", "n": 3, "positions": [0.0, 0.0, 1.0], "momenta": [0.0, 0.0, 0.0], "min_gap": 0},
+        {"kind": "discrete", "n": 2, "seed_prev": [0.0, 0.0], "seed_cur": [0.3, 1.3], "min_gap": 0.0},
+        dict(MINIMAL_CONTINUOUS, min_gap=-1.0),
+    ])
+    def test_nonpositive_min_gap_rejected(self, payload):
+        # a zero gap would let coinciding positions through to the march or the lattice step
+        with pytest.raises(ValidationError, match="^field 'min_gap' must be positive$"):
+            scenario_from_dict(payload)
+
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValidationError, match="dt"):
             scenario_from_dict(dict(MINIMAL_CONTINUOUS, dt=0.0))
@@ -459,7 +469,7 @@ FUZZ_KEYS = {
     "kind": (["continuous", "discrete", "semidiscrete"] * 6 + ["verify-all"], ["quantum"]),
     "n": ([1, 2, 3], [0, 1025]),
     "seed": ([0, 1, 5], [-1]),
-    "min_gap": ([0.5, 0.1], [100.0, -1.0]),
+    "min_gap": ([0.5, 0.1], [100.0, -1.0, 0.0]),
     "out_dir": (["o", "o/p"], []),
     "format": (["csv", "json-lines"], ["xml"]),
     "tolerance_scale": ([1.0, 0.0, 10.0], [-1.0, 1e308]),

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from cmhier import discrete, exact, flows, numerics, semidiscrete, verify
+from cmhier import discrete, exact, flows, semidiscrete, verify
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import PhaseState
 from cmhier.sampling import random_phase_state
@@ -68,16 +68,16 @@ class TestCollides:
         assert np.array_equal(grid[1:], np.arange(1, steps + 1) * (duration / steps) if duration > 0 else [])
         seen = {}
 
-        def march(field, y0, times, dt, check):
+        def march(direction, y0, times, dt, order):
             seen["march"] = times
-            return numerics.rk4_march(field, y0, times, dt, check)
+            return float_march(direction, y0, times, dt, order)
 
         def spectrum(start, direction, s):
             seen["screen"] = s
             return exact_spectrum(start, direction, s)
 
-        exact_spectrum = exact.projection_spectrum
-        monkeypatch.setattr(flows, "rk4_march", march)
+        exact_spectrum, float_march = exact.projection_spectrum, flows._float_march
+        monkeypatch.setattr(flows, "_float_march", march)  # a single N = 3 state marches on floats
         monkeypatch.setattr(exact, "projection_spectrum", spectrum)
         start = PhaseState([-4.0, 0.0, 4.0], [0.1, 0.0, -0.1])
         assert not exact.collides(start, path)
@@ -93,6 +93,14 @@ class TestCollides:
         assert np.max(np.abs(traj.final_state.x)) > 1e3
         assert verify.energy_drift(traj) > 1.0
         assert exact.collides(BOUNCE, path)
+
+    def test_bounce_state_ends_at_the_same_bits_on_both_march_kernels(self):
+        (path,) = verify._NOETHER_LEGS
+        y0 = np.concatenate([BOUNCE.x, BOUNCE.p])[None]
+        order = np.argsort(BOUNCE.x)[None]
+        ends = [march(path.direction, y0, path.grid(), path.duration / path.steps, order)[-1]
+                for march in (flows._float_march, flows._numpy_march)]
+        assert np.max(np.abs(ends[0][0, :3])) > 1e3 and ends[0].tobytes() == ends[1].tobytes()
 
 
 class TestSurvivingState:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmhier.errors import CollisionSingularity, DegenerateDirection, NumericsError
-from cmhier import numerics
+from cmhier import flows, numerics
 from cmhier.exact import projection_spectrum
 from cmhier.flows import (
     PathSpec,
@@ -290,6 +292,82 @@ class TestStackedMarch:
         states = [spread_state(b, 3) for b in range(4)]
         defects = commutator_defect(states, 0.01, 0.01, 1e-3)
         assert [commutator_defect(st, 0.01, 0.01, 1e-3) for st in states] == list(defects)
+
+
+def march_outcome(march, y0, path):
+    """One march kernel of flows on the stack y0 along the path: its (T, B, 2N) states, or the
+    abort it raises as (type, message, s, system)."""
+    n = y0.shape[1] // 2
+    order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(len(y0))[:, None]
+    try:
+        return march(path.direction, y0, path.grid(), path.duration / path.steps, order)
+    except NumericsError as exc:
+        return type(exc), str(exc), exc.s, exc.system
+
+
+def assert_same_outcome(y0, path):
+    """The float march ends as the numpy march does, every value to the bit, and returns the outcome."""
+    expected = march_outcome(flows._numpy_march, y0, path)
+    got = march_outcome(flows._float_march, y0, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:  # tobytes also tells 0.0 from -0.0
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return expected
+
+
+class TestFloatMarch:
+    """flows._float_march, the kernel of small stacks, against the numpy march it stands in for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        b=st.sampled_from([1, 2, 5]),
+        direction=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.7, -0.4), (-1.0, -1.0)]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 20),
+        duration=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_every_step_equals_the_numpy_march(self, n, b, direction, seed, steps, duration):
+        # gaps from 0.05 and momenta up to 3 in any start order: some stacks collide, flip or overflow
+        rng = np.random.default_rng(seed)
+        x = rng.permuted(np.cumsum(rng.uniform(0.05, 1.5, (b, n)), axis=1), axis=1)
+        y0 = np.concatenate([x, rng.uniform(-3.0, 3.0, (b, n))], axis=1)
+        assert_same_outcome(y0, PathSpec(np.array(direction), duration, steps))
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_head_on_pair_aborts_alike(self, k):
+        # the stack of TestStackedMarch.test_failure_names_the_system_and_s
+        starts = [spread_state(b, 2) for b in range(4)]
+        starts[k] = PhaseState([-0.4, 0.4], [6.0, -6.0])
+        y0 = np.array([np.concatenate([state.x, state.p]) for state in starts])
+        outcome = assert_same_outcome(y0, PathSpec(np.array([1.0, 0.0]), 1.0, steps=1000))
+        assert outcome[0] is CollisionSingularity and outcome[3] == k
+
+    @pytest.mark.parametrize(
+        "y0, direction, duration, steps, message",
+        [
+            # free particles pass each other within one step: finite, in the wrong order
+            ([[-1.0, 1.0, 5.0, -5.0]], (1.0, 0.0), 1.0, 1, "gap below 1.0e-06 at s=1"),
+            # the second stage puts both particles at 0: 1 / 0 is inf, where Python would raise
+            ([[-1.0, 1.0, 2.0, -2.0], [-3.0, 3.0, 0.0, 0.0]], (1.0, 0.0), 1.0, 1, "non-finite state at s=1 in system 0"),
+            # the overflow scenarios of test_cli.py
+            ([[-2.0, 2.0, 0.0, 0.0]], (1e308, 1e308), 0.01, 10, "non-finite state at s=0.001"),
+            ([[-2.0, 0.0, 2.0, 0.0, 0.0, 0.0]], (1e308, 1e308), 0.01, 10, "Hamilton field overflows on the step to s=0.001"),
+        ],
+    )
+    def test_failing_step_aborts_alike(self, y0, direction, duration, steps, message):
+        outcome = assert_same_outcome(np.array(y0), PathSpec(np.array(direction), duration, steps))
+        assert outcome[1] == message
+
+    @pytest.mark.parametrize("b, n, kernel", [(1, 2, "_float_march"), (6, 2, "_float_march"), (4, 3, "_float_march"),
+                                              (5, 3, "_numpy_march"), (1, 8, "_numpy_march"), (2, 7, "_numpy_march")])
+    def test_the_stack_shape_picks_the_kernel(self, monkeypatch, b, n, kernel):
+        picked = []
+        for name in ("_float_march", "_numpy_march"):
+            monkeypatch.setattr(flows, name, lambda *args, name=name: picked.append(name) or np.zeros((1, b, 2 * n)))
+        flows._march(np.zeros((b, 2 * n)), PathSpec(np.array([1.0, 0.0]), 0.1, 1))
+        assert picked == [kernel]
 
 
 class TestPerSample:

@@ -46,6 +46,7 @@ class TestLeadingAxes:
             "hamiltonian": weighted_hamiltonian(0.7, -0.4, x, p),
             "lax_pair": lax_pair(x, p),
             "invariants": lax_invariants(x, p),
+            "lax_residual": lax_residual(x, p),
         }
         for i in range(2):
             for j in range(3):
@@ -56,6 +57,7 @@ class TestLeadingAxes:
                     "hamiltonian": weighted_hamiltonian(0.7, -0.4, xi, pi),
                     "lax_pair": build_lax_pair(PhaseState(xi, pi)),
                     "invariants": invariants(PhaseState(xi, pi)),
+                    "lax_residual": lax_residual(xi, pi),
                 }
                 for name, value in alone.items():
                     got = stacked[name]
@@ -282,6 +284,12 @@ class TestInvariants:
             assert abs(vals[1] - hamiltonian(2, state)) <= 1e-12
             assert abs(vals[2] - hamiltonian(3, state)) <= 1e-12
 
+    def test_a_sequence_of_states_gives_each_state_its_row(self):
+        states = [random_phase_state(RNG, 4, min_gap=0.5) for _ in range(5)]
+        got = invariants(states)
+        assert got.shape == (5, 3)
+        assert all(np.array_equal(row, invariants(state)) for row, state in zip(got, states))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     def test_trace_powers_match_matrix_powers(self, n):
         L = RNG.standard_normal((n, n))
@@ -293,15 +301,16 @@ class TestInvariants:
 
 class TestLaxResidual:
     def test_single_particle(self):
-        assert lax_residual(PhaseState([0.0], [0.4])) == 0.0
+        assert lax_residual(np.array([0.0]), np.array([0.4])) == 0.0
 
     def test_two_particle(self):
-        assert lax_residual(PhaseState([-1.0, 1.0], [0.3, -0.7])) <= 1e-12
+        assert lax_residual(np.array([-1.0, 1.0]), np.array([0.3, -0.7])) <= 1e-12
 
     def test_random_states(self):
         for n in (2, 3, 4):
             for _ in range(20):
-                assert lax_residual(random_phase_state(RNG, n, min_gap=0.5)) <= 1e-10
+                state = random_phase_state(RNG, n, min_gap=0.5)
+                assert lax_residual(state.x, state.p) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
