@@ -10,6 +10,11 @@ Lagrangian, the plaquette closure and log-det identities, and the discrete
 Lax pair with its Lax equation and trace invariants. The discrete Hamilton
 equations need no evaluator of their own: the edge Hamiltonian is minus the
 two-point Lagrangian and the position equation is discrete_el_residual.
+
+Leading axes: build_plaquette and the evaluators from discrete_lagrangian on
+evaluate a stack (..., N) row by row as each row alone, bit for bit. Each
+check runs over the whole stack, in the order one configuration runs them;
+the first failing row k along axis 0 is named `at system k` and is `system`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 
 from .errors import CollisionSingularity, LogSingularity, NumericsError, SingularMatrix, located
 from .hierarchy import (
-    COLLISION_TOL, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, min_gap, trace_powers)
+    COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
+from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
 from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
 
 # (sgn, sign of p1 - p2, weight of the pair sums) of each corner variant; see _corner_system
@@ -81,9 +87,17 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 1.0 / (x[..., :, None] - y[..., None, :])
 
 
-def _keeps_order(x: np.ndarray, tx: np.ndarray) -> bool:
-    """Whether tx keeps the particle order of x: tx sorted by the argsort of x increases."""
-    return np.diff(tx[np.argsort(x)]).min(initial=np.inf) > 0
+def _keeps_order(x: np.ndarray, tx: np.ndarray):
+    """Whether tx keeps the particle order of x, over leading axes: tx sorted by the argsort of x increases."""
+    return np.diff(np.take_along_axis(tx, np.argsort(x), axis=-1)).min(axis=-1, initial=np.inf) > 0
+
+
+def _raise_first(error, failed, message: str) -> None:
+    """Raise error(message) where `failed`, one flag or one per configuration of a stack, is set; a stack
+    names its first failing row k along axis 0, as hierarchy's checks do, `at system k`, set as `system`."""
+    if np.any(failed):
+        k = int(np.argmax(failed.reshape(len(failed), -1).any(axis=1))) if np.ndim(failed) else None
+        raise error(message + ("" if k is None else f" at system {k}"), system=k)
 
 
 def _eom_system(x_prev, x_cur):
@@ -175,67 +189,68 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     systems, with one letter for all or per system, solved by one stacked
     Newton iteration; a system that exhausts it gets a damped retry alone.
     """
-    single = np.ndim(known1) == 1
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
     check_cross_gap(x, known)
     residual, jacobian, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
     retry = NewtonSettings(params.newton.tolerance, 4 * params.newton.max_iterations, damping=0.5)
     guess = _mean_field_guess(x, const, sgn)
-    solved = newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton, retry=retry)
-    return solved[0] if single else solved
+    return newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton, retry=retry).reshape(np.shape(known1))
 
 
 def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams) -> np.ndarray:
     """Left-minus-right of the printed corner constraint, per particle; for
     one system or a stack, as in corner_solve."""
-    single = np.ndim(x) == 1
-    x, known, solved = (np.array(a, dtype=float, ndmin=2) for a in (x, known, solved))
-    residual, _, _, _ = _corner_system(variant, x, known, params.p1 - params.p2)
-    return residual(solved)[0] if single else residual(solved)
+    x, known, solved = (np.asarray(a, dtype=float) for a in (x, known, solved))
+    residual = _corner_system(variant, x, known, params.p1 - params.p2)[0]
+    return residual(solved).reshape(x.shape)
 
 
-def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> tuple[Plaquette, float]:
+def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> tuple[Plaquette, float | np.ndarray]:
     """Complete a plaquette from its base edge and measure route consistency.
 
     x01 comes from variant (a) at x00; the double shift is solved twice,
     through variant (c) at x10 and variant (d) at x01, and the max-norm gap
     between the two routes is the consistency defect. Route 1 is stored.
-    x01 and route 1 are solved together, then route 2.
+    Base edges (m, N) are m plaquettes with one defect each: x01 and route 1
+    of all of them are one corner_solve of 2m systems (system k < m is x01 of
+    plaquette k, system m + k its route 1), then route 2 is one of m.
     """
-    x01, x11_route1 = corner_solve(("a", "c"), (x00, x10), (x10, x00), params)
+    x00, x10 = np.asarray(x00, dtype=float), np.asarray(x10, dtype=float)
+    m, n = x00.size // x00.shape[-1], x00.shape[-1]  # one base edge is m = 1
+    x01, x11_route1 = corner_solve(("a",) * m + ("c",) * m, np.stack([x00, x10]).reshape(-1, n),
+                                   np.stack([x10, x00]).reshape(-1, n), params).reshape(2, *x00.shape)
     x11_route2 = corner_solve("d", x01, x00, params)
-    defect = float(np.max(np.abs(x11_route1 - x11_route2)))
-    return Plaquette(x00, x10, x01, x11_route1), defect
+    return Plaquette(x00, x10, x01, x11_route1), np.abs(x11_route1 - x11_route2).max(axis=-1)
 
 
 def _check_log_args(x: np.ndarray, tx: np.ndarray) -> None:
-    if not cross_gap(x, tx) >= COLLISION_TOL:
-        raise LogSingularity("vanishing cross-gap between a site and its shift")
-    if not (min_gap(x) >= COLLISION_TOL and min_gap(tx) >= COLLISION_TOL):
-        raise LogSingularity("vanishing within-site gap")
-    if not _keeps_order(x, tx):
-        raise LogSingularity("particle ordering changed across the step")
+    s = np.sort(np.stack([x, tx]))  # NaN sorts last and -inf first, so the two ends tell finiteness, as in min_gap
+    with np.errstate(invalid="ignore"):  # inf - inf; NaN fails every test below
+        cross, within = cross_gap(x, tx), np.diff(s).min(axis=(0, -1), initial=np.inf)
+    finite = np.isfinite(s[..., [0, -1]]).all(axis=(0, -1))
+    _raise_first(LogSingularity, ~(cross >= COLLISION_TOL), "vanishing cross-gap between a site and its shift")
+    _raise_first(LogSingularity, ~(finite & (within >= COLLISION_TOL)), "vanishing within-site gap")
+    _raise_first(LogSingularity, ~_keeps_order(x, tx), "particle ordering changed across the step")
 
 
-def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p: float) -> float:
-    """Two-point lattice Lagrangian:
+def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p):
+    """Two-point lattice Lagrangian, over leading axes (p a float or broadcast against them):
     sum log|x_m - tx_l| - (1/2) sum' [log|x_m - x_l| + log|tx_m - tx_l|]
     - p sum (x_m - tx_m)."""
-    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
+    x, tx = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(tx, dtype=float)
     _check_log_args(x, tx)
-    n = len(x)
-    total = float(np.sum(np.log(np.abs(x[:, None] - tx[None, :]))))
+    n = x.shape[-1]
+    total = np.log(np.abs(x[..., :, None] - tx[..., None, :])).reshape(*x.shape[:-1], n * n).sum(axis=-1)
     if n > 1:
-        iu = np.triu_indices(n, 1)
-        total -= float(
-            np.sum(np.log(np.abs((x[:, None] - x[None, :])[iu])))
-            + np.sum(np.log(np.abs((tx[:, None] - tx[None, :])[iu])))
-        )
-    return total - p * float(np.sum(x - tx))
+        # np.take keeps the pairs contiguous per row, so each row sums them in the order one configuration does
+        i, j = np.triu_indices(n, 1)
+        total = total - (np.log(np.abs(np.take(x, i, axis=-1) - np.take(x, j, axis=-1))).sum(axis=-1)
+                         + np.log(np.abs(np.take(tx, i, axis=-1) - np.take(tx, j, axis=-1))).sum(axis=-1))
+    return total - p * np.sum(x - tx, axis=-1)
 
 
-def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
+def discrete_closure_sum(pl: Plaquette, params: LatticeParams):
     """Signed plaquette closure sum of the printed Lagrangian; the negated
     Lagrangian gives its negation, so both conventions share one magnitude."""
     return (
@@ -246,21 +261,20 @@ def discrete_closure_sum(pl: Plaquette, params: LatticeParams) -> float:
     )
 
 
-def center_of_mass_term(pl: Plaquette) -> float:
+def center_of_mass_term(pl: Plaquette):
     """sum (x00 + x11 - x10 - x01); separates the closure sum from the
     log-det identity and vanishes on consistent plaquettes."""
-    return float(np.sum(pl.x00 + pl.x11 - pl.x10 - pl.x01))
+    return np.sum(pl.x00 + pl.x11 - pl.x10 - pl.x01, axis=-1)
 
 
-def _edge_logdet(a: np.ndarray, b: np.ndarray) -> float:
+def _edge_logdet(a: np.ndarray, b: np.ndarray):
     m = -_cross(b, a)  # M_ij = -1/(b_i - a_j) for the edge a -> b
     sign, logdet = np.linalg.slogdet(m)
-    if sign == 0 or not np.isfinite(logdet):
-        raise SingularMatrix("edge matrix determinant underflow")
-    return float(logdet)
+    _raise_first(SingularMatrix, (sign == 0) | ~np.isfinite(logdet), "edge matrix determinant underflow")
+    return logdet
 
 
-def logdet_identity_residual(pl: Plaquette) -> float:
+def logdet_identity_residual(pl: Plaquette):
     """|ln|det M| combination around the plaquette|; the temporal Lax
     compatibility makes it vanish on consistent plaquettes."""
     return abs(
@@ -271,38 +285,38 @@ def logdet_identity_residual(pl: Plaquette) -> float:
     )
 
 
-def edge_logdet_values(x: np.ndarray, tx: np.ndarray, p: float) -> tuple[float, float]:
+def edge_logdet_values(x: np.ndarray, tx: np.ndarray, p):
     """Per-edge residual of the Lagrangian/log-det relation, both conventions.
 
     Returns (printed, negated) residuals of
-    L = +/- (ln|det M| + p sum(x - tx)). The Cauchy-determinant expansion
-    validates the negated convention exactly.
+    L = +/- (ln|det M| + p sum(x - tx)), p as in discrete_lagrangian. The
+    Cauchy-determinant expansion validates the negated convention exactly.
     """
     lag = discrete_lagrangian(x, tx, p)
-    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
-    rhs = _edge_logdet(x, tx) + p * float(np.sum(x - tx))
+    x, tx = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(tx, dtype=float)
+    rhs = _edge_logdet(x, tx) + p * np.sum(x - tx, axis=-1)
     return lag - rhs, lag + rhs
 
 
 def build_discrete_lax(x: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete Lax pair on the edge x -> tx.
+    """Discrete Lax pair on the edge x -> tx, over leading axes.
 
     L = diag(p) - [1/(x_i - x_j)] with p_i = sum_j 1/(x_i - tx_j)
     - sum_{j != i} 1/(x_i - x_j); M = -[1/(tx_i - x_j)] in full.
     """
-    x, tx = np.asarray(x, dtype=float), np.asarray(tx, dtype=float)
+    x, tx = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(tx, dtype=float)
     check_collision_free(x)
     check_collision_free(tx)
     check_cross_gap(x, tx, "site and shifted site share a coordinate: cross gap")
     inv = inverse_gaps(x)
     L = -inv
-    np.fill_diagonal(L, _cross(x, tx).sum(axis=1) - inv.sum(axis=1))
+    _set_diagonal(L, _cross(x, tx).sum(axis=-1) - inv.sum(axis=-1))
     M = -_cross(tx, x)
     return L, M
 
 
-def discrete_lax_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> float:
-    """Max-norm of (T L) M - M L across the edge pair of an orbit triple.
+def discrete_lax_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray):
+    """Max-norm of (T L) M - M L across the edge pair of an orbit triple, over leading axes.
 
     L lives on the incoming edge (x_prev, x_cur), its shift on the outgoing
     edge (x_cur, x_next), and M connects x_prev to x_cur; the combination
@@ -310,11 +324,11 @@ def discrete_lax_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndar
     """
     L, M = build_discrete_lax(x_prev, x_cur)
     TL, _ = build_discrete_lax(x_cur, x_next)
-    return float(np.max(np.abs(TL @ M - M @ L)))
+    return np.max(np.abs(TL @ M - M @ L), axis=(-2, -1))
 
 
 def discrete_invariants(x: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    """(Tr L, Tr L^2, Tr L^3) of the discrete L; conserved along orbits."""
+    """(Tr L, Tr L^2, Tr L^3) of the discrete L over leading axes, (..., N) to (..., 3); conserved along orbits."""
     L, _ = build_discrete_lax(x, tx)
     return trace_powers(L)
 

@@ -116,10 +116,6 @@ class Trajectory:
         """fn(x, p) of every sample, fn taking row blocks of at most numerics.STACK_ENTRIES pair entries."""
         return np.concatenate([fn(self.x[rows], self.p[rows]) for rows in row_blocks(len(self.x), self.x.shape[1] ** 2)])
 
-    @property
-    def final_state(self) -> PhaseState:
-        return PhaseState(self.x[-1], self.p[-1])
-
 
 def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """d2 times the t2 plus d3 times the t3 Hamilton field, on stacked (x, p) over leading axes."""
@@ -271,28 +267,26 @@ def integrate_flow(k: int, start: PhaseState, duration: float, dt: float) -> Tra
     return evolve_paths((start,), _flow_path(k, duration, dt))[0]
 
 
-def commutator_defect(start: PhaseState | Sequence[PhaseState], delta2: float, delta3: float, dt: float):
-    """Endpoint mismatch between t2-then-t3 and t3-then-t2 flow composition. A sequence of states
-    of one particle count is marched as one stack per leg and gives one mismatch per state."""
-    y = _stack([start] if isinstance(start, PhaseState) else start)
+def commutator_defect(starts: Sequence[PhaseState], delta2: float, delta3: float, dt: float) -> np.ndarray:
+    """Endpoint mismatch between t2-then-t3 and t3-then-t2 flow composition, one per state of a
+    sequence of one particle count, marched as one stack per leg."""
+    y = _stack(starts)
 
     def leg(y, k, duration):
         return _march(y, _flow_path(k, duration, dt))[-1]
 
-    defects = np.abs(leg(leg(y, 2, delta2), 3, delta3) - leg(leg(y, 3, delta3), 2, delta2)).max(axis=1)
-    return float(defects[0]) if isinstance(start, PhaseState) else defects
+    return np.abs(leg(leg(y, 2, delta2), 3, delta3) - leg(leg(y, 3, delta3), 2, delta2)).max(axis=1)
 
 
-def poisson_bracket(f: Callable, g: Callable, state: PhaseState | Sequence[PhaseState]):
-    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k) at a state, or at each state of a sequence
-    of one particle count. The observables map positions and momenta (..., N) to values (...); their
-    gradients come from numerics.fd_gradient, step BRACKET_STEP in each coordinate of the stacked
-    (x, p), so each observable is evaluated once, on all 4N perturbed points of every state."""
-    y = _stack([state] if isinstance(state, PhaseState) else state)
+def poisson_bracket(f: Callable, g: Callable, states: Sequence[PhaseState]) -> np.ndarray:
+    """{f, g} = sum_k (df/dp_k dg/dx_k - dg/dp_k df/dx_k) at each state of a sequence of one particle
+    count. The observables map positions and momenta (..., N) to values (...); their gradients come
+    from numerics.fd_gradient, step BRACKET_STEP in each coordinate of the stacked (x, p), so each
+    observable is evaluated once, on all 4N perturbed points of every state."""
+    y = _stack(states)
     n = y.shape[1] // 2
     df, dg = (fd_gradient(lambda u: fn(u[..., :n], u[..., n:]), y, BRACKET_STEP) for fn in (f, g))
-    brackets = np.sum(df[:, n:] * dg[:, :n] - dg[:, n:] * df[:, :n], axis=1)
-    return float(brackets[0]) if isinstance(state, PhaseState) else brackets
+    return np.sum(df[:, n:] * dg[:, :n] - dg[:, n:] * df[:, :n], axis=1)
 
 
 def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:

@@ -20,7 +20,6 @@ through libm `pow`, 40 times slower than inv * inv * inv at N = 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -255,13 +254,6 @@ def lax_invariants(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Trace invariants I_l = Tr(L^l)/l for l = 1, 2, 3 over leading axes, (..., N) to (..., 3);
     I_2 and I_3 are the two Hamiltonians."""
     return trace_powers(lax_pair(x, p)[0]) / np.arange(1, 4)
-
-
-def invariants(state: PhaseState | Sequence[PhaseState]) -> np.ndarray:
-    """The trace invariants of one state, (3,), or of each state of a sequence of one particle count, (m, 3)."""
-    if isinstance(state, PhaseState):
-        return lax_invariants(state.x, state.p)
-    return lax_invariants(np.array([st.x for st in state]), np.array([st.p for st in state]))
 
 
 def lax_residual(x: np.ndarray, p: np.ndarray) -> np.ndarray:

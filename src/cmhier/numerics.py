@@ -1,10 +1,10 @@
 """Dense numeric kernel: linear solves, Newton iteration, finite differences, the array RK4 march, row blocks.
 
 Everything operates on plain float ndarrays. Problem sizes are tiny (N up to a few tens), so a solve
-costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore also
-take a stack of independent systems along a leading axis and work on them together. linear_solve makes
-one LAPACK call for the systems that |A| certifies, one for the rest, which their inverses certify, and
-leaves every failure to the column elimination.
+costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore take
+stacks of independent systems along a leading axis, one system being the stack of one, and work on
+them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the rest,
+which their inverses certify, and leaves every failure to the column elimination.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ DEFAULT_NEWTON = NewtonSettings()
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ v = b for one system, `a` (n, n) and `b` (n,), or for a stack of m independent
-    systems, `a` (m, n, n) and `b` (m, n), giving v of shape (m, n).
+    """Solve a @ v = b for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), giving v
+    of shape (m, n).
 
     A LAPACK solution stands when s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL, s = max|a_ij|: every pivot of LU
     with partial pivoting is then at least 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -74,11 +74,8 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrix must be square")
+        raise ValueError("matrices must be a stack (m, n, n)")
     m, n = a.shape[:2]
     if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
@@ -88,8 +85,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         margin = 2.0 * magnitude.diagonal(axis1=1, axis2=2) - magnitude.sum(axis=2)
         dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * scale
     if dominant.all():  # the common case, solved without gathering the stack
-        v = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-        return v[0] if single else v
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
     v, rest = np.empty((m, n)), np.flatnonzero(~dominant)
     if len(rest) < m:
         v[dominant] = np.linalg.solve(a[dominant], b[dominant, :, None])[:, :, 0]
@@ -107,7 +103,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rest = rest[~(bound <= CERTIFY_MARGIN / PIVOT_RTOL)]  # a NaN bound certifies nothing
     if len(rest):
         v[rest] = _eliminate(a[rest], b[rest], rest)
-    return v[0] if single else v
+    return v
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray:
@@ -202,34 +198,32 @@ def newton_solve(
     settings: NewtonSettings = DEFAULT_NEWTON,
     retry: Optional[NewtonSettings] = None,
 ) -> np.ndarray:
-    """Damped Newton iteration for residual_fn(x) = 0, for one system or a stack.
+    """Damped Newton iteration for residual_fn(x) = 0 on a stack of m systems.
 
-    A guess of shape (n,) is one system. A guess of shape (m, n) is m systems:
-    the callbacks take the whole stack and return float arrays (m, n) and
-    (m, n, n), row k depending on row k alone. Each system is frozen once its
+    The guess has shape (m, n); the callbacks take the whole stack and return
+    float arrays (m, n) and (m, n, n), row k depending on row k alone, so
+    one system is the stack of one. Each system is frozen once its
     own residual meets tolerance, and a step onto a non-finite residual is
     halved for its own system, so each follows exactly its iterates alone.
     A system that fails is iterated again from its own guess with `retry`,
     when given. NonConvergence and SingularJacobian name the failing `system`.
     """
     guess = np.asarray(guess, dtype=float)
-    residual, jacobian = residual_fn, jacobian_fn
-    if guess.ndim == 1:  # one system's callbacks see row 0 of a stack of one
-        residual = lambda u: np.asarray(residual_fn(u[0]), dtype=float)[None]
-        jacobian = lambda u: np.asarray(jacobian_fn(u[0]), dtype=float)[None]
-    x = np.atleast_2d(guess).copy()
-    f = residual(x)
+    if guess.ndim != 2:
+        raise ValueError("guess must be a stack (m, n)")
+    x = guess.copy()
+    f = residual_fn(x)
     if f.shape != x.shape:
-        raise ValueError("residual length must match guess length")
-    x, failed = _newton_pass(residual, jacobian, x, f, np.ones(len(x), dtype=bool), settings)
+        raise ValueError("residual shape must match guess shape")
+    x, failed = _newton_pass(residual_fn, jacobian_fn, x, f, np.ones(len(x), dtype=bool), settings)
     if failed and retry is not None:
         again = np.isin(np.arange(len(x)), list(failed))
-        x[again] = np.atleast_2d(guess)[again]
-        x, failed = _newton_pass(residual, jacobian, x, residual(x), again, retry)
+        x[again] = guess[again]
+        x, failed = _newton_pass(residual_fn, jacobian_fn, x, residual_fn(x), again, retry)
     if failed:
         system = min(failed)
         raise NonConvergence(f"system {system}: {failed[system]}", system=system)
-    return x.reshape(guess.shape)
+    return x
 
 
 def fd_gradient(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, step: float) -> np.ndarray:

@@ -121,9 +121,12 @@ def energy_drift(traj: flows.Trajectory) -> float:
 
 
 def orbit_invariant_drift(orbit: list) -> float:
-    """Worst max-norm drift of the discrete trace invariants over an orbit's edges."""
-    values = [discrete.discrete_invariants(a, b) for a, b in zip(orbit, orbit[1:])]
-    return max(float(np.max(np.abs(v - values[0]))) for v in values)
+    """Worst max-norm drift of the discrete trace invariants over an orbit's edges, taken in row blocks
+    of at most numerics.STACK_ENTRIES matrix entries."""
+    sites = np.asarray(orbit)
+    values = np.concatenate([discrete.discrete_invariants(sites[:-1][rows], sites[1:][rows])
+                             for rows in row_blocks(len(sites) - 1, sites.shape[1] ** 2)])
+    return float(np.max(np.abs(values - values[0])))
 
 
 def chain_residuals(chain: semidiscrete.Chain) -> tuple[float, float | None, float | None]:
@@ -203,7 +206,7 @@ def _lax_checks(col, rng):
     for n, count in zip((2, 3, 4), (34, 33, 33)):
         states = [random_phase_state(rng, n, min_gap=0.5) for _ in range(count)]
         x, p = np.array([st.x for st in states]), np.array([st.p for st in states])
-        vals = hierarchy.invariants(states)
+        vals = hierarchy.lax_invariants(x, p)
         lax.append(hierarchy.lax_residual(x, p))
         h2.append(np.abs(vals[:, 1] - hierarchy.weighted_hamiltonian(*hierarchy.FLOW_DIRECTIONS[2], x, p)))
         h3.append(np.abs(vals[:, 2] - hierarchy.weighted_hamiltonian(*hierarchy.FLOW_DIRECTIONS[3], x, p)))
@@ -230,54 +233,41 @@ def _discrete_orbit(col, rng):
 
 
 def _plaquettes(col, rng):
-    params = {n: discrete.LatticeParams(p1=1.0, p2=2.0, n=n) for n in (1, 2, 3)}
-    worst_defect = 0.0
-    worst_scalar = 0.0
-    worst_closure = 0.0
-    worst_closure_sum = 0.0
-    worst_logdet = 0.0
-    worst_com = 0.0
-    worst_edge_negated = 0.0
-    printed_edge_values = []
+    """Closure, log-det and per-edge identities on 20 seeded plaquettes, one stack per particle count."""
     counts = {1: 7, 2: 7, 3: 6}
-    for n in (1, 2, 3):
-        for _ in range(counts[n]):
-            x00, x10 = plaquette_seed(rng, n, 1.0, 2.0)
-            pl, defect = discrete.build_plaquette(x00, x10, params[n])
-            worst_defect = max(worst_defect, defect)
-            if n == 1:  # against the sites (0, 1) and (1, 1) of the exact sheet
-                x01, x11 = exact.lattice_spectrum(x00, x10, params[1], [0, 1], [1, 1])
-                worst_scalar = max(worst_scalar, abs(pl.x01[0] - x01[0]), abs(pl.x11[0] - x11[0]), defect)
-            closure_sum = discrete.discrete_closure_sum(pl, params[n])
-            if abs(closure_sum) > worst_closure:
-                worst_closure, worst_closure_sum = abs(closure_sum), closure_sum
-            worst_logdet = max(worst_logdet, discrete.logdet_identity_residual(pl))
-            worst_com = max(worst_com, abs(discrete.center_of_mass_term(pl)))
-            for a, b, p in (
-                (pl.x00, pl.x10, 1.0),
-                (pl.x00, pl.x01, 2.0),
-                (pl.x10, pl.x11, 2.0),
-                (pl.x01, pl.x11, 1.0),
-            ):
-                printed, negated = discrete.edge_logdet_values(a, b, p)
-                worst_edge_negated = max(worst_edge_negated, abs(negated))
-                printed_edge_values.append(printed)
-    col.gated("plaquette-consistency", worst_defect, 1e-9, plaquettes=20, p1=1.0, p2=2.0)
+    per_n, worst_scalar = [], 0.0
+    for n, count in counts.items():
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=n)
+        x00, x10 = map(np.array, zip(*(plaquette_seed(rng, n, 1.0, 2.0) for _ in range(count))))
+        pl, defect = discrete.build_plaquette(x00, x10, params)
+        if n == 1:  # against the sites (0, 1) and (1, 1) of the exact sheet
+            for k in range(count):
+                x01, x11 = exact.lattice_spectrum(x00[k], x10[k], params, [0, 1], [1, 1])
+                worst_scalar = max(worst_scalar, abs(pl.x01[k, 0] - x01[0]), abs(pl.x11[k, 0] - x11[0]), defect[k])
+        # the edges x00-x10, x00-x01, x10-x11 and x01-x11, as one stack (4, count)
+        printed, negated = discrete.edge_logdet_values(np.stack([pl.x00, pl.x00, pl.x10, pl.x01]),
+                                                       np.stack([pl.x10, pl.x01, pl.x11, pl.x11]),
+                                                       np.array([[params.p1], [params.p2], [params.p2], [params.p1]]))
+        per_n.append((defect, discrete.discrete_closure_sum(pl, params), discrete.logdet_identity_residual(pl),
+                      np.abs(discrete.center_of_mass_term(pl)), printed.ravel(), negated.ravel()))
+    defects, closure_sums, logdets, coms, printed, negated = map(np.concatenate, zip(*per_n))
+    worst_closure_sum = closure_sums[np.argmax(np.abs(closure_sums))]  # the first of largest magnitude
+    col.gated("plaquette-consistency", float(np.max(defects)), 1e-9, plaquettes=20, p1=1.0, p2=2.0)
     col.gated("plaquette-consistency-scalar", worst_scalar, 1e-12, plaquettes=counts[1])
     col.gated(
         "discrete-closure",
-        worst_closure,
+        abs(worst_closure_sum),
         1e-8,
         plaquettes=20,
         value_printed=worst_closure_sum,
         value_negated=-worst_closure_sum,
         convention="sign-symmetric (|printed| = |negated|)",
-        center_of_mass_term_max=worst_com,
+        center_of_mass_term_max=np.max(coms),
     )
-    col.gated("logdet-identity", worst_logdet, 1e-8, plaquettes=20)
+    col.gated("logdet-identity", float(np.max(logdets)), 1e-8, plaquettes=20)
     col.gated(
         "edge-lagrangian-logdet",
-        worst_edge_negated,
+        float(np.max(np.abs(negated))),
         1e-8,
         edges=80,
         convention="negated",
@@ -285,7 +275,7 @@ def _plaquettes(col, rng):
     )
     col.diagnostic(
         "edge-lagrangian-logdet-printed",
-        float(np.max(np.abs(printed_edge_values))),
+        float(np.max(np.abs(printed))),
         convention="printed",
         note="printed orientation fails; the negated one is the Cauchy-determinant identity",
     )
@@ -376,10 +366,10 @@ def _closure_diagnostics(col, rng):
 def _discrete_lax(col, orbit):
     """The discrete Lax equation (T L) M = M L on every consecutive triple of the orbit; the
     control moves each x_next by 0.05 off the orbit."""
-    triples = list(zip(orbit, orbit[1:], orbit[2:]))
-    worst = max(discrete.discrete_lax_residual(*triple) for triple in triples)
-    weakest = min(discrete.discrete_lax_residual(a, b, c + 0.05) for a, b, c in triples)
-    col.gated("discrete-lax-identity", worst, 1e-11, triples=len(triples), n=3)
+    sites = np.asarray(orbit)
+    worst = float(np.max(discrete.discrete_lax_residual(sites[:-2], sites[1:-1], sites[2:])))
+    weakest = float(np.min(discrete.discrete_lax_residual(sites[:-2], sites[1:-1], sites[2:] + 0.05)))
+    col.gated("discrete-lax-identity", worst, 1e-11, triples=len(sites) - 2, n=3)
     col.floor("discrete-lax-negative-control", weakest, 1e-2, perturbation="x_next + 0.05")
 
 

@@ -140,7 +140,7 @@ class TestRunScenario:
             PhaseState([-1.9, 2.3], [0.371, -0.423]),
             PathSpec(np.array([1.0, 0.0]), 0.2, steps=200),
         )
-        end = traj.final_state
+        end = traj.samples[-1]
         assert last["x1"] == end.x[0] and last["x2"] == end.x[1]
         assert last["p1"] == end.p[0] and last["p2"] == end.p[1]
 

@@ -23,8 +23,8 @@ from cmhier.discrete import (
     logdet_identity_residual,
     sheet_corner_residuals,
 )
-from cmhier import discrete, verify
-from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError
+from cmhier import discrete, numerics, verify
+from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
 from cmhier.numerics import NewtonSettings
 from cmhier.sampling import plaquette_seed
 
@@ -599,3 +599,134 @@ class TestDiscreteInvariants:
         vals = discrete_invariants(x, tx)
         L, _ = build_discrete_lax(x, tx)
         assert vals[0] == pytest.approx(np.trace(L))
+
+
+def stacked_sites(seed, shape, n):
+    """Three configurations of shape (*shape, n), each the one before moved right by 0.2-0.4 per
+    particle, at spacings 2.5-3.5: every edge between them keeps the order and has no shared coordinate."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(2.5, 3.5, (*shape, n)), axis=-1)
+    tx = x + rng.uniform(0.2, 0.4, x.shape)
+    return x, tx, tx + rng.uniform(0.2, 0.4, x.shape)
+
+
+def lattice_evaluators(x, tx, ttx):
+    """Every lattice evaluator on the sites x, tx, ttx, with the plaquette (x, tx, ttx - 0.1, ttx)."""
+    pl = discrete.Plaquette(x, tx, ttx - 0.1, ttx)
+    return {
+        "discrete_lagrangian": discrete_lagrangian(x, tx, 1.5),
+        "discrete_closure_sum": discrete_closure_sum(pl, PARAMS_N2),
+        "center_of_mass_term": center_of_mass_term(pl),
+        "_edge_logdet": discrete._edge_logdet(x, tx),
+        "logdet_identity_residual": logdet_identity_residual(pl),
+        "edge_logdet_values": edge_logdet_values(x, tx, 2.0),
+        "build_discrete_lax": build_discrete_lax(x, tx),
+        "discrete_lax_residual": discrete_lax_residual(x, tx, ttx),
+        "discrete_invariants": discrete_invariants(x, tx),
+    }
+
+
+class TestLeadingAxes:
+    """Each lattice evaluator evaluates a stack row by row as it evaluates that row alone, bit for bit."""
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_stack_rows_equal_single_configurations(self, n, swapped):
+        # a swapped stack is a (2, 3) view of (3, 2) configurations, not contiguous in memory
+        sites = [s.swapaxes(0, 1) for s in stacked_sites(n, (3, 2), n)] if swapped else stacked_sites(n, (2, 3), n)
+        stacked = lattice_evaluators(*sites)
+        for i in range(2):
+            for j in range(3):
+                for name, value in lattice_evaluators(*(s[i, j] for s in sites)).items():
+                    got = stacked[name]
+                    pairs = zip(got, value) if isinstance(value, tuple) else [(got, value)]
+                    for g, v in pairs:
+                        assert np.shape(g[i, j]) == np.shape(v) and g[i, j].tobytes() == np.asarray(v).tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_stacked_plaquettes_equal_each_plaquette_alone(self, n):
+        params = LatticeParams(p1=1.0, p2=2.0, n=n)
+        edges = [spaced_edge(seed, n) for seed in range(4)]
+        x00, x10 = map(np.array, zip(*edges))
+        pl, defects = build_plaquette(x00, x10, params)
+        assert defects.shape == (4,) and pl.x11.shape == (4, n)
+        for k, (a, b) in enumerate(edges):
+            alone, defect = build_plaquette(a, b, params)
+            assert pl.x01[k].tobytes() == alone.x01.tobytes() and pl.x11[k].tobytes() == alone.x11.tobytes()
+            assert defects[k].tobytes() == np.float64(defect).tobytes()
+
+    def test_stacked_log_singularity_names_the_row(self):
+        x, tx, _ = stacked_sites(1, (2, 3), 2)
+        tx[1, 0] = tx[1, 0, ::-1]  # the particles swap across the edge of configuration (1, 0)
+        with pytest.raises(LogSingularity, match="^particle ordering changed across the step$") as alone:
+            discrete_lagrangian(x[1, 0], tx[1, 0], 1.0)
+        assert alone.value.system is None
+        with pytest.raises(LogSingularity, match="^particle ordering changed across the step at system 1$") as info:
+            discrete_lagrangian(x, tx, 1.0)
+        assert info.value.system == 1
+
+    def test_stacked_log_singularity_keeps_the_order_of_the_checks(self):
+        x, tx, _ = stacked_sites(2, (4,), 2)
+        tx[3] = tx[3, ::-1]  # a later row swaps its particles
+        tx[2, 1] = tx[2, 0]  # an earlier one has a vanishing within-site gap, tested first
+        with pytest.raises(LogSingularity, match="^vanishing within-site gap at system 2$") as info:
+            discrete_lagrangian(x, tx, 1.0)
+        assert info.value.system == 2
+
+    def test_stacked_singular_edge_matrix_names_the_row(self):
+        a = np.array([[0.0, 3.0]] * 3)
+        b = a + 0.5
+        b[2] = [1.0, 1.0]  # two equal rows of M
+        with pytest.raises(SingularMatrix, match="^edge matrix determinant underflow$"):
+            discrete._edge_logdet(a[2], b[2])
+        with pytest.raises(SingularMatrix, match="^edge matrix determinant underflow at system 2$") as info:
+            discrete._edge_logdet(a, b)
+        assert info.value.system == 2
+
+    def test_stacked_collision_names_the_row(self):
+        x, tx, _ = stacked_sites(3, (2, 3), 3)
+        tx[1, 2, 1] = x[1, 2, 2]  # configuration (1, 2) shares a coordinate across its edge
+        with pytest.raises(CollisionSingularity, match="^site and shifted site share a coordinate: cross gap "
+                                                       r"0\.000e\+00 below 1\.0e-12 at system 1$") as info:
+            build_discrete_lax(x, tx)
+        assert info.value.system == 1
+
+    def test_stacked_plaquettes_name_the_colliding_base_edge(self):
+        x00, x10 = map(np.array, zip(*(spaced_edge(seed, 3) for seed in range(3))))
+        x10[1, 2] = x00[1, 2]  # base edge 1 shares a coordinate
+        with pytest.raises(CollisionSingularity, match="^cross gap .* at system 1$") as info:
+            build_plaquette(x00, x10, PARAMS_N3)
+        assert info.value.system == 1
+
+    def test_orbit_drift_in_small_row_blocks_equals_the_per_edge_reference(self, monkeypatch):
+        orbit = discrete.discrete_orbit(*ORBIT_SEED_N3, PARAMS_N3, 12)
+        values = [discrete_invariants(a, b) for a, b in zip(orbit, orbit[1:])]
+        reference = max(float(np.max(np.abs(v - values[0]))) for v in values)
+        blocks = []
+        evaluate = discrete.discrete_invariants
+        monkeypatch.setattr(discrete, "discrete_invariants", lambda a, b: blocks.append(len(a)) or evaluate(a, b))
+        assert verify.orbit_invariant_drift(orbit) == reference and blocks == [11]
+        monkeypatch.setattr(numerics, "STACK_ENTRIES", 20)  # two edges of 3 x 3 entries per block
+        blocks.clear()
+        assert verify.orbit_invariant_drift(orbit) == reference and blocks == [2, 2, 2, 2, 2, 1]
+
+    def test_verify_evaluates_one_stack_per_particle_count_and_per_orbit(self, monkeypatch):
+        calls = {}
+
+        def counted(name, evaluate):
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return evaluate(*args)
+            return call
+
+        for name in ("build_plaquette", "discrete_closure_sum", "logdet_identity_residual", "edge_logdet_values",
+                     "discrete_lax_residual"):
+            monkeypatch.setattr(discrete, name, counted(name, getattr(discrete, name)))
+        rng = np.random.default_rng(0)
+        col = verify.Collector(1.0)
+        orbit = verify._discrete_orbit(col, rng)
+        verify._plaquettes(col, rng)
+        verify._discrete_lax(col, orbit)
+        assert calls == {"build_plaquette": 3, "discrete_closure_sum": 3, "logdet_identity_residual": 3,
+                         "edge_logdet_values": 3, "discrete_lax_residual": 2}
+        assert all(entry.passed for entry in col.entries)

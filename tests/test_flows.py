@@ -28,7 +28,6 @@ from cmhier.hierarchy import (
     constraint_velocity,
     hamiltonian,
     hamiltonian_grad,
-    invariants,
     lagrangian,
     lax_invariants,
     weighted_hamiltonian,
@@ -187,8 +186,8 @@ class TestIntegrateFlow:
 
     def test_free_motion(self):
         traj = integrate_flow(2, PhaseState([0.0], [1.0]), 1.0, 1e-2)
-        assert traj.final_state.x[0] == pytest.approx(1.0, abs=1e-12)
-        assert traj.final_state.p[0] == pytest.approx(1.0)
+        assert traj.samples[-1].x[0] == pytest.approx(1.0, abs=1e-12)
+        assert traj.samples[-1].p[0] == pytest.approx(1.0)
 
     def test_two_body_gap_law(self):
         # conserved relative energy E = r'(0)^2/2 - 8/r0^2 makes (r^2)'' = 4E,
@@ -201,10 +200,10 @@ class TestIntegrateFlow:
             assert r2 == pytest.approx(16.0 + 2.0 * e_rel * t2**2, abs=1e-6)
 
     def test_invariant_drift(self):
-        base = invariants(WELL_SEPARATED)
+        base = lax_invariants(WELL_SEPARATED.x, WELL_SEPARATED.p)
         traj = integrate_flow(2, WELL_SEPARATED, 1.0, 1e-3)
         drift = max(
-            np.max(np.abs(invariants(s) - base)) for s in traj.samples
+            np.max(np.abs(lax_invariants(s.x, s.p) - base)) for s in traj.samples
         )
         assert drift <= 1e-8
 
@@ -231,7 +230,7 @@ class TestEvolvePath:
         rng = np.random.default_rng(64)
         x0 = 3.0 * np.arange(64) + rng.uniform(-0.3, 0.3, 64)
         start = PhaseState(x0, np.sort(rng.uniform(-0.5, 0.5, 64)))
-        end = evolve_path(start, PathSpec(np.array([1.0, 1.0]), 0.05, steps=50)).final_state
+        end = evolve_path(start, PathSpec(np.array([1.0, 1.0]), 0.05, steps=50)).samples[-1]
         exact = np.sort(projection_spectrum(start, (1.0, 1.0), 0.05).real)
         assert np.max(np.abs(np.sort(end.x) - exact)) <= 1e-9
 
@@ -239,7 +238,7 @@ class TestEvolvePath:
         c2, c3 = 0.4, 0.3
         p0 = 0.7
         path = PathSpec(np.array([c2, c3]), 1.0, steps=100)
-        end = evolve_path(PhaseState([0.2], [p0]), path).final_state
+        end = evolve_path(PhaseState([0.2], [p0]), path).samples[-1]
         assert end.x[0] == pytest.approx(0.2 + p0 * c2 + p0**2 * c3, abs=1e-12)
         assert end.p[0] == pytest.approx(p0)
 
@@ -291,7 +290,7 @@ class TestStackedMarch:
     def test_commutator_defect_of_a_stack(self):
         states = [spread_state(b, 3) for b in range(4)]
         defects = commutator_defect(states, 0.01, 0.01, 1e-3)
-        assert [commutator_defect(st, 0.01, 0.01, 1e-3) for st in states] == list(defects)
+        assert [commutator_defect([st], 0.01, 0.01, 1e-3)[0] for st in states] == list(defects)
 
 
 def march_outcome(march, y0, path):
@@ -388,63 +387,63 @@ class TestPathIndependence:
     def test_two_leg_paths_reach_same_endpoint(self):
         d2, d3 = 0.05, 0.05
         first = evolve_path(
-            evolve_path(WELL_SEPARATED, PathSpec(np.array([1.0, 0.0]), d2, 50)).final_state,
+            evolve_path(WELL_SEPARATED, PathSpec(np.array([1.0, 0.0]), d2, 50)).samples[-1],
             PathSpec(np.array([0.0, 1.0]), d3, 50),
-        ).final_state
+        ).samples[-1]
         second = evolve_path(
-            evolve_path(WELL_SEPARATED, PathSpec(np.array([0.0, 1.0]), d3, 50)).final_state,
+            evolve_path(WELL_SEPARATED, PathSpec(np.array([0.0, 1.0]), d3, 50)).samples[-1],
             PathSpec(np.array([1.0, 0.0]), d2, 50),
-        ).final_state
+        ).samples[-1]
         gap = max(np.max(np.abs(first.x - second.x)), np.max(np.abs(first.p - second.p)))
         assert gap <= 1e-6
 
     def test_invariants_conserved_on_mixed_segment(self):
-        base = invariants(WELL_SEPARATED)
+        base = lax_invariants(WELL_SEPARATED.x, WELL_SEPARATED.p)
         traj = evolve_path(WELL_SEPARATED, PathSpec(np.array([0.7, 0.4]), 0.3, 300))
-        drift = max(np.max(np.abs(invariants(s) - base)) for s in traj.samples)
+        drift = max(np.max(np.abs(lax_invariants(s.x, s.p) - base)) for s in traj.samples)
         assert drift <= 1e-8
 
 
 class TestCommutatorDefect:
     def test_zero_delta_exact(self):
-        assert commutator_defect(WELL_SEPARATED, 0.0, 0.02, 1e-3) == 0.0
+        assert commutator_defect([WELL_SEPARATED], 0.0, 0.02, 1e-3)[0] == 0.0
 
     def test_single_particle_flows_commute(self):
-        assert commutator_defect(PhaseState([0.1], [0.9]), 0.05, 0.05, 1e-3) <= 1e-12
+        assert commutator_defect([PhaseState([0.1], [0.9])], 0.05, 0.05, 1e-3)[0] <= 1e-12
 
     def test_three_particles(self):
-        assert commutator_defect(WELL_SEPARATED, 0.01, 0.01, 1e-3) <= 1e-6
+        assert commutator_defect([WELL_SEPARATED], 0.01, 0.01, 1e-3)[0] <= 1e-6
 
     def test_integrator_order_scaling(self):
-        coarse = commutator_defect(WELL_SEPARATED, 0.2, 0.2, 0.02)
-        fine = commutator_defect(WELL_SEPARATED, 0.2, 0.2, 0.01)
+        coarse = commutator_defect([WELL_SEPARATED], 0.2, 0.2, 0.02)[0]
+        fine = commutator_defect([WELL_SEPARATED], 0.2, 0.2, 0.01)[0]
         assert coarse / fine == pytest.approx(16.0, rel=0.5)
 
 
 class TestPoissonBracket:
     def test_self_bracket(self):
         h2 = h_observable(2)
-        assert poisson_bracket(h2, h2, WELL_SEPARATED) == 0.0
+        assert poisson_bracket(h2, h2, [WELL_SEPARATED])[0] == 0.0
 
     def test_canonical_pair_sign(self):
         # printed convention {f,g} = sum df/dp dg/dx - dg/dp df/dx gives {x1,p1} = -1
         f = lambda x, p: x[..., 0]
         g = lambda x, p: p[..., 0]
-        assert poisson_bracket(f, g, WELL_SEPARATED) == pytest.approx(-1.0, abs=1e-9)
+        assert poisson_bracket(f, g, [WELL_SEPARATED])[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_hierarchy_involution(self):
         h2, h3 = h_observable(2), h_observable(3)
         for _ in range(100):
             state = random_phase_state(RNG, 3, min_gap=0.5)
-            assert abs(poisson_bracket(h2, h3, state)) <= 1e-6
+            assert abs(poisson_bracket(h2, h3, [state])[0]) <= 1e-6
 
     def test_antisymmetry_fd_observables(self):
         f = lambda x, p: np.sum(x**2, axis=-1) + p[..., 0] * x[..., 1]
         g = lambda x, p: np.sum(p**2, axis=-1) * 0.5 + np.sin(x[..., 0])
         for _ in range(10):
             state = random_phase_state(RNG, 3, min_gap=0.5)
-            fg = poisson_bracket(f, g, state)
-            gf = poisson_bracket(g, f, state)
+            fg = poisson_bracket(f, g, [state])[0]
+            gf = poisson_bracket(g, f, [state])[0]
             assert abs(fg + gf) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -457,7 +456,7 @@ class TestPoissonBracket:
         hx, hp = hamiltonian_grad(k, state)
         cx, cp = 2 * state.x * state.p + state.p**2, state.x**2 + 2 * state.x * state.p
         analytic = float(np.sum(hp * cx - cp * hx))
-        differenced = poisson_bracket(h_observable(k), cubic, state)
+        differenced = poisson_bracket(h_observable(k), cubic, [state])[0]
         assert abs(analytic) > 1e-2
         assert differenced == pytest.approx(analytic, rel=1e-7)
 
@@ -466,7 +465,7 @@ class TestPoissonBracket:
         stacked = poisson_bracket(h_observable(2), h_observable(3), states)
         assert stacked.shape == (7,)
         for state, value in zip(states, stacked, strict=True):
-            assert value == poisson_bracket(h_observable(2), h_observable(3), state)
+            assert value == poisson_bracket(h_observable(2), h_observable(3), [state])[0]
 
 
 class TestHamiltonianClosure:
@@ -476,7 +475,7 @@ class TestHamiltonianClosure:
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
             residual = _along_flow(h2, 3, state, 1e-4) - _along_flow(h3, 2, state, 1e-4)
-            bracket = poisson_bracket(h_observable(2), h_observable(3), state)
+            bracket = poisson_bracket(h_observable(2), h_observable(3), [state])[0]
             assert abs(residual - (-2.0) * bracket) <= 1e-6
 
     @pytest.mark.parametrize("k", [2, 3])

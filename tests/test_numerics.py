@@ -17,14 +17,21 @@ from cmhier.numerics import (
 )
 
 
+def diagonal(v):
+    """The stack of diagonal matrices with the rows of the stack v (m, n) on their diagonals."""
+    return v[..., None] * np.eye(v.shape[-1])
+
+
 class TestNewton:
+    """One system, as the stack of one."""
+
     def test_quadratic_known_root(self):
-        root = newton_solve(lambda u: u**2 - 4.0, np.array([3.0]), jacobian_fn=lambda u: np.diag(2.0 * u))
-        assert root[0] == pytest.approx(2.0, abs=1e-12)
+        root = newton_solve(lambda u: u**2 - 4.0, np.array([[3.0]]), jacobian_fn=lambda u: diagonal(2.0 * u))
+        assert root.shape == (1, 1) and root[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_linear(self):
-        root = newton_solve(lambda u: u.copy(), np.array([5.0]), jacobian_fn=lambda u: np.eye(1))
-        assert root[0] == pytest.approx(0.0, abs=1e-12)
+        root = newton_solve(lambda u: u.copy(), np.array([[5.0]]), jacobian_fn=lambda u: np.eye(1)[None])
+        assert root[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_particle_discrete_step_residual(self):
         # closed form: uniform motion gives x_next = 2*x_cur - x_prev = 2
@@ -32,35 +39,35 @@ class TestNewton:
             return 1.0 / (1.0 - y) + 1.0 / (1.0 - 0.0)
 
         def jacobian(y):
-            return np.diag(1.0 / (1.0 - y) ** 2)
+            return diagonal(1.0 / (1.0 - y) ** 2)
 
-        root = newton_solve(residual, np.array([1.5]), jacobian_fn=jacobian)
-        assert root[0] == pytest.approx(2.0, abs=1e-12)
+        root = newton_solve(residual, np.array([[1.5]]), jacobian_fn=jacobian)
+        assert root[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_analytic_jacobian_used(self):
         calls = {"jac": 0}
 
         def jac(u):
             calls["jac"] += 1
-            return np.array([[2.0 * u[0]]])
+            return np.array([[[2.0 * u[0, 0]]]])
 
-        newton_solve(lambda u: u**2 - 4.0, np.array([3.0]), jacobian_fn=jac)
+        newton_solve(lambda u: u**2 - 4.0, np.array([[3.0]]), jacobian_fn=jac)
         assert calls["jac"] > 0
 
     def test_multidimensional_analytic_jacobian(self):
         def residual(v):
-            return np.array([v[0] ** 2 + v[1] - 3.0, v[0] - v[1]])
+            return np.array([[v[0, 0] ** 2 + v[0, 1] - 3.0, v[0, 0] - v[0, 1]]])
 
         def jacobian(v):
-            return np.array([[2.0 * v[0], 1.0], [1.0, -1.0]])
+            return np.array([[[2.0 * v[0, 0], 1.0], [1.0, -1.0]]])
 
-        root = newton_solve(residual, np.array([2.0, 0.5]), jacobian_fn=jacobian)
+        root = newton_solve(residual, np.array([[2.0, 0.5]]), jacobian_fn=jacobian)
         assert np.max(np.abs(residual(root))) <= 1e-12
 
     def test_nonconvergence(self):
         settings = NewtonSettings(max_iterations=5)
         with pytest.raises(NonConvergence):
-            newton_solve(lambda u: u**2 + 1.0, np.array([0.7]), jacobian_fn=lambda u: np.diag(2.0 * u),
+            newton_solve(lambda u: u**2 + 1.0, np.array([[0.7]]), jacobian_fn=lambda u: diagonal(2.0 * u),
                          settings=settings)
 
     def test_no_residual_evaluation_after_convergence(self):
@@ -70,14 +77,17 @@ class TestNewton:
             calls.append(u.copy())
             return u - 1.0
 
-        newton_solve(residual, np.array([3.0]), jacobian_fn=lambda u: np.eye(1))
+        newton_solve(residual, np.array([[3.0]]), jacobian_fn=lambda u: np.eye(1)[None])
         # the guess and the one exact step
         assert len(calls) == 2
 
     def test_singular_jacobian(self):
         with pytest.raises(SingularJacobian):
-            newton_solve(lambda u: np.array([1.0]), np.array([0.0]),
-                         jacobian_fn=lambda u: np.array([[0.0]]))
+            newton_solve(lambda u: np.ones_like(u), np.array([[0.0]]), jacobian_fn=lambda u: np.zeros((1, 1, 1)))
+
+    def test_guess_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            newton_solve(lambda u: u, np.array([1.0]), jacobian_fn=lambda u: np.eye(1)[None])
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -105,15 +115,16 @@ class TestStackedNewton:
     GUESS = np.array([[2.0, 0.5], [1.0, 1.0], [9.0, -4.0], [2.0, 2.0]])
 
     def solve_alone(self, k, **kwargs):
+        """System k as the stack of one: its root and the Jacobian evaluations it took."""
         calls = []
 
         def jacobian(v):
             calls.append(1)
             return bent_jacobian(v, self.A[k], self.B[k])
 
-        root = newton_solve(lambda v: bent_residual(v, self.A[k], self.B[k]), self.GUESS[k],
+        root = newton_solve(lambda v: bent_residual(v, self.A[k], self.B[k]), self.GUESS[k:k + 1],
                             jacobian_fn=jacobian, **kwargs)
-        return root, len(calls)
+        return root[0], len(calls)
 
     def test_each_system_follows_its_own_iterates(self):
         alone = [self.solve_alone(k) for k in range(4)]
@@ -145,10 +156,10 @@ class TestStackedNewton:
             return 1.0 / (1.0 + u[..., None] ** 2)
 
         with pytest.raises(NonConvergence):
-            newton_solve(np.arctan, guess[0], jacobian_fn=jacobian, settings=settings)
-        first = newton_solve(np.arctan, guess[0], jacobian_fn=jacobian, settings=retry)
-        second = newton_solve(np.arctan, guess[1], jacobian_fn=jacobian, settings=settings)
-        assert not np.array_equal(second, newton_solve(np.arctan, guess[1], jacobian_fn=jacobian, settings=retry))
+            newton_solve(np.arctan, guess[:1], jacobian_fn=jacobian, settings=settings)
+        first = newton_solve(np.arctan, guess[:1], jacobian_fn=jacobian, settings=retry)[0]
+        second = newton_solve(np.arctan, guess[1:], jacobian_fn=jacobian, settings=settings)[0]
+        assert not np.array_equal(second, newton_solve(np.arctan, guess[1:], jacobian_fn=jacobian, settings=retry)[0])
         stacked = newton_solve(np.arctan, guess, jacobian_fn=jacobian, settings=settings, retry=retry)
         assert np.array_equal(stacked[0], first) and np.array_equal(stacked[1], second)
 
@@ -166,7 +177,7 @@ class TestStackedNewton:
         guess = np.array([[3.0], [1.5]])
         stacked = newton_solve(residual, guess, jacobian_fn=jacobian, settings=settings)
         for row, g in zip(stacked, guess):
-            assert np.array_equal(row, newton_solve(residual, g, jacobian_fn=jacobian, settings=settings))
+            assert np.array_equal(row, newton_solve(residual, g[None], jacobian_fn=jacobian, settings=settings)[0])
         assert stacked[0, 0] == pytest.approx(1.0, abs=1e-4)
 
     def test_nonconvergence_names_the_system(self):
@@ -190,30 +201,32 @@ class TestStackedNewton:
 
 
 class TestLinearSolve:
+    """One system, as the stack of one."""
+
     def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(linear_solve(np.eye(3), b), b)
+        b = np.array([[3.0, -1.0, 2.0]])
+        assert np.allclose(linear_solve(np.eye(3)[None], b), b)
 
     def test_diagonal(self):
-        v = linear_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert np.allclose(v, [1.0, 2.0])
+        v = linear_solve(np.diag([2.0, 4.0])[None], np.array([[2.0, 8.0]]))
+        assert v.shape == (1, 2) and np.allclose(v, [[1.0, 2.0]])
 
     def test_scalar_semi_discrete_constraint(self):
         # A = 1/4 from an N=1 gap of 2; A v = -1 gives v = -4
-        v = linear_solve(np.array([[0.25]]), np.array([-1.0]))
-        assert v[0] == pytest.approx(-4.0)
+        v = linear_solve(np.array([[[0.25]]]), np.array([[-1.0]]))
+        assert v[0, 0] == pytest.approx(-4.0)
 
     def test_backward_error_random_systems(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             a = rng.uniform(-1, 1, (5, 5)) + 5.0 * np.eye(5)
             b = rng.uniform(-1, 1, 5)
-            v = linear_solve(a, b)
+            v = linear_solve(a[None], b[None])[0]
             assert np.max(np.abs(a @ v - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
     def test_singular(self):
         with pytest.raises(SingularMatrix, match="system 0: .* column 1"):
-            linear_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+            linear_solve(np.array([[[1.0, 1.0], [1.0, 1.0]]]), np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("a", [
         [[np.nan, 1.0], [1.0, 2.0]],
@@ -222,7 +235,7 @@ class TestLinearSolve:
     ])
     def test_non_finite_matrix(self, a):
         with pytest.raises(SingularMatrix, match="system 0: non-finite") as info:
-            linear_solve(a, [1.0, 2.0])
+            linear_solve([a], [[1.0, 2.0]])
         assert info.value.system == 0
 
     def test_non_finite_member_of_stack(self):
@@ -238,6 +251,7 @@ class TestLinearSolve:
         (np.ones((3, 2, 2)), np.ones(2)),
         (np.ones((3, 2, 2)), np.ones((2, 2))),
         (np.ones(2), np.ones(2)),
+        (np.ones((2, 2)), np.ones(2)),  # one system is the stack of one
     ])
     def test_shape_mismatch(self, a, b):
         with pytest.raises(ValueError):
@@ -267,7 +281,7 @@ class TestStackedSolve:
         for ai, bi, vi in zip(a, b, v):
             tol = 1e-10 * (1.0 + np.max(np.abs(bi)))
             assert np.max(np.abs(ai @ vi - bi)) <= tol
-            assert np.max(np.abs(ai @ (vi - linear_solve(ai, bi)))) <= tol
+            assert np.max(np.abs(ai @ (vi - linear_solve(ai[None], bi[None])[0]))) <= tol
 
     @settings(max_examples=40, deadline=None)
     @given(STACKS, st.data())
@@ -349,7 +363,7 @@ class TestCertifiedSolve:
             a[data.draw(st.integers(0, m - 1))] = spread_pivot(n, 1e-13)
         v = linear_solve(a, b)
         for ai, bi, vi in zip(a, b, v, strict=True):
-            assert np.array_equal(vi, linear_solve(ai, bi))
+            assert np.array_equal(vi, linear_solve(ai[None], bi[None])[0])
 
 
 def watch_solvers(mp):
@@ -398,14 +412,14 @@ class TestDominanceCertificate:
         with pytest.MonkeyPatch.context() as mp:
             eliminated, lapack = watch_solvers(mp)
             with pytest.raises(SingularMatrix, match="^system 0: pivot "):
-                linear_solve(a, np.ones(len(a)))
+                linear_solve(a[None], np.ones((1, len(a))))
         assert eliminated == [[0]] and lapack == [(1, len(a), len(a) + 1)]
 
     def test_singular_newton_jacobian_is_not_certified(self):
         with pytest.MonkeyPatch.context() as mp:
             eliminated, _ = watch_solvers(mp)
             with pytest.raises(SingularJacobian, match="^system 0: pivot "):
-                newton_solve(lambda u: np.array([1.0]), np.array([0.0]), jacobian_fn=lambda u: np.array([[0.0]]))
+                newton_solve(lambda u: np.ones_like(u), np.array([[0.0]]), jacobian_fn=lambda u: np.zeros((1, 1, 1)))
         assert eliminated == [[0]]
 
     @settings(max_examples=40, deadline=None)
@@ -436,7 +450,7 @@ class TestDominanceCertificate:
         assert np.array_equal(v[4], np.linalg.solve(a[4], with_inverse(b[4:5])[0])[:, 0])
         assert np.array_equal(v[1], _eliminate(a[1:2], b[1:2], np.array([1]))[0])
         for k in range(6):
-            assert np.array_equal(v[k], linear_solve(a[k], b[k]))
+            assert np.array_equal(v[k], linear_solve(a[k:k + 1], b[k:k + 1])[0])
             assert np.max(np.abs(a[k] @ v[k] - b[k])) <= 1e-10
 
     @settings(max_examples=80, deadline=None)
@@ -447,7 +461,7 @@ class TestDominanceCertificate:
         with pytest.MonkeyPatch.context() as mp:
             _, lapack = watch_solvers(mp)
             try:
-                linear_solve(a, b)
+                linear_solve(a[None], b[None])
             except SingularMatrix:
                 pass
         dominant = lapack[0] == (1, n, 1)
