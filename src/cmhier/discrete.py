@@ -11,10 +11,11 @@ Lax pair with its Lax equation and trace invariants. The discrete Hamilton
 equations need no evaluator of their own: the edge Hamiltonian is minus the
 two-point Lagrangian and the position equation is discrete_el_residual.
 
-Leading axes: build_plaquette and the evaluators from discrete_lagrangian on
-evaluate a stack (..., N) row by row as each row alone, bit for bit. Each
-check runs over the whole stack, in the order one configuration runs them;
-the first failing row k along axis 0 is named `at system k` and is `system`.
+Leading axes: build_plaquette, discrete_el_residual and the evaluators from
+discrete_lagrangian on evaluate a stack (..., N) row by row as each row alone,
+bit for bit. Each check runs over the whole stack, in the order one
+configuration runs them; the first failing row k along axis 0 is named
+`at system k` and is `system`.
 """
 
 from __future__ import annotations
@@ -102,21 +103,23 @@ def _raise_first(error, failed, message: str) -> None:
 
 def _eom_system(x_prev, x_cur):
     """The equation of motion, sum_l [1/(x_m - x_next_l) + 1/(x_m - x_prev_l)]
-    - sum_{l != m} 2/(x_m - x_l) = 0, as the corner system "eom" at x_cur."""
+    - sum_{l != m} 2/(x_m - x_l) = 0, as the corner system "eom" at x_cur; configurations
+    (..., N) over leading axes are the rows of one (m, N) stack."""
     x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
     check_collision_free(x_prev)
     check_collision_free(x_cur)
     check_cross_gap(x_cur, x_prev)
-    return _corner_system("eom", x_cur[None], x_prev[None], 0.0)
+    n = x_cur.shape[-1]
+    return _corner_system("eom", x_cur.reshape(-1, n), x_prev.reshape(-1, n), 0.0)
 
 
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-    """Three-point equation of motion, per particle (see _eom_system)."""
+    """Three-point equation of motion, per particle (see _eom_system), over leading axes."""
     x_cur, x_next = np.asarray(x_cur, dtype=float), np.asarray(x_next, dtype=float)
     residual = _eom_system(x_prev, x_cur)[0]
     check_collision_free(x_next)
     check_cross_gap(x_cur, x_next)
-    return residual(x_next[None])[0]
+    return residual(x_next.reshape(-1, x_next.shape[-1])).reshape(x_next.shape)
 
 
 def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) -> np.ndarray:

@@ -24,7 +24,6 @@ as (T, N) arrays, checked once, and builds PhaseStates only when read.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal, Sequence
@@ -47,7 +46,7 @@ from .hierarchy import (
     weighted_gradient,
     weighted_hamiltonian,
 )
-from .numerics import fd_gradient, rk4_march, row_blocks
+from .numerics import fd_gradient, float_rk4_march, rk4_march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
 # a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this:
@@ -190,28 +189,24 @@ def _float_field(direction: np.ndarray, n: int) -> Callable[[list], list]:
 
 def _float_march(direction: np.ndarray, y0: np.ndarray, times: np.ndarray, dt: float, order: np.ndarray) -> np.ndarray:
     """rk4_march of _raw_field with _check_in_flight, for a stack y0 (B, 2N) below ORDERED_SUM_N particles,
-    on Python floats: each system is marched alone with the stages of numerics.rk4_step, operation for
-    operation, so every value equals the numpy march's bit for bit. A step that fails the same in-flight
-    test goes to _check_in_flight with the stack at the first failing time, which words the abort."""
+    on Python floats: each system is marched alone by numerics.float_rk4_march, so every value equals the
+    numpy march's bit for bit. A step that fails the same in-flight test goes to _check_in_flight with the
+    stack at the first failing time, which words the abort."""
     n = y0.shape[1] // 2
     fld = _float_field(direction, n)
-    half, sixth = 0.5 * dt, dt / 6.0
     end, failed = len(times) - 1, False
     marched = []
     for y, start_order in zip(y0.tolist(), (order % (2 * n)).tolist()):
-        ys = array("d", y)
         neighbours = list(zip(start_order, start_order[1:]))
-        for i in range(1, end + 1):  # up to the first failure of the systems before, which decides the abort
-            k1 = fld(y)
-            k2 = fld([a + half * b for a, b in zip(y, k1)])
-            k3 = fld([a + half * b for a, b in zip(y, k2)])
-            k4 = fld([a + dt * b for a, b in zip(y, k3)])
-            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            ys.extend(y)
-            if not (all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)):
-                end, failed = i, True
-                break
+
+        def accept(y: list) -> bool:
+            return all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)
+
+        # up to the first failure of the systems before, which decides the abort
+        ys, refused = float_rk4_march(fld, y, end, dt, accept)
         marched.append(np.frombuffer(ys).reshape(-1, 2 * n))
+        if refused:
+            end, failed = len(marched[-1]) - 1, True
     if failed:  # the numpy check fails on the same rows, so it raises
         with np.errstate(all="ignore"):  # as in rk4_march
             _check_in_flight(np.array([rows[end] for rows in marched]), order, times[end],

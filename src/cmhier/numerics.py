@@ -1,14 +1,20 @@
-"""Dense numeric kernel: linear solves, Newton iteration, finite differences, the array RK4 march, row blocks.
+"""Dense numeric kernel: linear solves, Newton iteration, finite differences, the RK4 march, row blocks.
 
-Everything operates on plain float ndarrays. Problem sizes are tiny (N up to a few tens), so a solve
-costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve therefore take
-stacks of independent systems along a leading axis, one system being the stack of one, and work on
-them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the rest,
-which their inverses certify, and leaves every failure to the column elimination.
+Everything operates on plain float ndarrays, except float_rk4_march. Problem sizes are tiny (N up to a few
+tens), so a solve costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve
+therefore take stacks of independent systems along a leading axis, one system being the stack of one, and
+work on them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the
+rest, which their inverses certify, and leaves every failure to the column elimination.
+
+There are two RK4 loops with one operation order: rk4_march steps an array with numpy, and
+float_rk4_march steps one state held as a list of Python floats, which skips numpy's per-call cost on
+small states. Fed a field with the same bits, the two give the same bits; flows and semidiscrete pick
+one from the shape of their state.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -263,3 +269,24 @@ def rk4_march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, 
             ys[i] = rk4_step(field, times[i - 1], ys[i - 1], dt)
             check(times[i], ys[i], ys[i - 1])
     return ys
+
+
+def float_rk4_march(field: Callable[[list], list], y: list, steps: int, dt: float,
+                    accept: Callable[[list], bool]) -> tuple[array, bool]:
+    """rk4_march on Python floats for one state y, a list of floats: the stages of rk4_step, operation for
+    operation, so a field with numpy's bits gives rk4_march's bits. Returns y and its steps, up to `steps`,
+    as one flat array('d'), and whether the march ended at a step that accept(y) refused, which is the
+    last one kept."""
+    dt = float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    ys = array("d", y)
+    for _ in range(steps):
+        k1 = field(y)
+        k2 = field([a + half * b for a, b in zip(y, k1)])
+        k3 = field([a + half * b for a, b in zip(y, k2)])
+        k4 = field([a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        ys.extend(y)
+        if not accept(y):
+            return ys, True
+    return ys, False

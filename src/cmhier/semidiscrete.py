@@ -11,18 +11,39 @@ Validation rule: one site check, _check_sites, runs when a Chain is built and
 on every step the march accepts. A Chain may stack chains over leading axes,
 so an evolution is one Chain of shape (steps + 1, K+1, N); RK4 stages are
 plain arithmetic on the stacked (K+1, N) sites.
+
+Two kernels march a chain, with the same bits and the same aborts, and the
+chain's shape picks one: N <= 2 particles with K N^2 at most FLOAT_CHAIN_SIZE
+march on Python floats, which skips numpy's per-call cost on 1x1 and 2x2
+solves; every other chain marches through numerics.rk4_march, one stacked
+solve of all 2K edge systems per RK4 stage. The float field repeats
+_site_velocities and linear_solve operation for operation, with LAPACK's
+order for the solve (dgesv as OpenBLAS runs it on x86-64 with FMA: partial
+pivoting, the multiplier times the reciprocal pivot, and one fused
+multiply-add in the back substitution). A step the float kernel cannot take
+exactly, on an edge system the certificate does not clear, a non-finite
+value or a failed site check, hands the rest of the march to the numpy
+kernel from the last accepted step, which takes that step or raises as it
+always does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import SingularMatrix, located
-from .hierarchy import check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import linear_solve, rk4_march, row_blocks
+from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
+from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_march, linear_solve, rk4_march, row_blocks
+
+# a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step costs
+# about 2.5 us per unit of K N^2 at N = 1 and 5 us at N = 2, a numpy step 200-450 us on chains of K N^2
+# up to 64, and the two meet near K N^2 = 100 at N = 2 (2 vCPUs, wall, in-process)
+FLOAT_CHAIN_SIZE = 64
 
 
 def _check_sites(y: np.ndarray) -> None:
@@ -110,10 +131,91 @@ def tau_velocities(chain: Chain) -> ChainVelocities:
     return ChainVelocities(v, fp, fn, np.abs(fp[..., :-1, :] - fn[..., 1:, :]).max(axis=(-2, -1), initial=0.0))
 
 
+def _fma_minus_one(a: float, b: float) -> float:
+    """a b - 1 rounded once, as a fused multiply-add rounds it: Dekker's exact product p + e (Veltkamp's
+    split) summed with -1 by math.fsum. Below |a b| = 2^-900 the sum rounds to -1; above 2^900, where the
+    split can overflow, the result is NaN, which hands the step off."""
+    p = a * b
+    if not abs(p) <= 2.0**900:
+        return math.nan
+    if abs(p) < 2.0**-900:
+        return -1.0
+    t = 134217729.0 * a  # 2^27 + 1
+    a_hi = t - (t - a)
+    t = 134217729.0 * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return math.fsum((p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, -1.0))
+
+
+def _solve_minus_ones(a00: float, a01: float, a10: float, a11: float) -> tuple[float, float]:
+    """np.linalg.solve of [[a00, a01], [a10, a11]] v = (-1, -1) for positive entries, in LAPACK dgesv's
+    order: pivot on the larger first-column entry, multiplier l times the reciprocal pivot, u11 unfused,
+    forward substitution -1 + l, then x1 divided and x0 from one fused multiply-add."""
+    if a10 > a00:  # the first of equal entries is the pivot
+        a00, a01, a10, a11 = a10, a11, a00, a01
+    lower = a10 * (1.0 / a00)
+    x1 = (-1.0 + lower) / (a11 - lower * a01)
+    return _fma_minus_one(-x1, a01) / a00, x1
+
+
+def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
+    """_site_velocities' velocities of one chain of n <= 2 particles and k_len edges, its sites flat in a list
+    of floats, with the same operations in the same order, so the same bits. Entries 1/d^2 are positive, so
+    linear_solve's |a| is a itself. All NaN when an edge system is not certified dominant, as linear_solve
+    certifies it, or divides by zero: numpy solves it another way, and the NaN step hands it off."""
+    bound = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
+
+    def fld(y: list) -> list:
+        try:
+            if n == 1:
+                from_prev = []
+                for a, b in zip(y, y[1:]):
+                    d = a - b
+                    entry = 1.0 / (d * d)
+                    if not 2.0 * entry - entry > bound * entry:
+                        return [math.nan] * len(y)
+                    from_prev.append(-1.0 / entry)
+                from_next = from_prev
+            else:
+                from_prev, from_next = [], []
+                for k in range(0, 2 * k_len, 2):
+                    a0, a1, b0, b1 = y[k:k + 4]
+                    d00, d01, d10, d11 = a0 - b0, a0 - b1, a1 - b0, a1 - b1
+                    f00, f01, f10, f11 = 1.0 / (d00 * d00), 1.0 / (d01 * d01), 1.0 / (d10 * d10), 1.0 / (d11 * d11)
+                    cut = bound * max(f00, f01, f10, f11)
+                    # the rows of the forward system, then of its transpose, the backward one
+                    if not (2.0 * f00 - (f00 + f01) > cut and 2.0 * f11 - (f10 + f11) > cut
+                            and 2.0 * f00 - (f00 + f10) > cut and 2.0 * f11 - (f01 + f11) > cut):
+                        return [math.nan] * len(y)
+                    from_prev.extend(_solve_minus_ones(f00, f01, f10, f11))
+                    from_next.extend(_solve_minus_ones(f00, f10, f01, f11))
+        except ZeroDivisionError:
+            return [math.nan] * len(y)
+        interior = [0.5 * (a + b) for a, b in zip(from_prev[:-n], from_next[n:])]
+        return from_next[:n] + interior + from_prev[-n:]
+
+    return fld
+
+
+def _float_sites_pass(k_len: int, n: int) -> Callable[[list], bool]:
+    """_check_sites' test, passed or not, on one chain of n <= 2 particles with its sites flat in a list:
+    finite positions, and at least COLLISION_TOL between the particles of a site and across an edge."""
+    pairs = [(k * n, k * n + 1) for k in range(k_len + 1)] if n == 2 else []
+    pairs += [(k * n + i, (k + 1) * n + j) for k in range(k_len) for i in range(n) for j in range(n)]
+
+    def passes(y: list) -> bool:
+        return all(map(math.isfinite, y)) and all(abs(y[i] - y[j]) >= COLLISION_TOL for i, j in pairs)
+
+    return passes
+
+
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
     """The chain at the start and after each of `steps` RK4 steps of d_tau on its stacked sites: one
     Chain of shape (steps + 1, K+1, N), whose tau is the running sum of the steps. Each accepted step
-    is checked in flight, and a failure names the tau of its step or stage."""
+    is checked in flight, and a failure names the tau of its step or stage. The chain's shape picks the
+    kernel, and both give the same bits: N <= 2 with K N^2 at most FLOAT_CHAIN_SIZE marches on Python
+    floats, until a step they cannot take exactly; the numpy kernel marches the rest."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if chain.tau.ndim:
@@ -128,7 +230,15 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
             _check_sites(y)
 
     taus = np.add.accumulate(np.r_[chain.tau, np.full(steps, d_tau)])
-    return Chain(rk4_march(field, chain.sites, taus, d_tau, check), taus)
+    k_len, n = chain.length, chain.n
+    head = chain.sites[None]
+    if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
+        ys, refused = float_rk4_march(_float_site_velocities(k_len, n), chain.sites.ravel().tolist(), steps, d_tau,
+                                      _float_sites_pass(k_len, n))
+        head = np.frombuffer(ys).reshape(-1, k_len + 1, n)
+        head = head[:len(head) - refused]  # the refused step is taken again, or raises, on numpy
+    rest = rk4_march(field, head[-1], taus[len(head) - 1:], d_tau, check)
+    return Chain(np.concatenate((head[:-1], rest)), taus)
 
 
 def semi_eom_residual(sites: np.ndarray, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhier import cli
+from cmhier import cli, discrete, numerics
 from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
 from cmhier.scenario import MAX_STEPS, Scenario, parse_scenario, scenario_from_dict
@@ -121,6 +121,22 @@ class TestRunScenario:
         xs = [float(r.split(",")[1]) for r in rows]
         assert np.allclose(xs, np.arange(11.0), atol=1e-9)
         assert report.all_passed
+
+    @pytest.mark.parametrize("entries, blocks", [(None, [11]), (20, [2, 2, 2, 2, 2, 1])])
+    def test_discrete_el_residual_in_row_blocks_equals_the_per_triple_reference(self, tmp_path, monkeypatch,
+                                                                                   entries, blocks):
+        # 20 entries: two triples of 3 x 3 entries per block, the last block short
+        sc = scenario_from_dict({"kind": "discrete", "n": 3, "seed": 7, "steps": 12, "out_dir": str(tmp_path)})
+        orbit = cli._lattice_sites(sc, sc.steps + 1)
+        reference = max(float(np.max(np.abs(discrete.discrete_el_residual(*triple))))
+                        for triple in zip(orbit, orbit[1:], orbit[2:]))
+        if entries is not None:
+            monkeypatch.setattr(numerics, "STACK_ENTRIES", entries)
+        evaluate, called = discrete.discrete_el_residual, []
+        monkeypatch.setattr(discrete, "discrete_el_residual",
+                            lambda *sites: called.append(len(sites[0])) or evaluate(*sites))
+        entry = next(e for e in run_scenario(sc)[1].entries if e.name == "discrete-el-residual")
+        assert entry.residual == reference and called == blocks
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         sc = scenario_from_dict(

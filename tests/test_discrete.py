@@ -614,6 +614,7 @@ def lattice_evaluators(x, tx, ttx):
     """Every lattice evaluator on the sites x, tx, ttx, with the plaquette (x, tx, ttx - 0.1, ttx)."""
     pl = discrete.Plaquette(x, tx, ttx - 0.1, ttx)
     return {
+        "discrete_el_residual": discrete_el_residual(x, tx, ttx),
         "discrete_lagrangian": discrete_lagrangian(x, tx, 1.5),
         "discrete_closure_sum": discrete_closure_sum(pl, PARAMS_N2),
         "center_of_mass_term": center_of_mass_term(pl),
@@ -689,6 +690,15 @@ class TestLeadingAxes:
         with pytest.raises(CollisionSingularity, match="^site and shifted site share a coordinate: cross gap "
                                                        r"0\.000e\+00 below 1\.0e-12 at system 1$") as info:
             build_discrete_lax(x, tx)
+        assert info.value.system == 1
+
+    def test_stacked_el_residual_names_the_row(self):
+        x, tx, ttx = stacked_sites(4, (2, 3), 2)
+        ttx[1, 1, 0] = tx[1, 1, 0]  # triple (1, 1) shares a coordinate across its outgoing edge
+        with pytest.raises(CollisionSingularity, match="^cross gap 0.000e[+]00 below 1.0e-12$"):
+            discrete_el_residual(x[1, 1], tx[1, 1], ttx[1, 1])
+        with pytest.raises(CollisionSingularity, match="^cross gap 0.000e[+]00 below 1.0e-12 at system 1$") as info:
+            discrete_el_residual(x, tx, ttx)
         assert info.value.system == 1
 
     def test_stacked_plaquettes_name_the_colliding_base_edge(self):

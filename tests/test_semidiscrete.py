@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmhier import numerics, semidiscrete
+from cmhier import cli, numerics, semidiscrete, verify
 from cmhier.discrete import LatticeParams, discrete_step
-from cmhier.errors import CollisionSingularity, SingularMatrix
+from cmhier.errors import CollisionSingularity, NumericsError, SingularMatrix
+from cmhier.scenario import scenario_from_dict
 from cmhier.semidiscrete import (
     Chain,
     evolve_chain,
@@ -26,6 +31,7 @@ def orbit_chain(x0, shift, params, edges=2):
 
 CHAIN_N1 = orbit_chain([0.0], [0.35], LatticeParams(p1=1.0, p2=2.0, n=1))
 CHAIN_N2 = orbit_chain([-2.0, 2.0], [0.3, 0.36], PARAMS)
+CHAIN_N3 = orbit_chain([-4.0, 0.0, 4.0], [0.3, 0.36, 0.33], LatticeParams(p1=1.0, p2=2.0, n=3))
 
 
 def drifting_chain(n, k_len, seed=0):
@@ -145,21 +151,52 @@ class TestEvolveChain:
             return real(y)
 
         monkeypatch.setattr(semidiscrete, "_site_velocities", failing_on_sixth_call)
-        start = Chain(CHAIN_N2.sites, tau=0.5)
+        start = Chain(CHAIN_N3.sites, tau=0.5)  # N = 3 takes the numpy kernel
         with pytest.raises(SingularMatrix, match=r"at tau=0\.5015: system 0") as info:
             evolve_chain(start, 1e-3, 3)
         # the sixth field evaluation is the second stage of the second step
         assert info.value.tau == pytest.approx(0.5 + 1e-3 + 0.5e-3)
+
+    def test_float_kernel_hands_off_at_the_start_of_the_step(self, monkeypatch):
+        # the float field gives up on its sixth evaluation, the second stage of the second step: the numpy
+        # kernel takes that step again from its start, so its first stage is the first one it evaluates
+        real_field, real = semidiscrete._float_site_velocities, semidiscrete._site_velocities
+        calls, numpy_calls = [], []
+
+        def giving_up_on_sixth_call(k_len, n):
+            field = real_field(k_len, n)
+            return lambda y: calls.append(y) or ([np.nan] * len(y) if len(calls) == 6 else field(y))
+
+        def failing(y):
+            numpy_calls.append(y.shape)
+            raise SingularMatrix("system 0: pivot 0.000e+00 below threshold in column 0", system=0)
+
+        monkeypatch.setattr(semidiscrete, "_float_site_velocities", giving_up_on_sixth_call)
+        monkeypatch.setattr(semidiscrete, "_site_velocities", failing)
+        with pytest.raises(SingularMatrix, match=r"at tau=0\.501: system 0") as info:
+            evolve_chain(Chain(CHAIN_N2.sites, tau=0.5), 1e-3, 3)
+        assert info.value.tau == 0.5 + 1e-3 and len(calls) == 8 and numpy_calls == [(3, 2)]
 
     def test_builds_one_chain_per_call(self, count_builds, monkeypatch):
         checked = []
         real = semidiscrete._check_sites
         monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real(y))
         builds = count_builds(Chain)
+        chain = evolve_chain(CHAIN_N3, 1e-3, 10)  # N = 3 takes the numpy kernel
+        assert chain.sites.shape == (11, 3, 3) and chain.tau.shape == (11,) and len(builds) == 1
+        # each accepted step is checked once in flight, then the whole evolution once when built
+        assert checked == [(3, 3)] * 10 + [(11, 3, 3)]
+
+    def test_float_kernel_builds_one_chain_and_checks_it_once(self, count_builds, monkeypatch):
+        checked, solved = [], []
+        real_check, real_solve = semidiscrete._check_sites, semidiscrete._site_velocities
+        monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real_check(y))
+        monkeypatch.setattr(semidiscrete, "_site_velocities", lambda y: solved.append(y.shape) or real_solve(y))
+        builds = count_builds(Chain)
         chain = evolve_chain(CHAIN_N2, 1e-3, 10)
         assert chain.sites.shape == (11, 3, 2) and chain.tau.shape == (11,) and len(builds) == 1
-        # each accepted step is checked once in flight, then the whole evolution once when built
-        assert checked == [(3, 2)] * 10 + [(11, 3, 2)]
+        # the float kernel tests each step itself; the whole evolution is checked once when built
+        assert checked == [(11, 3, 2)] and solved == []
 
     def test_tau_is_the_running_sum_of_the_steps(self):
         tau, taus = 0.5, [0.5]
@@ -198,6 +235,183 @@ class TestEvolveChain:
         snaps = evolve_chain(CHAIN_N2, 1e-3, 100)
         worst = np.max(tau_velocities(snaps).max_discrepancy)
         assert worst <= 1e-8
+
+
+def chain_outcome(chain, d_tau, steps, float_size):
+    """evolve_chain with FLOAT_CHAIN_SIZE = float_size: the evolved sites and the number of steps the numpy
+    kernel marched, or the abort as (type, message, tau, system) and that number."""
+    marched = []
+    real = semidiscrete.rk4_march
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semidiscrete, "FLOAT_CHAIN_SIZE", float_size)
+        patch.setattr(semidiscrete, "rk4_march",
+                      lambda field, y0, times, dt, check: marched.append(len(times) - 1) or real(field, y0, times, dt, check))
+        try:
+            return evolve_chain(chain, d_tau, steps).sites, marched[0]
+        except NumericsError as exc:
+            return (type(exc), str(exc), exc.tau, exc.system), marched[0]
+
+
+def assert_same_chain_outcome(chain, d_tau, steps):
+    """The float kernel ends as the numpy kernel does, every value to the bit; returns its outcome and the
+    number of steps it handed to the numpy kernel."""
+    expected, numpy_steps = chain_outcome(chain, d_tau, steps, 0)
+    assert numpy_steps == steps
+    got, handed_off = chain_outcome(chain, d_tau, steps, semidiscrete.FLOAT_CHAIN_SIZE)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:  # tobytes also tells 0.0 from -0.0
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return got, handed_off
+
+
+class TestFloatChainKernel:
+    """The float kernel of evolve_chain, for N <= 2 and K N^2 up to FLOAT_CHAIN_SIZE, against the numpy
+    kernel it stands in for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2]),
+        k_len=st.integers(1, semidiscrete.FLOAT_CHAIN_SIZE),
+        d_tau=st.sampled_from([1e-3, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 40),
+        spacing=st.sampled_from([0.6, 1.5, 4.0]),
+    )
+    def test_every_step_equals_the_numpy_march(self, n, k_len, d_tau, seed, steps, spacing):
+        # shifts of 0.05-1 at particle spacings of 0.6-4: some edges are not dominant at the start or turn so
+        k_len = max(1, k_len // n**2)
+        rng = np.random.default_rng(seed)
+        sites = np.cumsum(np.concatenate([spacing * np.arange(n) + rng.uniform(-0.1, 0.1, (1, n)),
+                                          rng.uniform(0.05, 1.0, (k_len, n))]), axis=0)
+        try:
+            chain = Chain(sites)
+        except CollisionSingularity:
+            return
+        assert_same_chain_outcome(chain, d_tau, steps)
+
+    @pytest.mark.parametrize("chain", [CHAIN_N1, CHAIN_N2, Chain(tuple(drifting_chain(1, 64))),
+                                       Chain(tuple(drifting_chain(2, 16, seed=3)))])
+    @pytest.mark.parametrize("d_tau", [1e-3, 1e-2])
+    def test_float_kernel_takes_every_step(self, chain, d_tau):
+        assert assert_same_chain_outcome(chain, d_tau, 20)[1] == 0
+
+    def test_adjacent_sites_meet_alike(self):
+        # the gap of edge 0 is -1/2 + exp(-tau); this step, found by bisection, takes it below COLLISION_TOL
+        # at the third step
+        chain = Chain((np.array([0.0]), np.array([0.5]), np.array([2.0])))
+        outcome, handed_off = assert_same_chain_outcome(chain, 0.2310557167464719, 5)
+        assert outcome[0] is CollisionSingularity and outcome[2:] == (3 * 0.2310557167464719, 0)
+        assert outcome[1].startswith("at tau=0.693167: gap between adjacent chain sites 1.318e-16 below")
+        assert outcome[1].endswith("at edge 0") and handed_off == 3
+
+    def test_edge_turning_non_dominant_hands_off_with_the_same_bits(self):
+        # the second particle of site 1 sits near the middle of those of sites 0 and 2: after 30 steps an
+        # edge system is no longer diagonally dominant, and the numpy kernel solves it through [b | I]
+        chain = Chain((np.array([0.0, 1.0]), np.array([0.35, 1.55]), np.array([0.65, 2.0])))
+        sites, handed_off = assert_same_chain_outcome(chain, 1e-2, 40)
+        assert handed_off == 10 and sites.shape == (41, 3, 2)
+
+    def test_singular_edge_is_named_alike(self):
+        sites = drifting_chain(2, 6)  # TestTauVelocities.test_singular_edge_is_named at edge 3
+        sites[4][0] = sites[3][0] + 1e-8
+        sites[5][0] = sites[4][0] + 0.3
+        outcome, handed_off = assert_same_chain_outcome(Chain(tuple(sites)), 1e-3, 5)
+        assert outcome[0] is SingularMatrix and outcome[1].startswith("at tau=0: edge 3 forward velocity: system 3")
+        assert outcome[2:] == (0.0, 3) and handed_off == 5
+
+    def test_the_chain_shape_picks_the_kernel(self, monkeypatch, tmp_path):
+        marched = []  # (sites of the start, steps the numpy kernel marched) of every evolution
+        real = semidiscrete.rk4_march
+        monkeypatch.setattr(semidiscrete, "rk4_march", lambda field, y0, times, dt, check:
+                            marched.append((y0.shape, len(times) - 1)) or real(field, y0, times, dt, check))
+        rng = np.random.default_rng(0)
+        verify._semidiscrete_checks(verify.Collector(1.0), rng)
+        verify._closure_diagnostics(verify.Collector(1.0), rng)
+        cli.run_scenario(scenario_from_dict({**cli.DEMOS["semidiscrete"], "out_dir": str(tmp_path)}))
+        assert marched == [((3, 1), 0), ((3, 2), 0), ((3, 2), 0), ((3, 2), 0), ((3, 2), 0)]
+        marched.clear()
+        evolve_chain(Chain(tuple(drifting_chain(8, 8))), 1e-3, 3)  # the chain of the semidiscrete-chain benchmark
+        evolve_chain(Chain(tuple(drifting_chain(1, semidiscrete.FLOAT_CHAIN_SIZE + 1))), 1e-3, 3)
+        evolve_chain(Chain(tuple(drifting_chain(2, semidiscrete.FLOAT_CHAIN_SIZE // 4 + 1))), 1e-3, 3)
+        assert [steps for _, steps in marched] == [3, 3, 3]
+
+
+class TestFloatKernelParts:
+    """The solves, certificate and site test of the float kernel against the numpy code they repeat."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4), st.booleans())
+    def test_two_by_two_equals_lapack(self, gaps, transposed):
+        # entries 1/d^2 as in an edge system, for gaps d of 0.05-5
+        a = 1.0 / np.square(np.array(gaps).reshape(2, 2))
+        a = a.T.copy() if transposed else a
+        magnitude = np.abs(a)
+        bound = numerics.PIVOT_RTOL / numerics.CERTIFY_MARGIN + 4 * 2.0**-52
+        if not (2.0 * magnitude.diagonal() - magnitude.sum(axis=1)).min() > bound * magnitude.max():
+            return  # not dominant: linear_solve takes another route, and the float kernel hands off
+        expected = np.linalg.solve(a[None], -np.ones((1, 2, 1)))[0, :, 0]
+        assert np.array(semidiscrete._solve_minus_ones(*a.ravel().tolist())).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-6, 1e6))
+    def test_one_by_one_is_one_division(self, entry):
+        assert np.linalg.solve(np.array([[[entry]]]), -np.ones((1, 1, 1)))[0, 0, 0] == -1.0 / entry
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e250, 1e250), st.floats(-1e250, 1e250))
+    def test_fused_multiply_add_rounds_once(self, a, b):
+        got = semidiscrete._fma_minus_one(a, b)
+        if abs(a * b) > 2.0**900:
+            assert np.isnan(got)
+        else:
+            assert got == float(Fraction(a) * Fraction(b) - 1)
+
+    @pytest.mark.parametrize("sites, certified", [
+        # the margin of forward row 0 just above 1e-12 s, inside the n^2 eps rounding term of the certificate
+        ([[0.0, 1.5], [-1.0, 1.000000000002001]], False),
+        ([[0.0, 1.5], [-1.0, 1.000000000002002]], True),  # just above that term
+        ([[0.0, 1.0], [0.6, 1.1]], False),  # the forward system is dominant, the backward one not
+        ([[0.6, 1.1], [0.0, 1.0]], False),  # the backward system is dominant, the forward one not
+    ])
+    def test_the_float_field_certifies_what_linear_solve_certifies(self, sites, certified):
+        y = np.array(sites)
+        got = np.array(semidiscrete._float_site_velocities(1, 2)(y.ravel().tolist()))
+        expected = semidiscrete._site_velocities(y)[0]  # linear_solve solves the others through [b | I]
+        assert np.isfinite(expected).all()
+        if certified:
+            assert got.tobytes() == expected.ravel().tobytes()
+        else:
+            assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_float_site_test_passes_what_check_sites_passes(self, n):
+        base = np.array(drifting_chain(n, 3))
+        cases = [base]
+        for k in range(4):
+            for i in range(n):
+                for value in (np.nan, np.inf, -np.inf):
+                    cases.append(base.copy())
+                    cases[-1][k, i] = value
+                if n == 2:  # the particles of site k 5e-13 and 2e-12 apart
+                    for gap in (5e-13, 2e-12):
+                        cases.append(base.copy())
+                        cases[-1][k, 1 - i] = cases[-1][k, i] + gap
+                for j in range(n):
+                    if k < 3:  # particle i of site k and particle j of site k + 1, 5e-13 and 2e-12 apart
+                        for gap in (5e-13, 2e-12):
+                            cases.append(base.copy())
+                            cases[-1][k + 1, j] = cases[-1][k, i] + gap
+        outcomes = set()
+        for y in cases:
+            try:
+                semidiscrete._check_sites(y)
+                passes = True
+            except CollisionSingularity:
+                passes = False
+            outcomes.add(passes)
+            assert semidiscrete._float_sites_pass(3, n)(y.ravel().tolist()) is passes
+        assert outcomes == {True, False}
 
 
 class TestSemiEom:
