@@ -9,12 +9,12 @@ family, and conservation of the parametrized-path energy.
 
 Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
 being the stack of one; each system takes the steps it takes alone, bit for
-bit. The stack's shape picks one of two kernels with the same bits and the
-same aborts: below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
-each system marches on Python floats in numpy's operation order, which skips
-numpy's per-call cost; any other stack marches through numerics.rk4_march, one
-field evaluation per RK4 stage for all rows. The Poisson bracket evaluates its
-observables once on the perturbed points of a stack of states.
+bit. It calls numerics.march: below ORDERED_SUM_N particles, with B N at most
+FLOAT_MARCH_SIZE, each system marches first on Python floats in numpy's
+operation order, and a step the float check refuses goes to the numpy march
+with the rest, which raises as it always does; any other stack marches on
+numpy, one field evaluation per RK4 stage for all rows. The Poisson bracket
+evaluates its observables once on the perturbed points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 The march checks every row's accepted steps in flight; a Trajectory keeps them
@@ -46,7 +46,7 @@ from .hierarchy import (
     weighted_gradient,
     weighted_hamiltonian,
 )
-from .numerics import fd_gradient, float_rk4_march, rk4_march, row_blocks
+from .numerics import fd_gradient, march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
 # a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this:
@@ -130,12 +130,12 @@ def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], n
     return fld
 
 
-def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fld=None) -> None:
+def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before: np.ndarray, fld: Callable) -> None:
     """Abort on non-finite values, tight gaps or a particle-order flip (a step across a collision) in
     any row of the stack y (B, 2N); `order` holds the flat indices into y of each row's positions in its
     start order, so one pass of neighbour differences tests gaps and order. The first failing row k of
-    several is named `in system k` and is the error's `system`. Given the field and the stack `before` of
-    last accepted states, a non-finite row whose field is non-finite there is an overflowing field."""
+    several is named `in system k` and is the error's `system`. A non-finite row whose field fld is non-finite
+    at its last accepted state, in the stack `before`, is an overflowing field."""
     x = y.take(order)
     if np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min(initial=np.inf) >= FLIGHT_GAP_TOL:
         return
@@ -146,7 +146,7 @@ def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before=None, fl
         where = f"s={s:.6g}" + ("" if system is None else f" in system {k}")
         if np.isfinite(y[k]).all():
             raise CollisionSingularity(f"gap below {FLIGHT_GAP_TOL:.1e} at {where}", s=s, system=system)
-        if fld is not None and not np.isfinite(fld(s, before[k])).all():
+        if not np.isfinite(fld(s, before[k])).all():
             raise NumericsError(f"Hamilton field overflows on the step to {where}", s=s, system=system)
         raise CollisionSingularity(f"non-finite state at {where}", s=s, system=system)
 
@@ -187,49 +187,26 @@ def _float_field(direction: np.ndarray, n: int) -> Callable[[list], list]:
     return fld
 
 
-def _float_march(direction: np.ndarray, y0: np.ndarray, times: np.ndarray, dt: float, order: np.ndarray) -> np.ndarray:
-    """rk4_march of _raw_field with _check_in_flight, for a stack y0 (B, 2N) below ORDERED_SUM_N particles,
-    on Python floats: each system is marched alone by numerics.float_rk4_march, so every value equals the
-    numpy march's bit for bit. A step that fails the same in-flight test goes to _check_in_flight with the
-    stack at the first failing time, which words the abort."""
-    n = y0.shape[1] // 2
-    fld = _float_field(direction, n)
-    end, failed = len(times) - 1, False
-    marched = []
-    for y, start_order in zip(y0.tolist(), (order % (2 * n)).tolist()):
-        neighbours = list(zip(start_order, start_order[1:]))
-
-        def accept(y: list) -> bool:
-            return all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)
-
-        # up to the first failure of the systems before, which decides the abort
-        ys, refused = float_rk4_march(fld, y, end, dt, accept)
-        marched.append(np.frombuffer(ys).reshape(-1, 2 * n))
-        if refused:
-            end, failed = len(marched[-1]) - 1, True
-    if failed:  # the numpy check fails on the same rows, so it raises
-        with np.errstate(all="ignore"):  # as in rk4_march
-            _check_in_flight(np.array([rows[end] for rows in marched]), order, times[end],
-                             np.array([rows[end - 1] for rows in marched]), _raw_field(direction, n))
-    return np.stack(marched, axis=1)
-
-
-def _numpy_march(direction: np.ndarray, y0: np.ndarray, times: np.ndarray, dt: float, order: np.ndarray) -> np.ndarray:
-    """numerics.rk4_march of _raw_field, every step checked by _check_in_flight."""
-    fld = _raw_field(direction, y0.shape[1] // 2)
-    return rk4_march(fld, y0, times, dt, lambda s, y, before: _check_in_flight(y, order, s, before, fld))
+def _float_accept(start_order: list) -> Callable[[list], bool]:
+    """_check_in_flight's test on one system, a list of 2N floats whose positions start in start_order."""
+    neighbours = list(zip(start_order, start_order[1:]))
+    return lambda y: all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)
 
 
 def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
-    from each grid time to the next. Every step is checked in flight, so an overflow in the unchecked
-    stages is reported there, not warned about. The stack's shape picks the kernel, and both give the same
-    bits: below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE, it marches on Python floats,
-    which skips numpy's per-call cost; any other stack marches with numpy."""
+    from each grid time to the next, each checked in flight, so an overflow in the unchecked stages is
+    reported there, not warned about. Below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
+    numerics.march steps each system on Python floats first; any other stack marches with numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
-    order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
-    march = _float_march if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE else _numpy_march
-    return march(path.direction, y0, path.grid(), path.duration / path.steps, order)
+    start_order = np.argsort(y0[:, :n], axis=1)
+    order = start_order + 2 * n * np.arange(b)[:, None]
+    fld, floats = _raw_field(path.direction, n), None
+    if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE:
+        float_fld = _float_field(path.direction, n)
+        floats = [(float_fld, _float_accept(row)) for row in start_order.tolist()]
+    return march(fld, y0, path.grid(), path.duration / path.steps,
+                 lambda s, y, before: _check_in_flight(y, order, s, before, fld), floats)
 
 
 def _stack(states: Sequence[PhaseState]) -> np.ndarray:

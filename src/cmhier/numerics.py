@@ -8,8 +8,8 @@ rest, which their inverses certify, and leaves every failure to the column elimi
 
 There are two RK4 loops with one operation order: rk4_march steps an array with numpy, and
 float_rk4_march steps one state held as a list of Python floats, which skips numpy's per-call cost on
-small states. Fed a field with the same bits, the two give the same bits; flows and semidiscrete pick
-one from the shape of their state.
+small states; fed fields with the same bits, they give the same bits. flows and semidiscrete call one
+driver, march, which runs the float loop first and hands the rest of a refused march to rk4_march.
 """
 
 from __future__ import annotations
@@ -290,3 +290,22 @@ def float_rk4_march(field: Callable[[list], list], y: list, steps: int, dt: floa
         if not accept(y):
             return ys, True
     return ys, False
+
+
+def march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
+          check: Callable[[float, np.ndarray, np.ndarray], None], floats) -> np.ndarray:
+    """rk4_march(field, y0, times, dt, check), with its bits on Python floats where it can: floats is None, or
+    one (float_field, accept) pair per row of y0.reshape(len(floats), -1). Each row marches alone through
+    float_rk4_march, up to the first step any row's accept refuses; from the last step every row accepted,
+    rk4_march takes the whole stack, so a refused step is taken again on numpy, where it passes or raises."""
+    if floats is None:
+        return rk4_march(field, y0, times, dt, check)
+    end, heads = len(times) - 1, []
+    for (float_field, accept), y in zip(floats, y0.reshape(len(floats), -1).tolist()):
+        ys, refused = float_rk4_march(float_field, y, end, dt, accept)
+        heads.append(np.frombuffer(ys).reshape(-1, len(y)))
+        end = len(heads[-1]) - 1 - refused
+    head = np.stack([rows[:end + 1] for rows in heads], axis=1).reshape(end + 1, *y0.shape)
+    if end == len(times) - 1:
+        return head
+    return np.concatenate((head[:-1], rk4_march(field, head[-1], times[end:], dt, check)))

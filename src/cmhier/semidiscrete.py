@@ -8,23 +8,20 @@ semi-discrete compatibility claim and is tracked as a diagnostic while the
 chain is integrated.
 
 Validation rule: one site check, _check_sites, runs when a Chain is built and
-on every step the march accepts. A Chain may stack chains over leading axes,
-so an evolution is one Chain of shape (steps + 1, K+1, N); RK4 stages are
-plain arithmetic on the stacked (K+1, N) sites.
+on every step the march accepts, and so does _check_order, which refuses a
+step that reverses two particles of a site or of adjacent sites. A Chain may
+stack chains over leading axes, so an evolution is one Chain of shape
+(steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked sites.
 
-Two kernels march a chain, with the same bits and the same aborts, and the
-chain's shape picks one: N <= 2 particles with K N^2 at most FLOAT_CHAIN_SIZE
-march on Python floats, which skips numpy's per-call cost on 1x1 and 2x2
-solves; every other chain marches through numerics.rk4_march, one stacked
-solve of all 2K edge systems per RK4 stage. The float field repeats
-_site_velocities and linear_solve operation for operation, with LAPACK's
-order for the solve (dgesv as OpenBLAS runs it on x86-64 with FMA: partial
-pivoting, the multiplier times the reciprocal pivot, and one fused
-multiply-add in the back substitution). A step the float kernel cannot take
-exactly, on an edge system the certificate does not clear, a non-finite
-value or a failed site check, hands the rest of the march to the numpy
-kernel from the last accepted step, which takes that step or raises as it
-always does.
+The march is numerics.march. A chain of N <= 2 particles with K N^2 at most
+FLOAT_CHAIN_SIZE marches first on Python floats, which skips numpy's per-call
+cost on 1x1 and 2x2 solves: the float field repeats _site_velocities and
+linear_solve operation for operation, with the order of LAPACK's dgesv as
+OpenBLAS runs it on x86-64 with FMA (partial pivoting, the multiplier times
+the reciprocal pivot, one fused multiply-add in the back substitution). A
+step it cannot take exactly goes to the numpy march with the rest, which
+takes it or raises as it always does; every other chain marches on numpy,
+one stacked solve of all 2K edge systems per RK4 stage.
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ from typing import Callable
 import numpy as np
 
 from .discrete import LatticeParams, discrete_lagrangian
-from .errors import SingularMatrix, located
+from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_march, linear_solve, rk4_march, row_blocks
+from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, linear_solve, march, row_blocks
 
 # a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step costs
 # about 2.5 us per unit of K N^2 at N = 1 and 5 us at N = 2, a numpy step 200-450 us on chains of K N^2
@@ -198,24 +195,33 @@ def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
     return fld
 
 
-def _float_sites_pass(k_len: int, n: int) -> Callable[[list], bool]:
-    """_check_sites' test, passed or not, on one chain of n <= 2 particles with its sites flat in a list:
-    finite positions, and at least COLLISION_TOL between the particles of a site and across an edge."""
+def _check_order(y: np.ndarray, before: np.ndarray) -> None:
+    """Raise CollisionSingularity when a march step between sites that pass _check_sites, `before` to y (K+1, N),
+    reversed two particles of a site, `at site k`, or of adjacent sites, `at edge k`: it crossed a collision."""
+    for row, a, b in (("site", np.s_[:], np.s_[:]), ("edge", np.s_[:-1], np.s_[1:])):
+        flipped = ((y[a, :, None] < y[b, None, :]) != (before[a, :, None] < before[b, None, :])).any(axis=(1, 2))
+        if flipped.any():
+            k = int(flipped.argmax())
+            raise CollisionSingularity(f"particle order changed across the step at {row} {k}", system=k)
+
+
+def _float_sites_pass(start: np.ndarray) -> Callable[[list], bool]:
+    """The march's site test, _check_sites and _check_order, passed or not, on one chain of n <= 2 particles
+    with its sites flat in a list: finite positions, and each pair of particles of a site or of adjacent sites
+    at least COLLISION_TOL apart in the order it has in the chain `start` (K+1, N)."""
+    k_len, n = start.shape[0] - 1, start.shape[1]
     pairs = [(k * n, k * n + 1) for k in range(k_len + 1)] if n == 2 else []
     pairs += [(k * n + i, (k + 1) * n + j) for k in range(k_len) for i in range(n) for j in range(n)]
-
-    def passes(y: list) -> bool:
-        return all(map(math.isfinite, y)) and all(abs(y[i] - y[j]) >= COLLISION_TOL for i, j in pairs)
-
-    return passes
+    flat = start.ravel().tolist()
+    pairs = [(i, j) if flat[i] < flat[j] else (j, i) for i, j in pairs]
+    return lambda y: all(map(math.isfinite, y)) and all(y[j] - y[i] >= COLLISION_TOL for i, j in pairs)
 
 
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
     """The chain at the start and after each of `steps` RK4 steps of d_tau on its stacked sites: one
     Chain of shape (steps + 1, K+1, N), whose tau is the running sum of the steps. Each accepted step
-    is checked in flight, and a failure names the tau of its step or stage. The chain's shape picks the
-    kernel, and both give the same bits: N <= 2 with K N^2 at most FLOAT_CHAIN_SIZE marches on Python
-    floats, until a step they cannot take exactly; the numpy kernel marches the rest."""
+    is checked in flight, and a failure names the tau of its step or stage. N <= 2 with K N^2 at most
+    FLOAT_CHAIN_SIZE marches on Python floats first, with the numpy march's bits."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if chain.tau.ndim:
@@ -225,20 +231,17 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
         with located(tau=stage_tau):
             return _site_velocities(y)[0]
 
-    def check(tau: float, y: np.ndarray, _before: np.ndarray) -> None:
+    def check(tau: float, y: np.ndarray, before: np.ndarray) -> None:
         with located(tau=tau):
             _check_sites(y)
+            _check_order(y, before)
 
     taus = np.add.accumulate(np.r_[chain.tau, np.full(steps, d_tau)])
     k_len, n = chain.length, chain.n
-    head = chain.sites[None]
+    floats = None
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
-        ys, refused = float_rk4_march(_float_site_velocities(k_len, n), chain.sites.ravel().tolist(), steps, d_tau,
-                                      _float_sites_pass(k_len, n))
-        head = np.frombuffer(ys).reshape(-1, k_len + 1, n)
-        head = head[:len(head) - refused]  # the refused step is taken again, or raises, on numpy
-    rest = rk4_march(field, head[-1], taus[len(head) - 1:], d_tau, check)
-    return Chain(np.concatenate((head[:-1], rest)), taus)
+        floats = [(_float_site_velocities(k_len, n), _float_sites_pass(chain.sites))]
+    return Chain(march(field, chain.sites, taus, d_tau, check, floats), taus)
 
 
 def semi_eom_residual(sites: np.ndarray, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

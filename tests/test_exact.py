@@ -68,21 +68,22 @@ class TestCollides:
         assert np.array_equal(grid[1:], np.arange(1, steps + 1) * (duration / steps) if duration > 0 else [])
         seen = {}
 
-        def march(direction, y0, times, dt, order):
-            seen["march"] = times
-            return float_march(direction, y0, times, dt, order)
+        def march(field, y0, times, dt, check, floats):
+            seen["march"], seen["floats"] = times, floats is not None
+            return real_march(field, y0, times, dt, check, floats)
 
         def spectrum(start, direction, s):
             seen["screen"] = s
             return exact_spectrum(start, direction, s)
 
-        exact_spectrum, float_march = exact.projection_spectrum, flows._float_march
-        monkeypatch.setattr(flows, "_float_march", march)  # a single N = 3 state marches on floats
+        exact_spectrum, real_march = exact.projection_spectrum, flows.march
+        monkeypatch.setattr(flows, "march", march)
         monkeypatch.setattr(exact, "projection_spectrum", spectrum)
         start = PhaseState([-4.0, 0.0, 4.0], [0.1, 0.0, -0.1])
         assert not exact.collides(start, path)
         traj = flows.evolve_path(start, path)
         assert np.array_equal(seen["march"], grid) and np.array_equal(seen["screen"], grid[1:])
+        assert seen["floats"]  # a single N = 3 state marches on floats
         assert np.array_equal(traj.times()[:, 0], grid) and len(traj.x) == len(grid)
 
     def test_bounce_state_passes_the_march_but_not_the_screen(self):
@@ -94,12 +95,13 @@ class TestCollides:
         assert verify.energy_drift(traj) > 1.0
         assert exact.collides(BOUNCE, path)
 
-    def test_bounce_state_ends_at_the_same_bits_on_both_march_kernels(self):
+    def test_bounce_state_ends_at_the_same_bits_on_both_march_kernels(self, monkeypatch):
         (path,) = verify._NOETHER_LEGS
         y0 = np.concatenate([BOUNCE.x, BOUNCE.p])[None]
-        order = np.argsort(BOUNCE.x)[None]
-        ends = [march(path.direction, y0, path.grid(), path.duration / path.steps, order)[-1]
-                for march in (flows._float_march, flows._numpy_march)]
+        ends = []
+        for float_size in (flows.FLOAT_MARCH_SIZE, 0):  # the float kernel, then the numpy one
+            monkeypatch.setattr(flows, "FLOAT_MARCH_SIZE", float_size)
+            ends.append(flows._march(y0, path)[-1])
         assert np.max(np.abs(ends[0][0, :3])) > 1e3 and ends[0].tobytes() == ends[1].tobytes()
 
 

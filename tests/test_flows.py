@@ -129,6 +129,13 @@ class TestInFlightCheck:
     GAP = "gap below 1.0e-06 at s=0.25"
     NON_FINITE = "non-finite state at s=0.25"
 
+    @staticmethod
+    def check(y, order, s):
+        """_check_in_flight of the stack y after a step from states spread 2 apart, where the t2 field is finite."""
+        n = len(order[0])
+        before = np.concatenate([np.tile(2.0 * np.arange(n), (len(y), 1)), np.zeros((len(y), n))], axis=1)
+        _check_in_flight(y, order, s, before, _raw_field(np.array([1.0, 0.0]), n))
+
     @pytest.mark.parametrize(
         "x, p, message",
         [
@@ -140,26 +147,26 @@ class TestInFlightCheck:
     )
     def test_abort(self, x, p, message):
         with pytest.raises(CollisionSingularity) as info:
-            _check_in_flight(np.array([x + p]), self.ORDER, 0.25)
+            self.check(np.array([x + p]), self.ORDER, 0.25)
         assert str(info.value) == message and info.value.s == 0.25
 
     def test_accepts_an_ordered_state_at_the_gap(self):
-        _check_in_flight(np.array([[0.0, 1e-6, 1.0, 0.0, 0.0, 0.0]]), self.ORDER, 0.25)
+        self.check(np.array([[0.0, 1e-6, 1.0, 0.0, 0.0, 0.0]]), self.ORDER, 0.25)
 
     def test_single_particle(self):
-        _check_in_flight(np.array([[3.0, -1.0]]), np.array([[0]]), 0.25)
+        self.check(np.array([[3.0, -1.0]]), np.array([[0]]), 0.25)
         with pytest.raises(CollisionSingularity, match=f"^{self.NON_FINITE}$"):
-            _check_in_flight(np.array([[np.inf, -1.0]]), np.array([[0]]), 0.25)
+            self.check(np.array([[np.inf, -1.0]]), np.array([[0]]), 0.25)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_each_row_in_its_own_start_order(self, k):
         # row 1 starts in the order (1, 0, 2), so its positions are in order; row k is flipped
         y = np.array([[0.0, 1.0, 2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0, 0.0, 0.0]])
         order = np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2]]) + 6 * np.arange(3)[:, None]
-        _check_in_flight(y, order, 0.25)
+        self.check(y, order, 0.25)
         y[k, :2] = y[k, 1::-1]
         with pytest.raises(CollisionSingularity) as info:
-            _check_in_flight(y, order, 0.25)
+            self.check(y, order, 0.25)
         assert str(info.value) == f"{self.GAP} in system {k}" and info.value.system == k
 
     def test_overflowing_field_is_named(self):
@@ -293,21 +300,27 @@ class TestStackedMarch:
         assert [commutator_defect([st], 0.01, 0.01, 1e-3)[0] for st in states] == list(defects)
 
 
-def march_outcome(march, y0, path):
-    """One march kernel of flows on the stack y0 along the path: its (T, B, 2N) states, or the
-    abort it raises as (type, message, s, system)."""
-    n = y0.shape[1] // 2
-    order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(len(y0))[:, None]
-    try:
-        return march(path.direction, y0, path.grid(), path.duration / path.steps, order)
-    except NumericsError as exc:
-        return type(exc), str(exc), exc.s, exc.system
+def march_outcome(float_size, y0, path):
+    """flows._march of the stack y0 along the path with FLOAT_MARCH_SIZE = float_size: its (T, B, 2N) states,
+    or the abort it raises as (type, message, s, system), and whether any system marched on floats."""
+    floats = []
+    real = numerics.float_rk4_march
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "FLOAT_MARCH_SIZE", float_size)
+        patch.setattr(numerics, "float_rk4_march", lambda *args: floats.append(True) or real(*args))
+        try:
+            return flows._march(y0, path), bool(floats)
+        except NumericsError as exc:
+            return (type(exc), str(exc), exc.s, exc.system), bool(floats)
 
 
 def assert_same_outcome(y0, path):
-    """The float march ends as the numpy march does, every value to the bit, and returns the outcome."""
-    expected = march_outcome(flows._numpy_march, y0, path)
-    got = march_outcome(flows._float_march, y0, path)
+    """The float kernel, on every system of any stack below ORDERED_SUM_N particles, ends as the numpy
+    kernel does, every value to the bit, and returns the outcome."""
+    expected, on_floats = march_outcome(0, y0, path)
+    assert not on_floats
+    got, on_floats = march_outcome(np.inf, y0, path)
+    assert on_floats
     if isinstance(expected, tuple):
         assert got == expected
     else:  # tobytes also tells 0.0 from -0.0
@@ -316,7 +329,8 @@ def assert_same_outcome(y0, path):
 
 
 class TestFloatMarch:
-    """flows._float_march, the kernel of small stacks, against the numpy march it stands in for."""
+    """The float kernel of numerics.march, which flows._march picks for small stacks, against the numpy
+    march it stands in for."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -359,12 +373,13 @@ class TestFloatMarch:
         outcome = assert_same_outcome(np.array(y0), PathSpec(np.array(direction), duration, steps))
         assert outcome[1] == message
 
+    # "_float_march" and "_numpy_march" label the float and numpy kernels, and keep the test ids stable
     @pytest.mark.parametrize("b, n, kernel", [(1, 2, "_float_march"), (6, 2, "_float_march"), (4, 3, "_float_march"),
                                               (5, 3, "_numpy_march"), (1, 8, "_numpy_march"), (2, 7, "_numpy_march")])
     def test_the_stack_shape_picks_the_kernel(self, monkeypatch, b, n, kernel):
         picked = []
-        for name in ("_float_march", "_numpy_march"):
-            monkeypatch.setattr(flows, name, lambda *args, name=name: picked.append(name) or np.zeros((1, b, 2 * n)))
+        monkeypatch.setattr(flows, "march", lambda field, y0, times, dt, check, floats: picked.append(
+            "_numpy_march" if floats is None else "_float_march") or np.zeros((1, b, 2 * n)))
         flows._march(np.zeros((b, 2 * n)), PathSpec(np.array([1.0, 0.0]), 0.1, 1))
         assert picked == [kernel]
 

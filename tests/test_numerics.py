@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmhier import numerics
-from cmhier.errors import NonConvergence, SingularJacobian, SingularMatrix
+from cmhier.errors import CollisionSingularity, NonConvergence, SingularJacobian, SingularMatrix
 from cmhier.numerics import (
     CERTIFY_MARGIN,
     PIVOT_RTOL,
@@ -560,3 +560,58 @@ class TestRK4:
 
         rk4_step(field, 0.25, np.array([1.0]), -0.5)
         assert times == [0.25, 0.0, 0.0, -0.25]
+
+
+class TestMarch:
+    """numerics.march, the float-first driver, against rk4_march, on a harmonic field whose float and numpy
+    forms give the same bits."""
+
+    DT = 0.1
+    TIMES = np.arange(11) * DT
+    Y0 = np.array([[0.0, 1.0], [0.0, 1.1], [0.0, 1.2]])  # row r: x = (1 + r/10) sin t
+    # row r is refused once x reaches LIMITS[r]: row 1 first at step 4 (x 0.325, then 0.428), row 2 at
+    # step 2 (x 0.120, then 0.238), row 0 never
+    LIMITS = (np.inf, 0.38, 0.2)
+
+    @staticmethod
+    def field(_t, y):
+        out = np.empty_like(y)
+        out[:, 0], out[:, 1] = y[:, 1], -y[:, 0]
+        return out
+
+    def run(self, monkeypatch, floats, raises):
+        """The march's states, or its abort as (message, s), and the (start time, start state) of every
+        rk4_march call it makes. With `raises`, the numpy check raises where the float accept refuses."""
+        handed, real = [], numerics.rk4_march
+        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, check:
+                            handed.append((times[0], y0.tobytes())) or real(field, y0, times, dt, check))
+
+        def check(t, y, _before):
+            failed = y[:, 0] >= np.array(self.LIMITS)
+            if raises and failed.any():
+                raise CollisionSingularity(f"row {int(failed.argmax())} at t={t:.6g}", s=t)
+
+        try:
+            return numerics.march(self.field, self.Y0, self.TIMES, self.DT, check, floats), handed
+        except CollisionSingularity as exc:
+            return (str(exc), exc.s), handed
+
+    def floats(self, limits):
+        return [(lambda y: [y[1], -y[0]], lambda y, limit=limit: y[0] < limit) for limit in limits]
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_numpy_takes_the_stack_from_the_last_step_every_row_accepted(self, monkeypatch, raises):
+        expected, handed = self.run(monkeypatch, None, raises)
+        assert [start for start, _ in handed] == [0.0]
+        got, handed = self.run(monkeypatch, self.floats(self.LIMITS), raises)
+        if raises:  # the refused step of row 2 is taken again on numpy, which raises
+            assert got == expected == ("row 2 at t=0.2", 0.2)
+        else:  # tobytes also tells 0.0 from -0.0
+            assert got.shape == expected.shape == (11, 3, 2) and got.tobytes() == expected.tobytes()
+        # from step 1, the last step that every row accepted, with the state the numpy march has there
+        assert handed == [(self.TIMES[1], rk4_step(self.field, 0.0, self.Y0, self.DT).tobytes())]
+
+    def test_a_march_that_no_row_refuses_stays_on_floats(self, monkeypatch):
+        expected, _ = self.run(monkeypatch, None, False)
+        got, handed = self.run(monkeypatch, self.floats([np.inf] * 3), False)
+        assert handed == [] and got.tobytes() == expected.tobytes()

@@ -241,15 +241,15 @@ def chain_outcome(chain, d_tau, steps, float_size):
     """evolve_chain with FLOAT_CHAIN_SIZE = float_size: the evolved sites and the number of steps the numpy
     kernel marched, or the abort as (type, message, tau, system) and that number."""
     marched = []
-    real = semidiscrete.rk4_march
+    real = numerics.rk4_march
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semidiscrete, "FLOAT_CHAIN_SIZE", float_size)
-        patch.setattr(semidiscrete, "rk4_march",
+        patch.setattr(numerics, "rk4_march",
                       lambda field, y0, times, dt, check: marched.append(len(times) - 1) or real(field, y0, times, dt, check))
         try:
-            return evolve_chain(chain, d_tau, steps).sites, marched[0]
+            return evolve_chain(chain, d_tau, steps).sites, sum(marched)
         except NumericsError as exc:
-            return (type(exc), str(exc), exc.tau, exc.system), marched[0]
+            return (type(exc), str(exc), exc.tau, exc.system), sum(marched)
 
 
 def assert_same_chain_outcome(chain, d_tau, steps):
@@ -305,6 +305,16 @@ class TestFloatChainKernel:
         assert outcome[1].startswith("at tau=0.693167: gap between adjacent chain sites 1.318e-16 below")
         assert outcome[1].endswith("at edge 0") and handed_off == 3
 
+    def test_sites_that_cross_abort_alike(self):
+        # the chain of test_adjacent_sites_meet_alike: the gap of edge 0, -1/2 + exp(-tau), turns negative at
+        # tau = log 2, and the step to tau = 0.75 lands 0.028 past the crossing, wide of COLLISION_TOL; the
+        # float kernel refuses the step, and the numpy kernel takes it again and raises
+        chain = Chain((np.array([0.0]), np.array([0.5]), np.array([2.0])))
+        outcome, handed_off = assert_same_chain_outcome(chain, 0.25, 5)
+        assert outcome == (CollisionSingularity, "at tau=0.75: particle order changed across the step at edge 0",
+                           0.75, 0)
+        assert handed_off == 3
+
     def test_edge_turning_non_dominant_hands_off_with_the_same_bits(self):
         # the second particle of site 1 sits near the middle of those of sites 0 and 2: after 30 steps an
         # edge system is no longer diagonally dominant, and the numpy kernel solves it through [b | I]
@@ -321,10 +331,18 @@ class TestFloatChainKernel:
         assert outcome[2:] == (0.0, 3) and handed_off == 5
 
     def test_the_chain_shape_picks_the_kernel(self, monkeypatch, tmp_path):
-        marched = []  # (sites of the start, steps the numpy kernel marched) of every evolution
-        real = semidiscrete.rk4_march
-        monkeypatch.setattr(semidiscrete, "rk4_march", lambda field, y0, times, dt, check:
-                            marched.append((y0.shape, len(times) - 1)) or real(field, y0, times, dt, check))
+        marched, numpy_steps = [], []  # (sites of the start, steps the numpy kernel marched) of every evolution
+        real_march, real = semidiscrete.march, numerics.rk4_march
+        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, check:
+                            numpy_steps.append(len(times) - 1) or real(field, y0, times, dt, check))
+
+        def counted(field, y0, times, dt, check, floats):
+            numpy_steps.clear()
+            evolved = real_march(field, y0, times, dt, check, floats)
+            marched.append((y0.shape, sum(numpy_steps)))
+            return evolved
+
+        monkeypatch.setattr(semidiscrete, "march", counted)
         rng = np.random.default_rng(0)
         verify._semidiscrete_checks(verify.Collector(1.0), rng)
         verify._closure_diagnostics(verify.Collector(1.0), rng)
@@ -386,6 +404,7 @@ class TestFloatKernelParts:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_the_float_site_test_passes_what_check_sites_passes(self, n):
+        # and what the order check passes, for a step from base
         base = np.array(drifting_chain(n, 3))
         cases = [base]
         for k in range(4):
@@ -398,20 +417,38 @@ class TestFloatKernelParts:
                         cases.append(base.copy())
                         cases[-1][k, 1 - i] = cases[-1][k, i] + gap
                 for j in range(n):
-                    if k < 3:  # particle i of site k and particle j of site k + 1, 5e-13 and 2e-12 apart
-                        for gap in (5e-13, 2e-12):
+                    if k < 3:  # particle i of site k and particle j of site k + 1, 5e-13 and 2e-12 apart,
+                        # and particle j of site k + 1 moved 0.1 below particle i of site k: an order flip
+                        for gap in (5e-13, 2e-12, -0.1):
                             cases.append(base.copy())
                             cases[-1][k + 1, j] = cases[-1][k, i] + gap
+            if n == 2:  # the particles of site k swapped, wide apart
+                cases.append(base.copy())
+                cases[-1][k] = cases[-1][k, ::-1]
         outcomes = set()
         for y in cases:
-            try:
+            try:  # the numpy kernel's check of a step from base to y
                 semidiscrete._check_sites(y)
+                semidiscrete._check_order(y, base)
                 passes = True
             except CollisionSingularity:
                 passes = False
             outcomes.add(passes)
-            assert semidiscrete._float_sites_pass(3, n)(y.ravel().tolist()) is passes
+            assert semidiscrete._float_sites_pass(base)(y.ravel().tolist()) is passes
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("row, k", [("site", 2), ("edge", 1)])
+    def test_an_order_flip_is_named(self, row, k):
+        before = np.array(drifting_chain(2, 3))
+        y = before.copy()
+        if row == "site":
+            y[k] = y[k, ::-1]
+        else:  # particle 0 of site 2 moved 0.1 below particle 0 of site 1
+            y[k + 1, 0] = y[k, 0] - 0.1
+        semidiscrete._check_sites(y)  # every gap is wide
+        with pytest.raises(CollisionSingularity) as info:
+            semidiscrete._check_order(y, before)
+        assert str(info.value) == f"particle order changed across the step at {row} {k}" and info.value.system == k
 
 
 class TestSemiEom:
