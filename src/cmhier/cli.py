@@ -32,10 +32,6 @@ from .verify import (
 )
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _strict_json(payload, **kwargs) -> str:
     """Strict JSON text of payload; a NaN or infinite value is a NumericsError, not a bare NaN."""
     try:
@@ -44,14 +40,15 @@ def _strict_json(payload, **kwargs) -> str:
         raise NumericsError(f"cannot write a non-finite value as strict JSON: {exc}") from exc
 
 
-def _write_rows(stem: Path, header: list[str], rows: list[list[float]], fmt: str) -> Path:
-    """Write rows to stem.csv or, for json-lines, stem.jsonl; returns the path."""
+def _write_rows(stem: Path, header: list[str], rows: np.ndarray, fmt: str) -> Path:
+    """Write the rows of a float array to stem.csv or, for json-lines, stem.jsonl; returns the path."""
+    rows = np.asarray(rows, dtype=float).tolist()  # Python floats, whose repr is the shortest round trip
     if fmt == "csv":
         path = stem.with_suffix(".csv")
-        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     else:  # json-lines
         path = stem.with_suffix(".jsonl")
-        lines = [_strict_json(dict(zip(header, [float(v) for v in row]))) for row in rows]
+        lines = [_strict_json(dict(zip(header, row))) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -95,19 +92,18 @@ def _continuous_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Veri
         col.gated("energy-drift", energy_drift(traj), 1e-8, direction=path.direction)
 
     header = ["s", "t2", "t3", *(f"{v}{i + 1}" for v in "xp" for i in range(sc.n)), "I1", "I2", "I3"]
-    rows = np.hstack([traj.times(), traj.x, traj.p, values]).tolist()
+    rows = np.hstack([traj.times(), traj.x, traj.p, values])
     return [_write_rows(out_dir / "trajectory", header, rows, sc.format)], VerificationReport(tuple(col.entries))
 
 
 def _discrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], VerificationReport]:
     # `steps` is the final site index; the seed pair already spans sites 0 and 1
     orbit = _lattice_sites(sc, sc.steps + 1)
+    sites = np.array(orbit)
     header = ["n"] + [f"x{i + 1}" for i in range(sc.n)]
-    rows = [[float(k), *site] for k, site in enumerate(orbit)]
-    orbit_path = _write_rows(out_dir / "orbit", header, rows, sc.format)
+    orbit_path = _write_rows(out_dir / "orbit", header, np.column_stack((np.arange(len(sites)), sites)), sc.format)
 
     col = Collector(sc.tolerance_scale)
-    sites = np.array(orbit)
     residuals = [discrete.discrete_el_residual(sites[:-2][rows], sites[1:-1][rows], sites[2:][rows])
                  for rows in row_blocks(len(sites) - 2, sc.n**2)]
     worst_el = float(np.max([np.abs(r).max() for r in residuals], initial=0.0))
@@ -122,7 +118,7 @@ def _semidiscrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Ve
     chain = semidiscrete.evolve_chain(start, sc.tau_duration / n_steps, n_steps)
 
     header = ["tau"] + [f"y{k}_x{i + 1}" for k in range(chain.length + 1) for i in range(sc.n)]
-    rows = np.hstack([chain.tau[:, None], chain.sites.reshape(len(chain.tau), -1)]).tolist()
+    rows = np.hstack([chain.tau[:, None], chain.sites.reshape(len(chain.tau), -1)])
     chain_path = _write_rows(out_dir / "chain", header, rows, sc.format)
 
     col = Collector(sc.tolerance_scale)

@@ -7,9 +7,11 @@ sites are determined twice. The agreement of the two determinations is the
 semi-discrete compatibility claim and is tracked as a diagnostic while the
 chain is integrated.
 
-Validation rule: one site check, _check_sites, runs when a Chain is built and
-on every step the march accepts, and so does _check_order, which refuses a
-step that reverses two particles of a site or of adjacent sites. A Chain may
+Validation rule: one site check, _check_sites, runs when a Chain is built.
+Each numpy march step passes when its sites are finite and every edge's 2N
+particles, taken in start order, stay COLLISION_TOL apart; only a step that
+fails runs _check_sites and _check_order, which refuses a step that reverses
+two particles of a site or of adjacent sites, to name the error. A Chain may
 stack chains over leading axes, so an evolution is one Chain of shape
 (steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked sites.
 
@@ -38,8 +40,8 @@ from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inv
 from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, linear_solve, march, row_blocks
 
 # a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step costs
-# about 2.5 us per unit of K N^2 at N = 1 and 5 us at N = 2, a numpy step 200-450 us on chains of K N^2
-# up to 64, and the two meet near K N^2 = 100 at N = 2 (2 vCPUs, wall, in-process)
+# about 1.3 us per unit of K N^2 at N = 1 and 3 us at N = 2, a numpy step 120-230 us on chains of K N^2
+# up to 64, and the two meet near K N^2 = 64 at N = 2 (2 vCPUs, wall, in-process)
 FLOAT_CHAIN_SIZE = 64
 
 
@@ -226,18 +228,25 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
         raise ValueError("steps must be nonnegative")
     if chain.tau.ndim:
         raise ValueError("evolve_chain marches one chain, not a stack")
+    taus = np.add.accumulate(np.r_[chain.tau, np.full(steps, d_tau)])
+    k_len, n = chain.length, chain.n
+    edges = n * np.arange(k_len)[:, None] + np.arange(2 * n)  # each edge's 2N flat particle indices
+    order = np.take_along_axis(edges, chain.sites.ravel()[edges].argsort(axis=1), axis=1)  # in start order
 
     def field(stage_tau: float, y: np.ndarray) -> np.ndarray:
         with located(tau=stage_tau):
             return _site_velocities(y)[0]
 
     def check(tau: float, y: np.ndarray, before: np.ndarray) -> None:
+        # passes what _check_sites and _check_order pass, as every accepted state keeps the start order; the
+        # finite test refuses +inf on the highest particle, which the differences let through
+        x = y.take(order)
+        if np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min() >= COLLISION_TOL:
+            return
         with located(tau=tau):
             _check_sites(y)
             _check_order(y, before)
 
-    taus = np.add.accumulate(np.r_[chain.tau, np.full(steps, d_tau)])
-    k_len, n = chain.length, chain.n
     floats = None
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
         floats = [(_float_site_velocities(k_len, n), _float_sites_pass(chain.sites))]

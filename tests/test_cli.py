@@ -283,6 +283,27 @@ class TestMain:
             _write_rows(tmp_path / "rows", ["a", "b"], [[1.0, float("inf")]], "json-lines")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rows", [
+        [[-0.0, 5e-324, 1e22], [0.1 + 0.2, 1 / 3, float("inf")]],
+        np.array([[-0.0, 5e-324, 1e22], [0.1 + 0.2, 1 / 3, np.inf]]),
+        [[np.float64(-0.0), np.float64(5e-324), np.float64(1e22)],
+         [np.float64(0.1) + np.float64(0.2), np.float64(1) / 3, np.float64(np.inf)]],
+    ])
+    def test_csv_cells_are_the_float_repr(self, tmp_path, rows):
+        path = _write_rows(tmp_path / "rows", ["a", "b", "c"], rows, "csv")
+        expected = ["a,b,c"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+        assert expected[1:] == ["-0.0,5e-324,1e+22", "0.30000000000000004,0.3333333333333333,inf"]
+
+    @pytest.mark.parametrize("fmt, name, lines", [("csv", "orbit.csv", 22), ("json-lines", "orbit.jsonl", 21)])
+    def test_discrete_run_writes_plain_floats(self, tmp_path, fmt, name, lines):
+        # the orbit's sites are numpy arrays; numpy 2 writes a bare np.float64 as np.float64(...)
+        path = write_config(tmp_path, {"kind": "discrete", "n": 2, "steps": 20, "format": fmt,
+                                       "out_dir": str(tmp_path / "out")})
+        assert main(["run", str(path)]) == 0
+        text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+        assert "np.float64(" not in text and len(text.splitlines()) == lines  # sites 0-20, after a csv header
+
     def test_non_finite_report_value_exits_two(self, tmp_path, capsys, monkeypatch):
         report = VerificationReport((CheckEntry("c", 0.0, None, True, {"ratio": float("nan")}),))
         monkeypatch.setitem(cli._RUNS, "verify-all", lambda sc, out_dir: ([], report))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmhier import cli, numerics, semidiscrete, verify
 from cmhier.discrete import LatticeParams, discrete_step
-from cmhier.errors import CollisionSingularity, NumericsError, SingularMatrix
+from cmhier.errors import CollisionSingularity, NumericsError, SingularMatrix, located
 from cmhier.scenario import scenario_from_dict
 from cmhier.semidiscrete import (
     Chain,
@@ -41,6 +41,52 @@ def drifting_chain(n, k_len, seed=0):
     for _ in range(k_len):
         sites.append(sites[-1] + rng.uniform(0.25, 0.35, n))
     return sites
+
+
+def counted_step_checks(monkeypatch):
+    """Lists that collect the shape of the sites of every _check_sites call and of every numpy step that
+    evolve_chain's in-flight check tests, while the test runs."""
+    checked, tested = [], []
+    real_check, real_march = semidiscrete._check_sites, semidiscrete.march
+    monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real_check(y))
+    monkeypatch.setattr(semidiscrete, "march", lambda field, y0, times, dt, check, floats: real_march(
+        field, y0, times, dt, lambda tau, y, before: tested.append(y.shape) or check(tau, y, before), floats))
+    return checked, tested
+
+
+def numpy_step_check(start):
+    """evolve_chain's in-flight check of a numpy march step, check(tau, y, before), for the chain of sites start."""
+    checks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semidiscrete, "march", lambda field, y0, times, dt, check, floats: checks.append(check) or y0[None])
+        evolve_chain(Chain(start), 1e-3, 0)
+    return checks[0]
+
+
+def site_test_cases(base):
+    """base (K+1, N) and states a step from it could reach: NaN and +-inf at each particle, particles of a site
+    or of adjacent sites 5e-13 and 2e-12 apart, order flips across an edge and reversed sites."""
+    k_len, n = base.shape[0] - 1, base.shape[1]
+    cases = [base]
+    for k in range(k_len + 1):
+        for i in range(n):
+            for value in (np.nan, np.inf, -np.inf):
+                cases.append(base.copy())
+                cases[-1][k, i] = value
+            if n > 1:  # particles i and i + 1 (cyclically) of site k 5e-13 and 2e-12 apart
+                for gap in (5e-13, 2e-12):
+                    cases.append(base.copy())
+                    cases[-1][k, (i + 1) % n] = cases[-1][k, i] + gap
+            for j in range(n):
+                if k < k_len:  # particle i of site k and particle j of site k + 1, 5e-13 and 2e-12 apart,
+                    # and particle j of site k + 1 moved 0.1 below particle i of site k: an order flip
+                    for gap in (5e-13, 2e-12, -0.1):
+                        cases.append(base.copy())
+                        cases[-1][k + 1, j] = cases[-1][k, i] + gap
+        if n > 1:  # the particles of site k reversed, wide apart
+            cases.append(base.copy())
+            cases[-1][k] = cases[-1][k, ::-1]
+    return cases
 
 
 class TestChain:
@@ -178,14 +224,52 @@ class TestEvolveChain:
         assert info.value.tau == 0.5 + 1e-3 and len(calls) == 8 and numpy_calls == [(3, 2)]
 
     def test_builds_one_chain_per_call(self, count_builds, monkeypatch):
-        checked = []
-        real = semidiscrete._check_sites
-        monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real(y))
+        checked, tested = counted_step_checks(monkeypatch)
         builds = count_builds(Chain)
         chain = evolve_chain(CHAIN_N3, 1e-3, 10)  # N = 3 takes the numpy kernel
         assert chain.sites.shape == (11, 3, 3) and chain.tau.shape == (11,) and len(builds) == 1
-        # each accepted step is checked once in flight, then the whole evolution once when built
-        assert checked == [(3, 3)] * 10 + [(11, 3, 3)]
+        # each accepted step passes the one-pass test in flight, so _check_sites checks only the whole
+        # evolution, once, when it is built
+        assert tested == [(3, 3)] * 10 and checked == [(11, 3, 3)]
+
+    def test_a_numpy_step_across_a_collision_aborts(self, monkeypatch):
+        # the chain of test_sites_that_cross_abort_alike with two far particles added to each site: the
+        # third step takes edge 0 across its crossing, and only that step runs _check_sites
+        checked, tested = counted_step_checks(monkeypatch)
+        chain = Chain(([0.0, 10.0, 20.0], [0.5, 10.3, 20.3], [2.0, 10.6, 20.6]))
+        with pytest.raises(CollisionSingularity) as info:
+            evolve_chain(chain, 0.25, 5)
+        assert (str(info.value), info.value.tau, info.value.system) == (
+            "at tau=0.75: particle order changed across the step at edge 0", 0.75, 0)
+        # the start chain is checked when built, then the failing step
+        assert tested == [(3, 3)] * 3 and checked == [(3, 3), (3, 3)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_the_one_pass_step_test_passes_what_check_sites_and_check_order_pass(self, n, monkeypatch):
+        # the numpy kernel's check of a step from base to y accepts it without calling _check_sites or
+        # _check_order exactly when both pass, and otherwise raises their error at the step's tau
+        base = np.array(drifting_chain(n, 3))
+        check, called = numpy_step_check(base), []
+        real_sites, real_order = semidiscrete._check_sites, semidiscrete._check_order
+        monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: called.append(y) or real_sites(y))
+        monkeypatch.setattr(semidiscrete, "_check_order", lambda y, before: called.append(y) or real_order(y, before))
+        outcomes = set()
+        for y in site_test_cases(base):
+            expected = got = None
+            try:
+                with located(tau=0.25):
+                    real_sites(y)
+                    real_order(y, base)
+            except CollisionSingularity as exc:
+                expected = (str(exc), exc.tau, exc.system)
+            called.clear()
+            try:
+                check(0.25, y, base)
+            except CollisionSingularity as exc:
+                got = (str(exc), exc.tau, exc.system)
+            assert got == expected and (called == []) is (expected is None)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     def test_float_kernel_builds_one_chain_and_checks_it_once(self, count_builds, monkeypatch):
         checked, solved = [], []
@@ -406,27 +490,8 @@ class TestFloatKernelParts:
     def test_the_float_site_test_passes_what_check_sites_passes(self, n):
         # and what the order check passes, for a step from base
         base = np.array(drifting_chain(n, 3))
-        cases = [base]
-        for k in range(4):
-            for i in range(n):
-                for value in (np.nan, np.inf, -np.inf):
-                    cases.append(base.copy())
-                    cases[-1][k, i] = value
-                if n == 2:  # the particles of site k 5e-13 and 2e-12 apart
-                    for gap in (5e-13, 2e-12):
-                        cases.append(base.copy())
-                        cases[-1][k, 1 - i] = cases[-1][k, i] + gap
-                for j in range(n):
-                    if k < 3:  # particle i of site k and particle j of site k + 1, 5e-13 and 2e-12 apart,
-                        # and particle j of site k + 1 moved 0.1 below particle i of site k: an order flip
-                        for gap in (5e-13, 2e-12, -0.1):
-                            cases.append(base.copy())
-                            cases[-1][k + 1, j] = cases[-1][k, i] + gap
-            if n == 2:  # the particles of site k swapped, wide apart
-                cases.append(base.copy())
-                cases[-1][k] = cases[-1][k, ::-1]
         outcomes = set()
-        for y in cases:
+        for y in site_test_cases(base):
             try:  # the numpy kernel's check of a step from base to y
                 semidiscrete._check_sites(y)
                 semidiscrete._check_order(y, base)
