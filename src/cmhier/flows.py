@@ -10,11 +10,13 @@ family, and conservation of the parametrized-path energy.
 Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
 being the stack of one; each system takes the steps it takes alone, bit for
 bit. It calls numerics.march: below ORDERED_SUM_N particles, with B N at most
-FLOAT_MARCH_SIZE, each system marches first on Python floats in numpy's
-operation order, and a step the float check refuses goes to the numpy march
-with the rest, which raises as it always does; any other stack marches on
-numpy, one field evaluation per RK4 stage for all rows. The Poisson bracket
-evaluates its observables once on the perturbed points of a stack of states.
+FLOAT_MARCH_SIZE and a nonzero direction, each system marches first on Python
+floats, with one numerics.float_rk4_step whose Hamilton field, _field_source,
+is straight-line source in numpy's operation order, and a step the float check
+refuses goes to the numpy march with the rest, which raises as it always does;
+any other stack marches on numpy, one field evaluation per RK4 stage for all
+rows. The Poisson bracket evaluates its observables once on the perturbed
+points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 The march checks every row's accepted steps in flight; a Trajectory keeps them
@@ -46,12 +48,13 @@ from .hierarchy import (
     weighted_gradient,
     weighted_hamiltonian,
 )
-from .numerics import fd_gradient, march, row_blocks
+from .numerics import fd_gradient, float_rk4_step, march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
-# a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this:
-# a float step costs about 10 + N^2 us per system, a numpy step 60-110 us for any small stack (2 vCPUs)
-FLOAT_MARCH_SIZE = 12
+# a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this: a
+# straight-line float step costs about 3 us per unit of B N at N = 1 to 3 and 5 us at N = 7, a numpy step
+# 100-190 us for any such stack, and the two meet near B N = 30-48 (2 vCPUs, wall, in-process)
+FLOAT_MARCH_SIZE = 24
 
 BRACKET_STEP = 1e-5  # central-difference step of poisson_bracket in each coordinate of (x, p)
 ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residuals
@@ -151,40 +154,40 @@ def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before: np.ndar
         raise CollisionSingularity(f"non-finite state at {where}", s=s, system=system)
 
 
-def _float_field(direction: np.ndarray, n: int) -> Callable[[list], list]:
-    """_raw_field on one system, a list y of 2N floats, below ORDERED_SUM_N particles: the same operations
-    on the same values in the same order, so the same bits. Each pair i < j gives inv_ij, and inv_ji = -inv_ij
-    exactly; taking the pairs in row-major order adds every row's terms in column order, as numpy does, and
-    the zero diagonal terms leave the sums as they are. A zero gap divides to a signed inf, as in numpy."""
-    d2, d3 = float(direction[0]), float(direction[1])
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _field_source(n: int, weights: tuple[bool, bool]) -> Callable[[list, list], list]:
+    """_raw_field on one system below ORDERED_SUM_N particles as the straight-line source of
+    numerics.float_rk4_step: the same operations on the same values in the same order, so the same bits, for
+    the direction weights d2 and d3 named in the source, of which `weights` tells which are nonzero. Each pair
+    i < j gives inv_ij, and inv_ji = -inv_ij exactly; each row sum starts from 0.0 and adds its terms in column
+    order, as numpy does, and the zero diagonal terms leave it as it is. A zero gap divides to a signed inf,
+    as in numpy."""
+    def pair(i: int, k: int) -> str:
+        return f"{min(i, k)}_{max(i, k)}"
 
-    def fld(y: list) -> list:
+    def row(i: int, term: Callable[[int], str], sign: str) -> str:
+        """Row i's sum in the order the pairs come: 0.0, term(k) of each k < i joined by sign, then term(j)
+        of each j > i added."""
+        return "0.0" + "".join(f" {sign} {term(k)}" for k in range(i)) + "".join(f" + {term(j)}" for j in range(i + 1, n))
+
+    def source(y: list, out: list) -> list:
         x, p = y[:n], y[n:]
-        r3, r2, coupled = [0.0] * n, [0.0] * n, [0.0] * n
-        for i, j in pairs:
-            d = x[i] - x[j]
-            inv = 1.0 / d if d else math.copysign(math.inf, d)
-            inv2 = inv * inv
-            inv3 = inv2 * inv
-            r3[i] += inv3
-            r3[j] -= inv3
-            if d3:
-                r2[i] += inv2
-                r2[j] += inv2
-                coupled[i] += inv3 * p[j]
-                coupled[j] -= inv3 * p[i]
-        dx, dp = [], []
+        lines = []
         for i in range(n):
-            gx, gp = (d2 * r3[i], d2 * p[i]) if d2 else (0.0, 0.0)
-            if d3:
-                gx = gx + d3 * (p[i] * r3[i] + coupled[i])
-                gp = gp + d3 * (p[i] * p[i] - 4.0 * r2[i])
-            dx.append(gp)
-            dp.append(-(8.0 * gx))
-        return dx + dp
+            for j in range(i + 1, n):
+                lines += [f"d = {x[i]} - {x[j]}", "inv = 1.0 / d if d else copysign(inf, d)",
+                          f"sq{i}_{j} = inv * inv", f"cu{i}_{j} = sq{i}_{j} * inv"]
+        for i in range(n):
+            lines.append(f"r3 = {row(i, lambda k: f'cu{pair(i, k)}', '-')}")
+            gx, gp = ("d2 * r3", f"d2 * {p[i]}") if weights[0] else ("0.0", "0.0")
+            if weights[1]:
+                r2 = row(i, lambda k: f"sq{pair(i, k)}", "+")
+                coupled = row(i, lambda k: f"cu{pair(i, k)} * {p[k]}", "-")
+                gx = f"{gx} + d3 * ({p[i]} * r3 + ({coupled}))"
+                gp = f"{gp} + d3 * ({p[i]} * {p[i]} - 4.0 * ({r2}))"
+            lines += [f"{out[i]} = {gp}", f"{out[n + i]} = -(8.0 * ({gx}))"]
+        return lines
 
-    return fld
+    return source
 
 
 def _float_accept(start_order: list) -> Callable[[list], bool]:
@@ -197,15 +200,18 @@ def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
     from each grid time to the next, each checked in flight, so an overflow in the unchecked stages is
     reported there, not warned about. Below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
-    numerics.march steps each system on Python floats first; any other stack marches with numpy."""
+    numerics.march steps each system on Python floats first, with one step function per N and set of nonzero
+    direction weights; any other stack, and a zero direction, which scenarios refuse, marches with numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
     start_order = np.argsort(y0[:, :n], axis=1)
     order = start_order + 2 * n * np.arange(b)[:, None]
-    fld, floats = _raw_field(path.direction, n), None
-    if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE:
-        float_fld = _float_field(path.direction, n)
-        floats = [(float_fld, _float_accept(row)) for row in start_order.tolist()]
-    return march(fld, y0, path.grid(), path.duration / path.steps,
+    fld, floats, dt = _raw_field(path.direction, n), None, path.duration / path.steps
+    d2, d3 = float(path.direction[0]), float(path.direction[1])
+    if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE and (d2 or d3):  # scenarios refuse a zero direction
+        weights = (bool(d2), bool(d3))
+        step = float_rk4_step(("flows", n, weights), 2 * n, _field_source(n, weights), dt, d2=d2, d3=d3)
+        floats = [(step, _float_accept(row)) for row in start_order.tolist()]
+    return march(fld, y0, path.grid(), dt,
                  lambda s, y, before: _check_in_flight(y, order, s, before, fld), floats)
 
 

@@ -1,19 +1,21 @@
 """Dense numeric kernel: linear solves, Newton iteration, finite differences, the RK4 march, row blocks.
 
-Everything operates on plain float ndarrays, except float_rk4_march. Problem sizes are tiny (N up to a few
+Everything operates on plain float ndarrays, except the float steps. Problem sizes are tiny (N up to a few
 tens), so a solve costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve
 therefore take stacks of independent systems along a leading axis, one system being the stack of one, and
 work on them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the
 rest, which their inverses certify, and leaves every failure to the column elimination.
 
-There are two RK4 loops with one operation order: rk4_march steps an array with numpy, and
-float_rk4_march steps one state held as a list of Python floats, which skips numpy's per-call cost on
-small states; fed fields with the same bits, they give the same bits. flows and semidiscrete call one
-driver, march, which runs the float loop first and hands the rest of a refused march to rk4_march.
+There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
+one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
+key that takes a whole step in local variables, with the field as straight-line source or a call; fed
+fields with the same bits, they give the same bits. flows and semidiscrete call one driver, march, whose
+float loop steps each row as y = step(*y) and hands the rest of a refused march to rk4_march.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -271,41 +273,60 @@ def rk4_march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, 
     return ys
 
 
-def float_rk4_march(field: Callable[[list], list], y: list, steps: int, dt: float,
-                    accept: Callable[[list], bool]) -> tuple[array, bool]:
-    """rk4_march on Python floats for one state y, a list of floats: the stages of rk4_step, operation for
-    operation, so a field with numpy's bits gives rk4_march's bits. Returns y and its steps, up to `steps`,
-    as one flat array('d'), and whether the march ended at a step that accept(y) refused, which is the
-    last one kept."""
-    dt = float(dt)
-    half, sixth = 0.5 * dt, dt / 6.0
-    ys = array("d", y)
-    for _ in range(steps):
-        k1 = field(y)
-        k2 = field([a + half * b for a, b in zip(y, k1)])
-        k3 = field([a + half * b for a, b in zip(y, k2)])
-        k4 = field([a + dt * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        ys.extend(y)
-        if not accept(y):
-            return ys, True
-    return ys, False
+_FLOAT_STEPS: dict[tuple, Callable] = {}
+"""The compiled step makers of float_rk4_step by their callers' keys, each caller's keys from a bounded set."""
+
+
+def float_rk4_step(key: tuple, size: int, source: Callable[[list, list], list], dt: float, **params) -> Callable:
+    """rk4_step of dt on one state of `size` Python floats, as a function step(*y) that returns the new state as
+    a tuple. It takes the stages of rk4_step operation for operation in local variables, so a field with numpy's
+    bits gives rk4_march's bits. source(inputs, outputs) gives the lines that set the variables named in
+    outputs to the field at the variables named in inputs; they may read dt and the params by name. The source
+    is compiled once per key, on its first use, as a maker of steps that takes dt and the params as arguments,
+    so no value is written into it: the key names all the source depends on."""
+    make = _FLOAT_STEPS.get(key)
+    if make is None:
+        make = _FLOAT_STEPS[key] = _compile_float_step(key, size, source, list(params))
+    return make(float(dt), **params)
+
+
+def _compile_float_step(key: tuple, size: int, source: Callable[[list, list], list], params: list) -> Callable:
+    """The step maker of float_rk4_step: one straight-line RK4 step on `size` floats y0, y1, ..., stage s
+    putting the field in ks_0, ks_1, ... at the state u0, u1, ... = y + half k(s-1), the last stage's at
+    y + dt k3."""
+    y = [f"y{i}" for i in range(size)]
+    u = [f"u{i}" for i in range(size)]
+    body, inputs = [], y
+    for stage, scale in enumerate(("half", "half", "dt", None), 1):
+        k = [f"k{stage}_{i}" for i in range(size)]
+        body += source(inputs, k)
+        if scale:
+            body += [f"{a} = {b} + {scale} * {c}" for a, b, c in zip(u, y, k)]
+            inputs = u
+    new = ", ".join(f"{a} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, a in enumerate(y))
+    text = "\n".join([f"def make(dt, {', '.join(params)}):", "    half, sixth = 0.5 * dt, dt / 6.0",
+                      f"    def step({', '.join(y)}):", *(f"        {line}" for line in body),
+                      f"        return ({new},)", "    return step"])
+    namespace = {"copysign": math.copysign, "inf": math.inf}
+    exec(compile(text, f"<float_rk4_step {key}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
           check: Callable[[float, np.ndarray, np.ndarray], None], floats) -> np.ndarray:
     """rk4_march(field, y0, times, dt, check), with its bits on Python floats where it can: floats is None, or
-    one (float_field, accept) pair per row of y0.reshape(len(floats), -1). Each row marches alone through
-    float_rk4_march, up to the first step any row's accept refuses; from the last step every row accepted,
-    rk4_march takes the whole stack, so a refused step is taken again on numpy, where it passes or raises."""
+    one (step, accept) pair per row of y0.reshape(len(floats), -1), step a float_rk4_step of dt. The rows step
+    in lockstep, each as y = step(*y), up to the first step that some row's accept refuses; from the step before
+    it rk4_march takes the whole stack, so the refused step is taken again on numpy, where it passes or raises."""
     if floats is None:
         return rk4_march(field, y0, times, dt, check)
-    end, heads = len(times) - 1, []
-    for (float_field, accept), y in zip(floats, y0.reshape(len(floats), -1).tolist()):
-        ys, refused = float_rk4_march(float_field, y, end, dt, accept)
-        heads.append(np.frombuffer(ys).reshape(-1, len(y)))
-        end = len(heads[-1]) - 1 - refused
-    head = np.stack([rows[:end + 1] for rows in heads], axis=1).reshape(end + 1, *y0.shape)
-    if end == len(times) - 1:
-        return head
-    return np.concatenate((head[:-1], rk4_march(field, head[-1], times[end:], dt, check)))
+    rows, ys = y0.reshape(len(floats), -1).tolist(), array("d", y0.ravel().tolist())
+    for i in range(1, len(times)):
+        for r, (step, accept) in enumerate(floats):
+            y = rows[r] = step(*rows[r])
+            if not accept(y):
+                head = np.frombuffer(ys).reshape(i, *y0.shape)
+                return np.concatenate((head, rk4_march(field, head[-1], times[i - 1:], dt, check)[1:]))
+        for y in rows:
+            ys.extend(y)
+    return np.frombuffer(ys).reshape(len(times), *y0.shape)

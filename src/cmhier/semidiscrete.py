@@ -17,7 +17,8 @@ stack chains over leading axes, so an evolution is one Chain of shape
 
 The march is numerics.march. A chain of N <= 2 particles with K N^2 at most
 FLOAT_CHAIN_SIZE marches first on Python floats, which skips numpy's per-call
-cost on 1x1 and 2x2 solves: the float field repeats _site_velocities and
+cost on 1x1 and 2x2 solves, with a numerics.float_rk4_step that calls the
+float field once per stage: the float field repeats _site_velocities and
 linear_solve operation for operation, with the order of LAPACK's dgesv as
 OpenBLAS runs it on x86-64 with FMA (partial pivoting, the multiplier times
 the reciprocal pivot, one fused multiply-add in the back substitution). A
@@ -37,7 +38,7 @@ import numpy as np
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, linear_solve, march, row_blocks
+from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, linear_solve, march, row_blocks
 
 # a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step costs
 # about 1.3 us per unit of K N^2 at N = 1 and 3 us at N = 2, a numpy step 120-230 us on chains of K N^2
@@ -197,6 +198,11 @@ def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
     return fld
 
 
+def _call_field(inputs: list, outputs: list) -> list:
+    """The source of one call of the float field `field` of numerics.float_rk4_step on the stage state."""
+    return [f"{', '.join(outputs)}, = field([{', '.join(inputs)}])"]
+
+
 def _check_order(y: np.ndarray, before: np.ndarray) -> None:
     """Raise CollisionSingularity when a march step between sites that pass _check_sites, `before` to y (K+1, N),
     reversed two particles of a site, `at site k`, or of adjacent sites, `at edge k`: it crossed a collision."""
@@ -247,9 +253,10 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
             _check_sites(y)
             _check_order(y, before)
 
-    floats = None
+    floats, size = None, (k_len + 1) * n
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
-        floats = [(_float_site_velocities(k_len, n), _float_sites_pass(chain.sites))]
+        step = float_rk4_step(("semidiscrete", size), size, _call_field, d_tau, field=_float_site_velocities(k_len, n))
+        floats = [(step, _float_sites_pass(chain.sites))]
     return Chain(march(field, chain.sites, taus, d_tau, check, floats), taus)
 
 

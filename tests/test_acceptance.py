@@ -8,6 +8,8 @@ line so `pytest -s tests/test_acceptance.py` doubles as a human-readable run.
 import numpy as np
 import pytest
 
+from cmhier import flows, semidiscrete
+from cmhier.cli import _strict_json
 from cmhier.scenario import scenario_from_dict
 from cmhier.verify import verify_all
 
@@ -173,3 +175,13 @@ def test_all_gated_entries_pass(report):
     print(f"[{'PASS' if not failed else 'FAIL'}] full gate: "
           f"{len(gated) - len(failed)}/{len(gated)} gated checks passed")
     assert not failed, f"failing checks: {failed}"
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_reports_do_not_depend_on_the_float_kernels(monkeypatch, seed):
+    # seed 6 fails a gate; with both sizes 0, every march and chain runs on numpy
+    sc = scenario_from_dict({"kind": "verify-all", "n": 3, "seed": seed})
+    default = _strict_json(verify_all(sc).to_dict())
+    monkeypatch.setattr(flows, "FLOAT_MARCH_SIZE", 0)
+    monkeypatch.setattr(semidiscrete, "FLOAT_CHAIN_SIZE", 0)
+    assert _strict_json(verify_all(sc).to_dict()) == default

@@ -51,6 +51,13 @@ class TestCollides:
         assert not exact.collides(start, flows.PathSpec((1.0, 0.0), 3.9, 39))
         assert exact.collides(start, flows.PathSpec((1.0, 0.0), 4.5, 45))
 
+    def test_a_collision_at_a_coarse_time_skips_the_other_times(self, monkeypatch):
+        # the pair meets at t = 4: of 50 steps to t = 8, the coarse times 16 and 32 fall on both sides
+        screened, real = [], exact.projection_spectrum
+        monkeypatch.setattr(exact, "projection_spectrum", lambda *args: screened.append(args[2]) or real(*args))
+        assert exact.collides(PhaseState([-2.0, 2.0], [0.0, 0.0]), flows.PathSpec((1.0, 0.0), 8.0, 50))
+        assert len(screened) == 1 and np.array_equal(screened[0], [16 * 0.16, 32 * 0.16, 48 * 0.16])
+
     def test_gap_below_the_flight_tolerance_collides(self):
         # r(t) = sqrt(16 - t^2) falls below FLIGHT_GAP_TOL just before t = 4
         start = PhaseState([-2.0, 2.0], [0.0, 0.0])
@@ -73,7 +80,7 @@ class TestCollides:
             return real_march(field, y0, times, dt, check, floats)
 
         def spectrum(start, direction, s):
-            seen["screen"] = s
+            seen.setdefault("screen", []).append(s)
             return exact_spectrum(start, direction, s)
 
         exact_spectrum, real_march = exact.projection_spectrum, flows.march
@@ -82,8 +89,10 @@ class TestCollides:
         start = PhaseState([-4.0, 0.0, 4.0], [0.1, 0.0, -0.1])
         assert not exact.collides(start, path)
         traj = flows.evolve_path(start, path)
-        assert np.array_equal(seen["march"], grid) and np.array_equal(seen["screen"], grid[1:])
-        assert seen["floats"]  # a single N = 3 state marches on floats
+        # the screen reads every time of grid[1:] once, the grid times 16, 32, ... first
+        screened = np.concatenate(seen["screen"])
+        assert np.array_equal(np.sort(screened), grid[1:]) and np.array_equal(seen["screen"][0], grid[16::16])
+        assert np.array_equal(seen["march"], grid) and seen["floats"]  # a single N = 3 state marches on floats
         assert np.array_equal(traj.times()[:, 0], grid) and len(traj.x) == len(grid)
 
     def test_bounce_state_passes_the_march_but_not_the_screen(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmhier.errors import CollisionSingularity, DegenerateDirection, NumericsError
@@ -304,10 +304,10 @@ def march_outcome(float_size, y0, path):
     """flows._march of the stack y0 along the path with FLOAT_MARCH_SIZE = float_size: its (T, B, 2N) states,
     or the abort it raises as (type, message, s, system), and whether any system marched on floats."""
     floats = []
-    real = numerics.float_rk4_march
+    real = flows.float_rk4_step
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flows, "FLOAT_MARCH_SIZE", float_size)
-        patch.setattr(numerics, "float_rk4_march", lambda *args: floats.append(True) or real(*args))
+        patch.setattr(flows, "float_rk4_step", lambda *args, **params: floats.append(True) or real(*args, **params))
         try:
             return flows._march(y0, path), bool(floats)
         except NumericsError as exc:
@@ -332,15 +332,20 @@ class TestFloatMarch:
     """The float kernel of numerics.march, which flows._march picks for small stacks, against the numpy
     march it stands in for."""
 
+    # (-1.0, -0.0) and (-0.0, -1.0) are the reversed flows of _flow_endpoint; a weight of -0.0 counts as zero
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 7),
         b=st.sampled_from([1, 2, 5]),
-        direction=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.7, -0.4), (-1.0, -1.0)]),
+        direction=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.7, -0.4), (-1.0, -1.0), (-1.0, -0.0),
+                                   (-0.0, -1.0), (1 / 3, 2 / 3)]),
         seed=st.integers(0, 2**32 - 1),
         steps=st.integers(1, 20),
-        duration=st.sampled_from([0.0, 0.05, 0.5]),
+        duration=st.sampled_from([0.0, 0.05, 0.3, 0.5]),
     )
+    @example(n=3, b=1, direction=(1 / 3, 2 / 3), seed=0, steps=7, duration=0.3)  # dt = 0.3/7, not a binary fraction
+    @example(n=7, b=2, direction=(-1.0, -0.0), seed=1, steps=8, duration=0.05)
+    @example(n=4, b=1, direction=(-0.0, -1.0), seed=2, steps=8, duration=0.05)
     def test_every_step_equals_the_numpy_march(self, n, b, direction, seed, steps, duration):
         # gaps from 0.05 and momenta up to 3 in any start order: some stacks collide, flip or overflow
         rng = np.random.default_rng(seed)
@@ -375,13 +380,19 @@ class TestFloatMarch:
 
     # "_float_march" and "_numpy_march" label the float and numpy kernels, and keep the test ids stable
     @pytest.mark.parametrize("b, n, kernel", [(1, 2, "_float_march"), (6, 2, "_float_march"), (4, 3, "_float_march"),
-                                              (5, 3, "_numpy_march"), (1, 8, "_numpy_march"), (2, 7, "_numpy_march")])
+                                              (8, 3, "_float_march"), (9, 3, "_numpy_march"), (1, 8, "_numpy_march"),
+                                              (3, 7, "_float_march"), (4, 7, "_numpy_march")])
     def test_the_stack_shape_picks_the_kernel(self, monkeypatch, b, n, kernel):
         picked = []
         monkeypatch.setattr(flows, "march", lambda field, y0, times, dt, check, floats: picked.append(
             "_numpy_march" if floats is None else "_float_march") or np.zeros((1, b, 2 * n)))
         flows._march(np.zeros((b, 2 * n)), PathSpec(np.array([1.0, 0.0]), 0.1, 1))
         assert picked == [kernel]
+
+    def test_a_zero_direction_marches_on_numpy(self):
+        y0 = np.array([[-1.0, 2.0, 0.5, -0.0]])
+        expected, on_floats = march_outcome(np.inf, y0, PathSpec(np.array([0.0, -0.0]), 0.1, 2))
+        assert not on_floats and expected.tobytes() == np.repeat(y0[None], 3, axis=0).tobytes()
 
 
 class TestPerSample:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmhier import numerics
 from cmhier.errors import CollisionSingularity, NonConvergence, SingularJacobian, SingularMatrix
+from cmhier.hierarchy import ORDERED_SUM_N
 from cmhier.numerics import (
     CERTIFY_MARGIN,
     PIVOT_RTOL,
@@ -15,6 +21,9 @@ from cmhier.numerics import (
     newton_solve,
     rk4_step,
 )
+from cmhier.scenario import scenario_from_dict
+from cmhier.semidiscrete import FLOAT_CHAIN_SIZE
+from cmhier.verify import verify_all
 
 
 def diagonal(v):
@@ -596,14 +605,22 @@ class TestMarch:
         except CollisionSingularity as exc:
             return (str(exc), exc.s), handed
 
-    def floats(self, limits):
-        return [(lambda y: [y[1], -y[0]], lambda y, limit=limit: y[0] < limit) for limit in limits]
+    def floats(self, limits, stepped):
+        """One (step, accept) pair per limit, the step a float_rk4_step of the field; each step of row r
+        appends r to `stepped`."""
+        step = numerics.float_rk4_step(("harmonic test field",), 2, lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -{y[0]}"],
+                                       self.DT)
+        return [(lambda *y, row=row: stepped.append(row) or step(*y), lambda y, limit=limit: y[0] < limit)
+                for row, limit in enumerate(limits)]
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_numpy_takes_the_stack_from_the_last_step_every_row_accepted(self, monkeypatch, raises):
         expected, handed = self.run(monkeypatch, None, raises)
         assert [start for start, _ in handed] == [0.0]
-        got, handed = self.run(monkeypatch, self.floats(self.LIMITS), raises)
+        stepped = []
+        got, handed = self.run(monkeypatch, self.floats(self.LIMITS, stepped), raises)
+        # the rows step in lockstep, so row 2's refusal at step 2 stops every row there
+        assert stepped == [0, 1, 2] * 2
         if raises:  # the refused step of row 2 is taken again on numpy, which raises
             assert got == expected == ("row 2 at t=0.2", 0.2)
         else:  # tobytes also tells 0.0 from -0.0
@@ -613,5 +630,44 @@ class TestMarch:
 
     def test_a_march_that_no_row_refuses_stays_on_floats(self, monkeypatch):
         expected, _ = self.run(monkeypatch, None, False)
-        got, handed = self.run(monkeypatch, self.floats([np.inf] * 3), False)
-        assert handed == [] and got.tobytes() == expected.tobytes()
+        stepped = []
+        got, handed = self.run(monkeypatch, self.floats([np.inf] * 3, stepped), False)
+        assert handed == [] and got.tobytes() == expected.tobytes() and stepped == [0, 1, 2] * 10
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The key of every step maker numerics compiles while the test runs, from an empty cache."""
+    built, real = [], numerics._compile_float_step
+    monkeypatch.setattr(numerics, "_FLOAT_STEPS", {})
+    monkeypatch.setattr(numerics, "_compile_float_step", lambda key, *args: built.append(key) or real(key, *args))
+    return built
+
+
+class TestFloatStep:
+    def test_dt_and_params_are_arguments_of_one_compiled_source(self, compiled):
+        source = lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -(w * {y[0]})"]  # noqa: E731
+        for dt, w in ((0.1, 1.0), (0.3 / 7, 2.5), (1e-3, -0.5)):
+            step = numerics.float_rk4_step(("oscillator",), 2, source, dt, w=w)
+            y = (0.3, -1.2)
+            expected = rk4_step(lambda _t, u: np.array([u[1], -(w * u[0])]), 0.0, np.array(y), dt)
+            assert np.array(step(*y)).tobytes() == expected.tobytes()
+        assert compiled == [("oscillator",)]
+
+    def test_importing_cmhier_compiles_nothing(self):
+        code = "import cmhier, cmhier.cli; from cmhier import numerics; print(len(numerics._FLOAT_STEPS))"
+        env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0 and run.stdout == "0\n", run.stderr
+
+    def test_two_verify_runs_build_each_step_once(self, compiled):
+        for _ in range(2):
+            verify_all(scenario_from_dict({"kind": "verify-all", "n": 3, "seed": 0}))
+        assert len(compiled) == len(set(compiled)) == len(numerics._FLOAT_STEPS)
+        # bounded by construction: flows compiles one step per N < ORDERED_SUM_N and set of nonzero weights,
+        # semidiscrete one per chain size (K + 1) N, which FLOAT_CHAIN_SIZE bounds
+        flows_keys = {key for key in compiled if key[0] == "flows"}
+        assert flows_keys and all(n < ORDERED_SUM_N and weights in {(True, False), (False, True), (True, True)}
+                                  for _, n, weights in flows_keys)
+        chain_keys = set(compiled) - flows_keys
+        assert chain_keys and all(kind == "semidiscrete" and size <= FLOAT_CHAIN_SIZE + 1 for kind, size in chain_keys)
