@@ -190,8 +190,9 @@ def _field_source(n: int, weights: tuple[bool, bool]) -> Callable[[list, list], 
     return source
 
 
-def _float_accept(start_order: list) -> Callable[[list], bool]:
-    """_check_in_flight's test on one system, a list of 2N floats whose positions start in start_order."""
+def _float_accept(start_order: list) -> Callable[[tuple], bool]:
+    """_check_in_flight's test on one system, a tuple of 2N floats as a float step returns it, whose positions
+    start in start_order."""
     neighbours = list(zip(start_order, start_order[1:]))
     return lambda y: all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)
 

@@ -213,9 +213,9 @@ def _check_order(y: np.ndarray, before: np.ndarray) -> None:
             raise CollisionSingularity(f"particle order changed across the step at {row} {k}", system=k)
 
 
-def _float_sites_pass(start: np.ndarray) -> Callable[[list], bool]:
+def _float_sites_pass(start: np.ndarray) -> Callable[[tuple], bool]:
     """The march's site test, _check_sites and _check_order, passed or not, on one chain of n <= 2 particles
-    with its sites flat in a list: finite positions, and each pair of particles of a site or of adjacent sites
+    with its sites flat in a tuple, as a float step returns them: finite positions, and each pair of particles of a site or of adjacent sites
     at least COLLISION_TOL apart in the order it has in the chain `start` (K+1, N)."""
     k_len, n = start.shape[0] - 1, start.shape[1]
     pairs = [(k * n, k * n + 1) for k in range(k_len + 1)] if n == 2 else []
