@@ -11,6 +11,12 @@ Lax pair with its Lax equation and trace invariants. The discrete Hamilton
 equations need no evaluator of their own: the edge Hamiltonian is minus the
 two-point Lagrangian and the position equation is discrete_el_residual.
 
+discrete_orbit steps an orbit of at most FLOAT_ORBIT_SIZE particles on Python
+floats first, with discrete_step's operations in its order and each Newton
+solve handed to numerics.float_solve, linear_solve's own LAPACK call, so with
+its bits; from the first step the float kernel refuses, discrete_step takes
+the orbit, where that step passes or raises with its type, message and site.
+
 Leading axes: build_plaquette, discrete_el_residual and the evaluators from
 discrete_lagrangian on evaluate a stack (..., N) row by row as each row alone,
 bit for bit. Each check runs over the whole stack, in the order one
@@ -20,6 +26,7 @@ configuration runs them; the first failing row k along axis 0 is named
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +35,12 @@ from .errors import CollisionSingularity, LogSingularity, NumericsError, Singula
 from .hierarchy import (
     COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
 from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
-from .numerics import DEFAULT_NEWTON, NewtonSettings, newton_solve
+from .numerics import CERTIFY_MARGIN, DEFAULT_NEWTON, PIVOT_RTOL, NewtonSettings, float_solve, newton_solve
+
+# an orbit of at most this many particles steps on Python floats first: a float step takes 11-111 us at
+# N = 1-7 and a numpy step 110-440 us (30-step orbits, median of 7, one CPU, wall, in-process), so the bound
+# is not the crossover but hierarchy.ORDERED_SUM_N, below which numpy adds a row's terms in column order
+FLOAT_ORBIT_SIZE = 7
 
 # (sgn, sign of p1 - p2, weight of the pair sums) of each corner variant; see _corner_system
 _CORNER_TERMS = {
@@ -134,10 +146,77 @@ def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) 
     return x_next
 
 
+def _float_collision_free(x: list) -> bool:
+    """Whether check_collision_free passes the configuration x of Python floats."""
+    s = sorted(x)
+    return all(map(math.isfinite, x)) and all(b - a >= COLLISION_TOL for a, b in zip(s, s[1:]))
+
+
+def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | None:
+    """discrete_step on one configuration of fewer than ORDERED_SUM_N Python floats, with its operations in its
+    order, so its bits: each row sum from 0.0 in column order, and each Newton solve handed to
+    numerics.float_solve, linear_solve's own LAPACK call. None where discrete_step raises or takes another
+    route: a failed check of _eom_system, a Jacobian that linear_solve does not certify dominant, a
+    non-finite residual, Newton out of iterations, or a solution that reorders the particles."""
+    if not (_float_collision_free(x_prev) and _float_collision_free(x_cur)
+            and all(abs(a - b) >= COLLISION_TOL for a in x_cur for b in x_prev)):
+        return None
+    n = len(x_cur)
+    bound = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
+    try:
+        const = []  # the "eom" row of _corner_system; numpy's diagonal 1/inf adds +0.0, which changes no sum
+        for m, xm in enumerate(x_cur):
+            prev_sum = gap_sum = 0.0
+            for u in x_prev:
+                prev_sum += 1.0 / (xm - u)
+            for j, xj in enumerate(x_cur):
+                if j != m:
+                    gap_sum += 1.0 / (xm - xj)
+            const.append(prev_sum - 2.0 * gap_sum + 0.0)
+        x = [2.0 * c - p for c, p in zip(x_cur, x_prev)]
+        for iteration in range(newton.max_iterations + 1):
+            cross = [[1.0 / (xm - u) for u in x] for xm in x_cur]
+            f = []
+            for k, row in zip(const, cross):
+                total = 0.0
+                for c in row:
+                    total += c
+                f.append(k + total)
+            if not all(map(math.isfinite, f)):
+                return None
+            if max(map(abs, f)) <= newton.tolerance:
+                break
+            if iteration == newton.max_iterations:
+                return None
+            jacobian = [c * c for row in cross for c in row]
+            cut = bound * max(jacobian)
+            for m in range(n):
+                total = 0.0
+                for a in jacobian[m * n:m * n + n]:
+                    total += a
+                if not 2.0 * jacobian[m * n + m] - total > cut:
+                    return None
+            x = [a - newton.damping * s for a, s in zip(x, float_solve(n, jacobian, f))]
+    except ZeroDivisionError:
+        return None
+    order = sorted(range(n), key=x_cur.__getitem__)
+    return x if all(x[j] - x[i] > 0 for i, j in zip(order, order[1:])) else None
+
+
 def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, count: int) -> list[np.ndarray]:
     """The seed pair extended by discrete_step to `count` sites; a NumericsError names the site
-    it was solving for."""
+    it was solving for. An orbit of at most FLOAT_ORBIT_SIZE particles steps on Python floats, with
+    discrete_step's bits, up to the first step the float kernel refuses; discrete_step takes that step
+    again, where it passes or raises, and the rest."""
     sites = [np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)]
+    if sites[0].ndim == 1 and sites[0].shape == sites[1].shape and len(sites[1]) <= FLOAT_ORBIT_SIZE:
+        before, last = sites[0].tolist(), sites[1].tolist()
+        while len(sites) < count:
+            after = _float_step(before, last, params.newton)
+            if after is None:
+                break
+            sites.append(np.array(after))
+            before, last = last, after
     while len(sites) < count:
         with located(site=len(sites)):
             sites.append(discrete_step(sites[-2], sites[-1], params))

@@ -4,7 +4,9 @@ Everything operates on plain float ndarrays, except the float steps. Problem siz
 tens), so a solve costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve
 therefore take stacks of independent systems along a leading axis, one system being the stack of one, and
 work on them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the
-rest, which their inverses certify, and leaves every failure to the column elimination.
+rest, which their inverses certify, and leaves every failure to the column elimination. float_solve makes
+the first of those calls on Python floats: a float kernel certifies its systems as linear_solve does and
+hands them to LAPACK, never repeating a BLAS kernel's operation order, so its bits are numpy's on every CPU.
 
 There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
 one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
@@ -93,10 +95,10 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         margin = 2.0 * magnitude.diagonal(axis1=1, axis2=2) - magnitude.sum(axis=2)
         dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * scale
     if dominant.all():  # the common case, solved without gathering the stack
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return _lapack_solve(a, b)
     v, rest = np.empty((m, n)), np.flatnonzero(~dominant)
     if len(rest) < m:
-        v[dominant] = np.linalg.solve(a[dominant], b[dominant, :, None])[:, :, 0]
+        v[dominant] = _lapack_solve(a[dominant], b[dominant])
     pick = rest if len(rest) < m else slice(None)  # a stack with no dominant system is not gathered
     rhs = np.empty((len(rest), n, n + 1))  # [b | I]
     rhs[:, :, 0] = b[pick]
@@ -112,6 +114,20 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(rest):
         v[rest] = _eliminate(a[rest], b[rest], rest)
     return v
+
+
+def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of the stack a (m, n, n) for one right-hand side each, b (m, n): LAPACK's dgesv."""
+    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+
+
+def float_solve(n: int, a: list, b) -> list:
+    """linear_solve of a stack that it certifies dominant, for Python floats: a holds the entries of m
+    matrices n x n flat in row-major order, b their right-hand sides, m n floats flat or an array (m, n);
+    returns the m solutions flat. It is linear_solve's own LAPACK call, so the bits are LAPACK's whatever
+    BLAS kernel runs it; the caller certifies the systems as linear_solve does, or takes another route."""
+    b = np.asarray(b, dtype=float).reshape(-1, n)
+    return _lapack_solve(np.array(a, dtype=float).reshape(-1, n, n), b).ravel().tolist()
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray:

@@ -16,15 +16,14 @@ stack chains over leading axes, so an evolution is one Chain of shape
 (steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked sites.
 
 The march is numerics.march. A chain of N <= 2 particles with K N^2 at most
-FLOAT_CHAIN_SIZE marches first on Python floats, which skips numpy's per-call
-cost on 1x1 and 2x2 solves, with a numerics.float_rk4_step that calls the
-float field once per stage: the float field repeats _site_velocities and
-linear_solve operation for operation, with the order of LAPACK's dgesv as
-OpenBLAS runs it on x86-64 with FMA (partial pivoting, the multiplier times
-the reciprocal pivot, one fused multiply-add in the back substitution). A
-step it cannot take exactly goes to the numpy march with the rest, which
-takes it or raises as it always does; every other chain marches on numpy,
-one stacked solve of all 2K edge systems per RK4 stage.
+FLOAT_CHAIN_SIZE marches first on Python floats, which skips most of numpy's
+per-call cost, with a numerics.float_rk4_step that calls the float field once
+per stage: the float field repeats _site_velocities and linear_solve's
+certificate, and hands the 2K edge systems of a stage to numerics.float_solve,
+linear_solve's own LAPACK call, so its bits are numpy's whatever BLAS kernel
+runs. A step it cannot take exactly goes to the numpy march with the rest,
+which takes it or raises as it always does; every other chain marches on
+numpy, one stacked solve of all 2K edge systems per RK4 stage.
 """
 
 from __future__ import annotations
@@ -38,11 +37,12 @@ import numpy as np
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, linear_solve, march, row_blocks
+from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, float_solve, linear_solve, march, row_blocks
 
-# a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step costs
-# about 1.3 us per unit of K N^2 at N = 1 and 3 us at N = 2, a numpy step 120-230 us on chains of K N^2
-# up to 64, and the two meet near K N^2 = 64 at N = 2 (2 vCPUs, wall, in-process)
+# a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step takes
+# 27-151 us at N = 1 and K = 16-128, and 58-165 us at N = 2 and K = 1-16, a numpy step 160-240 us on
+# those chains; at N = 2 the two meet near K N^2 = 96 (K = 24: 240 against 234 us), at N = 1 above K = 128
+# (100-step marches, median of 7, one CPU, wall, in-process)
 FLOAT_CHAIN_SIZE = 64
 
 
@@ -131,40 +131,15 @@ def tau_velocities(chain: Chain) -> ChainVelocities:
     return ChainVelocities(v, fp, fn, np.abs(fp[..., :-1, :] - fn[..., 1:, :]).max(axis=(-2, -1), initial=0.0))
 
 
-def _fma_minus_one(a: float, b: float) -> float:
-    """a b - 1 rounded once, as a fused multiply-add rounds it: Dekker's exact product p + e (Veltkamp's
-    split) summed with -1 by math.fsum. Below |a b| = 2^-900 the sum rounds to -1; above 2^900, where the
-    split can overflow, the result is NaN, which hands the step off."""
-    p = a * b
-    if not abs(p) <= 2.0**900:
-        return math.nan
-    if abs(p) < 2.0**-900:
-        return -1.0
-    t = 134217729.0 * a  # 2^27 + 1
-    a_hi = t - (t - a)
-    t = 134217729.0 * b
-    b_hi = t - (t - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return math.fsum((p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, -1.0))
-
-
-def _solve_minus_ones(a00: float, a01: float, a10: float, a11: float) -> tuple[float, float]:
-    """np.linalg.solve of [[a00, a01], [a10, a11]] v = (-1, -1) for positive entries, in LAPACK dgesv's
-    order: pivot on the larger first-column entry, multiplier l times the reciprocal pivot, u11 unfused,
-    forward substitution -1 + l, then x1 divided and x0 from one fused multiply-add."""
-    if a10 > a00:  # the first of equal entries is the pivot
-        a00, a01, a10, a11 = a10, a11, a00, a01
-    lower = a10 * (1.0 / a00)
-    x1 = (-1.0 + lower) / (a11 - lower * a01)
-    return _fma_minus_one(-x1, a01) / a00, x1
-
-
 def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
     """_site_velocities' velocities of one chain of n <= 2 particles and k_len edges, its sites flat in a list
-    of floats, with the same operations in the same order, so the same bits. Entries 1/d^2 are positive, so
-    linear_solve's |a| is a itself. All NaN when an edge system is not certified dominant, as linear_solve
-    certifies it, or divides by zero: numpy solves it another way, and the NaN step hands it off."""
+    of floats, with the same bits. Entries 1/d^2 are positive, so linear_solve's |a| is a itself. At n = 2 the
+    2 k_len edge systems, forward then backward as _site_velocities stacks them, go to numerics.float_solve in
+    one call, linear_solve's own LAPACK call; at n = 1 an edge's velocity is -1/a, the one rounding of a 1 x 1
+    solve of -1 in any operation order. All NaN when an edge system is not certified dominant, as
+    linear_solve certifies it, or divides by zero: numpy solves it another way, and the NaN step hands it off."""
     bound = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
+    minus_ones = np.full((2 * k_len, n), -1.0)
 
     def fld(y: list) -> list:
         try:
@@ -178,7 +153,7 @@ def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
                     from_prev.append(-1.0 / entry)
                 from_next = from_prev
             else:
-                from_prev, from_next = [], []
+                forward, backward = [], []
                 for k in range(0, 2 * k_len, 2):
                     a0, a1, b0, b1 = y[k:k + 4]
                     d00, d01, d10, d11 = a0 - b0, a0 - b1, a1 - b0, a1 - b1
@@ -188,8 +163,10 @@ def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
                     if not (2.0 * f00 - (f00 + f01) > cut and 2.0 * f11 - (f10 + f11) > cut
                             and 2.0 * f00 - (f00 + f10) > cut and 2.0 * f11 - (f01 + f11) > cut):
                         return [math.nan] * len(y)
-                    from_prev.extend(_solve_minus_ones(f00, f01, f10, f11))
-                    from_next.extend(_solve_minus_ones(f00, f10, f01, f11))
+                    forward += (f00, f01, f10, f11)
+                    backward += (f00, f10, f01, f11)
+                solved = float_solve(2, forward + backward, minus_ones)
+                from_prev, from_next = solved[:2 * k_len], solved[2 * k_len:]
         except ZeroDivisionError:
             return [math.nan] * len(y)
         interior = [0.5 * (a + b) for a, b in zip(from_prev[:-n], from_next[n:])]

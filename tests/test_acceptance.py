@@ -8,7 +8,7 @@ line so `pytest -s tests/test_acceptance.py` doubles as a human-readable run.
 import numpy as np
 import pytest
 
-from cmhier import flows, semidiscrete
+from cmhier import cli, discrete, flows, semidiscrete
 from cmhier.cli import _strict_json
 from cmhier.scenario import scenario_from_dict
 from cmhier.verify import verify_all
@@ -177,11 +177,28 @@ def test_all_gated_entries_pass(report):
     assert not failed, f"failing checks: {failed}"
 
 
-@pytest.mark.parametrize("seed", [0, 6])
-def test_reports_do_not_depend_on_the_float_kernels(monkeypatch, seed):
-    # seed 6 fails a gate; with both sizes 0, every march and chain runs on numpy
-    sc = scenario_from_dict({"kind": "verify-all", "n": 3, "seed": seed})
-    default = _strict_json(verify_all(sc).to_dict())
+def numpy_kernels_only(monkeypatch):
+    """With every float size 0, every march, chain and orbit runs on numpy."""
     monkeypatch.setattr(flows, "FLOAT_MARCH_SIZE", 0)
     monkeypatch.setattr(semidiscrete, "FLOAT_CHAIN_SIZE", 0)
+    monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_reports_do_not_depend_on_the_float_kernels(monkeypatch, seed):
+    # seed 6 fails a gate
+    sc = scenario_from_dict({"kind": "verify-all", "n": 3, "seed": seed})
+    default = _strict_json(verify_all(sc).to_dict())
+    numpy_kernels_only(monkeypatch)
     assert _strict_json(verify_all(sc).to_dict()) == default
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_discrete_demo_outputs_do_not_depend_on_the_float_kernels(monkeypatch, tmp_path, fmt):
+    def outputs(out_dir):
+        paths, _ = cli.run_scenario(scenario_from_dict({**cli.DEMOS["discrete"], "format": fmt, "out_dir": str(out_dir)}))
+        return {path.name: path.read_bytes() for path in paths}
+
+    default = outputs(tmp_path / "default")
+    numpy_kernels_only(monkeypatch)
+    assert outputs(tmp_path / "numpy") == default

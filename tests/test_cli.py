@@ -438,6 +438,31 @@ class TestMain:
         assert "RuntimeWarning" not in err and not [w for w in caught if w.category is RuntimeWarning]
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("payload, site, err", [
+        ({"kind": "discrete", "n": 2, "seed_prev": [0, 3], "seed_cur": [0, 3.5], "steps": 3}, 2,
+         "CollisionSingularity: at site 2: cross gap 0.000e+00 below 1.0e-12"),
+        ({"kind": "discrete", "n": 3, "steps": 40,
+          "seed_prev": [0.08217701239287256, 2.8618720282583223, 5.724584114361717],
+          "seed_cur": [0.3832788547614412, 3.216090044205007, 6.085434486180231]}, 40,
+         "CollisionSingularity: at site 40: particle order changed across the step"),
+        ({"kind": "discrete", "n": 1, "seed_prev": [0.0], "seed_cur": [0.3], "steps": 5000}, 854,
+         "NonConvergence: at site 854: system 0: residual 3.157e-13 above tolerance 1.0e-13 after 50 iterations"),
+        ({"kind": "discrete", "n": 3, "seed": 0, "steps": 100}, 63,
+         "NonConvergence: at site 63: system 0: residual 1.941e-13 above tolerance 1.0e-13 after 50 iterations"),
+    ])
+    def test_discrete_aborts_alike_on_both_kernels(self, tmp_path, capsys, monkeypatch, payload, site, err):
+        # the float orbit takes every step before the failing one and hands that one to discrete_step
+        numpy_steps = []
+        real = discrete.discrete_step
+        monkeypatch.setattr(discrete, "discrete_step", lambda *args: numpy_steps.append(1) or real(*args))
+        for float_size in (discrete.FLOAT_ORBIT_SIZE, 0):
+            monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", float_size)
+            numpy_steps.clear()
+            assert main(["run", str(write_config(tmp_path, {**payload, "out_dir": str(tmp_path / "out")}))]) == 2
+            assert capsys.readouterr().err == f"numerical failure: {err}\n"
+            assert len(numpy_steps) == (1 if float_size else site - 1)
+            assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "payload",
         [{"kind": "continuous", "n": 12}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],

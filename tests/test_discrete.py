@@ -23,10 +23,12 @@ from cmhier.discrete import (
     logdet_identity_residual,
     sheet_corner_residuals,
 )
-from cmhier import discrete, numerics, verify
+from cmhier import cli, discrete, numerics, verify
 from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
+from cmhier.hierarchy import ORDERED_SUM_N
 from cmhier.numerics import NewtonSettings
 from cmhier.sampling import plaquette_seed
+from cmhier.scenario import scenario_from_dict
 
 RNG = np.random.default_rng(99)
 
@@ -391,6 +393,7 @@ def test_verify_orbit_failure_names_the_step(monkeypatch):
         return step(x_prev, x_cur, params)
 
     monkeypatch.setattr(discrete, "discrete_step", failing)
+    monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)  # every step on discrete_step, which fails here
     with pytest.raises(NonConvergence, match="at site 6: stuck") as info:
         verify._discrete_orbit(verify.Collector(1.0), np.random.default_rng(0))
     assert info.value.site == 6
@@ -402,6 +405,7 @@ def test_verify_chain_seed_failure_names_its_site(monkeypatch, section):
         raise NonConvergence("stuck", system=0)
 
     monkeypatch.setattr(discrete, "discrete_step", failing)
+    monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)  # every step on discrete_step, which fails here
     with pytest.raises(NonConvergence, match="^at site 2: stuck$") as info:
         getattr(verify, section)(verify.Collector(1.0), np.random.default_rng(0))
     assert info.value.site == 2
@@ -740,3 +744,81 @@ class TestLeadingAxes:
         assert calls == {"build_plaquette": 3, "discrete_closure_sum": 3, "logdet_identity_residual": 3,
                          "edge_logdet_values": 3, "discrete_lax_residual": 2}
         assert all(entry.passed for entry in col.entries)
+
+
+def orbit_outcome(x_prev, x_cur, params, count, float_size):
+    """discrete_orbit with FLOAT_ORBIT_SIZE = float_size: its sites as one array and the number of steps
+    discrete_step took, or the abort as (type, message, site, system) and that number."""
+    numpy_steps = []
+    real = discrete.discrete_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrete, "FLOAT_ORBIT_SIZE", float_size)
+        patch.setattr(discrete, "discrete_step", lambda *args: numpy_steps.append(1) or real(*args))
+        try:
+            return np.array(discrete.discrete_orbit(x_prev, x_cur, params, count)), len(numpy_steps)
+        except NumericsError as exc:
+            return (type(exc), str(exc), exc.site, exc.system), len(numpy_steps)
+
+
+def assert_same_orbit_outcome(x_prev, x_cur, params, count):
+    """The float orbit ends as the numpy orbit does, every value to the bit; returns its outcome and the
+    number of steps it handed to discrete_step."""
+    expected, numpy_steps = orbit_outcome(x_prev, x_cur, params, count, 0)
+    got, handed_off = orbit_outcome(x_prev, x_cur, params, count, discrete.FLOAT_ORBIT_SIZE)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:  # tobytes also tells 0.0 from -0.0
+        assert numpy_steps == count - 2
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return got, handed_off
+
+
+class TestFloatOrbit:
+    """The float kernel of discrete_orbit, for at most FLOAT_ORBIT_SIZE particles, against discrete_step."""
+
+    def test_the_size_covers_verify_and_keeps_ordered_sums(self):
+        # verify's orbits have N <= 3; the benchmark's chain seeds (N = 8) and sheets (N = 32) stay on numpy
+        assert 3 <= discrete.FLOAT_ORBIT_SIZE < ORDERED_SUM_N
+
+    def test_verify_orbits_equal_the_numpy_orbits(self, monkeypatch):
+        calls = []
+        real = discrete.discrete_orbit
+        monkeypatch.setattr(discrete, "discrete_orbit", lambda *args: calls.append(args) or real(*args))
+        for seed in range(10):
+            verify.verify_all(scenario_from_dict({"kind": "verify-all", "n": 3, "seed": seed}))
+        monkeypatch.setattr(discrete, "discrete_orbit", real)
+        assert sorted({(len(args[0]), args[3]) for args in calls}) == [(1, 3), (2, 3), (3, 52)]
+        for args in calls:  # verify's orbits take every step on floats
+            assert assert_same_orbit_outcome(*args)[1] == 0
+
+    def test_the_discrete_demo_equals_the_numpy_orbit(self):
+        demo = cli.DEMOS["discrete"]
+        params = LatticeParams(p1=1.0, p2=2.0, n=demo["n"], newton=NewtonSettings(tolerance=1e-13))
+        assert assert_same_orbit_outcome(demo["seed_prev"], demo["seed_cur"], params, demo["steps"] + 1)[1] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        spacing=st.sampled_from([0.6, 1.5, 4.0]),
+        tolerance=st.sampled_from([1e-12, 1e-13, 1e-14]),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(3, 60),
+    )
+    def test_every_step_equals_the_numpy_orbit(self, n, spacing, tolerance, seed, count):
+        # shifts of 0.05-1 at spacings of 0.6-4: some orbits collide, reorder, stall or lose dominance
+        rng = np.random.default_rng(seed)
+        x_prev = spacing * np.arange(n) + rng.uniform(-0.1, 0.1, n)
+        params = LatticeParams(p1=1.0, p2=2.0, n=n, newton=NewtonSettings(tolerance=tolerance))
+        assert_same_orbit_outcome(x_prev, x_prev + rng.uniform(0.05, 1.0, n), params, count)
+
+    def test_a_non_dominant_jacobian_hands_the_step_off(self):
+        # the Newton guess 2 x_cur - x_prev puts particle 0 nearer to x_cur's particle 1 than particle 1 is:
+        # the Jacobian is not diagonally dominant, linear_solve certifies it through [b | I], and the float
+        # kernel hands the step to discrete_step, which takes it
+        x_prev, x_cur = np.array([0.0, 1.5, 3.0]), np.array([0.6, 2.25, 3.7])
+        jacobian = discrete._eom_system(x_prev, x_cur)[1]((2.0 * x_cur - x_prev)[None])[0]
+        bound = numerics.PIVOT_RTOL / numerics.CERTIFY_MARGIN + 9 * 2.0**-52
+        assert not (2.0 * jacobian.diagonal() - jacobian.sum(axis=1)).min() > bound * jacobian.max()
+        assert discrete._float_step(x_prev.tolist(), x_cur.tolist(), PARAMS_N3.newton) is None
+        sites, handed_off = assert_same_orbit_outcome(x_prev, x_cur, PARAMS_N3, 3)
+        assert sites.shape == (3, 3) and handed_off == 1

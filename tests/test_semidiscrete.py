@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,34 +438,12 @@ class TestFloatChainKernel:
 
 
 class TestFloatKernelParts:
-    """The solves, certificate and site test of the float kernel against the numpy code they repeat."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4), st.booleans())
-    def test_two_by_two_equals_lapack(self, gaps, transposed):
-        # entries 1/d^2 as in an edge system, for gaps d of 0.05-5
-        a = 1.0 / np.square(np.array(gaps).reshape(2, 2))
-        a = a.T.copy() if transposed else a
-        magnitude = np.abs(a)
-        bound = numerics.PIVOT_RTOL / numerics.CERTIFY_MARGIN + 4 * 2.0**-52
-        if not (2.0 * magnitude.diagonal() - magnitude.sum(axis=1)).min() > bound * magnitude.max():
-            return  # not dominant: linear_solve takes another route, and the float kernel hands off
-        expected = np.linalg.solve(a[None], -np.ones((1, 2, 1)))[0, :, 0]
-        assert np.array(semidiscrete._solve_minus_ones(*a.ravel().tolist())).tobytes() == expected.tobytes()
+    """The 1 x 1 solve, certificate and site test of the float kernel against the numpy code they repeat."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-6, 1e6))
     def test_one_by_one_is_one_division(self, entry):
         assert np.linalg.solve(np.array([[[entry]]]), -np.ones((1, 1, 1)))[0, 0, 0] == -1.0 / entry
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(-1e250, 1e250), st.floats(-1e250, 1e250))
-    def test_fused_multiply_add_rounds_once(self, a, b):
-        got = semidiscrete._fma_minus_one(a, b)
-        if abs(a * b) > 2.0**900:
-            assert np.isnan(got)
-        else:
-            assert got == float(Fraction(a) * Fraction(b) - 1)
 
     @pytest.mark.parametrize("sites, certified", [
         # the margin of forward row 0 just above 1e-12 s, inside the n^2 eps rounding term of the certificate
