@@ -17,13 +17,13 @@ import numpy as np
 
 from .discrete import LatticeParams, build_discrete_lax
 from .flows import FLIGHT_GAP_TOL, PathSpec
-from .hierarchy import PhaseState, build_lax_pair
+from .hierarchy import PhaseState, inverse_gaps, lax_matrix
 
 
 def projection_spectrum(start: PhaseState, direction, s) -> np.ndarray:
     """Eigenvalues of diag x0 + s (d2 L0 + d3 L0^2), one row per value of s;
     complex only where some eigenvalue is."""
-    L0, _ = build_lax_pair(start)
+    L0 = lax_matrix(start.p, inverse_gaps(start.x))
     d2, d3 = direction
     generator = d2 * L0 + d3 * (L0 @ L0)
     s = np.asarray(s, dtype=float)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -277,9 +277,14 @@ def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:
     return PhaseState(y[: state.n], y[state.n :])
 
 
-def _along_flow(f: Callable[[PhaseState], float], k: int, state: PhaseState, eps: float) -> float:
-    """Central difference of f along the t_k flow, step eps each way."""
-    return (f(_flow_endpoint(k, state, eps)) - f(_flow_endpoint(k, state, -eps))) / (2 * eps)
+def _flow_ends(k: int, state: PhaseState, eps: float) -> tuple[PhaseState, PhaseState]:
+    """Endpoints of the t_k flow after signed times eps and -eps, in that order."""
+    return _flow_endpoint(k, state, eps), _flow_endpoint(k, state, -eps)
+
+
+def _along_flow(f: Callable[[PhaseState], float], ends: tuple[PhaseState, PhaseState], eps: float) -> float:
+    """Central difference of f along a flow between its endpoints `ends` = _flow_ends(k, state, eps)."""
+    return (f(ends[0]) - f(ends[1])) / (2 * eps)
 
 
 def _fd_dds(series: np.ndarray, h: float) -> np.ndarray:
@@ -342,24 +347,26 @@ def noether_charge(traj: Trajectory) -> np.ndarray:
     return traj.per_sample(lambda x, p: weighted_hamiltonian(d2, d3, x, p))
 
 
-VelocityMode = Literal["flow", "constraint"]
+# the t3-velocity of each mode of the closure residual
+_T3_VELOCITIES = {
+    "flow": lambda ps: hamiltonian_grad(3, ps)[1],
+    "constraint": lambda ps: constraint_velocity(ps.x, ps.p),
+}
 
 
-def lagrangian_closure_residual(state: PhaseState, eps: float, velocity_mode: VelocityMode = "flow") -> float:
-    """dL_(t2)/dt3 - dL_(t3)/dt2 on the two-parameter solution sheet.
+def lagrangian_closure_residuals(state: PhaseState, eps: float) -> dict[str, float]:
+    """dL_(t2)/dt3 - dL_(t3)/dt2 on the two-parameter solution sheet, by velocity mode.
 
     The t2-velocity is the sheet derivative v2 = P. The t3-velocity is either
     the printed-Hamiltonian flow velocity dH_(t3)/dP (mode "flow") or the
     value forced by the transversal constraint (mode "constraint"). Reported
-    as a diagnostic in both modes.
+    as a diagnostic in both modes. The four flow endpoints, t3 and t2 at +eps
+    and -eps, are marched once for both modes, and L_(t2) does not read v3,
+    so dL_(t2)/dt3 is one value for both.
     """
-    if velocity_mode not in ("flow", "constraint"):
-        raise ValueError("velocity_mode must be 'flow' or 'constraint'")
-
-    def velocity_state(ps: PhaseState) -> VelocityState:
-        v3 = hamiltonian_grad(3, ps)[1] if velocity_mode == "flow" else constraint_velocity(ps.x, ps.p)
-        return VelocityState(ps.x, ps.p, v3)
-
-    dL2_dt3 = _along_flow(lambda ps: lagrangian(2, velocity_state(ps)), 3, state, eps)
-    dL3_dt2 = _along_flow(lambda ps: lagrangian(3, velocity_state(ps)), 2, state, eps)
-    return dL2_dt3 - dL3_dt2
+    t3_ends, t2_ends = _flow_ends(3, state, eps), _flow_ends(2, state, eps)
+    dL2_dt3 = _along_flow(lambda ps: lagrangian(2, VelocityState(ps.x, ps.p, ps.p)), t3_ends, eps)  # reads no v3
+    return {
+        mode: dL2_dt3 - _along_flow(lambda ps: lagrangian(3, VelocityState(ps.x, ps.p, v3(ps))), t2_ends, eps)
+        for mode, v3 in _T3_VELOCITIES.items()
+    }

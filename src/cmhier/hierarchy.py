@@ -220,6 +220,21 @@ def legendre_check(k: int, state: VelocityState) -> float:
     return hamiltonian(k, phase) - (float(np.sum(state.v2 * vk)) - lagrangian(k, state))
 
 
+def lax_matrix(p: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The L of lax_pair from the momenta and inv = inverse_gaps(x), over leading axes, (..., N) and
+    (..., N, N) to (..., N, N): p on the diagonal and GAMMA/(x_i - x_j) off it."""
+    L = GAMMA * inv
+    _set_diagonal(L, p)
+    return L
+
+
+def _lax_m(inv2: np.ndarray) -> np.ndarray:
+    """The M of lax_pair from inv2 = inverse_gaps(x)^2."""
+    M = GAMMA * inv2
+    _set_diagonal(M, -GAMMA * inv2.sum(axis=-1))
+    return M
+
+
 def lax_pair(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lax pair for the t2 flow, over leading axes: (..., N) to two (..., N, N).
 
@@ -229,12 +244,7 @@ def lax_pair(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual pointwise.
     """
     inv = inverse_gaps(x)
-    L = GAMMA * inv
-    _set_diagonal(L, p)
-    inv2 = inv * inv
-    M = GAMMA * inv2
-    _set_diagonal(M, -GAMMA * inv2.sum(axis=-1))
-    return L, M
+    return lax_matrix(p, inv), _lax_m(inv * inv)
 
 
 def build_lax_pair(state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -253,15 +263,16 @@ def trace_powers(L: np.ndarray) -> np.ndarray:
 def lax_invariants(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Trace invariants I_l = Tr(L^l)/l for l = 1, 2, 3 over leading axes, (..., N) to (..., 3);
     I_2 and I_3 are the two Hamiltonians."""
-    return trace_powers(lax_pair(x, p)[0]) / np.arange(1, 4)
+    return trace_powers(lax_matrix(p, inverse_gaps(x))) / np.arange(1, 4)
 
 
 def lax_residual(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Max-norm of dL/dt2 + [L, M] along the t2 flow over leading axes, (..., N) to (...); zero in exact
     arithmetic."""
-    L, M = lax_pair(x, p)
     inv = inverse_gaps(x)
+    inv2 = inv * inv
+    L, M = lax_matrix(p, inv), _lax_m(inv2)
     dx_h, xdot = weighted_gradient(1.0, 0.0, x, p, inv)
-    dL = -GAMMA * (xdot[..., :, None] - xdot[..., None, :]) * (inv * inv)
+    dL = -GAMMA * (xdot[..., :, None] - xdot[..., None, :]) * inv2
     _set_diagonal(dL, -dx_h)
     return np.max(np.abs(dL + (L @ M - M @ L)), axis=(-2, -1))

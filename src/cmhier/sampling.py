@@ -20,9 +20,10 @@ def sorted_positions(rng: np.random.Generator, n: int, min_gap: float, span: flo
     if n * min_gap > 2 * span:
         raise ValueError("span too small for the requested minimum gap")
     for _ in range(10_000):
-        x = np.sort(rng.uniform(-span, span, n))
-        if n == 1 or np.min(np.diff(x)) >= min_gap:
-            return x
+        # sorted and tested on Python floats: numpy's values and comparisons, without its per-call cost
+        x = sorted(rng.uniform(-span, span, n).tolist())
+        if all(b - a >= min_gap for a, b in zip(x, x[1:])):
+            return np.array(x)
     raise RuntimeError("rejection sampling failed; loosen min_gap or widen span")
 
 

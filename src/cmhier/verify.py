@@ -322,10 +322,9 @@ def _semidiscrete_checks(col, rng):
 
 def _closure_diagnostics(col, rng):
     state = random_phase_state(rng, 3, min_gap=1.0)
+    by_eps = {eps: flows.lagrangian_closure_residuals(state, eps) for eps in (2e-3, 1e-3, 5e-4)}
     for mode in ("flow", "constraint"):
-        values = {
-            eps: flows.lagrangian_closure_residual(state, eps, mode) for eps in (2e-3, 1e-3, 5e-4)
-        }
+        values = {eps: residuals[mode] for eps, residuals in by_eps.items()}
         d1 = abs(values[2e-3] - values[1e-3])
         d2 = abs(values[1e-3] - values[5e-4])
         ratio = d1 / d2 if d2 > 0 else float("inf")

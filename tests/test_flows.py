@@ -11,12 +11,13 @@ from cmhier.flows import (
     Trajectory,
     _along_flow,
     _check_in_flight,
+    _flow_ends,
     _raw_field,
     commutator_defect,
     evolve_path,
     evolve_paths,
     integrate_flow,
-    lagrangian_closure_residual,
+    lagrangian_closure_residuals,
     noether_charge,
     pluri_el_residual,
     poisson_bracket,
@@ -500,7 +501,8 @@ class TestHamiltonianClosure:
         h2, h3 = (lambda s: hamiltonian(2, s)), (lambda s: hamiltonian(3, s))
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
-            residual = _along_flow(h2, 3, state, 1e-4) - _along_flow(h3, 2, state, 1e-4)
+            t3_ends, t2_ends = _flow_ends(3, state, 1e-4), _flow_ends(2, state, 1e-4)
+            residual = _along_flow(h2, t3_ends, 1e-4) - _along_flow(h3, t2_ends, 1e-4)
             bracket = poisson_bracket(h_observable(2), h_observable(3), [state])[0]
             assert abs(residual - (-2.0) * bracket) <= 1e-6
 
@@ -626,24 +628,28 @@ class TestLagrangianClosure:
     def test_single_particle_pinned(self):
         # both Lagrangians depend only on flow constants for N=1, so the
         # sheet derivative vanishes in either velocity mode
-        state = PhaseState([0.3], [0.8])
+        residuals = lagrangian_closure_residuals(PhaseState([0.3], [0.8]), 1e-4)
+        assert list(residuals) == ["flow", "constraint"]
         for mode in ("flow", "constraint"):
-            assert abs(lagrangian_closure_residual(state, 1e-4, mode)) <= 1e-9
+            assert abs(residuals[mode]) <= 1e-9
 
     def test_free_limit(self):
-        state = PhaseState([0.0, 1e3, 2e3], [0.3, -0.2, 0.6])
+        residuals = lagrangian_closure_residuals(PhaseState([0.0, 1e3, 2e3], [0.3, -0.2, 0.6]), 1e-4)
         for mode in ("flow", "constraint"):
-            assert abs(lagrangian_closure_residual(state, 1e-4, mode)) <= 1e-6
+            assert abs(residuals[mode]) <= 1e-6
 
     def test_eps_halving_converges(self):
-        state = WELL_SEPARATED
+        r1, r2, r4 = (lagrangian_closure_residuals(WELL_SEPARATED, eps) for eps in (2e-3, 1e-3, 5e-4))
         for mode in ("flow", "constraint"):
-            r1 = lagrangian_closure_residual(state, 2e-3, mode)
-            r2 = lagrangian_closure_residual(state, 1e-3, mode)
-            r4 = lagrangian_closure_residual(state, 5e-4, mode)
             # second-order differencing: increments shrink about fourfold
-            assert abs(r2 - r4) <= 0.35 * abs(r1 - r2) + 1e-12
+            assert abs(r2[mode] - r4[mode]) <= 0.35 * abs(r1[mode] - r2[mode]) + 1e-12
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            lagrangian_closure_residual(WELL_SEPARATED, 1e-4, "other")
+    def test_verify_marches_each_endpoint_once(self, monkeypatch):
+        # three steps eps, each with the t2 and t3 endpoints at +eps and -eps, shared by both modes
+        from cmhier import verify
+
+        marches, real = [], flows._march
+        monkeypatch.setattr(flows, "_march", lambda y0, path: marches.append(path) or real(y0, path))
+        verify._closure_diagnostics(verify.Collector(1.0), np.random.default_rng(0))
+        assert len(marches) == 12
+        assert len({(tuple(path.direction), path.duration) for path in marches}) == 12

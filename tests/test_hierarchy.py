@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cmhier.errors import CollisionSingularity
 from cmhier.hierarchy import (
     FLOW_DIRECTIONS,
+    GAMMA,
     PhaseState,
     VelocityState,
     build_lax_pair,
@@ -17,6 +18,7 @@ from cmhier.hierarchy import (
     hamiltonian_grad,
     lagrangian,
     lax_invariants,
+    lax_matrix,
     lax_pair,
     lax_residual,
     legendre_check,
@@ -296,6 +298,30 @@ class TestInvariants:
         got = trace_powers(L)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+class TestLaxMatrix:
+    """lax_invariants and lax_residual read L and M from one inverse_gaps call, with the bits of lax_pair's."""
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 64])
+    def test_invariants_read_the_l_of_lax_pair(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.5, 1.5, (4, n)), axis=-1)
+        p = rng.uniform(-1.0, 1.0, (4, n))
+        assert np.array_equal(lax_invariants(x, p), trace_powers(lax_pair(x, p)[0]) / (1, 2, 3))
+        assert np.array_equal(lax_matrix(p, inverse_gaps(x)), lax_pair(x, p)[0])
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 64])
+    def test_residual_equals_the_two_call_form(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.5, 1.5, (4, n)), axis=-1)
+        p = rng.uniform(-1.0, 1.0, (4, n))
+        L, M = lax_pair(x, p)
+        inv = inverse_gaps(x)
+        dx_h, xdot = weighted_gradient(1.0, 0.0, x, p, inv)
+        dL = -GAMMA * (xdot[..., :, None] - xdot[..., None, :]) * (inv * inv)
+        dL[..., np.arange(n), np.arange(n)] = -dx_h
+        assert np.array_equal(lax_residual(x, p), np.max(np.abs(dL + (L @ M - M @ L)), axis=(-2, -1)))
 
 
 class TestLaxResidual:
