@@ -12,15 +12,16 @@ being the stack of one; each system takes the steps it takes alone, bit for
 bit. It calls numerics.march: below ORDERED_SUM_N particles, with B N at most
 FLOAT_MARCH_SIZE and a nonzero direction, each system marches first on Python
 floats, with one numerics.float_rk4_step whose Hamilton field, _field_source,
-is straight-line source in numpy's operation order, and a step the float check
-refuses goes to the numpy march with the rest, which raises as it always does;
-any other stack marches on numpy, one field evaluation per RK4 stage for all
-rows. The Poisson bracket evaluates its observables once on the perturbed
-points of a stack of states.
+is straight-line source in numpy's operation order, and a step that fails goes
+to the numpy march with the rest; any other stack marches on numpy, one field
+evaluation per RK4 stage for all rows. The Poisson bracket evaluates its
+observables once on the perturbed points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
-The march checks every row's accepted steps in flight; a Trajectory keeps them
-as (T, N) arrays, checked once, and builds PhaseStates only when read.
+numerics.march tests every step in flight: each system's positions stay
+FLIGHT_GAP_TOL apart in their start order, given as flat indices, and every
+value is finite. _check_in_flight words a refused step. A Trajectory keeps the
+steps as (T, N) arrays, checked once, and builds PhaseStates only when read.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class PathSpec:
         if d.shape != (2,):
             raise ValueError("direction must have two components (dt2/ds, dt3/ds)")
         object.__setattr__(self, "direction", d)
+        if not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         if self.steps < 1:
@@ -134,15 +137,13 @@ def _raw_field(direction: np.ndarray, n: int) -> Callable[[float, np.ndarray], n
 
 
 def _check_in_flight(y: np.ndarray, order: np.ndarray, s: float, before: np.ndarray, fld: Callable) -> None:
-    """Abort on non-finite values, tight gaps or a particle-order flip (a step across a collision) in
-    any row of the stack y (B, 2N); `order` holds the flat indices into y of each row's positions in its
-    start order, so one pass of neighbour differences tests gaps and order. The first failing row k of
-    several is named `in system k` and is the error's `system`. A non-finite row whose field fld is non-finite
-    at its last accepted state, in the stack `before`, is an overflowing field."""
-    x = y.take(order)
-    if np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min(initial=np.inf) >= FLIGHT_GAP_TOL:
-        return
+    """Word the abort of a step of the stack y (B, 2N) that numerics.march refused: non-finite values, a tight
+    gap or a particle-order flip (a step across a collision) in the first failing row k, whose positions start
+    in the order of the flat indices `order`. A stack of several names it `in system k`, the error's `system`.
+    A non-finite row whose field fld is non-finite at its last accepted state, in the stack `before`, is an
+    overflowing field."""
     with np.errstate(all="ignore"):
+        x = y.take(order)
         passed = np.isfinite(y).all(axis=1) & ((x[:, 1:] - x[:, :-1]).min(axis=1, initial=np.inf) >= FLIGHT_GAP_TOL)
         k = int(np.argmin(passed))
         system = k if len(y) > 1 else None
@@ -190,13 +191,6 @@ def _field_source(n: int, weights: tuple[bool, bool]) -> Callable[[list, list], 
     return source
 
 
-def _float_accept(start_order: list) -> Callable[[tuple], bool]:
-    """_check_in_flight's test on one system, a tuple of 2N floats as a float step returns it, whose positions
-    start in start_order."""
-    neighbours = list(zip(start_order, start_order[1:]))
-    return lambda y: all(map(math.isfinite, y)) and all(y[j] - y[k] >= FLIGHT_GAP_TOL for k, j in neighbours)
-
-
 def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
     from each grid time to the next, each checked in flight, so an overflow in the unchecked stages is
@@ -204,16 +198,14 @@ def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     numerics.march steps each system on Python floats first, with one step function per N and set of nonzero
     direction weights; any other stack, and a zero direction, which scenarios refuse, marches with numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
-    start_order = np.argsort(y0[:, :n], axis=1)
-    order = start_order + 2 * n * np.arange(b)[:, None]
-    fld, floats, dt = _raw_field(path.direction, n), None, path.duration / path.steps
+    order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
+    fld, step, dt = _raw_field(path.direction, n), None, path.duration / path.steps
     d2, d3 = float(path.direction[0]), float(path.direction[1])
     if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE and (d2 or d3):  # scenarios refuse a zero direction
         weights = (bool(d2), bool(d3))
         step = float_rk4_step(("flows", n, weights), 2 * n, _field_source(n, weights), dt, d2=d2, d3=d3)
-        floats = [(step, _float_accept(row)) for row in start_order.tolist()]
-    return march(fld, y0, path.grid(), dt,
-                 lambda s, y, before: _check_in_flight(y, order, s, before, fld), floats)
+    return march(fld, y0, path.grid(), dt, order, FLIGHT_GAP_TOL,
+                 lambda s, y, before: _check_in_flight(y, order, s, before, fld), step)
 
 
 def _stack(states: Sequence[PhaseState]) -> np.ndarray:

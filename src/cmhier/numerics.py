@@ -11,8 +11,10 @@ hands them to LAPACK, never repeating a BLAS kernel's operation order, so its bi
 There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
 one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
 key that takes a whole step in local variables, with the field as straight-line source or a call; fed
-fields with the same bits, they give the same bits. flows and semidiscrete call one driver, march, whose
-float loop steps each row as y = step(*y) and hands the rest of a refused march to rk4_march.
+fields with the same bits, they give the same bits. flows and semidiscrete both call march, which owns
+the one step test of both kernels: a step passes when it is finite and the particles of each row of the
+caller's order stay tol apart in start order. Its float loop steps each system as y = step(*y) and hands the
+rest of a march from a failing step to rk4_march, which calls the caller's refused to word the abort.
 """
 
 from __future__ import annotations
@@ -276,16 +278,21 @@ def rk4_step(
 
 
 def rk4_march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
-              check: Callable[[float, np.ndarray, np.ndarray], None]) -> np.ndarray:
+              order: np.ndarray, tol: float, refused: Callable[[float, np.ndarray, np.ndarray], None]) -> np.ndarray:
     """y0 and its rk4_step of dt from each of the caller's grid times to the next, shape (len(times), *y0.shape).
-    check(t, y, before) sees each step's result y at its end time t, and the state before it. Stages run
-    with floating-point warnings off, so the field or the check reports a non-finite stage."""
+    The march's one step test: a step passes when it is finite (the differences would let +inf on the highest
+    particle through) and y.take(order) rises by at least tol along every row of order, which holds flat
+    indices into y, in start order, of particles that must stay apart.
+    refused(t, y, before) sees a failing step's result y at its end time t and the state before it, and raises
+    the caller's worded error. Stages run with floating-point warnings off, so a non-finite stage fails the test."""
     ys = np.empty((len(times), *np.shape(y0)))
     ys[0] = y0
     with np.errstate(all="ignore"):
         for i in range(1, len(times)):
-            ys[i] = rk4_step(field, times[i - 1], ys[i - 1], dt)
-            check(times[i], ys[i], ys[i - 1])
+            y = ys[i] = rk4_step(field, times[i - 1], ys[i - 1], dt)
+            x = y.take(order)
+            if not (np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min(initial=np.inf) >= tol):
+                refused(times[i], y, ys[i - 1])
     return ys
 
 
@@ -329,20 +336,26 @@ def _compile_float_step(key: tuple, size: int, source: Callable[[list, list], li
 
 
 def march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
-          check: Callable[[float, np.ndarray, np.ndarray], None], floats) -> np.ndarray:
-    """rk4_march(field, y0, times, dt, check), with its bits on Python floats where it can: floats is None, or
-    one (step, accept) pair per row of y0.reshape(len(floats), -1), step a float_rk4_step of dt. The rows step
-    in lockstep, each as y = step(*y), up to the first step that some row's accept refuses; from the step before
-    it rk4_march takes the whole stack, so the refused step is taken again on numpy, where it passes or raises."""
-    if floats is None:
-        return rk4_march(field, y0, times, dt, check)
-    rows, ys = y0.reshape(len(floats), -1).tolist(), array("d", y0.ravel().tolist())
+          order: np.ndarray, tol: float, refused: Callable[[float, np.ndarray, np.ndarray], None],
+          step: Optional[Callable] = None) -> np.ndarray:
+    """rk4_march(field, y0, times, dt, order, tol, refused), with its bits on Python floats where it can: step is
+    None, or a float_rk4_step of dt that steps each system along axis 0 of y0, its entries flat, as y = step(*y).
+    A float step passes rk4_march's test on the neighbour pairs of the rows of order in its system, derived once.
+    The systems step in lockstep up to the first step that some system fails; from the step before it rk4_march
+    takes the whole stack, so the failing step is taken again on numpy, where it passes or is refused."""
+    if step is None:
+        return rk4_march(field, y0, times, dt, order, tol, refused)
+    rows, ys = y0.reshape(len(y0), -1).tolist(), array("d", y0.ravel().tolist())
+    size, finite = len(rows[0]), math.isfinite
+    pairs = [[] for _ in rows]  # each system's neighbour pairs (lower, upper), indices into its flat entries
+    for particles in order.tolist():
+        pairs[particles[0] // size] += ((k % size, j % size) for k, j in zip(particles, particles[1:]))
     for i in range(1, len(times)):
-        for r, (step, accept) in enumerate(floats):
+        for r, neighbours in enumerate(pairs):
             y = rows[r] = step(*rows[r])
-            if not accept(y):
+            if not (all(map(finite, y)) and all(y[j] - y[k] >= tol for k, j in neighbours)):
                 head = np.frombuffer(ys).reshape(i, *y0.shape)
-                return np.concatenate((head, rk4_march(field, head[-1], times[i - 1:], dt, check)[1:]))
+                return np.concatenate((head, rk4_march(field, head[-1], times[i - 1:], dt, order, tol, refused)[1:]))
         for y in rows:
             ys.extend(y)
     return np.frombuffer(ys).reshape(len(times), *y0.shape)

@@ -1,7 +1,8 @@
 """Seeded random data for tests, scenarios and the verification suite.
 
-Positions are sorted uniforms with minimum-gap rejection so every consumer
-sees collision-free, reproducible configurations; momenta are uniform in
+Positions are sorted uniforms with minimum-gap rejection, and a constructive
+draw where rejection fails, so every consumer sees collision-free,
+reproducible configurations; momenta are uniform in
 [-1, 1]. Discrete seeds pair a configuration with a displaced copy whose
 step size suits the corner solves. Only the continuous minimum gap is a
 parameter; spans, discrete gaps and steps are fixed, so an orbit seed (gaps
@@ -16,12 +17,17 @@ from .hierarchy import PhaseState
 
 
 def sorted_positions(rng: np.random.Generator, n: int, min_gap: float, span: float) -> np.ndarray:
-    """Sorted positions in [-span, span] with all gaps at least min_gap."""
+    """Sorted positions in [-span, span] with all gaps at least min_gap, by rejection; after 10,000 rejected
+    draws, by one constructive draw, uniform over the same set: n sorted uniforms on
+    [-span, span - (n-1) min_gap], the i-th moved up by i min_gap. A draw that rounding leaves a gap short fails."""
     if n * min_gap > 2 * span:
         raise ValueError("span too small for the requested minimum gap")
-    for _ in range(10_000):
+    for attempt in range(10_001):
         # sorted and tested on Python floats: numpy's values and comparisons, without its per-call cost
-        x = sorted(rng.uniform(-span, span, n).tolist())
+        if attempt < 10_000:
+            x = sorted(rng.uniform(-span, span, n).tolist())
+        else:
+            x = (np.sort(rng.uniform(-span, span - (n - 1) * min_gap, n)) + min_gap * np.arange(n)).tolist()
         if all(b - a >= min_gap for a, b in zip(x, x[1:])):
             return np.array(x)
     raise RuntimeError("rejection sampling failed; loosen min_gap or widen span")

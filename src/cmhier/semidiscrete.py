@@ -8,22 +8,23 @@ semi-discrete compatibility claim and is tracked as a diagnostic while the
 chain is integrated.
 
 Validation rule: one site check, _check_sites, runs when a Chain is built.
-Each numpy march step passes when its sites are finite and every edge's 2N
-particles, taken in start order, stay COLLISION_TOL apart; only a step that
-fails runs _check_sites and _check_order, which refuses a step that reverses
-two particles of a site or of adjacent sites, to name the error. A Chain may
-stack chains over leading axes, so an evolution is one Chain of shape
-(steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked sites.
+The march, numerics.march, passes a step when its sites are finite and every
+edge's 2N particles, taken in start order, stay COLLISION_TOL apart; only a
+step it refuses runs _check_sites and _check_order, which names a step that
+reverses two particles of a site or of adjacent sites, to word the error. A
+Chain may stack chains over leading axes, so an evolution is one Chain of
+shape (steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked
+sites, which march as one system, a stack (1, K+1, N).
 
-The march is numerics.march. A chain of N <= 2 particles with K N^2 at most
-FLOAT_CHAIN_SIZE marches first on Python floats, which skips most of numpy's
-per-call cost, with a numerics.float_rk4_step that calls the float field once
-per stage: the float field repeats _site_velocities and linear_solve's
-certificate, and hands the 2K edge systems of a stage to numerics.float_solve,
-linear_solve's own LAPACK call, so its bits are numpy's whatever BLAS kernel
-runs. A step it cannot take exactly goes to the numpy march with the rest,
-which takes it or raises as it always does; every other chain marches on
-numpy, one stacked solve of all 2K edge systems per RK4 stage.
+A chain of N <= 2 particles with K N^2 at most FLOAT_CHAIN_SIZE marches first
+on Python floats, which skips most of numpy's per-call cost, with a
+numerics.float_rk4_step that calls the float field once per stage: the float
+field repeats _site_velocities and linear_solve's certificate, and hands the 2K
+edge systems of a stage to numerics.float_solve, linear_solve's own LAPACK
+call, so its bits are numpy's whatever BLAS kernel runs. A step it cannot take
+exactly goes to the numpy march with the rest, which takes it or refuses it;
+every other chain marches on numpy, one stacked solve of all 2K edge systems
+per RK4 stage.
 """
 
 from __future__ import annotations
@@ -190,18 +191,6 @@ def _check_order(y: np.ndarray, before: np.ndarray) -> None:
             raise CollisionSingularity(f"particle order changed across the step at {row} {k}", system=k)
 
 
-def _float_sites_pass(start: np.ndarray) -> Callable[[tuple], bool]:
-    """The march's site test, _check_sites and _check_order, passed or not, on one chain of n <= 2 particles
-    with its sites flat in a tuple, as a float step returns them: finite positions, and each pair of particles of a site or of adjacent sites
-    at least COLLISION_TOL apart in the order it has in the chain `start` (K+1, N)."""
-    k_len, n = start.shape[0] - 1, start.shape[1]
-    pairs = [(k * n, k * n + 1) for k in range(k_len + 1)] if n == 2 else []
-    pairs += [(k * n + i, (k + 1) * n + j) for k in range(k_len) for i in range(n) for j in range(n)]
-    flat = start.ravel().tolist()
-    pairs = [(i, j) if flat[i] < flat[j] else (j, i) for i, j in pairs]
-    return lambda y: all(map(math.isfinite, y)) and all(y[j] - y[i] >= COLLISION_TOL for i, j in pairs)
-
-
 def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
     """The chain at the start and after each of `steps` RK4 steps of d_tau on its stacked sites: one
     Chain of shape (steps + 1, K+1, N), whose tau is the running sum of the steps. Each accepted step
@@ -209,6 +198,8 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
     FLOAT_CHAIN_SIZE marches on Python floats first, with the numpy march's bits."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if not math.isfinite(d_tau):
+        raise ValueError("d_tau must be finite")
     if chain.tau.ndim:
         raise ValueError("evolve_chain marches one chain, not a stack")
     taus = np.add.accumulate(np.r_[chain.tau, np.full(steps, d_tau)])
@@ -220,21 +211,16 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
         with located(tau=stage_tau):
             return _site_velocities(y)[0]
 
-    def check(tau: float, y: np.ndarray, before: np.ndarray) -> None:
-        # passes what _check_sites and _check_order pass, as every accepted state keeps the start order; the
-        # finite test refuses +inf on the highest particle, which the differences let through
-        x = y.take(order)
-        if np.isfinite(y).all() and (x[:, 1:] - x[:, :-1]).min() >= COLLISION_TOL:
-            return
+    def refused(tau: float, y: np.ndarray, before: np.ndarray) -> None:
+        # the march refuses what _check_sites and _check_order refuse, as every accepted state keeps the start order
         with located(tau=tau):
             _check_sites(y)
-            _check_order(y, before)
+            _check_order(y[0], before[0])
 
-    floats, size = None, (k_len + 1) * n
+    step, size = None, (k_len + 1) * n
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
         step = float_rk4_step(("semidiscrete", size), size, _call_field, d_tau, field=_float_site_velocities(k_len, n))
-        floats = [(step, _float_sites_pass(chain.sites))]
-    return Chain(march(field, chain.sites, taus, d_tau, check, floats), taus)
+    return Chain(march(field, chain.sites[None], taus, d_tau, order, COLLISION_TOL, refused, step)[:, 0], taus)
 
 
 def semi_eom_residual(sites: np.ndarray, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

@@ -465,13 +465,23 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"kind": "continuous", "n": 12}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],
+        [{"kind": "continuous", "n": 13}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],
     )
     def test_sampler_failure_is_config_error(self, tmp_path, capsys, payload):
         path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: field 'n'") and f"n={payload['n']}" in err
+
+    @pytest.mark.parametrize("n, min_gap", [(25, 0.1), (11, 0.5)])
+    def test_a_state_rejection_cannot_draw_is_constructed(self, tmp_path, capsys, n, min_gap):
+        # rejection sampling fails on these, and the constructed state runs; the states crowd their span and
+        # the particles attract, so at the default duration both meet a close approach (n = 25 at s=0.004)
+        path = write_config(tmp_path, {"kind": "continuous", "n": n, "min_gap": min_gap, "duration": 0.002,
+                                       "out_dir": str(tmp_path / "out")})
+        assert main(["run", str(path)]) in (0, 1) and "error" not in capsys.readouterr().err
+        start = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1, max_rows=1)
+        assert np.diff(start[3:3 + n]).min() >= min_gap and (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("out_dir", [5, None])
     def test_out_dir_that_is_not_a_string_is_config_error(self, tmp_path, capsys, out_dir):

@@ -75,9 +75,9 @@ class TestCollides:
         assert np.array_equal(grid[1:], np.arange(1, steps + 1) * (duration / steps) if duration > 0 else [])
         seen = {}
 
-        def march(field, y0, times, dt, check, floats):
-            seen["march"], seen["floats"] = times, floats is not None
-            return real_march(field, y0, times, dt, check, floats)
+        def march(field, y0, times, dt, order, tol, refused, step):
+            seen["march"], seen["floats"] = times, step is not None
+            return real_march(field, y0, times, dt, order, tol, refused, step)
 
         def spectrum(start, direction, s):
             seen.setdefault("screen", []).append(s)

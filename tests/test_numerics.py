@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhier import numerics
+from cmhier import flows, numerics, semidiscrete
 from cmhier.errors import CollisionSingularity, NonConvergence, SingularJacobian, SingularMatrix
+from cmhier.flows import PathSpec
 from cmhier.hierarchy import ORDERED_SUM_N
 from cmhier.numerics import (
     CERTIFY_MARGIN,
@@ -22,7 +24,7 @@ from cmhier.numerics import (
     rk4_step,
 )
 from cmhier.scenario import scenario_from_dict
-from cmhier.semidiscrete import FLOAT_CHAIN_SIZE
+from cmhier.semidiscrete import FLOAT_CHAIN_SIZE, Chain, evolve_chain
 from cmhier.verify import verify_all
 
 
@@ -571,68 +573,146 @@ class TestRK4:
         assert times == [0.25, 0.0, 0.0, -0.25]
 
 
+def march_arguments(module, run):
+    """The order and tolerance that module passes to numerics.march while run() runs."""
+    given = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "march", lambda field, y0, times, dt, order, tol, *rest: given.append((order, tol)) or y0[None])
+        run()
+    return given[0]
+
+
+def flows_step_cases():
+    """A flows stack (2, 6) of two systems of three particles in different start orders, the order and tolerance
+    flows._march gives numerics.march, and states a step could reach, each with whether the march accepts it."""
+    start = np.array([[0.0, 1.0, 2.0, 0.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+    order, tol = march_arguments(flows, lambda: flows._march(start, PathSpec(np.array([1.0, 0.0]), 0.1, 1)))
+    cases = [(start, True)]
+    for x, accepted in (([0.0, 2.0, 1.0], False),  # an order flip with wide gaps
+                        ([0.0, np.nextafter(tol, 0.0), 1.0], False),  # a gap just under the tolerance
+                        ([0.0, tol, 1.0], True),  # a gap exactly at it
+                        ([0.0, np.nan, 2.0], False)):
+        cases.append((start.copy(), accepted))
+        cases[-1][0][0, :3] = x
+    for k, value in ((0, np.inf), (4, np.nan)):  # +inf on the highest particle of system 1, NaN in its momenta
+        cases.append((start.copy(), False))
+        cases[-1][0][1, k] = value
+    return start, order, tol, cases
+
+
+def single_particle_step_cases():
+    """A flows stack (2, 2) of two single particles, as flows_step_cases."""
+    start = np.array([[3.0, -1.0], [0.5, 0.0]])
+    order, tol = march_arguments(flows, lambda: flows._march(start, PathSpec(np.array([1.0, 0.0]), 0.1, 1)))
+    return start, order, tol, [(start, True), (np.array([[3.0, -1.0], [np.inf, 0.0]]), False),
+                               (np.array([[3.0, np.nan], [0.5, 0.0]]), False)]
+
+
+def chain_step_cases():
+    """A chain stack (1, 3, 2) of three sites of two particles, the order and tolerance evolve_chain gives
+    numerics.march, and states a step could reach, each with whether the march accepts it."""
+    base = np.array([[0.0, 1.0], [0.3, 1.3], [0.6, 1.6]])
+    order, tol = march_arguments(semidiscrete, lambda: evolve_chain(Chain(base), 1e-3, 0))
+    cases = [(base, True)]
+    for site, i, value, accepted in ((1, 0, -0.1, False),  # an order flip across edge 0 with wide gaps
+                                     (1, 0, np.nextafter(tol, 0.0), False),  # a cross gap just under the tolerance
+                                     (1, 0, tol, True),  # a cross gap exactly at it
+                                     (2, 0, np.nan, False),
+                                     (2, 1, np.inf, False)):  # +inf on the highest particle
+        cases.append((base.copy(), accepted))
+        cases[-1][0][site, i] = value
+    cases.append((base.copy(), False))  # site 1 reversed, wide apart
+    cases[-1][0][1] = cases[-1][0][1, ::-1]
+    return base[None], order, tol, [(y[None], accepted) for y, accepted in cases]
+
+
 class TestMarch:
     """numerics.march, the float-first driver, against rk4_march, on a harmonic field whose float and numpy
-    forms give the same bits."""
+    forms give the same bits, and the step test both kernels apply."""
 
-    DT = 0.1
+    DT, TOL = 0.1, 1e-6
     TIMES = np.arange(11) * DT
-    Y0 = np.array([[0.0, 1.0], [0.0, 1.1], [0.0, 1.2]])  # row r: x = (1 + r/10) sin t
-    # row r is refused once x reaches LIMITS[r]: row 1 first at step 4 (x 0.325, then 0.428), row 2 at
-    # step 2 (x 0.120, then 0.238), row 0 never
-    LIMITS = (np.inf, 0.38, 0.2)
+    # row r: x = (1 + r/10) sin t and a wall at LIMITS[r] that the field leaves where it is; x passes the wall
+    # of row 1 first at step 4 (x 0.325, then 0.428), that of row 2 at step 2 (x 0.120, then 0.238), never
+    # that of row 0
+    LIMITS = (1e300, 0.38, 0.2)
+    Y0 = np.array([[0.0, 1.0, LIMITS[0]], [0.0, 1.1, LIMITS[1]], [0.0, 1.2, LIMITS[2]]])
+    WALLS = np.array([[0, 2], [3, 5], [6, 8]])  # each row's x below its wall, as flat indices into Y0
 
     @staticmethod
     def field(_t, y):
         out = np.empty_like(y)
-        out[:, 0], out[:, 1] = y[:, 1], -y[:, 0]
+        out[:, 0], out[:, 1], out[:, 2] = y[:, 1], -y[:, 0], 0.0
         return out
 
-    def run(self, monkeypatch, floats, raises):
+    def run(self, monkeypatch, order, step):
         """The march's states, or its abort as (message, s), and the (start time, start state) of every
-        rk4_march call it makes. With `raises`, the numpy check raises where the float accept refuses."""
+        rk4_march call it makes. A refused step raises, naming the first row whose x is not TOL below its wall."""
         handed, real = [], numerics.rk4_march
-        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, check:
-                            handed.append((times[0], y0.tobytes())) or real(field, y0, times, dt, check))
+        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, *test:
+                            handed.append((times[0], y0.tobytes())) or real(field, y0, times, dt, *test))
 
-        def check(t, y, _before):
-            failed = y[:, 0] >= np.array(self.LIMITS)
-            if raises and failed.any():
-                raise CollisionSingularity(f"row {int(failed.argmax())} at t={t:.6g}", s=t)
+        def refused(t, y, _before):
+            raise CollisionSingularity(f"row {int(np.argmax(y[:, 2] - y[:, 0] < self.TOL))} at t={t:.6g}", s=t)
 
         try:
-            return numerics.march(self.field, self.Y0, self.TIMES, self.DT, check, floats), handed
+            return numerics.march(self.field, self.Y0, self.TIMES, self.DT, order, self.TOL, refused, step), handed
         except CollisionSingularity as exc:
             return (str(exc), exc.s), handed
 
-    def floats(self, limits, stepped):
-        """One (step, accept) pair per limit, the step a float_rk4_step of the field; each step of row r
-        appends r to `stepped`."""
-        step = numerics.float_rk4_step(("harmonic test field",), 2, lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -{y[0]}"],
-                                       self.DT)
-        return [(lambda *y, row=row: stepped.append(row) or step(*y), lambda y, limit=limit: y[0] < limit)
-                for row, limit in enumerate(limits)]
+    def step(self, stepped, gives_up):
+        """A float_rk4_step of the field that appends to `stepped` the row of each state it steps, by its wall;
+        with gives_up, it gives NaN once x passes the wall, as the chain's float field does on an edge system
+        it does not certify."""
+        step = numerics.float_rk4_step(("harmonic test field with a wall",), 3,
+                                       lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -{y[0]}", f"{k[2]} = 0.0"], self.DT)
+
+        def counted(*y):
+            stepped.append(self.LIMITS.index(y[2]))
+            new = step(*y)
+            return (math.nan,) * 3 if gives_up and new[0] > new[2] else new
+
+        return counted
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_numpy_takes_the_stack_from_the_last_step_every_row_accepted(self, monkeypatch, raises):
-        expected, handed = self.run(monkeypatch, None, raises)
+        # with raises, the walls are in the order, so both kernels refuse the step where x passes a wall; else
+        # only the float step fails there, and the numpy march takes it
+        order = self.WALLS if raises else self.WALLS[:, :1]
+        expected, handed = self.run(monkeypatch, order, None)
         assert [start for start, _ in handed] == [0.0]
         stepped = []
-        got, handed = self.run(monkeypatch, self.floats(self.LIMITS, stepped), raises)
-        # the rows step in lockstep, so row 2's refusal at step 2 stops every row there
+        got, handed = self.run(monkeypatch, order, self.step(stepped, gives_up=not raises))
+        # the rows step in lockstep, so row 2's failure at step 2 stops every row there
         assert stepped == [0, 1, 2] * 2
         if raises:  # the refused step of row 2 is taken again on numpy, which raises
             assert got == expected == ("row 2 at t=0.2", 0.2)
         else:  # tobytes also tells 0.0 from -0.0
-            assert got.shape == expected.shape == (11, 3, 2) and got.tobytes() == expected.tobytes()
-        # from step 1, the last step that every row accepted, with the state the numpy march has there
+            assert got.shape == expected.shape == (11, 3, 3) and got.tobytes() == expected.tobytes()
+        # from step 1, the last step that every row passed, with the state the numpy march has there
         assert handed == [(self.TIMES[1], rk4_step(self.field, 0.0, self.Y0, self.DT).tobytes())]
 
     def test_a_march_that_no_row_refuses_stays_on_floats(self, monkeypatch):
-        expected, _ = self.run(monkeypatch, None, False)
+        expected, _ = self.run(monkeypatch, self.WALLS[:, :1], None)
         stepped = []
-        got, handed = self.run(monkeypatch, self.floats([np.inf] * 3, stepped), False)
+        got, handed = self.run(monkeypatch, self.WALLS[:, :1], self.step(stepped, gives_up=False))
         assert handed == [] and got.tobytes() == expected.tobytes() and stepped == [0, 1, 2] * 10
+
+    @pytest.mark.parametrize("cases", [flows_step_cases, single_particle_step_cases, chain_step_cases],
+                             ids=["flows", "single-particle", "chain"])
+    def test_both_kernels_accept_the_same_steps(self, cases):
+        # a step from start lands on each state; march's float row test hands a failing one to rk4_march, and
+        # rk4_march's numpy test gives a failing one to refused
+        start, order, tol, states = cases()
+        times, real = np.array([0.0, 1.0]), numerics.rk4_march
+        for y, accepted in states:
+            handed, refused, rows = [], [], iter(y.reshape(len(y), -1).tolist())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(numerics, "rk4_step", lambda field, t, before, dt: y)
+                real(None, start, times, 1.0, order, tol, lambda *step: refused.append(step))
+                patch.setattr(numerics, "rk4_march", lambda field, y0, *rest: handed.append(y0) or np.stack([y0, y]))
+                numerics.march(None, start, times, 1.0, order, tol, None, lambda *_: tuple(next(rows)))
+            assert (not handed) is (not refused) is accepted, y
 
 
 @pytest.fixture

@@ -40,3 +40,37 @@ def test_a_gap_of_exactly_min_gap_is_accepted():
 
     got = sorted_positions(Fixed(), 2, 1.0, 3.0)
     assert got.dtype == np.float64 and got.tolist() == [-0.5, 0.5]
+
+
+class Repeating:
+    """A generator stub whose every draw is the same values, and that records the bounds it is asked for."""
+
+    def __init__(self, values):
+        self.values, self.bounds = values, []
+
+    def uniform(self, low, high, n):
+        self.bounds.append((low, high))
+        return np.array(self.values)
+
+
+@pytest.mark.parametrize("n, min_gap", [(25, 0.1), (11, 0.5), (12, 0.5)])
+def test_a_draw_rejection_cannot_make_is_constructed(n, min_gap):
+    """After 10,000 refused draws on [-3, 3], one constructive draw: n sorted uniforms on
+    [-3, 3 - (n-1) min_gap], the i-th moved up by i min_gap; its gaps and span hold."""
+    for seed in range(3):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sorted_positions(got_rng, n, min_gap, 3.0)
+        for _ in range(10_000):
+            ref_rng.uniform(-3.0, 3.0, n)
+        expected = np.sort(ref_rng.uniform(-3.0, 3.0 - (n - 1) * min_gap, n)) + min_gap * np.arange(n)
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.diff(got).min() >= min_gap and -3.0 <= got[0] and got[-1] <= 3.0
+
+
+def test_a_constructed_draw_that_rounding_leaves_short_is_refused():
+    # 0.7 + 0.1 rounds to 0.7999999999999999, a gap 2.8e-17 short of 0.1
+    rng = Repeating([0.7, 0.7])
+    with pytest.raises(RuntimeError, match="^rejection sampling failed; loosen min_gap or widen span$"):
+        sorted_positions(rng, 2, 0.1, 3.0)
+    assert rng.bounds == [(-3.0, 3.0)] * 10_000 + [(-3.0, 3.0 - 0.1)]

@@ -42,23 +42,33 @@ def drifting_chain(n, k_len, seed=0):
 
 
 def counted_step_checks(monkeypatch):
-    """Lists that collect the shape of the sites of every _check_sites call and of every numpy step that
-    evolve_chain's in-flight check tests, while the test runs."""
-    checked, tested = [], []
-    real_check, real_march = semidiscrete._check_sites, semidiscrete.march
+    """Lists that collect the shape of the sites of every _check_sites call, the start shape and step count of
+    every numpy march, and the shape of every step that march refuses, while the test runs."""
+    checked, marched, refused = [], [], []
+    real_check, real = semidiscrete._check_sites, numerics.rk4_march
     monkeypatch.setattr(semidiscrete, "_check_sites", lambda y: checked.append(y.shape) or real_check(y))
-    monkeypatch.setattr(semidiscrete, "march", lambda field, y0, times, dt, check, floats: real_march(
-        field, y0, times, dt, lambda tau, y, before: tested.append(y.shape) or check(tau, y, before), floats))
-    return checked, tested
+    monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, order, tol, worded: marched.append(
+        (y0.shape, len(times) - 1)) or real(field, y0, times, dt, order, tol,
+                                            lambda tau, y, before: refused.append(y.shape) or worded(tau, y, before)))
+    return checked, marched, refused
 
 
 def numpy_step_check(start):
-    """evolve_chain's in-flight check of a numpy march step, check(tau, y, before), for the chain of sites start."""
-    checks = []
+    """The numpy march's test of a step from `before` to y at tau, check(tau, y, before): numerics.rk4_march with
+    the order, tolerance and refusal that evolve_chain gives it for the chain of sites start, on a step that
+    lands on y."""
+    given = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semidiscrete, "march", lambda field, y0, times, dt, check, floats: checks.append(check) or y0[None])
+        patch.setattr(semidiscrete, "march", lambda field, y0, times, dt, *rest: given.extend(rest) or y0[None])
         evolve_chain(Chain(start), 1e-3, 0)
-    return checks[0]
+    order, tol, refused, _ = given
+
+    def check(tau, y, before):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "rk4_step", lambda field, t, y0, dt: y[None])
+            numerics.rk4_march(None, before[None], np.array([0.0, tau]), 1.0, order, tol, refused)
+
+    return check
 
 
 def site_test_cases(base):
@@ -219,28 +229,28 @@ class TestEvolveChain:
         monkeypatch.setattr(semidiscrete, "_site_velocities", failing)
         with pytest.raises(SingularMatrix, match=r"at tau=0\.501: system 0") as info:
             evolve_chain(Chain(CHAIN_N2.sites, tau=0.5), 1e-3, 3)
-        assert info.value.tau == 0.5 + 1e-3 and len(calls) == 8 and numpy_calls == [(3, 2)]
+        assert info.value.tau == 0.5 + 1e-3 and len(calls) == 8 and numpy_calls == [(1, 3, 2)]
 
     def test_builds_one_chain_per_call(self, count_builds, monkeypatch):
-        checked, tested = counted_step_checks(monkeypatch)
+        checked, marched, refused = counted_step_checks(monkeypatch)
         builds = count_builds(Chain)
         chain = evolve_chain(CHAIN_N3, 1e-3, 10)  # N = 3 takes the numpy kernel
         assert chain.sites.shape == (11, 3, 3) and chain.tau.shape == (11,) and len(builds) == 1
-        # each accepted step passes the one-pass test in flight, so _check_sites checks only the whole
-        # evolution, once, when it is built
-        assert tested == [(3, 3)] * 10 and checked == [(11, 3, 3)]
+        # each step passes the march's test in flight, so _check_sites checks only the whole evolution,
+        # once, when it is built
+        assert marched == [((1, 3, 3), 10)] and refused == [] and checked == [(11, 3, 3)]
 
     def test_a_numpy_step_across_a_collision_aborts(self, monkeypatch):
         # the chain of test_sites_that_cross_abort_alike with two far particles added to each site: the
         # third step takes edge 0 across its crossing, and only that step runs _check_sites
-        checked, tested = counted_step_checks(monkeypatch)
+        checked, marched, refused = counted_step_checks(monkeypatch)
         chain = Chain(([0.0, 10.0, 20.0], [0.5, 10.3, 20.3], [2.0, 10.6, 20.6]))
         with pytest.raises(CollisionSingularity) as info:
             evolve_chain(chain, 0.25, 5)
         assert (str(info.value), info.value.tau, info.value.system) == (
             "at tau=0.75: particle order changed across the step at edge 0", 0.75, 0)
         # the start chain is checked when built, then the failing step
-        assert tested == [(3, 3)] * 3 and checked == [(3, 3), (3, 3)]
+        assert marched == [((1, 3, 3), 5)] and refused == [(1, 3, 3)] and checked == [(3, 3), (1, 3, 3)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_the_one_pass_step_test_passes_what_check_sites_and_check_order_pass(self, n, monkeypatch):
@@ -291,6 +301,11 @@ class TestEvolveChain:
         with pytest.raises(ValueError, match="steps must be nonnegative"):
             evolve_chain(CHAIN_N2, 1e-3, -1)
 
+    @pytest.mark.parametrize("d_tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_rejected(self, d_tau):
+        with pytest.raises(ValueError, match="^d_tau must be finite$"):
+            evolve_chain(CHAIN_N2, d_tau, 3)
+
     def test_stack_is_rejected(self):
         snaps = evolve_chain(CHAIN_N2, 1e-3, 2)
         with pytest.raises(ValueError, match="one chain, not a stack"):
@@ -326,8 +341,8 @@ def chain_outcome(chain, d_tau, steps, float_size):
     real = numerics.rk4_march
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semidiscrete, "FLOAT_CHAIN_SIZE", float_size)
-        patch.setattr(numerics, "rk4_march",
-                      lambda field, y0, times, dt, check: marched.append(len(times) - 1) or real(field, y0, times, dt, check))
+        patch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, *test: marched.append(len(times) - 1)
+                      or real(field, y0, times, dt, *test))
         try:
             return evolve_chain(chain, d_tau, steps).sites, sum(marched)
         except NumericsError as exc:
@@ -415,12 +430,12 @@ class TestFloatChainKernel:
     def test_the_chain_shape_picks_the_kernel(self, monkeypatch, tmp_path):
         marched, numpy_steps = [], []  # (sites of the start, steps the numpy kernel marched) of every evolution
         real_march, real = semidiscrete.march, numerics.rk4_march
-        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, check:
-                            numpy_steps.append(len(times) - 1) or real(field, y0, times, dt, check))
+        monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, *test:
+                            numpy_steps.append(len(times) - 1) or real(field, y0, times, dt, *test))
 
-        def counted(field, y0, times, dt, check, floats):
+        def counted(field, y0, times, dt, *test):
             numpy_steps.clear()
-            evolved = real_march(field, y0, times, dt, check, floats)
+            evolved = real_march(field, y0, times, dt, *test)
             marched.append((y0.shape, sum(numpy_steps)))
             return evolved
 
@@ -429,7 +444,7 @@ class TestFloatChainKernel:
         verify._semidiscrete_checks(verify.Collector(1.0), rng)
         verify._closure_diagnostics(verify.Collector(1.0), rng)
         cli.run_scenario(scenario_from_dict({**cli.DEMOS["semidiscrete"], "out_dir": str(tmp_path)}))
-        assert marched == [((3, 1), 0), ((3, 2), 0), ((3, 2), 0), ((3, 2), 0), ((3, 2), 0)]
+        assert marched == [((1, 3, 1), 0), ((1, 3, 2), 0), ((1, 3, 2), 0), ((1, 3, 2), 0), ((1, 3, 2), 0)]
         marched.clear()
         evolve_chain(Chain(tuple(drifting_chain(8, 8))), 1e-3, 3)  # the chain of the semidiscrete-chain benchmark
         evolve_chain(Chain(tuple(drifting_chain(1, semidiscrete.FLOAT_CHAIN_SIZE + 1))), 1e-3, 3)
@@ -438,7 +453,8 @@ class TestFloatChainKernel:
 
 
 class TestFloatKernelParts:
-    """The 1 x 1 solve, certificate and site test of the float kernel against the numpy code they repeat."""
+    """The 1 x 1 solve and certificate of the float kernel against the numpy code they repeat, and the wording
+    of an order flip."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-6, 1e6))
@@ -461,22 +477,6 @@ class TestFloatKernelParts:
             assert got.tobytes() == expected.ravel().tobytes()
         else:
             assert np.isnan(got).all()
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_the_float_site_test_passes_what_check_sites_passes(self, n):
-        # and what the order check passes, for a step from base
-        base = np.array(drifting_chain(n, 3))
-        outcomes = set()
-        for y in site_test_cases(base):
-            try:  # the numpy kernel's check of a step from base to y
-                semidiscrete._check_sites(y)
-                semidiscrete._check_order(y, base)
-                passes = True
-            except CollisionSingularity:
-                passes = False
-            outcomes.add(passes)
-            assert semidiscrete._float_sites_pass(base)(y.ravel().tolist()) is passes
-        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("row, k", [("site", 2), ("edge", 1)])
     def test_an_order_flip_is_named(self, row, k):
