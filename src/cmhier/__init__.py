@@ -4,7 +4,6 @@ variational structure."""
 
 from .errors import (
     CollisionSingularity,
-    DegenerateDirection,
     LogSingularity,
     NonConvergence,
     ParseError,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CollisionSingularity",
-    "DegenerateDirection",
     "LogSingularity",
     "NewtonSettings",
     "NonConvergence",

@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios, verify identities, canned demos.
 
 Exit status: 0 when every check passes, 1 when a check fails, 2 on any
-numerical abort or configuration problem. Trajectory files use the shortest
+numerical abort, configuration problem or file error. Trajectory files use the shortest
 round-trip decimal representation so identical runs are byte-identical.
 """
 
@@ -70,9 +70,8 @@ def _seeded(draw, sc: Scenario, **kwargs):
 
 def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
     """The seed pair (given or drawn), extended by discrete steps to `count` sites."""
-    params = discrete.LatticeParams(
-        p1=sc.p1, p2=sc.p2, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance)
-    )
+    # an orbit reads only its Newton settings: p1 and p2 cancel from the equation of motion
+    params = discrete.LatticeParams(p1=1.0, p2=2.0, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance))
     seed = (sc.seed_prev, sc.seed_cur) if sc.seed_prev is not None else _seeded(orbit_seed, sc)
     return discrete.discrete_orbit(*seed, params, count)
 
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
             sc = scenario_from_dict(dict(DEMOS[args.name]))
         sc = _apply_overrides(sc, args)
         paths, report = run_scenario(sc)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -58,10 +58,6 @@ class LogSingularity(NumericsError):
     """A logarithm argument vanished, or particles crossed between lattice points."""
 
 
-class DegenerateDirection(NumericsError):
-    """Both components of a multi-time direction are zero."""
-
-
 class ScenarioError(Exception):
     """Base class for configuration problems."""
 

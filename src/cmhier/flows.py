@@ -10,12 +10,12 @@ family, and conservation of the parametrized-path energy.
 Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
 being the stack of one; each system takes the steps it takes alone, bit for
 bit. It calls numerics.march: below ORDERED_SUM_N particles, with B N at most
-FLOAT_MARCH_SIZE and a nonzero direction, each system marches first on Python
-floats, with one numerics.float_rk4_step whose Hamilton field, _field_source,
-is straight-line source in numpy's operation order, and a step that fails goes
-to the numpy march with the rest; any other stack marches on numpy, one field
-evaluation per RK4 stage for all rows. The Poisson bracket evaluates its
-observables once on the perturbed points of a stack of states.
+FLOAT_MARCH_SIZE, each system marches first on Python floats, with one
+numerics.float_rk4_step whose Hamilton field, _field_source, is straight-line
+source in numpy's operation order, and a step that fails goes to the numpy
+march with the rest; any other stack marches on numpy, one field evaluation per
+RK4 stage for all rows. The Poisson bracket evaluates its observables once on
+the perturbed points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 numerics.march tests every step in flight: each system's positions stay
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CollisionSingularity, DegenerateDirection, NumericsError
+from .errors import CollisionSingularity, NumericsError
 from .hierarchy import (
     FLOW_DIRECTIONS,
     ORDERED_SUM_N,
@@ -63,8 +63,8 @@ ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residual
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Straight-line segment in multi-time: constant (dt2/ds, dt3/ds), marched
-    in `steps` equal RK4 steps of s, which are also its sample grid."""
+    """Straight-line segment in multi-time: a constant, finite and nonzero (dt2/ds, dt3/ds), where (-0.0, 0.0)
+    is zero, marched in `steps` equal RK4 steps of s, which are also its sample grid."""
 
     direction: np.ndarray
     duration: float
@@ -74,6 +74,8 @@ class PathSpec:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (2,):
             raise ValueError("direction must have two components (dt2/ds, dt3/ds)")
+        if not np.isfinite(d).all() or not d.any():
+            raise ValueError("direction must be finite and nonzero")
         object.__setattr__(self, "direction", d)
         if not math.isfinite(self.duration):
             raise ValueError("duration must be finite")
@@ -196,12 +198,12 @@ def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     from each grid time to the next, each checked in flight, so an overflow in the unchecked stages is
     reported there, not warned about. Below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
     numerics.march steps each system on Python floats first, with one step function per N and set of nonzero
-    direction weights; any other stack, and a zero direction, which scenarios refuse, marches with numpy."""
+    direction weights; any other stack marches with numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
     order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
     fld, step, dt = _raw_field(path.direction, n), None, path.duration / path.steps
     d2, d3 = float(path.direction[0]), float(path.direction[1])
-    if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE and (d2 or d3):  # scenarios refuse a zero direction
+    if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE:
         weights = (bool(d2), bool(d3))
         step = float_rk4_step(("flows", n, weights), 2 * n, _field_source(n, weights), dt, d2=d2, d3=d3)
     return march(fld, y0, path.grid(), dt, order, FLIGHT_GAP_TOL,
@@ -261,10 +263,8 @@ def poisson_bracket(f: Callable, g: Callable, states: Sequence[PhaseState]) -> n
 
 
 def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:
-    """Endpoint of the t_k flow after signed time eps; a negative eps marches the reversed flow, whose
+    """Endpoint of the t_k flow after nonzero signed time eps; a negative eps marches the reversed flow, whose
     RK4 steps equal those of the flow with step eps / ENDPOINT_SUBSTEPS bit for bit (negation is exact)."""
-    if eps == 0.0:
-        return state
     y = _march(_stack([state]), PathSpec(np.sign(eps) * np.asarray(FLOW_DIRECTIONS[k]), abs(eps), ENDPOINT_SUBSTEPS))[-1, 0]
     return PhaseState(y[: state.n], y[state.n :])
 
@@ -290,14 +290,6 @@ def _fd_dds(series: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nonzero_direction(direction: Sequence[float]) -> tuple[float, float]:
-    """(dt2/ds, dt3/ds) as floats; DegenerateDirection when both are zero."""
-    d2, d3 = float(direction[0]), float(direction[1])
-    if d2 == 0.0 and d3 == 0.0:
-        raise DegenerateDirection("both direction components are zero")
-    return d2, d3
-
-
 def pluri_el_residual(traj: Trajectory) -> np.ndarray:
     """Residual of the generalized Euler-Lagrange equation along a trajectory.
 
@@ -311,7 +303,7 @@ def pluri_el_residual(traj: Trajectory) -> np.ndarray:
     reduces the expression to the usual single-time Euler-Lagrange equation
     of the active flow.
     """
-    d2, d3 = _nonzero_direction(traj.path.direction)
+    d2, d3 = (float(d) for d in traj.path.direction)
     if len(traj.x) < 3:
         raise ValueError("need at least 3 samples for d/ds differencing")
     h = traj.path.duration / traj.path.steps

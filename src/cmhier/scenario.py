@@ -44,8 +44,6 @@ class Scenario:
     seed_prev: tuple | None = None
     seed_cur: tuple | None = None
     steps: int = 10
-    p1: float = 1.0
-    p2: float = 2.0
     newton_tolerance: float = 1e-13
     chain_edges: int = 2
     tau_duration: float = 0.1
@@ -114,16 +112,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
         _require_number(raw, key, positive=True)
     for key in ("duration", "tolerance_scale"):
         _require_number(raw, key, nonnegative=True)
-    for key in ("p1", "p2"):
-        _require_number(raw, key)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError("field 'seed' must be a nonnegative integer")
     for key in ("steps", "chain_edges"):
         if key in raw and (not isinstance(raw[key], int) or isinstance(raw[key], bool) or not 1 <= raw[key] <= MAX_STEPS):
             raise ValidationError(f"field '{key}' must be an integer between 1 and {MAX_STEPS}")
-    if not isinstance(raw.get("out_dir", _DEFAULTS["out_dir"]), str):
+    out_dir = raw.get("out_dir", _DEFAULTS["out_dir"])
+    if not isinstance(out_dir, str):
         raise ValidationError("field 'out_dir' must be a string")
+    if "\0" in out_dir:
+        raise ValidationError("field 'out_dir' must not contain a NUL character")
     if raw.get("format", "csv") not in FORMATS:
         raise ValidationError(f"field 'format' must be one of {FORMATS}")
 
@@ -161,9 +160,10 @@ def parse_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
-    text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep to decode
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(raw)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -363,12 +364,20 @@ class TestMain:
         assert "error: unknown key 'gamma'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("key, kind", [("p1", "discrete"), ("p2", "semidiscrete")])
+    def test_lattice_parameter_is_not_a_scenario_key(self, tmp_path, capsys, key, kind):
+        # p1 and p2 cancel from the equation of motion, so no orbit or chain reads them
+        payload = {"kind": kind, "n": 1, key: 1.5, "out_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"error: unknown key '{key}'\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "field, payload",
         [
             ("tolerance_scale", {"kind": "verify-all", "n": 3, "tolerance_scale": float("nan")}),
-            ("p2", {"kind": "discrete", "n": 1, "p2": float("inf")}),
-            ("p1", {"kind": "discrete", "n": 1, "p1": float("nan")}),
+            ("newton_tolerance", {"kind": "discrete", "n": 1, "newton_tolerance": float("inf")}),
+            ("tau_duration", {"kind": "semidiscrete", "n": 1, "tau_duration": float("nan")}),
             ("min_gap", dict(MINIMAL_CONTINUOUS, min_gap=float("-inf"))),
             ("dt", dict(MINIMAL_CONTINUOUS, dt=float("inf"))),
             ("positions", dict(MINIMAL_CONTINUOUS, positions=[0.0, float("inf")])),
@@ -497,6 +506,35 @@ class TestMain:
         assert capsys.readouterr().err == "error: fields 'seed_prev' and 'seed_cur' must be given together\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "config-is-not-utf8", "config-nested-3000-deep",
+                                      "out-dir-is-a-file", "out-dir-under-a-file", "report-is-a-directory",
+                                      "out-dir-holds-nul"])
+    def test_file_or_format_error_is_config_error(self, tmp_path, capsys, case):
+        config, out = tmp_path / "scenario.json", tmp_path / "out"
+        payload = {"kind": "discrete", "n": 1, "seed_prev": [0.0], "seed_cur": [1.0]}
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        if case == "config-is-a-directory":
+            config.unlink()
+            config.mkdir()
+        elif case == "config-is-not-utf8":
+            config.write_bytes(b'{"kind": "discrete", "n": 1, "out_dir": "\xff"}')
+        elif case == "config-nested-3000-deep":
+            config.write_text('{"kind": "discrete", "n": 1, "steps": ' + "[" * 3000 + "]" * 3000 + "}", encoding="utf-8")
+        elif case == "out-dir-is-a-file":
+            out.write_text("", encoding="utf-8")
+        elif case == "out-dir-under-a-file":
+            out.write_text("", encoding="utf-8")
+            out = out / "sub"
+        elif case == "report-is-a-directory":
+            (out / "report.json").mkdir(parents=True)
+        else:
+            config.write_text(json.dumps(dict(payload, out_dir=str(out) + "\0")), encoding="utf-8")
+        assert main(["run", str(config), *(["--out-dir", str(out)] if case != "out-dir-holds-nul" else [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert case != "out-dir-holds-nul" or err.startswith("error: field 'out_dir'")
+        assert not [path for path in tmp_path.rglob("report.json") if path.is_file()]
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
@@ -553,8 +591,6 @@ FUZZ_KEYS = {
     "seed_prev": ([lambda n: [0.0, 3.0, 6.0][:n]], [lambda n: [0.0] * (n + 1)]),
     "seed_cur": ([lambda n: [0.3, 3.3, 6.3][:n]], [lambda n: [0.0] * (n + 1)]),
     "steps": ([1, 5, 50], [0, -3]),
-    "p1": ([1.0, 0.5], [2.0]),
-    "p2": ([2.0, 3.0], [1.0]),
     "newton_tolerance": ([1e-12, 1e-10], [0.0, -1.0]),
     "chain_edges": ([1, 2, 3], [0]),
     "tau_duration": ([0.01, 0.05], [0.0, -0.1]),
@@ -585,6 +621,13 @@ def fuzzed_scenarios(draw):
 
 def test_fuzz_table_covers_every_scenario_key():
     assert set(FUZZ_KEYS) == {f.name for f in dataclasses.fields(Scenario)}
+
+
+def test_readme_field_list_names_every_scenario_key():
+    # the backticked identifiers of README's "Fields by kind" list, the paragraph after its heading line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    field_list = readme.split("Fields by kind", 1)[1].split("\n\n")[1]
+    assert set(re.findall(r"`([A-Za-z_]\w*)`", field_list)) == {f.name for f in dataclasses.fields(Scenario)}
 
 
 @settings(max_examples=20, deadline=None)

@@ -418,6 +418,20 @@ def test_orbit_extends_the_seed_pair_by_steps():
         assert np.array_equal(ref, site)
 
 
+# the orbits of N = 1 to 3 step on the float kernel, that of N = 8 on discrete_step
+@pytest.mark.parametrize("x_prev, x_cur", [
+    ([0.0], [1.0]),
+    ([-2.0, 2.0], [-1.7, 2.36]),
+    ORBIT_SEED_N3,
+    ([4.0 * i - 14 for i in range(8)], [4.0 * i - 13.7 for i in range(8)]),
+])
+def test_an_orbit_reads_no_lattice_parameter(x_prev, x_cur):
+    # p1 and p2 cancel from the three-point equation of motion, which is why scenarios take neither
+    orbits = [np.array(discrete.discrete_orbit(x_prev, x_cur, LatticeParams(p1=p1, p2=p2, n=len(x_cur)), 20))
+              for p1, p2 in [(1.0, 2.0), (0.3, 7.5), (-4.0, 4.0), (1.5, 1.5)]]
+    assert all(orbit.tobytes() == orbits[0].tobytes() for orbit in orbits)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSharedCoordinateAcrossAnEdge:
     """A coordinate shared by a site and its neighbour puts a pole on the edge: every entry point

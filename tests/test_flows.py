@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmhier.errors import CollisionSingularity, DegenerateDirection, NumericsError
+from cmhier.errors import CollisionSingularity, NumericsError
 from cmhier import flows, numerics
 from cmhier.exact import projection_spectrum
 from cmhier.flows import (
@@ -398,11 +398,6 @@ class TestFloatMarch:
         flows._march(np.zeros((b, 2 * n)), PathSpec(np.array([1.0, 0.0]), 0.1, 1))
         assert picked == [kernel]
 
-    def test_a_zero_direction_marches_on_numpy(self):
-        y0 = np.array([[-1.0, 2.0, 0.5, -0.0]])
-        expected, on_floats = march_outcome(np.inf, y0, PathSpec(np.array([0.0, -0.0]), 0.1, 2))
-        assert not on_floats and expected.tobytes() == np.repeat(y0[None], 3, axis=0).tobytes()
-
 
 class TestPerSample:
     @pytest.mark.parametrize("entries", [1, 50, numerics.STACK_ENTRIES])
@@ -568,9 +563,10 @@ class TestPluriEl:
         assert np.nanmax(np.abs(res_printed)) >= 1e-2
 
     def test_degenerate_direction(self):
-        traj = integrate_flow(2, WELL_SEPARATED, 5e-3, 1e-3)
-        with pytest.raises(DegenerateDirection):
-            pluri_el_residual(Trajectory(PathSpec(np.zeros(2), 5e-3, 5), traj.x, traj.p))
+        # no path, and so no trajectory for the residual, has a zero or non-finite direction
+        for direction in [(0.0, 0.0), (-0.0, 0.0), (np.nan, 1.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="direction must be finite and nonzero"):
+                PathSpec(np.array(direction), 5e-3, 5)
 
 
 class TestPluriConstraint:
