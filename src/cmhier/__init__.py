@@ -12,7 +12,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .hierarchy import PhaseState, VelocityState
+from .hierarchy import PhaseState
 from .numerics import NewtonSettings
 
 __version__ = "0.1.0"
@@ -28,6 +28,5 @@ __all__ = [
     "SingularJacobian",
     "SingularMatrix",
     "ValidationError",
-    "VelocityState",
     "__version__",
 ]

@@ -8,7 +8,6 @@ round-trip decimal representation so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from .errors import NumericsError, ScenarioError, ValidationError
 from .hierarchy import PhaseState, lax_invariants
 from .numerics import NewtonSettings, row_blocks
 from .sampling import orbit_seed, random_phase_state
-from .scenario import Scenario, parse_scenario, scenario_from_dict
+from .scenario import KEYS, Scenario, parse_scenario, scenario_from_dict
 from .verify import (
     Collector,
     VerificationReport,
@@ -99,15 +98,15 @@ def _discrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Verifi
     # `steps` is the final site index; the seed pair already spans sites 0 and 1
     orbit = _lattice_sites(sc, sc.steps + 1)
     sites = np.array(orbit)
-    header = ["n"] + [f"x{i + 1}" for i in range(sc.n)]
-    orbit_path = _write_rows(out_dir / "orbit", header, np.column_stack((np.arange(len(sites)), sites)), sc.format)
-
     col = Collector(sc.tolerance_scale)
     residuals = [discrete.discrete_el_residual(sites[:-2][rows], sites[1:-1][rows], sites[2:][rows])
                  for rows in row_blocks(len(sites) - 2, sc.n**2)]
     worst_el = float(np.max([np.abs(r).max() for r in residuals], initial=0.0))
     col.gated("discrete-el-residual", worst_el, 10 * sc.newton_tolerance, steps=sc.steps)
     col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=sc.steps)
+
+    header = ["n"] + [f"x{i + 1}" for i in range(sc.n)]
+    orbit_path = _write_rows(out_dir / "orbit", header, np.column_stack((np.arange(len(sites)), sites)), sc.format)
     return [orbit_path], VerificationReport(tuple(col.entries))
 
 
@@ -115,11 +114,6 @@ def _semidiscrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Ve
     start = semidiscrete.Chain(_lattice_sites(sc, sc.chain_edges + 1))
     n_steps = max(1, int(round(sc.tau_duration / sc.tau_step)))
     chain = semidiscrete.evolve_chain(start, sc.tau_duration / n_steps, n_steps)
-
-    header = ["tau"] + [f"y{k}_x{i + 1}" for k in range(chain.length + 1) for i in range(sc.n)]
-    rows = np.hstack([chain.tau[:, None], chain.sites.reshape(len(chain.tau), -1)])
-    chain_path = _write_rows(out_dir / "chain", header, rows, sc.format)
-
     col = Collector(sc.tolerance_scale)
     worst_disc, worst_eom, gap_drift = chain_residuals(chain)
     col.gated("semi-velocity-consistency", worst_disc, 1e-8, tau_span=sc.tau_duration)
@@ -127,7 +121,10 @@ def _semidiscrete_artifacts(sc: Scenario, out_dir: Path) -> tuple[list[Path], Ve
         col.gated("semi-eom", worst_eom, 1e-10, tau_span=sc.tau_duration)
     if gap_drift is not None:
         col.gated("semi-gap-conservation", gap_drift, 1e-10)
-    return [chain_path], VerificationReport(tuple(col.entries))
+
+    header = ["tau"] + [f"y{k}_x{i + 1}" for k in range(chain.length + 1) for i in range(sc.n)]
+    rows = np.hstack([chain.tau[:, None], chain.sites.reshape(len(chain.tau), -1)])
+    return [_write_rows(out_dir / "chain", header, rows, sc.format)], VerificationReport(tuple(col.entries))
 
 
 _RUNS = {
@@ -139,12 +136,18 @@ _RUNS = {
 
 
 def run_scenario(sc: Scenario) -> tuple[list[Path], VerificationReport]:
-    """Execute a scenario, write its artifacts, and return the check report."""
+    """Execute a scenario, write its artifacts, and return the check report. Each run gates before it writes
+    its trajectory, and a report that cannot be written removes that trajectory, so a failed run leaves no file."""
     out_dir = Path(sc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, report = _RUNS[sc.kind](sc, out_dir)
     report_path = out_dir / "report.json"
-    _write_report(report_path, report, sc)
+    try:
+        _write_report(report_path, report, sc)
+    except (OSError, NumericsError):
+        for path in paths:
+            path.unlink()
+        raise
     return paths + [report_path], report
 
 
@@ -168,13 +171,14 @@ DEMOS = {
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    """The scenario with the command-line overrides, validated like scenario keys."""
+    """The scenario with the command-line overrides, validated like scenario keys: a flag whose key the
+    scenario's kind does not read is refused."""
     updates = {
         key: getattr(args, key)
         for key in ("out_dir", "seed", "tolerance_scale", "format")
         if getattr(args, key) is not None
     }
-    return scenario_from_dict({**dataclasses.asdict(sc), **updates})
+    return scenario_from_dict({**{key: getattr(sc, key) for key in KEYS[sc.kind]}, **updates})
 
 
 def _finish(report: VerificationReport) -> int:

@@ -38,11 +38,9 @@ from .hierarchy import (
     FLOW_DIRECTIONS,
     ORDERED_SUM_N,
     PhaseState,
-    VelocityState,
     check_collision_free,
     check_flow_index,
     constraint_velocity,
-    hamiltonian_grad,
     inverse_gaps,
     lagrangian,
     min_gap,  # noqa: F401 -- benchmarks/tests wrap the flows.min_gap binding
@@ -262,21 +260,18 @@ def poisson_bracket(f: Callable, g: Callable, states: Sequence[PhaseState]) -> n
     return np.sum(df[:, n:] * dg[:, :n] - dg[:, n:] * df[:, :n], axis=1)
 
 
-def _flow_endpoint(k: int, state: PhaseState, eps: float) -> PhaseState:
-    """Endpoint of the t_k flow after nonzero signed time eps; a negative eps marches the reversed flow, whose
-    RK4 steps equal those of the flow with step eps / ENDPOINT_SUBSTEPS bit for bit (negation is exact)."""
-    y = _march(_stack([state]), PathSpec(np.sign(eps) * np.asarray(FLOW_DIRECTIONS[k]), abs(eps), ENDPOINT_SUBSTEPS))[-1, 0]
-    return PhaseState(y[: state.n], y[state.n :])
+def _flow_ends(k: int, state: PhaseState, eps: float) -> np.ndarray:
+    """Endpoints of the t_k flow after nonzero signed times eps and -eps, in that order, as x and p, a (2, 2, N)
+    array. A negative time marches the reversed flow, whose RK4 steps equal those of the flow with step
+    time / ENDPOINT_SUBSTEPS bit for bit (negation is exact)."""
+    y, direction = _stack([state]), np.asarray(FLOW_DIRECTIONS[k])
+    ends = np.array([_march(y, PathSpec(np.sign(t) * direction, abs(t), ENDPOINT_SUBSTEPS))[-1, 0] for t in (eps, -eps)])
+    return ends.reshape(2, 2, state.n).swapaxes(0, 1)
 
 
-def _flow_ends(k: int, state: PhaseState, eps: float) -> tuple[PhaseState, PhaseState]:
-    """Endpoints of the t_k flow after signed times eps and -eps, in that order."""
-    return _flow_endpoint(k, state, eps), _flow_endpoint(k, state, -eps)
-
-
-def _along_flow(f: Callable[[PhaseState], float], ends: tuple[PhaseState, PhaseState], eps: float) -> float:
-    """Central difference of f along a flow between its endpoints `ends` = _flow_ends(k, state, eps)."""
-    return (f(ends[0]) - f(ends[1])) / (2 * eps)
+def _along_flow(values: np.ndarray, eps: float) -> float:
+    """Central difference along a flow of values (2,) at its endpoints _flow_ends(k, state, eps)."""
+    return float((values[0] - values[1]) / (2 * eps))
 
 
 def _fd_dds(series: np.ndarray, h: float) -> np.ndarray:
@@ -331,10 +326,10 @@ def noether_charge(traj: Trajectory) -> np.ndarray:
     return traj.per_sample(lambda x, p: weighted_hamiltonian(d2, d3, x, p))
 
 
-# the t3-velocity of each mode of the closure residual
+# the t3-velocity (..., N) of each mode of the closure residual at positions and momenta (..., N)
 _T3_VELOCITIES = {
-    "flow": lambda ps: hamiltonian_grad(3, ps)[1],
-    "constraint": lambda ps: constraint_velocity(ps.x, ps.p),
+    "flow": lambda x, p: weighted_gradient(*FLOW_DIRECTIONS[3], x, p, inverse_gaps(x))[1],
+    "constraint": constraint_velocity,
 }
 
 
@@ -348,9 +343,6 @@ def lagrangian_closure_residuals(state: PhaseState, eps: float) -> dict[str, flo
     and -eps, are marched once for both modes, and L_(t2) does not read v3,
     so dL_(t2)/dt3 is one value for both.
     """
-    t3_ends, t2_ends = _flow_ends(3, state, eps), _flow_ends(2, state, eps)
-    dL2_dt3 = _along_flow(lambda ps: lagrangian(2, VelocityState(ps.x, ps.p, ps.p)), t3_ends, eps)  # reads no v3
-    return {
-        mode: dL2_dt3 - _along_flow(lambda ps: lagrangian(3, VelocityState(ps.x, ps.p, v3(ps))), t2_ends, eps)
-        for mode, v3 in _T3_VELOCITIES.items()
-    }
+    (x3, p3), (x2, p2) = _flow_ends(3, state, eps), _flow_ends(2, state, eps)
+    dL2_dt3 = _along_flow(lagrangian(2, x3, p3, p3), eps)  # reads no v3
+    return {mode: dL2_dt3 - _along_flow(lagrangian(3, x2, p2, v3(x2, p2)), eps) for mode, v3 in _T3_VELOCITIES.items()}

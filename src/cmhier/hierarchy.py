@@ -8,10 +8,10 @@ The off-diagonal Lax coefficient is the constant GAMMA = -2: (1/2)Tr L^2 and
 (1/3)Tr L^3 reproduce the two Hamiltonians only when GAMMA^2 = 4
 (Olshanetsky-Perelomov, Phys. Rep. 71 (1981)), and its sign is a convention.
 
-Validation rule: a PhaseState or VelocityState checks its positions once,
-when it is built, and keeps read-only copies of its arrays, so it stays
-collision-free while it exists. Functions that take such a state do not check
-it again, and the array kernels check nothing.
+Validation rule: a PhaseState checks its positions once, when it is built,
+and keeps read-only copies of its arrays, so it stays collision-free while it
+exists. Functions that take one do not check it again, and the array kernels,
+the Lagrangians and the Legendre check among them, check nothing.
 
 Pair matrices are multiplied, never raised with `**`: numpy computes inv**3
 through libm `pow`, 40 times slower than inv * inv * inv at N = 64.
@@ -101,37 +101,23 @@ def check_flow_index(k: int) -> None:
         raise ValueError(f"flow index must be one of {FLOW_INDICES}, got {k}")
 
 
-class _State:
-    """Construction check: read-only float fields of one length, collision-free x."""
+@dataclass(frozen=True)
+class PhaseState:
+    """Positions and momenta of N particles on the line: read-only float copies of one length, collision-free x."""
+
+    x: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.__dataclass_fields__)
-        for name in names:
-            object.__setattr__(self, name, _as_vector(getattr(self, name)))
-        if len({len(getattr(self, name)) for name in names}) > 1:
-            raise ValueError(f"{', '.join(names)} must have equal length")
+        object.__setattr__(self, "x", _as_vector(self.x))
+        object.__setattr__(self, "p", _as_vector(self.p))
+        if len(self.x) != len(self.p):
+            raise ValueError("x, p must have equal length")
         check_collision_free(self.x)
 
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class PhaseState(_State):
-    """Positions and momenta of N particles on the line."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-
-@dataclass(frozen=True)
-class VelocityState(_State):
-    """Positions plus the two hierarchy velocities dX/dt2 and dX/dt3."""
-
-    x: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
 
 
 def _set_diagonal(a: np.ndarray, values: np.ndarray) -> None:
@@ -162,12 +148,6 @@ def weighted_hamiltonian(d2: float, d3: float, x: np.ndarray, p: np.ndarray) -> 
     return h
 
 
-def hamiltonian(k: int, state: PhaseState) -> float:
-    """H_(tk) of one state."""
-    check_flow_index(k)
-    return float(weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, state.p))
-
-
 def weighted_gradient(d2: float, d3: float, x: np.ndarray, p: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum_k d_k dH_(tk)/dx, sum_k d_k dH_(tk)/dp) over leading axes, inv = inverse_gaps(x), skipping zero
     weights. Members share r3 = sum_j inv_ij^3 (sum_j (p_i + p_j) inv_ij^3 = p_i r3_i + (inv^3 p)_i);
@@ -193,14 +173,14 @@ def hamiltonian_grad(k: int, state: PhaseState) -> tuple[np.ndarray, np.ndarray]
     return weighted_gradient(*FLOW_DIRECTIONS[k], state.x, state.p, inverse_gaps(state.x))
 
 
-def lagrangian(k: int, state: VelocityState) -> float:
-    """L_(t2) = sum v2^2/2 + sum' 2/(x_i-x_j)^2,
+def lagrangian(k: int, x: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+    """L_(tk) over leading axes, (..., N) to (...); L_(t2) = sum v2^2/2 + sum' 2/(x_i-x_j)^2,
     L_(t3) = sum (v2 v3 + v2^3/4) - sum' 3 v2_i/(x_i-x_j)^2."""
     check_flow_index(k)
-    w = inverse_square_sums(state.x)
+    w = inverse_square_sums(x)
     if k == 2:
-        return float(0.5 * np.sum(state.v2**2) + 2.0 * np.sum(w))
-    return float(np.sum(state.v2 * state.v3 + 0.25 * state.v2**3) - 3.0 * np.sum(state.v2 * w))
+        return 0.5 * np.sum(v2**2, axis=-1) + 2.0 * np.sum(w, axis=-1)
+    return np.sum(v2 * v3 + 0.25 * v2**3, axis=-1) - 3.0 * np.sum(v2 * w, axis=-1)
 
 
 def constraint_velocity(x: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -209,15 +189,15 @@ def constraint_velocity(x: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return 3.0 * inverse_square_sums(x) - 0.75 * v2**2
 
 
-def legendre_check(k: int, state: VelocityState) -> float:
-    """H_(tk)(x, P=v2) - (sum P_i v_k,i - L_(tk)).
+def legendre_check(k: int, x: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
+    """H_(tk)(x, P=v2) - (sum P_i v_k,i - L_(tk)) over leading axes, (..., N) to (...).
 
     Vanishes identically for k=2. For k=3 the value is generally nonzero with
     the momentum identification P=v2; it is reported as a diagnostic.
     """
-    phase = PhaseState(state.x, state.v2)
-    vk = state.v2 if k == 2 else state.v3
-    return hamiltonian(k, phase) - (float(np.sum(state.v2 * vk)) - lagrangian(k, state))
+    check_flow_index(k)
+    vk = v2 if k == 2 else v3
+    return weighted_hamiltonian(*FLOW_DIRECTIONS[k], x, v2) - (np.sum(v2 * vk, axis=-1) - lagrangian(k, x, v2, v3))
 
 
 def lax_matrix(p: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A scenario names one of four run kinds and carries the initial data, model
 parameters, integration controls, a seed for any randomness, and output
-choices. Unknown keys are rejected so typos fail loudly; every constraint
-violation names the offending field.
+choices. Each kind reads the keys KEYS names for it. Unknown keys are rejected
+so typos fail loudly, a key of another kind is refused, since the run would
+ignore it, and every constraint violation names the offending field.
 """
 
 from __future__ import annotations
@@ -17,12 +18,22 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
-KINDS = ("continuous", "discrete", "semidiscrete", "verify-all")
+_SHARED = ("kind", "n", "seed", "out_dir", "tolerance_scale")
+_RUN = _SHARED + ("min_gap", "format")
+_LATTICE = _RUN + ("seed_prev", "seed_cur", "newton_tolerance")
+# kind -> the scenario keys its run reads; a scenario giving any other key is refused
+KEYS = {
+    "continuous": _RUN + ("positions", "momenta", "duration", "dt", "direction"),
+    "discrete": _LATTICE + ("steps",),
+    "semidiscrete": _LATTICE + ("chain_edges", "tau_duration", "tau_step"),
+    "verify-all": _SHARED,
+}
+KINDS = tuple(KEYS)
 FORMATS = ("csv", "json-lines")
 MAX_N = 1024  # largest particle count; the kernels hold N x N pair matrices
 MAX_STEPS = 10**6  # largest step or edge count of a run; a run keeps every step's state
-# kind -> (span field, step field) of its march; round(span / step) is the step count
-_MARCHES = {"continuous": ("duration", "dt"), "semidiscrete": ("tau_duration", "tau_step")}
+# (span field, step field) of the continuous and the chain march; round(span / step) is the step count
+_MARCHES = (("duration", "dt"), ("tau_duration", "tau_step"))
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if raw["kind"] not in KINDS:
         raise ValidationError(f"field 'kind' must be one of {KINDS}")
     kind = raw["kind"]
+    foreign = sorted(set(raw) - set(KEYS[kind]))
+    if foreign:
+        raise ValidationError(f"field '{foreign[0]}' is not read by kind '{kind}'")
 
     if "n" not in raw:
         raise ValidationError("field 'n' is required")
@@ -134,21 +148,20 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     sc = Scenario(kind, n, **values)
 
-    if kind == "continuous" and sc.positions is not None:
+    # the keys of other kinds keep their defaults, which pass every check below
+    if sc.positions is not None:
         _validate_gaps("positions", sc.positions, sc.min_gap)
-    if kind in ("discrete", "semidiscrete"):
-        for name in ("seed_prev", "seed_cur"):
-            seed = getattr(sc, name)
-            if seed is not None:
-                _validate_gaps(name, seed, sc.min_gap)
-    if kind == "continuous" and (sc.positions is None) != (sc.momenta is None):
+    for name in ("seed_prev", "seed_cur"):
+        seed = getattr(sc, name)
+        if seed is not None:
+            _validate_gaps(name, seed, sc.min_gap)
+    if (sc.positions is None) != (sc.momenta is None):
         raise ValidationError("fields 'positions' and 'momenta' must be given together")
-    if kind in ("discrete", "semidiscrete") and (sc.seed_prev is None) != (sc.seed_cur is None):
+    if (sc.seed_prev is None) != (sc.seed_cur is None):
         raise ValidationError("fields 'seed_prev' and 'seed_cur' must be given together")
     if sc.direction == (0.0, 0.0):
         raise ValidationError("field 'direction' must be nonzero")
-    if kind in _MARCHES:
-        span, step = _MARCHES[kind]
+    for span, step in _MARCHES:
         # round(ratio) > MAX_STEPS, compared as floats: the ratio may overflow to inf
         if getattr(sc, span) / getattr(sc, step) > MAX_STEPS + 0.5:
             raise ValidationError(f"field '{step}' gives more than {MAX_STEPS} steps over '{span}'")

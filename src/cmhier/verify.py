@@ -337,10 +337,9 @@ def _closure_diagnostics(col, rng):
             note="second-order differencing: ratio near 4 means converged",
         )
 
-    sample = hierarchy.VelocityState(state.x, state.p, hierarchy.constraint_velocity(state.x, state.p))
     col.diagnostic(
         "legendre-transform-t3",
-        hierarchy.legendre_check(3, sample),
+        hierarchy.legendre_check(3, state.x, state.p, hierarchy.constraint_velocity(state.x, state.p)),
         note="nonzero with P = v2 and the printed cubic pair",
     )
 

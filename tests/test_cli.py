@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cmhier import cli, discrete, numerics
 from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
-from cmhier.scenario import MAX_STEPS, Scenario, parse_scenario, scenario_from_dict
+from cmhier.scenario import KEYS, MAX_STEPS, Scenario, parse_scenario, scenario_from_dict
 from cmhier.verify import CheckEntry, Collector, VerificationReport
 
 
@@ -372,6 +372,50 @@ class TestMain:
         assert capsys.readouterr().err == f"error: unknown key '{key}'\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"kind": "semidiscrete", "n": 2, "steps": 500, "duration": 9, "direction": [0, 1]}, "direction"),
+        ({"kind": "semidiscrete", "n": 2, "steps": 500}, "steps"),
+        ({"kind": "verify-all", "n": 3, "dt": 0.5, "chain_edges": 7, "format": "json-lines", "min_gap": 3.0},
+         "chain_edges"),
+        ({"kind": "verify-all", "n": 3, "min_gap": 3.0}, "min_gap"),
+        ({"kind": "discrete", "n": 1, "positions": [0.0], "momenta": [1.0]}, "momenta"),
+        ({"kind": "continuous", "n": 1, "seed_prev": [0.0]}, "seed_prev"),
+    ])
+    def test_key_of_another_kind_is_config_error(self, tmp_path, capsys, payload, field):
+        # a run ignores the keys its kind does not read; the first of them, in sorted order, is named
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, dict(payload, out_dir=str(out))))]) == 2
+        assert capsys.readouterr().err == f"error: field '{field}' is not read by kind '{payload['kind']}'\n"
+        assert not out.exists()
+
+    def test_override_of_a_key_the_kind_does_not_read_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"kind": "verify-all", "n": 3})
+        assert main(["verify", str(path), "--format", "csv", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: field 'format' is not read by kind 'verify-all'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("demo", ["continuous", "discrete", "semidiscrete"])
+    def test_a_report_that_cannot_be_written_leaves_no_trajectory(self, tmp_path, capsys, demo):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["demo", demo, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the trajectory written before the report is removed again
+        assert [path.name for path in out.iterdir()] == ["report.json"] and (out / "report.json").is_dir()
+
+    @pytest.mark.parametrize("demo, gate, value, check", [
+        ("discrete", "orbit_invariant_drift", float("nan"), "discrete-invariant-drift"),
+        ("semidiscrete", "chain_residuals", (float("nan"), None, None), "semi-velocity-consistency"),
+    ])
+    def test_a_gate_that_aborts_leaves_no_trajectory(self, tmp_path, capsys, monkeypatch, demo, gate, value, check):
+        # each run gates before it writes, as the continuous run does
+        monkeypatch.setattr(cli, gate, lambda *args: value)
+        assert main(["demo", demo, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: NumericsError: {check}: non-finite residual nan\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "field, payload",
         [
@@ -501,7 +545,7 @@ class TestMain:
     @pytest.mark.parametrize("kind, given", [("discrete", "seed_prev"), ("semidiscrete", "seed_cur")])
     def test_lone_seed_site_is_config_error(self, tmp_path, capsys, kind, given):
         out = tmp_path / "out"
-        payload = {"kind": kind, "n": 2, given: [0, 3], "steps": 3, "out_dir": str(out)}
+        payload = {"kind": kind, "n": 2, given: [0, 3], "out_dir": str(out)}
         assert main(["run", str(write_config(tmp_path, payload))]) == 2
         assert capsys.readouterr().err == "error: fields 'seed_prev' and 'seed_cur' must be given together\n"
         assert not out.exists()
@@ -606,17 +650,23 @@ def _strict_constant(name):
 
 @st.composite
 def fuzzed_scenarios(draw):
-    """A valid scenario object, each key absent or valid, and for every key an out-of-range or
-    wrongly typed value. The continuous span is always given, so no run exceeds 100 steps."""
-    n = draw(st.sampled_from(FUZZ_KEYS["n"][0]))
-    base, bad = {}, {}
-    for key, (valid, out_of_range) in FUZZ_KEYS.items():
-        if key in ("kind", "n", "duration") or draw(st.booleans()):
-            value = n if key == "n" else draw(st.sampled_from(valid))
-            base[key] = value(n) if callable(value) else value
-        value = draw(st.sampled_from(out_of_range + WRONG_TYPES))
-        bad[key] = value(n) if callable(value) else value
-    return base, bad
+    """A valid scenario object of one kind, each key of that kind absent or valid; for every key of the kind
+    an out-of-range or wrongly typed value; and a key of another kind with a valid value. The continuous
+    span is always given, so no run exceeds 100 steps."""
+    kind, n = draw(st.sampled_from(FUZZ_KEYS["kind"][0])), draw(st.sampled_from(FUZZ_KEYS["n"][0]))
+    base, bad = {"kind": kind, "n": n}, {}
+
+    def pick(values):
+        value = draw(st.sampled_from(values))
+        return value(n) if callable(value) else value
+
+    for key in KEYS[kind]:
+        valid, out_of_range = FUZZ_KEYS[key]
+        if key == "duration" or (key not in base and draw(st.booleans())):
+            base[key] = pick(valid)
+        bad[key] = pick(out_of_range + WRONG_TYPES)
+    foreign = draw(st.sampled_from(sorted(set(FUZZ_KEYS) - set(KEYS[kind]))))
+    return base, bad, {foreign: pick(FUZZ_KEYS[foreign][0])}
 
 
 def test_fuzz_table_covers_every_scenario_key():
@@ -624,26 +674,39 @@ def test_fuzz_table_covers_every_scenario_key():
 
 
 def test_readme_field_list_names_every_scenario_key():
-    # the backticked identifiers of README's "Fields by kind" list, the paragraph after its heading line
+    # the backticked identifiers of README's "Fields by kind" list, the paragraph after its heading paragraph:
+    # one item per kind, which names exactly the keys KEYS gives it, with the shared item's keys when it
+    # says "the shared fields", and one shared item, which names the keys every kind reads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     field_list = readme.split("Fields by kind", 1)[1].split("\n\n")[1]
-    assert set(re.findall(r"`([A-Za-z_]\w*)`", field_list)) == {f.name for f in dataclasses.fields(Scenario)}
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert set(re.findall(r"`([A-Za-z_]\w*)`", field_list)) == fields
+    assert set().union(*KEYS.values()) == fields
+    items = dict(re.findall(r"^- ([\w-]+)[^—\n]* — (.*?)(?=^- |\Z)", field_list, flags=re.M | re.S))
+    named = {label: set(re.findall(r"`([A-Za-z_]\w*)`", text)) for label, text in items.items()}
+    shared = named.pop("shared")
+    assert shared == set.intersection(*map(set, KEYS.values()))
+    assert set(named) == set(KEYS)
+    for kind, keys in KEYS.items():
+        inherited = shared if items[kind].startswith("the shared fields") else set()
+        assert named[kind] | inherited == set(keys), kind
 
 
 @settings(max_examples=20, deadline=None)
 @given(fuzzed_scenarios(), st.sampled_from(OVERRIDES))
 def test_cli_contract_holds_on_fuzzed_scenarios(scenario, flags):
     # main() exits 0, 1 or 2 and raises nothing, on the valid scenario and on each variant with
-    # one key out of range or wrongly typed; a report it writes is strict JSON
-    base, bad = scenario
+    # one key out of range or wrongly typed; a report it writes is strict JSON. The variant with
+    # a key of another kind exits 2
+    base, bad, foreign = scenario
     start = os.getcwd()
-    for raw in [base, *(dict(base, **{key: value}) for key, value in bad.items())]:
+    for raw in [base, *(dict(base, **{key: value}) for key, value in bad.items()), dict(base, **foreign)]:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
                 Path("scenario.json").write_text(json.dumps(raw), encoding="utf-8")
                 code = main(["run", "scenario.json", *flags])
-                assert code in (0, 1, 2)
+                assert code in (0, 1, 2) and (code == 2 or set(raw) <= set(KEYS[base["kind"]]))
                 if code in (0, 1):
                     out = "given" if "--out-dir" in flags else raw.get("out_dir", "out")
                     json.loads(Path(out, "report.json").read_text(), parse_constant=_strict_constant)

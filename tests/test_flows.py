@@ -25,9 +25,7 @@ from cmhier.flows import (
 from cmhier.hierarchy import (
     FLOW_DIRECTIONS,
     PhaseState,
-    VelocityState,
     constraint_velocity,
-    hamiltonian,
     hamiltonian_grad,
     lagrangian,
     lax_invariants,
@@ -341,7 +339,7 @@ class TestFloatMarch:
     """The float kernel of numerics.march, which flows._march picks for small stacks, against the numpy
     march it stands in for."""
 
-    # (-1.0, -0.0) and (-0.0, -1.0) are the reversed flows of _flow_endpoint; a weight of -0.0 counts as zero
+    # (-1.0, -0.0) and (-0.0, -1.0) are the reversed flows of _flow_ends; a weight of -0.0 counts as zero
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 7),
@@ -501,23 +499,21 @@ class TestPoissonBracket:
 class TestHamiltonianClosure:
     def test_matches_bracket_identity(self):
         # d f/dt_k = {H_(tk), f}, so dH_(t2)/dt3 - dH_(t3)/dt2 = -2 {H_(t2), H_(t3)}
-        h2, h3 = (lambda s: hamiltonian(2, s)), (lambda s: hamiltonian(3, s))
         for _ in range(5):
             state = random_phase_state(RNG, 3, min_gap=0.8)
             t3_ends, t2_ends = _flow_ends(3, state, 1e-4), _flow_ends(2, state, 1e-4)
-            residual = _along_flow(h2, t3_ends, 1e-4) - _along_flow(h3, t2_ends, 1e-4)
+            residual = _along_flow(h_observable(2)(*t3_ends), 1e-4) - _along_flow(h_observable(3)(*t2_ends), 1e-4)
             bracket = poisson_bracket(h_observable(2), h_observable(3), [state])[0]
             assert abs(residual - (-2.0) * bracket) <= 1e-6
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_signed_step_endpoint_returns(self, k):
-        from cmhier.flows import _flow_endpoint
-
-        there = _flow_endpoint(k, WELL_SEPARATED, 0.05)
-        back = _flow_endpoint(k, there, -0.05)
-        assert np.max(np.abs(there.x - WELL_SEPARATED.x)) > 1e-3
-        assert np.max(np.abs(back.x - WELL_SEPARATED.x)) <= 1e-12
-        assert np.max(np.abs(back.p - WELL_SEPARATED.p)) <= 1e-12
+        # the -eps end of _flow_ends marches the reversed flow, so from the +eps end it returns to the start
+        x, p = _flow_ends(k, WELL_SEPARATED, 0.05)
+        back_x, back_p = _flow_ends(k, PhaseState(x[0], p[0]), 0.05)[:, 1]
+        assert np.max(np.abs(x[0] - WELL_SEPARATED.x)) > 1e-3
+        assert np.max(np.abs(back_x - WELL_SEPARATED.x)) <= 1e-12
+        assert np.max(np.abs(back_p - WELL_SEPARATED.p)) <= 1e-12
 
 
 class TestPluriEl:
@@ -582,10 +578,8 @@ class TestPluriConstraint:
             def constraint(v3):
                 def dl_dv(k, wrt, i):
                     def f(vecs):
-                        return np.array([
-                            lagrangian(k, VelocityState(state.x, vec if wrt == 2 else v2, vec if wrt == 3 else v3))
-                            for vec in vecs
-                        ])
+                        # one (x, v2, v3) row per perturbed point, also where L_(tk) does not read vecs
+                        return lagrangian(k, *np.broadcast_arrays(state.x, vecs if wrt == 2 else v2, vecs if wrt == 3 else v3))
 
                     return fd_gradient(f, v2 if wrt == 2 else v3, 1e-6)[i]
 
@@ -606,7 +600,7 @@ class TestNoetherCharge:
     def test_single_flow_reduction(self):
         traj = integrate_flow(2, WELL_SEPARATED, 0.2, 1e-3)
         series = noether_charge(traj)
-        expected = hamiltonian(2, WELL_SEPARATED)
+        expected = h_observable(2)(WELL_SEPARATED.x, WELL_SEPARATED.p)
         assert np.max(np.abs(series - expected)) <= 1e-9
 
     def test_free_particle_closed_form(self):

@@ -8,13 +8,11 @@ from cmhier.hierarchy import (
     FLOW_DIRECTIONS,
     GAMMA,
     PhaseState,
-    VelocityState,
     build_lax_pair,
     check_collision_free,
     constraint_velocity,
     inverse_gaps,
     inverse_square_sums,
-    hamiltonian,
     hamiltonian_grad,
     lagrangian,
     lax_invariants,
@@ -33,6 +31,11 @@ from cmhier.sampling import random_phase_state
 RNG = np.random.default_rng(2024)
 
 
+def hamiltonian_at(k, state):
+    """H_(tk) of one state."""
+    return weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, state.p)
+
+
 class TestLeadingAxes:
     """Each array kernel evaluates a stack row by row as it evaluates that row alone, bit for bit."""
 
@@ -41,6 +44,7 @@ class TestLeadingAxes:
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.uniform(0.5, 1.5, (2, 3, n)), axis=-1)
         p = rng.uniform(-1.0, 1.0, (2, 3, n))
+        v3 = rng.uniform(-1.0, 1.0, (2, 3, n))
         stacked = {
             "inverse_gaps": inverse_gaps(x),
             "gradient": weighted_gradient(0.7, -0.4, x, p, inverse_gaps(x)),
@@ -48,10 +52,12 @@ class TestLeadingAxes:
             "lax_pair": lax_pair(x, p),
             "invariants": lax_invariants(x, p),
             "lax_residual": lax_residual(x, p),
+            **{f"lagrangian-{k}": lagrangian(k, x, p, v3) for k in (2, 3)},
+            **{f"legendre-{k}": legendre_check(k, x, p, v3) for k in (2, 3)},
         }
         for i in range(2):
             for j in range(3):
-                xi, pi = x[i, j], p[i, j]
+                xi, pi, v3i = x[i, j], p[i, j], v3[i, j]
                 alone = {
                     "inverse_gaps": inverse_gaps(xi),
                     "gradient": weighted_gradient(0.7, -0.4, xi, pi, inverse_gaps(xi)),
@@ -59,18 +65,13 @@ class TestLeadingAxes:
                     "lax_pair": build_lax_pair(PhaseState(xi, pi)),
                     "invariants": lax_invariants(xi, pi),
                     "lax_residual": lax_residual(xi, pi),
+                    **{f"lagrangian-{k}": lagrangian(k, xi, pi, v3i) for k in (2, 3)},
+                    **{f"legendre-{k}": legendre_check(k, xi, pi, v3i) for k in (2, 3)},
                 }
                 for name, value in alone.items():
                     got = stacked[name]
                     pairs = zip(got, value) if isinstance(value, tuple) else [(got, value)]
                     assert all(np.array_equal(g[i, j], v) for g, v in pairs), name
-
-    def test_hamiltonian_is_the_weighted_kernel_at_a_flow_direction(self):
-        state = random_phase_state(np.random.default_rng(4), 4, min_gap=0.5)
-        for k in (2, 3):
-            assert hamiltonian(k, state) == weighted_hamiltonian(*FLOW_DIRECTIONS[k], state.x, state.p)
-        both = weighted_hamiltonian(1.0, 1.0, state.x, state.p)
-        assert both == hamiltonian(2, state) + hamiltonian(3, state)
 
     def test_trace_powers_of_a_stack(self):
         L = np.random.default_rng(9).uniform(-1, 1, (5, 4, 4))
@@ -82,15 +83,15 @@ class TestLeadingAxes:
 
 class TestHamiltonian:
     def test_single_particle_no_interaction(self):
-        assert hamiltonian(2, PhaseState([0.0], [2.0])) == pytest.approx(2.0)
+        assert hamiltonian_at(2, PhaseState([0.0], [2.0])) == pytest.approx(2.0)
 
     def test_two_particles_at_rest(self):
         s = PhaseState([-1.0, 1.0], [0.0, 0.0])
-        assert hamiltonian(2, s) == pytest.approx(-1.0)
+        assert hamiltonian_at(2, s) == pytest.approx(-1.0)
 
     def test_cubic_member(self):
         s = PhaseState([-1.0, 1.0], [1.0, 1.0])
-        assert hamiltonian(3, s) == pytest.approx(2.0 / 3.0 - 2.0)
+        assert hamiltonian_at(3, s) == pytest.approx(2.0 / 3.0 - 2.0)
 
     def test_collision_raises(self):
         with pytest.raises(CollisionSingularity):
@@ -109,8 +110,11 @@ class TestHamiltonian:
             assert min_gap(x) == d.min()
 
     def test_bad_flow_index(self):
-        with pytest.raises(ValueError):
-            hamiltonian(4, PhaseState([0.0], [1.0]))
+        x = np.array([0.0])
+        for evaluate in (lambda: hamiltonian_grad(4, PhaseState(x, [1.0])), lambda: lagrangian(4, x, x, x),
+                         lambda: legendre_check(4, x, x, x)):
+            with pytest.raises(ValueError, match="flow index must be one of"):
+                evaluate()
 
 
 class TestCollisionCheck:
@@ -152,14 +156,12 @@ class TestStateArrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
-    def test_velocity_state_is_a_read_only_copy(self):
-        x, v2, v3 = np.array([-1.0, 1.0]), np.array([0.5, -0.5]), np.array([0.1, 0.2])
-        state = VelocityState(x, v2, v3)
-        x[0] = 1.0
-        assert state.x.tolist() == [-1.0, 1.0]
-        for arr in (state.x, state.v2, state.v3):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+    @pytest.mark.parametrize("x, p, message", [([0.0, 1.0], [0.0], "x, p must have equal length"),
+                                                ([], [], "expected a non-empty 1-D array"),
+                                                ([[0.0]], [[0.0]], "expected a non-empty 1-D array")])
+    def test_phase_state_refuses_arrays_of_other_shapes(self, x, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PhaseState(x, p)
 
 
 class TestHamiltonianGrad:
@@ -198,16 +200,13 @@ class TestHamiltonianGrad:
 
 class TestLagrangian:
     def test_single_particle(self):
-        s = VelocityState([0.0], [2.0], [0.0])
-        assert lagrangian(2, s) == pytest.approx(2.0)
+        assert lagrangian(2, np.array([0.0]), np.array([2.0]), np.array([0.0])) == pytest.approx(2.0)
 
     def test_two_particles_at_rest(self):
-        s = VelocityState([-1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        assert lagrangian(2, s) == pytest.approx(1.0)
+        assert lagrangian(2, np.array([-1.0, 1.0]), np.zeros(2), np.zeros(2)) == pytest.approx(1.0)
 
     def test_cubic_member(self):
-        s = VelocityState([0.0], [2.0], [1.0])
-        assert lagrangian(3, s) == pytest.approx(4.0)
+        assert lagrangian(3, np.array([0.0]), np.array([2.0]), np.array([1.0])) == pytest.approx(4.0)
 
 
 class TestConstraint:
@@ -234,17 +233,16 @@ class TestConstraint:
 
 class TestLegendre:
     def test_quadratic_member_trivial(self):
-        assert legendre_check(2, VelocityState([0.0], [2.0], [0.0])) == pytest.approx(0.0)
+        assert legendre_check(2, np.array([0.0]), np.array([2.0]), np.array([0.0])) == pytest.approx(0.0)
 
     def test_quadratic_member_random(self):
         for _ in range(20):
             state = random_phase_state(RNG, 3, min_gap=0.6)
-            v = VelocityState(state.x, state.p, RNG.uniform(-1, 1, 3))
-            assert abs(legendre_check(2, v)) <= 1e-12
+            assert abs(legendre_check(2, state.x, state.p, RNG.uniform(-1, 1, 3))) <= 1e-12
 
     def test_cubic_member_diagnostic_value(self):
         # H3(x, P=2) - (P*v3 - L3) = 8/3 - (0 - 2) = 14/3 for one free particle
-        assert legendre_check(3, VelocityState([0.0], [2.0], [0.0])) == pytest.approx(14.0 / 3.0)
+        assert legendre_check(3, np.array([0.0]), np.array([2.0]), np.array([0.0])) == pytest.approx(14.0 / 3.0)
 
 
 class TestLaxPair:
@@ -260,7 +258,7 @@ class TestLaxPair:
     def test_half_trace_square_matches_hamiltonian(self):
         s = PhaseState([-1.0, 1.0], [0.0, 0.0])
         L, _ = build_lax_pair(s)
-        assert 0.5 * np.trace(L @ L) == pytest.approx(hamiltonian(2, s))
+        assert 0.5 * np.trace(L @ L) == pytest.approx(hamiltonian_at(2, s))
 
     def test_row_sums_of_m_vanish(self):
         state = random_phase_state(RNG, 4, min_gap=0.5)
@@ -282,8 +280,8 @@ class TestInvariants:
         for _ in range(50):
             state = random_phase_state(RNG, 3, min_gap=0.5)
             vals = lax_invariants(state.x, state.p)
-            assert abs(vals[1] - hamiltonian(2, state)) <= 1e-12
-            assert abs(vals[2] - hamiltonian(3, state)) <= 1e-12
+            assert abs(vals[1] - hamiltonian_at(2, state)) <= 1e-12
+            assert abs(vals[2] - hamiltonian_at(3, state)) <= 1e-12
 
     def test_a_sequence_of_states_gives_each_state_its_row(self):
         states = [random_phase_state(RNG, 4, min_gap=0.5) for _ in range(5)]
@@ -343,8 +341,8 @@ class TestLaxResidual:
 def test_translation_invariance(shift, k):
     x = np.array([-1.4, 0.2, 1.7])
     p = np.array([0.5, -0.3, 0.1])
-    base = hamiltonian(k, PhaseState(x, p))
-    moved = hamiltonian(k, PhaseState(x + shift, p))
+    base = hamiltonian_at(k, PhaseState(x, p))
+    moved = hamiltonian_at(k, PhaseState(x + shift, p))
     assert moved == pytest.approx(base, abs=1e-9, rel=1e-9)
 
 
@@ -353,7 +351,7 @@ def test_translation_invariance(shift, k):
 def test_momentum_parity(scale):
     x = np.array([-1.4, 0.2, 1.7])
     p = scale * np.array([0.5, -0.3, 0.1])
-    even = hamiltonian(2, PhaseState(x, p)) - hamiltonian(2, PhaseState(x, -p))
+    even = hamiltonian_at(2, PhaseState(x, p)) - hamiltonian_at(2, PhaseState(x, -p))
     assert even == pytest.approx(0.0, abs=1e-12)
-    odd = hamiltonian(3, PhaseState(x, p)) + hamiltonian(3, PhaseState(x, -p))
+    odd = hamiltonian_at(3, PhaseState(x, p)) + hamiltonian_at(3, PhaseState(x, -p))
     assert odd == pytest.approx(0.0, abs=1e-12)
