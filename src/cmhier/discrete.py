@@ -26,6 +26,7 @@ configuration runs them; the first failing row k along axis 0 is named
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,7 +103,8 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _keeps_order(x: np.ndarray, tx: np.ndarray):
     """Whether tx keeps the particle order of x, over leading axes: tx sorted by the argsort of x increases."""
-    return np.diff(np.take_along_axis(tx, np.argsort(x), axis=-1)).min(axis=-1, initial=np.inf) > 0
+    t = np.take_along_axis(tx, np.argsort(x), axis=-1)
+    return (t[..., 1:] - t[..., :-1]).min(axis=-1, initial=np.inf) > 0
 
 
 def _raise_first(error, failed, message: str) -> None:
@@ -309,11 +311,17 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
 def _check_log_args(x: np.ndarray, tx: np.ndarray) -> None:
     s = np.sort(np.stack([x, tx]))  # NaN sorts last and -inf first, so the two ends tell finiteness, as in min_gap
     with np.errstate(invalid="ignore"):  # inf - inf; NaN fails every test below
-        cross, within = cross_gap(x, tx), np.diff(s).min(axis=(0, -1), initial=np.inf)
+        cross, within = cross_gap(x, tx), (s[..., 1:] - s[..., :-1]).min(axis=(0, -1), initial=np.inf)
     finite = np.isfinite(s[..., [0, -1]]).all(axis=(0, -1))
     _raise_first(LogSingularity, ~(cross >= COLLISION_TOL), "vanishing cross-gap between a site and its shift")
     _raise_first(LogSingularity, ~(finite & (within >= COLLISION_TOL)), "vanishing within-site gap")
     _raise_first(LogSingularity, ~_keeps_order(x, tx), "particle ordering changed across the step")
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n: the pairs (i, j), i < j, in row-major order."""
+    return np.triu_indices(n, 1)
 
 
 def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p):
@@ -326,7 +334,7 @@ def discrete_lagrangian(x: np.ndarray, tx: np.ndarray, p):
     total = np.log(np.abs(x[..., :, None] - tx[..., None, :])).reshape(*x.shape[:-1], n * n).sum(axis=-1)
     if n > 1:
         # np.take keeps the pairs contiguous per row, so each row sums them in the order one configuration does
-        i, j = np.triu_indices(n, 1)
+        i, j = _upper_pairs(n)
         total = total - (np.log(np.abs(np.take(x, i, axis=-1) - np.take(x, j, axis=-1))).sum(axis=-1)
                          + np.log(np.abs(np.take(tx, i, axis=-1) - np.take(tx, j, axis=-1))).sum(axis=-1))
     return total - p * np.sum(x - tx, axis=-1)

@@ -45,7 +45,8 @@ def collides(start: PhaseState, path: PathSpec) -> bool:
     coarse[COARSE_STRIDE - 1::COARSE_STRIDE] = True
     for times in (s[coarse], s[~coarse]):
         spectrum = projection_spectrum(start, path.direction, times)
-        gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
+        positions = np.sort(spectrum.real, axis=-1)
+        gaps = positions[..., 1:] - positions[..., :-1]
         if np.any(spectrum.imag != 0.0) or not np.all(gaps >= FLIGHT_GAP_TOL):
             return True
     return False

@@ -19,6 +19,7 @@ through libm `pow`, 40 times slower than inv * inv * inv at N = 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,15 @@ def _as_vector(v) -> np.ndarray:
 def min_gap(x: np.ndarray) -> float:
     """Smallest pairwise distance; inf for a single particle, NaN when a
     position is not finite. Float subtraction is monotone, so the smallest
-    neighbour difference of the sorted positions is the smallest pairwise one."""
-    s = np.sort(x)
+    neighbour difference of the sorted positions is the smallest pairwise one.
+    It runs for every PhaseState, so it calls the ndarray methods and the ufunc
+    that np.sort, np.isfinite, np.diff and ndarray.min wrap, with their bits."""
+    s = np.array(x)
+    s.sort()
     # NaN sorts last and -inf first, so the two ends tell whether all are finite
-    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
         return float("nan")
-    return float(np.diff(s).min(initial=np.inf))
+    return float(np.minimum.reduce(s[1:] - s[:-1], initial=np.inf))
 
 
 def check_collision_free(x: np.ndarray, row: str = "system") -> None:
@@ -68,7 +72,7 @@ def check_collision_free(x: np.ndarray, row: str = "system") -> None:
         if np.isfinite(s).all() and (s[..., 1:] - s[..., :-1]).min(initial=np.inf) >= COLLISION_TOL:
             return  # the common case, without per-row bookkeeping
         with np.errstate(invalid="ignore"):  # inf - inf; such rows are non-finite, as in min_gap
-            gaps = np.diff(s).min(axis=(1, 2), initial=np.inf)
+            gaps = (s[..., 1:] - s[..., :-1]).min(axis=(1, 2), initial=np.inf)
         gaps[~np.isfinite(s[..., [0, -1]]).all(axis=(1, 2))] = np.nan
         k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row, else row 0
         g = gaps[k]

@@ -7,6 +7,10 @@ work on them together. linear_solve makes one LAPACK call for the systems that |
 rest, which their inverses certify, and leaves every failure to the column elimination. float_solve makes
 the first of those calls on Python floats: a float kernel certifies its systems as linear_solve does and
 hands them to LAPACK, never repeating a BLAS kernel's operation order, so its bits are numpy's on every CPU.
+That first call, _lapack_solve, goes straight to the dgesv gufunc that np.linalg.solve wraps, numpy's
+private _umath_linalg.solve1, named in this module alone and bound at import, so a numpy without it fails
+there: on a certified stack the wrapper's conversions, shape checks and singular-matrix errstate would cost
+more than the solve and find nothing. The [b | I] call of the uncertified rest keeps np.linalg.solve.
 
 There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
 one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
@@ -25,11 +29,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonConvergence, SingularJacobian, SingularMatrix
 
 PIVOT_RTOL = 1e-14
 CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot check, for rounding
+
+_SOLVE1 = _umath_linalg.solve1  # (n, n), (n) -> (n): dgesv for one right-hand side, as np.linalg.solve calls it
 
 STACK_ENTRIES = 1 << 13
 """Array entries (64 KiB) of one stacked evaluation: chain checks, velocity solves and residuals and per-sample
@@ -75,11 +82,13 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with partial pivoting is then at least 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 9), so the pivot check passes. Strictly diagonally dominant systems, whose computed δ = min_i(|a_ii|
     - Σ_(j≠i) |a_ij|) exceeds (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s, ε = 2⁻⁵², have ‖a⁻¹‖∞ ≤ 1/δ (Varah,
-    Linear Algebra Appl. 11 (1975)); one `np.linalg.solve` of the single right-hand side b solves them. The
-    n² ε term bounds the rounding of a row sum, γ_(n-1) Σ_j |a_ij| ≤ n² s ε/2, and a zero matrix is not
-    dominant. One solve of [b | I] gives the others their inverses to certify them; the column elimination
-    solves those that fail, and all of them when LAPACK finds one exactly singular. So a system gets the
-    bits it gets alone, unless it is not dominant and stacked with a singular one.
+    Linear Algebra Appl. 11 (1975)); one _lapack_solve, the dgesv kernel itself with the single right-hand
+    side b, solves them: the shape and dtype are checked here and the certificate makes every pivot nonzero,
+    so np.linalg.solve's checks would pass. The n² ε term bounds the rounding of a row sum, γ_(n-1) Σ_j
+    |a_ij| ≤ n² s ε/2, and a zero matrix is not dominant. One np.linalg.solve of [b | I] gives the others
+    their inverses to certify them; the column elimination solves those that fail, and all of them when
+    LAPACK finds one exactly singular. So a system gets the bits it gets alone, unless it is not dominant
+    and stacked with a singular one.
 
     Raises SingularMatrix as the elimination does, naming the lowest system with a non-finite entry,
     else the lowest with a pivot below PIVOT_RTOL times its largest |entry| and its first such column.
@@ -119,15 +128,19 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of the stack a (m, n, n) for one right-hand side each, b (m, n): LAPACK's dgesv."""
-    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    """The solutions (m, n) of the certified float stack a (m, n, n) for one right-hand side each, b (m, n):
+    LAPACK's dgesv through the gufunc np.linalg.solve calls, with its bits, without the wrapper. The caller's
+    certificate stands for the wrapper's checks: no pivot is zero, so the kernel raises no singular-matrix
+    flag, and it clears the floating-point flags of its own arithmetic, so a non-finite b warns of nothing."""
+    return _SOLVE1(a, b, signature="dd->d")
 
 
 def float_solve(n: int, a: list, b) -> list:
     """linear_solve of a stack that it certifies dominant, for Python floats: a holds the entries of m
     matrices n x n flat in row-major order, b their right-hand sides, m n floats flat or an array (m, n);
-    returns the m solutions flat. It is linear_solve's own LAPACK call, so the bits are LAPACK's whatever
-    BLAS kernel runs it; the caller certifies the systems as linear_solve does, or takes another route."""
+    returns the m solutions flat. It is linear_solve's own _lapack_solve, the dgesv kernel, so the bits are
+    LAPACK's whatever BLAS kernel runs it; the caller certifies the systems as linear_solve does, or takes
+    another route, since the kernel checks nothing."""
     b = np.asarray(b, dtype=float).reshape(-1, n)
     return _lapack_solve(np.array(a, dtype=float).reshape(-1, n, n), b).ravel().tolist()
 

@@ -5,8 +5,10 @@ draw where rejection fails, so every consumer sees collision-free,
 reproducible configurations; momenta are uniform in
 [-1, 1]. Discrete seeds pair a configuration with a displaced copy whose
 step size suits the corner solves. Only the continuous minimum gap is a
-parameter; spans, discrete gaps and steps are fixed, so an orbit seed (gaps
-3.5 in [-6, 6]) refuses n >= 4 and a phase state at gap g refuses n > 6/g.
+parameter; discrete gaps and steps are fixed. The spans are fixed too, except
+that a scenario's draw grows its span to n gap / 2 where the fixed one cannot
+hold n gaps: an orbit seed (gaps 3.5 in [-6, 6]) from n = 4, a phase state at
+gap g (in [-3, 3]) from n > 6/g. Every draw the fixed span holds keeps its bits.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ def sorted_positions(rng: np.random.Generator, n: int, min_gap: float, span: flo
     raise RuntimeError("rejection sampling failed; loosen min_gap or widen span")
 
 
+def _span(n: int, min_gap: float, span: float) -> float:
+    """span, or the half-width n min_gap / 2 of the smallest interval that holds n gaps of min_gap where span
+    cannot: sorted_positions refuses no n, and each draw that span holds is unchanged."""
+    return max(span, n * min_gap / 2)
+
+
 def random_phase_state(rng: np.random.Generator, n: int, min_gap: float) -> PhaseState:
-    """Positions in [-3, 3] with all gaps at least min_gap, momenta uniform in [-1, 1]."""
-    x = sorted_positions(rng, n, min_gap, 3.0)
+    """Positions in [-3, 3], or in _span's wider interval, with all gaps at least min_gap, momenta uniform
+    in [-1, 1]."""
+    x = sorted_positions(rng, n, min_gap, _span(n, min_gap, 3.0))
     p = rng.uniform(-1.0, 1.0, n)
     return PhaseState(x, p)
 
@@ -52,8 +61,8 @@ def plaquette_seed(rng: np.random.Generator, n: int, p1: float, p2: float) -> tu
 
 
 def orbit_seed(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Well-separated (x_prev, x_cur) pair for long discrete orbits: x_prev in [-6, 6] with gaps
-    at least 3.5, x_cur displaced by 0.3, jittered 10%."""
-    x_prev = sorted_positions(rng, n, 3.5, 6.0)
+    """Well-separated (x_prev, x_cur) pair for long discrete orbits: x_prev in [-6, 6], or in _span's
+    wider interval, with gaps at least 3.5, x_cur displaced by 0.3, jittered 10%."""
+    x_prev = sorted_positions(rng, n, 3.5, _span(n, 3.5, 6.0))
     x_cur = x_prev + 0.3 * rng.uniform(0.9, 1.1, n)
     return x_prev, x_cur

@@ -41,9 +41,9 @@ from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inv
 from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, float_solve, linear_solve, march, row_blocks
 
 # a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step takes
-# 27-151 us at N = 1 and K = 16-128, and 58-165 us at N = 2 and K = 1-16, a numpy step 160-240 us on
-# those chains; at N = 2 the two meet near K N^2 = 96 (K = 24: 240 against 234 us), at N = 1 above K = 128
-# (100-step marches, median of 7, one CPU, wall, in-process)
+# 24-140 us at N = 1 and K = 16-128, and 26-124 us at N = 2 and K = 1-16, a numpy step 119-198 us on
+# those chains; at N = 2 the two meet near K N^2 = 96 (K = 24: 181 against 178 us), at N = 1 above K = 128
+# (100-step marches of drifting chains, median of 7, one CPU, wall, in-process)
 FLOAT_CHAIN_SIZE = 64
 
 

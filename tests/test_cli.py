@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhier import cli, discrete, numerics
+from cmhier import cli, discrete, numerics, sampling
 from cmhier.cli import _write_report, _write_rows, main, run_scenario
 from cmhier.errors import NumericsError, ParseError, ValidationError
 from cmhier.scenario import KEYS, MAX_STEPS, Scenario, parse_scenario, scenario_from_dict
@@ -520,11 +520,28 @@ class TestMain:
         "payload",
         [{"kind": "continuous", "n": 13}, {"kind": "discrete", "n": 4}, {"kind": "semidiscrete", "n": 4}],
     )
-    def test_sampler_failure_is_config_error(self, tmp_path, capsys, payload):
+    def test_sampler_failure_is_config_error(self, tmp_path, capsys, monkeypatch, payload):
+        # every n draws now; the sampler's one failure left is a constructed draw that rounding leaves short
+        def refused(*args):
+            raise RuntimeError("rejection sampling failed; loosen min_gap or widen span")
+
+        monkeypatch.setattr(sampling, "sorted_positions", refused)
         path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: field 'n'") and f"n={payload['n']}" in err
+        assert err == (f"error: field 'n': cannot draw a seeded initial state for n={payload['n']}: "
+                       "rejection sampling failed; loosen min_gap or widen span\n")
+
+    @pytest.mark.parametrize("payload, code", [
+        ({"kind": "continuous", "n": 13, "duration": 0.002}, (0, 1)),
+        ({"kind": "discrete", "n": 4, "steps": 5}, (0,)),
+        ({"kind": "discrete", "n": 8, "steps": 5}, (0,)),
+        ({"kind": "semidiscrete", "n": 4}, (0,)),
+    ])
+    def test_seeded_runs_whose_fixed_span_is_too_small_draw(self, tmp_path, capsys, payload, code):
+        # [-3, 3] cannot hold 13 gaps of 0.5, nor [-6, 6] four of 3.5: the draw widens its span and the run runs
+        path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+        assert main(["run", str(path)]) in code and "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, min_gap", [(25, 0.1), (11, 0.5)])
     def test_a_state_rejection_cannot_draw_is_constructed(self, tmp_path, capsys, n, min_gap):

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhier.errors import CollisionSingularity
+from cmhier import discrete, exact, flows
+from cmhier.errors import CollisionSingularity, LogSingularity
 from cmhier.hierarchy import (
+    COLLISION_TOL,
     FLOW_DIRECTIONS,
     GAMMA,
     PhaseState,
     build_lax_pair,
     check_collision_free,
     constraint_velocity,
+    cross_gap,
     inverse_gaps,
     inverse_square_sums,
     hamiltonian_grad,
@@ -355,3 +360,108 @@ def test_momentum_parity(scale):
     assert even == pytest.approx(0.0, abs=1e-12)
     odd = hamiltonian_at(3, PhaseState(x, p)) + hamiltonian_at(3, PhaseState(x, -p))
     assert odd == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_min_gap(x):
+    """min_gap as numpy's wrappers wrote it, the reference for the wrapper-free kernel."""
+    s = np.sort(x)
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        return float("nan")
+    return float(np.diff(s).min(initial=np.inf))
+
+
+def reference_check_collision_free(x, row="system"):
+    """check_collision_free with np.diff and reference_min_gap."""
+    if x.ndim == 1:
+        g, k = reference_min_gap(x), None
+    else:
+        s = np.sort(x).reshape(len(x), -1, x.shape[-1])
+        if np.isfinite(s).all() and np.diff(s).min(initial=np.inf) >= COLLISION_TOL:
+            return
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(s).min(axis=(1, 2), initial=np.inf)
+        gaps[~np.isfinite(s[..., [0, -1]]).all(axis=(1, 2))] = np.nan
+        k = int(np.argmin(gaps >= COLLISION_TOL))
+        g = gaps[k]
+    if not g >= COLLISION_TOL:
+        message = "non-finite position" if np.isnan(g) else f"minimum gap {g:.3e} below {COLLISION_TOL:.1e}"
+        raise CollisionSingularity(message + ("" if k is None else f" at {row} {k}"), system=k)
+
+
+def reference_keeps_order(x, tx):
+    return np.diff(np.take_along_axis(tx, np.argsort(x), axis=-1)).min(axis=-1, initial=np.inf) > 0
+
+
+def reference_check_log_args(x, tx):
+    s = np.sort(np.stack([x, tx]))
+    with np.errstate(invalid="ignore"):
+        cross, within = cross_gap(x, tx), np.diff(s).min(axis=(0, -1), initial=np.inf)
+    finite = np.isfinite(s[..., [0, -1]]).all(axis=(0, -1))
+    discrete._raise_first(LogSingularity, ~(cross >= COLLISION_TOL), "vanishing cross-gap between a site and its shift")
+    discrete._raise_first(LogSingularity, ~(finite & (within >= COLLISION_TOL)), "vanishing within-site gap")
+    discrete._raise_first(LogSingularity, ~reference_keeps_order(x, tx), "particle ordering changed across the step")
+
+
+def reference_collides(start, path):
+    s = path.grid()[1:]
+    coarse = np.zeros(len(s), dtype=bool)
+    coarse[exact.COARSE_STRIDE - 1::exact.COARSE_STRIDE] = True
+    for times in (s[coarse], s[~coarse]):
+        spectrum = exact.projection_spectrum(start, path.direction, times)
+        gaps = np.diff(np.sort(spectrum.real, axis=-1), axis=-1)
+        if np.any(spectrum.imag != 0.0) or not np.all(gaps >= flows.FLIGHT_GAP_TOL):
+            return True
+    return False
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives, with warnings raised: its value's dtype and bytes (so NaN and -0.0 count),
+    or the type, message and `system` of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = np.asarray(fn(*args))
+        except Exception as exc:  # noqa: BLE001 -- the reference and the kernel must raise alike
+            return type(exc), str(exc), getattr(exc, "system", None)
+    return value.dtype, value.shape, value.tobytes()
+
+
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1.0 + 1e-13, -1e308, 1e308])
+POSITIONS = st.one_of(SPECIAL, st.floats(-10.0, 10.0), st.floats(allow_nan=False))
+CONFIGURATIONS = st.one_of(st.lists(POSITIONS, min_size=1, max_size=9),
+                           st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]), min_size=1, max_size=5))
+
+
+class TestGapKernels:
+    """min_gap and the stacked gap checks, written without numpy's Python wrappers, against the
+    np.sort, np.isfinite, np.diff and ndarray.min expressions they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIGURATIONS)
+    def test_min_gap_matches_the_numpy_expression(self, x):
+        x = np.array(x)
+        assert outcome(min_gap, x) == outcome(reference_min_gap, x)
+        assert outcome(check_collision_free, x) == outcome(reference_check_collision_free, x)
+
+    @pytest.mark.parametrize("x", [[3], [0, 2, -5], [1, 1], [np.iinfo(np.int64).max, 0]])
+    def test_integer_input_matches_the_numpy_expression(self, x):
+        x = np.array(x)
+        assert outcome(min_gap, x) == outcome(reference_min_gap, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_stacked_checks_match_the_numpy_expressions(self, m, k, n, data):
+        x = np.array(data.draw(st.lists(POSITIONS, min_size=m * k * n, max_size=m * k * n))).reshape(m, k, n)
+        tx = np.array(data.draw(st.lists(POSITIONS, min_size=m * k * n, max_size=m * k * n))).reshape(m, k, n)
+        for stack in (x, x[:, 0]):
+            assert outcome(check_collision_free, stack, "site") == outcome(reference_check_collision_free, stack, "site")
+        for a, b in ((x, tx), (x[:, 0], tx[:, 0]), (x[0, 0], tx[0, 0])):
+            assert outcome(discrete._keeps_order, a, b) == outcome(reference_keeps_order, a, b)
+            assert outcome(discrete._check_log_args, a, b) == outcome(reference_check_log_args, a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_collides_matches_the_numpy_expression(self, seed):
+        start = random_phase_state(np.random.default_rng(seed), 3, min_gap=0.3)
+        for direction, duration in (((1.0, 0.0), 2.0), ((1.0, 1.0), 1.0), ((0.0, -1.0), 3.0)):
+            path = flows.PathSpec(direction, duration, 40)
+            assert exact.collides(start, path) == reference_collides(start, path)

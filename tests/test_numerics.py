@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,16 +379,18 @@ class TestCertifiedSolve:
 
 
 def watch_solvers(mp):
-    """Record the stack indices of every _eliminate call and the right-hand side shape of every
-    np.linalg.solve call while the MonkeyPatch mp is active."""
+    """Record the stack indices of every _eliminate call and the right-hand side shape of every LAPACK
+    call while the MonkeyPatch mp is active: (m, n, 1) for the dgesv kernel's one right-hand side each,
+    as np.linalg.solve would see it, and (m, n, n + 1) for an np.linalg.solve of [b | I]."""
     eliminated, lapack = [], []
-    solve = np.linalg.solve
+    solve, kernel = np.linalg.solve, numerics._lapack_solve
 
     def spy(a_rows, b_rows, in_stack):
         eliminated.append(in_stack.tolist())
         return _eliminate(a_rows, b_rows, in_stack)
 
     mp.setattr(numerics, "_eliminate", spy)
+    mp.setattr(numerics, "_lapack_solve", lambda a, b: lapack.append((*b.shape, 1)) or kernel(a, b))
     mp.setattr(np.linalg, "solve", lambda a, b: lapack.append(b.shape) or solve(a, b))
     return eliminated, lapack
 
@@ -482,6 +485,36 @@ class TestDominanceCertificate:
             assert not dominant
         if dominant:
             _eliminate(a[None], b[None], np.array([0]))
+
+
+class TestLapackKernel:
+    """_lapack_solve calls the dgesv gufunc that np.linalg.solve wraps, on stacks the caller certifies."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 16]), st.sampled_from([1, 2, 3, 8, 32]), st.integers(0, 2**32 - 1),
+           st.booleans(), st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=4), st.data())
+    def test_equals_np_linalg_solve_bit_for_bit(self, m, n, seed, transposed, specials, data):
+        a, b = dominant_stack(m, n, seed, shuffled=False)  # dominant by rows and by columns
+        if transposed:
+            a = a.transpose(0, 2, 1)
+        if m:
+            for value in specials:
+                b[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))] = value
+        with pytest.MonkeyPatch.context() as mp:
+            _, lapack = watch_solvers(mp)
+            linear_solve(a, b)
+        assert lapack == [(m, n, 1)]  # certified, so linear_solve takes the kernel alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = numerics._lapack_solve(a, b)
+            reference = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        assert v.dtype == reference.dtype and v.shape == reference.shape == (m, n)
+        assert v.tobytes() == reference.tobytes()
+
+    def test_float_solve_is_the_kernel_on_python_floats(self):
+        a, b = dominant_stack(3, 2, 7, shuffled=False)
+        solved = numerics.float_solve(2, a.ravel().tolist(), b.ravel().tolist())
+        assert solved == np.linalg.solve(a, b[:, :, None]).ravel().tolist()
 
 
 class TestFiniteDifference:

@@ -92,3 +92,45 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
                 passed |= _passed_parameters(call, args)
         never_passed |= {(module, node.name, name) for name in defaulted if name not in passed}
     assert never_passed == set()
+
+
+def _private_numpy_names(source: str) -> set:
+    """The private numpy names a module's source imports or reads: any dotted component after `numpy` or
+    `np` that starts with one underscore, in an import, a from-import or an attribute chain (`__version__`
+    and other dunders are public)."""
+    def private(parts):
+        return [part for part in parts if part.startswith("_") and not part.endswith("__")]
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    found.update(private(alias.name.split(".")))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.update(private(node.module.split(".") + [alias.name for alias in node.names]))
+        elif isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+                found.update(private(chain))
+    return found
+
+
+def test_only_numerics_names_private_numpy():
+    """numerics calls LAPACK's dgesv gufunc directly, a private numpy name; no other module may, so a numpy
+    release that moves it breaks one module, at import."""
+    named = {path.relative_to(ROOT).as_posix(): _private_numpy_names(path.read_text(encoding="utf-8"))
+             for path in SOURCES + sorted((ROOT / "tests").glob("*.py"))}
+    assert [path for path, names in named.items() if names] == ["src/cmhier/numerics.py"]
+    assert len(named["src/cmhier/numerics.py"]) == 1  # the module that holds the dgesv gufunc
+
+
+def test_private_numpy_names_are_found():
+    assert _private_numpy_names("from numpy.linalg import _linalg as k") == {"_linalg"}
+    assert _private_numpy_names("from numpy._core import umath") == {"_core"}
+    assert _private_numpy_names("import numpy._core.umath as u") == {"_core"}
+    assert _private_numpy_names("import numpy as np\nnp.linalg._linalg._commonType") == {"_linalg", "_commonType"}
+    assert _private_numpy_names("import numpy as np\nnp.__version__, np.linalg.solve, other._private") == set()

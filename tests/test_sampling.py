@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmhier.sampling import sorted_positions
+from cmhier.sampling import orbit_seed, random_phase_state, sorted_positions
 
 
 def numpy_sorted_positions(rng, n, min_gap, span):
@@ -74,3 +74,30 @@ def test_a_constructed_draw_that_rounding_leaves_short_is_refused():
     with pytest.raises(RuntimeError, match="^rejection sampling failed; loosen min_gap or widen span$"):
         sorted_positions(rng, 2, 0.1, 3.0)
     assert rng.bounds == [(-3.0, 3.0)] * 10_000 + [(-3.0, 3.0 - 0.1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
+def test_orbit_seeds_of_any_size_draw(n):
+    """Up to n = 3 an orbit seed draws x_prev on [-6, 6] as before; from n = 4, where [-6, 6] cannot hold n
+    gaps of 3.5, on [-1.75 n, 1.75 n], the smallest interval that can."""
+    for seed in range(3):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x_prev, x_cur = orbit_seed(got_rng, n)
+        span = 6.0 if n <= 3 else 1.75 * n
+        assert np.array_equal(x_prev, sorted_positions(ref_rng, n, 3.5, span))
+        assert np.array_equal(x_cur, x_prev + 0.3 * ref_rng.uniform(0.9, 1.1, n))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all(np.diff(x_prev) >= 3.5) and -span <= x_prev[0] and x_prev[-1] <= span
+
+
+@pytest.mark.parametrize("n", [3, 12, 13, 50])
+def test_phase_states_of_any_size_draw(n):
+    """At gap 0.5 a phase state draws on [-3, 3] up to n = 12 as before, and beyond on [-n/4, n/4]."""
+    for seed in range(3):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = random_phase_state(got_rng, n, 0.5)
+        span = 3.0 if n <= 12 else 0.25 * n
+        assert np.array_equal(state.x, sorted_positions(ref_rng, n, 0.5, span))
+        assert np.array_equal(state.p, ref_rng.uniform(-1.0, 1.0, n))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all(np.diff(state.x) >= 0.5) and -span <= state.x[0] and state.x[-1] <= span
