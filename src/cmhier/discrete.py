@@ -36,7 +36,8 @@ from .errors import CollisionSingularity, LogSingularity, NumericsError, Singula
 from .hierarchy import (
     COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
 from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
-from .numerics import CERTIFY_MARGIN, DEFAULT_NEWTON, PIVOT_RTOL, NewtonSettings, float_solve, newton_solve
+from .numerics import (
+    CERTIFY_MARGIN, DEFAULT_NEWTON, NEWTON_ITERATIONS, PIVOT_RTOL, NewtonSettings, float_solve, newton_solve)
 
 # an orbit of at most this many particles steps on Python floats first: a float step takes 11-111 us at
 # N = 1-7 and a numpy step 110-440 us (30-step orbits, median of 7, one CPU, wall, in-process), so the bound
@@ -176,7 +177,7 @@ def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | Non
                     gap_sum += 1.0 / (xm - xj)
             const.append(prev_sum - 2.0 * gap_sum + 0.0)
         x = [2.0 * c - p for c, p in zip(x_cur, x_prev)]
-        for iteration in range(newton.max_iterations + 1):
+        for iteration in range(NEWTON_ITERATIONS + 1):
             cross = [[1.0 / (xm - u) for u in x] for xm in x_cur]
             f = []
             for k, row in zip(const, cross):
@@ -188,7 +189,7 @@ def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | Non
                 return None
             if max(map(abs, f)) <= newton.tolerance:
                 break
-            if iteration == newton.max_iterations:
+            if iteration == NEWTON_ITERATIONS:
                 return None
             jacobian = [c * c for row in cross for c in row]
             cut = bound * max(jacobian)
@@ -198,7 +199,7 @@ def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | Non
                     total += a
                 if not 2.0 * jacobian[m * n + m] - total > cut:
                     return None
-            x = [a - newton.damping * s for a, s in zip(x, float_solve(n, jacobian, f))]
+            x = [a - s for a, s in zip(x, float_solve(n, jacobian, f))]
     except ZeroDivisionError:
         return None
     order = sorted(range(n), key=x_cur.__getitem__)
@@ -271,15 +272,14 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     shifts, c the second-direction shift from (x, T1^-1 x), d the
     first-direction shift from (x, T2^-1 x). Sites of shape (m, n) are m
     systems, with one letter for all or per system, solved by one stacked
-    Newton iteration; a system that exhausts it gets a damped retry alone.
+    Newton iteration.
     """
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
     check_cross_gap(x, known)
     residual, jacobian, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
-    retry = NewtonSettings(params.newton.tolerance, 4 * params.newton.max_iterations, damping=0.5)
     guess = _mean_field_guess(x, const, sgn)
-    return newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton, retry=retry).reshape(np.shape(known1))
+    return newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton).reshape(np.shape(known1))
 
 
 def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams) -> np.ndarray:

@@ -50,25 +50,19 @@ def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
     return [slice(start, start + per_block) for start in range(0, rows, per_block)]
 
 
+NEWTON_ITERATIONS = 50
+"""The iteration cap of every Newton solve, newton_solve's and the float orbit's."""
+
+
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Controls for the damped Newton iteration.
-
-    tolerance is a max-norm bound on the residual; damping scales every
-    update step and must lie in (0, 1].
-    """
+    """Controls for the Newton iteration: tolerance is a max-norm bound on the residual."""
 
     tolerance: float = 1e-12
-    max_iterations: int = 50
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
 
 
 DEFAULT_NEWTON = NewtonSettings()
@@ -191,27 +185,44 @@ def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray
     return v
 
 
-def _newton_pass(residual, jacobian, x, f, active, settings: NewtonSettings):
-    """Iterate the `active` systems of the stack x, with residuals f, each until
-    its own residual meets tolerance; returns x and {system: reason} for those
-    that failed, each left at its last point, where its residual is finite."""
-    failed = {}
-    for iteration in range(settings.max_iterations + 1):
+def newton_solve(
+    residual_fn: Callable[[np.ndarray], np.ndarray],
+    guess: np.ndarray,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    settings: NewtonSettings = DEFAULT_NEWTON,
+) -> np.ndarray:
+    """Newton iteration for residual_fn(x) = 0 on a stack of m systems, full steps, at most NEWTON_ITERATIONS.
+
+    The guess has shape (m, n); the callbacks take the whole stack and return
+    float arrays (m, n) and (m, n, n), row k depending on row k alone, so
+    one system is the stack of one. Each system is frozen once its
+    own residual meets tolerance, and a step onto a non-finite residual is
+    halved for its own system, so each follows exactly its iterates alone.
+    NonConvergence and SingularJacobian name the failing `system`, the lowest.
+    """
+    x = np.array(guess, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("guess must be a stack (m, n)")
+    f = residual_fn(x)
+    if f.shape != x.shape:
+        raise ValueError("residual shape must match guess shape")
+    active, failed = np.ones(len(x), dtype=bool), {}
+    for iteration in range(NEWTON_ITERATIONS + 1):
         active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= settings.tolerance))
-        if not active.any() or iteration == settings.max_iterations:
+        if not active.any() or iteration == NEWTON_ITERATIONS:
             break
         steps = np.zeros_like(x)
         try:
-            steps[active] = linear_solve(jacobian(x)[active], f[active])
+            steps[active] = linear_solve(jacobian_fn(x)[active], f[active])
         except SingularMatrix as exc:
             # linear_solve counts the active systems; name the stack's index
             system = int(np.flatnonzero(active)[exc.system])
             raise SingularJacobian(f"system {system}: {str(exc).partition(': ')[2]}", system=system) from exc
         # a frozen system's step is zero; a step onto a pole of its system's residual is halved
-        scale = np.full((len(x), 1), settings.damping)
+        scale = np.ones((len(x), 1))
         for _ in range(60):
             x_new = x - scale * steps
-            f_new = residual(x_new)
+            f_new = residual_fn(x_new)
             poles = active & ~np.isfinite(f_new).all(axis=1)
             if not poles.any():
                 break
@@ -224,41 +235,9 @@ def _newton_pass(residual, jacobian, x, f, active, settings: NewtonSettings):
         x, f = x_new, f_new
     failed.update(
         (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {settings.tolerance:.1e} "
-                 f"after {settings.max_iterations} iterations")
+                 f"after {NEWTON_ITERATIONS} iterations")
         for k in np.flatnonzero(active)
     )
-    return x, failed
-
-
-def newton_solve(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    guess: np.ndarray,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    settings: NewtonSettings = DEFAULT_NEWTON,
-    retry: Optional[NewtonSettings] = None,
-) -> np.ndarray:
-    """Damped Newton iteration for residual_fn(x) = 0 on a stack of m systems.
-
-    The guess has shape (m, n); the callbacks take the whole stack and return
-    float arrays (m, n) and (m, n, n), row k depending on row k alone, so
-    one system is the stack of one. Each system is frozen once its
-    own residual meets tolerance, and a step onto a non-finite residual is
-    halved for its own system, so each follows exactly its iterates alone.
-    A system that fails is iterated again from its own guess with `retry`,
-    when given. NonConvergence and SingularJacobian name the failing `system`.
-    """
-    guess = np.asarray(guess, dtype=float)
-    if guess.ndim != 2:
-        raise ValueError("guess must be a stack (m, n)")
-    x = guess.copy()
-    f = residual_fn(x)
-    if f.shape != x.shape:
-        raise ValueError("residual shape must match guess shape")
-    x, failed = _newton_pass(residual_fn, jacobian_fn, x, f, np.ones(len(x), dtype=bool), settings)
-    if failed and retry is not None:
-        again = np.isin(np.arange(len(x)), list(failed))
-        x[again] = guess[again]
-        x, failed = _newton_pass(residual_fn, jacobian_fn, x, residual_fn(x), again, retry)
     if failed:
         system = min(failed)
         raise NonConvergence(f"system {system}: {failed[system]}", system=system)

@@ -34,7 +34,7 @@ class CheckEntry:
 @dataclass(frozen=True)
 class VerificationReport:
     entries: tuple
-    version: str = __version__
+    version = __version__  # a class attribute, not a field: every report is of this version
 
     @property
     def total(self) -> int:

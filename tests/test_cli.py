@@ -525,7 +525,7 @@ class TestMain:
         def refused(*args):
             raise RuntimeError("rejection sampling failed; loosen min_gap or widen span")
 
-        monkeypatch.setattr(sampling, "sorted_positions", refused)
+        monkeypatch.setattr(sampling, "_constructed_positions", refused)
         path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err

@@ -77,10 +77,8 @@ class TestNewton:
         assert np.max(np.abs(residual(root))) <= 1e-12
 
     def test_nonconvergence(self):
-        settings = NewtonSettings(max_iterations=5)
         with pytest.raises(NonConvergence):
-            newton_solve(lambda u: u**2 + 1.0, np.array([[0.7]]), jacobian_fn=lambda u: diagonal(2.0 * u),
-                         settings=settings)
+            newton_solve(lambda u: u**2 + 1.0, np.array([[0.7]]), jacobian_fn=lambda u: diagonal(2.0 * u))
 
     def test_no_residual_evaluation_after_convergence(self):
         calls = []
@@ -104,10 +102,6 @@ class TestNewton:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             NewtonSettings(tolerance=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(max_iterations=0)
-        with pytest.raises(ValueError):
-            NewtonSettings(damping=1.5)
 
 
 def bent_residual(v, a, b):
@@ -157,24 +151,6 @@ class TestStackedNewton:
         newton_solve(lambda v: bent_residual(v, self.A, self.B), self.GUESS, jacobian_fn=jacobian)
         assert len(solves) == max(self.solve_alone(k)[1] for k in range(4))
 
-    def test_only_the_failing_system_is_retried(self):
-        # full Newton steps on arctan diverge from 1.5 but converge from 0.5;
-        # half steps converge from 1.5
-        settings = NewtonSettings(max_iterations=10)
-        retry = NewtonSettings(max_iterations=40, damping=0.5)
-        guess = np.array([[1.5], [0.5]])
-
-        def jacobian(u):
-            return 1.0 / (1.0 + u[..., None] ** 2)
-
-        with pytest.raises(NonConvergence):
-            newton_solve(np.arctan, guess[:1], jacobian_fn=jacobian, settings=settings)
-        first = newton_solve(np.arctan, guess[:1], jacobian_fn=jacobian, settings=retry)[0]
-        second = newton_solve(np.arctan, guess[1:], jacobian_fn=jacobian, settings=settings)[0]
-        assert not np.array_equal(second, newton_solve(np.arctan, guess[1:], jacobian_fn=jacobian, settings=retry)[0])
-        stacked = newton_solve(np.arctan, guess, jacobian_fn=jacobian, settings=settings, retry=retry)
-        assert np.array_equal(stacked[0], first) and np.array_equal(stacked[1], second)
-
     def test_only_the_system_that_hits_a_pole_halves_its_step(self):
         # the residual is infinite below 0: the full step of system 0 lands
         # there and is halved, the full step of system 1 is kept
@@ -193,10 +169,11 @@ class TestStackedNewton:
         assert stacked[0, 0] == pytest.approx(1.0, abs=1e-4)
 
     def test_nonconvergence_names_the_system(self):
-        settings = NewtonSettings(max_iterations=10)
-        with pytest.raises(NonConvergence, match="system 1: residual") as info:
-            newton_solve(np.arctan, np.array([[0.5], [1.5], [0.2], [1.6]]),
-                         jacobian_fn=lambda u: 1.0 / (1.0 + u[..., None] ** 2), settings=settings)
+        # u^2 - 1 in rows 0 and 2 converges; u^2 + 1 in rows 1 and 3 has no real root
+        shift = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+        with pytest.raises(NonConvergence, match="^system 1: residual .* after 50 iterations$") as info:
+            newton_solve(lambda u: u**2 + shift, np.array([[0.5], [0.7], [2.0], [0.3]]),
+                         jacobian_fn=lambda u: diagonal(2.0 * u))
         assert info.value.system == 1
 
     @pytest.mark.parametrize("bad", [0, 1, 2])

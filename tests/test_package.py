@@ -1,5 +1,6 @@
 """Every public top-level function or class of cmhier has a caller outside the tests,
-and every defaulted parameter of a public top-level function is passed by one.
+and every defaulted parameter of a public top-level function, and every defaulted
+field of a public dataclass, is passed by one.
 
 The package states each identity once, as an evaluator that a gate or another
 part of the program reads; an evaluator only tests call restates an identity
@@ -71,6 +72,19 @@ def _passed_parameters(call: ast.Call, args: ast.arguments) -> set:
     return passed
 
 
+def _parameters(node) -> ast.arguments | None:
+    """The parameters a call of the definition passes: a function's own, a dataclass's fields in order, as
+    positional-or-keyword parameters, the defaulted ones last; None for any other class."""
+    if isinstance(node, ast.FunctionDef):
+        return node.args
+    if not any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+        return None
+    fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and "ClassVar" not in ast.unparse(item.annotation)]
+    return ast.arguments(posonlyargs=[], args=[ast.arg(item.target.id) for item in fields], kwonlyargs=[],
+                         kw_defaults=[], defaults=[item.value for item in fields if item.value is not None])
+
+
 def test_every_defaulted_parameter_is_passed_by_a_caller():
     calls: dict = {}
     for owner, node in _nodes_by_owner():
@@ -80,9 +94,9 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
             calls.setdefault(name, []).append((owner, node))
     never_passed = set()
     for module, node in _public_definitions():
-        if not isinstance(node, ast.FunctionDef):
+        args = _parameters(node)
+        if args is None:
             continue
-        args = node.args
         positional = [a.arg for a in args.posonlyargs + args.args]
         defaulted = positional[len(positional) - len(args.defaults):]
         defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]

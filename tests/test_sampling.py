@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmhier.sampling import orbit_seed, random_phase_state, sorted_positions
+from cmhier.sampling import _constructed_positions, _positions, orbit_seed, random_phase_state, sorted_positions
 
 
 def numpy_sorted_positions(rng, n, min_gap, span):
@@ -79,12 +79,12 @@ def test_a_constructed_draw_that_rounding_leaves_short_is_refused():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
 def test_orbit_seeds_of_any_size_draw(n):
     """Up to n = 3 an orbit seed draws x_prev on [-6, 6] as before; from n = 4, where [-6, 6] cannot hold n
-    gaps of 3.5, on [-1.75 n, 1.75 n], the smallest interval that can."""
+    gaps of 3.5, by one constructive draw on [-1.75 n, 1.75 n], the smallest interval that can."""
     for seed in range(3):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         x_prev, x_cur = orbit_seed(got_rng, n)
-        span = 6.0 if n <= 3 else 1.75 * n
-        assert np.array_equal(x_prev, sorted_positions(ref_rng, n, 3.5, span))
+        span, draw = (6.0, sorted_positions) if n <= 3 else (1.75 * n, _constructed_positions)
+        assert np.array_equal(x_prev, draw(ref_rng, n, 3.5, span))
         assert np.array_equal(x_cur, x_prev + 0.3 * ref_rng.uniform(0.9, 1.1, n))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.all(np.diff(x_prev) >= 3.5) and -span <= x_prev[0] and x_prev[-1] <= span
@@ -92,12 +92,28 @@ def test_orbit_seeds_of_any_size_draw(n):
 
 @pytest.mark.parametrize("n", [3, 12, 13, 50])
 def test_phase_states_of_any_size_draw(n):
-    """At gap 0.5 a phase state draws on [-3, 3] up to n = 12 as before, and beyond on [-n/4, n/4]."""
+    """At gap 0.5 a phase state draws on [-3, 3] up to n = 12 as before, and beyond by one constructive draw
+    on [-n/4, n/4]."""
     for seed in range(3):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         state = random_phase_state(got_rng, n, 0.5)
-        span = 3.0 if n <= 12 else 0.25 * n
-        assert np.array_equal(state.x, sorted_positions(ref_rng, n, 0.5, span))
+        span, draw = (3.0, sorted_positions) if n <= 12 else (0.25 * n, _constructed_positions)
+        assert np.array_equal(state.x, draw(ref_rng, n, 0.5, span))
         assert np.array_equal(state.p, ref_rng.uniform(-1.0, 1.0, n))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.all(np.diff(state.x) >= 0.5) and -span <= state.x[0] and state.x[-1] <= span
+
+
+@pytest.mark.parametrize("n, min_gap, span", [(4, 3.5, 6.0), (1024, 3.5, 6.0), (13, 0.5, 3.0), (50, 0.5, 3.0)])
+def test_a_grown_span_draws_constructively_at_once(n, min_gap, span):
+    """Where [-span, span] cannot hold n gaps and the span grows to n min_gap / 2, as for orbit seeds and phase
+    states, the positions take exactly one draw of n uniforms from the generator, on
+    [-n min_gap / 2, -n min_gap / 2 + min_gap], and no rejected draw before it."""
+    grown = n * min_gap / 2
+    for seed in range(3):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _positions(got_rng, n, min_gap, span)
+        expected = np.sort(ref_rng.uniform(-grown, grown - (n - 1) * min_gap, n)) + min_gap * np.arange(n)
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.diff(got).min() >= min_gap and -grown <= got[0] and got[-1] <= grown
