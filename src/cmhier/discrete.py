@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollisionSingularity, LogSingularity, NumericsError, SingularMatrix, located
+from .errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix, located
 from .hierarchy import (
     COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
 from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
@@ -221,9 +221,44 @@ def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams,
             sites.append(np.array(after))
             before, last = last, after
     while len(sites) < count:
-        with located(site=len(sites)):
-            sites.append(discrete_step(sites[-2], sites[-1], params))
+        try:
+            with located(site=len(sites)):
+                sites.append(discrete_step(sites[-2], sites[-1], params))
+        except (NonConvergence, SingularMatrix) as exc:
+            end = _orbit_end(sites[0], sites[1], params, len(sites))
+            if end is None:
+                raise
+            with located(site=end[0]):
+                raise CollisionSingularity(end[1]) from exc
     return sites
+
+
+def lattice_spectrum(x00, x10, params: LatticeParams, n1, n2) -> np.ndarray:
+    """Site (n1, n2) of the sheet grown from the edge (x00, x10), one row per broadcast
+    (n1, n2); n2 = 0 is the discrete orbit. Complex only where some eigenvalue is. The sites are the
+    eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1 with L the discrete Lax matrix on the base edge
+    (Nijhoff-Pang, Phys. Lett. A 191 (1994)); exact re-exports it with the other exact solutions."""
+    L, _ = build_discrete_lax(x00, x10)
+    a, b = np.linalg.inv([L, L + (params.p2 - params.p1) * np.eye(len(L))])
+    n1, n2 = (np.asarray(n, dtype=float)[..., None, None] for n in (n1, n2))
+    return np.linalg.eigvals(np.diag(np.asarray(x00, dtype=float)) - n1 * a - n2 * b)
+
+
+def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, site: int):
+    """Where the exact orbit through the seed edge ends, if it does at `site` or site + 1: the first of them
+    whose lattice_spectrum has a complex pair or two eigenvalues within COLLISION_TOL, with the wording of its
+    end; None when both are real and apart, or when the spectrum cannot be computed."""
+    try:
+        spectra = lattice_spectrum(x_prev, x_cur, params, [site, site + 1], 0)
+    except np.linalg.LinAlgError:  # a singular Lax matrix of the seed edge
+        return None
+    for k, spectrum in zip((site, site + 1), spectra):
+        gaps = np.diff(np.sort(spectrum.real))
+        if spectrum.imag.any():
+            return k, "the exact orbit leaves the real line: complex pair in the lattice spectrum"
+        if (gaps < COLLISION_TOL).any():
+            return k, f"the exact orbit collides: lattice spectrum gap {gaps.min():.3e} below {COLLISION_TOL:.1e}"
+    return None
 
 
 def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):

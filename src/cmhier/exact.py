@@ -8,14 +8,16 @@ two eigenvalues meeting and leaving the real line as a complex pair.
 
 Lattice sites are the eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1
 with L the discrete Lax matrix on the base edge (Nijhoff-Pang, Phys. Lett. A 191 (1994));
-the scalar plaquette gate of verify reads them.
+the scalar plaquette gate of verify reads them. lattice_spectrum is defined in
+discrete, whose discrete_orbit reads it to word the end of an orbit, since this
+module imports discrete, and is re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .discrete import LatticeParams, build_discrete_lax
+from .discrete import lattice_spectrum  # noqa: F401 -- exact.lattice_spectrum, read by verify and the tests
 from .flows import FLIGHT_GAP_TOL, PathSpec
 from .hierarchy import PhaseState, inverse_gaps, lax_matrix
 
@@ -50,12 +52,3 @@ def collides(start: PhaseState, path: PathSpec) -> bool:
         if np.any(spectrum.imag != 0.0) or not np.all(gaps >= FLIGHT_GAP_TOL):
             return True
     return False
-
-
-def lattice_spectrum(x00, x10, params: LatticeParams, n1, n2) -> np.ndarray:
-    """Site (n1, n2) of the sheet grown from the edge (x00, x10), one row per broadcast
-    (n1, n2); n2 = 0 is the discrete orbit. Complex only where some eigenvalue is."""
-    L, _ = build_discrete_lax(x00, x10)
-    a, b = np.linalg.inv([L, L + (params.p2 - params.p1) * np.eye(len(L))])
-    n1, n2 = (np.asarray(n, dtype=float)[..., None, None] for n in (n1, n2))
-    return np.linalg.eigvals(np.diag(np.asarray(x00, dtype=float)) - n1 * a - n2 * b)

@@ -10,12 +10,12 @@ family, and conservation of the parametrized-path energy.
 Batch axis: the one march steps a stack (B, 2N) of B systems, a single state
 being the stack of one; each system takes the steps it takes alone, bit for
 bit. It calls numerics.march: below ORDERED_SUM_N particles, with B N at most
-FLOAT_MARCH_SIZE, each system marches first on Python floats, with one
-numerics.float_rk4_step whose Hamilton field, _field_source, is straight-line
-source in numpy's operation order, and a step that fails goes to the numpy
-march with the rest; any other stack marches on numpy, one field evaluation per
-RK4 stage for all rows. The Poisson bracket evaluates its observables once on
-the perturbed points of a stack of states.
+FLOAT_MARCH_SIZE, each system marches first on Python floats, as one leg of
+the numerics.float_rk4_step whose Hamilton field, _field_source, is
+straight-line source in numpy's operation order, and the stack goes to the
+numpy march from the last step every system passed; any other stack marches on
+numpy, one field evaluation per RK4 stage for all rows. The Poisson bracket
+evaluates its observables once on the perturbed points of a stack of states.
 
 Validation rule: RK4 stages are plain arithmetic on the stacked (x, p) array.
 numerics.march tests every step in flight: each system's positions stay
@@ -50,10 +50,12 @@ from .hierarchy import (
 from .numerics import fd_gradient, float_rk4_step, march, row_blocks
 
 FLIGHT_GAP_TOL = 1e-6
-# a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this: a
-# straight-line float step costs about 3 us per unit of B N at N = 1 to 3 and 5 us at N = 7, a numpy step
-# 100-190 us for any such stack, and the two meet near B N = 30-48 (2 vCPUs, wall, in-process)
-FLOAT_MARCH_SIZE = 24
+# a stack of B systems of N < ORDERED_SUM_N particles marches on Python floats when B N is at most this: a step
+# of the float legs costs about 1.0 us per unit of B N at N = 1 to 3 and 1.6 us at N = 7 on the t2 flow, 1.1-1.7
+# and 2.8 us in direction (1, 1), a numpy step 50-65 and 85-125 us for any such stack; the two meet near B N =
+# 64-96 at N = 1 and 2, 63-70 at N = 3, 45-60 at N = 5 and 35-42 at N = 7, so at B N = 48 no N is more than
+# a few per cent slower on floats (50-step marches, median of 5, one CPU, wall, in-process)
+FLOAT_MARCH_SIZE = 48
 
 BRACKET_STEP = 1e-5  # central-difference step of poisson_bracket in each coordinate of (x, p)
 ENDPOINT_SUBSTEPS = 8  # RK4 steps of each flow endpoint in the closure residuals
@@ -195,17 +197,18 @@ def _march(y0: np.ndarray, path: PathSpec) -> np.ndarray:
     """The stack y0 (B, 2N) of B systems at each time of the path's grid, shape (T, B, 2N), one RK4 step
     from each grid time to the next, each checked in flight, so an overflow in the unchecked stages is
     reported there, not warned about. Below ORDERED_SUM_N particles, with B N at most FLOAT_MARCH_SIZE,
-    numerics.march steps each system on Python floats first, with one step function per N and set of nonzero
-    direction weights; any other stack marches with numpy."""
+    numerics.march marches each system on Python floats first, with one leg runner per N and set of nonzero
+    direction weights, tested on the N - 1 neighbour pairs of its start order; any other stack marches with
+    numpy."""
     b, n = y0.shape[0], y0.shape[1] // 2
     order = np.argsort(y0[:, :n], axis=1) + 2 * n * np.arange(b)[:, None]
-    fld, step, dt = _raw_field(path.direction, n), None, path.duration / path.steps
+    fld, leg, dt = _raw_field(path.direction, n), None, path.duration / path.steps
     d2, d3 = float(path.direction[0]), float(path.direction[1])
     if n < ORDERED_SUM_N and b * n <= FLOAT_MARCH_SIZE:
         weights = (bool(d2), bool(d3))
-        step = float_rk4_step(("flows", n, weights), 2 * n, _field_source(n, weights), dt, d2=d2, d3=d3)
+        leg = float_rk4_step(("flows", n, weights), 2 * n, n - 1, _field_source(n, weights), dt, d2=d2, d3=d3)
     return march(fld, y0, path.grid(), dt, order, FLIGHT_GAP_TOL,
-                 lambda s, y, before: _check_in_flight(y, order, s, before, fld), step)
+                 lambda s, y, before: _check_in_flight(y, order, s, before, fld), leg)
 
 
 def _stack(states: Sequence[PhaseState]) -> np.ndarray:

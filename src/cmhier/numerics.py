@@ -14,11 +14,12 @@ more than the solve and find nothing. The [b | I] call of the uncertified rest k
 
 There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
 one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
-key that takes a whole step in local variables, with the field as straight-line source or a call; fed
-fields with the same bits, they give the same bits. flows and semidiscrete both call march, which owns
-the one step test of both kernels: a step passes when it is finite and the particles of each row of the
-caller's order stay tol apart in start order. Its float loop steps each system as y = step(*y) and hands the
-rest of a march from a failing step to rk4_march, which calls the caller's refused to word the abort.
+key that marches a whole leg of steps in local variables, with the field as straight-line source, and tests
+each step inline; fed fields with the same bits, they give the same bits. flows and semidiscrete both call
+march, which owns the one step test of both kernels: a step passes when it is finite and the particles of
+each row of the caller's order stay tol apart in start order. It marches each system's float leg in one call
+and hands the rest of a march, from the last step every system passed, to rk4_march, which calls the
+caller's refused to word the abort.
 """
 
 from __future__ import annotations
@@ -289,26 +290,32 @@ def rk4_march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, 
 
 
 _FLOAT_STEPS: dict[tuple, Callable] = {}
-"""The compiled step makers of float_rk4_step by their callers' keys, each caller's keys from a bounded set."""
+"""The compiled leg makers of float_rk4_step by their callers' keys, each caller's keys from a bounded set."""
 
 
-def float_rk4_step(key: tuple, size: int, source: Callable[[list, list], list], dt: float, **params) -> Callable:
-    """rk4_step of dt on one state of `size` Python floats, as a function step(*y) that returns the new state as
-    a tuple. It takes the stages of rk4_step operation for operation in local variables, so a field with numpy's
-    bits gives rk4_march's bits. source(inputs, outputs) gives the lines that set the variables named in
-    outputs to the field at the variables named in inputs; they may read dt and the params by name. The source
-    is compiled once per key, on its first use, as a maker of steps that takes dt and the params as arguments,
-    so no value is written into it: the key names all the source depends on."""
+def float_rk4_step(key: tuple, size: int, pairs: int, source: Callable[[list, list], list], dt: float,
+                   **params) -> Callable:
+    """rk4_step of dt on one state of `size` Python floats, marched as a leg: a function
+    leg(out, count, tol, lo0, hi0, ..., y0, y1, ...) that steps the state y up to count times, appends each step
+    that passes rk4_march's test to the array('d') out and returns the number of steps it appended, stopping at
+    the first that fails. A step passes when every value v is finite, v - v == 0.0, and t[hi] - t[lo] >= tol for
+    each of the `pairs` neighbour pairs (lo, hi), indices into the new state t. It takes the stages of rk4_step
+    operation for operation in local variables, so a field with numpy's bits gives rk4_march's bits.
+    source(inputs, outputs) gives the lines that set the variables named in outputs to the field at the variables
+    named in inputs; they may read dt and the params by name. The source is compiled once per key, on its first
+    use, as a maker of legs that takes dt and the params as arguments, so no value is written into it: the key
+    names all the source and the number of pairs depend on."""
     make = _FLOAT_STEPS.get(key)
     if make is None:
-        make = _FLOAT_STEPS[key] = _compile_float_step(key, size, source, list(params))
+        make = _FLOAT_STEPS[key] = _compile_float_step(key, size, pairs, source, list(params))
     return make(float(dt), **params)
 
 
-def _compile_float_step(key: tuple, size: int, source: Callable[[list, list], list], params: list) -> Callable:
-    """The step maker of float_rk4_step: one straight-line RK4 step on `size` floats y0, y1, ..., stage s
+def _compile_float_step(key: tuple, size: int, pairs: int, source: Callable[[list, list], list],
+                        params: list) -> Callable:
+    """The leg maker of float_rk4_step: a loop of straight-line RK4 steps on `size` floats y0, y1, ..., stage s
     putting the field in ks_0, ks_1, ... at the state u0, u1, ... = y + half k(s-1), the last stage's at
-    y + dt k3."""
+    y + dt k3, and each step ending in the step test of the new state t = y0, y1, ..."""
     y = [f"y{i}" for i in range(size)]
     u = [f"u{i}" for i in range(size)]
     body, inputs = [], y
@@ -318,36 +325,42 @@ def _compile_float_step(key: tuple, size: int, source: Callable[[list, list], li
         if scale:
             body += [f"{a} = {b} + {scale} * {c}" for a, b, c in zip(u, y, k)]
             inputs = u
-    new = ", ".join(f"{a} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, a in enumerate(y))
+    new = "".join(f"{a} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), " for i, a in enumerate(y))
+    passes = [f"{a} - {a} == 0.0" for a in y] + [f"t[hi{p}] - t[lo{p}] >= tol" for p in range(pairs)]
+    indices = "".join(f"lo{p}, hi{p}, " for p in range(pairs))
     text = "\n".join([f"def make(dt, {', '.join(params)}):", "    half, sixth = 0.5 * dt, dt / 6.0",
-                      f"    def step({', '.join(y)}):", *(f"        {line}" for line in body),
-                      f"        return ({new},)", "    return step"])
-    namespace = {"copysign": math.copysign, "inf": math.inf}
+                      f"    def leg(out, count, tol, {indices}{', '.join(y)}):", "        extend = out.extend",
+                      "        for done in range(count):", *(f"            {line}" for line in body),
+                      f"            t = {', '.join(y)}, = ({new})",
+                      f"            if not ({' and '.join(passes)}):", "                return done",
+                      "            extend(t)", "        return count", "    return leg"])
+    namespace = {"copysign": math.copysign, "inf": math.inf, "nan": math.nan}
     exec(compile(text, f"<float_rk4_step {key}>", "exec"), namespace)
     return namespace["make"]
 
 
 def march(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, times: np.ndarray, dt: float,
           order: np.ndarray, tol: float, refused: Callable[[float, np.ndarray, np.ndarray], None],
-          step: Optional[Callable] = None) -> np.ndarray:
-    """rk4_march(field, y0, times, dt, order, tol, refused), with its bits on Python floats where it can: step is
-    None, or a float_rk4_step of dt that steps each system along axis 0 of y0, its entries flat, as y = step(*y).
-    A float step passes rk4_march's test on the neighbour pairs of the rows of order in its system, derived once.
-    The systems step in lockstep up to the first step that some system fails; from the step before it rk4_march
-    takes the whole stack, so the failing step is taken again on numpy, where it passes or is refused."""
-    if step is None:
+          leg: Optional[Callable] = None) -> np.ndarray:
+    """rk4_march(field, y0, times, dt, order, tol, refused), with its bits on Python floats where it can: leg is
+    None, or a float_rk4_step of dt that marches each system along axis 0 of y0, its entries flat. Each system
+    marches its leg alone, in one call, tested on the neighbour pairs of the rows of order in its system, up to
+    the fewest steps that a system before it passed, so none marches past an earlier system's failure. From the
+    last step that every system passed, rk4_march takes the whole stack, so the failing step is taken again on
+    numpy, where it passes or is refused."""
+    if leg is None:
         return rk4_march(field, y0, times, dt, order, tol, refused)
-    rows, ys = y0.reshape(len(y0), -1).tolist(), array("d", y0.ravel().tolist())
-    size, finite = len(rows[0]), math.isfinite
-    pairs = [[] for _ in rows]  # each system's neighbour pairs (lower, upper), indices into its flat entries
+    rows = y0.reshape(len(y0), -1).tolist()
+    size = len(rows[0])
+    pairs = [[] for _ in rows]  # each system's neighbour pairs, lower then upper, as indices into its flat entries
     for particles in order.tolist():
-        pairs[particles[0] // size] += ((k % size, j % size) for k, j in zip(particles, particles[1:]))
-    for i in range(1, len(times)):
-        for r, neighbours in enumerate(pairs):
-            y = rows[r] = step(*rows[r])
-            if not (all(map(finite, y)) and all(y[j] - y[k] >= tol for k, j in neighbours)):
-                head = np.frombuffer(ys).reshape(i, *y0.shape)
-                return np.concatenate((head, rk4_march(field, head[-1], times[i - 1:], dt, order, tol, refused)[1:]))
-        for y in rows:
-            ys.extend(y)
-    return np.frombuffer(ys).reshape(len(times), *y0.shape)
+        pairs[particles[0] // size] += (i % size for pair in zip(particles, particles[1:]) for i in pair)
+    count, legs = len(times) - 1, []
+    for row, indices in zip(rows, pairs):
+        legs.append(array("d", row))
+        count = leg(legs[-1], count, tol, *indices, *row)
+    ys = np.stack([np.frombuffer(states, count=(count + 1) * size).reshape(count + 1, size) for states in legs], axis=1)
+    ys = ys.reshape(count + 1, *y0.shape)
+    if count == len(times) - 1:
+        return ys
+    return np.concatenate((ys, rk4_march(field, ys[-1], times[count:], dt, order, tol, refused)[1:]))

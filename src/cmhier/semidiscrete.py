@@ -17,14 +17,14 @@ shape (steps + 1, K+1, N); RK4 stages are plain arithmetic on the stacked
 sites, which march as one system, a stack (1, K+1, N).
 
 A chain of N <= 2 particles with K N^2 at most FLOAT_CHAIN_SIZE marches first
-on Python floats, which skips most of numpy's per-call cost, with a
-numerics.float_rk4_step that calls the float field once per stage: the float
-field repeats _site_velocities and linear_solve's certificate, and hands the 2K
-edge systems of a stage to numerics.float_solve, linear_solve's own LAPACK
-call, so its bits are numpy's whatever BLAS kernel runs. A step it cannot take
-exactly goes to the numpy march with the rest, which takes it or refuses it;
-every other chain marches on numpy, one stacked solve of all 2K edge systems
-per RK4 stage.
+on Python floats, which skips most of numpy's per-call cost, as one leg of a
+numerics.float_rk4_step whose field, _chain_source, is straight-line source
+per (K, N): it repeats _site_velocities and linear_solve's certificate, and
+hands the 2K edge systems of a stage to numerics.float_solve, linear_solve's
+own LAPACK call, so its bits are numpy's whatever BLAS kernel runs. A step it
+cannot take exactly goes to the numpy march with the rest, which takes it or
+refuses it; every other chain marches on numpy, one stacked solve of all 2K
+edge systems per RK4 stage.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
 from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, float_solve, linear_solve, march, row_blocks
 
-# a chain of N <= 2 particles marches on Python floats when K N^2 is at most this: a float RK4 step takes
-# 24-140 us at N = 1 and K = 16-128, and 26-124 us at N = 2 and K = 1-16, a numpy step 119-198 us on
-# those chains; at N = 2 the two meet near K N^2 = 96 (K = 24: 181 against 178 us), at N = 1 above K = 128
-# (100-step marches of drifting chains, median of 7, one CPU, wall, in-process)
-FLOAT_CHAIN_SIZE = 64
+# a chain of N <= 2 particles marches on Python floats when K N^2 is at most this. A 100-step march, with the
+# one-off compile of its leg (6-18 ms at K N^2 = 16-64), takes 5.2-18.1 ms at N = 1 and K = 16-64 against
+# 12.0-15.6 on numpy, and 6.8-22.4 ms at N = 2 and K = 4-16 against 12.6-16.2: the two meet near K = 50 at
+# N = 1 (K = 48: 13.6 against 14.3 ms) and K = 10 at N = 2 (14.7 against 14.6), so K N^2 = 40 fits both.
+# A leg compiled once runs far past it: 10.1 against 18.0 ms at N = 1, K = 128, and 18.6 against 19.2 at
+# N = 2, K = 32 (drifting chains, median of 5, one CPU, wall, in-process)
+FLOAT_CHAIN_SIZE = 40
 
 
 def _check_sites(y: np.ndarray) -> None:
@@ -132,53 +134,45 @@ def tau_velocities(chain: Chain) -> ChainVelocities:
     return ChainVelocities(v, fp, fn, np.abs(fp[..., :-1, :] - fn[..., 1:, :]).max(axis=(-2, -1), initial=0.0))
 
 
-def _float_site_velocities(k_len: int, n: int) -> Callable[[list], list]:
-    """_site_velocities' velocities of one chain of n <= 2 particles and k_len edges, its sites flat in a list
-    of floats, with the same bits. Entries 1/d^2 are positive, so linear_solve's |a| is a itself. At n = 2 the
-    2 k_len edge systems, forward then backward as _site_velocities stacks them, go to numerics.float_solve in
-    one call, linear_solve's own LAPACK call; at n = 1 an edge's velocity is -1/a, the one rounding of a 1 x 1
-    solve of -1 in any operation order. All NaN when an edge system is not certified dominant, as
-    linear_solve certifies it, or divides by zero: numpy solves it another way, and the NaN step hands it off."""
-    bound = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
-    minus_ones = np.full((2 * k_len, n), -1.0)
-
-    def fld(y: list) -> list:
-        try:
+def _chain_source(k_len: int, n: int) -> Callable[[list, list], list]:
+    """_site_velocities' velocities of one chain of n <= 2 particles and k_len edges, its sites flat, as the
+    straight-line source of numerics.float_rk4_step, with the same bits. Entries 1/d^2 are positive, so
+    linear_solve's |a| is a itself; a zero d^2 gives an inf entry, which no certificate clears. At n = 2 the
+    2 k_len edge systems, forward then backward as _site_velocities stacks them, go to `solve`,
+    numerics.float_solve, linear_solve's own LAPACK call, in one call with the right-hand sides `minus_ones`;
+    at n = 1 an edge's velocity is -1/a, the one rounding of a 1 x 1 solve of -1 in any operation order. All
+    NaN when an edge system is not certified dominant, as linear_solve certifies it with the margin `bound`,
+    or has a zero gap: numpy solves it another way, and the NaN step hands it off."""
+    def source(y: list, out: list) -> list:
+        lines, certified = [], []
+        for k in range(k_len):
+            a, b = y[n * k:n * k + n], y[n * k + n:n * k + 2 * n]
+            for i in range(n):
+                for j in range(n):
+                    lines += [f"d = {a[i]} - {b[j]}", "q = d * d", f"f{k}_{i}{j} = 1.0 / q if q else inf"]
             if n == 1:
-                from_prev = []
-                for a, b in zip(y, y[1:]):
-                    d = a - b
-                    entry = 1.0 / (d * d)
-                    if not 2.0 * entry - entry > bound * entry:
-                        return [math.nan] * len(y)
-                    from_prev.append(-1.0 / entry)
-                from_next = from_prev
+                certified.append(f"2.0 * f{k}_00 - f{k}_00 > bound * f{k}_00")
             else:
-                forward, backward = [], []
-                for k in range(0, 2 * k_len, 2):
-                    a0, a1, b0, b1 = y[k:k + 4]
-                    d00, d01, d10, d11 = a0 - b0, a0 - b1, a1 - b0, a1 - b1
-                    f00, f01, f10, f11 = 1.0 / (d00 * d00), 1.0 / (d01 * d01), 1.0 / (d10 * d10), 1.0 / (d11 * d11)
-                    cut = bound * max(f00, f01, f10, f11)
-                    # the rows of the forward system, then of its transpose, the backward one
-                    if not (2.0 * f00 - (f00 + f01) > cut and 2.0 * f11 - (f10 + f11) > cut
-                            and 2.0 * f00 - (f00 + f10) > cut and 2.0 * f11 - (f01 + f11) > cut):
-                        return [math.nan] * len(y)
-                    forward += (f00, f01, f10, f11)
-                    backward += (f00, f10, f01, f11)
-                solved = float_solve(2, forward + backward, minus_ones)
-                from_prev, from_next = solved[:2 * k_len], solved[2 * k_len:]
-        except ZeroDivisionError:
-            return [math.nan] * len(y)
-        interior = [0.5 * (a + b) for a, b in zip(from_prev[:-n], from_next[n:])]
-        return from_next[:n] + interior + from_prev[-n:]
+                # the rows of the forward system, then of its transpose, the backward one
+                lines.append(f"cut{k} = bound * max(f{k}_00, f{k}_01, f{k}_10, f{k}_11)")
+                certified += [f"2.0 * f{k}_{i}{i} - (f{k}_{a} + f{k}_{b}) > cut{k}"
+                              for i, a, b in ((0, "00", "01"), (1, "10", "11"), (0, "00", "10"), (1, "01", "11"))]
+        # from_prev[i]: site i // n + 1 from the edge before it; from_next[i]: site i // n from the edge after it
+        from_prev = [f"v{i}" for i in range(n * k_len)]
+        if n == 1:
+            from_next = from_prev
+            solved = [f"v{k} = -1.0 / f{k}_00" for k in range(k_len)]
+        else:
+            from_next = [f"w{i}" for i in range(n * k_len)]
+            forward = ", ".join(f"f{k}_00, f{k}_01, f{k}_10, f{k}_11" for k in range(k_len))
+            backward = ", ".join(f"f{k}_00, f{k}_10, f{k}_01, f{k}_11" for k in range(k_len))
+            solved = [f"{', '.join(from_prev + from_next)}, = solve(2, [{forward}, {backward}], minus_ones)"]
+        velocities = (from_next[:n] + [f"0.5 * ({a} + {b})" for a, b in zip(from_prev[:-n], from_next[n:])]
+                      + from_prev[-n:])
+        return [*lines, f"if {' and '.join(certified)}:", *(f"    {line}" for line in solved),
+                *(f"    {o} = {v}" for o, v in zip(out, velocities)), "else:", f"    {' = '.join(out)} = nan"]
 
-    return fld
-
-
-def _call_field(inputs: list, outputs: list) -> list:
-    """The source of one call of the float field `field` of numerics.float_rk4_step on the stage state."""
-    return [f"{', '.join(outputs)}, = field([{', '.join(inputs)}])"]
+    return source
 
 
 def _check_order(y: np.ndarray, before: np.ndarray) -> None:
@@ -217,10 +211,12 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
             _check_sites(y)
             _check_order(y[0], before[0])
 
-    step, size = None, (k_len + 1) * n
+    leg = None
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
-        step = float_rk4_step(("semidiscrete", size), size, _call_field, d_tau, field=_float_site_velocities(k_len, n))
-    return Chain(march(field, chain.sites[None], taus, d_tau, order, COLLISION_TOL, refused, step)[:, 0], taus)
+        leg = float_rk4_step(("semidiscrete", k_len, n), (k_len + 1) * n, k_len * (2 * n - 1),
+                             _chain_source(k_len, n), d_tau, bound=PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52,
+                             solve=float_solve, minus_ones=np.full((2 * k_len, n), -1.0))
+    return Chain(march(field, chain.sites[None], taus, d_tau, order, COLLISION_TOL, refused, leg)[:, 0], taus)
 
 
 def semi_eom_residual(sites: np.ndarray, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

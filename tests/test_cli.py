@@ -465,10 +465,12 @@ class TestMain:
         assert draws == [] and not (tmp_path / "out" / "report.json").exists()
 
     def test_discrete_abort_names_its_site(self, tmp_path, capsys):
-        # at Newton tolerance 1e-12 the solve for site 64 of this seeded orbit hits a singular Jacobian
+        # at Newton tolerance 1e-12 the solve for site 64 of this seeded orbit hits a singular Jacobian, where the
+        # exact orbit is complex
         payload = {"kind": "discrete", "n": 3, "steps": 200, "newton_tolerance": 1e-12, "out_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, payload))]) == 2
-        assert "numerical failure: SingularJacobian: at site 64: system 0:" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("numerical failure: CollisionSingularity: at site 64: the exact orbit leaves "
+                                           "the real line: complex pair in the lattice spectrum\n")
 
     def test_discrete_step_that_reorders_particles_aborts(self, tmp_path, capsys):
         # the exact orbit of this seed edge collides between sites 39 and 41
@@ -500,8 +502,9 @@ class TestMain:
          "CollisionSingularity: at site 40: particle order changed across the step"),
         ({"kind": "discrete", "n": 1, "seed_prev": [0.0], "seed_cur": [0.3], "steps": 5000}, 854,
          "NonConvergence: at site 854: system 0: residual 3.157e-13 above tolerance 1.0e-13 after 50 iterations"),
+        # the solve for site 63 stalls, and the exact orbit is complex at site 64
         ({"kind": "discrete", "n": 3, "seed": 0, "steps": 100}, 63,
-         "NonConvergence: at site 63: system 0: residual 1.941e-13 above tolerance 1.0e-13 after 50 iterations"),
+         "CollisionSingularity: at site 64: the exact orbit leaves the real line: complex pair in the lattice spectrum"),
     ])
     def test_discrete_aborts_alike_on_both_kernels(self, tmp_path, capsys, monkeypatch, payload, site, err):
         # the float orbit takes every step before the failing one and hands that one to discrete_step

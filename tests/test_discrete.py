@@ -23,11 +23,11 @@ from cmhier.discrete import (
     logdet_identity_residual,
     sheet_corner_residuals,
 )
-from cmhier import cli, discrete, numerics, verify
+from cmhier import cli, discrete, exact, numerics, verify
 from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
 from cmhier.hierarchy import ORDERED_SUM_N
 from cmhier.numerics import NewtonSettings
-from cmhier.sampling import plaquette_seed
+from cmhier.sampling import orbit_seed, plaquette_seed
 from cmhier.scenario import scenario_from_dict
 
 RNG = np.random.default_rng(99)
@@ -416,6 +416,43 @@ def test_orbit_extends_the_seed_pair_by_steps():
     assert len(orbit) == 6
     for ref, site in zip(make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 4), orbit):
         assert np.array_equal(ref, site)
+
+
+# seeded 100-step orbits whose exact orbit turns complex at the site a solve fails at, or the one after it; the
+# free particle's exact orbit x_k = 0.3 k stays real, so its stalled Newton solve keeps its own error
+@pytest.mark.parametrize("n, seed, solved, cause, site", [
+    (3, 0, 63, NonConvergence, 64),
+    (4, 0, 78, SingularMatrix, 78),
+    (2, 3, 68, SingularMatrix, 68),
+    (2, 4, 59, SingularMatrix, 59),
+    (3, 2, 41, SingularMatrix, 41),
+    (1, None, 854, NonConvergence, None),
+])
+def test_an_orbit_that_really_ends_says_so(n, seed, solved, cause, site):
+    params = LatticeParams(p1=1.0, p2=2.0, n=n, newton=NewtonSettings(tolerance=1e-13))
+    x_prev, x_cur = ([0.0], [0.3]) if seed is None else orbit_seed(np.random.default_rng(seed), n)
+    with pytest.raises(NumericsError) as info:
+        discrete.discrete_orbit(x_prev, x_cur, params, 5001 if seed is None else 101)
+    if site is None:
+        assert type(info.value) is cause and info.value.site == solved
+        return
+    assert type(info.value) is CollisionSingularity and info.value.site == site
+    assert str(info.value) == (f"at site {site}: the exact orbit leaves the real line: "
+                               "complex pair in the lattice spectrum")
+    # chained from the error of the solve, which names the site it was solving for
+    assert isinstance(info.value.__cause__, cause) and info.value.__cause__.site == solved
+    assert np.iscomplex(exact.lattice_spectrum(x_prev, x_cur, params, site, 0)).any()
+
+
+def test_a_failing_step_keeps_its_error_where_the_exact_orbit_cannot_be_read(monkeypatch):
+    # on the edge (0, 1), L + (p2 - p1) I = 1/(0 - 1) + 1 is singular, so lattice_spectrum raises LinAlgError
+    def failing(x_prev, x_cur, params):
+        raise NonConvergence("stuck", system=0)
+
+    monkeypatch.setattr(discrete, "discrete_step", failing)
+    monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)
+    with pytest.raises(NonConvergence, match="^at site 2: stuck$"):
+        discrete.discrete_orbit([0.0], [1.0], PARAMS_N1, 5)
 
 
 # the orbits of N = 1 to 3 step on the float kernel, that of N = 8 on discrete_step

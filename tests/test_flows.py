@@ -387,8 +387,9 @@ class TestFloatMarch:
 
     # "_float_march" and "_numpy_march" label the float and numpy kernels, and keep the test ids stable
     @pytest.mark.parametrize("b, n, kernel", [(1, 2, "_float_march"), (6, 2, "_float_march"), (4, 3, "_float_march"),
-                                              (8, 3, "_float_march"), (9, 3, "_numpy_march"), (1, 8, "_numpy_march"),
-                                              (3, 7, "_float_march"), (4, 7, "_numpy_march")])
+                                              (8, 3, "_float_march"), (16, 3, "_float_march"), (17, 3, "_numpy_march"),
+                                              (1, 8, "_numpy_march"), (3, 7, "_float_march"), (6, 7, "_float_march"),
+                                              (7, 7, "_numpy_march")])
     def test_the_stack_shape_picks_the_kernel(self, monkeypatch, b, n, kernel):
         picked = []
         monkeypatch.setattr(flows, "march", lambda field, y0, times, dt, order, tol, refused, step: picked.append(

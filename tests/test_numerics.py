@@ -1,8 +1,8 @@
-import math
 import os
 import subprocess
 import sys
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -652,49 +652,56 @@ class TestMarch:
     @staticmethod
     def field(_t, y):
         out = np.empty_like(y)
-        out[:, 0], out[:, 1], out[:, 2] = y[:, 1], -y[:, 0], 0.0
+        out[..., 0], out[..., 1], out[..., 2] = y[..., 1], -y[..., 0], 0.0
         return out
 
-    def run(self, monkeypatch, order, step):
+    @staticmethod
+    def run(monkeypatch, y0, times, order, refused, leg):
         """The march's states, or its abort as (message, s), and the (start time, start state) of every
-        rk4_march call it makes. A refused step raises, naming the first row whose x is not TOL below its wall."""
+        rk4_march call it makes."""
         handed, real = [], numerics.rk4_march
         monkeypatch.setattr(numerics, "rk4_march", lambda field, y0, times, dt, *test:
                             handed.append((times[0], y0.tobytes())) or real(field, y0, times, dt, *test))
-
-        def refused(t, y, _before):
-            raise CollisionSingularity(f"row {int(np.argmax(y[:, 2] - y[:, 0] < self.TOL))} at t={t:.6g}", s=t)
-
         try:
-            return numerics.march(self.field, self.Y0, self.TIMES, self.DT, order, self.TOL, refused, step), handed
+            return numerics.march(TestMarch.field, y0, times, TestMarch.DT, order, TestMarch.TOL, refused, leg), handed
         except CollisionSingularity as exc:
             return (str(exc), exc.s), handed
 
-    def step(self, stepped, gives_up):
-        """A float_rk4_step of the field that appends to `stepped` the row of each state it steps, by its wall;
-        with gives_up, it gives NaN once x passes the wall, as the chain's float field does on an edge system
-        it does not certify."""
-        step = numerics.float_rk4_step(("harmonic test field with a wall",), 3,
-                                       lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -{y[0]}", f"{k[2]} = 0.0"], self.DT)
+    def refused(self, t, y, _before):
+        """Name the first row whose x is not TOL below its wall."""
+        raise CollisionSingularity(f"row {int(np.argmax(y[:, 2] - y[:, 0] < self.TOL))} at t={t:.6g}", s=t)
 
-        def counted(*y):
-            stepped.append(self.LIMITS.index(y[2]))
-            new = step(*y)
-            return (math.nan,) * 3 if gives_up and new[0] > new[2] else new
+    @staticmethod
+    def leg(legs, pairs, gives_up):
+        """A float_rk4_step of the field that appends to `legs` (x amplitude, count given, steps passed) of each
+        leg it marches, for systems with `pairs` neighbour pairs; with gives_up, its field gives NaN at a stage
+        state whose x is past the wall, as the chain's float field does on an edge system it does not certify."""
+        def source(y, k):
+            wall = f" if {y[0]} <= {y[2]} else nan" if gives_up else ""
+            return [f"{k[0]} = {y[1]}{wall}", f"{k[1]} = -{y[0]}", f"{k[2]} = 0.0"]
+
+        leg = numerics.float_rk4_step(("harmonic test field with a wall", pairs, gives_up), 3, pairs, source,
+                                      TestMarch.DT)
+
+        def counted(out, count, tol, *args):
+            passed = leg(out, count, tol, *args)
+            legs.append((args[-2], count, passed))
+            return passed
 
         return counted
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_numpy_takes_the_stack_from_the_last_step_every_row_accepted(self, monkeypatch, raises):
         # with raises, the walls are in the order, so both kernels refuse the step where x passes a wall; else
-        # only the float step fails there, and the numpy march takes it
+        # only the float field fails there, and the numpy march takes it
         order = self.WALLS if raises else self.WALLS[:, :1]
-        expected, handed = self.run(monkeypatch, order, None)
+        expected, handed = self.run(monkeypatch, self.Y0, self.TIMES, order, self.refused, None)
         assert [start for start, _ in handed] == [0.0]
-        stepped = []
-        got, handed = self.run(monkeypatch, order, self.step(stepped, gives_up=not raises))
-        # the rows step in lockstep, so row 2's failure at step 2 stops every row there
-        assert stepped == [0, 1, 2] * 2
+        legs = []
+        got, handed = self.run(monkeypatch, self.Y0, self.TIMES, order, self.refused,
+                               self.leg(legs, order.shape[1] - 1, gives_up=not raises))
+        # each row marches its leg alone, up to the steps the rows before it passed: row 2 fails at step 2
+        assert legs == [(1.0, 10, 10), (1.1, 10, 3), (1.2, 3, 1)]
         if raises:  # the refused step of row 2 is taken again on numpy, which raises
             assert got == expected == ("row 2 at t=0.2", 0.2)
         else:  # tobytes also tells 0.0 from -0.0
@@ -703,25 +710,53 @@ class TestMarch:
         assert handed == [(self.TIMES[1], rk4_step(self.field, 0.0, self.Y0, self.DT).tobytes())]
 
     def test_a_march_that_no_row_refuses_stays_on_floats(self, monkeypatch):
-        expected, _ = self.run(monkeypatch, self.WALLS[:, :1], None)
-        stepped = []
-        got, handed = self.run(monkeypatch, self.WALLS[:, :1], self.step(stepped, gives_up=False))
-        assert handed == [] and got.tobytes() == expected.tobytes() and stepped == [0, 1, 2] * 10
+        order, legs = self.WALLS[:, :1], []
+        expected, _ = self.run(monkeypatch, self.Y0, self.TIMES, order, self.refused, None)
+        got, handed = self.run(monkeypatch, self.Y0, self.TIMES, order, self.refused, self.leg(legs, 0, False))
+        assert handed == [] and got.tobytes() == expected.tobytes()
+        assert legs == [(1.0, 10, 10), (1.1, 10, 10), (1.2, 10, 10)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 20))
+    def test_a_stack_hands_off_at_the_last_step_every_system_passed(self, b, seed, steps):
+        # b systems whose float fields give up at random steps, or never: x = a sin t with a wall at 0-1.6
+        rng = np.random.default_rng(seed)
+        y0 = np.stack([np.zeros(b), rng.uniform(0.5, 1.5, b), rng.uniform(0.0, 1.6, b)], axis=1)
+        times, order, legs = np.arange(steps + 1) * self.DT, 3 * np.arange(b)[:, None], []
+        leg = self.leg(legs, 0, gives_up=True)
+        alone = []  # the steps each system's leg passes alone
+        for row in y0.tolist():
+            alone.append(leg(array("d", row), steps, self.TOL, *row))
+        legs.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            expected, _ = self.run(patch, y0, times, order, None, None)
+        with pytest.MonkeyPatch.context() as patch:
+            got, handed = self.run(patch, y0, times, order, None, leg)
+        # system r gets the fewest steps the systems before it passed, and passes as many of them as it passes alone
+        given = [min([steps, *alone[:r]]) for r in range(b)]
+        assert legs == [(a, count, min(count, own)) for a, count, own in zip(y0[:, 1].tolist(), given, alone)]
+        last = min([steps, *alone])
+        assert got.tobytes() == expected.tobytes()
+        assert handed == ([] if last == steps else [(times[last], expected[last].tobytes())])
 
     @pytest.mark.parametrize("cases", [flows_step_cases, single_particle_step_cases, chain_step_cases],
                              ids=["flows", "single-particle", "chain"])
     def test_both_kernels_accept_the_same_steps(self, cases):
-        # a step from start lands on each state; march's float row test hands a failing one to rk4_march, and
-        # rk4_march's numpy test gives a failing one to refused
+        # a step from start lands on each state y: rk4_march's numpy test gives a failing one to refused, and
+        # march hands one that its float leg refuses to rk4_march; the leg, of dt 0 and a zero field, starts at y
+        # and lands on it, tested on the pairs of the start order
         start, order, tol, states = cases()
         times, real = np.array([0.0, 1.0]), numerics.rk4_march
+        size, pairs = start[0].size, (order.size - len(order)) // len(start)
+        leg = numerics.float_rk4_step(("a zero step", size, pairs), size, pairs,
+                                      lambda y, k: [f"{a} = 0.0" for a in k], 0.0)
         for y, accepted in states:
-            handed, refused, rows = [], [], iter(y.reshape(len(y), -1).tolist())
+            handed, refused = [], []
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(numerics, "rk4_step", lambda field, t, before, dt: y)
                 real(None, start, times, 1.0, order, tol, lambda *step: refused.append(step))
                 patch.setattr(numerics, "rk4_march", lambda field, y0, *rest: handed.append(y0) or np.stack([y0, y]))
-                numerics.march(None, start, times, 1.0, order, tol, None, lambda *_: tuple(next(rows)))
+                numerics.march(None, y, times, 0.0, order, tol, None, leg)
             assert (not handed) is (not refused) is accepted, y
 
 
@@ -738,10 +773,12 @@ class TestFloatStep:
     def test_dt_and_params_are_arguments_of_one_compiled_source(self, compiled):
         source = lambda y, k: [f"{k[0]} = {y[1]}", f"{k[1]} = -(w * {y[0]})"]  # noqa: E731
         for dt, w in ((0.1, 1.0), (0.3 / 7, 2.5), (1e-3, -0.5)):
-            step = numerics.float_rk4_step(("oscillator",), 2, source, dt, w=w)
-            y = (0.3, -1.2)
-            expected = rk4_step(lambda _t, u: np.array([u[1], -(w * u[0])]), 0.0, np.array(y), dt)
-            assert np.array(step(*y)).tobytes() == expected.tobytes()
+            leg, out = numerics.float_rk4_step(("oscillator",), 2, 0, source, dt, w=w), array("d")
+            y = expected = np.array([0.3, -1.2])
+            assert leg(out, 3, 0.0, *y.tolist()) == 3
+            for got in np.frombuffer(out).reshape(3, 2):
+                expected = rk4_step(lambda _t, u: np.array([u[1], -(w * u[0])]), 0.0, expected, dt)
+                assert got.tobytes() == expected.tobytes()
         assert compiled == [("oscillator",)]
 
     def test_importing_cmhier_compiles_nothing(self):
@@ -755,9 +792,10 @@ class TestFloatStep:
             verify_all(scenario_from_dict({"kind": "verify-all", "n": 3, "seed": 0}))
         assert len(compiled) == len(set(compiled)) == len(numerics._FLOAT_STEPS)
         # bounded by construction: flows compiles one step per N < ORDERED_SUM_N and set of nonzero weights,
-        # semidiscrete one per chain size (K + 1) N, which FLOAT_CHAIN_SIZE bounds
+        # semidiscrete one per chain of K edges and N <= 2 particles, which FLOAT_CHAIN_SIZE bounds
         flows_keys = {key for key in compiled if key[0] == "flows"}
         assert flows_keys and all(n < ORDERED_SUM_N and weights in {(True, False), (False, True), (True, True)}
                                   for _, n, weights in flows_keys)
         chain_keys = set(compiled) - flows_keys
-        assert chain_keys and all(kind == "semidiscrete" and size <= FLOAT_CHAIN_SIZE + 1 for kind, size in chain_keys)
+        assert chain_keys and all(kind == "semidiscrete" and n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE
+                                  for kind, k_len, n in chain_keys)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,24 +214,25 @@ class TestEvolveChain:
         assert info.value.tau == pytest.approx(0.5 + 1e-3 + 0.5e-3)
 
     def test_float_kernel_hands_off_at_the_start_of_the_step(self, monkeypatch):
-        # the float field gives up on its sixth evaluation, the second stage of the second step: the numpy
-        # kernel takes that step again from its start, so its first stage is the first one it evaluates
-        real_field, real = semidiscrete._float_site_velocities, semidiscrete._site_velocities
+        # the float field's edge solve gives up on its sixth call, the second stage of the second step, and the
+        # NaN stages after it certify nothing, so they make no call: the numpy kernel takes that step again from
+        # its start, so its first stage is the first one it evaluates
+        real_solve = semidiscrete.float_solve
         calls, numpy_calls = [], []
 
-        def giving_up_on_sixth_call(k_len, n):
-            field = real_field(k_len, n)
-            return lambda y: calls.append(y) or ([np.nan] * len(y) if len(calls) == 6 else field(y))
+        def giving_up_on_sixth_call(n, a, b):
+            calls.append(a)
+            return [np.nan] * (len(a) // n) if len(calls) == 6 else real_solve(n, a, b)
 
         def failing(y):
             numpy_calls.append(y.shape)
             raise SingularMatrix("system 0: pivot 0.000e+00 below threshold in column 0", system=0)
 
-        monkeypatch.setattr(semidiscrete, "_float_site_velocities", giving_up_on_sixth_call)
+        monkeypatch.setattr(semidiscrete, "float_solve", giving_up_on_sixth_call)
         monkeypatch.setattr(semidiscrete, "_site_velocities", failing)
         with pytest.raises(SingularMatrix, match=r"at tau=0\.501: system 0") as info:
             evolve_chain(Chain(CHAIN_N2.sites, tau=0.5), 1e-3, 3)
-        assert info.value.tau == 0.5 + 1e-3 and len(calls) == 8 and numpy_calls == [(1, 3, 2)]
+        assert info.value.tau == 0.5 + 1e-3 and len(calls) == 6 and numpy_calls == [(1, 3, 2)]
 
     def test_builds_one_chain_per_call(self, count_builds, monkeypatch):
         checked, marched, refused = counted_step_checks(monkeypatch)
@@ -387,11 +390,23 @@ class TestFloatChainKernel:
             return
         assert_same_chain_outcome(chain, d_tau, steps)
 
-    @pytest.mark.parametrize("chain", [CHAIN_N1, CHAIN_N2, Chain(tuple(drifting_chain(1, 64))),
-                                       Chain(tuple(drifting_chain(2, 16, seed=3)))])
+    @pytest.mark.parametrize("chain", [CHAIN_N1, CHAIN_N2, Chain(tuple(drifting_chain(1, 40))),
+                                       Chain(tuple(drifting_chain(2, 10, seed=3)))])
     @pytest.mark.parametrize("d_tau", [1e-3, 1e-2])
     def test_float_kernel_takes_every_step(self, chain, d_tau):
         assert assert_same_chain_outcome(chain, d_tau, 20)[1] == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_side_of_the_bound_has_the_numpy_march_bits(self, n):
+        # K N^2 = FLOAT_CHAIN_SIZE marches every step on floats, one edge more every step on numpy, with the bits
+        # the float kernel gives that chain under a raised bound
+        k_len = semidiscrete.FLOAT_CHAIN_SIZE // n**2
+        assert k_len * n**2 == semidiscrete.FLOAT_CHAIN_SIZE
+        assert assert_same_chain_outcome(Chain(tuple(drifting_chain(n, k_len))), 1e-2, 20)[1] == 0
+        chain = Chain(tuple(drifting_chain(n, k_len + 1)))
+        numpy_sites, numpy_steps = chain_outcome(chain, 1e-2, 20, semidiscrete.FLOAT_CHAIN_SIZE)
+        float_sites, float_steps = chain_outcome(chain, 1e-2, 20, (k_len + 1) * n**2)
+        assert (numpy_steps, float_steps) == (20, 0) and numpy_sites.tobytes() == float_sites.tobytes()
 
     def test_adjacent_sites_meet_alike(self):
         # the gap of edge 0 is -1/2 + exp(-tau); this step, found by bisection, takes it below COLLISION_TOL
@@ -452,6 +467,25 @@ class TestFloatChainKernel:
         assert [steps for _, steps in marched] == [3, 3, 3]
 
 
+def chain_field(sites):
+    """The float field of the leg evolve_chain marches the chain `sites` (K+1, N) with, at those sites: its
+    source and params as evolve_chain gives them to numerics.float_rk4_step, compiled alone as a function of the
+    flat sites, with the names numerics gives the leg."""
+    given = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semidiscrete, "float_rk4_step", lambda key, size, pairs, source, dt, **params:
+                      given.append((size, source, params)))
+        patch.setattr(semidiscrete, "march", lambda field, y0, *rest: y0[None])
+        evolve_chain(Chain(sites), 1e-3, 0)
+    (size, source, params), = given
+    y, k = [f"y{i}" for i in range(size)], [f"k{i}" for i in range(size)]
+    text = "\n".join([f"def field({', '.join(y)}):", *(f"    {line}" for line in source(y, k)),
+                      f"    return [{', '.join(k)}]"])
+    namespace = {"inf": math.inf, "nan": math.nan, **params}
+    exec(compile(text, "<chain field>", "exec"), namespace)
+    return namespace["field"](*sites.ravel().tolist())
+
+
 class TestFloatKernelParts:
     """The 1 x 1 solve and certificate of the float kernel against the numpy code they repeat, and the wording
     of an order flip."""
@@ -470,7 +504,7 @@ class TestFloatKernelParts:
     ])
     def test_the_float_field_certifies_what_linear_solve_certifies(self, sites, certified):
         y = np.array(sites)
-        got = np.array(semidiscrete._float_site_velocities(1, 2)(y.ravel().tolist()))
+        got = np.array(chain_field(y))
         expected = semidiscrete._site_velocities(y)[0]  # linear_solve solves the others through [b | I]
         assert np.isfinite(expected).all()
         if certified:
