@@ -239,9 +239,13 @@ def lattice_spectrum(x00, x10, params: LatticeParams, n1, n2) -> np.ndarray:
     eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1 with L the discrete Lax matrix on the base edge
     (Nijhoff-Pang, Phys. Lett. A 191 (1994)); exact re-exports it with the other exact solutions."""
     L, _ = build_discrete_lax(x00, x10)
-    a, b = np.linalg.inv([L, L + (params.p2 - params.p1) * np.eye(len(L))])
-    n1, n2 = (np.asarray(n, dtype=float)[..., None, None] for n in (n1, n2))
-    return np.linalg.eigvals(np.diag(np.asarray(x00, dtype=float)) - n1 * a - n2 * b)
+    sites = np.diag(np.asarray(x00, dtype=float))
+    # a term whose coefficient is zero throughout is not inverted, so the orbit (n2 = 0) reads any seed edge
+    for n, matrix in ((n1, L), (n2, L + (params.p2 - params.p1) * np.eye(len(L)))):
+        n = np.asarray(n, dtype=float)[..., None, None]
+        if n.any():
+            sites = sites - n * np.linalg.inv(matrix)
+    return np.linalg.eigvals(sites)
 
 
 def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, site: int):
@@ -264,36 +268,46 @@ def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, sit
 def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
     """Residual of the printed corner constraint as const_m + sgn * sum_l 1/(x_m - u_l) for a
     stack: x and known of shape (m, n), one variant letter for all systems or one per system,
-    and dp = p1 - p2."""
+    and dp = p1 - p2. The Jacobian sgn / (x_m - u_l)^2, asked at the point of the last residual,
+    bit for bit, as newton_solve asks it, squares that residual's cross matrix, so a Newton
+    iterate forms one; at any other point, or a point changed in place since, it forms its own."""
     letters = [variant] if isinstance(variant, str) else variant
     if not set(letters) <= set(_CORNER_TERMS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
     sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
     const = _cross(x, known).sum(axis=-1) - weight * inverse_gaps(x).sum(axis=-1) + d_sign * dp
+    last = {}  # the last residual's point, as (dtype, shape, bytes), and its cross matrix
 
     def residual(u):
-        return const + sgn * _cross(x, u).sum(axis=-1)
+        cross = _cross(x, u)
+        last.update(point=(u.dtype, u.shape, u.tobytes()), cross=cross)
+        return const + sgn * cross.sum(axis=-1)
 
     def jacobian(u):
-        return sgn[..., None] * _cross(x, u) ** 2
+        same = last.get("point") == (u.dtype, u.shape, u.tobytes())
+        return sgn[..., None] * (last["cross"] if same else _cross(x, u)) ** 2
 
     return residual, jacobian, const, sgn
 
 
 def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.ndarray:
     """Solve each particle's own pole with cross terms frozen, per system of a (m, n) stack,
-    each until its next sweep is non-finite or moves it less than 1e-10; exact for N=1."""
+    each until its next sweep is non-finite or moves it less than 1e-10; exact for N=1.
+    A sweep sets u_m = x_m - 1/(-sgn (const_m + sgn s_m)), s_m the cross sum without l = m;
+    since sgn = +-1, the pole term is (-sgn const_m) - s_m, formed once, with the same bits
+    but for the sign of a zero, whose inverse is infinite either way and discards the sweep."""
     u = x + 1e-3
+    pole = -sgn * const
     active = np.ones(len(x), dtype=bool)
     # frozen systems are swept along with the rest, and their sweeps discarded
     with np.errstate(divide="ignore"):
         for _ in range(8):
             cross = _cross(x, u)
             cross.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0.0
-            u_new = x - 1.0 / (-sgn * (const + sgn * cross.sum(axis=-1)))
+            u_new = x - 1.0 / (pole - cross.sum(axis=-1))
             keep = active & np.isfinite(u_new).all(axis=1)
             active = keep & (np.abs(u_new - u).max(axis=1) >= 1e-10)
-            u[keep] = u_new[keep]
+            u = u_new if keep.all() else np.where(keep[:, None], u_new, u)
             if not active.any():
                 break
     return u

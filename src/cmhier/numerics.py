@@ -196,9 +196,15 @@ def newton_solve(
 
     The guess has shape (m, n); the callbacks take the whole stack and return
     float arrays (m, n) and (m, n, n), row k depending on row k alone, so
-    one system is the stack of one. Each system is frozen once its
-    own residual meets tolerance, and a step onto a non-finite residual is
-    halved for its own system, so each follows exactly its iterates alone.
+    one system is the stack of one. jacobian_fn(x) is called on the point
+    of the last residual_fn call, an array newton_solve never writes into,
+    except after a step that found no finite residual, whose systems it
+    drops; so a Jacobian may reuse what that residual formed, where it
+    checks that the point is the same.
+    Each system is frozen once its own residual meets tolerance, and a step
+    onto a non-finite residual is halved for its own system, so each follows
+    exactly its iterates alone; while every system is active, the stack is
+    solved whole, without gathering it.
     NonConvergence and SingularJacobian name the failing `system`, the lowest.
     """
     x = np.array(guess, dtype=float)
@@ -209,29 +215,33 @@ def newton_solve(
         raise ValueError("residual shape must match guess shape")
     active, failed = np.ones(len(x), dtype=bool), {}
     for iteration in range(NEWTON_ITERATIONS + 1):
-        active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= settings.tolerance))
+        active &= ~(np.abs(f).max(axis=1) <= settings.tolerance)  # false for a NaN or infinite residual
         if not active.any() or iteration == NEWTON_ITERATIONS:
             break
-        steps = np.zeros_like(x)
         try:
-            steps[active] = linear_solve(jacobian_fn(x)[active], f[active])
+            if active.all():
+                steps = linear_solve(jacobian_fn(x), f)
+            else:
+                steps = np.zeros_like(x)
+                steps[active] = linear_solve(jacobian_fn(x)[active], f[active])
         except SingularMatrix as exc:
             # linear_solve counts the active systems; name the stack's index
             system = int(np.flatnonzero(active)[exc.system])
             raise SingularJacobian(f"system {system}: {str(exc).partition(': ')[2]}", system=system) from exc
         # a frozen system's step is zero; a step onto a pole of its system's residual is halved
-        scale = np.ones((len(x), 1))
+        scale = 1.0  # one scale per system from the first halving on; 1.0 * step is exact
         for _ in range(60):
             x_new = x - scale * steps
             f_new = residual_fn(x_new)
             poles = active & ~np.isfinite(f_new).all(axis=1)
             if not poles.any():
                 break
-            scale[poles] *= 0.5
+            scale = np.where(poles[:, None], 0.5 * scale, scale)
         else:
             reason = "could not find a finite residual along the Newton step"
             failed.update((int(k), reason) for k in np.flatnonzero(poles))
-            x_new[poles], f_new[poles] = x[poles], f[poles]
+            # new arrays, not writes into the point that the last residual_fn call saw
+            x_new, f_new = np.where(poles[:, None], x, x_new), np.where(poles[:, None], f, f_new)
             active &= ~poles
         x, f = x_new, f_new
     failed.update(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmhier.discrete import (
+    CORNER_VARIANTS,
     LatticeParams,
     _corner_system,
     _mean_field_guess,
@@ -233,6 +234,129 @@ class TestCornerEquations:
         assert np.max(np.abs(_mean_field_guess(x00[None], const, sgn)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def reference_mean_field_guess(x, const, sgn, sweeps=None):
+    """_mean_field_guess as it was before its pole term was formed once: each sweep forms -sgn (const + sgn s)
+    and writes the systems it keeps into u; each sweep appends to the list sweeps, when one is given."""
+    u = x + 1e-3
+    active = np.ones(len(x), dtype=bool)
+    with np.errstate(divide="ignore"):
+        for _ in range(8):
+            if sweeps is not None:
+                sweeps.append(1)
+            cross = discrete._cross(x, u)
+            cross.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0.0
+            u_new = x - 1.0 / (-sgn * (const + sgn * cross.sum(axis=-1)))
+            keep = active & np.isfinite(u_new).all(axis=1)
+            active = keep & (np.abs(u_new - u).max(axis=1) >= 1e-10)
+            u[keep] = u_new[keep]
+            if not active.any():
+                break
+    return u
+
+
+def corner_stack(variants, n, seed, spacing):
+    """Sites x and their known neighbours, one system per variant, N = n."""
+    rng = np.random.default_rng(seed)
+    x = spacing * np.arange(n) + rng.uniform(-0.3, 0.3, (len(variants), n))
+    return x, x + rng.uniform(0.9, 1.1, x.shape) / 3.0
+
+
+class TestGuessMatchesTheLoopReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(CORNER_VARIANTS), min_size=m, max_size=m),
+        st.lists(st.sampled_from(["finite", "finite", "nan", "zero"]), min_size=m, max_size=m),
+        st.sampled_from([1, 2, 3, 8, 32]), st.integers(0, 2**32 - 1), st.sampled_from([3.0, 30.0]))))
+    def test_same_bits(self, case):
+        # a NaN in a system's const makes its first sweep non-finite; so does a zero pole term, which a const of
+        # zero gives a single particle, whose sweep has no cross term
+        variants, consts, n, seed, spacing = case
+        x, known = corner_stack(variants, n, seed, spacing)
+        _, _, const, sgn = _corner_system(variants, x, known, -1.0)
+        const[[c == "nan" for c in consts], 0] = np.nan
+        if n == 1:
+            const[[c == "zero" for c in consts]] = 0.0
+        assert _mean_field_guess(x, const, sgn).tobytes() == reference_mean_field_guess(x, const, sgn).tobytes()
+
+    def test_a_non_finite_sweep_keeps_the_last_finite_guess(self):
+        x = np.array([[0.0], [5.0], [10.0]])
+        const = np.array([[0.0], [0.7], [np.nan]])
+        sgn = np.array([[1.0], [-1.0], [1.0]])
+        guess = _mean_field_guess(x, const, sgn)
+        assert guess.tobytes() == reference_mean_field_guess(x, const, sgn).tobytes()
+        assert np.array_equal(guess[[0, 2]], x[[0, 2]] + 1e-3) and guess[1, 0] == 5.0 - 1.0 / 0.7
+
+
+class TestOneCrossMatrixPerIterate:
+    def test_the_jacobian_is_never_stale(self):
+        x, known = corner_stack(("a", "c", "d"), 8, 4, 3.0)
+        residual, jacobian, const, sgn = _corner_system(("a", "c", "d"), x, known, -1.0)
+        u = _mean_field_guess(x, const, sgn)
+        residual(u)
+        u[1, 2] += 0.25  # in place, after the residual saw u
+        assert np.array_equal(jacobian(u), sgn[..., None] * discrete._cross(x, u) ** 2)
+        residual(u)
+        assert np.array_equal(jacobian(u.copy()), sgn[..., None] * discrete._cross(x, u) ** 2)
+
+    def test_the_jacobian_after_a_step_with_no_finite_residual_is_not_stale(self):
+        # system 0's residual is finite at the guess alone, and so large there that its step stays far from the
+        # guess after every halving; the step fails, and newton_solve carries on with system 1 from a point that
+        # the last residual call did not see
+        x, known = corner_stack(("a", "c"), 8, 5, 3.0)
+        residual, jacobian, const, sgn = _corner_system(("a", "c"), x, known, -1.0)
+        calls, at_last_residual = [], []
+
+        def walled(u):
+            calls.append(u.copy())
+            f = residual(u)
+            return np.where((np.arange(2) == 0)[:, None], 1e30 * f if len(calls) == 1 else np.inf, f)
+
+        def checked(u):
+            at_last_residual.append(np.array_equal(u, calls[-1]))
+            served = jacobian(u)
+            assert np.array_equal(served, sgn[..., None] * discrete._cross(x, u) ** 2)
+            return served
+
+        guess = _mean_field_guess(x, const, sgn) + [[0.0], [0.02]]  # system 1 takes more than one step
+        with pytest.raises(NonConvergence, match="^system 0: could not find a finite residual"):
+            numerics.newton_solve(walled, guess, checked)
+        # the first Jacobian after the failed step is asked at a point no residual call saw, the others are not
+        assert at_last_residual[0] and not at_last_residual[1] and all(at_last_residual[2:])
+
+    def test_one_cross_matrix_per_guess_sweep_const_and_residual(self, monkeypatch):
+        x, known = corner_stack(("a", "c", "c", "c", "c"), 32, 6, 3.0)
+        crosses, jacobian_crosses, residuals = [], [], []
+        real_cross, real_newton = discrete._cross, discrete.newton_solve
+
+        def counted_cross(a, b):
+            crosses.append(1)
+            return real_cross(a, b)
+
+        def counted_newton(residual_fn, guess, jacobian_fn, settings):
+            def residual(u):
+                residuals.append(1)
+                return residual_fn(u)
+
+            def jacobian(u):
+                before = len(crosses)
+                out = jacobian_fn(u)
+                jacobian_crosses.append(len(crosses) - before)
+                return out
+
+            return real_newton(residual, guess, jacobian, settings)
+
+        monkeypatch.setattr(discrete, "_cross", counted_cross)
+        monkeypatch.setattr(discrete, "newton_solve", counted_newton)
+        solved = corner_solve(("a", "c", "c", "c", "c"), x, known, PARAMS_N3)
+        monkeypatch.undo()
+        sweeps = []
+        _, _, const, sgn = _corner_system(("a", "c", "c", "c", "c"), x, known, -1.0)
+        reference_mean_field_guess(x, const, sgn, sweeps)
+        assert jacobian_crosses and not any(jacobian_crosses)
+        assert len(crosses) == len(sweeps) + 1 + len(residuals)
+        assert solved.tobytes() == corner_solve(("a", "c", "c", "c", "c"), x, known, PARAMS_N3).tobytes()
+
+
 class TestPlaquette:
     def test_scalar_closed_forms(self):
         # chain of scalar pole inversions fixes every corner uniquely
@@ -444,15 +568,25 @@ def test_an_orbit_that_really_ends_says_so(n, seed, solved, cause, site):
     assert np.iscomplex(exact.lattice_spectrum(x_prev, x_cur, params, site, 0)).any()
 
 
-def test_a_failing_step_keeps_its_error_where_the_exact_orbit_cannot_be_read(monkeypatch):
-    # on the edge (0, 1), L + (p2 - p1) I = 1/(0 - 1) + 1 is singular, so lattice_spectrum raises LinAlgError
-    def failing(x_prev, x_cur, params):
-        raise NonConvergence("stuck", system=0)
+def stuck_step(x_prev, x_cur, params):
+    raise NonConvergence("stuck", system=0)
 
-    monkeypatch.setattr(discrete, "discrete_step", failing)
+
+def test_a_failing_step_keeps_its_error_where_the_exact_orbit_cannot_be_read(monkeypatch):
+    # the Lax matrix of the edge ([0, 1], [-0.5, 0.25]) is [[-1, 1], [-1, 1]], so lattice_spectrum raises LinAlgError
+    monkeypatch.setattr(discrete, "discrete_step", stuck_step)
+    monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)
+    with pytest.raises(NonConvergence, match="^at site 2: stuck$"):
+        discrete.discrete_orbit([0.0, 1.0], [-0.5, 0.25], PARAMS_N2, 5)
+
+
+def test_a_failing_step_keeps_its_error_where_the_exact_orbit_goes_on(monkeypatch):
+    # on the edge (0, 1), L + (p2 - p1) I = 1/(0 - 1) + 1 is singular, but the orbit x_k = k reads as real and apart
+    monkeypatch.setattr(discrete, "discrete_step", stuck_step)
     monkeypatch.setattr(discrete, "FLOAT_ORBIT_SIZE", 0)
     with pytest.raises(NonConvergence, match="^at site 2: stuck$"):
         discrete.discrete_orbit([0.0], [1.0], PARAMS_N1, 5)
+    assert discrete._orbit_end(np.array([0.0]), np.array([1.0]), PARAMS_N1, 2) is None
 
 
 # the orbits of N = 1 to 3 step on the float kernel, that of N = 8 on discrete_step

@@ -197,6 +197,28 @@ class TestLatticeSpectrum:
         site = exact.lattice_spectrum(x00, x10, params, 3, 2)
         assert site[0] == pytest.approx(0.2 + 3 * 0.3 - 2.0 / (1.0 / -0.3 + 1.0), abs=1e-14)
 
+    def test_the_orbit_of_an_edge_whose_lax_matrix_has_the_eigenvalue_p1_minus_p2(self):
+        # on the edge (0, 1), L = -1 and L + (p2 - p1) I = 0, which the orbit (n2 = 0) never inverts
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=1)
+        assert exact.lattice_spectrum([0.0], [1.0], params, 2, 0) == pytest.approx([2.0], abs=1e-14)
+        assert exact.lattice_spectrum([0.0], [1.0], params, [2, 3], 0) == pytest.approx(np.array([[2.0], [3.0]]), abs=1e-14)
+        assert np.array_equal(discrete.discrete_orbit([0.0], [1.0], params, 4), [[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            exact.lattice_spectrum([0.0], [1.0], params, [2, 3], [0, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_sites_off_the_orbit_keep_the_bits_of_one_stacked_inverse(self, n):
+        rng = np.random.default_rng(40 + n)
+        x00 = 3.0 * np.arange(n) + rng.uniform(-0.3, 0.3, n)
+        x10 = x00 + rng.uniform(0.9, 1.1, n) / 3.0
+        L = discrete.build_discrete_lax(x00, x10)[0]
+        a, b = np.linalg.inv([L, L + np.eye(n)])
+        for n1, n2 in [([0, 1], [1, 1]), (3, 2), (0, [1, 2, 3]), (np.arange(5), 4)]:
+            n1_, n2_ = (np.asarray(k, dtype=float)[..., None, None] for k in (n1, n2))
+            reference = np.linalg.eigvals(np.diag(x00) - n1_ * a - n2_ * b)
+            site = exact.lattice_spectrum(x00, x10, discrete.LatticeParams(p1=1.0, p2=2.0, n=n), n1, n2)
+            assert site.tobytes() == reference.tobytes()
+
 
 class TestChainSpectrum:
     """The chain grown from the edge (x00, x10) along tau: y(k, tau) = eig(diag x00 - k L^-1 - tau L^-2),

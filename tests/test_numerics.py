@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmhier import flows, numerics, semidiscrete
+from cmhier import discrete, flows, numerics, semidiscrete
 from cmhier.errors import CollisionSingularity, NonConvergence, SingularJacobian, SingularMatrix
 from cmhier.flows import PathSpec
 from cmhier.hierarchy import ORDERED_SUM_N
@@ -187,6 +187,135 @@ class TestStackedNewton:
             newton_solve(lambda u: u - 1.0 - (slope[:, None] == 0.0), guess,
                          jacobian_fn=lambda u: slope[:, None, None] * np.ones((3, 1, 1)))
         assert info.value.system == bad
+
+
+def reference_newton_solve(residual_fn, guess, jacobian_fn, settings=numerics.DEFAULT_NEWTON):
+    """newton_solve as it was before its all-active stacks went ungathered: every step gathers the active
+    systems, the step scale is an array from the start, a residual is frozen by a separate finiteness test, and
+    a step that finds no finite residual writes the old point back into the new arrays."""
+    x = np.array(guess, dtype=float)
+    f = residual_fn(x)
+    active, failed = np.ones(len(x), dtype=bool), {}
+    for iteration in range(numerics.NEWTON_ITERATIONS + 1):
+        active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= settings.tolerance))
+        if not active.any() or iteration == numerics.NEWTON_ITERATIONS:
+            break
+        steps = np.zeros_like(x)
+        try:
+            steps[active] = linear_solve(jacobian_fn(x)[active], f[active])
+        except SingularMatrix as exc:
+            system = int(np.flatnonzero(active)[exc.system])
+            raise SingularJacobian(f"system {system}: {str(exc).partition(': ')[2]}", system=system) from exc
+        scale = np.ones((len(x), 1))
+        for _ in range(60):
+            x_new = x - scale * steps
+            f_new = residual_fn(x_new)
+            poles = active & ~np.isfinite(f_new).all(axis=1)
+            if not poles.any():
+                break
+            scale[poles] *= 0.5
+        else:
+            reason = "could not find a finite residual along the Newton step"
+            failed.update((int(k), reason) for k in np.flatnonzero(poles))
+            x_new[poles], f_new[poles] = x[poles], f[poles]
+            active &= ~poles
+        x, f = x_new, f_new
+    failed.update(
+        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {settings.tolerance:.1e} "
+                 f"after {numerics.NEWTON_ITERATIONS} iterations")
+        for k in np.flatnonzero(active)
+    )
+    if failed:
+        system = min(failed)
+        raise NonConvergence(f"system {system}: {failed[system]}", system=system)
+    return x
+
+
+def outcome(solve, *args, **kwargs):
+    """The root's bytes, or the error's type, message and system."""
+    try:
+        return solve(*args, **kwargs).tobytes()
+    except (NonConvergence, SingularJacobian) as exc:
+        return type(exc), str(exc), exc.system
+
+
+# per-system residuals, each a function of its own row: a root to converge on, no real root (u^2 + 1), a pole
+# below 0 that a full step lands on and halves, a residual finite at the guess alone, and a zero Jacobian
+NEWTON_KINDS = ("root", "no-root", "pole", "wall", "singular")
+
+
+def kinds_system(kinds, shift):
+    """Residual and Jacobian of a stack whose system k is of kinds[k], with shift[k] in its residual."""
+    kind = np.array([NEWTON_KINDS.index(k) for k in kinds])[:, None]
+    calls = []
+
+    def residual(u):
+        calls.append(1)
+        pole = np.where(u > 0.0, np.arctan(u - shift), np.inf)
+        wall = u - shift if len(calls) == 1 else np.full_like(u, np.inf)
+        with np.errstate(over="ignore"):  # the iterates of u^2 + 1 can pass close to 0 and far out
+            return np.choose(kind, [u * u - shift, u * u + shift, pole, wall, u - shift])
+
+    def jacobian(u):
+        with np.errstate(over="ignore"):
+            slope = np.choose(kind, [2.0 * u, 2.0 * u, 1.0 / (1.0 + (u - shift) ** 2), np.ones_like(u), 0.0 * u])
+        return slope[..., None] * np.eye(u.shape[-1])
+
+    return residual, jacobian
+
+
+class TestNewtonMatchesTheLoopReference:
+    """newton_solve gives the bits and the errors of reference_newton_solve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(NEWTON_KINDS[:3]) | st.sampled_from(NEWTON_KINDS), min_size=m, max_size=m),
+        st.sampled_from([1, 2, 3, 8, 32]), st.integers(0, 2**32 - 1), st.sampled_from([1e-12, 1e-4]))))
+    def test_kinds(self, case):
+        kinds, n, seed, tolerance = case
+        rng = np.random.default_rng(seed)
+        shift = rng.uniform(0.5, 4.0, (len(kinds), 1))
+        guess = rng.uniform(0.2, 6.0, (len(kinds), n))
+        newton = NewtonSettings(tolerance=tolerance)
+        sides = []
+        for solve in (newton_solve, reference_newton_solve):
+            residual, jacobian = kinds_system(kinds, shift)
+            sides.append(outcome(solve, residual, guess, jacobian, newton))
+        assert sides[0] == sides[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(discrete.CORNER_VARIANTS), min_size=m, max_size=m),
+        st.sampled_from([1, 2, 3, 8, 32]), st.integers(0, 2**32 - 1), st.sampled_from([3.0, 30.0]))))
+    def test_corner_systems(self, case):
+        # the corner system's Jacobian squares its residual's cross matrix; the reference forms its own
+        variants, n, seed, spacing = case
+        rng = np.random.default_rng(seed)
+        x = spacing * np.arange(n) + rng.uniform(-0.3, 0.3, (len(variants), n))
+        known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
+        residual, jacobian, const, sgn = discrete._corner_system(variants, x, known, -1.0)
+        guess = discrete._mean_field_guess(x, const, sgn)
+        changed = outcome(newton_solve, residual, guess, jacobian)
+        assert changed == outcome(reference_newton_solve, lambda u: const + sgn * discrete._cross(x, u).sum(axis=-1),
+                                  guess, lambda u: sgn[..., None] * discrete._cross(x, u) ** 2)
+
+    @pytest.mark.parametrize("kinds, shift, error", [
+        (("root", "pole", "root"), [2.0, 1.0, 3.0], None),  # system 1's first full step lands below 0
+        (("no-root", "root"), [1.0, 2.0], ("after 50 iterations", 0)),
+        (("root", "wall", "root"), [1.0, 2.0, 3.0], ("could not find a finite residual", 1)),
+        (("root", "singular"), [1.0, 2.0], ("pivot 0.000e+00", 1)),
+        (("wall", "pole", "no-root"), [2.0, 1.0, 1.0], ("could not find a finite residual", 0)),
+    ])
+    def test_each_kind_takes_its_branch(self, kinds, shift, error):
+        sides = []
+        for solve in (newton_solve, reference_newton_solve):
+            residual, jacobian = kinds_system(kinds, np.array(shift)[:, None])
+            sides.append(outcome(solve, residual, np.full((len(kinds), 3), 3.0), jacobian))
+        assert sides[0] == sides[1]
+        if error is None:
+            assert isinstance(sides[0], bytes)
+        else:
+            assert error[0] in sides[0][1] and sides[0][2] == error[1]
 
 
 class TestLinearSolve:
