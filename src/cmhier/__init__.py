@@ -13,14 +13,12 @@ from .errors import (
     ValidationError,
 )
 from .hierarchy import PhaseState
-from .numerics import NewtonSettings
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CollisionSingularity",
     "LogSingularity",
-    "NewtonSettings",
     "NonConvergence",
     "ParseError",
     "PhaseState",

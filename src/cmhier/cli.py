@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, discrete, flows, semidiscrete
 from .errors import NumericsError, ScenarioError, ValidationError
 from .hierarchy import PhaseState, lax_invariants
-from .numerics import NewtonSettings, row_blocks
+from .numerics import row_blocks
 from .sampling import orbit_seed, random_phase_state
 from .scenario import KEYS, Scenario, parse_scenario, scenario_from_dict
 from .verify import (
@@ -69,8 +69,8 @@ def _seeded(draw, sc: Scenario, **kwargs):
 
 def _lattice_sites(sc: Scenario, count: int) -> list[np.ndarray]:
     """The seed pair (given or drawn), extended by discrete steps to `count` sites."""
-    # an orbit reads only its Newton settings: p1 and p2 cancel from the equation of motion
-    params = discrete.LatticeParams(p1=1.0, p2=2.0, n=sc.n, newton=NewtonSettings(tolerance=sc.newton_tolerance))
+    # an orbit reads only its Newton tolerance: p1 and p2 cancel from the equation of motion
+    params = discrete.LatticeParams(p1=1.0, p2=2.0, n=sc.n, newton_tolerance=sc.newton_tolerance)
     seed = (sc.seed_prev, sc.seed_cur) if sc.seed_prev is not None else _seeded(orbit_seed, sc)
     return discrete.discrete_orbit(*seed, params, count)
 

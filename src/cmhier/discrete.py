@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .errors import CollisionSingularity, LogSingularity, NonConvergence, Numeri
 from .hierarchy import (
     COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
 from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
-from .numerics import (
-    CERTIFY_MARGIN, DEFAULT_NEWTON, NEWTON_ITERATIONS, PIVOT_RTOL, NewtonSettings, float_solve, newton_solve)
+from .numerics import CERTIFY_MARGIN, NEWTON_ITERATIONS, PIVOT_RTOL, float_solve, newton_solve
 
 # an orbit of at most this many particles steps on Python floats first: a float step takes 11-111 us at
 # N = 1-7 and a numpy step 110-440 us (30-step orbits, median of 7, one CPU, wall, in-process), so the bound
@@ -57,16 +56,18 @@ CORNER_VARIANTS = tuple(_CORNER_TERMS)[:4]
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Lattice parameters of the two discrete directions plus solver controls."""
+    """Lattice parameters of the two discrete directions plus the Newton tolerance, a max-norm residual bound."""
 
     p1: float
     p2: float
     n: int
-    newton: NewtonSettings = field(default_factory=lambda: DEFAULT_NEWTON)
+    newton_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("particle count must be at least 1")
+        if not self.newton_tolerance > 0:  # false for NaN
+            raise ValueError("Newton tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,10 @@ def _eom_system(x_prev, x_cur):
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """Three-point equation of motion, per particle (see _eom_system), over leading axes."""
     x_cur, x_next = np.asarray(x_cur, dtype=float), np.asarray(x_next, dtype=float)
-    residual = _eom_system(x_prev, x_cur)[0]
+    system = _eom_system(x_prev, x_cur)[0]
     check_collision_free(x_next)
     check_cross_gap(x_cur, x_next)
-    return residual(x_next.reshape(-1, x_next.shape[-1])).reshape(x_next.shape)
+    return system(x_next.reshape(-1, x_next.shape[-1]))[0].reshape(x_next.shape)
 
 
 def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) -> np.ndarray:
@@ -142,8 +143,8 @@ def discrete_step(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams) 
     uniform-motion guess 2 x_cur - x_prev. The exact orbit never reorders particles,
     so a solution that does crossed a collision and raises CollisionSingularity."""
     x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
-    residual, jacobian, _, _ = _eom_system(x_prev, x_cur)
-    x_next = newton_solve(residual, [2.0 * x_cur - x_prev], jacobian_fn=jacobian, settings=params.newton)[0]
+    system = _eom_system(x_prev, x_cur)[0]
+    x_next = newton_solve(system, [2.0 * x_cur - x_prev], params.newton_tolerance)[0]
     if not _keeps_order(x_cur, x_next):
         raise CollisionSingularity("particle order changed across the step")
     return x_next
@@ -155,7 +156,7 @@ def _float_collision_free(x: list) -> bool:
     return all(map(math.isfinite, x)) and all(b - a >= COLLISION_TOL for a, b in zip(s, s[1:]))
 
 
-def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | None:
+def _float_step(x_prev: list, x_cur: list, tol: float) -> list | None:
     """discrete_step on one configuration of fewer than ORDERED_SUM_N Python floats, with its operations in its
     order, so its bits: each row sum from 0.0 in column order, and each Newton solve handed to
     numerics.float_solve, linear_solve's own LAPACK call. None where discrete_step raises or takes another
@@ -187,7 +188,7 @@ def _float_step(x_prev: list, x_cur: list, newton: NewtonSettings) -> list | Non
                 f.append(k + total)
             if not all(map(math.isfinite, f)):
                 return None
-            if max(map(abs, f)) <= newton.tolerance:
+            if max(map(abs, f)) <= tol:
                 break
             if iteration == NEWTON_ITERATIONS:
                 return None
@@ -215,7 +216,7 @@ def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams,
     if sites[0].ndim == 1 and sites[0].shape == sites[1].shape and len(sites[1]) <= FLOAT_ORBIT_SIZE:
         before, last = sites[0].tolist(), sites[1].tolist()
         while len(sites) < count:
-            after = _float_step(before, last, params.newton)
+            after = _float_step(before, last, params.newton_tolerance)
             if after is None:
                 break
             sites.append(np.array(after))
@@ -266,28 +267,22 @@ def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, sit
 
 
 def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
-    """Residual of the printed corner constraint as const_m + sgn * sum_l 1/(x_m - u_l) for a
-    stack: x and known of shape (m, n), one variant letter for all systems or one per system,
-    and dp = p1 - p2. The Jacobian sgn / (x_m - u_l)^2, asked at the point of the last residual,
-    bit for bit, as newton_solve asks it, squares that residual's cross matrix, so a Newton
-    iterate forms one; at any other point, or a point changed in place since, it forms its own."""
+    """The printed corner constraint as newton_solve's system, with its const and sgn: system(u)
+    gives the residual const_m + sgn * sum_l 1/(x_m - u_l) for a stack and a function that gives
+    its Jacobian sgn / (x_m - u_l)^2 by squaring the residual's cross matrix, so a Newton iterate
+    forms one; x and known of shape (m, n), one variant letter for all systems or one per system,
+    and dp = p1 - p2."""
     letters = [variant] if isinstance(variant, str) else variant
     if not set(letters) <= set(_CORNER_TERMS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
     sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
     const = _cross(x, known).sum(axis=-1) - weight * inverse_gaps(x).sum(axis=-1) + d_sign * dp
-    last = {}  # the last residual's point, as (dtype, shape, bytes), and its cross matrix
 
-    def residual(u):
+    def system(u):
         cross = _cross(x, u)
-        last.update(point=(u.dtype, u.shape, u.tobytes()), cross=cross)
-        return const + sgn * cross.sum(axis=-1)
+        return const + sgn * cross.sum(axis=-1), lambda: sgn[..., None] * cross ** 2
 
-    def jacobian(u):
-        same = last.get("point") == (u.dtype, u.shape, u.tobytes())
-        return sgn[..., None] * (last["cross"] if same else _cross(x, u)) ** 2
-
-    return residual, jacobian, const, sgn
+    return system, const, sgn
 
 
 def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.ndarray:
@@ -326,17 +321,17 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
     check_cross_gap(x, known)
-    residual, jacobian, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
+    system, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
     guess = _mean_field_guess(x, const, sgn)
-    return newton_solve(residual, guess, jacobian_fn=jacobian, settings=params.newton).reshape(np.shape(known1))
+    return newton_solve(system, guess, params.newton_tolerance).reshape(np.shape(known1))
 
 
 def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams) -> np.ndarray:
     """Left-minus-right of the printed corner constraint, per particle; for
     one system or a stack, as in corner_solve."""
     x, known, solved = (np.asarray(a, dtype=float) for a in (x, known, solved))
-    residual = _corner_system(variant, x, known, params.p1 - params.p2)[0]
-    return residual(solved).reshape(x.shape)
+    system = _corner_system(variant, x, known, params.p1 - params.p2)[0]
+    return system(solved)[0].reshape(x.shape)
 
 
 def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> tuple[Plaquette, float | np.ndarray]:

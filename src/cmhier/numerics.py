@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,20 +52,6 @@ def row_blocks(rows: int, entries_per_row: int) -> list[slice]:
 
 NEWTON_ITERATIONS = 50
 """The iteration cap of every Newton solve, newton_solve's and the float orbit's."""
-
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    """Controls for the Newton iteration: tolerance is a max-norm bound on the residual."""
-
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-
-DEFAULT_NEWTON = NewtonSettings()
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,52 +172,48 @@ def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray
 
 
 def newton_solve(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    guess: np.ndarray,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    settings: NewtonSettings = DEFAULT_NEWTON,
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]], guess: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Newton iteration for residual_fn(x) = 0 on a stack of m systems, full steps, at most NEWTON_ITERATIONS.
+    """Newton iteration for f(x) = 0 on a stack of m systems, full steps, at most NEWTON_ITERATIONS.
 
-    The guess has shape (m, n); the callbacks take the whole stack and return
-    float arrays (m, n) and (m, n, n), row k depending on row k alone, so
-    one system is the stack of one. jacobian_fn(x) is called on the point
-    of the last residual_fn call, an array newton_solve never writes into,
-    except after a step that found no finite residual, whose systems it
-    drops; so a Jacobian may reuse what that residual formed, where it
-    checks that the point is the same.
-    Each system is frozen once its own residual meets tolerance, and a step
-    onto a non-finite residual is halved for its own system, so each follows
-    exactly its iterates alone; while every system is active, the stack is
-    solved whole, without gathering it.
+    The guess has shape (m, n); system(x) takes the whole stack and returns
+    the residual f (m, n) and a function of no arguments that gives the
+    Jacobian (m, n, n) at that same x, row k depending on row k alone, so
+    one system is the stack of one. Newton keeps the pair of the point it
+    steps from and asks for one Jacobian per linear solve: a converged
+    stack or a rejected halving trial forms none.
+    Each system is frozen once its own residual is at most tol in max-norm,
+    and a step onto a non-finite residual is halved for its own system, so
+    each follows exactly its iterates alone; while every system is active,
+    the stack is solved whole, without gathering it.
     NonConvergence and SingularJacobian name the failing `system`, the lowest.
     """
     x = np.array(guess, dtype=float)
     if x.ndim != 2:
         raise ValueError("guess must be a stack (m, n)")
-    f = residual_fn(x)
+    f, jacobian = system(x)
     if f.shape != x.shape:
         raise ValueError("residual shape must match guess shape")
     active, failed = np.ones(len(x), dtype=bool), {}
     for iteration in range(NEWTON_ITERATIONS + 1):
-        active &= ~(np.abs(f).max(axis=1) <= settings.tolerance)  # false for a NaN or infinite residual
+        active &= ~(np.abs(f).max(axis=1) <= tol)  # false for a NaN or infinite residual
         if not active.any() or iteration == NEWTON_ITERATIONS:
             break
         try:
             if active.all():
-                steps = linear_solve(jacobian_fn(x), f)
+                steps = linear_solve(jacobian(), f)
             else:
                 steps = np.zeros_like(x)
-                steps[active] = linear_solve(jacobian_fn(x)[active], f[active])
+                steps[active] = linear_solve(jacobian()[active], f[active])
         except SingularMatrix as exc:
             # linear_solve counts the active systems; name the stack's index
-            system = int(np.flatnonzero(active)[exc.system])
-            raise SingularJacobian(f"system {system}: {str(exc).partition(': ')[2]}", system=system) from exc
+            k = int(np.flatnonzero(active)[exc.system])
+            raise SingularJacobian(f"system {k}: {str(exc).partition(': ')[2]}", system=k) from exc
         # a frozen system's step is zero; a step onto a pole of its system's residual is halved
         scale = 1.0  # one scale per system from the first halving on; 1.0 * step is exact
         for _ in range(60):
             x_new = x - scale * steps
-            f_new = residual_fn(x_new)
+            f_new, jacobian_new = system(x_new)
             poles = active & ~np.isfinite(f_new).all(axis=1)
             if not poles.any():
                 break
@@ -240,18 +221,18 @@ def newton_solve(
         else:
             reason = "could not find a finite residual along the Newton step"
             failed.update((int(k), reason) for k in np.flatnonzero(poles))
-            # new arrays, not writes into the point that the last residual_fn call saw
+            # the systems still active keep the last trial, whose Jacobian rows are theirs
             x_new, f_new = np.where(poles[:, None], x, x_new), np.where(poles[:, None], f, f_new)
             active &= ~poles
-        x, f = x_new, f_new
+        x, f, jacobian = x_new, f_new, jacobian_new
     failed.update(
-        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {settings.tolerance:.1e} "
+        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {tol:.1e} "
                  f"after {NEWTON_ITERATIONS} iterations")
         for k in np.flatnonzero(active)
     )
     if failed:
-        system = min(failed)
-        raise NonConvergence(f"system {system}: {failed[system]}", system=system)
+        k = min(failed)
+        raise NonConvergence(f"system {k}: {failed[k]}", system=k)
     return x
 
 

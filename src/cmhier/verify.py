@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, discrete, exact, flows, hierarchy, semidiscrete
 from .errors import CollisionSingularity, NumericsError
 from .hierarchy import GAMMA, PhaseState
-from .numerics import NewtonSettings, row_blocks
+from .numerics import row_blocks
 from .sampling import plaquette_seed, random_phase_state
 from .scenario import Scenario
 
@@ -225,7 +225,7 @@ def _two_body_gap_law(col):
 
 def _discrete_orbit(col, rng):
     """Gates the invariant drift of a 52-site orbit and returns the orbit."""
-    params = discrete.LatticeParams(p1=1.0, p2=2.0, n=3, newton=NewtonSettings(tolerance=1e-13))
+    params = discrete.LatticeParams(p1=1.0, p2=2.0, n=3, newton_tolerance=1e-13)
     x_prev = np.array([-4.0, 0.0, 4.0])
     orbit = discrete.discrete_orbit(x_prev, x_prev + 0.3 * rng.uniform(0.95, 1.05, 3), params, 52)
     col.gated("discrete-invariant-drift", orbit_invariant_drift(orbit), 1e-10, steps=50, n=3)

@@ -27,7 +27,6 @@ from cmhier.discrete import (
 from cmhier import cli, discrete, exact, numerics, verify
 from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
 from cmhier.hierarchy import ORDERED_SUM_N
-from cmhier.numerics import NewtonSettings
 from cmhier.sampling import orbit_seed, plaquette_seed
 from cmhier.scenario import scenario_from_dict
 
@@ -45,6 +44,12 @@ def make_orbit(x_prev, x_cur, params, steps):
     for _ in range(steps):
         orbit.append(discrete_step(orbit[-2], orbit[-1], params))
     return orbit
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan")])
+def test_newton_tolerance_must_be_positive(tolerance):
+    with pytest.raises(ValueError, match="Newton tolerance must be positive"):
+        LatticeParams(p1=1.0, p2=2.0, n=1, newton_tolerance=tolerance)
 
 
 class TestDiscreteStep:
@@ -94,7 +99,7 @@ class TestElResidual:
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 3)
         for k in range(1, len(orbit) - 1):
             r = discrete_el_residual(orbit[k - 1], orbit[k], orbit[k + 1])
-            assert np.max(np.abs(r)) <= PARAMS_N3.newton.tolerance * 10
+            assert np.max(np.abs(r)) <= PARAMS_N3.newton_tolerance * 10
 
     def test_negative_control(self):
         r = discrete_el_residual(np.array([0.0]), np.array([1.0]), np.array([2.5]))
@@ -136,7 +141,7 @@ class TestCornerEquations:
         x00, x10 = plaquette_seed(RNG, 2, 1.0, 2.0)
         out = corner_solve("a", x00, x10, PARAMS_N2)
         r = corner_residual("a", x00, x10, out, PARAMS_N2)
-        assert np.max(np.abs(r)) <= PARAMS_N2.newton.tolerance * 10
+        assert np.max(np.abs(r)) <= PARAMS_N2.newton_tolerance * 10
 
     def test_degenerate_corner_zero_residual(self):
         params = LatticeParams(p1=1.5, p2=1.5, n=2)
@@ -169,7 +174,7 @@ class TestCornerEquations:
         stacked = corner_solve(variants, x, known, PARAMS_N3)
         for variant, xi, ki, row in zip(variants, x, known, stacked):
             assert np.array_equal(row, corner_solve(variant, xi, ki, PARAMS_N3))
-        _, _, const, sgn = _corner_system(variants, x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
+        _, const, sgn = _corner_system(variants, x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(len(variants)):
             assert np.array_equal(guess[k], _mean_field_guess(x[k:k + 1], const[k:k + 1], sgn[k:k + 1])[0])
@@ -192,7 +197,7 @@ class TestCornerEquations:
         rng = np.random.default_rng(2)
         x = np.concatenate([spacing * np.arange(5) + rng.uniform(-0.3, 0.3, (4, 5)) for spacing in (3.0, 30.0)])
         known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
-        _, _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
+        _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(8):
             assert np.array_equal(guess[k], loop_guess(x[k], const[k], sgn[k, 0]))
@@ -229,7 +234,7 @@ class TestCornerEquations:
         params = LatticeParams(p1=1.0, p2=2.0, n=12)
         x00 = 3.0 * np.arange(12) + rng.uniform(-0.3, 0.3, 12)
         x10 = x00 + rng.uniform(0.9, 1.1, 12) / 3.0
-        _, _, const, sgn = _corner_system(variant, x00[None], x10[None], params.p1 - params.p2)
+        _, const, sgn = _corner_system(variant, x00[None], x10[None], params.p1 - params.p2)
         ref = loop_guess(x00, const[0], sgn[0, 0])
         assert np.max(np.abs(_mean_field_guess(x00[None], const, sgn)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -272,7 +277,7 @@ class TestGuessMatchesTheLoopReference:
         # zero gives a single particle, whose sweep has no cross term
         variants, consts, n, seed, spacing = case
         x, known = corner_stack(variants, n, seed, spacing)
-        _, _, const, sgn = _corner_system(variants, x, known, -1.0)
+        _, const, sgn = _corner_system(variants, x, known, -1.0)
         const[[c == "nan" for c in consts], 0] = np.nan
         if n == 1:
             const[[c == "zero" for c in consts]] = 0.0
@@ -288,40 +293,39 @@ class TestGuessMatchesTheLoopReference:
 
 
 class TestOneCrossMatrixPerIterate:
-    def test_the_jacobian_is_never_stale(self):
-        x, known = corner_stack(("a", "c", "d"), 8, 4, 3.0)
-        residual, jacobian, const, sgn = _corner_system(("a", "c", "d"), x, known, -1.0)
-        u = _mean_field_guess(x, const, sgn)
-        residual(u)
-        u[1, 2] += 0.25  # in place, after the residual saw u
-        assert np.array_equal(jacobian(u), sgn[..., None] * discrete._cross(x, u) ** 2)
-        residual(u)
-        assert np.array_equal(jacobian(u.copy()), sgn[..., None] * discrete._cross(x, u) ** 2)
-
     def test_the_jacobian_after_a_step_with_no_finite_residual_is_not_stale(self):
         # system 0's residual is finite at the guess alone, and so large there that its step stays far from the
-        # guess after every halving; the step fails, and newton_solve carries on with system 1 from a point that
-        # the last residual call did not see
+        # guess after every halving; the step fails, and newton_solve carries on with system 1 from its last trial
         x, known = corner_stack(("a", "c"), 8, 5, 3.0)
-        residual, jacobian, const, sgn = _corner_system(("a", "c"), x, known, -1.0)
-        calls, at_last_residual = [], []
+        system, const, sgn = _corner_system(("a", "c"), x, known, -1.0)
+        calls = []
 
         def walled(u):
-            calls.append(u.copy())
-            f = residual(u)
-            return np.where((np.arange(2) == 0)[:, None], 1e30 * f if len(calls) == 1 else np.inf, f)
+            calls.append(1)
+            f, jacobian = system(u)
+            return np.where((np.arange(2) == 0)[:, None], 1e30 * f if len(calls) == 1 else np.inf, f), jacobian
 
-        def checked(u):
-            at_last_residual.append(np.array_equal(u, calls[-1]))
-            served = jacobian(u)
-            assert np.array_equal(served, sgn[..., None] * discrete._cross(x, u) ** 2)
-            return served
+        def recorded(system):
+            """The system, and the points and Jacobians newton_solve asks of it."""
+            asked = []
+
+            def recording(u):
+                f, jacobian = system(u)
+                return f, lambda: asked.append((u.copy(), jacobian())) or asked[-1][1]
+
+            return recording, asked
 
         guess = _mean_field_guess(x, const, sgn) + [[0.0], [0.02]]  # system 1 takes more than one step
+        stacked, asked = recorded(walled)
         with pytest.raises(NonConvergence, match="^system 0: could not find a finite residual"):
-            numerics.newton_solve(walled, guess, checked)
-        # the first Jacobian after the failed step is asked at a point no residual call saw, the others are not
-        assert at_last_residual[0] and not at_last_residual[1] and all(at_last_residual[2:])
+            numerics.newton_solve(stacked, guess, PARAMS_N3.newton_tolerance)
+        alone, asked_alone = recorded(_corner_system(("c",), x[1:], known[1:], -1.0)[0])
+        numerics.newton_solve(alone, guess[1:], PARAMS_N3.newton_tolerance)
+        # system 1 steps with the Jacobians it takes as the stack of one, sgn cross(x, u)^2 at its own point
+        assert len(asked) == len(asked_alone) > 2
+        for (u, jacobian), (v, own) in zip(asked, asked_alone):
+            assert np.array_equal(u[1], v[0]) and np.array_equal(jacobian[1], own[0])
+            assert np.array_equal(jacobian[1], sgn[1, :, None] * discrete._cross(x[1], u[1]) ** 2)
 
     def test_one_cross_matrix_per_guess_sweep_const_and_residual(self, monkeypatch):
         x, known = corner_stack(("a", "c", "c", "c", "c"), 32, 6, 3.0)
@@ -332,25 +336,27 @@ class TestOneCrossMatrixPerIterate:
             crosses.append(1)
             return real_cross(a, b)
 
-        def counted_newton(residual_fn, guess, jacobian_fn, settings):
-            def residual(u):
+        def counted_newton(system, guess, tol):
+            def counted(u):
                 residuals.append(1)
-                return residual_fn(u)
+                f, jacobian_fn = system(u)
 
-            def jacobian(u):
-                before = len(crosses)
-                out = jacobian_fn(u)
-                jacobian_crosses.append(len(crosses) - before)
-                return out
+                def jacobian():
+                    before = len(crosses)
+                    out = jacobian_fn()
+                    jacobian_crosses.append(len(crosses) - before)
+                    return out
 
-            return real_newton(residual, guess, jacobian, settings)
+                return f, jacobian
+
+            return real_newton(counted, guess, tol)
 
         monkeypatch.setattr(discrete, "_cross", counted_cross)
         monkeypatch.setattr(discrete, "newton_solve", counted_newton)
         solved = corner_solve(("a", "c", "c", "c", "c"), x, known, PARAMS_N3)
         monkeypatch.undo()
         sweeps = []
-        _, _, const, sgn = _corner_system(("a", "c", "c", "c", "c"), x, known, -1.0)
+        _, const, sgn = _corner_system(("a", "c", "c", "c", "c"), x, known, -1.0)
         reference_mean_field_guess(x, const, sgn, sweeps)
         assert jacobian_crosses and not any(jacobian_crosses)
         assert len(crosses) == len(sweeps) + 1 + len(residuals)
@@ -553,7 +559,7 @@ def test_orbit_extends_the_seed_pair_by_steps():
     (1, None, 854, NonConvergence, None),
 ])
 def test_an_orbit_that_really_ends_says_so(n, seed, solved, cause, site):
-    params = LatticeParams(p1=1.0, p2=2.0, n=n, newton=NewtonSettings(tolerance=1e-13))
+    params = LatticeParams(p1=1.0, p2=2.0, n=n, newton_tolerance=1e-13)
     x_prev, x_cur = ([0.0], [0.3]) if seed is None else orbit_seed(np.random.default_rng(seed), n)
     with pytest.raises(NumericsError) as info:
         discrete.discrete_orbit(x_prev, x_cur, params, 5001 if seed is None else 101)
@@ -774,7 +780,7 @@ class TestDiscreteInvariants:
             assert vals[0] == pytest.approx(-1.0)
 
     def test_conservation_along_orbit(self):
-        tight = LatticeParams(p1=1.0, p2=2.0, n=3, newton=NewtonSettings(tolerance=1e-13))
+        tight = LatticeParams(p1=1.0, p2=2.0, n=3, newton_tolerance=1e-13)
         orbit = make_orbit(*ORBIT_SEED_N3, tight, 50)
         base = discrete_invariants(orbit[0], orbit[1])
         worst = max(
@@ -978,7 +984,7 @@ class TestFloatOrbit:
 
     def test_the_discrete_demo_equals_the_numpy_orbit(self):
         demo = cli.DEMOS["discrete"]
-        params = LatticeParams(p1=1.0, p2=2.0, n=demo["n"], newton=NewtonSettings(tolerance=1e-13))
+        params = LatticeParams(p1=1.0, p2=2.0, n=demo["n"], newton_tolerance=1e-13)
         assert assert_same_orbit_outcome(demo["seed_prev"], demo["seed_cur"], params, demo["steps"] + 1)[1] == 0
 
     @settings(max_examples=40, deadline=None)
@@ -993,7 +999,7 @@ class TestFloatOrbit:
         # shifts of 0.05-1 at spacings of 0.6-4: some orbits collide, reorder, stall or lose dominance
         rng = np.random.default_rng(seed)
         x_prev = spacing * np.arange(n) + rng.uniform(-0.1, 0.1, n)
-        params = LatticeParams(p1=1.0, p2=2.0, n=n, newton=NewtonSettings(tolerance=tolerance))
+        params = LatticeParams(p1=1.0, p2=2.0, n=n, newton_tolerance=tolerance)
         assert_same_orbit_outcome(x_prev, x_prev + rng.uniform(0.05, 1.0, n), params, count)
 
     def test_a_non_dominant_jacobian_hands_the_step_off(self):
@@ -1001,9 +1007,9 @@ class TestFloatOrbit:
         # the Jacobian is not diagonally dominant, linear_solve certifies it through [b | I], and the float
         # kernel hands the step to discrete_step, which takes it
         x_prev, x_cur = np.array([0.0, 1.5, 3.0]), np.array([0.6, 2.25, 3.7])
-        jacobian = discrete._eom_system(x_prev, x_cur)[1]((2.0 * x_cur - x_prev)[None])[0]
+        jacobian = discrete._eom_system(x_prev, x_cur)[0]((2.0 * x_cur - x_prev)[None])[1]()[0]
         bound = numerics.PIVOT_RTOL / numerics.CERTIFY_MARGIN + 9 * 2.0**-52
         assert not (2.0 * jacobian.diagonal() - jacobian.sum(axis=1)).min() > bound * jacobian.max()
-        assert discrete._float_step(x_prev.tolist(), x_cur.tolist(), PARAMS_N3.newton) is None
+        assert discrete._float_step(x_prev.tolist(), x_cur.tolist(), PARAMS_N3.newton_tolerance) is None
         sites, handed_off = assert_same_orbit_outcome(x_prev, x_cur, PARAMS_N3, 3)
         assert sites.shape == (3, 3) and handed_off == 1

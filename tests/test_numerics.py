@@ -17,7 +17,6 @@ from cmhier.hierarchy import ORDERED_SUM_N
 from cmhier.numerics import (
     CERTIFY_MARGIN,
     PIVOT_RTOL,
-    NewtonSettings,
     _eliminate,
     fd_gradient,
     linear_solve,
@@ -34,15 +33,24 @@ def diagonal(v):
     return v[..., None] * np.eye(v.shape[-1])
 
 
+def paired(residual_fn, jacobian_fn):
+    """newton_solve's system from a residual and a Jacobian of the point: the residual at u and the Jacobian
+    at u, formed when asked."""
+    return lambda u: (residual_fn(u), lambda: jacobian_fn(u))
+
+
+TOL = 1e-12
+
+
 class TestNewton:
     """One system, as the stack of one."""
 
     def test_quadratic_known_root(self):
-        root = newton_solve(lambda u: u**2 - 4.0, np.array([[3.0]]), jacobian_fn=lambda u: diagonal(2.0 * u))
+        root = newton_solve(paired(lambda u: u**2 - 4.0, lambda u: diagonal(2.0 * u)), np.array([[3.0]]), TOL)
         assert root.shape == (1, 1) and root[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_linear(self):
-        root = newton_solve(lambda u: u.copy(), np.array([[5.0]]), jacobian_fn=lambda u: np.eye(1)[None])
+        root = newton_solve(paired(lambda u: u.copy(), lambda u: np.eye(1)[None]), np.array([[5.0]]), TOL)
         assert root[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_particle_discrete_step_residual(self):
@@ -53,7 +61,7 @@ class TestNewton:
         def jacobian(y):
             return diagonal(1.0 / (1.0 - y) ** 2)
 
-        root = newton_solve(residual, np.array([[1.5]]), jacobian_fn=jacobian)
+        root = newton_solve(paired(residual, jacobian), np.array([[1.5]]), TOL)
         assert root[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_analytic_jacobian_used(self):
@@ -63,7 +71,7 @@ class TestNewton:
             calls["jac"] += 1
             return np.array([[[2.0 * u[0, 0]]]])
 
-        newton_solve(lambda u: u**2 - 4.0, np.array([[3.0]]), jacobian_fn=jac)
+        newton_solve(paired(lambda u: u**2 - 4.0, jac), np.array([[3.0]]), TOL)
         assert calls["jac"] > 0
 
     def test_multidimensional_analytic_jacobian(self):
@@ -73,12 +81,12 @@ class TestNewton:
         def jacobian(v):
             return np.array([[[2.0 * v[0, 0], 1.0], [1.0, -1.0]]])
 
-        root = newton_solve(residual, np.array([[2.0, 0.5]]), jacobian_fn=jacobian)
+        root = newton_solve(paired(residual, jacobian), np.array([[2.0, 0.5]]), TOL)
         assert np.max(np.abs(residual(root))) <= 1e-12
 
     def test_nonconvergence(self):
         with pytest.raises(NonConvergence):
-            newton_solve(lambda u: u**2 + 1.0, np.array([[0.7]]), jacobian_fn=lambda u: diagonal(2.0 * u))
+            newton_solve(paired(lambda u: u**2 + 1.0, lambda u: diagonal(2.0 * u)), np.array([[0.7]]), TOL)
 
     def test_no_residual_evaluation_after_convergence(self):
         calls = []
@@ -87,21 +95,17 @@ class TestNewton:
             calls.append(u.copy())
             return u - 1.0
 
-        newton_solve(residual, np.array([[3.0]]), jacobian_fn=lambda u: np.eye(1)[None])
+        newton_solve(paired(residual, lambda u: np.eye(1)[None]), np.array([[3.0]]), TOL)
         # the guess and the one exact step
         assert len(calls) == 2
 
     def test_singular_jacobian(self):
         with pytest.raises(SingularJacobian):
-            newton_solve(lambda u: np.ones_like(u), np.array([[0.0]]), jacobian_fn=lambda u: np.zeros((1, 1, 1)))
+            newton_solve(paired(lambda u: np.ones_like(u), lambda u: np.zeros((1, 1, 1))), np.array([[0.0]]), TOL)
 
     def test_guess_must_be_a_stack(self):
         with pytest.raises(ValueError, match="stack"):
-            newton_solve(lambda u: u, np.array([1.0]), jacobian_fn=lambda u: np.eye(1)[None])
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            NewtonSettings(tolerance=0.0)
+            newton_solve(paired(lambda u: u, lambda u: np.eye(1)[None]), np.array([1.0]), TOL)
 
 
 def bent_residual(v, a, b):
@@ -115,12 +119,21 @@ def bent_jacobian(v, a, b):
                      np.stack([one, -b * one], axis=-1)], axis=-2)
 
 
+def pole_residual(u):
+    """arctan(u - 1), infinite below 0: a full step from 3 lands there and is halved, one from 1.5 is kept."""
+    return np.where(u > 0.0, np.arctan(u - 1.0), np.inf)
+
+
+def pole_jacobian(u):
+    return 1.0 / (1.0 + (u[..., None] - 1.0) ** 2)
+
+
 class TestStackedNewton:
     A = np.array([3.0, 5.0, 2.0, 7.0])
     B = np.array([1.0, 2.0, 0.5, 3.0])
     GUESS = np.array([[2.0, 0.5], [1.0, 1.0], [9.0, -4.0], [2.0, 2.0]])
 
-    def solve_alone(self, k, **kwargs):
+    def solve_alone(self, k):
         """System k as the stack of one: its root and the Jacobian evaluations it took."""
         calls = []
 
@@ -128,15 +141,15 @@ class TestStackedNewton:
             calls.append(1)
             return bent_jacobian(v, self.A[k], self.B[k])
 
-        root = newton_solve(lambda v: bent_residual(v, self.A[k], self.B[k]), self.GUESS[k:k + 1],
-                            jacobian_fn=jacobian, **kwargs)
+        root = newton_solve(paired(lambda v: bent_residual(v, self.A[k], self.B[k]), jacobian),
+                            self.GUESS[k:k + 1], TOL)
         return root[0], len(calls)
 
     def test_each_system_follows_its_own_iterates(self):
         alone = [self.solve_alone(k) for k in range(4)]
         assert len({iterations for _, iterations in alone}) > 1
-        stacked = newton_solve(lambda v: bent_residual(v, self.A, self.B), self.GUESS,
-                               jacobian_fn=lambda v: bent_jacobian(v, self.A, self.B))
+        stacked = newton_solve(paired(lambda v: bent_residual(v, self.A, self.B),
+                                      lambda v: bent_jacobian(v, self.A, self.B)), self.GUESS, TOL)
         assert stacked.shape == self.GUESS.shape
         for row, (root, _) in zip(stacked, alone):
             assert np.array_equal(row, root)
@@ -148,32 +161,52 @@ class TestStackedNewton:
             solves.append(1)
             return bent_jacobian(v, self.A, self.B)
 
-        newton_solve(lambda v: bent_residual(v, self.A, self.B), self.GUESS, jacobian_fn=jacobian)
+        newton_solve(paired(lambda v: bent_residual(v, self.A, self.B), jacobian), self.GUESS, TOL)
         assert len(solves) == max(self.solve_alone(k)[1] for k in range(4))
 
     def test_only_the_system_that_hits_a_pole_halves_its_step(self):
-        # the residual is infinite below 0: the full step of system 0 lands
-        # there and is halved, the full step of system 1 is kept
-        def residual(u):
-            return np.where(u > 0.0, np.arctan(u - 1.0), np.inf)
-
-        def jacobian(u):
-            return 1.0 / (1.0 + (u[..., None] - 1.0) ** 2)
-
+        # the full step of system 0 lands below 0 and is halved, the full step of system 1 is kept;
         # a loose tolerance stops each system at a point that depends on its path
-        settings = NewtonSettings(tolerance=1e-4)
         guess = np.array([[3.0], [1.5]])
-        stacked = newton_solve(residual, guess, jacobian_fn=jacobian, settings=settings)
+        stacked = newton_solve(paired(pole_residual, pole_jacobian), guess, 1e-4)
         for row, g in zip(stacked, guess):
-            assert np.array_equal(row, newton_solve(residual, g[None], jacobian_fn=jacobian, settings=settings)[0])
+            assert np.array_equal(row, newton_solve(paired(pole_residual, pole_jacobian), g[None], 1e-4)[0])
         assert stacked[0, 0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_jacobian_per_linear_solve_from_an_accepted_pair(self, monkeypatch):
+        # on the stack of the halving test: pairs[i] is the i-th residual and whether its Jacobian was asked;
+        # only a pair whose point Newton steps from may be asked, once, right before its linear solve
+        pairs, events, real_solve = [], [], numerics.linear_solve
+
+        def system(u):
+            pair = {"point": u.copy(), "asked": 0}
+            pairs.append(pair)
+
+            def jacobian():
+                pair["asked"] += 1
+                events.append(("jacobian", len(pairs) - 1))
+                return pole_jacobian(u)
+
+            return pole_residual(u), jacobian
+
+        monkeypatch.setattr(numerics, "linear_solve", lambda a, b: events.append(("solve",)) or real_solve(a, b))
+        root = newton_solve(system, np.array([[3.0], [1.5]]), 1e-4)
+        asked = [i for i, pair in enumerate(pairs) if pair["asked"]]
+        rejected = [i for i, pair in enumerate(pairs) if not np.isfinite(pole_residual(pair["point"])).all()]
+        assert rejected and not set(rejected) & set(asked)  # a halving trial was rejected and never asked
+        assert all(pairs[i]["asked"] == 1 for i in asked)
+        assert events == [event for i in asked for event in (("jacobian", i), ("solve",))]
+        # each accepted pair is asked but the last, the converged point; the guess is the first
+        accepted = [i for i in range(len(pairs)) if i not in rejected]
+        assert asked == accepted[:-1] and asked[0] == 0
+        assert np.array_equal(pairs[accepted[-1]]["point"], root)
 
     def test_nonconvergence_names_the_system(self):
         # u^2 - 1 in rows 0 and 2 converges; u^2 + 1 in rows 1 and 3 has no real root
         shift = np.array([[-1.0], [1.0], [-1.0], [1.0]])
         with pytest.raises(NonConvergence, match="^system 1: residual .* after 50 iterations$") as info:
-            newton_solve(lambda u: u**2 + shift, np.array([[0.5], [0.7], [2.0], [0.3]]),
-                         jacobian_fn=lambda u: diagonal(2.0 * u))
+            newton_solve(paired(lambda u: u**2 + shift, lambda u: diagonal(2.0 * u)),
+                         np.array([[0.5], [0.7], [2.0], [0.3]]), TOL)
         assert info.value.system == 1
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
@@ -184,20 +217,21 @@ class TestStackedNewton:
         slope[bad] = 0.0
         guess = np.array([[1.0], [3.0], [4.0]])
         with pytest.raises(SingularJacobian, match=f"system {bad}: pivot") as info:
-            newton_solve(lambda u: u - 1.0 - (slope[:, None] == 0.0), guess,
-                         jacobian_fn=lambda u: slope[:, None, None] * np.ones((3, 1, 1)))
+            newton_solve(paired(lambda u: u - 1.0 - (slope[:, None] == 0.0),
+                                lambda u: slope[:, None, None] * np.ones((3, 1, 1))), guess, TOL)
         assert info.value.system == bad
 
 
-def reference_newton_solve(residual_fn, guess, jacobian_fn, settings=numerics.DEFAULT_NEWTON):
-    """newton_solve as it was before its all-active stacks went ungathered: every step gathers the active
-    systems, the step scale is an array from the start, a residual is frozen by a separate finiteness test, and
-    a step that finds no finite residual writes the old point back into the new arrays."""
+def reference_newton_solve(residual_fn, guess, jacobian_fn, tol):
+    """newton_solve as it was before its all-active stacks went ungathered and before it took one system
+    callback: every step gathers the active systems, asks jacobian_fn at the point it steps from, the step
+    scale is an array from the start, a residual is frozen by a separate finiteness test, and a step that finds
+    no finite residual writes the old point back into the new arrays."""
     x = np.array(guess, dtype=float)
     f = residual_fn(x)
     active, failed = np.ones(len(x), dtype=bool), {}
     for iteration in range(numerics.NEWTON_ITERATIONS + 1):
-        active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= settings.tolerance))
+        active &= ~(np.isfinite(f).all(axis=1) & (np.abs(f).max(axis=1) <= tol))
         if not active.any() or iteration == numerics.NEWTON_ITERATIONS:
             break
         steps = np.zeros_like(x)
@@ -221,7 +255,7 @@ def reference_newton_solve(residual_fn, guess, jacobian_fn, settings=numerics.DE
             active &= ~poles
         x, f = x_new, f_new
     failed.update(
-        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {settings.tolerance:.1e} "
+        (int(k), f"residual {np.max(np.abs(f[k])):.3e} above tolerance {tol:.1e} "
                  f"after {numerics.NEWTON_ITERATIONS} iterations")
         for k in np.flatnonzero(active)
     )
@@ -237,6 +271,11 @@ def outcome(solve, *args, **kwargs):
         return solve(*args, **kwargs).tobytes()
     except (NonConvergence, SingularJacobian) as exc:
         return type(exc), str(exc), exc.system
+
+
+def paired_newton_solve(residual_fn, guess, jacobian_fn, tol):
+    """newton_solve called as reference_newton_solve is, on the system paired from its two callbacks."""
+    return newton_solve(paired(residual_fn, jacobian_fn), guess, tol)
 
 
 # per-system residuals, each a function of its own row: a root to converge on, no real root (u^2 + 1), a pole
@@ -276,11 +315,10 @@ class TestNewtonMatchesTheLoopReference:
         rng = np.random.default_rng(seed)
         shift = rng.uniform(0.5, 4.0, (len(kinds), 1))
         guess = rng.uniform(0.2, 6.0, (len(kinds), n))
-        newton = NewtonSettings(tolerance=tolerance)
         sides = []
-        for solve in (newton_solve, reference_newton_solve):
+        for solve in (paired_newton_solve, reference_newton_solve):
             residual, jacobian = kinds_system(kinds, shift)
-            sides.append(outcome(solve, residual, guess, jacobian, newton))
+            sides.append(outcome(solve, residual, guess, jacobian, tolerance))
         assert sides[0] == sides[1]
 
     @settings(max_examples=60, deadline=None)
@@ -293,11 +331,11 @@ class TestNewtonMatchesTheLoopReference:
         rng = np.random.default_rng(seed)
         x = spacing * np.arange(n) + rng.uniform(-0.3, 0.3, (len(variants), n))
         known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
-        residual, jacobian, const, sgn = discrete._corner_system(variants, x, known, -1.0)
+        system, const, sgn = discrete._corner_system(variants, x, known, -1.0)
         guess = discrete._mean_field_guess(x, const, sgn)
-        changed = outcome(newton_solve, residual, guess, jacobian)
+        changed = outcome(newton_solve, system, guess, TOL)
         assert changed == outcome(reference_newton_solve, lambda u: const + sgn * discrete._cross(x, u).sum(axis=-1),
-                                  guess, lambda u: sgn[..., None] * discrete._cross(x, u) ** 2)
+                                  guess, lambda u: sgn[..., None] * discrete._cross(x, u) ** 2, TOL)
 
     @pytest.mark.parametrize("kinds, shift, error", [
         (("root", "pole", "root"), [2.0, 1.0, 3.0], None),  # system 1's first full step lands below 0
@@ -308,9 +346,9 @@ class TestNewtonMatchesTheLoopReference:
     ])
     def test_each_kind_takes_its_branch(self, kinds, shift, error):
         sides = []
-        for solve in (newton_solve, reference_newton_solve):
+        for solve in (paired_newton_solve, reference_newton_solve):
             residual, jacobian = kinds_system(kinds, np.array(shift)[:, None])
-            sides.append(outcome(solve, residual, np.full((len(kinds), 3), 3.0), jacobian))
+            sides.append(outcome(solve, residual, np.full((len(kinds), 3), 3.0), jacobian, TOL))
         assert sides[0] == sides[1]
         if error is None:
             assert isinstance(sides[0], bytes)
@@ -539,7 +577,7 @@ class TestDominanceCertificate:
         with pytest.MonkeyPatch.context() as mp:
             eliminated, _ = watch_solvers(mp)
             with pytest.raises(SingularJacobian, match="^system 0: pivot "):
-                newton_solve(lambda u: np.ones_like(u), np.array([[0.0]]), jacobian_fn=lambda u: np.zeros((1, 1, 1)))
+                newton_solve(paired(lambda u: np.ones_like(u), lambda u: np.zeros((1, 1, 1))), np.array([[0.0]]), TOL)
         assert eliminated == [[0]]
 
     @settings(max_examples=40, deadline=None)
