@@ -117,6 +117,17 @@ def _raise_first(error, failed, message: str) -> None:
         raise error(message + ("" if k is None else f" at system {k}"), system=k)
 
 
+def _checked_cross_sums(x: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """sum_l 1/(x_m - known_l) with configurations (..., n) over leading axes as the rows of one (m, n)
+    stack, after check_cross_gap(x, known): one difference matrix x_m - known_l gives both, its smallest
+    |entry| the gap test, and check_cross_gap runs only to word a failure."""
+    n = x.shape[-1]
+    d = x.reshape(-1, n)[:, :, None] - known.reshape(-1, n)[:, None, :]
+    if not (d.size and np.abs(d).min() >= COLLISION_TOL):  # false for NaN
+        check_cross_gap(x, known)
+    return (1.0 / d).sum(axis=-1)
+
+
 def _eom_system(x_prev, x_cur):
     """The equation of motion, sum_l [1/(x_m - x_next_l) + 1/(x_m - x_prev_l)]
     - sum_{l != m} 2/(x_m - x_l) = 0, as the corner system "eom" at x_cur; configurations
@@ -124,9 +135,8 @@ def _eom_system(x_prev, x_cur):
     x_prev, x_cur = np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)
     check_collision_free(x_prev)
     check_collision_free(x_cur)
-    check_cross_gap(x_cur, x_prev)
-    n = x_cur.shape[-1]
-    return _corner_system("eom", x_cur.reshape(-1, n), x_prev.reshape(-1, n), 0.0)
+    cross_sums, x = _checked_cross_sums(x_cur, x_prev), x_cur.reshape(-1, x_cur.shape[-1])
+    return _corner_system("eom", x, cross_sums, inverse_gaps(x).sum(axis=-1), 0.0)
 
 
 def discrete_el_residual(x_prev: np.ndarray, x_cur: np.ndarray, x_next: np.ndarray) -> np.ndarray:
@@ -266,17 +276,26 @@ def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, sit
     return None
 
 
-def _corner_system(variant, x: np.ndarray, known: np.ndarray, dp: float):
+@functools.lru_cache(maxsize=256)
+def _corner_terms(letters: tuple) -> np.ndarray:
+    """The read-only (sgn, d_sign, weight) of _CORNER_TERMS for a tuple of variant letters, one per system,
+    each term of shape (len(letters), 1), built once per letters."""
+    if not set(letters) <= set(_CORNER_TERMS):
+        raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
+    terms = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
+    terms.flags.writeable = False
+    return terms
+
+
+def _corner_system(variant, x: np.ndarray, cross_sums: np.ndarray, pair_sums: np.ndarray, dp: float):
     """The printed corner constraint as newton_solve's system, with its const and sgn: system(u)
     gives the residual const_m + sgn * sum_l 1/(x_m - u_l) for a stack and a function that gives
     its Jacobian sgn / (x_m - u_l)^2 by squaring the residual's cross matrix, so a Newton iterate
-    forms one; x and known of shape (m, n), one variant letter for all systems or one per system,
-    and dp = p1 - p2."""
-    letters = [variant] if isinstance(variant, str) else variant
-    if not set(letters) <= set(_CORNER_TERMS):
-        raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
-    sgn, d_sign, weight = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
-    const = _cross(x, known).sum(axis=-1) - weight * inverse_gaps(x).sum(axis=-1) + d_sign * dp
+    forms one. const_m = cross_sums_m - weight pair_sums_m + d_sign dp from the caller's sums
+    sum_l 1/(x_m - known_l) and sum_(l != m) 1/(x_m - x_l), dp = p1 - p2, and one variant letter
+    for all systems or one per system."""
+    sgn, d_sign, weight = _corner_terms((variant,) if isinstance(variant, str) else tuple(variant))
+    const = cross_sums - weight * pair_sums + d_sign * dp
 
     def system(u):
         cross = _cross(x, u)
@@ -290,7 +309,9 @@ def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.n
     each until its next sweep is non-finite or moves it less than 1e-10; exact for N=1.
     A sweep sets u_m = x_m - 1/(-sgn (const_m + sgn s_m)), s_m the cross sum without l = m;
     since sgn = +-1, the pole term is (-sgn const_m) - s_m, formed once, with the same bits
-    but for the sign of a zero, whose inverse is infinite either way and discards the sweep."""
+    but for the sign of a zero, whose inverse is infinite either way and discards the sweep.
+    Each sweep forms its step sizes max_m |u_new - u| once: where all are finite, every u and
+    u_new is, so the sweep keeps the active systems without testing u_new itself."""
     u = x + 1e-3
     pole = -sgn * const
     active = np.ones(len(x), dtype=bool)
@@ -300,8 +321,9 @@ def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.n
             cross = _cross(x, u)
             cross.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0.0
             u_new = x - 1.0 / (pole - cross.sum(axis=-1))
-            keep = active & np.isfinite(u_new).all(axis=1)
-            active = keep & (np.abs(u_new - u).max(axis=1) >= 1e-10)
+            step = np.abs(u_new - u).max(axis=1)  # NaN or inf in a row where u or u_new is not finite
+            keep = active if np.isfinite(step).all() else active & np.isfinite(u_new).all(axis=1)
+            active = keep & (step >= 1e-10)
             u = u_new if keep.all() else np.where(keep[:, None], u_new, u)
             if not active.any():
                 break
@@ -320,18 +342,26 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     """
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
-    check_cross_gap(x, known)
-    system, const, sgn = _corner_system(variant, x, known, params.p1 - params.p2)
+    cross_sums, pair_sums = _checked_cross_sums(x, known), inverse_gaps(x).sum(axis=-1)
+    system, const, sgn = _corner_system(variant, x, cross_sums, pair_sums, params.p1 - params.p2)
     guess = _mean_field_guess(x, const, sgn)
     return newton_solve(system, guess, params.newton_tolerance).reshape(np.shape(known1))
 
 
 def corner_residual(variant, x: np.ndarray, known: np.ndarray, solved: np.ndarray, params: LatticeParams) -> np.ndarray:
     """Left-minus-right of the printed corner constraint, per particle; for
-    one system or a stack, as in corner_solve."""
+    one system or a stack, as in corner_solve. known and solved may hold
+    one more leading axis than x: constraints at the same sites x, one
+    variant each, which share x's pair sums and are evaluated in turn."""
     x, known, solved = (np.asarray(a, dtype=float) for a in (x, known, solved))
-    system = _corner_system(variant, x, known, params.p1 - params.p2)[0]
-    return system(solved)[0].reshape(x.shape)
+    dp, pair_sums = params.p1 - params.p2, inverse_gaps(x).sum(axis=-1)
+
+    def residual(letters, neighbours, u):
+        return _corner_system(letters, x, _cross(x, neighbours).sum(axis=-1), pair_sums, dp)[0](u)[0].reshape(x.shape)
+
+    if known.ndim > x.ndim:
+        return np.array([residual(*constraint) for constraint in zip(variant, known, solved)])
+    return residual(variant, known, solved)
 
 
 def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> tuple[Plaquette, float | np.ndarray]:
@@ -509,7 +539,9 @@ def sheet_corner_residuals(sheet: LatticeSheet) -> float:
     def shifted(di, dj):
         return np.array([sites[(i + di, j + dj)] for i, j in interior])
 
-    x = shifted(0, 0)
     checks = (("a", (1, 0), (0, 1)), ("b", (-1, 0), (0, -1)), ("c", (-1, 0), (0, 1)), ("d", (0, -1), (1, 0)))
-    residuals = [corner_residual(v, x, shifted(*known), shifted(*solved), sheet.params) for v, known, solved in checks]
+    variants, known, solved = zip(*checks)
+    # the four constraints at the interior sites share those sites' pair sums
+    residuals = corner_residual(variants, shifted(0, 0), np.array([shifted(*k) for k in known]),
+                                np.array([shifted(*s) for s in solved]), sheet.params)
     return float(np.max(np.abs(residuals)))

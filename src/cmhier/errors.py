@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from contextlib import contextmanager
-
 
 class NumericsError(Exception):
     """Base class for numerical failures.
@@ -22,18 +20,26 @@ class NumericsError(Exception):
         self.s = s
 
 
-@contextmanager
-def located(*, tau=None, site=None):
-    """Attach tau or a site index to a NumericsError raised inside, as attribute and in the message."""
-    try:
-        yield
-    except NumericsError as exc:
-        if tau is not None:
-            exc.tau, where = tau, f"tau={tau:.6g}"
-        else:
-            exc.site, where = site, f"site {site}"
-        exc.args = (f"at {where}: {exc}",)
-        raise
+class located:
+    """Attach tau or a site index to a NumericsError raised inside, as attribute and in the message.
+    A class, not a generator context manager: the numpy chain field enters one per RK4 stage."""
+
+    __slots__ = ("tau", "site")
+
+    def __init__(self, *, tau=None, site=None):
+        self.tau, self.site = tau, site
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, NumericsError):
+            if self.tau is not None:
+                exc.tau, where = self.tau, f"tau={self.tau:.6g}"
+            else:
+                exc.site, where = self.site, f"site {self.site}"
+            exc.args = (f"at {where}: {exc}",)
+        return False
 
 
 class NonConvergence(NumericsError):

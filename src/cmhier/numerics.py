@@ -65,10 +65,13 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Linear Algebra Appl. 11 (1975)); one _lapack_solve, the dgesv kernel itself with the single right-hand
     side b, solves them: the shape and dtype are checked here and the certificate makes every pivot nonzero,
     so np.linalg.solve's checks would pass. The n² ε term bounds the rounding of a row sum, γ_(n-1) Σ_j
-    |a_ij| ≤ n² s ε/2, and a zero matrix is not dominant. One np.linalg.solve of [b | I] gives the others
-    their inverses to certify them; the column elimination solves those that fail, and all of them when
-    LAPACK finds one exactly singular. So a system gets the bits it gets alone, unless it is not dominant
-    and stacked with a singular one.
+    |a_ij| ≤ n² s ε/2, and a zero matrix is not dominant. The test reads s off the diagonal, max_i |a_ii|,
+    with the same decision: where δ beats that smaller scale, every computed row sum is below 2|a_ii|, and a
+    floating-point sum of nonnegative terms is at least the rounded sum of any two of them, so no |a_ij|
+    exceeds |a_ii| and the two scales are equal; a NaN or infinite entry makes δ NaN or -inf under both.
+    One np.linalg.solve of [b | I] gives the others their inverses to certify them; the column elimination
+    solves those that fail, and all of them when LAPACK finds one exactly singular. So a system gets the
+    bits it gets alone, unless it is not dominant and stacked with a singular one.
 
     Raises SingularMatrix as the elimination does, naming the lowest system with a non-finite entry,
     else the lowest with a pivot below PIVOT_RTOL times its largest |entry| and its first such column.
@@ -81,10 +84,10 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
     magnitude = np.abs(a)
-    scale = magnitude.max(axis=(1, 2))
+    diagonal = magnitude.diagonal(axis1=1, axis2=2)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row is not dominant
-        margin = 2.0 * magnitude.diagonal(axis1=1, axis2=2) - magnitude.sum(axis=2)
-        dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * scale
+        margin = 2.0 * diagonal - magnitude.sum(axis=2)
+        dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * diagonal.max(axis=1)
     if dominant.all():  # the common case, solved without gathering the stack
         return _lapack_solve(a, b)
     v, rest = np.empty((m, n)), np.flatnonzero(~dominant)
@@ -99,7 +102,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:  # an exactly singular or non-finite matrix: nothing is certified
         solved = np.full_like(rhs, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = scale[pick] * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
+        bound = magnitude[pick].max(axis=(1, 2)) * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
     v[rest] = solved[:, :, 0]
     rest = rest[~(bound <= CERTIFY_MARGIN / PIVOT_RTOL)]  # a NaN bound certifies nothing
     if len(rest):
@@ -185,7 +188,10 @@ def newton_solve(
     Each system is frozen once its own residual is at most tol in max-norm,
     and a step onto a non-finite residual is halved for its own system, so
     each follows exactly its iterates alone; while every system is active,
-    the stack is solved whole, without gathering it.
+    the stack is solved whole, without gathering it. A step tries the full
+    step x - steps first and tests the whole residual for finiteness in one
+    pass; only a trial that fails it looks for the systems whose rows have
+    a pole.
     NonConvergence and SingularJacobian name the failing `system`, the lowest.
     """
     x = np.array(guess, dtype=float)
@@ -210,18 +216,21 @@ def newton_solve(
             k = int(np.flatnonzero(active)[exc.system])
             raise SingularJacobian(f"system {k}: {str(exc).partition(': ')[2]}", system=k) from exc
         # a frozen system's step is zero; a step onto a pole of its system's residual is halved
-        scale = 1.0  # one scale per system from the first halving on; 1.0 * step is exact
+        x_new, scale = x - steps, 1.0  # the full step first, 1.0 * step being exact; one scale per system once halved
         for _ in range(60):
-            x_new = x - scale * steps
             f_new, jacobian_new = system(x_new)
+            if np.isfinite(f_new).all():  # one pass over the stack: the common case has no pole to look for
+                break
             poles = active & ~np.isfinite(f_new).all(axis=1)
             if not poles.any():
                 break
             scale = np.where(poles[:, None], 0.5 * scale, scale)
+            x_new = x - scale * steps
         else:
             reason = "could not find a finite residual along the Newton step"
             failed.update((int(k), reason) for k in np.flatnonzero(poles))
-            # the systems still active keep the last trial, whose Jacobian rows are theirs
+            # the systems still active keep the last trial: the halving after it left their rows of x_new as
+            # they were, and its Jacobian rows are theirs
             x_new, f_new = np.where(poles[:, None], x, x_new), np.where(poles[:, None], f, f_new)
             active &= ~poles
         x, f, jacobian = x_new, f_new, jacobian_new

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cmhier.discrete import (
     CORNER_VARIANTS,
     LatticeParams,
-    _corner_system,
     _mean_field_guess,
     build_discrete_lax,
     build_lattice_sheet,
@@ -26,7 +25,7 @@ from cmhier.discrete import (
 )
 from cmhier import cli, discrete, exact, numerics, verify
 from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
-from cmhier.hierarchy import ORDERED_SUM_N
+from cmhier.hierarchy import ORDERED_SUM_N, check_cross_gap
 from cmhier.sampling import orbit_seed, plaquette_seed
 from cmhier.scenario import scenario_from_dict
 
@@ -37,6 +36,12 @@ PARAMS_N2 = LatticeParams(p1=1.0, p2=2.0, n=2)
 PARAMS_N3 = LatticeParams(p1=1.0, p2=2.0, n=3)
 
 ORBIT_SEED_N3 = (np.array([-4.0, 0.0, 4.0]), np.array([-3.7, 0.33, 4.36]))
+
+
+def corner_system(variant, x, known, dp):
+    """discrete._corner_system of the sites x and their known neighbours, with the sums corner_solve forms."""
+    return discrete._corner_system(variant, x, discrete._cross(x, known).sum(axis=-1),
+                                   discrete.inverse_gaps(x).sum(axis=-1), dp)
 
 
 def make_orbit(x_prev, x_cur, params, steps):
@@ -174,7 +179,7 @@ class TestCornerEquations:
         stacked = corner_solve(variants, x, known, PARAMS_N3)
         for variant, xi, ki, row in zip(variants, x, known, stacked):
             assert np.array_equal(row, corner_solve(variant, xi, ki, PARAMS_N3))
-        _, const, sgn = _corner_system(variants, x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
+        _, const, sgn = corner_system(variants, x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(len(variants)):
             assert np.array_equal(guess[k], _mean_field_guess(x[k:k + 1], const[k:k + 1], sgn[k:k + 1])[0])
@@ -197,7 +202,7 @@ class TestCornerEquations:
         rng = np.random.default_rng(2)
         x = np.concatenate([spacing * np.arange(5) + rng.uniform(-0.3, 0.3, (4, 5)) for spacing in (3.0, 30.0)])
         known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
-        _, const, sgn = _corner_system(tuple("abcdabcd"), x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
+        _, const, sgn = corner_system(tuple("abcdabcd"), x, known, PARAMS_N3.p1 - PARAMS_N3.p2)
         guess = _mean_field_guess(x, const, sgn)
         for k in range(8):
             assert np.array_equal(guess[k], loop_guess(x[k], const[k], sgn[k, 0]))
@@ -234,7 +239,7 @@ class TestCornerEquations:
         params = LatticeParams(p1=1.0, p2=2.0, n=12)
         x00 = 3.0 * np.arange(12) + rng.uniform(-0.3, 0.3, 12)
         x10 = x00 + rng.uniform(0.9, 1.1, 12) / 3.0
-        _, const, sgn = _corner_system(variant, x00[None], x10[None], params.p1 - params.p2)
+        _, const, sgn = corner_system(variant, x00[None], x10[None], params.p1 - params.p2)
         ref = loop_guess(x00, const[0], sgn[0, 0])
         assert np.max(np.abs(_mean_field_guess(x00[None], const, sgn)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -277,7 +282,7 @@ class TestGuessMatchesTheLoopReference:
         # zero gives a single particle, whose sweep has no cross term
         variants, consts, n, seed, spacing = case
         x, known = corner_stack(variants, n, seed, spacing)
-        _, const, sgn = _corner_system(variants, x, known, -1.0)
+        _, const, sgn = corner_system(variants, x, known, -1.0)
         const[[c == "nan" for c in consts], 0] = np.nan
         if n == 1:
             const[[c == "zero" for c in consts]] = 0.0
@@ -292,12 +297,43 @@ class TestGuessMatchesTheLoopReference:
         assert np.array_equal(guess[[0, 2]], x[[0, 2]] + 1e-3) and guess[1, 0] == 5.0 - 1.0 / 0.7
 
 
+    def test_a_system_that_freezes_early_keeps_its_guess(self):
+        # system 0's particles are so far apart that its sweeps settle after 4; system 1 sweeps 8 times, and
+        # system 0's rows of the later sweeps, which still move its u in the last bits, are discarded
+        x = np.stack([30.0 * np.arange(4.0), 3.0 * np.arange(4.0)])
+        _, const, sgn = corner_system(("a", "a"), x, x + 1.0 / 3.0, -1.0)
+        sweeps = [[], []]
+        for k in range(2):
+            reference_mean_field_guess(x[k:k + 1], const[k:k + 1], sgn[k:k + 1], sweeps[k])
+        assert len(sweeps[0]) < len(sweeps[1]) == 8
+        guess, alone = _mean_field_guess(x, const, sgn), _mean_field_guess(x[:1], const[:1], sgn[:1])
+        assert guess.tobytes() == reference_mean_field_guess(x, const, sgn).tobytes()
+        assert guess[0].tobytes() == alone[0].tobytes()
+        pole = -sgn[0] * const[0]
+        cross = discrete._cross(x[0], guess[0])
+        np.fill_diagonal(cross, 0.0)
+        assert not np.array_equal(x[0] - 1.0 / (pole - cross.sum(axis=-1)), guess[0])  # one more sweep moves it
+
+    def test_a_sweep_that_turns_non_finite_keeps_the_last_finite_guess(self):
+        # system 0 (N = 2, sgn 1) has particle 0's pole term equal to its cross sum at the first sweep's u, so its
+        # second sweep divides by zero; system 1 sweeps on
+        x = np.array([[0.0, 3.0], [10.0, 13.0]])
+        u = x + 1e-3
+        u1 = x[0, 1] - 1.0 / (0.7 - 1.0 / (x[0, 1] - u[0, 0]))  # particle 1's first sweep, pole term 0.7
+        const = np.array([[-1.0 / (x[0, 0] - u1), -0.7], [-0.4, -0.7]])
+        sgn = np.ones((2, 1))
+        guess = _mean_field_guess(x, const, sgn)
+        assert guess.tobytes() == reference_mean_field_guess(x, const, sgn).tobytes()
+        assert guess[0, 1] == u1 and np.isfinite(guess).all()
+        assert guess[1].tobytes() == _mean_field_guess(x[1:], const[1:], sgn[1:])[0].tobytes()
+
+
 class TestOneCrossMatrixPerIterate:
     def test_the_jacobian_after_a_step_with_no_finite_residual_is_not_stale(self):
         # system 0's residual is finite at the guess alone, and so large there that its step stays far from the
         # guess after every halving; the step fails, and newton_solve carries on with system 1 from its last trial
         x, known = corner_stack(("a", "c"), 8, 5, 3.0)
-        system, const, sgn = _corner_system(("a", "c"), x, known, -1.0)
+        system, const, sgn = corner_system(("a", "c"), x, known, -1.0)
         calls = []
 
         def walled(u):
@@ -319,7 +355,7 @@ class TestOneCrossMatrixPerIterate:
         stacked, asked = recorded(walled)
         with pytest.raises(NonConvergence, match="^system 0: could not find a finite residual"):
             numerics.newton_solve(stacked, guess, PARAMS_N3.newton_tolerance)
-        alone, asked_alone = recorded(_corner_system(("c",), x[1:], known[1:], -1.0)[0])
+        alone, asked_alone = recorded(corner_system(("c",), x[1:], known[1:], -1.0)[0])
         numerics.newton_solve(alone, guess[1:], PARAMS_N3.newton_tolerance)
         # system 1 steps with the Jacobians it takes as the stack of one, sgn cross(x, u)^2 at its own point
         assert len(asked) == len(asked_alone) > 2
@@ -356,10 +392,11 @@ class TestOneCrossMatrixPerIterate:
         solved = corner_solve(("a", "c", "c", "c", "c"), x, known, PARAMS_N3)
         monkeypatch.undo()
         sweeps = []
-        _, const, sgn = _corner_system(("a", "c", "c", "c", "c"), x, known, -1.0)
+        _, const, sgn = corner_system(("a", "c", "c", "c", "c"), x, known, -1.0)
         reference_mean_field_guess(x, const, sgn, sweeps)
         assert jacobian_crosses and not any(jacobian_crosses)
-        assert len(crosses) == len(sweeps) + 1 + len(residuals)
+        # the const reads 1/d of the cross-gap check's difference matrix d, and forms no _cross
+        assert len(crosses) == len(sweeps) + len(residuals)
         assert solved.tobytes() == corner_solve(("a", "c", "c", "c", "c"), x, known, PARAMS_N3).tobytes()
 
 
@@ -421,6 +458,29 @@ def spaced_edge(seed, n, p1=1.0, p2=2.0):
     return x00, x00 + rng.uniform(0.9, 1.1, n) / (p1 + p2)
 
 
+def reference_sheet_corner_residuals(sheet):
+    """sheet_corner_residuals as it was before its four constraints shared their sites' pair sums: each
+    constraint forms its const from a _cross and an inverse_gaps of its own."""
+    sites, dp = sheet.sites, sheet.params.p1 - sheet.params.p2
+    n1 = max(i for i, _ in sites)
+    n2 = max(j for _, j in sites)
+    interior = [(i, j) for i, j in sites if 0 < i < n1 and 0 < j < n2]
+    if not interior:
+        return 0.0
+
+    def shifted(di, dj):
+        return np.array([sites[(i + di, j + dj)] for i, j in interior])
+
+    x, residuals = shifted(0, 0), []
+    for variant, known, solved in (("a", (1, 0), (0, 1)), ("b", (-1, 0), (0, -1)), ("c", (-1, 0), (0, 1)),
+                                   ("d", (0, -1), (1, 0))):
+        sgn, d_sign, weight = (np.array([[term]]) for term in discrete._CORNER_TERMS[variant])
+        const = discrete._cross(x, shifted(*known)).sum(axis=-1) - weight * discrete.inverse_gaps(x).sum(axis=-1)
+        const = const + d_sign * dp
+        residuals.append(const + sgn * discrete._cross(x, shifted(*solved)).sum(axis=-1))
+    return float(np.max(np.abs(residuals)))
+
+
 class TestLatticeSheet:
     PARAMS = LatticeParams(p1=1.0, p2=2.0, n=8)
 
@@ -467,6 +527,23 @@ class TestLatticeSheet:
                     worst = max(worst, float(np.max(np.abs(r))))
         assert worst > 1e-7
         assert sheet_corner_residuals(sheet) == worst
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shared_pair_sums_give_the_parent_formula_bits(self, n, seed):
+        x00, x10 = spaced_edge(seed, n)
+        params = LatticeParams(p1=1.0, p2=2.0, n=n)
+        sheet = build_lattice_sheet(x00, x10, params, 4, 3)
+        sites = dict(sheet.sites)
+        sites[(2, 1)] = sites[(2, 1)] + 1e-7  # a worst residual that is not a rounding error
+        for case in (sheet, discrete.LatticeSheet(sites, params)):
+            assert sheet_corner_residuals(case) == reference_sheet_corner_residuals(case)
+        x = np.array([sites[(i, 1)] for i in (1, 2, 3)])
+        known, solved = np.array([x + 0.3, x - 0.3]), np.array([x + 0.4, x - 0.4])
+        stacked = corner_residual(("a", ("c", "d", "b")), x, known, solved, params)
+        assert stacked.shape == (2, 3, n)
+        for k, variant in enumerate(("a", ("c", "d", "b"))):
+            assert stacked[k].tobytes() == corner_residual(variant, x, known[k], solved[k], params).tobytes()
 
     def test_nan_residual_is_not_hidden(self):
         x00, x10 = spaced_edge(6, 8)
@@ -632,6 +709,22 @@ class TestSharedCoordinateAcrossAnEdge:
         with pytest.raises(CollisionSingularity, match="at system 1$") as info:
             corner_solve(("a", "c"), [self.X, self.X], [self.CLEAR, self.SHARED], PARAMS_N2)
         assert info.value.system == 1
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-13, -5e-13])
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_solves_raise_what_check_cross_gap_raises(self, gap, bad):
+        # corner_solve and discrete_step test the gap on their difference matrix and leave the wording to
+        # check_cross_gap, which the parent called first
+        x, known = corner_stack(("a", "c", "c"), 4, 3, 3.0)
+        known[bad, 1] = x[bad, 2] + gap
+        for solve, args, check in ((corner_solve, (("a", "c", "c"), x, known, PARAMS_N3), (x, known)),
+                                   (discrete_step, (x[bad], known[bad], PARAMS_N3), (known[bad], x[bad]))):
+            with pytest.raises(CollisionSingularity) as expected:
+                check_cross_gap(*check)
+            with pytest.raises(CollisionSingularity) as info:
+                solve(*args)
+            assert (str(info.value), info.value.system) == (str(expected.value), expected.value.system)
+            assert info.value.system == (bad if solve is corner_solve else None)
 
     def test_plaquette(self):
         with pytest.raises(CollisionSingularity, match="cross gap"):

@@ -331,11 +331,34 @@ class TestNewtonMatchesTheLoopReference:
         rng = np.random.default_rng(seed)
         x = spacing * np.arange(n) + rng.uniform(-0.3, 0.3, (len(variants), n))
         known = x + rng.uniform(0.9, 1.1, x.shape) / 3.0
-        system, const, sgn = discrete._corner_system(variants, x, known, -1.0)
+        system, const, sgn = discrete._corner_system(variants, x, discrete._cross(x, known).sum(axis=-1),
+                                                     discrete.inverse_gaps(x).sum(axis=-1), -1.0)
         guess = discrete._mean_field_guess(x, const, sgn)
         changed = outcome(newton_solve, system, guess, TOL)
         assert changed == outcome(reference_newton_solve, lambda u: const + sgn * discrete._cross(x, u).sum(axis=-1),
                                   guess, lambda u: sgn[..., None] * discrete._cross(x, u) ** 2, TOL)
+
+    @pytest.mark.parametrize("kinds, shift, halvings", [
+        (("root", "pole", "root"), [2.0, 0.1, 3.0], 2),  # system 1's full step and half step land below 0
+        (("wall", "pole"), [3.0, 0.1], 2),  # and system 0, frozen at its guess, has no finite residual after it
+        (("wall", "root"), [3.0, 2.0], 0),  # a frozen system's non-finite residual halves nothing
+    ])
+    def test_pole_halving(self, kinds, shift, halvings):
+        sides, moving = [], np.array(kinds) != "wall"
+        for solve in (paired_newton_solve, reference_newton_solve):
+            residual, jacobian = kinds_system(kinds, np.array(shift)[:, None])
+            finite = []
+
+            def recorded(u, residual=residual, finite=finite):
+                f = residual(u)
+                finite.append((bool(np.isfinite(f[moving]).all()), bool(np.isfinite(f).all())))
+                return f
+
+            sides.append(outcome(solve, recorded, np.full((len(kinds), 3), 3.0), jacobian, TOL))
+            assert isinstance(sides[-1], bytes) and [f[0] for f in finite].count(False) == halvings
+            # a frozen wall makes a residual non-finite where every moving system's row is finite
+            assert any(rows and not whole for rows, whole in finite) == (not moving.all())
+        assert sides[0] == sides[1]
 
     @pytest.mark.parametrize("kinds, shift, error", [
         (("root", "pole", "root"), [2.0, 1.0, 3.0], None),  # system 1's first full step lands below 0
@@ -629,6 +652,98 @@ class TestDominanceCertificate:
             assert not dominant
         if dominant:
             _eliminate(a[None], b[None], np.array([0]))
+
+
+def reference_dominant(a):
+    """linear_solve's dominance certificate as it was before it read its scale off the diagonal: each system's
+    margin against the scale s = max|a_ij|, its largest |entry|."""
+    n = a.shape[-1]
+    magnitude = np.abs(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 2.0 * magnitude.diagonal(axis1=1, axis2=2) - magnitude.sum(axis=2)
+        return margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * magnitude.max(axis=(1, 2))
+
+
+def certified_route(a):
+    """The LAPACK calls linear_solve makes on the stack a, recorded by watch_solvers, and the calls that
+    reference_dominant's decision gives: the dgesv kernel for the dominant systems, [b | I] for the rest."""
+    m, n, _ = a.shape
+    dominant = reference_dominant(a)
+    with pytest.MonkeyPatch.context() as mp:
+        _, lapack = watch_solvers(mp)
+        # the elimination of a system with entries near the overflow threshold may overflow, and a NaN one
+        # raises; only the route is compared here, and it is decided before either
+        with np.errstate(all="ignore"):
+            try:
+                linear_solve(a, np.ones((m, n)))
+            except SingularMatrix:
+                pass
+    calls = [(int(dominant.sum()), n, 1), (int((~dominant).sum()), n, n + 1)]
+    return lapack, [c for c in calls if c[0]]
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+ROW_KINDS = ("random", "dominant", "margin", "threshold", "above")
+
+
+def certificate_row(rng, n, i, kind, k):
+    """Row i of an (n, n) matrix: uniform entries in (-1, 1) off the diagonal and a diagonal of a random
+    sign whose magnitude is, by kind, uniform ("random"), twice the off-diagonal sum plus one ("dominant"),
+    that sum times 1 + k ε, the margin's boundary ("margin"), that sum plus k / 4 times the certificate's
+    threshold at the row's own scale ("threshold"), or twice the sum plus one with one off-diagonal entry
+    (1 + k ε) times the diagonal, above it for k > 0 ("above")."""
+    row = rng.uniform(-1, 1, n)
+    off = np.abs(row).sum() - abs(row[i])
+    tau = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
+    diagonal = {"random": abs(row[i]), "dominant": 2.0 * off + 1.0, "margin": off * (1.0 + k * 2.0**-52),
+                "threshold": off + 0.25 * k * tau * max(off, 1.0), "above": 2.0 * off + 1.0}[kind]
+    row[i] = diagonal * rng.choice([-1.0, 1.0])
+    if kind == "above" and n > 1:
+        row[(i + 1 + int(rng.integers(n - 1))) % n] = -diagonal * (1.0 + k * 2.0**-52)
+    return row
+
+
+class TestDiagonalScale:
+    """linear_solve's certificate reads its scale off the diagonal, max_i |a_ii|, and takes the route that the
+    largest |entry| max_ij |a_ij| gives, on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_same_route_as_the_full_scale(self, n, m, seed, data):
+        rng = np.random.default_rng(seed)
+        a = np.empty((m, n, n))
+        for system in a:
+            for i in range(n):
+                kind, k = data.draw(st.sampled_from(ROW_KINDS)), data.draw(st.integers(-2, 8))
+                system[i] = certificate_row(rng, n, i, kind, k) * data.draw(st.sampled_from([1.0, 1e-300, 1e300]))
+        for _ in range(data.draw(st.integers(0, 3))):
+            k, i, j = (data.draw(st.integers(0, size - 1)) for size in (m, n, n))
+            a[k, i, j] = data.draw(st.sampled_from(SPECIALS))
+        lapack, expected = certified_route(a)
+        assert lapack == expected
+
+    @pytest.mark.parametrize("a, dominant", [
+        ([[1.0, 0.5], [0.5, 1.0]], True),
+        ([[1e308, 0.0], [0.0, 1e308]], True),  # 2|a_ii| overflows to inf, a margin of inf
+        ([[1e308, 0.0], [0.0, 1.0]], False),  # row 1's margin is below the threshold at scale 1e308
+        ([[1e308, 1e308], [0.0, 1.0]], False),  # inf - inf
+        ([[-1e308, 0.9e308], [0.0, 1e308]], False),  # a row sum that overflows
+        ([[1.0, -(1.0 + 2.0**-52)], [0.0, 1.0]], False),  # an off-diagonal entry above its diagonal
+        ([[1.0, 1.0 - 2.0**-52], [0.0, 1.0]], False),  # a margin of one ulp, under the threshold
+        ([[5e-324, 0.0], [0.0, 5e-324]], True),  # the threshold rounds to zero
+        ([[5e-324, 5e-324], [0.0, 1.0]], False),
+        ([[-0.0, 0.0], [0.0, 1.0]], False),
+        ([[1.0, np.nan], [0.0, 1.0]], False),
+        ([[np.inf, 0.0], [0.0, 1.0]], False),
+        ([[1.0, 0.0], [-np.inf, 1.0]], False),
+        ([[2.0, 0.0, 0.0], [0.0, 1e-300, 0.0], [0.0, 0.0, 3.0]], False),
+        ([[2.0, -1.0, 0.0], [0.5, 1.0, 0.0], [0.0, 1.0, 3.0]], True),
+    ])
+    def test_boundary_matrices(self, a, dominant):
+        a = np.array(a)[None]
+        assert reference_dominant(a)[0] == dominant
+        lapack, expected = certified_route(a)
+        assert lapack == expected
 
 
 class TestLapackKernel:
