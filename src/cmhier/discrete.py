@@ -223,7 +223,7 @@ def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams,
     discrete_step's bits, up to the first step the float kernel refuses; discrete_step takes that step
     again, where it passes or raises, and the rest."""
     sites = [np.asarray(x_prev, dtype=float), np.asarray(x_cur, dtype=float)]
-    if sites[0].ndim == 1 and sites[0].shape == sites[1].shape and len(sites[1]) <= FLOAT_ORBIT_SIZE:
+    if sites[0].ndim == 1 and sites[0].shape == sites[1].shape and 0 < len(sites[1]) <= FLOAT_ORBIT_SIZE:
         before, last = sites[0].tolist(), sites[1].tolist()
         while len(sites) < count:
             after = _float_step(before, last, params.newton_tolerance)
@@ -282,7 +282,7 @@ def _corner_terms(letters: tuple) -> np.ndarray:
     each term of shape (len(letters), 1), built once per letters."""
     if not set(letters) <= set(_CORNER_TERMS):
         raise ValueError(f"variant must be one of {CORNER_VARIANTS}")
-    terms = np.array([_CORNER_TERMS[v] for v in letters]).T[:, :, None]
+    terms = np.array([_CORNER_TERMS[v] for v in letters]).reshape(len(letters), 3).T[:, :, None]
     terms.flags.writeable = False
     return terms
 
@@ -319,7 +319,7 @@ def _mean_field_guess(x: np.ndarray, const: np.ndarray, sgn: np.ndarray) -> np.n
     with np.errstate(divide="ignore"):
         for _ in range(8):
             cross = _cross(x, u)
-            cross.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0.0
+            cross.reshape(len(x), x.shape[1] ** 2)[:, :: x.shape[1] + 1] = 0.0
             u_new = x - 1.0 / (pole - cross.sum(axis=-1))
             step = np.abs(u_new - u).max(axis=1)  # NaN or inf in a row where u or u_new is not finite
             keep = active if np.isfinite(step).all() else active & np.isfinite(u_new).all(axis=1)
@@ -338,7 +338,8 @@ def corner_solve(variant, known1: np.ndarray, known2: np.ndarray, params: Lattic
     shifts, c the second-direction shift from (x, T1^-1 x), d the
     first-direction shift from (x, T2^-1 x). Sites of shape (m, n) are m
     systems, with one letter for all or per system, solved by one stacked
-    Newton iteration.
+    Newton iteration; an empty stack (0, n) gives (0, n), and sites of no
+    particles raise ValueError.
     """
     x, known = np.array(known1, dtype=float, ndmin=2), np.array(known2, dtype=float, ndmin=2)
     check_collision_free(np.stack([x, known], axis=1))
@@ -375,9 +376,9 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
     plaquette k, system m + k its route 1), then route 2 is one of m.
     """
     x00, x10 = np.asarray(x00, dtype=float), np.asarray(x10, dtype=float)
-    m, n = x00.size // x00.shape[-1], x00.shape[-1]  # one base edge is m = 1
-    x01, x11_route1 = corner_solve(("a",) * m + ("c",) * m, np.stack([x00, x10]).reshape(-1, n),
-                                   np.stack([x10, x00]).reshape(-1, n), params).reshape(2, *x00.shape)
+    m, n = math.prod(x00.shape[:-1]), x00.shape[-1]  # one base edge is m = 1
+    x01, x11_route1 = corner_solve(("a",) * m + ("c",) * m, np.stack([x00, x10]).reshape(2 * m, n),
+                                   np.stack([x10, x00]).reshape(2 * m, n), params).reshape(2, *x00.shape)
     x11_route2 = corner_solve("d", x01, x00, params)
     return Plaquette(x00, x10, x01, x11_route1), np.abs(x11_route1 - x11_route2).max(axis=-1)
 

@@ -48,8 +48,9 @@ class NonConvergence(NumericsError):
 
 
 class SingularMatrix(NumericsError):
-    """A pivot fell below the relative singularity threshold, or the matrix
-    had a non-finite entry."""
+    """A linear solve refused a system: a non-finite matrix entry, an inverse bound s‖A⁻¹‖∞ above the
+    certificate's limit (infinite for an exactly singular matrix), or a componentwise backward error above
+    its tolerance."""
 
 
 class SingularJacobian(SingularMatrix):

@@ -64,11 +64,14 @@ def min_gap(x: np.ndarray) -> float:
 def check_collision_free(x: np.ndarray, row: str = "system") -> None:
     """Raise CollisionSingularity on a non-finite position or a gap below COLLISION_TOL. A stack
     (m, ..., n) is checked per row along axis 0, over its inner configurations, with one sort;
-    the first failing row k is named `at {row} k` and set as the error's `system`."""
+    the first failing row k is named `at {row} k` and set as the error's `system`; an empty stack passes, and
+    a configuration of no particles raises ValueError."""
+    if x.shape[-1] == 0:
+        raise ValueError("a configuration must hold at least one particle")
     if x.ndim == 1:
         g, k = min_gap(x), None
     else:
-        s = np.sort(x).reshape(len(x), -1, x.shape[-1])
+        s = np.sort(x).reshape(len(x), math.prod(x.shape[1:-1]), x.shape[-1])
         if np.isfinite(s).all() and (s[..., 1:] - s[..., :-1]).min(initial=np.inf) >= COLLISION_TOL:
             return  # the common case, without per-row bookkeeping
         with np.errstate(invalid="ignore"):  # inf - inf; such rows are non-finite, as in min_gap
@@ -90,11 +93,11 @@ def cross_gap(a: np.ndarray, b: np.ndarray):
 def check_cross_gap(a: np.ndarray, b: np.ndarray, what: str = "cross gap", row: str = "system") -> None:
     """Raise CollisionSingularity when a and b share a coordinate, their cross_gap below COLLISION_TOL or NaN;
     two stacks (m, ..., n) are checked per row along axis 0, the first failing row k named `at {row} k` and
-    set as the error's `system`. Check both for finite positions first."""
+    set as the error's `system`; an empty stack passes. Check both for finite positions first."""
     gaps = np.atleast_1d(cross_gap(a, b))
-    gaps = gaps.reshape(len(gaps), -1).min(axis=1)
-    k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row, else row 0
-    if not gaps[k] >= COLLISION_TOL:
+    gaps = gaps.reshape(len(gaps), math.prod(gaps.shape[1:])).min(axis=1, initial=np.inf)
+    if not (gaps >= COLLISION_TOL).all():  # true for NaN
+        k = int(np.argmin(gaps >= COLLISION_TOL))  # the first failing row
         system = k if np.ndim(a) > 1 else None
         message = f"{what} {gaps[k]:.3e} below {COLLISION_TOL:.1e}"
         raise CollisionSingularity(message + ("" if system is None else f" at {row} {k}"), system=system)

@@ -3,10 +3,11 @@
 Everything operates on plain float ndarrays, except the float steps. Problem sizes are tiny (N up to a few
 tens), so a solve costs interpreter and numpy-call overhead, not arithmetic: linear_solve and newton_solve
 therefore take stacks of independent systems along a leading axis, one system being the stack of one, and
-work on them together. linear_solve makes one LAPACK call for the systems that |A| certifies, one for the
-rest, which their inverses certify, and leaves every failure to the column elimination. float_solve makes
-the first of those calls on Python floats: a float kernel certifies its systems as linear_solve does and
-hands them to LAPACK, never repeating a BLAS kernel's operation order, so its bits are numpy's on every CPU.
+work on them together. linear_solve has two routes: one LAPACK call for the systems that |A| certifies, and
+one for the rest, whose inverses and backward errors certify them; it refuses a system that the second route
+does not certify. float_solve makes the first of those calls on Python floats: a float kernel certifies its
+systems as linear_solve does and hands them to LAPACK, never repeating a BLAS kernel's operation order, so
+its bits are numpy's on every CPU.
 That first call, _lapack_solve, goes straight to the dgesv gufunc that np.linalg.solve wraps, numpy's
 private _umath_linalg.solve1, named in this module alone and bound at import, so a numpy without it fails
 there: on a certified stack the wrapper's conversions, shape checks and singular-matrix errstate would cost
@@ -24,6 +25,7 @@ caller's refused to word the abort.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from array import array
 from typing import Callable, Optional
@@ -34,7 +36,8 @@ from numpy.linalg import _umath_linalg
 from .errors import NonConvergence, SingularJacobian, SingularMatrix
 
 PIVOT_RTOL = 1e-14
-CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot check, for rounding
+CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot threshold, for rounding
+BACKWARD_ERROR_FACTOR = 64  # c of linear_solve's backward-error test |b - a v| <= c n ε (|a||v| + |b|)
 
 _SOLVE1 = _umath_linalg.solve1  # (n, n), (n) -> (n): dgesv for one right-hand side, as np.linalg.solve calls it
 
@@ -55,31 +58,35 @@ NEWTON_ITERATIONS = 50
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ v = b for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), giving v
+    """Solve a @ v = b for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), n ≥ 1, giving v
     of shape (m, n).
 
-    A LAPACK solution stands when s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL, s = max|a_ij|: every pivot of LU
-    with partial pivoting is then at least 1/‖a⁻¹‖∞ (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 9), so the pivot check passes. Strictly diagonally dominant systems, whose computed δ = min_i(|a_ii|
-    - Σ_(j≠i) |a_ij|) exceeds (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s, ε = 2⁻⁵², have ‖a⁻¹‖∞ ≤ 1/δ (Varah,
-    Linear Algebra Appl. 11 (1975)); one _lapack_solve, the dgesv kernel itself with the single right-hand
-    side b, solves them: the shape and dtype are checked here and the certificate makes every pivot nonzero,
-    so np.linalg.solve's checks would pass. The n² ε term bounds the rounding of a row sum, γ_(n-1) Σ_j
-    |a_ij| ≤ n² s ε/2, and a zero matrix is not dominant. The test reads s off the diagonal, max_i |a_ii|,
-    with the same decision: where δ beats that smaller scale, every computed row sum is below 2|a_ii|, and a
-    floating-point sum of nonnegative terms is at least the rounded sum of any two of them, so no |a_ij|
-    exceeds |a_ii| and the two scales are equal; a NaN or infinite entry makes δ NaN or -inf under both.
-    One np.linalg.solve of [b | I] gives the others their inverses to certify them; the column elimination
-    solves those that fail, and all of them when LAPACK finds one exactly singular. So a system gets the
-    bits it gets alone, unless it is not dominant and stacked with a singular one.
+    Two routes, one LAPACK call each. Strictly diagonally dominant systems, whose computed
+    δ = min_i(|a_ii| - Σ_(j≠i) |a_ij|) exceeds (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s, ε = 2⁻⁵², s =
+    max|a_ij|, have ‖a⁻¹‖∞ ≤ 1/δ (Varah, Linear Algebra Appl. 11 (1975)), so s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN /
+    PIVOT_RTOL and every pivot of LU with partial pivoting is at least 1/‖a⁻¹‖∞ (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 9); one _lapack_solve, the dgesv kernel itself with the single
+    right-hand side b, solves them: the shape and dtype are checked here and the certificate makes every
+    pivot nonzero, so np.linalg.solve's checks would pass. The n² ε term bounds the rounding of a row sum,
+    γ_(n-1) Σ_j |a_ij| ≤ n² s ε/2, and a zero matrix is not dominant. The test reads s off the diagonal,
+    max_i |a_ii|, with the same decision: where δ beats that smaller scale, every computed row sum is below
+    2|a_ii|, and a floating-point sum of nonnegative terms is at least the rounded sum of any two of them, so
+    no |a_ij| exceeds |a_ii| and the two scales are equal; a NaN or infinite entry makes δ NaN or -inf under
+    both. One np.linalg.solve of [b | I] solves the others with their inverses, and a solution stands when
+    s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL and it passes the Oettli-Prager test of its componentwise backward
+    error, |b - a v| ≤ BACKWARD_ERROR_FACTOR n ε (|a||v| + |b|) (Numer. Math. 6 (1964); Higham §7.2), two
+    batched matrix products: an LU whose pivots overflow can give a finite inverse of a small bound and a wrong
+    v, which the second test refuses. Each route solves its systems in one call whatever is stacked with them,
+    so every system gets the bits it gets alone; an empty stack (0, n, n) gives (0, n).
 
-    Raises SingularMatrix as the elimination does, naming the lowest system with a non-finite entry,
-    else the lowest with a pivot below PIVOT_RTOL times its largest |entry| and its first such column.
+    Raises SingularMatrix naming the lowest system refused and why: a non-finite entry, its inverse bound
+    (infinite for an exactly singular matrix; where LAPACK rejects the stack, its systems are solved one by one
+    only to find it), or its backward error, which a non-finite b fails too.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrices must be a stack (m, n, n)")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        raise ValueError("matrices must be a stack (m, n, n) with n >= 1")
     m, n = a.shape[:2]
     if b.shape != (m, n):
         raise ValueError("right-hand side length must match")
@@ -91,22 +98,33 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if dominant.all():  # the common case, solved without gathering the stack
         return _lapack_solve(a, b)
     v, rest = np.empty((m, n)), np.flatnonzero(~dominant)
-    if len(rest) < m:
+    if len(rest) < m:  # a stack with no dominant system is not gathered
         v[dominant] = _lapack_solve(a[dominant], b[dominant])
-    pick = rest if len(rest) < m else slice(None)  # a stack with no dominant system is not gathered
+        a, b, magnitude = a[rest], b[rest], magnitude[rest]
     rhs = np.empty((len(rest), n, n + 1))  # [b | I]
-    rhs[:, :, 0] = b[pick]
+    rhs[:, :, 0] = b
     rhs[:, :, 1:] = np.eye(n)
     try:
-        solved = np.linalg.solve(a[pick], rhs)
-    except np.linalg.LinAlgError:  # an exactly singular or non-finite matrix: nothing is certified
-        solved = np.full_like(rhs, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = magnitude[pick].max(axis=(1, 2)) * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
-    v[rest] = solved[:, :, 0]
-    rest = rest[~(bound <= CERTIFY_MARGIN / PIVOT_RTOL)]  # a NaN bound certifies nothing
-    if len(rest):
-        v[rest] = _eliminate(a[rest], b[rest], rest)
+        solved = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular matrix, left with an infinite inverse
+        solved = np.full_like(rhs, np.inf)
+        for k in range(len(rest)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                solved[k] = np.linalg.solve(a[k], rhs[k])
+    x, limit, tolerance = solved[:, :, :1], CERTIFY_MARGIN / PIVOT_RTOL, BACKWARD_ERROR_FACTOR * n * 2.0**-52
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = magnitude.max(axis=(1, 2)) * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
+        residual, size = np.abs(b - (a @ x)[:, :, 0]), (magnitude @ np.abs(x))[:, :, 0] + np.abs(b)
+        failed = ~(bound <= limit) | ~(residual <= tolerance * size).all(axis=1)  # NaN passes neither
+        if failed.any():
+            k = int(np.argmax(failed))
+            system = int(rest[k])
+            reason = ("non-finite matrix entry" if not np.isfinite(a[k]).all() else
+                      f"inverse bound {np.nan_to_num(bound[k], nan=np.inf, posinf=np.inf):.3e} above {limit:.1e}"
+                      if not bound[k] <= limit else  # a NaN bound, as a zero matrix's 0 times inf, is named inf
+                      f"backward error {np.max(residual[k] / size[k]):.3e} above {tolerance:.1e}")
+            raise SingularMatrix(f"system {system}: {reason}", system=system)
+    v[rest] = x[:, :, 0]
     return v
 
 
@@ -126,52 +144,6 @@ def float_solve(n: int, a: list, b) -> list:
     another route, since the kernel checks nothing."""
     b = np.asarray(b, dtype=float).reshape(-1, n)
     return _lapack_solve(np.array(a, dtype=float).reshape(-1, n, n), b).ravel().tolist()
-
-
-def _eliminate(a: np.ndarray, b: np.ndarray, in_stack: np.ndarray) -> np.ndarray:
-    """Solve the stack a (m, n, n) @ v = b (m, n) by LU with partial pivoting, eliminating all
-    systems together one column at a time; each pivots on the first largest |entry| in the column.
-    The lowest system with a non-finite entry, else the lowest with a pivot below PIVOT_RTOL times its
-    largest |entry|, raises SingularMatrix, naming its index in_stack[k] and its first failing column."""
-    m, n = b.shape
-    scale = np.abs(a).max(axis=(1, 2))
-    if not np.isfinite(scale).all():
-        system = int(in_stack[np.flatnonzero(~np.isfinite(scale))[0]])
-        raise SingularMatrix(f"system {system}: non-finite matrix entry", system=system)
-    threshold = PIVOT_RTOL * np.maximum(scale, 1e-300)
-
-    # augmented [a | b], so row swaps and eliminations carry the right-hand side
-    ab = np.empty((m, n, n + 1))
-    ab[:, :, :n] = a
-    ab[:, :, n] = b
-    systems = np.arange(m)
-    # a failed pivot spoils only its own system, so the pivots are checked
-    # after the sweep: each system's first failing column is still exact
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for col in range(n):
-            below = ab[:, col:]
-            pivot_rows = np.abs(below[:, :, col]).argmax(axis=1)
-            if np.count_nonzero(pivot_rows):
-                swapped = below[systems, pivot_rows]
-                below[systems, pivot_rows] = below[:, 0]
-                below[:, 0] = swapped
-            pivot = below[:, 0]
-            rest = below[:, 1:, col:]
-            rest -= rest[:, :, :1] / pivot[:, None, col:col + 1] * pivot[:, None, col:]
-    diagonal = np.diagonal(ab, axis1=1, axis2=2)
-    passed = np.abs(diagonal) >= threshold[:, None]
-    if not passed.all():
-        k, col = np.argwhere(~passed)[0]
-        system = int(in_stack[k])
-        raise SingularMatrix(f"system {system}: pivot {diagonal[k, col]:.3e} below threshold in column {col}",
-                             system=system)
-    # back substitution on U with its rows scaled to a unit diagonal;
-    # columns[j] is column j of that U above the diagonal, for every system
-    columns = (np.triu(ab[:, :, :n], 1) / diagonal[:, :, None]).transpose(2, 0, 1)
-    v = ab[:, :, n] / diagonal
-    for row in range(n - 1, 0, -1):
-        v -= columns[row] * v[:, row, None]
-    return v
 
 
 def newton_solve(
@@ -195,8 +167,8 @@ def newton_solve(
     NonConvergence and SingularJacobian name the failing `system`, the lowest.
     """
     x = np.array(guess, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("guess must be a stack (m, n)")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("guess must be a stack (m, n) with n >= 1")
     f, jacobian = system(x)
     if f.shape != x.shape:
         raise ValueError("residual shape must match guess shape")

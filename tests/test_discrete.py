@@ -88,6 +88,12 @@ class TestDiscreteStep:
         with pytest.raises(CollisionSingularity, match="^particle order changed across the step$"):
             discrete_step(orbit[-2], orbit[-1], params)
 
+    def test_no_particles_is_refused(self):
+        with pytest.raises(ValueError, match="^a configuration must hold at least one particle$"):
+            discrete_step(np.empty(0), np.empty(0), PARAMS_N1)
+        with pytest.raises(ValueError, match="^a configuration must hold at least one particle$"):
+            discrete.discrete_orbit(np.empty(0), np.empty(0), PARAMS_N1, 3)
+
     def test_center_of_mass_second_difference(self):
         orbit = make_orbit(*ORBIT_SEED_N3, PARAMS_N3, 10)
         for k in range(1, len(orbit) - 1):
@@ -170,6 +176,15 @@ class TestCornerEquations:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             corner_solve("e", np.array([0.0]), np.array([1.0]), PARAMS_N1)
+
+    @pytest.mark.parametrize("variant", ["a", ()])
+    def test_empty_stack(self, variant):
+        assert corner_solve(variant, np.empty((0, 3)), np.empty((0, 3)), PARAMS_N3).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_no_particles_is_refused(self, shape):
+        with pytest.raises(ValueError, match="^a configuration must hold at least one particle$"):
+            corner_solve("a", np.empty(shape), np.empty(shape), PARAMS_N1)
 
     def test_stacked_solve_matches_each_system_alone(self):
         rng = np.random.default_rng(3)
@@ -411,6 +426,16 @@ class TestPlaquette:
         assert pl.x01[0] == pytest.approx(x01[0], abs=1e-12)
         assert pl.x11[0] == pytest.approx(x11[0], abs=1e-12)
         assert defect <= 1e-12
+
+    def test_empty_stack(self):
+        plaquette, defect = build_plaquette(np.empty((0, 3)), np.empty((0, 3)), PARAMS_N3)
+        assert defect.shape == (0,)
+        assert all(getattr(plaquette, name).shape == (0, 3) for name in ("x00", "x10", "x01", "x11"))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_no_particles_is_refused(self, shape):
+        with pytest.raises(ValueError, match="^a configuration must hold at least one particle$"):
+            build_plaquette(np.empty(shape), np.empty(shape), PARAMS_N1)
 
     @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 3), (2, 3)])
     def test_shared_coordinate_across_an_edge_is_rejected(self, a, b):

@@ -14,6 +14,7 @@ from cmhier.hierarchy import (
     PhaseState,
     build_lax_pair,
     check_collision_free,
+    check_cross_gap,
     constraint_velocity,
     cross_gap,
     inverse_gaps,
@@ -140,6 +141,16 @@ class TestCollisionCheck:
         with pytest.raises(CollisionSingularity, match=f"^{message}$") as info:
             check_collision_free(x, "site")
         assert info.value.system == row
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 2, 3), (2, 0, 3)])
+    def test_empty_stack_passes(self, shape):
+        check_collision_free(np.empty(shape))
+        check_cross_gap(np.empty(shape), np.empty(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 0)])
+    def test_no_particles_is_refused(self, shape):
+        with pytest.raises(ValueError, match="^a configuration must hold at least one particle$"):
+            check_collision_free(np.empty(shape))
 
     def test_stack_rows_are_checked_over_their_inner_configurations(self):
         # row 0 is two configurations, each collision-free; row 1's second one collides
