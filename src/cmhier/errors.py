@@ -49,7 +49,7 @@ class NonConvergence(NumericsError):
 
 class SingularMatrix(NumericsError):
     """A linear solve refused a system: a non-finite matrix entry, an inverse bound s‖A⁻¹‖∞ above the
-    certificate's limit (infinite for an exactly singular matrix), or a componentwise backward error above
+    certificate's limit (infinite for an exactly singular matrix), or a normwise backward error above
     its tolerance."""
 
 

@@ -8,10 +8,11 @@ one for the rest, whose inverses and backward errors certify them; it refuses a 
 does not certify. float_solve makes the first of those calls on Python floats: a float kernel certifies its
 systems as linear_solve does and hands them to LAPACK, never repeating a BLAS kernel's operation order, so
 its bits are numpy's on every CPU.
-That first call, _lapack_solve, goes straight to the dgesv gufunc that np.linalg.solve wraps, numpy's
-private _umath_linalg.solve1, named in this module alone and bound at import, so a numpy without it fails
+Both calls go straight to the dgesv gufuncs that np.linalg.solve wraps, numpy's private
+_umath_linalg.solve1 and solve, named in this module alone and bound at import, so a numpy without them fails
 there: on a certified stack the wrapper's conversions, shape checks and singular-matrix errstate would cost
-more than the solve and find nothing. The [b | I] call of the uncertified rest keeps np.linalg.solve.
+more than the solve and find nothing, and on the rest an exactly singular system is left NaN, for its
+certificate to refuse, instead of failing the whole stack.
 
 There are two RK4 forms with one operation order: rk4_step on an array, with numpy, and float_rk4_step on
 one small state of Python floats, which skips numpy's per-call cost: a function generated once per caller's
@@ -25,7 +26,6 @@ caller's refused to word the abort.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from array import array
 from typing import Callable, Optional
@@ -37,9 +37,10 @@ from .errors import NonConvergence, SingularJacobian, SingularMatrix
 
 PIVOT_RTOL = 1e-14
 CERTIFY_MARGIN = 0.01  # a factor of 100 between linear_solve's certificate and the pivot threshold, for rounding
-BACKWARD_ERROR_FACTOR = 64  # c of linear_solve's backward-error test |b - a v| <= c n ε (|a||v| + |b|)
+BACKWARD_ERROR_FACTOR = 64  # c of linear_solve's backward-error test max|b - a v| <= c n ε max(|a||v| + |b|)
 
 _SOLVE1 = _umath_linalg.solve1  # (n, n), (n) -> (n): dgesv for one right-hand side, as np.linalg.solve calls it
+_SOLVE = _umath_linalg.solve  # (n, n), (n, k) -> (n, k): dgesv for k right-hand sides, as np.linalg.solve calls it
 
 STACK_ENTRIES = 1 << 13
 """Array entries (64 KiB) of one stacked evaluation: chain checks, velocity solves and residuals and per-sample
@@ -72,16 +73,19 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     max_i |a_ii|, with the same decision: where δ beats that smaller scale, every computed row sum is below
     2|a_ii|, and a floating-point sum of nonnegative terms is at least the rounded sum of any two of them, so
     no |a_ij| exceeds |a_ii| and the two scales are equal; a NaN or infinite entry makes δ NaN or -inf under
-    both. One np.linalg.solve of [b | I] solves the others with their inverses, and a solution stands when
-    s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL and it passes the Oettli-Prager test of its componentwise backward
-    error, |b - a v| ≤ BACKWARD_ERROR_FACTOR n ε (|a||v| + |b|) (Numer. Math. 6 (1964); Higham §7.2), two
-    batched matrix products: an LU whose pivots overflow can give a finite inverse of a small bound and a wrong
-    v, which the second test refuses. Each route solves its systems in one call whatever is stacked with them,
-    so every system gets the bits it gets alone; an empty stack (0, n, n) gives (0, n).
+    both. One dgesv call of [b | I] solves the others with their inverses, and a solution stands when
+    s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN / PIVOT_RTOL and it passes a normwise backward-error test, two batched matrix
+    products: ‖b - a v‖∞ ≤ BACKWARD_ERROR_FACTOR n ε ‖|a||v| + |b|‖∞, which bounds the Rigal-Gaches backward
+    error ‖b - a v‖∞ / (‖a‖∞‖v‖∞ + ‖b‖∞) by the same tolerance (Higham §7.1) and which LU with partial pivoting
+    meets unless its growth factor is large (Higham ch. 9); the componentwise Oettli-Prager form it does not
+    always meet. An LU whose pivots overflow can give a finite inverse of a small bound and a wrong v, which the
+    second test refuses; a row of b with a non-finite entry is left out of it, so its solution is returned
+    non-finite, as on the first route.
+    Each route solves its systems in one call whatever is stacked with them, so every system gets the bits it
+    gets alone; an empty stack (0, n, n) gives (0, n).
 
-    Raises SingularMatrix naming the lowest system refused and why: a non-finite entry, its inverse bound
-    (infinite for an exactly singular matrix; where LAPACK rejects the stack, its systems are solved one by one
-    only to find it), or its backward error, which a non-finite b fails too.
+    Raises SingularMatrix naming the lowest system refused and why: a non-finite matrix entry, its inverse
+    bound (infinite for an exactly singular matrix), or its backward error.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -104,25 +108,23 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rhs = np.empty((len(rest), n, n + 1))  # [b | I]
     rhs[:, :, 0] = b
     rhs[:, :, 1:] = np.eye(n)
-    try:
-        solved = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:  # an exactly singular matrix, left with an infinite inverse
-        solved = np.full_like(rhs, np.inf)
-        for k in range(len(rest)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                solved[k] = np.linalg.solve(a[k], rhs[k])
-    x, limit, tolerance = solved[:, :, :1], CERTIFY_MARGIN / PIVOT_RTOL, BACKWARD_ERROR_FACTOR * n * 2.0**-52
+    limit, tolerance = CERTIFY_MARGIN / PIVOT_RTOL, BACKWARD_ERROR_FACTOR * n * 2.0**-52
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        solved = _SOLVE(a, rhs, signature="dd->d")  # an exactly singular system's solution is NaN, its bound too
+        x = solved[:, :, :1]
         bound = magnitude.max(axis=(1, 2)) * np.abs(solved[:, :, 1:]).sum(axis=2).max(axis=1)
-        residual, size = np.abs(b - (a @ x)[:, :, 0]), (magnitude @ np.abs(x))[:, :, 0] + np.abs(b)
-        failed = ~(bound <= limit) | ~(residual <= tolerance * size).all(axis=1)  # NaN passes neither
+        residual = np.abs(b - (a @ x)[:, :, 0]).max(axis=1)
+        size = ((magnitude @ np.abs(x))[:, :, 0] + np.abs(b)).max(axis=1)
+        # a non-finite b is no fault of the matrix: its solution is returned non-finite, as on the dominant route
+        backward = (residual <= tolerance * size) | ~np.isfinite(b).all(axis=1)
+        failed = ~(bound <= limit) | ~backward  # a NaN bound or backward error fails
         if failed.any():
             k = int(np.argmax(failed))
             system = int(rest[k])
             reason = ("non-finite matrix entry" if not np.isfinite(a[k]).all() else
                       f"inverse bound {np.nan_to_num(bound[k], nan=np.inf, posinf=np.inf):.3e} above {limit:.1e}"
-                      if not bound[k] <= limit else  # a NaN bound, as a zero matrix's 0 times inf, is named inf
-                      f"backward error {np.max(residual[k] / size[k]):.3e} above {tolerance:.1e}")
+                      if not bound[k] <= limit else  # a NaN bound, as a singular or zero matrix's, is named inf
+                      f"backward error {residual[k] / size[k]:.3e} above {tolerance:.1e}")
             raise SingularMatrix(f"system {system}: {reason}", system=system)
     v[rest] = x[:, :, 0]
     return v
