@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix, located
 from .hierarchy import (
     COLLISION_TOL, _set_diagonal, check_collision_free, check_cross_gap, cross_gap, inverse_gaps, trace_powers)
 from .hierarchy import min_gap  # noqa: F401 -- benchmarks/tests wrap the discrete.min_gap binding
-from .numerics import CERTIFY_MARGIN, NEWTON_ITERATIONS, PIVOT_RTOL, float_solve, newton_solve
+from .numerics import NEWTON_ITERATIONS, dominance_threshold, float_solve, newton_solve
 
 # an orbit of at most this many particles steps on Python floats first: a float step takes 11-111 us at
 # N = 1-7 and a numpy step 110-440 us (30-step orbits, median of 7, one CPU, wall, in-process), so the bound
@@ -176,7 +177,6 @@ def _float_step(x_prev: list, x_cur: list, tol: float) -> list | None:
             and all(abs(a - b) >= COLLISION_TOL for a in x_cur for b in x_prev)):
         return None
     n = len(x_cur)
-    bound = PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
     try:
         const = []  # the "eom" row of _corner_system; numpy's diagonal 1/inf adds +0.0, which changes no sum
         for m, xm in enumerate(x_cur):
@@ -203,7 +203,7 @@ def _float_step(x_prev: list, x_cur: list, tol: float) -> list | None:
             if iteration == NEWTON_ITERATIONS:
                 return None
             jacobian = [c * c for row in cross for c in row]
-            cut = bound * max(jacobian)
+            cut = dominance_threshold(n) * max(jacobian)
             for m in range(n):
                 total = 0.0
                 for a in jacobian[m * n:m * n + n]:
@@ -245,34 +245,30 @@ def discrete_orbit(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams,
 
 
 def lattice_spectrum(x00, x10, params: LatticeParams, n1, n2) -> np.ndarray:
-    """Site (n1, n2) of the sheet grown from the edge (x00, x10), one row per broadcast
-    (n1, n2); n2 = 0 is the discrete orbit. Complex only where some eigenvalue is. The sites are the
-    eigenvalues of diag x00 - n1 L^-1 - n2 (L + (p2 - p1) I)^-1 with L the discrete Lax matrix on the base edge
-    (Nijhoff-Pang, Phys. Lett. A 191 (1994)); exact re-exports it with the other exact solutions."""
+    """Site (n1, n2) of the sheet grown from the edge (x00, x10): exact.spectrum of the terms (-n1, L^-1) and
+    (-n2, (L + (p2 - p1) I)^-1), L the discrete Lax matrix of the edge; n2 = 0 is the discrete orbit. Edges (..., N)
+    stack, one row per broadcast of their leading axes with n1 and n2: sites (k,) of edges (m, 1, N) are (m, k, N)."""
     L, _ = build_discrete_lax(x00, x10)
-    sites = np.diag(np.asarray(x00, dtype=float))
+    shifted = L + (params.p2 - params.p1) * np.eye(L.shape[-1])
+    terms = [(-np.asarray(n, dtype=float), a) for n, a in ((n1, L), (n2, shifted))]
     # a term whose coefficient is zero throughout is not inverted, so the orbit (n2 = 0) reads any seed edge
-    for n, matrix in ((n1, L), (n2, L + (params.p2 - params.p1) * np.eye(len(L)))):
-        n = np.asarray(n, dtype=float)[..., None, None]
-        if n.any():
-            sites = sites - n * np.linalg.inv(matrix)
-    return np.linalg.eigvals(sites)
+    return exact.spectrum(x00, [(c, np.linalg.inv(a)) for c, a in terms if c.any()])
 
 
 def _orbit_end(x_prev: np.ndarray, x_cur: np.ndarray, params: LatticeParams, site: int):
     """Where the exact orbit through the seed edge ends, if it does at `site` or site + 1: the first of them
-    whose lattice_spectrum has a complex pair or two eigenvalues within COLLISION_TOL, with the wording of its
-    end; None when both are real and apart, or when the spectrum cannot be computed."""
+    whose lattice_spectrum exact.ends with COLLISION_TOL, with the wording of its end; None when neither
+    ends, or when the spectrum cannot be computed."""
     try:
         spectra = lattice_spectrum(x_prev, x_cur, params, [site, site + 1], 0)
-    except np.linalg.LinAlgError:  # a singular Lax matrix of the seed edge
+    except np.linalg.LinAlgError:  # a singular Lax matrix of the seed edge, or a non-finite spectrum matrix
         return None
-    for k, spectrum in zip((site, site + 1), spectra):
-        gaps = np.diff(np.sort(spectrum.real))
-        if spectrum.imag.any():
-            return k, "the exact orbit leaves the real line: complex pair in the lattice spectrum"
-        if (gaps < COLLISION_TOL).any():
-            return k, f"the exact orbit collides: lattice spectrum gap {gaps.min():.3e} below {COLLISION_TOL:.1e}"
+    for k, spectrum, end in zip((site, site + 1), spectra, exact.ends(spectra, COLLISION_TOL)):
+        if end:
+            if spectrum.imag.any():
+                return k, "the exact orbit leaves the real line: complex pair in the lattice spectrum"
+            gap = np.diff(np.sort(spectrum.real)).min()
+            return k, f"the exact orbit collides: lattice spectrum gap {gap:.3e} below {COLLISION_TOL:.1e}"
     return None
 
 
@@ -379,7 +375,7 @@ def build_plaquette(x00: np.ndarray, x10: np.ndarray, params: LatticeParams) -> 
     m, n = math.prod(x00.shape[:-1]), x00.shape[-1]  # one base edge is m = 1
     x01, x11_route1 = corner_solve(("a",) * m + ("c",) * m, np.stack([x00, x10]).reshape(2 * m, n),
                                    np.stack([x10, x00]).reshape(2 * m, n), params).reshape(2, *x00.shape)
-    x11_route2 = corner_solve("d", x01, x00, params)
+    x11_route2 = corner_solve("d", x01.reshape(m, n), x00.reshape(m, n), params).reshape(x00.shape)
     return Plaquette(x00, x10, x01, x11_route1), np.abs(x11_route1 - x11_route2).max(axis=-1)
 
 

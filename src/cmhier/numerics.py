@@ -58,13 +58,18 @@ NEWTON_ITERATIONS = 50
 """The iteration cap of every Newton solve, newton_solve's and the float orbit's."""
 
 
+def dominance_threshold(n: int) -> float:
+    """The margin δ/s above which linear_solve certifies an n × n system dominant; the float kernels read it too."""
+    return PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52
+
+
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ v = b for a stack of m independent systems, `a` (m, n, n) and `b` (m, n), n ≥ 1, giving v
     of shape (m, n).
 
     Two routes, one LAPACK call each. Strictly diagonally dominant systems, whose computed
-    δ = min_i(|a_ii| - Σ_(j≠i) |a_ij|) exceeds (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s, ε = 2⁻⁵², s =
-    max|a_ij|, have ‖a⁻¹‖∞ ≤ 1/δ (Varah, Linear Algebra Appl. 11 (1975)), so s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN /
+    δ = min_i(|a_ii| - Σ_(j≠i) |a_ij|) exceeds dominance_threshold(n) s = (PIVOT_RTOL / CERTIFY_MARGIN + n² ε) s,
+    ε = 2⁻⁵², s = max|a_ij|, have ‖a⁻¹‖∞ ≤ 1/δ (Varah, Linear Algebra Appl. 11 (1975)), so s‖a⁻¹‖∞ ≤ CERTIFY_MARGIN /
     PIVOT_RTOL and every pivot of LU with partial pivoting is at least 1/‖a⁻¹‖∞ (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 9); one _lapack_solve, the dgesv kernel itself with the single
     right-hand side b, solves them: the shape and dtype are checked here and the certificate makes every
@@ -98,7 +103,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diagonal = magnitude.diagonal(axis1=1, axis2=2)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or overflowing row is not dominant
         margin = 2.0 * diagonal - magnitude.sum(axis=2)
-        dominant = margin.min(axis=1) > (PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52) * diagonal.max(axis=1)
+        dominant = margin.min(axis=1) > dominance_threshold(n) * diagonal.max(axis=1)
     if dominant.all():  # the common case, solved without gathering the stack
         return _lapack_solve(a, b)
     v, rest = np.empty((m, n)), np.flatnonzero(~dominant)

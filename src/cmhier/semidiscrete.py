@@ -38,7 +38,7 @@ import numpy as np
 from .discrete import LatticeParams, discrete_lagrangian
 from .errors import CollisionSingularity, SingularMatrix, located
 from .hierarchy import COLLISION_TOL, check_collision_free, check_cross_gap, inverse_gaps
-from .numerics import CERTIFY_MARGIN, PIVOT_RTOL, float_rk4_step, float_solve, linear_solve, march, row_blocks
+from .numerics import dominance_threshold, float_rk4_step, float_solve, linear_solve, march, row_blocks
 
 # a chain of N <= 2 particles marches on Python floats when K N^2 is at most this. A 100-step march, with the
 # one-off compile of its leg (6-18 ms at K N^2 = 16-64), takes 5.2-18.1 ms at N = 1 and K = 16-64 against
@@ -214,7 +214,7 @@ def evolve_chain(chain: Chain, d_tau: float, steps: int) -> Chain:
     leg = None
     if n <= 2 and k_len * n * n <= FLOAT_CHAIN_SIZE:
         leg = float_rk4_step(("semidiscrete", k_len, n), (k_len + 1) * n, k_len * (2 * n - 1),
-                             _chain_source(k_len, n), d_tau, bound=PIVOT_RTOL / CERTIFY_MARGIN + n * n * 2.0**-52,
+                             _chain_source(k_len, n), d_tau, bound=dominance_threshold(n),
                              solve=float_solve, minus_ones=np.full((2 * k_len, n), -1.0))
     return Chain(march(field, chain.sites[None], taus, d_tau, order, COLLISION_TOL, refused, leg)[:, 0], taus)
 

@@ -23,7 +23,7 @@ from cmhier.discrete import (
     logdet_identity_residual,
     sheet_corner_residuals,
 )
-from cmhier import cli, discrete, exact, numerics, verify
+from cmhier import cli, discrete, numerics, verify
 from cmhier.errors import CollisionSingularity, LogSingularity, NonConvergence, NumericsError, SingularMatrix
 from cmhier.hierarchy import ORDERED_SUM_N, check_cross_gap
 from cmhier.sampling import orbit_seed, plaquette_seed
@@ -673,7 +673,14 @@ def test_an_orbit_that_really_ends_says_so(n, seed, solved, cause, site):
                                "complex pair in the lattice spectrum")
     # chained from the error of the solve, which names the site it was solving for
     assert isinstance(info.value.__cause__, cause) and info.value.__cause__.site == solved
-    assert np.iscomplex(exact.lattice_spectrum(x_prev, x_cur, params, site, 0)).any()
+    assert np.iscomplex(discrete.lattice_spectrum(x_prev, x_cur, params, site, 0)).any()
+
+
+def test_an_orbit_end_at_a_close_gap_names_the_gap(monkeypatch):
+    # site 5 is real and apart, site 6 real with two eigenvalues 1e-13 apart
+    monkeypatch.setattr(discrete, "lattice_spectrum", lambda *args: np.array([[0.0, 1.0], [0.0, 1e-13]]))
+    assert discrete._orbit_end(np.array([0.0, 3.0]), np.array([0.3, 3.3]), PARAMS_N2, 5) == (
+        6, "the exact orbit collides: lattice spectrum gap 1.000e-13 below 1.0e-12")
 
 
 def stuck_step(x_prev, x_cur, params):
@@ -957,17 +964,24 @@ class TestLeadingAxes:
                     for g, v in pairs:
                         assert np.shape(g[i, j]) == np.shape(v) and g[i, j].tobytes() == np.asarray(v).tobytes(), name
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 32])
-    def test_stacked_plaquettes_equal_each_plaquette_alone(self, n):
+    # base edges (4, n), and (2, 4, 3): a stack of more than one leading axis keeps the bits of the (8, 3) call
+    @pytest.mark.parametrize("n, lead", [(1, (4,)), (2, (4,)), (3, (4,)), (32, (4,)), (3, (2, 4))],
+                             ids=["1", "2", "3", "32", "2-4-3"])
+    def test_stacked_plaquettes_equal_each_plaquette_alone(self, n, lead):
         params = LatticeParams(p1=1.0, p2=2.0, n=n)
-        edges = [spaced_edge(seed, n) for seed in range(4)]
-        x00, x10 = map(np.array, zip(*edges))
+        edges = [spaced_edge(seed, n) for seed in range(int(np.prod(lead)))]
+        x00, x10 = (np.array(corner).reshape(*lead, n) for corner in zip(*edges))
         pl, defects = build_plaquette(x00, x10, params)
-        assert defects.shape == (4,) and pl.x11.shape == (4, n)
+        assert defects.shape == lead and pl.x11.shape == (*lead, n)
+        flat, flat_defects = build_plaquette(x00.reshape(-1, n), x10.reshape(-1, n), params)
         for k, (a, b) in enumerate(edges):
             alone, defect = build_plaquette(a, b, params)
-            assert pl.x01[k].tobytes() == alone.x01.tobytes() and pl.x11[k].tobytes() == alone.x11.tobytes()
-            assert defects[k].tobytes() == np.float64(defect).tobytes()
+            index = np.unravel_index(k, lead)
+            for got in (pl.x01[index], flat.x01[k]):
+                assert got.tobytes() == alone.x01.tobytes()
+            for got in (pl.x11[index], flat.x11[k]):
+                assert got.tobytes() == alone.x11.tobytes()
+            assert defects[index].tobytes() == flat_defects[k].tobytes() == np.float64(defect).tobytes()
 
     def test_stacked_log_singularity_names_the_row(self):
         x, tx, _ = stacked_sites(1, (2, 3), 2)
@@ -1126,7 +1140,7 @@ class TestFloatOrbit:
         # kernel hands the step to discrete_step, which takes it
         x_prev, x_cur = np.array([0.0, 1.5, 3.0]), np.array([0.6, 2.25, 3.7])
         jacobian = discrete._eom_system(x_prev, x_cur)[0]((2.0 * x_cur - x_prev)[None])[1]()[0]
-        bound = numerics.PIVOT_RTOL / numerics.CERTIFY_MARGIN + 9 * 2.0**-52
+        bound = numerics.dominance_threshold(3)
         assert not (2.0 * jacobian.diagonal() - jacobian.sum(axis=1)).min() > bound * jacobian.max()
         assert discrete._float_step(x_prev.tolist(), x_cur.tolist(), PARAMS_N3.newton_tolerance) is None
         sites, handed_off = assert_same_orbit_outcome(x_prev, x_cur, PARAMS_N3, 3)

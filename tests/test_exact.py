@@ -26,6 +26,24 @@ def _rng_before_bounce():
     return rng
 
 
+class TestSpectrum:
+    """exact.spectrum, the one oracle of every regime, and exact.ends, its one end test."""
+
+    def test_a_stack_of_s_equals_each_s_alone(self):
+        start = PhaseState([-4.0, 0.0, 4.0], [0.1, 0.0, -0.1])
+        s = np.linspace(0.0, 3.0, 7).reshape(7, 1) * [1.0, 0.5]  # (7, 2) values of s
+        stacked = exact.projection_spectrum(start, (1.0, -0.5), s)
+        assert stacked.shape == (7, 2, 3)
+        for index in np.ndindex(s.shape):
+            assert stacked[index].tobytes() == exact.projection_spectrum(start, (1.0, -0.5), s[index]).tobytes()
+
+    def test_ends_reads_a_complex_pair_or_a_close_gap(self):
+        spectra = np.array([[0.0, 1.0, 3.0], [1.0 + 1e-9j, 1.0 - 1e-9j, 3.0], [0.0, 1.0, 1.0 + 1e-9]])
+        assert exact.ends(spectra, 1e-6).tolist() == [False, True, True]
+        assert exact.ends(spectra, 1e-10).tolist() == [False, True, False]
+        assert exact.ends(spectra.real[:1], 1.0).tolist() == [False] and exact.ends(spectra.real[:1], 1.5)[0]
+
+
 class TestProjectionSpectrum:
     @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.4, 0.3), (-1.0, 0.5)])
     def test_one_particle_closed_form(self, direction):
@@ -175,7 +193,7 @@ class TestLatticeSpectrum:
         x10 = x00 + rng.uniform(0.9, 1.1, 32) / 3.0
         sheet = discrete.build_lattice_sheet(x00, x10, self.PARAMS, 4, 4)
         n1, n2 = np.array(list(sheet.sites)).T
-        spectrum = exact.lattice_spectrum(x00, x10, self.PARAMS, n1, n2)
+        spectrum = discrete.lattice_spectrum(x00, x10, self.PARAMS, n1, n2)
         assert np.all(spectrum.imag == 0.0)
         sites = np.sort(np.array(list(sheet.sites.values())), axis=1)
         assert np.max(np.abs(sites - np.sort(spectrum.real, axis=1))) <= 1e-8
@@ -187,24 +205,25 @@ class TestLatticeSpectrum:
         orbit.append(orbit[0] + rng.uniform(0.9, 1.1, 8) / 3.0)
         for _ in range(50):
             orbit.append(discrete.discrete_step(orbit[-2], orbit[-1], params))
-        spectrum = exact.lattice_spectrum(orbit[0], orbit[1], params, np.arange(52), 0)
+        spectrum = discrete.lattice_spectrum(orbit[0], orbit[1], params, np.arange(52), 0)
         assert np.max(np.abs(np.sort(orbit, axis=1) - np.sort(spectrum.real, axis=1))) <= 1e-8
 
     def test_one_particle_closed_form(self):
         # L = 1/(x - tx), so a site moves by n1 (x10 - x00) and n2 / (1/(x00 - x10) + p2 - p1)
         x00, x10 = np.array([0.2]), np.array([0.5])
         params = discrete.LatticeParams(p1=1.0, p2=2.0, n=1)
-        site = exact.lattice_spectrum(x00, x10, params, 3, 2)
+        site = discrete.lattice_spectrum(x00, x10, params, 3, 2)
         assert site[0] == pytest.approx(0.2 + 3 * 0.3 - 2.0 / (1.0 / -0.3 + 1.0), abs=1e-14)
 
     def test_the_orbit_of_an_edge_whose_lax_matrix_has_the_eigenvalue_p1_minus_p2(self):
         # on the edge (0, 1), L = -1 and L + (p2 - p1) I = 0, which the orbit (n2 = 0) never inverts
         params = discrete.LatticeParams(p1=1.0, p2=2.0, n=1)
-        assert exact.lattice_spectrum([0.0], [1.0], params, 2, 0) == pytest.approx([2.0], abs=1e-14)
-        assert exact.lattice_spectrum([0.0], [1.0], params, [2, 3], 0) == pytest.approx(np.array([[2.0], [3.0]]), abs=1e-14)
+        assert discrete.lattice_spectrum([0.0], [1.0], params, 2, 0) == pytest.approx([2.0], abs=1e-14)
+        orbit = discrete.lattice_spectrum([0.0], [1.0], params, [2, 3], 0)
+        assert orbit == pytest.approx(np.array([[2.0], [3.0]]), abs=1e-14)
         assert np.array_equal(discrete.discrete_orbit([0.0], [1.0], params, 4), [[0.0], [1.0], [2.0], [3.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            exact.lattice_spectrum([0.0], [1.0], params, [2, 3], [0, 1])
+            discrete.lattice_spectrum([0.0], [1.0], params, [2, 3], [0, 1])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_sites_off_the_orbit_keep_the_bits_of_one_stacked_inverse(self, n):
@@ -216,13 +235,22 @@ class TestLatticeSpectrum:
         for n1, n2 in [([0, 1], [1, 1]), (3, 2), (0, [1, 2, 3]), (np.arange(5), 4)]:
             n1_, n2_ = (np.asarray(k, dtype=float)[..., None, None] for k in (n1, n2))
             reference = np.linalg.eigvals(np.diag(x00) - n1_ * a - n2_ * b)
-            site = exact.lattice_spectrum(x00, x10, discrete.LatticeParams(p1=1.0, p2=2.0, n=n), n1, n2)
+            site = discrete.lattice_spectrum(x00, x10, discrete.LatticeParams(p1=1.0, p2=2.0, n=n), n1, n2)
             assert site.tobytes() == reference.tobytes()
+        # this edge and two more as a stack (3, 1, n), against the sites (0, 1), (1, 1) and (3, 2) of each alone
+        edges = np.array([[x00, x10], [x00 + 0.1, x10 + 0.2], [1.1 * x00, 1.1 * x10]])[:, :, None]
+        params = discrete.LatticeParams(p1=1.0, p2=2.0, n=n)
+        sites = discrete.lattice_spectrum(edges[:, 0], edges[:, 1], params, [0, 1, 3], [1, 1, 2])
+        assert sites.shape == (3, 3, n)
+        for (edge_x00, edge_x10), site in zip(edges[:, :, 0], sites):
+            alone = discrete.lattice_spectrum(edge_x00, edge_x10, params, [0, 1, 3], [1, 1, 2])
+            assert site.tobytes() == alone.tobytes()
 
 
 class TestChainSpectrum:
     """The chain grown from the edge (x00, x10) along tau: y(k, tau) = eig(diag x00 - k L^-1 - tau L^-2),
-    L = build_discrete_lax(x00, x10)[0], computed here, outside the package."""
+    L = build_discrete_lax(x00, x10)[0], with the terms (-k, L^-1) and (-tau, L^-2) built here, outside
+    the package, and read through exact.spectrum."""
 
     @pytest.mark.parametrize("n, k_len", [(1, 2), (2, 2), (3, 4), (8, 8)])
     def test_evolved_orbit_chain_matches_at_every_site_and_tau(self, n, k_len):
@@ -232,7 +260,7 @@ class TestChainSpectrum:
         orbit = discrete.discrete_orbit(x00, x10, discrete.LatticeParams(p1=1.0, p2=2.0, n=n), k_len + 1)
         chain = semidiscrete.evolve_chain(semidiscrete.Chain(tuple(orbit)), 1e-3, 200)
         inv = np.linalg.inv(discrete.build_discrete_lax(x00, x10)[0])
-        k, tau = np.arange(k_len + 1)[None, :, None, None], chain.tau[:, None, None, None]
-        spectrum = np.linalg.eigvals(np.diag(x00) - k * inv - tau * (inv @ inv))
+        k, tau = np.arange(k_len + 1.0)[None, :], chain.tau[:, None]
+        spectrum = exact.spectrum(x00, [(-k, inv), (-tau, inv @ inv)])
         assert chain.sites.shape == (201, k_len + 1, n) and np.all(spectrum.imag == 0.0)
         assert np.max(np.abs(np.sort(chain.sites, axis=-1) - np.sort(spectrum.real, axis=-1))) <= 1e-11
